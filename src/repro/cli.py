@@ -303,7 +303,8 @@ def query_main(argv=None):
                              "per-run and amortized times (default: 1)")
     parser.add_argument("--explain", action="store_true",
                         help="print the physical query plan with estimated "
-                             "and actual per-step cardinalities")
+                             "and actual per-step cardinalities and their "
+                             "q-error (qerr=max(est/actual, actual/est))")
     parser.add_argument("--profile", action="store_true",
                         help="execute once under per-stage tracing and print "
                              "the timed plan: parse/plan/execute stage "

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional as Opt
 
+from ..rdf.terms import Variable
 from . import ast
 
 
@@ -48,11 +49,17 @@ class BGP(AlgebraNode):
     ``plan`` optionally carries a :class:`~repro.sparql.planner.BGPPlan`
     (per-step physical strategies and cardinality estimates); when present,
     the id-space evaluator executes the plan instead of re-deriving an order.
+
+    ``substituted`` maps the name of every variable the optimizer replaced by
+    an IRI in ``patterns`` (the ``FILTER (?v = <iri>)`` rewrite) to that IRI.
+    Such a variable occurs nowhere else in the query, so the record only
+    matters to EXPLAIN and to prepared pre-bindings of the vanished variable.
     """
 
     patterns: list = field(default_factory=list)
     inline_filters: list = field(default_factory=list)
     plan: object = None
+    substituted: dict = field(default_factory=dict)
 
     def variables(self):
         found = set()
@@ -72,6 +79,11 @@ class BGP(AlgebraNode):
 class Join(AlgebraNode):
     """Inner join of two operands on their shared variables.
 
+    ``condition`` holds the cross-side conjuncts the optimizer turned into
+    join keys (``FILTER (?a = ?b)`` with ``?a`` bound only on the left and
+    ``?b`` only on the right); the evaluators hash on them exactly as they
+    do for a LeftJoin condition.
+
     ``plan`` optionally carries a :class:`~repro.sparql.planner.JoinPlan`
     selecting the physical strategy (hash join, or a bind join that seeds
     the right operand's evaluation with the left rows).
@@ -79,6 +91,7 @@ class Join(AlgebraNode):
 
     left: AlgebraNode
     right: AlgebraNode
+    condition: Opt[ast.Expression] = None
     plan: object = None
 
     def variables(self):
@@ -88,7 +101,9 @@ class Join(AlgebraNode):
         return (self.left, self.right)
 
     def __str__(self):
-        return f"Join({self.left}, {self.right})"
+        if self.condition is None:
+            return f"Join({self.left}, {self.right})"
+        return f"Join({self.left}, {self.right}, {self.condition})"
 
 
 @dataclass
@@ -304,7 +319,7 @@ def translate_group(group):
         if isinstance(element, ast.OptionalNode):
             flush_bgp()
             inner, inner_filters = _translate_optional_body(element.group)
-            condition = _conjunction(inner_filters)
+            condition = conjunction(inner_filters)
             accumulated = LeftJoin(accumulated or BGP([]), inner, condition)
             continue
         if isinstance(element, ast.UnionNode):
@@ -355,13 +370,52 @@ def _join(left, right):
     return Join(left, right)
 
 
-def _conjunction(expressions):
+def split_conjuncts(expression):
+    """Flatten nested ``&&`` expressions into a list of conjuncts."""
+    if isinstance(expression, ast.And):
+        return split_conjuncts(expression.left) + split_conjuncts(expression.right)
+    return [expression]
+
+
+def conjunction(expressions):
+    """The ``&&`` of the given expressions (None when there are none)."""
     if not expressions:
         return None
     condition = expressions[0]
     for expression in expressions[1:]:
         condition = ast.And(condition, expression)
     return condition
+
+
+#: Comparison operators a join can key or order on, mapped to the operator
+#: that holds for the swapped operands (``?r < ?l`` is ``?l > ?r``).
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def cross_side_comparison(conjunct, left_names, right_names):
+    """``?l op ?r`` with ``?l`` bindable only left and ``?r`` only right.
+
+    Returns ``(left_name, right_name, operator)`` — the operator mirrored
+    when the conjunct is written right-to-left, so it always applies as
+    ``compare(left value, right value)`` — or None for any other shape.
+    These are the conjuncts a join evaluates from one cell of each side
+    (``=`` as a hash key, the orderings through precomputed sort keys)
+    instead of evaluating the expression per candidate pair.
+    """
+    if not (isinstance(conjunct, ast.Comparison) and conjunct.operator in _MIRRORED):
+        return None
+    names = []
+    for operand in (conjunct.left, conjunct.right):
+        if not (isinstance(operand, ast.TermExpression)
+                and isinstance(operand.term, Variable)):
+            return None
+        names.append(operand.term.name)
+    a, b = names
+    if a in left_names and b in right_names and a not in right_names and b not in left_names:
+        return a, b, conjunct.operator
+    if b in left_names and a in right_names and b not in right_names and a not in left_names:
+        return b, a, _MIRRORED[conjunct.operator]
+    return None
 
 
 def walk(node):

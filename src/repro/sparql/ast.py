@@ -58,6 +58,15 @@ class Comparison(Expression):
         return f"({self.left} {self.operator} {self.right})"
 
 
+def equality_operands(expression):
+    """The two operand terms of a ``term = term`` comparison, else None."""
+    if (isinstance(expression, Comparison) and expression.operator == "="
+            and isinstance(expression.left, TermExpression)
+            and isinstance(expression.right, TermExpression)):
+        return expression.left.term, expression.right.term
+    return None
+
+
 @dataclass(frozen=True)
 class And(Expression):
     """Logical conjunction ``&&``."""

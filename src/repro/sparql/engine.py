@@ -358,7 +358,7 @@ class SparqlEngine:
                 tree = planner.annotate_tree(tree, self.store,
                                              strategy=step_strategy)
             for node in algebra.walk(tree):
-                if isinstance(node, algebra.BGP) and node.plan is not None:
+                if getattr(node, "plan", None) is not None:
                     node.plan.reset_actuals()
         evaluator = Evaluator(
             read_snapshot(self.store),
@@ -442,6 +442,13 @@ class PreparedQuery:
             self._variables = list(variables)
         else:
             self._variables = []
+        #: Variables the optimizer replaced by an IRI (FILTER (?v = <iri>)).
+        #: They are gone from the tree, so run() checks pre-bindings of them.
+        self._substituted = {
+            name: iri
+            for bgp in algebra.collect_bgps(tree)
+            for name, iri in bgp.substituted.items()
+        }
         #: Executions so far (amortization bookkeeping for harness reports).
         self.run_count = 0
 
@@ -497,9 +504,15 @@ class PreparedQuery:
             seed=seed,
         )
         self.run_count += 1
+        # A pre-binding that disagrees with a substituted IRI fails the
+        # FILTER the substitution stands for: no solutions.
+        rejected = seed is not None and any(
+            seed.get(name, iri) != iri for name, iri in self._substituted.items()
+        )
         if isinstance(self._parsed, AskQuery):
-            return AskCursor(evaluator.evaluate(self._tree), deadline=deadline)
-        rows = evaluator.evaluate(self._tree)
+            answer = False if rejected else evaluator.evaluate(self._tree)
+            return AskCursor(answer, deadline=deadline)
+        rows = iter(()) if rejected else evaluator.evaluate(self._tree)
         if offset:
             rows = islice(rows, offset, None)
         if limit is not None:

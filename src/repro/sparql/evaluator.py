@@ -43,9 +43,9 @@ from itertools import islice
 
 from ..rdf.terms import Variable, term_sort_key
 from . import algebra
-from .bindings import EMPTY_BINDING, Binding
+from .bindings import EMPTY_BINDING, Binding, variable_name
 from .errors import EvaluationError
-from .expressions import effective_boolean_value
+from .expressions import effective_boolean_value, value_key
 from .idspace import NESTED_LOOP, SCAN_HASH, IdSpaceEvaluation, reduce_numbers
 from .planner import BIND_JOIN
 from .scatter import ScatterGatherEvaluation
@@ -264,18 +264,17 @@ class Evaluator:
     # -- binary operators ------------------------------------------------------------
 
     def _eval_join(self, node):
-        left = list(self._eval(node.left))
-        if not left:
-            return iter(())
         plan = getattr(node, "plan", None)
         if plan is not None and plan.strategy == BIND_JOIN:
             # A bind-join plan reordered the right side (and placed its
             # inline filters) under the assumption that the left rows seed
             # its evaluation; executing it standalone would let a filter run
             # before its variables are bound.  Honour the plan.
+            left = list(self._eval(node.left))
+            if not left:
+                return iter(())
             return self._eval_seeded(node.right, left)
-        right = list(self._eval(node.right))
-        return iter(_hash_join(left, right))
+        return self._keyed_join(node, outer=False)
 
     def _eval_seeded(self, node, bindings):
         """Evaluate ``node`` continuing from existing solutions (bind join).
@@ -316,49 +315,67 @@ class Evaluator:
         return solutions
 
     def _eval_left_join(self, node):
-        """Hash-based left outer join (OPTIONAL).
+        return self._keyed_join(node, outer=True)
 
-        Right solutions binding every shared variable are bucketed by their
-        join key, so each left solution meets only its hash bucket (plus the
-        unkeyed rows produced by nested OPTIONALs) instead of the whole right
-        side; left solutions with no surviving match pass through unchanged.
+    def _keyed_join(self, node, outer):
+        """Hash join of two operands: inner, or left outer (OPTIONAL).
+
+        Right solutions are bucketed by the values of the shared variables
+        plus the value keys of the condition's cross-side equalities
+        (``FILTER (?name = ?name2)``, see :func:`~repro.sparql.expressions.
+        value_key`), so each left solution meets only its hash bucket (plus
+        the unkeyed rows produced by nested OPTIONALs) instead of the whole
+        right side; the rest of the condition is evaluated per merged pair.
+        With ``outer``, left solutions with no surviving match pass through
+        unchanged.
         """
         left = list(self._eval(node.left))
         if not left:
             return iter(())
         right = list(self._eval(node.right))
-        condition = node.condition
         shared = _shared_variables(left, right)
+        left_keys, right_keys, residual = _split_condition(node)
         keyed = {}
-        unkeyed = []
+        entries = []
         for right_binding in right:
+            equi = _value_keys(right_binding, right_keys)
+            if equi is None:
+                # An unbound equality operand never satisfies the condition.
+                continue
+            entries.append((right_binding, equi))
             key = _join_key(right_binding, shared)
-            if key is None:
-                unkeyed.append(right_binding)
-            else:
-                keyed.setdefault(key, []).append(right_binding)
+            if key is not None:
+                keyed.setdefault((key, equi), []).append(right_binding)
+        unkeyed = [
+            entry for entry in entries if _join_key(entry[0], shared) is None
+        ]
         check = self._check
         results = []
         for left_binding in left:
             if check is not None:
                 check()
-            key = _join_key(left_binding, shared)
-            if key is None:
-                candidates = right
-            elif unkeyed:
-                candidates = keyed.get(key, []) + unkeyed
-            else:
-                candidates = keyed.get(key, ())
             matched = False
-            for right_binding in candidates:
-                if not left_binding.compatible(right_binding):
-                    continue
-                merged = left_binding.merge(right_binding)
-                if condition is not None and not effective_boolean_value(condition, merged):
-                    continue
-                results.append(merged)
-                matched = True
-            if not matched:
+            equi = _value_keys(left_binding, left_keys)
+            if equi is not None:
+                key = _join_key(left_binding, shared)
+                if key is None:
+                    candidates = [b for b, e in entries if e == equi]
+                else:
+                    candidates = keyed.get((key, equi), [])
+                    if unkeyed:
+                        candidates = candidates + [
+                            b for b, e in unkeyed if e == equi
+                        ]
+                for right_binding in candidates:
+                    if not left_binding.compatible(right_binding):
+                        continue
+                    merged = left_binding.merge(right_binding)
+                    if residual is not None and not effective_boolean_value(
+                            residual, merged):
+                        continue
+                    results.append(merged)
+                    matched = True
+            if outer and not matched:
                 results.append(left_binding)
         return iter(results)
 
@@ -550,6 +567,40 @@ def _hash_join(left, right):
                 if left_binding.compatible(right_binding):
                     results.append(left_binding.merge(right_binding))
     return results
+
+
+def _split_condition(node):
+    """A join condition as (left key names, right key names, residual).
+
+    Cross-side equalities (``?a = ?b`` with ``?a`` bindable only by the
+    left operand and ``?b`` only by the right) become hash-key columns;
+    every other conjunct stays in the residual condition.
+    """
+    left_keys, right_keys, residual = [], [], []
+    if node.condition is not None:
+        left_names = {variable_name(v) for v in node.left.variables()}
+        right_names = {variable_name(v) for v in node.right.variables()}
+        for conjunct in algebra.split_conjuncts(node.condition):
+            crossed = algebra.cross_side_comparison(
+                conjunct, left_names, right_names
+            )
+            if crossed is not None and crossed[2] == "=":
+                left_keys.append(crossed[0])
+                right_keys.append(crossed[1])
+            else:
+                residual.append(conjunct)
+    return left_keys, right_keys, algebra.conjunction(residual)
+
+
+def _value_keys(binding, names):
+    """Value keys of the named variables; None if any of them is unbound."""
+    keys = []
+    for name in names:
+        term = binding.get(name)
+        if term is None:
+            return None
+        keys.append(value_key(term))
+    return tuple(keys)
 
 
 def _shared_variables(left, right):

@@ -141,6 +141,26 @@ def _equals(left, right):
     return left == right
 
 
+def value_key(term):
+    """Canonical hash key of an RDF term under SPARQL ``=`` (value) equality.
+
+    Two terms get the same key exactly when :func:`_equals` holds for them:
+    numeric literals compare by value across datatypes, language-free
+    string-valued literals by their string value, and everything else
+    (URIs, blank nodes, language-tagged or boolean literals) by term
+    identity.  Pairs ``_equals`` would reject with a type error land in
+    different key classes, matching the comparison evaluating to false.
+    The joins hash on this key to run ``FILTER (?a = ?b)`` as an equi-join.
+    """
+    if isinstance(term, Literal) and term.language is None:
+        value = term.to_python()
+        if isinstance(value, str):
+            return ("str", value)
+        if not isinstance(value, bool):
+            return ("num", float(value))
+    return ("term", term)
+
+
 def _order_values(left, right):
     """Three-way comparison for the ordering operators."""
     left = _as_term(left)

@@ -29,7 +29,8 @@ and pattern caches can never go stale.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 from time import perf_counter
 
 from ..rdf.terms import Literal, Variable, term_sort_key
@@ -37,16 +38,17 @@ from ..store.indexed_store import RUN_BY_OBJECT, RUN_BY_SUBJECT
 from . import algebra, ast, kernels
 from .bindings import Binding, _name
 from .errors import EvaluationError
-from .expressions import effective_boolean_value
+from .expressions import effective_boolean_value, value_key
 from .planner import BIND_JOIN, SCAN
 
 #: Join strategy names shared with (and re-exported by) the evaluator facade.
 NESTED_LOOP = "nested_loop"
 SCAN_HASH = "scan_hash"
 
-#: Operator mirror for cross-side ordering conjuncts written right-to-left
-#: (``?right < ?left`` applies to (left, right) cells as ``>``).
-_FLIPPED_ORDER = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+#: What a left row contributes to :meth:`IdSpaceEvaluation._hash_join`.
+INNER = "inner"
+LEFT_OUTER = "left_outer"
+ANTI = "anti"
 
 
 class SlotLayout:
@@ -432,6 +434,10 @@ class IdSpaceEvaluation:
     def _observe_rows(rows, step):
         """Count rows into ``step.actual`` and time pulls into ``step.seconds``.
 
+        ``step.partial`` stays set until the rows are exhausted, so an
+        early-stopping consumer (ASK, LIMIT) leaves ``actual`` marked as
+        the lower bound it is.
+
         ``seconds`` accumulates the wall time spent inside ``next()`` at
         this boundary.  Steps are nested generators, so the measurement is
         *cumulative*: it includes the upstream steps this one pulls
@@ -442,6 +448,7 @@ class IdSpaceEvaluation:
             step.actual = 0
         if step.seconds is None:
             step.seconds = 0.0
+        step.partial = True
 
         def generate():
             iterator = iter(rows)
@@ -451,6 +458,7 @@ class IdSpaceEvaluation:
                     row = next(iterator)
                 except StopIteration:
                     step.seconds += perf_counter() - started
+                    step.partial = False
                     return
                 step.seconds += perf_counter() - started
                 step.actual += 1
@@ -678,6 +686,7 @@ class IdSpaceEvaluation:
             step.actual = 0
         if step.seconds is None:
             step.seconds = 0.0
+        step.partial = True
 
         def generate():
             iterator = iter(blocks)
@@ -687,6 +696,7 @@ class IdSpaceEvaluation:
                     block = next(iterator)
                 except StopIteration:
                     step.seconds += perf_counter() - started
+                    step.partial = False
                     return
                 step.seconds += perf_counter() - started
                 step.actual += block.length
@@ -790,18 +800,18 @@ class IdSpaceEvaluation:
     # -- binary operators ----------------------------------------------------
 
     def _eval_join(self, node):
-        left = list(self._eval(node.left))
-        if not left:
-            return iter(())
-        plan = getattr(node, "plan", None)
-        if plan is not None and plan.strategy == BIND_JOIN:
+        if node.plan is not None and node.plan.strategy == BIND_JOIN:
             # Bind join: the left rows seed the right side's evaluation
             # (sideways information passing), so its patterns probe with the
             # already-bound slots instead of enumerating standalone.
+            left = list(self._eval(node.left))
+            if not left:
+                return iter(())
             return self._eval_seeded(node.right, left)
-        right = list(self._eval(node.right))
-        shared = self._node_slots(node.left) & self._node_slots(node.right)
-        return iter(_join_rows(left, right, shared))
+        rows = self._hash_join(node, INNER)
+        if self._observe and node.plan is not None:
+            rows = self._observe_rows(rows, node.plan)
+        return rows
 
     def _eval_seeded(self, node, rows):
         """Evaluate ``node`` continuing from the given solution rows.
@@ -831,23 +841,36 @@ class IdSpaceEvaluation:
         shared = self._node_slots(node) & seeded_slots
         return iter(_join_rows(rows, right, shared))
 
-    def _eval_left_join(self, node, anti=False):
-        """Hash-based left outer join (OPTIONAL).
+    def _eval_left_join(self, node):
+        return self._hash_join(node, LEFT_OUTER)
 
-        The hash key combines the statically shared slots with any
-        value-equality conjuncts extracted from the join condition
-        (``FILTER (?author = ?author2 && ...)`` in Q6-style closed-world
-        negation joins on the equality, not on a shared variable) — native
-        engines turn exactly these theta-joins into equi-joins.  Only the
-        residual condition is evaluated per candidate pair.
+    def _hash_join(self, node, mode):
+        """The keyed hash join behind Join, OPTIONAL and closed-world negation.
 
-        With ``anti`` (see :meth:`_anti_join_rows`) only unmatched left
-        rows are emitted, and probing stops at the first match.
+        The right operand is built into a hash table, the left operand
+        streams through it (so ASK and LIMIT stop pulling left rows at the
+        first result).  The hash key combines the statically shared slots
+        with the value-equality conjuncts of ``node.condition``:
+        ``FILTER (?name = ?name2)`` between two sides that share no
+        variable (Q5a), and ``FILTER (?author = ?author2 && ...)`` in
+        Q6-style closed-world negation, join on the equality, not on a
+        shared variable — native engines turn exactly these theta-joins
+        into equi-joins.  Cross-side ordering conjuncts compare memoized
+        sort keys; only the residual condition is evaluated per candidate
+        pair.
+
+        ``mode`` selects what a left row contributes: its matches (INNER),
+        its matches or else itself (LEFT_OUTER), or itself only when
+        nothing matches (ANTI, which stops probing at the first match).
         """
-        left = list(self._eval(node.left))
-        if not left:
+        left_rows = iter(self._eval(node.left))
+        first = next(left_rows, None)
+        if first is None:
             return iter(())
+        left_rows = chain((first,), left_rows)
         right = list(self._eval(node.right))
+        if not right:
+            return iter(()) if mode == INNER else left_rows
         left_slots = self._node_slots(node.left)
         right_slots = self._node_slots(node.right)
         shared = tuple(sorted(left_slots & right_slots))
@@ -859,84 +882,113 @@ class IdSpaceEvaluation:
         compare_ops = tuple(
             kernels.ORDERING_OPS[op] for _ls, _rs, op in order_pairs
         )
-        # With no statically shared slot, left and right rows bind disjoint
-        # columns (modulo equal-valued seed slots): the cell-wise union can
-        # never conflict, so the merge skips the compatibility checks.
-        disjoint = not shared
+
+        shared_width = len(shared)
+
+        def join_key(cells):
+            """``(shared cells, equality value keys)`` of one row's key cells.
+
+            None when an equality cell is unbound: that can never satisfy
+            the condition.
+            """
+            equi_cells = cells[shared_width:]
+            if None in equi_cells:
+                return None
+            return cells[:shared_width], tuple(map(value_key, equi_cells))
+
+        build_cells = _cells_getter(shared + equi_right)
         keyed = {}
-        loose = []          # equi-eligible rows whose shared-slot key is incomplete
-        right_entries = []  # all equi-eligible rows, for unkeyed left rows
+        loose = []     # eligible rows whose shared-slot key is incomplete
+        entries = []   # all eligible rows, for unkeyed left rows
         for row in right:
-            equi_key = _cells_key(row, equi_right, value_key)
-            if equi_key is None:
-                # An unbound equality column can never satisfy the condition.
+            key = join_key(build_cells(row))
+            if key is None:
                 continue
             order_keys = _order_cells_key(
                 row, order_pairs, 1, order_key
             ) if order_pairs else ()
             if order_keys is None:
-                # Same for an unbound ordering operand: type error -> false.
+                # An unbound ordering operand: type error -> false.
                 continue
-            entry = (row, equi_key, order_keys)
-            right_entries.append(entry)
-            shared_key = _row_key(row, shared)
-            if shared_key is None:
+            entry = (row, key[1], order_keys)
+            entries.append(entry)
+            if None in key[0]:
                 loose.append(entry)
             else:
-                keyed.setdefault((shared_key, equi_key), []).append(entry)
+                keyed.setdefault(key, []).append(entry)
+
+        def find(cells):
+            """The build entries a left row with these key cells can match."""
+            key = join_key(cells)
+            if key is None:
+                return ()
+            if None in key[0]:
+                return [entry for entry in entries if entry[1] == key[1]]
+            found = keyed.get(key, ())
+            if loose:
+                found = list(found) + [
+                    entry for entry in loose if entry[1] == key[1]
+                ]
+            return found
+
+        # With no statically shared slot, left and right rows bind disjoint
+        # columns (modulo equal-valued seed slots): the cell-wise union can
+        # never conflict, so the merge picks each column from its side.
+        width = self._layout.width
+        merge_disjoint = None if shared else _cells_getter([
+            slot + width if slot in right_slots else slot
+            for slot in range(width)
+        ])
+        probe_cells = _cells_getter(shared + equi_left)
+        candidates_of = {}
         check = self._check
-        results = []
-        for left_row in left:
-            if check is not None:
-                check()
-            matched = False
-            equi_key = _cells_key(left_row, equi_left, value_key)
-            left_keys = None
-            if equi_key is not None and order_pairs:
-                left_keys = _order_cells_key(
-                    left_row, order_pairs, 0, order_key
-                )
-            if equi_key is not None and (not order_pairs or left_keys is not None):
-                shared_key = _row_key(left_row, shared)
-                if shared_key is None:
-                    candidates = [
-                        entry for entry in right_entries
-                        if entry[1] == equi_key
-                    ]
-                elif loose:
-                    candidates = keyed.get((shared_key, equi_key), []) + [
-                        entry for entry in loose if entry[1] == equi_key
-                    ]
-                else:
-                    candidates = keyed.get((shared_key, equi_key), ())
-                for right_row, _key, right_keys in candidates:
-                    if order_pairs and not _order_keys_hold(
-                            left_keys, right_keys, compare_ops):
-                        continue
-                    if anti and disjoint and residual is None:
-                        matched = True
-                        break
-                    if disjoint:
-                        merged = tuple(
-                            a if a is not None else b
-                            for a, b in zip(left_row, right_row)
-                        )
-                    else:
-                        merged = _merge_compatible(left_row, right_row)
-                        if merged is None:
+        ebv = self._ebv
+        anti = mode == ANTI
+        outer = mode != INNER
+
+        def probe():
+            for left_row in left_rows:
+                if check is not None:
+                    check()
+                cells = probe_cells(left_row)
+                candidates = candidates_of.get(cells)
+                if candidates is None:
+                    # Left rows repeat their key cells heavily: one value-key
+                    # derivation and table lookup per distinct key.
+                    candidates = candidates_of[cells] = find(cells)
+                matched = False
+                left_keys = ()
+                if candidates and order_pairs:
+                    left_keys = _order_cells_key(
+                        left_row, order_pairs, 0, order_key
+                    )
+                if candidates and left_keys is not None:
+                    for right_row, _key, right_keys in candidates:
+                        if order_pairs and not _order_keys_hold(
+                                left_keys, right_keys, compare_ops):
                             continue
-                    if residual is not None and not self._ebv(residual, merged):
-                        continue
-                    matched = True
-                    if anti:
-                        break
-                    results.append(merged)
-            if not matched:
-                results.append(left_row)
-        return iter(results)
+                        if merge_disjoint is not None:
+                            if anti and residual is None:
+                                matched = True
+                                break
+                            merged = merge_disjoint(left_row + right_row)
+                        else:
+                            merged = _merge_compatible(left_row, right_row)
+                            if merged is None:
+                                continue
+                        if residual is not None and not ebv(residual, merged):
+                            continue
+                        matched = True
+                        if anti:
+                            break
+                        yield merged
+                if outer and not matched:
+                    yield left_row
+
+        return probe()
 
     def _split_equi_condition(self, condition, left_slots, right_slots):
-        """Split a LeftJoin condition into hash keys, order pairs, residual.
+        """Split a join condition into hash keys, order pairs, residual.
 
         A conjunct ``?a = ?b`` where one variable can only be bound by the
         left operand and the other only by the right becomes a
@@ -951,72 +1003,29 @@ class IdSpaceEvaluation:
         """
         if condition is None:
             return (), (), (), None
+        names = self._layout.names
+        slot_of = self._layout.slot
+        left_names = {names[slot] for slot in left_slots}
+        right_names = {names[slot] for slot in right_slots}
         equi_left = []
         equi_right = []
         order_pairs = []
         residual = []
-        for conjunct in _split_conjuncts(condition):
-            pair = self._equi_slots(conjunct, left_slots, right_slots)
-            if pair is not None:
-                equi_left.append(pair[0])
-                equi_right.append(pair[1])
+        for conjunct in algebra.split_conjuncts(condition):
+            crossed = algebra.cross_side_comparison(
+                conjunct, left_names, right_names
+            )
+            if crossed is None:
+                residual.append(conjunct)
                 continue
-            ordered = self._order_slots(conjunct, left_slots, right_slots)
-            if ordered is not None:
-                order_pairs.append(ordered)
-                continue
-            residual.append(conjunct)
+            left_slot, right_slot = slot_of(crossed[0]), slot_of(crossed[1])
+            if crossed[2] == "=":
+                equi_left.append(left_slot)
+                equi_right.append(right_slot)
+            else:
+                order_pairs.append((left_slot, right_slot, crossed[2]))
         return (tuple(equi_left), tuple(equi_right), tuple(order_pairs),
-                _conjoin(residual))
-
-    def _equi_slots(self, conjunct, left_slots, right_slots):
-        if not (isinstance(conjunct, ast.Comparison) and conjunct.operator == "="):
-            return None
-        slots = []
-        for expression in (conjunct.left, conjunct.right):
-            if not (
-                isinstance(expression, ast.TermExpression)
-                and isinstance(expression.term, Variable)
-            ):
-                return None
-            slot = self._layout.slot(expression.term)
-            if slot is None:
-                return None
-            slots.append(slot)
-        a, b = slots
-        if a in left_slots and b in right_slots and a not in right_slots and b not in left_slots:
-            return (a, b)
-        if b in left_slots and a in right_slots and b not in right_slots and a not in left_slots:
-            return (b, a)
-        return None
-
-    def _order_slots(self, conjunct, left_slots, right_slots):
-        """An ordering conjunct as (left_slot, right_slot, operator), or None.
-
-        Same cross-side shape as :meth:`_equi_slots` but for ``< <= > >=``;
-        when the conjunct is written right-to-left the operator is mirrored
-        so it always applies as ``compare(left_cell, right_cell)``.
-        """
-        if not (isinstance(conjunct, ast.Comparison)
-                and conjunct.operator in kernels.ORDERING_OPS):
-            return None
-        slots = []
-        for expression in (conjunct.left, conjunct.right):
-            if not (
-                isinstance(expression, ast.TermExpression)
-                and isinstance(expression.term, Variable)
-            ):
-                return None
-            slot = self._layout.slot(expression.term)
-            if slot is None:
-                return None
-            slots.append(slot)
-        a, b = slots
-        if a in left_slots and b in right_slots and a not in right_slots and b not in left_slots:
-            return (a, b, conjunct.operator)
-        if b in left_slots and a in right_slots and b not in right_slots and a not in left_slots:
-            return (b, a, _FLIPPED_ORDER[conjunct.operator])
-        return None
+                algebra.conjunction(residual))
 
     def _order_key(self, cell):
         """Memoized SPARQL ordering key of one cell (kind, comparable)."""
@@ -1027,38 +1036,18 @@ class IdSpaceEvaluation:
         return key
 
     def _value_key(self, cell):
-        """Canonical hash key under SPARQL ``=`` (value) equality.
+        """:func:`~repro.sparql.expressions.value_key` of one cell's term.
 
-        Two cells get the same key exactly when :func:`expressions._equals`
-        holds for their terms: numeric literals compare by value across
-        datatypes, language-free string-valued literals by their string
-        value, and everything else (URIs, blank nodes, language-tagged or
-        boolean literals) by term identity.  Pairs ``_equals`` would reject
-        with a type error land in different key classes, matching the
-        condition evaluating to false.
-
-        Memoized per cell: the left-join build calls this once per row and
+        Memoized per cell: the join build calls this once per row and
         equi-column, and rows repeat the same ids heavily (Q6-style builds
         re-derive the key for every author id on every row), so the memo
         turns decode + ``to_python`` + classification into one dict hit.
         """
         key = self._value_key_memo.get(cell)
         if key is None:
-            key = self._compute_value_key(cell)
+            key = value_key(self.cell_term(cell))
             self._value_key_memo[cell] = key
         return key
-
-    def _compute_value_key(self, cell):
-        term = self.cell_term(cell)
-        if isinstance(term, Literal) and term.language is None:
-            value = term.to_python()
-            if isinstance(value, bool):
-                return ("term", term)
-            if isinstance(value, (int, float)):
-                return ("num", float(value))
-            if isinstance(value, str):
-                return ("str", value)
-        return ("term", term)
 
     def _eval_union(self, node):
         def generate():
@@ -1101,7 +1090,7 @@ class IdSpaceEvaluation:
         if self._seed:
             # Seeds could bind the tested slot on the left side.
             return None
-        return self._eval_left_join(inner, anti=True)
+        return self._hash_join(inner, ANTI)
 
     # -- solution modifiers --------------------------------------------------
 
@@ -1116,14 +1105,13 @@ class IdSpaceEvaluation:
             if slot is not None:
                 keep.add(slot)
 
-        def generate():
-            for row in rows:
-                yield tuple(
-                    cell if index in keep else None
-                    for index, cell in enumerate(row)
-                )
-
-        return generate()
+        # Dropped columns read the None appended past the row's last cell.
+        width = layout.width
+        project = _cells_getter([
+            slot if slot in keep else width for slot in range(width)
+        ])
+        blank = (None,)
+        return (project(row + blank) for row in rows)
 
     def _eval_distinct(self, node):
         fast = self._distinct_blocks(node.operand)
@@ -1324,34 +1312,17 @@ def reduce_numbers(function, numbers):
     return Literal(result)
 
 
-# -- condition decomposition ---------------------------------------------------
+# -- join keys --------------------------------------------------------------------
 
 
-def _split_conjuncts(expression):
-    """Flatten nested ``&&`` expressions into a list of conjuncts."""
-    if isinstance(expression, ast.And):
-        return _split_conjuncts(expression.left) + _split_conjuncts(expression.right)
-    return [expression]
-
-
-def _conjoin(conjuncts):
-    if not conjuncts:
-        return None
-    condition = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        condition = ast.And(condition, conjunct)
-    return condition
-
-
-def _cells_key(row, slots, value_key):
-    """Composite value key over the given slots; None if any is unbound."""
-    key = []
-    for slot in slots:
-        cell = row[slot]
-        if cell is None:
-            return None
-        key.append(value_key(cell))
-    return tuple(key)
+def _cells_getter(slots):
+    """``row -> tuple of the cells at slots`` (C speed for two or more)."""
+    if len(slots) >= 2:
+        return itemgetter(*slots)
+    if slots:
+        slot = slots[0]
+        return lambda row: (row[slot],)
+    return lambda row: ()
 
 
 def _order_cells_key(row, order_pairs, side, order_key):

@@ -11,61 +11,74 @@ queries around (Section V, Table II rows 4-5):
 * **Filter pushing** — conjuncts of a FILTER are evaluated as soon as all
   their variables are bound instead of after the whole block, analogous to
   selection pushing in relational algebra (crucial for Q3abc, Q5a, Q8).
+  Two equality shapes become access paths instead of row-by-row tests:
+  ``?v = <iri>`` substitutes the IRI into the patterns (Q3a-c), and
+  ``?a = ?b`` linking two otherwise disconnected parts of a BGP turns the
+  cross product into a keyed join (Q5a, Q12a).
 
 Both transformations are pure functions over the algebra tree, so the engine
 can be configured with either, both, or none of them — that switch is the
-ablation axis the benchmark harness exercises.
+ablation axis the benchmark harness exercises.  Filters are pushed first and
+patterns reordered second, so the reorder sees the substituted constants and
+orders each side of a split BGP on its own.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
-from ..rdf.terms import Variable
+from ..rdf.terms import URIRef, Variable
+from ..rdf.triple import Triple
 from . import algebra, ast
+from .algebra import split_conjuncts
 
 
 def optimize(tree, store, reorder=True, push_filters=True):
     """Return an optimized copy of the algebra ``tree``.
 
-    ``store`` supplies cardinality estimates via ``estimate_count``; passing
+    The input is never mutated (a tree with nothing to rewrite is returned
+    as is).  ``store`` supplies cardinality estimates via ``estimate_count``; passing
     ``None`` disables statistics-informed ordering (a static heuristic that
     prefers patterns with more bound components is used instead).
     """
-    return _rewrite(tree, store, reorder, push_filters)
+    if push_filters and any(
+            isinstance(node, algebra.Filter) for node in algebra.walk(tree)):
+        tree = _push_filters(tree, _variable_mentions(tree))
+    if reorder:
+        tree = _reorder(tree, store)
+    return tree
 
 
-def _rewrite(node, store, reorder, push_filters):
-    if isinstance(node, algebra.BGP):
-        patterns = list(node.patterns)
-        if reorder:
-            patterns = reorder_patterns(patterns, store)
-        return algebra.BGP(patterns, inline_filters=list(node.inline_filters))
-    if isinstance(node, algebra.Filter):
-        operand = _rewrite(node.operand, store, reorder, push_filters)
-        if push_filters:
-            return push_filter(node.expression, operand)
-        return algebra.Filter(node.expression, operand)
-    if isinstance(node, algebra.Join):
-        return algebra.Join(
-            _rewrite(node.left, store, reorder, push_filters),
-            _rewrite(node.right, store, reorder, push_filters),
-        )
-    if isinstance(node, algebra.LeftJoin):
-        return algebra.LeftJoin(
-            _rewrite(node.left, store, reorder, push_filters),
-            _rewrite(node.right, store, reorder, push_filters),
-            node.condition,
-        )
-    if isinstance(node, algebra.Union):
-        return algebra.Union(
-            _rewrite(node.left, store, reorder, push_filters),
-            _rewrite(node.right, store, reorder, push_filters),
-        )
-    if isinstance(node, (algebra.Project, algebra.Distinct, algebra.OrderBy,
-                         algebra.Slice, algebra.Ask, algebra.Group)):
-        return replace(node, operand=_rewrite(node.operand, store, reorder, push_filters))
+def _with_children(node, visit):
+    """A copy of ``node`` whose child operators are ``visit(child)``."""
+    if isinstance(node, (algebra.Join, algebra.LeftJoin, algebra.Union)):
+        return replace(node, left=visit(node.left), right=visit(node.right))
+    if node.children():
+        return replace(node, operand=visit(node.operand))
     return node
+
+
+def _push_filters(node, mentions):
+    """Copy the tree with every Filter pushed as far down as it goes."""
+    if isinstance(node, algebra.BGP):
+        # Pushes attach filters to (and substitute into) this fresh copy.
+        return replace(node, patterns=list(node.patterns),
+                       inline_filters=list(node.inline_filters),
+                       substituted=dict(node.substituted))
+    if isinstance(node, algebra.Filter):
+        operand = _push_filters(node.operand, mentions)
+        return push_filter(node.expression, operand, mentions)
+    return _with_children(node, lambda child: _push_filters(child, mentions))
+
+
+def _reorder(node, store):
+    if isinstance(node, algebra.BGP):
+        patterns = reorder_patterns(node.patterns, store)
+        filters = _place_filters(
+            patterns, [expression for _position, expression in node.inline_filters])
+        return replace(node, patterns=patterns, inline_filters=filters)
+    return _with_children(node, lambda child: _reorder(child, store))
 
 
 # ---------------------------------------------------------------------------
@@ -126,72 +139,205 @@ def estimate_pattern_cost(pattern, store, bound_variables):
 
 
 def _variable_names(pattern):
-    return {term.name for term in pattern if isinstance(term, Variable)}
+    return _names(pattern.variables())
 
 
 # ---------------------------------------------------------------------------
 # Filter pushing
 # ---------------------------------------------------------------------------
 
-def split_conjuncts(expression):
-    """Flatten nested ``&&`` expressions into a list of conjuncts."""
-    if isinstance(expression, ast.And):
-        return split_conjuncts(expression.left) + split_conjuncts(expression.right)
-    return [expression]
-
-
-def push_filter(expression, operand):
+def push_filter(expression, operand, mentions=None):
     """Push conjuncts of ``expression`` into ``operand`` where possible.
 
     Conjuncts whose variables are all produced by a BGP become inline filters
     of that BGP, positioned right after the first pattern index at which all
     their variables are bound.  Conjuncts that cannot be pushed stay in an
     outer Filter node.
+
+    ``mentions`` (see :func:`_variable_mentions`) enables the IRI
+    substitution rewrite; without it ``?v = <iri>`` stays an inline filter.
     """
-    conjuncts = split_conjuncts(expression)
     remaining = []
-    for conjunct in conjuncts:
-        if not _push_into(conjunct, operand):
+    for conjunct in split_conjuncts(expression):
+        pushed = _push_into(conjunct, operand, mentions)
+        if pushed is None:
             remaining.append(conjunct)
+        else:
+            operand = pushed
     if not remaining:
         return operand
-    condition = remaining[0]
-    for conjunct in remaining[1:]:
-        condition = ast.And(condition, conjunct)
-    return algebra.Filter(condition, operand)
+    return algebra.Filter(algebra.conjunction(remaining), operand)
 
 
-def _push_into(conjunct, node):
-    """Try to attach ``conjunct`` inside ``node``; returns True on success."""
-    needed = {variable.name for variable in conjunct.variables()}
+def _variable_mentions(tree):
+    """In how many places of ``tree`` each variable name is mentioned.
+
+    A BGP counts once per variable it binds, and so does every FILTER
+    conjunct (pushed or not), join condition, projection, ORDER BY and
+    GROUP BY / aggregate.  A variable mentioned exactly twice — by one BGP and by the
+    ``?v = <iri>`` conjunct being pushed into it — is invisible to the rest
+    of the query, which is what makes substituting the IRI for it sound.
+    ``SELECT *`` exposes every variable: returns None (never substitute).
+    """
+    mentions = Counter()
+    for node in algebra.walk(tree):
+        if isinstance(node, algebra.BGP):
+            mentions.update(_names(node.variables()))
+            for _position, expression in node.inline_filters:
+                mentions.update(_names(expression.variables()))
+        elif isinstance(node, algebra.Filter):
+            for conjunct in split_conjuncts(node.expression):
+                mentions.update(_names(conjunct.variables()))
+        elif isinstance(node, (algebra.Join, algebra.LeftJoin)):
+            if node.condition is not None:
+                mentions.update(_names(node.condition.variables()))
+        elif isinstance(node, algebra.Project):
+            if node.projection is None:
+                return None
+            mentions.update(_names(node.projection))
+        elif isinstance(node, algebra.OrderBy):
+            mentions.update(_names(variable for variable, _asc in node.conditions))
+        elif isinstance(node, algebra.Group):
+            mentions.update(_names(node.group_vars))
+            for aggregate in node.aggregates:
+                mentions.update(_names(
+                    v for v in (aggregate.variable, aggregate.alias) if v is not None))
+    return mentions
+
+
+def _names(variables):
+    return {variable.name for variable in variables}
+
+
+def _push_into(conjunct, node, mentions):
+    """Attach ``conjunct`` inside ``node``.
+
+    Returns the node to use in place of ``node`` (itself, or the Join a BGP
+    was split into), or None when the conjunct cannot be pushed.
+    """
+    needed = _names(conjunct.variables())
     if not needed:
-        return False
+        return None
     if isinstance(node, algebra.BGP):
-        bound = set()
-        for position, pattern in enumerate(node.patterns):
-            bound |= _variable_names(pattern)
-            if needed <= bound:
-                node.inline_filters.append((position, conjunct))
-                return True
-        return False
+        if not needed <= _names(node.variables()):
+            return None
+        return _push_into_bgp(conjunct, node, mentions)
     if isinstance(node, algebra.Join):
         # Prefer the child that binds all required variables.
-        return _push_into(conjunct, node.left) or _push_into(conjunct, node.right)
+        for side in ("left", "right"):
+            pushed = _push_into(conjunct, getattr(node, side), mentions)
+            if pushed is not None:
+                return replace(node, **{side: pushed})
+        crossed = algebra.cross_side_comparison(
+            conjunct, _names(node.left.variables()), _names(node.right.variables()))
+        if crossed is not None and crossed[2] == "=":
+            # One more equality between the two sides: one more join key.
+            return replace(node, condition=algebra.conjunction(
+                [c for c in (node.condition, conjunct) if c is not None]))
+        return None
     if isinstance(node, algebra.LeftJoin):
         # Only the left (mandatory) side may be filtered without changing
         # OPTIONAL semantics, and only when the optional side cannot also bind
         # any of the filter variables (otherwise the filter must see the
         # merged solution).
-        left_vars = {v.name if isinstance(v, Variable) else str(v)
-                     for v in node.left.variables()}
-        right_vars = {v.name if isinstance(v, Variable) else str(v)
-                      for v in node.right.variables()}
-        if needed <= left_vars and not (needed & right_vars):
-            return _push_into(conjunct, node.left)
-        return False
-    if isinstance(node, (algebra.Project, algebra.Distinct, algebra.OrderBy, algebra.Slice)):
-        return _push_into(conjunct, node.operand)
-    if isinstance(node, algebra.Group):
-        # Filters above a GROUP BY reference aggregate aliases; never push.
-        return False
-    return False
+        if (needed <= _names(node.left.variables())
+                and not needed & _names(node.right.variables())):
+            pushed = _push_into(conjunct, node.left, mentions)
+            if pushed is not None:
+                return replace(node, left=pushed)
+        return None
+    # Filters above a GROUP BY reference aggregate aliases, and no other
+    # operator appears below a Filter (translate_group builds filters over
+    # group patterns only): never push.
+    return None
+
+
+def _push_into_bgp(conjunct, bgp, mentions):
+    """Push a conjunct whose variables ``bgp`` binds; always succeeds."""
+    operands = ast.equality_operands(conjunct)
+    if operands is not None:
+        variables = [term for term in operands if isinstance(term, Variable)]
+        iris = [term for term in operands if isinstance(term, URIRef)]
+        if (len(variables) == 1 and iris and mentions is not None
+                and mentions[variables[0].name] == 2):
+            # IRI constant substitution.  ``=`` between IRIs is term
+            # identity and any non-IRI value of ?v fails it, so exactly the
+            # solutions with ?v = <iri> survive; ?v is mentioned nowhere
+            # else, so nothing misses the binding.  Literals are not
+            # substituted: they compare by value ("1" = "1.0").
+            variable, iri = variables[0], iris[0]
+            bgp.patterns = [
+                Triple(*(iri if term == variable else term for term in pattern))
+                for pattern in bgp.patterns
+            ]
+            bgp.substituted[variable.name] = iri
+            return bgp
+        if len(variables) == 2:
+            split = _split_on_equality(bgp, conjunct, *variables)
+            if split is not None:
+                return split
+    bgp.inline_filters = _place_filters(
+        bgp.patterns, [expression for _pos, expression in bgp.inline_filters] + [conjunct])
+    return bgp
+
+
+def _split_on_equality(bgp, conjunct, a, b):
+    """``?a = ?b`` as a keyed join when it links disconnected parts of ``bgp``.
+
+    Patterns are connected when they share a variable.  With ``?a`` and
+    ``?b`` in different components the BGP is a cross product filtered by
+    the equality; the equivalent ``Join(rest, component of ?b)`` carries the
+    equality as its condition, which the evaluators hash on by value.
+    Already-pushed filters follow their variables: to one side when it binds
+    them all, otherwise into the join condition.
+    """
+    component = _component_of(bgp.patterns, b.name)
+    if a.name in component:
+        return None
+    right_patterns = [p for p in bgp.patterns if _variable_names(p) <= component]
+    left_patterns = [p for p in bgp.patterns if not _variable_names(p) <= component]
+    left_names = set().union(*map(_variable_names, left_patterns))
+    left_filters, right_filters, condition = [], [], [conjunct]
+    for _position, expression in bgp.inline_filters:
+        needed = _names(expression.variables())
+        if needed <= left_names:
+            left_filters.append(expression)
+        elif needed <= component:
+            right_filters.append(expression)
+        else:
+            condition.append(expression)
+    return algebra.Join(
+        algebra.BGP(left_patterns, _place_filters(left_patterns, left_filters),
+                    substituted=dict(bgp.substituted)),
+        algebra.BGP(right_patterns, _place_filters(right_patterns, right_filters)),
+        condition=algebra.conjunction(condition),
+    )
+
+
+def _component_of(patterns, name):
+    """Names of all variables connected to ``name`` through shared patterns."""
+    component = {name}
+    grown = True
+    while grown:
+        grown = False
+        for pattern in patterns:
+            names = _variable_names(pattern)
+            if names & component and not names <= component:
+                component |= names
+                grown = True
+    return component
+
+
+def _place_filters(patterns, expressions):
+    """``(position, expression)`` pairs: each filter right after the first
+    pattern at which all its variables (all bound by ``patterns``) are bound."""
+    placed = []
+    for expression in expressions:
+        needed = _names(expression.variables())
+        bound = set()
+        for position, pattern in enumerate(patterns):
+            bound |= _variable_names(pattern)
+            if needed <= bound:
+                placed.append((position, expression))
+                break
+    return placed

@@ -21,6 +21,11 @@ plan* derived from live :class:`~repro.store.statistics.StoreStatistics`:
   nested-loop ``probe`` (one index lookup per intermediate row) or a
   ``scan`` of the pattern's extent hash-joined on the shared slots — chosen
   by comparing the probe count against the scan cardinality.
+* **Keyed joins.**  A Join carrying a condition (the optimizer's rewrite of
+  ``FILTER (?a = ?b)`` between otherwise unconnected BGP parts, Q5a) is
+  always a hash join keyed on the equality; its output is estimated from
+  the distinct counts of the key variables, and the smaller operand becomes
+  the build side.
 * **Bind joins across operators.**  A :class:`~repro.sparql.algebra.Join`
   whose left side is estimated small seeds the evaluation of its right side
   (sideways information passing) instead of evaluating it standalone and
@@ -91,22 +96,51 @@ FILTER_SELECTIVITY = 0.5
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PlanStep:
-    """One pattern access in a planned basic graph pattern."""
+class Observed:
+    """Estimated versus observed output of one plan operator."""
 
-    pattern: object                 #: the triple pattern this step evaluates
-    strategy: str = PROBE           #: PROBE or SCAN
-    join_vars: tuple = ()           #: variable names shared with bound prefix
-    star: int = 0                   #: star-group id (patterns sharing a subject)
-    pattern_estimate: float = 0.0   #: standalone cardinality of the pattern
-    estimate: float = 0.0           #: estimated rows after this step (+ filters)
+    estimate: float = 0.0           #: estimated rows out of this operator
     actual: Optional[int] = None    #: rows observed during an EXPLAIN run
-    kernel: Optional[str] = None    #: batch kernel (MERGE_JOIN/...), or tuple path
-    #: Cumulative wall seconds spent pulling through this step's observe
+    #: Cumulative wall seconds spent pulling through this operator's observe
     #: boundary during an EXPLAIN run.  Steps are nested generators, so a
     #: downstream step's cumulative time includes its upstream steps; the
     #: renderer prints the difference as per-step self time.
     seconds: Optional[float] = None
+    #: True while an EXPLAIN run has not pulled this operator to exhaustion
+    #: (ASK and LIMIT stop early): ``actual`` is then only a lower bound.
+    partial: bool = False
+
+    def reset_actuals(self):
+        self.actual = None
+        self.seconds = None
+        self.partial = False
+
+    def q_error(self):
+        """``max(est/actual, actual/est)`` once fully observed, else None.
+
+        Both sides are clamped to one row, the usual q-error convention, so
+        an empty result estimated at 0.4 rows counts as exact.
+        """
+        if self.actual is None or self.partial:
+            return None
+        estimate = max(self.estimate, 1.0)
+        actual = max(float(self.actual), 1.0)
+        return max(estimate / actual, actual / estimate)
+
+
+@dataclass
+class PlanStep(Observed):
+    """One pattern access in a planned basic graph pattern.
+
+    ``estimate`` counts the rows after this step and its inline filters.
+    """
+
+    pattern: object = None          #: the triple pattern this step evaluates
+    strategy: str = PROBE           #: PROBE or SCAN
+    join_vars: tuple = ()           #: variable names shared with bound prefix
+    star: int = 0                   #: star-group id (patterns sharing a subject)
+    pattern_estimate: float = 0.0   #: standalone cardinality of the pattern
+    kernel: Optional[str] = None    #: batch kernel (MERGE_JOIN/...), or tuple path
 
 
 @dataclass
@@ -122,13 +156,16 @@ class BGPPlan:
 
     def reset_actuals(self):
         for step in self.steps:
-            step.actual = None
-            step.seconds = None
+            step.reset_actuals()
 
 
 @dataclass
-class JoinPlan:
-    """Strategy annotation for a Join node."""
+class JoinPlan(Observed):
+    """Strategy annotation for a Join node.
+
+    A hash join's output is observed like a BGP step's; a bind join's
+    output is the output of its right operand's steps.
+    """
 
     strategy: str = HASH_JOIN
     left_estimate: float = 0.0
@@ -211,6 +248,24 @@ class CostModel:
             estimate /= max(divisor, 1.0)
         return estimate
 
+    def distinct_values(self, node, name, rows):
+        """Estimated distinct values ``?name`` takes over ``node``'s ``rows`` rows.
+
+        No more than there are rows, and no more than any constant-predicate
+        pattern binding the variable has distinct subjects/objects.
+        """
+        best = rows
+        if self._stats is not None:
+            for bgp in algebra.collect_bgps(node):
+                for pattern in bgp.patterns:
+                    if isinstance(pattern.predicate, Variable):
+                        continue
+                    if _is_variable(pattern.subject, name):
+                        best = min(best, self._stats.distinct_subjects(pattern.predicate))
+                    if _is_variable(pattern.object, name):
+                        best = min(best, self._stats.distinct_objects(pattern.predicate))
+        return max(best, 1.0)
+
     def _distinct_subject_total(self):
         if self._total_subjects is None:
             self._total_subjects = self._stats.distinct_subject_total()
@@ -225,6 +280,10 @@ class CostModel:
 # ---------------------------------------------------------------------------
 # BGP planning
 # ---------------------------------------------------------------------------
+
+def _is_variable(term, name):
+    return isinstance(term, Variable) and term.name == name
+
 
 def _pattern_variables(pattern):
     return {term.name for term in pattern if isinstance(term, Variable)}
@@ -506,31 +565,57 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy,
             reorder=reorder, fixed_strategy=fixed_strategy,
             vectorize=vectorize,
         )
-        new = algebra.BGP(ordered, inline_filters=filters, plan=plan)
+        new = algebra.BGP(ordered, filters, plan, node.substituted)
         return new, plan.estimate, plan.cost
 
     if isinstance(node, algebra.Join):
         left, left_rows, left_cost = _plan_node(
             node.left, model, outer, rows, reorder, fixed_strategy, vectorize)
         left_vars = {_name(v) for v in node.left.variables()}
+        right_vars = {_name(v) for v in node.right.variables()}
         # Hash option: the right side evaluates standalone.
         hash_right, hash_rows, hash_cost_right = _plan_node(
             node.right, model, outer, 1.0, reorder, fixed_strategy, vectorize)
-        shared = left_vars & {_name(v) for v in node.right.variables()}
-        hash_out = max(left_rows, hash_rows) if shared else left_rows * hash_rows
+        if node.condition is not None:
+            # A keyed join (FILTER (?a = ?b) between otherwise unconnected
+            # sides): |L| x |R| pairs, of which one in max(distinct ?a,
+            # distinct ?b) agrees on each key.  Anything else in the
+            # condition is a filter over the pairs.
+            hash_out = left_rows * hash_rows
+            for conjunct in algebra.split_conjuncts(node.condition):
+                key = algebra.cross_side_comparison(conjunct, left_vars, right_vars)
+                if key is not None and key[2] == "=":
+                    hash_out /= max(
+                        model.distinct_values(left, key[0], left_rows),
+                        model.distinct_values(hash_right, key[1], hash_rows),
+                    )
+                else:
+                    hash_out *= FILTER_SELECTIVITY
+            if reorder and hash_rows > left_rows:
+                # The evaluator builds its table on the right operand and
+                # streams the left one: build on the smaller side.
+                left, hash_right = hash_right, left
+                left_rows, hash_rows = hash_rows, left_rows
+        elif left_vars & right_vars:
+            hash_out = max(left_rows, hash_rows)
+        else:
+            hash_out = left_rows * hash_rows
         hash_cost = left_cost + hash_cost_right + left_rows + hash_rows + hash_out
-        if reorder and _seedable(node.right):
+        if reorder and node.condition is None and _seedable(node.right):
             # Bind option: seed the right side with the left rows.
             bind_right, bind_rows, bind_cost_right = _plan_node(
                 node.right, model, outer | left_vars, left_rows,
                 reorder, fixed_strategy, vectorize)
             bind_cost = left_cost + bind_cost_right
             if bind_cost < hash_cost:
-                plan = JoinPlan(BIND_JOIN, left_rows, bind_rows)
-                return (algebra.Join(left, bind_right, plan=plan),
+                plan = JoinPlan(strategy=BIND_JOIN, estimate=bind_rows,
+                                left_estimate=left_rows, right_estimate=bind_rows)
+                return (replace(node, left=left, right=bind_right, plan=plan),
                         bind_rows, bind_cost)
-        plan = JoinPlan(HASH_JOIN, left_rows, hash_rows)
-        return algebra.Join(left, hash_right, plan=plan), hash_out, hash_cost
+        plan = JoinPlan(strategy=HASH_JOIN, estimate=hash_out,
+                        left_estimate=left_rows, right_estimate=hash_rows)
+        return (replace(node, left=left, right=hash_right, plan=plan),
+                hash_out, hash_cost)
 
     if isinstance(node, algebra.LeftJoin):
         left, left_rows, left_cost = _plan_node(
@@ -603,6 +688,16 @@ class ExplainReport:
             if isinstance(node, algebra.BGP) and plan is not None:
                 yield from plan.steps
 
+    def q_errors(self):
+        """q-error of every fully observed BGP step and hash join."""
+        errors = [step.q_error() for step in self.plan_steps()]
+        errors += [
+            node.plan.q_error() for node in algebra.walk(self.tree)
+            if isinstance(node, algebra.Join) and node.plan is not None
+            and node.plan.strategy == HASH_JOIN
+        ]
+        return [error for error in errors if error is not None]
+
     def planned_patterns(self):
         """The triple patterns of the plan, one entry per step."""
         return [step.pattern for step in self.plan_steps()]
@@ -629,7 +724,12 @@ class ExplainReport:
         if isinstance(node, algebra.BGP):
             plan = getattr(node, "plan", None)
             estimate = f" est={_fmt(plan.estimate)}" if plan is not None else ""
-            lines.append(f"{pad}BGP [{len(node.patterns)} patterns]{estimate}")
+            substituted = "".join(
+                f" ?{name}:={iri.n3()}" for name, iri in node.substituted.items()
+            )
+            lines.append(
+                f"{pad}BGP [{len(node.patterns)} patterns]{estimate}{substituted}"
+            )
             if plan is not None:
                 previous_seconds = 0.0
                 for index, step in enumerate(plan.steps, start=1):
@@ -639,7 +739,6 @@ class ExplainReport:
                     )
                     filters = len(node.filters_at(index - 1))
                     filter_note = f" +{filters}filter" if filters else ""
-                    actual = "-" if step.actual is None else str(step.actual)
                     if step.seconds is None:
                         time_note = ""
                     else:
@@ -660,8 +759,7 @@ class ExplainReport:
                     lines.append(
                         f"{pad}  {index}. [{step.strategy:<5}] "
                         f"{step.pattern.n3()}{join}{filter_note} "
-                        f"est={_fmt(step.estimate)} actual={actual}"
-                        f"{time_note}{vectorized}{scatter}"
+                        f"{_observed(step)}{time_note}{vectorized}{scatter}"
                     )
             else:
                 for index, pattern in enumerate(node.patterns, start=1):
@@ -669,11 +767,16 @@ class ExplainReport:
             return
         label = type(node).__name__
         plan = getattr(node, "plan", None)
-        if isinstance(node, algebra.Join) and plan is not None:
-            label += (
-                f" [{plan.strategy}] left_est={_fmt(plan.left_estimate)} "
-                f"right_est={_fmt(plan.right_estimate)}"
-            )
+        if isinstance(node, algebra.Join):
+            if plan is not None:
+                label += (
+                    f" [{plan.strategy}] left_est={_fmt(plan.left_estimate)} "
+                    f"right_est={_fmt(plan.right_estimate)}"
+                )
+            if node.condition is not None:
+                label += f" on {node.condition}"
+            if plan is not None and plan.strategy == HASH_JOIN:
+                label += " " + _observed(plan)
         elif isinstance(node, algebra.Filter):
             label += f" ({node.expression})"
         elif isinstance(node, algebra.OrderBy):
@@ -683,6 +786,14 @@ class ExplainReport:
         lines.append(pad + label)
         for child in node.children():
             self._render_node(child, depth + 1, lines)
+
+
+def _observed(operator):
+    """The ``est= actual= qerr=`` columns of one observed plan operator."""
+    actual = "-" if operator.actual is None else str(operator.actual)
+    q_error = operator.q_error()
+    qerr = "-" if q_error is None else f"{q_error:.{0 if q_error >= 100 else 1}f}"
+    return f"est={_fmt(operator.estimate)} actual={actual} qerr={qerr}"
 
 
 def _fmt(value):

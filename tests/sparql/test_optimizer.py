@@ -1,10 +1,15 @@
 """Unit tests for triple-pattern reordering and filter pushing."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
-from repro.rdf import BENCH, DC, RDF, Literal, Triple, URIRef, Variable
+from repro.rdf import BENCH, DC, FOAF, RDF, SWRC, Literal, Triple, URIRef, Variable
 from repro.sparql import (
+    ENGINE_PRESETS,
     NATIVE_BASELINE,
+    NATIVE_COST,
     NATIVE_OPTIMIZED,
     SparqlEngine,
     optimize,
@@ -14,9 +19,10 @@ from repro.sparql import (
 )
 from repro.sparql import algebra
 from repro.sparql.algebra import collect_bgps, walk
-from repro.sparql.optimizer import split_conjuncts
+from repro.sparql.optimizer import push_filter, split_conjuncts
 from repro.sparql import ast
-from repro.store import IndexedStore
+from repro.sparql.results import AskResult
+from repro.store import IndexedStore, PartitionedStore
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 
@@ -95,13 +101,27 @@ class TestFilterPushing:
     def test_filter_pushed_into_bgp(self):
         query = parse_query(
             "SELECT ?a WHERE { ?a rdf:type bench:Article . "
-            "?a ?property ?value FILTER (?property = swrc:pages) }"
+            "?a dc:title ?t FILTER (?t != \"Paper 3\") }"
         )
         tree = optimize(translate_query(query), build_store())
         bgp = collect_bgps(tree)[0]
         assert bgp.inline_filters, "filter should have been pushed into the BGP"
         filters = [n for n in walk(tree) if isinstance(n, algebra.Filter)]
         assert not filters, "no residual outer Filter expected"
+
+    @pytest.mark.parametrize("wrap", [
+        lambda bgp: algebra.Project(bgp, [var("a")]),
+        algebra.Distinct,
+        lambda bgp: algebra.OrderBy(bgp, [(var("a"), True)]),
+        lambda bgp: algebra.Slice(bgp, limit=1),
+    ])
+    def test_filter_is_not_pushed_below_solution_modifiers(self, wrap):
+        # translate_group never builds this shape, and below a Slice the
+        # filter would select different rows: it must stay outside.
+        operand = wrap(algebra.BGP([Triple(var("a"), DC.creator, var("p"))]))
+        expression = ast.Bound(var("p"))
+        result = push_filter(expression, operand)
+        assert result == algebra.Filter(expression, operand)
 
     def test_filter_position_is_first_point_where_vars_are_bound(self):
         query = parse_query(
@@ -151,3 +171,237 @@ class TestSemanticsPreserved:
         optimized = SparqlEngine.from_graph(graph, NATIVE_OPTIMIZED)
         assert (baseline.query(query_text).as_multiset()
                 == optimized.query(query_text).as_multiset())
+
+
+def _patterns(tree):
+    return [pattern for bgp in collect_bgps(tree) for pattern in bgp.patterns]
+
+
+def _optimized(text, **options):
+    return optimize(translate_query(parse_query(text)), build_store(), **options)
+
+
+class TestIriSubstitution:
+    """FILTER (?v = <iri>) becomes a bound pattern (Q3a-c)."""
+
+    Q3 = ("SELECT ?a WHERE { ?a rdf:type bench:Article . "
+          "?a ?property ?value FILTER (%s) }")
+
+    @pytest.mark.parametrize("condition", [
+        "?property = swrc:pages", "swrc:pages = ?property",
+    ])
+    def test_iri_replaces_the_variable(self, condition):
+        tree = _optimized(self.Q3 % condition)
+        (bgp,) = collect_bgps(tree)
+        assert Triple(var("a"), SWRC.pages, var("value")) in bgp.patterns
+        assert var("property") not in bgp.variables()
+        assert not bgp.inline_filters
+        assert bgp.substituted == {"property": SWRC.pages}
+        assert not [n for n in walk(tree) if isinstance(n, algebra.Filter)]
+
+    def test_every_occurrence_is_replaced(self):
+        tree = _optimized(
+            "SELECT ?s WHERE { ?s ?v ?o . ?o ?p ?v FILTER (?v = dc:creator) }")
+        assert sorted(map(repr, _patterns(tree))) == sorted(map(repr, [
+            Triple(var("s"), DC.creator, var("o")),
+            Triple(var("o"), var("p"), DC.creator),
+        ]))
+
+    @pytest.mark.parametrize("text", [
+        # the variable is visible outside the BGP
+        "SELECT ?a ?property WHERE { ?a ?property ?v FILTER (?property = swrc:pages) }",
+        "SELECT * WHERE { ?a ?property ?v FILTER (?property = swrc:pages) }",
+        "SELECT ?a WHERE { ?a ?property ?v FILTER (?property = swrc:pages) } "
+        "ORDER BY ?property",
+        "SELECT ?a WHERE { ?a ?property ?v "
+        "FILTER (?property = swrc:pages && ?property != ?v) }",
+        "SELECT ?a WHERE { ?a ?property ?v OPTIONAL { ?a dc:title ?t "
+        "FILTER (?t = ?property) } FILTER (?property = swrc:pages) }",
+        "SELECT ?a WHERE { ?a ?property ?v { ?b ?property ?w } "
+        "FILTER (?property = swrc:pages) }",
+        "SELECT ?property (COUNT(?a) AS ?n) WHERE { ?a ?property ?v "
+        "FILTER (?property = swrc:pages) } GROUP BY ?property",
+        # literals compare by value, || and ! are not conjuncts
+        "SELECT ?a WHERE { ?a dc:title ?t FILTER (?t = \"Paper 3\") }",
+        "SELECT ?a WHERE { ?a ?p ?v FILTER (?p = dc:title || ?p = dc:creator) }",
+        "SELECT ?a WHERE { ?a ?p ?v FILTER (!(?p = dc:title)) }",
+    ])
+    def test_not_rewritten(self, text):
+        tree = _optimized(text)
+        assert all(not bgp.substituted for bgp in collect_bgps(tree))
+        assert sorted(map(repr, _patterns(tree))) == sorted(map(
+            repr, _patterns(translate_query(parse_query(text)))))
+
+    def test_equality_in_optional_body_stays_the_join_condition(self):
+        tree = _optimized(
+            "SELECT ?a WHERE { ?a ?p ?v OPTIONAL { ?a dc:title ?t "
+            "FILTER (?p = dc:creator) } }")
+        (left_join,) = [n for n in walk(tree) if isinstance(n, algebra.LeftJoin)]
+        assert left_join.condition is not None
+        assert all(not bgp.substituted for bgp in collect_bgps(tree))
+
+    def test_baseline_plans_are_unchanged(self):
+        text = self.Q3 % "?property = swrc:pages"
+        tree = _optimized(text, push_filters=False)
+        assert tree == optimize(translate_query(parse_query(text)), build_store(),
+                                reorder=True, push_filters=False)
+        assert [n for n in walk(tree) if isinstance(n, algebra.Filter)]
+        assert var("property") in collect_bgps(tree)[0].variables()
+
+
+class TestEqualityJoin:
+    """FILTER (?a = ?b) between disconnected BGP parts becomes a keyed join."""
+
+    Q5A = ("SELECT DISTINCT ?p ?n WHERE { ?a rdf:type bench:Article . "
+           "?a dc:creator ?p . ?p foaf:name ?n . ?i dc:creator ?p2 . "
+           "?p2 foaf:name ?n2 FILTER (?n = ?n2) }")
+
+    def test_cross_product_splits_into_a_keyed_join(self):
+        tree = _optimized(self.Q5A)
+        (join,) = [n for n in walk(tree) if isinstance(n, algebra.Join)]
+        assert str(join.condition) == "(?n = ?n2)"
+        left, right = join.left.variables(), join.right.variables()
+        assert {var("a"), var("p"), var("n")} == left
+        assert {var("i"), var("p2"), var("n2")} == right
+        assert not [n for n in walk(tree) if isinstance(n, algebra.Filter)]
+        assert all(not bgp.inline_filters for bgp in collect_bgps(tree))
+
+    def test_connected_equality_stays_an_inline_filter(self):
+        tree = _optimized(
+            "SELECT ?a WHERE { ?a dc:creator ?p . ?a dc:title ?t FILTER (?p = ?t) }")
+        assert not [n for n in walk(tree) if isinstance(n, algebra.Join)]
+        assert collect_bgps(tree)[0].inline_filters
+
+    def test_second_equality_becomes_a_second_key(self):
+        tree = _optimized(
+            "SELECT ?a WHERE { ?a dc:creator ?p . ?a dc:title ?t . "
+            "?b dc:creator ?q . ?b dc:title ?u FILTER (?p = ?q && ?t = ?u) }")
+        (join,) = [n for n in walk(tree) if isinstance(n, algebra.Join)]
+        assert str(join.condition) == "((?p = ?q) && (?t = ?u))"
+        assert not [n for n in walk(tree) if isinstance(n, algebra.Filter)]
+
+    def test_pushed_filters_follow_their_variables(self):
+        tree = _optimized(
+            "SELECT ?a WHERE { ?a dc:creator ?p . ?b dc:creator ?q "
+            "FILTER (?a != ?p && ?a != ?b && ?p = ?q) }")
+        (join,) = [n for n in walk(tree) if isinstance(n, algebra.Join)]
+        assert [str(e) for _pos, e in join.left.inline_filters] == ["(?a != ?p)"]
+        assert not join.right.inline_filters
+        assert str(join.condition) == "((?p = ?q) && (?a != ?b))"
+
+    def test_not_split_without_filter_pushing(self):
+        tree = _optimized(self.Q5A, push_filters=False)
+        assert not [n for n in walk(tree) if isinstance(n, algebra.Join)]
+
+
+# -- the un-rewritten engine is the oracle ---------------------------------------
+
+def edge_case_graph():
+    """build_store() plus value-equal literals of different datatypes."""
+    triples = list(build_store())
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    for index, (lexical, datatype) in enumerate([
+            ("1", xsd + "integer"), ("1.0", xsd + "decimal"), ("2", xsd + "integer"),
+            ("Paper 3", None), ("Paper 4", None)]):
+        triples.append(Triple(URIRef(f"http://x/extra{index}"), SWRC.pages,
+                              Literal(lexical, datatype=datatype)))
+    for index in range(7):
+        triples.append(Triple(URIRef(f"http://x/person{index}"), FOAF.name,
+                              Literal(f"Name {index % 5}",
+                                      datatype=XSD_STRING if index % 2 else None)))
+    return triples
+
+
+#: (query, pre-bindings) pairs; every preset and shard count must agree with
+#: the same preset run without filter pushing.
+EDGE_CASES = (
+    ("SELECT ?a WHERE { ?a rdf:type bench:Article . ?a ?p ?v FILTER (?p = dc:creator) }", None),
+    ("SELECT ?a ?p WHERE { ?a rdf:type bench:Article . ?a ?p ?v FILTER (?p = dc:creator) }", None),
+    ("SELECT * WHERE { ?a ?p ?v FILTER (?p = swrc:pages) }", None),
+    ("SELECT ?s WHERE { ?s ?v ?o . ?o ?p ?v FILTER (?v = dc:creator) }", None),
+    ("SELECT ?s WHERE { ?s ?p ?v FILTER (?v = bench:Article) }", None),
+    ("SELECT ?s WHERE { ?s swrc:pages ?o FILTER (?o = 1) }", None),
+    ("SELECT ?s WHERE { ?s ?p ?o FILTER (?p = dc:title || ?p = swrc:pages) }", None),
+    ("SELECT ?s WHERE { ?s ?p ?o FILTER (!(?p = dc:creator)) }", None),
+    ("SELECT ?a ?t WHERE { ?a ?p ?v OPTIONAL { ?a dc:title ?t FILTER (?p = dc:creator) } }", None),
+    ("SELECT ?a WHERE { ?a ?p ?v OPTIONAL { ?a dc:title ?t } FILTER (?p = dc:creator) }", None),
+    ("SELECT ?a WHERE { ?a dc:creator ?v { ?b ?q ?w FILTER (?v = bench:Article) } }", None),
+    ("SELECT ?a WHERE { ?a ?p ?v { ?b dc:title ?w FILTER (?p = dc:creator) } }", None),
+    ("SELECT ?s ?t WHERE { ?s swrc:pages ?o . ?t swrc:pages ?u FILTER (?o = ?u) }", None),
+    ("SELECT ?s ?t WHERE { ?s foaf:name ?n . ?t foaf:name ?m FILTER (?n = ?m) }", None),
+    ("SELECT ?s ?t WHERE { ?s foaf:name ?n . ?t dc:title ?m FILTER (?n = ?m) }", None),
+    ("SELECT ?a ?b WHERE { ?a dc:creator ?p . ?a dc:title ?t . ?b dc:creator ?q . "
+     "?b dc:title ?u FILTER (?p = ?q && ?t != ?u && ?a != ?p) }", None),
+    ("SELECT ?a WHERE { ?a rdf:type bench:Article OPTIONAL { ?b dc:creator ?p . "
+     "?c foaf:name ?n FILTER (?p = ?c) } }", None),
+    ("ASK { ?a dc:creator ?p . ?b foaf:name ?n FILTER (?p = ?b) }", None),
+    ("ASK { ?a ?p ?v FILTER (?p = swrc:isbn) }", None),
+    ("SELECT ?a WHERE { ?a ?p ?v FILTER (?p = dc:creator) }", {"p": DC.creator}),
+    ("SELECT ?a WHERE { ?a ?p ?v FILTER (?p = dc:creator) }", {"p": DC.title}),
+    ("SELECT ?a WHERE { ?a ?p ?v FILTER (?p = dc:creator) }", {"p": Literal("x")}),
+    ("SELECT ?a WHERE { ?a ?p ?v FILTER (?p = dc:creator) }",
+     {"a": URIRef("http://x/article3")}),
+    ("ASK { ?a ?p ?v FILTER (?p = dc:creator) }", {"p": DC.title}),
+    ("SELECT ?s ?t WHERE { ?s foaf:name ?n . ?t foaf:name ?m FILTER (?n = ?m) }",
+     {"s": URIRef("http://x/person1")}),
+    ("SELECT ?s ?t WHERE { ?s foaf:name ?n . ?t foaf:name ?m FILTER (?n = ?m) }",
+     {"m": Literal("Name 1")}),
+)
+
+
+def _run(engine, text, bindings):
+    result = engine.prepare(text).run(bindings=bindings).all()
+    if isinstance(result, AskResult):
+        return bool(result)
+    return Counter(frozenset(binding.items()) for binding in result.bindings)
+
+
+@pytest.fixture(scope="module")
+def edge_engines():
+    """[(label, rewriting engine, oracle engine)] over one shared graph."""
+    graph = edge_case_graph()
+    engines = []
+    for config in ENGINE_PRESETS + (NATIVE_COST,):
+        oracle = replace(config, name=config.name + "-unpushed", push_filters=False)
+        engines.append((config.name, SparqlEngine.from_graph(graph, config),
+                        SparqlEngine.from_graph(graph, oracle)))
+    whole = engines[-1][1].store
+    oracle = engines[-1][2]
+    for shards in (1, 2, 4):
+        store = PartitionedStore.from_store(whole, shards, parallel=False)
+        engines.append((f"native-cost/K={shards}",
+                        SparqlEngine.from_store(store, NATIVE_COST), oracle))
+    return engines
+
+
+@pytest.mark.parametrize("text,bindings", EDGE_CASES)
+def test_rewrites_agree_with_the_unrewritten_engine(edge_engines, text, bindings):
+    expected = None
+    for label, engine, oracle in edge_engines:
+        reference = _run(oracle, text, bindings)
+        assert _run(engine, text, bindings) == reference, label
+        # ... and the five oracles agree with each other.
+        expected = reference if expected is None else expected
+        assert reference == expected, label
+
+
+def test_literal_equality_still_matches_by_value(edge_engines):
+    text = "SELECT ?s WHERE { ?s swrc:pages ?o FILTER (?o = 1) }"
+    for label, engine, _oracle in edge_engines:
+        subjects = {str(row[0]) for row in engine.select(text)}
+        assert subjects == {"http://x/extra0", "http://x/extra1"}, label
+
+
+def test_value_equal_join_keys_match_across_datatypes(edge_engines):
+    text = ("SELECT ?s ?t WHERE { ?s swrc:pages ?o . ?t swrc:pages ?u "
+            "FILTER (?o = ?u) }")
+    plain_vs_typed = ("SELECT ?s ?t WHERE { ?s swrc:pages ?o . ?t dc:title ?u "
+                      "FILTER (?o = ?u) }")
+    for label, engine, _oracle in edge_engines:
+        pairs = {(str(s), str(t)) for s, t in engine.select(text)}
+        assert ("http://x/extra0", "http://x/extra1") in pairs, label  # 1 = 1.0
+        assert ("http://x/extra0", "http://x/extra2") not in pairs, label
+        titled = {(str(s), str(t)) for s, t in engine.select(plain_vs_typed)}
+        # "Paper 3" = "Paper 3"^^xsd:string
+        assert titled == {("http://x/extra3", "http://x/article3"),
+                          ("http://x/extra4", "http://x/article4")}, label
