@@ -53,7 +53,8 @@ class BGP(AlgebraNode):
     ``substituted`` maps the name of every variable the optimizer replaced by
     an IRI in ``patterns`` (the ``FILTER (?v = <iri>)`` rewrite) to that IRI.
     Such a variable occurs nowhere else in the query, so the record only
-    matters to EXPLAIN and to prepared pre-bindings of the vanished variable.
+    matters to EXPLAIN and to prepared pre-bindings of the vanished variable
+    (see :meth:`admits`).
     """
 
     patterns: list = field(default_factory=list)
@@ -70,6 +71,16 @@ class BGP(AlgebraNode):
     def filters_at(self, position):
         """Expressions scheduled to run right after pattern ``position``."""
         return [expr for pos, expr in self.inline_filters if pos == position]
+
+    def admits(self, seed):
+        """False when the pre-binding ``seed`` (name -> term) gives a
+        substituted variable another term than its IRI.
+
+        Such a seed fails the FILTER the substitution stands for, so this
+        BGP — not the whole query — has no solutions.
+        """
+        return all(seed.get(name, iri) == iri
+                   for name, iri in self.substituted.items())
 
     def __str__(self):
         return "BGP(" + ", ".join(p.n3() for p in self.patterns) + ")"

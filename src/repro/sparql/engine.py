@@ -442,13 +442,6 @@ class PreparedQuery:
             self._variables = list(variables)
         else:
             self._variables = []
-        #: Variables the optimizer replaced by an IRI (FILTER (?v = <iri>)).
-        #: They are gone from the tree, so run() checks pre-bindings of them.
-        self._substituted = {
-            name: iri
-            for bgp in algebra.collect_bgps(tree)
-            for name, iri in bgp.substituted.items()
-        }
         #: Executions so far (amortization bookkeeping for harness reports).
         self.run_count = 0
 
@@ -504,15 +497,9 @@ class PreparedQuery:
             seed=seed,
         )
         self.run_count += 1
-        # A pre-binding that disagrees with a substituted IRI fails the
-        # FILTER the substitution stands for: no solutions.
-        rejected = seed is not None and any(
-            seed.get(name, iri) != iri for name, iri in self._substituted.items()
-        )
         if isinstance(self._parsed, AskQuery):
-            answer = False if rejected else evaluator.evaluate(self._tree)
-            return AskCursor(answer, deadline=deadline)
-        rows = iter(()) if rejected else evaluator.evaluate(self._tree)
+            return AskCursor(evaluator.evaluate(self._tree), deadline=deadline)
+        rows = evaluator.evaluate(self._tree)
         if offset:
             rows = islice(rows, offset, None)
         if limit is not None:

@@ -180,6 +180,8 @@ class Evaluator:
     # -- basic graph patterns ------------------------------------------------------
 
     def _eval_bgp(self, node):
+        if not node.admits(self._seed_map):
+            return iter(())
         if not node.patterns:
             return iter((self._seed_binding,))
         if self._strategy == NESTED_LOOP:
@@ -305,6 +307,8 @@ class Evaluator:
 
     def _bgp_seeded(self, node, bindings):
         """Extend seed solutions through a BGP's patterns (probe per row)."""
+        if not node.admits(self._seed_map):
+            return iter(())
         if not node.patterns:
             return iter(bindings)
         solutions = iter(bindings)
@@ -593,13 +597,15 @@ def _split_condition(node):
 
 
 def _value_keys(binding, names):
-    """Value keys of the named variables; None if any of them is unbound."""
+    """Value keys of the named variables; None if any of them is unbound
+    or NaN (neither can satisfy an equality)."""
     keys = []
     for name in names:
         term = binding.get(name)
-        if term is None:
+        key = None if term is None else value_key(term)
+        if key is None:
             return None
-        keys.append(value_key(term))
+        keys.append(key)
     return tuple(keys)
 
 

@@ -150,6 +150,8 @@ def value_key(term):
     (URIs, blank nodes, language-tagged or boolean literals) by term
     identity.  Pairs ``_equals`` would reject with a type error land in
     different key classes, matching the comparison evaluating to false.
+    NaN equals nothing, itself included: it has no key (None), which the
+    joins treat like an unbound operand.
     The joins hash on this key to run ``FILTER (?a = ?b)`` as an equi-join.
     """
     if isinstance(term, Literal) and term.language is None:
@@ -157,7 +159,8 @@ def value_key(term):
         if isinstance(value, str):
             return ("str", value)
         if not isinstance(value, bool):
-            return ("num", float(value))
+            number = float(value)
+            return None if number != number else ("num", number)
     return ("term", term)
 
 

@@ -351,6 +351,8 @@ class IdSpaceEvaluation:
         return self._layout.empty_row()
 
     def _eval_bgp(self, node, seeds=None):
+        if not node.admits(self._seed):
+            return iter(())
         if not node.patterns:
             if seeds is not None:
                 return iter(seeds)
@@ -888,13 +890,16 @@ class IdSpaceEvaluation:
         def join_key(cells):
             """``(shared cells, equality value keys)`` of one row's key cells.
 
-            None when an equality cell is unbound: that can never satisfy
-            the condition.
+            None when an equality cell is unbound or NaN: that can never
+            satisfy the condition.
             """
             equi_cells = cells[shared_width:]
             if None in equi_cells:
                 return None
-            return cells[:shared_width], tuple(map(value_key, equi_cells))
+            equi_keys = tuple(map(value_key, equi_cells))
+            if None in equi_keys:
+                return None
+            return cells[:shared_width], equi_keys
 
         build_cells = _cells_getter(shared + equi_right)
         keyed = {}
@@ -1041,7 +1046,8 @@ class IdSpaceEvaluation:
         Memoized per cell: the join build calls this once per row and
         equi-column, and rows repeat the same ids heavily (Q6-style builds
         re-derive the key for every author id on every row), so the memo
-        turns decode + ``to_python`` + classification into one dict hit.
+        turns decode + ``to_python`` + classification into one dict hit
+        (NaN, whose key is None, is re-derived every time).
         """
         key = self._value_key_memo.get(cell)
         if key is None:
@@ -1105,13 +1111,14 @@ class IdSpaceEvaluation:
             if slot is not None:
                 keep.add(slot)
 
-        # Dropped columns read the None appended past the row's last cell.
-        width = layout.width
-        project = _cells_getter([
-            slot if slot in keep else width for slot in range(width)
-        ])
-        blank = (None,)
-        return (project(row + blank) for row in rows)
+        def generate():
+            for row in rows:
+                yield tuple(
+                    cell if index in keep else None
+                    for index, cell in enumerate(row)
+                )
+
+        return generate()
 
     def _eval_distinct(self, node):
         fast = self._distinct_blocks(node.operand)

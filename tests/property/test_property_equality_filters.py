@@ -5,10 +5,11 @@ Filter pushing turns ``FILTER (?v = <iri>)`` into a bound pattern and
 The oracle is the same engine preset with ``push_filters=False``, which
 evaluates every FILTER as written, row by row.  Hypothesis generates small
 graphs holding value-equal literals of different datatypes (``1`` /
-``1.0``, plain / ``xsd:string``) and BGP-shaped queries whose filters mix
-the rewritable shapes with the ones that must be left alone (literal
-constants, ``||``, ``!``, variables visible outside the BGP, OPTIONAL
-bodies, nested groups); all five presets must agree with their oracle.
+``1.0``, plain / ``xsd:string``), a NaN that equals nothing, and
+BGP-shaped queries whose filters mix the rewritable shapes with the ones
+that must be left alone (literal constants, ``||``, ``!``, variables
+visible outside the BGP, OPTIONAL bodies, nested groups); all five presets
+must agree with their oracle.
 """
 
 from dataclasses import replace
@@ -32,6 +33,7 @@ _VALUES = (
     Literal("x"),
     Literal("x", datatype=_XSD + "string"),
     Literal("y"),
+    Literal("NaN", datatype=_XSD + "double"),
 )
 
 
