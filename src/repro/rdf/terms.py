@@ -134,6 +134,11 @@ class Literal(Term):
     :meth:`to_python`, which FILTER expression evaluation and ORDER BY use for
     value-based comparison (e.g. ``?yr2 < ?yr`` in Q6 compares years
     numerically).
+
+    An absent datatype or language tag is ``None`` and nothing else: RDF has
+    no empty language tag, so the constructor maps ``""`` to ``None`` and
+    every encoder (``n3()`` here, the result serializers) tests
+    ``is not None``.
     """
 
     __slots__ = ("lexical", "datatype", "language")
@@ -151,10 +156,12 @@ class Literal(Term):
             lexical = repr(lexical)
         elif not isinstance(lexical, str):
             raise TermError(f"Literal lexical form must be a string, got {lexical!r}")
-        if datatype is not None and language is not None:
-            raise TermError("a literal cannot carry both a datatype and a language tag")
         if isinstance(datatype, URIRef):
             datatype = datatype.value
+        datatype = datatype or None
+        language = language or None
+        if datatype is not None and language is not None:
+            raise TermError("a literal cannot carry both a datatype and a language tag")
         object.__setattr__(self, "lexical", lexical)
         object.__setattr__(self, "datatype", datatype)
         object.__setattr__(self, "language", language)
@@ -195,9 +202,9 @@ class Literal(Term):
             .replace("\r", "\\r")
             .replace("\t", "\\t")
         )
-        if self.language:
+        if self.language is not None:
             return f'"{escaped}"@{self.language}'
-        if self.datatype:
+        if self.datatype is not None:
             return f'"{escaped}"^^<{self.datatype}>'
         return f'"{escaped}"'
 

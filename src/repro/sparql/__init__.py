@@ -28,7 +28,7 @@ from .errors import (
 from .serializers import CONTENT_TYPES as RESULT_CONTENT_TYPES
 from .serializers import FORMATS as RESULT_FORMATS
 from .evaluator import NESTED_LOOP, SCAN_HASH, Evaluator
-from .idspace import IdSpaceEvaluation, SlotBinding, SlotLayout
+from .idspace import IdBinding, IdSpaceEvaluation, SlotLayout
 from .optimizer import optimize, reorder_patterns
 from .parser import parse_query, parse_update
 from .planner import (
@@ -59,7 +59,7 @@ __all__ = [
     "Evaluator",
     "IdSpaceEvaluation",
     "SlotLayout",
-    "SlotBinding",
+    "IdBinding",
     "NESTED_LOOP",
     "SCAN_HASH",
     "Binding",

@@ -17,6 +17,10 @@ class Binding:
 
     __slots__ = ("_map", "_hash")
 
+    #: Eager rows have no per-result shape; the lazy id rows of
+    #: :mod:`.idspace` override this with the layout their result shares.
+    _shape = None
+
     def __init__(self, mapping=None):
         normalized = {}
         if mapping:
@@ -24,20 +28,6 @@ class Binding:
                 normalized[_name(key)] = value
         object.__setattr__(self, "_map", normalized)
         object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def from_names(cls, mapping):
-        """Construct from an already-normalized ``{name: term}`` dict.
-
-        The result-boundary fast path: the id-space evaluator produces rows
-        keyed by bare layout names, so re-normalizing every key (and copying
-        the dict) per result row is pure overhead.  The caller transfers
-        ownership of ``mapping``.
-        """
-        binding = cls.__new__(cls)
-        object.__setattr__(binding, "_map", mapping)
-        object.__setattr__(binding, "_hash", None)
-        return binding
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"Binding is immutable (tried to set {name})")
@@ -62,6 +52,12 @@ class Binding:
     def as_dict(self):
         """A plain dict copy of the mapping (variable name -> term)."""
         return dict(self._map)
+
+    def row(self, names):
+        """The terms bound to ``names`` (bare names, already normalized), in
+        order, ``None`` where unbound — the per-row half of a projection
+        whose names were normalized once per result."""
+        return tuple(map(self._map.get, names))
 
     def project(self, variables):
         """Return a new Binding restricted to the given variables."""

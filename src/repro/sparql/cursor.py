@@ -23,9 +23,11 @@ cross-engine agreement checks.
 from __future__ import annotations
 
 import time
+from itertools import chain, islice
 
 from .bindings import variable_name
 from .errors import QueryTimeout
+from .kernels import BLOCK_ROWS
 from .results import AskResult, SelectResult
 from .serializers import serialize, write
 
@@ -124,9 +126,12 @@ class SelectCursor(ResultCursor):
 
     ``bindings`` is the evaluator's (lazy) solution iterator; nothing has
     been evaluated beyond the algebra-tree setup when the cursor is created.
-    ``deadline`` re-checks the budget on every row that crosses the result
-    boundary (the evaluators additionally check inside their own loops, so
-    row-free stretches of work are interrupted too).
+    Rows cross the result boundary in batches — 1, 2, 4, ... up to the
+    kernels' ``BLOCK_ROWS``, so ``first()`` and ``LIMIT k`` still pull no
+    more than they deliver while a large result is drained at C speed —
+    and ``deadline`` is re-checked once per batch and once at exhaustion
+    (the evaluators additionally check inside their own loops, so row-free
+    stretches of work are interrupted too).
     """
 
     form = "SELECT"
@@ -135,33 +140,38 @@ class SelectCursor(ResultCursor):
         self.variables = list(variables)
         self.deadline = deadline
         self._bindings = iter(bindings)
+        self._rows = chain.from_iterable(self._batches())
         self._closed = False
-        #: Rows yielded so far (final count once the cursor is exhausted).
+        #: Rows pulled from the evaluation so far (the final count once the
+        #: cursor is exhausted).
         self.count = 0
 
     # -- streaming consumption ------------------------------------------------
 
+    def _batches(self):
+        size = 1
+        while not self._closed:
+            batch = list(islice(self._bindings, size))
+            if self.deadline is not None:
+                self.deadline.check()
+            if not batch:
+                self.close()
+                return
+            self.count += len(batch)
+            yield batch
+            size = min(size * 2, BLOCK_ROWS)
+
     def __iter__(self):
-        return self
+        return self._rows
 
     def __next__(self):
-        if self._closed:
-            raise StopIteration
-        try:
-            binding = next(self._bindings)
-        except StopIteration:
-            self.close()
-            raise
-        if self.deadline is not None:
-            self.deadline.check()
-        self.count += 1
-        return binding
+        return next(self._rows)
 
     def rows(self):
         """Stream result rows as tuples in projection-variable order."""
         names = [variable_name(v) for v in self.variables]
         for binding in self:
-            yield tuple(binding.get(name) for name in names)
+            yield binding.row(names)
 
     def first(self):
         """The next solution (or None when exhausted); closes the cursor."""
@@ -179,6 +189,7 @@ class SelectCursor(ResultCursor):
         if self._closed:
             return
         self._closed = True
+        self._rows = iter(())
         close = getattr(self._bindings, "close", None)
         if close is not None:
             close()

@@ -342,7 +342,9 @@ class SparqlEngine:
         The report also carries ``stages`` — parse/plan/execute wall time —
         so ``repro query --profile`` shows where a one-shot query spends
         its front-end versus back-end time next to the per-step ``time=``
-        column.
+        column, and (id space) what reached the result boundary: the
+        ``result:`` line names the part of ``execute`` spent between the
+        last operator and the end of the drain.
         """
         trace = QueryTrace()
         with trace.span("parse"):
@@ -373,6 +375,7 @@ class SparqlEngine:
                 result_count = 1 if outcome else 0
             else:
                 result_count = sum(1 for _binding in outcome)
+        run = evaluator.id_space_run
         return planner.ExplainReport(
             tree=tree,
             planner=mode,
@@ -381,6 +384,8 @@ class SparqlEngine:
             result_count=result_count,
             elapsed=trace.stages["execute"],
             stages=dict(trace.stages),
+            result=run.result if run is not None else None,
+            decoded=run.decoded if run is not None else None,
         )
 
     def update(self, update_text):

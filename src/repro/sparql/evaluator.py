@@ -82,6 +82,9 @@ class Evaluator:
         self._reuse_patterns = reuse_patterns
         self._use_id_space = bool(use_id_space)
         self._observe_plans = observe_plans
+        #: The most recent id-space run; EXPLAIN reads its ``result``
+        #: observation and decode count after draining.
+        self.id_space_run = None
         self._pattern_cache = {}
         #: Cooperative evaluation budget: the hot loops call ``_check()``
         #: so an expired :class:`~repro.sparql.cursor.Deadline` raises
@@ -111,8 +114,9 @@ class Evaluator:
 
         Returns an iterator of :class:`Binding` for SELECT-shaped trees and a
         bool for :class:`~repro.sparql.algebra.Ask` roots.  On id-capable
-        stores the whole tree runs in id space and Bindings are materialized
-        only here, at the result boundary.
+        stores the whole tree runs in id space and the Bindings handed out
+        are lazy :class:`~repro.sparql.idspace.IdBinding` rows: still id
+        tuples, decoded when touched.
         """
         if self._use_id_space:
             run = self._id_space_run()
@@ -146,11 +150,12 @@ class Evaluator:
         cls = IdSpaceEvaluation
         if getattr(self._store, "segments", None) is not None:
             cls = ScatterGatherEvaluation
-        return cls(
+        self.id_space_run = cls(
             self._store, self._strategy, reuse_patterns=self._reuse_patterns,
             observe_plans=self._observe_plans, deadline=self._deadline,
             seed=self._seed_map,
         )
+        return self.id_space_run
 
     # -- dispatch ----------------------------------------------------------------
 

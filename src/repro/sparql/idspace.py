@@ -18,9 +18,10 @@ same execution model on top of stores that advertise
   pattern scans on their shared slot columns.  OPTIONAL is a hash-based left
   outer join on the statically shared slots.
 * Terms are reconstructed lazily and memoized per id: FILTER / ORDER BY /
-  aggregate evaluation decodes only the columns it actually touches (through
-  :class:`SlotBinding`), and full :class:`~repro.sparql.bindings.Binding`
-  objects exist only once rows cross the result boundary.
+  aggregate evaluation decodes only the cells it actually touches, and
+  finished rows cross the result boundary *still as id tuples*, each
+  wrapped in an :class:`IdBinding` that decodes on touch — a serializer
+  that works per distinct id (:mod:`.serializers`) never decodes per row.
 
 Nothing in this module mutates the store or its dictionary; a fresh
 :class:`IdSpaceEvaluation` is created per query evaluation, so decode memos
@@ -29,7 +30,8 @@ and pattern caches can never go stale.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from functools import partial
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from time import perf_counter
 
@@ -39,7 +41,7 @@ from . import algebra, ast, kernels
 from .bindings import Binding, _name
 from .errors import EvaluationError
 from .expressions import effective_boolean_value, value_key
-from .planner import BIND_JOIN, SCAN
+from .planner import BIND_JOIN, SCAN, Observed
 
 #: Join strategy names shared with (and re-exported by) the evaluator facade.
 NESTED_LOOP = "nested_loop"
@@ -52,16 +54,25 @@ ANTI = "anti"
 
 
 class SlotLayout:
-    """Variable -> column mapping for one query's flat solution rows."""
+    """Variable -> column mapping for one query's flat solution rows.
 
-    __slots__ = ("names", "_slots")
+    Given the store's dictionary it is also what every row of one result
+    shares (the *shape* an :class:`IdBinding` points at): names, slot map
+    and an id -> term memo in front of ``dictionary.decode``.  It references
+    nothing else, so rows held after their cursor is gone keep alive neither
+    the evaluation nor the store generation it pinned.
+    """
 
-    def __init__(self, names):
+    __slots__ = ("names", "_slots", "_decode", "_terms")
+
+    def __init__(self, names, dictionary=None):
         self.names = tuple(names)
         self._slots = {name: index for index, name in enumerate(self.names)}
+        self._decode = None if dictionary is None else dictionary.decode
+        self._terms = {}
 
     @classmethod
-    def for_tree(cls, tree):
+    def for_tree(cls, tree, dictionary=None):
         """Collect every variable the tree can bind, in first-seen order.
 
         Triple-pattern variables come from BGP nodes; GROUP BY additionally
@@ -88,7 +99,7 @@ class SlotLayout:
                     note(variable)
                 for aggregate in node.aggregates:
                     note(aggregate.alias)
-        return cls(names)
+        return cls(names, dictionary)
 
     @property
     def width(self):
@@ -101,56 +112,68 @@ class SlotLayout:
     def empty_row(self):
         return (None,) * len(self.names)
 
+    def term(self, cell):
+        """The RDF term for one row cell, decoded once per dictionary id."""
+        if not isinstance(cell, int):
+            return cell
+        term = self._terms.get(cell)
+        if term is None:
+            term = self._terms[cell] = self._decode(cell)
+        return term
+
     def __repr__(self):
         return f"SlotLayout({', '.join(self.names)})"
 
 
-class SlotBinding:
-    """A read-only Binding-compatible view over one id row.
+class IdBinding(Binding):
+    """A solution that is still an id row: nothing decoded until touched.
 
-    FILTER expressions and ORDER BY comparators only need ``get`` /
-    ``is_bound``; serving them straight from the row avoids building a dict
-    per intermediate solution, and decoding happens only for the variables an
-    expression actually asks for (memoized per id by the owning evaluation).
+    The one row type of the id-space engine — FILTER / ORDER BY expressions
+    see intermediate rows through it, and finished rows reach the cursor as
+    it.  ``get`` / ``is_bound`` decode just the cell they are asked for;
+    every other :class:`Binding` method works on the inherited ``_map``,
+    which is built (decoding the whole row) the first time one of them
+    reads it.  The serializers never do: they read ``_row`` / ``_shape``
+    and encode each distinct id once per result.
     """
 
-    __slots__ = ("_row", "_layout", "_cell_term")
+    __slots__ = ("_row", "_shape")
 
-    def __init__(self, row, layout, cell_term):
+    # Two plain slot stores per row instead of two ``object.__setattr__``
+    # calls (2x cheaper on a 36k-row result); without a ``__dict__`` only
+    # the four private slots can be assigned at all.
+    __setattr__ = object.__setattr__
+
+    def __init__(self, shape, row):
+        self._shape = shape
         self._row = row
-        self._layout = layout
-        self._cell_term = cell_term
+
+    def __getattr__(self, name):
+        # Reached only while the inherited slots are still empty.
+        if name == "_map":
+            term = self._shape.term
+            self._map = built = {
+                key: term(cell)
+                for key, cell in zip(self._shape.names, self._row)
+                if cell is not None
+            }
+            return built
+        if name == "_hash":
+            return None
+        raise AttributeError(name)
 
     def get(self, variable, default=None):
-        slot = self._layout.slot(variable)
+        slot = self._shape.slot(variable)
         if slot is None:
             return default
         cell = self._row[slot]
         if cell is None:
             return default
-        return self._cell_term(cell)
+        return self._shape.term(cell)
 
     def is_bound(self, variable):
-        slot = self._layout.slot(variable)
+        slot = self._shape.slot(variable)
         return slot is not None and self._row[slot] is not None
-
-    def variables(self):
-        return {
-            name
-            for name, cell in zip(self._layout.names, self._row)
-            if cell is not None
-        }
-
-    def __contains__(self, variable):
-        return self.is_bound(variable)
-
-    def __repr__(self):
-        inner = ", ".join(
-            f"?{name}={cell!r}"
-            for name, cell in zip(self._layout.names, self._row)
-            if cell is not None
-        )
-        return f"SlotBinding({inner})"
 
 
 class IdSpaceEvaluation:
@@ -158,8 +181,8 @@ class IdSpaceEvaluation:
 
     ``solve`` returns ``(layout, row_iterator)`` without any decoding —
     benchmarks and the decode-counter tests consume rows at this level.
-    ``bindings`` wraps ``solve`` and materializes term-level
-    :class:`Binding` objects, the result-boundary decode.
+    ``bindings`` wraps each solved row in an :class:`IdBinding`, still
+    without decoding: terms appear when a consumer touches them.
     """
 
     def __init__(self, store, strategy=NESTED_LOOP, reuse_patterns=False,
@@ -175,6 +198,9 @@ class IdSpaceEvaluation:
         #: When set, planned BGP steps count the rows they produce into
         #: their PlanStep.actual field (the EXPLAIN instrumentation).
         self._observe = observe_plans
+        #: With observation on: rows and cumulative seconds out of the last
+        #: operator, i.e. what reached the result boundary and when.
+        self.result = Observed() if observe_plans else None
         #: Cooperative evaluation budget (a Deadline-like object): the
         #: row-producing hot loops call ``_check()`` so an expired budget
         #: raises :class:`~repro.sparql.errors.QueryTimeout` mid-stream.
@@ -186,7 +212,6 @@ class IdSpaceEvaluation:
         self._seed_row = None
         self._seed_slots = frozenset()
         self._pattern_cache = {}
-        self._term_memo = {}
         self._value_key_memo = {}
         self._order_key_memo = {}
         self._layout = None
@@ -197,7 +222,7 @@ class IdSpaceEvaluation:
         """Evaluate a SELECT-shaped algebra tree into (layout, id rows)."""
         if isinstance(tree, algebra.Ask):
             raise EvaluationError("solve() takes the Ask operand, not the Ask node")
-        self._layout = SlotLayout.for_tree(tree)
+        self._layout = SlotLayout.for_tree(tree, self._dictionary)
         if not self._encode_seed():
             # A pre-bound term the dictionary has never seen: no triple
             # pattern using that variable can match, the same short-circuit
@@ -238,7 +263,7 @@ class IdSpaceEvaluation:
         so gathered rows concatenate without any re-mapping.  Pre-binding
         seeds behave exactly as in :meth:`solve`.
         """
-        self._layout = SlotLayout(names)
+        self._layout = SlotLayout(names, self._dictionary)
         if not self._encode_seed():
             return iter(())
         return self._eval_bgp(node)
@@ -250,34 +275,27 @@ class IdSpaceEvaluation:
             return True
         return False
 
+    @property
+    def decoded(self):
+        """Distinct ids decoded so far (EXPLAIN's ``result:`` line)."""
+        return len(self._layout._terms)
+
     def bindings(self, tree):
-        """Evaluate and materialize term-level Bindings (the result boundary)."""
+        """Evaluate into lazy :class:`IdBinding` rows (the result boundary)."""
         layout, rows = self.solve(tree)
+        if self._observe:
+            rows = self._observe_rows(rows, self.result)
         return self.materialize(layout, rows)
 
-    def materialize(self, layout, rows):
-        """Decode finished id rows into :class:`Binding` objects."""
-        names = layout.names
-        cell_term = self.cell_term
-        from_names = Binding.from_names
-        for row in rows:
-            yield from_names(
-                {
-                    name: cell_term(cell)
-                    for name, cell in zip(names, row)
-                    if cell is not None
-                }
-            )
+    @staticmethod
+    def materialize(layout, rows):
+        """Hand finished id rows on as Bindings without decoding anything.
 
-    def cell_term(self, cell):
-        """The RDF term for one row cell, memoized per dictionary id."""
-        if not isinstance(cell, int):
-            return cell
-        term = self._term_memo.get(cell)
-        if term is None:
-            term = self._dictionary.decode(cell)
-            self._term_memo[cell] = term
-        return term
+        A C-level ``map``: the cursor pulls it in batches, so between the
+        last operator and the consumer's list there is one ``IdBinding``
+        construction per row and no Python generator frame.
+        """
+        return map(partial(IdBinding, layout), rows)
 
     # -- dispatch -----------------------------------------------------------
 
@@ -314,9 +332,7 @@ class IdSpaceEvaluation:
         return slots
 
     def _ebv(self, expression, row):
-        return effective_boolean_value(
-            expression, SlotBinding(row, self._layout, self.cell_term)
-        )
+        return effective_boolean_value(expression, IdBinding(self._layout, row))
 
     # -- basic graph patterns -----------------------------------------------
 
@@ -657,7 +673,7 @@ class IdSpaceEvaluation:
                 for block in blocks:
                     if block.length == 0:
                         continue
-                    mask = kernels.filter_mask(block, compiled, self.cell_term)
+                    mask = kernels.filter_mask(block, compiled, self._layout.term)
                     out = kernels.apply_mask(block, mask)
                     if out.length:
                         yield out
@@ -1036,7 +1052,7 @@ class IdSpaceEvaluation:
         """Memoized SPARQL ordering key of one cell (kind, comparable)."""
         key = self._order_key_memo.get(cell)
         if key is None:
-            key = kernels.ordering_proxy(self.cell_term(cell))
+            key = kernels.ordering_proxy(self._layout.term(cell))
             self._order_key_memo[cell] = key
         return key
 
@@ -1051,7 +1067,7 @@ class IdSpaceEvaluation:
         """
         key = self._value_key_memo.get(cell)
         if key is None:
-            key = value_key(self.cell_term(cell))
+            key = value_key(self._layout.term(cell))
             self._value_key_memo[cell] = key
         return key
 
@@ -1173,52 +1189,52 @@ class IdSpaceEvaluation:
         return self._distinct_projected(blocks, keep)
 
     def _distinct_projected(self, blocks, keep):
+        """Distinct rows of a block stream, built a block at a time.
+
+        Keys are u64 composites under numpy (``np.unique`` sorts and
+        deduplicates each block) and cell tuples otherwise; either way a
+        block contributes its not-yet-seen keys in one go, and the
+        full-width rows come out of a C-level ``zip`` — no per-row Python
+        frame between the kernels and the result boundary.
+        """
         width = self._layout.width
+        packed = kernels.numpy_enabled()
 
-        def generate():
+        def block_keys(block):
+            columns = [block.columns[slot] for slot in keep]
+            if not packed:
+                return dict.fromkeys(zip(*map(kernels._tolist, columns)))
+            np = kernels._np
+            if len(keep) == 1:
+                return np.unique(np.asarray(columns[0])).tolist()
+            a, b = (np.asarray(column, dtype=np.uint64) for column in columns)
+            return np.unique((a << 32) | b).tolist()
+
+        def key_columns(keys):
+            if not packed:
+                return zip(*keys)
+            if len(keep) == 1:
+                return (keys,)
+            return ([key >> 32 for key in keys],
+                    [key & 0xFFFFFFFF for key in keys])
+
+        def fresh_rows():
             seen = set()
-            if kernels.numpy_enabled():
-                np = kernels._np
-                if len(keep) == 1:
-                    (slot,) = keep
-                    for block in blocks:
-                        column = np.asarray(block.columns[slot])
-                        for key in np.unique(column).tolist():
-                            if key not in seen:
-                                seen.add(key)
-                                row = [None] * width
-                                row[slot] = key
-                                yield tuple(row)
-                    return
-                a_slot, b_slot = keep
-                for block in blocks:
-                    a = np.asarray(block.columns[a_slot], dtype=np.uint64)
-                    b = np.asarray(block.columns[b_slot], dtype=np.uint64)
-                    for key in np.unique((a << 32) | b).tolist():
-                        if key not in seen:
-                            seen.add(key)
-                            row = [None] * width
-                            row[a_slot] = key >> 32
-                            row[b_slot] = key & 0xFFFFFFFF
-                            yield tuple(row)
-                return
             for block in blocks:
-                columns = [
-                    kernels._tolist(block.columns[slot]) for slot in keep
-                ]
-                for cells in zip(*columns):
-                    if cells not in seen:
-                        seen.add(cells)
-                        row = [None] * width
-                        for slot, cell in zip(keep, cells):
-                            row[slot] = cell
-                        yield tuple(row)
+                fresh = [key for key in block_keys(block) if key not in seen]
+                if not fresh:
+                    continue
+                seen.update(fresh)
+                columns = [repeat(None)] * width
+                for slot, column in zip(keep, key_columns(fresh)):
+                    columns[slot] = column
+                yield zip(*columns)
 
-        return generate()
+        return chain.from_iterable(fresh_rows())
 
     def _eval_order_by(self, node):
         rows = list(self._eval(node.operand))
-        cell_term = self.cell_term
+        cell_term = self._layout.term
         # Apply conditions right-to-left so the first condition dominates
         # (stable sort composition); only the sorted columns are decoded.
         for variable, ascending in reversed(node.conditions):
@@ -1289,7 +1305,7 @@ class IdSpaceEvaluation:
             return Literal(len(cells))
         numbers = []
         for cell in cells:
-            term = self.cell_term(cell)
+            term = self._layout.term(cell)
             value = term.to_python() if isinstance(term, Literal) else None
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue

@@ -680,6 +680,11 @@ class ExplainReport:
     #: Front-end/back-end stage wall times in seconds (parse/plan/execute),
     #: filled by :meth:`~repro.sparql.engine.SparqlEngine.explain`.
     stages: dict = field(default_factory=dict)
+    #: Rows and cumulative seconds out of the last operator of an id-space
+    #: SELECT (None otherwise), and the distinct ids decoded by the end of
+    #: the drain — FILTER / ORDER BY decode, the lazy result rows do not.
+    result: Optional[Observed] = None
+    decoded: Optional[int] = None
 
     def plan_steps(self):
         """Every PlanStep of every planned BGP, in tree pre-order."""
@@ -715,6 +720,18 @@ class ExplainReport:
             )
             lines.append(f"stages: {breakdown}")
         self._render_node(self.tree, 0, lines)
+        result = f"result: rows={self.result_count}"
+        if self.result is not None and self.result.seconds is not None:
+            # ``seconds`` is cumulative over every operator (the steps
+            # above plus DISTINCT, ORDER BY, ... which carry no time= of
+            # their own); the rest of the execute stage was spent handing
+            # rows across the result boundary.
+            operators = self.result.seconds
+            boundary = max(self.elapsed - operators, 0.0)
+            result += (f" decoded={self.decoded} "
+                       f"operators={operators * 1e3:.2f}ms "
+                       f"boundary={boundary * 1e3:.2f}ms")
+        lines.append(result)
         return "\n".join(lines)
 
     __str__ = render

@@ -45,12 +45,12 @@ class SelectResult:
     def rows(self):
         """Result rows as tuples following the projection variable order."""
         names = [variable_name(v) for v in self.variables]
-        return [tuple(binding.get(name) for name in names) for binding in self.bindings]
+        return [binding.row(names) for binding in self.bindings]
 
     def column(self, variable):
         """All values of one projection variable, in row order."""
-        name = variable_name(variable)
-        return [binding.get(name) for binding in self.bindings]
+        names = (variable_name(variable),)
+        return [binding.row(names)[0] for binding in self.bindings]
 
     def as_multiset(self):
         """The result as a multiset of frozen mappings (order-insensitive compare)."""
@@ -61,7 +61,7 @@ class SelectResult:
         return counts
 
     def serialize(self, format="json"):
-        """The result as one W3C SPARQL-results document (json/csv/tsv)."""
+        """The result as one W3C SPARQL-results document (json/xml/csv/tsv)."""
         return serializers.serialize(self.variables, self.bindings, format)
 
     def write(self, fp, format="json"):
@@ -103,7 +103,7 @@ class AskResult:
         return 1
 
     def serialize(self, format="json"):
-        """The answer as one W3C SPARQL-results document (json/csv/tsv)."""
+        """The answer as one W3C SPARQL-results document (json/xml/csv/tsv)."""
         return serializers.serialize((), self, format)
 
     def write(self, fp, format="json"):

@@ -30,10 +30,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import groupby, islice
+from json.encoder import encode_basestring_ascii as _json_string
+from operator import attrgetter, itemgetter, methodcaller
 from xml.sax.saxutils import escape, quoteattr
 
 from ..rdf.terms import BNode, Literal, URIRef
 from .bindings import variable_name
+from .kernels import BLOCK_ROWS
 
 #: Formats understood by :func:`serialize` / :func:`write` (and the CLI).
 FORMATS = ("json", "xml", "csv", "tsv")
@@ -50,81 +54,162 @@ CONTENT_TYPES = {
 #: XML namespace of the SPARQL Query Results XML Format.
 SPARQL_RESULTS_NS = "http://www.w3.org/2005/sparql-results#"
 
-
-def term_json(term):
-    """The SPARQL-results JSON object for one RDF term."""
-    if isinstance(term, URIRef):
-        return {"type": "uri", "value": term.value}
-    if isinstance(term, BNode):
-        return {"type": "bnode", "value": term.label}
-    if isinstance(term, Literal):
-        encoded = {"type": "literal", "value": term.lexical}
-        if term.language is not None:
-            encoded["xml:lang"] = term.language
-        elif term.datatype is not None:
-            encoded["datatype"] = term.datatype
-        return encoded
-    raise TypeError(f"cannot serialize term {term!r}")
+_shape_of = attrgetter("_shape")
+_row_of = attrgetter("_row")
+_n3 = methodcaller("n3")
 
 
-def term_csv(term):
-    """The plain-lexical CSV cell for one RDF term ('' for unbound)."""
-    if term is None:
-        return ""
-    if isinstance(term, URIRef):
-        return term.value
-    if isinstance(term, BNode):
-        return f"_:{term.label}"
-    if isinstance(term, Literal):
-        return term.lexical
-    raise TypeError(f"cannot serialize term {term!r}")
+def _json_cell(name):
+    """``term -> '"name": {...}'``: the member ``json.dumps`` would emit."""
+    head = _json_string(name) + ': {"type": '
+    uri = head + '"uri", "value": '
+    bnode = head + '"bnode", "value": '
+    literal = head + '"literal", "value": '
+
+    def encode(term):
+        if isinstance(term, Literal):
+            if term.language is not None:
+                tail = ', "xml:lang": ' + _json_string(term.language) + "}"
+            elif term.datatype is not None:
+                tail = ', "datatype": ' + _json_string(term.datatype) + "}"
+            else:
+                tail = "}"
+            return literal + _json_string(term.lexical) + tail
+        if isinstance(term, URIRef):
+            return uri + _json_string(term.value) + "}"
+        if isinstance(term, BNode):
+            return bnode + _json_string(term.label) + "}"
+        raise TypeError(f"cannot serialize term {term!r}")
+
+    return encode
 
 
-def term_tsv(term):
-    """The N-Triples-syntax TSV cell for one RDF term ('' for unbound)."""
-    if term is None:
-        return ""
-    return term.n3()
+def _xml_cell(name):
+    """``term -> '<binding name="name">...</binding>'``."""
+    head = f"<binding name={quoteattr(name)}>"
+
+    def encode(term):
+        if isinstance(term, Literal):
+            if term.language is not None:
+                attribute = f" xml:lang={quoteattr(term.language)}"
+            elif term.datatype is not None:
+                attribute = f" datatype={quoteattr(term.datatype)}"
+            else:
+                attribute = ""
+            inner = f"<literal{attribute}>{escape(term.lexical)}</literal>"
+        elif isinstance(term, URIRef):
+            inner = f"<uri>{escape(term.value)}</uri>"
+        elif isinstance(term, BNode):
+            inner = f"<bnode>{escape(term.label)}</bnode>"
+        else:
+            raise TypeError(f"cannot serialize term {term!r}")
+        return f"{head}{inner}</binding>"
+
+    return encode
+
+
+def _csv_cell(_name):
+    """``term -> plain lexical value`` (IRIs unbracketed, ``_:label``)."""
+
+    def encode(term):
+        if isinstance(term, Literal):
+            return term.lexical
+        if isinstance(term, URIRef):
+            return term.value
+        if isinstance(term, BNode):
+            return f"_:{term.label}"
+        raise TypeError(f"cannot serialize term {term!r}")
+
+    return encode
+
+
+def _tsv_cell(_name):
+    """``term -> its N-Triples surface syntax``."""
+    return _n3
+
+
+class _Fragments(dict):
+    """``cell -> finished fragment`` for one column of one result.
+
+    A cell of a lazy row is a dictionary id — decoded and encoded here
+    once, however many rows repeat it — a computed term (aggregates), or
+    ``None`` (unbound: the empty fragment).
+    """
+
+    __slots__ = ("_term", "_encode")
+
+    def __init__(self, term, encode):
+        self[None] = ""
+        self._term = term
+        self._encode = encode
+
+    def __missing__(self, cell):
+        fragment = self[cell] = self._encode(self._term(cell))
+        return fragment
+
+
+def _encoded_chunks(names, bindings, cell_encoder):
+    """The one row loop behind all four writers.
+
+    Yields, per chunk of at most ``BLOCK_ROWS`` solutions (the cursor's
+    batch size), a list of rows, each a tuple with one finished fragment per projected column
+    (``''`` where unbound) — a writer only joins strings, and a cursor is
+    consumed chunk by chunk, never materialized.  Rows that are still id
+    tuples (``binding._shape`` is the layout their result shares) are
+    projected by slot and encoded through one :class:`_Fragments` memo per
+    column, kept for the life of the result; eager rows hand over terms,
+    which are encoded directly.
+    """
+    encoders = [cell_encoder(name) for name in names]
+    shape = memos = None
+    bindings = iter(bindings)
+    while True:
+        chunk = list(islice(bindings, BLOCK_ROWS))
+        if not chunk:
+            return
+        if not names:
+            yield [()] * len(chunk)
+            continue
+        rows = []
+        for row_shape, run in groupby(chunk, _shape_of):
+            if row_shape is None:
+                terms = zip(*[binding.row(names) for binding in run])
+                columns = [
+                    ["" if term is None else encode(term) for term in column]
+                    for encode, column in zip(encoders, terms)
+                ]
+            else:
+                if row_shape is not shape:
+                    shape = row_shape
+                    memos = [
+                        (shape.slot(name), _Fragments(shape.term, encode))
+                        for name, encode in zip(names, encoders)
+                    ]
+                id_rows = list(map(_row_of, run))
+                columns = [
+                    [""] * len(id_rows) if slot is None else
+                    map(memo.__getitem__, map(itemgetter(slot), id_rows))
+                    for slot, memo in memos
+                ]
+            rows.extend(zip(*columns))
+        yield rows
 
 
 def write_json(fp, variables, bindings):
     """Stream a SELECT solution sequence as SPARQL-results JSON."""
     names = [variable_name(v) for v in variables]
-    fp.write('{"head": {"vars": %s}, "results": {"bindings": [' % json.dumps(names))
+    fp.write('{"head": {"vars": [%s]}, "results": {"bindings": ['
+             % ", ".join(map(_json_string, names)))
     count = 0
-    for binding in bindings:
+    for rows in _encoded_chunks(names, bindings, _json_cell):
         if count:
             fp.write(", ")
-        encoded = {
-            name: term_json(term)
-            for name in names
-            for term in (binding.get(name),)
-            if term is not None
-        }
-        fp.write(json.dumps(encoded))
-        count += 1
+        fp.write(", ".join(
+            ["{%s}" % ", ".join(filter(None, row)) for row in rows]
+        ))
+        count += len(rows)
     fp.write("]}}")
     return count
-
-
-def term_xml(name, term):
-    """The ``<binding>`` element for one bound term."""
-    if isinstance(term, URIRef):
-        inner = f"<uri>{escape(term.value)}</uri>"
-    elif isinstance(term, BNode):
-        inner = f"<bnode>{escape(term.label)}</bnode>"
-    elif isinstance(term, Literal):
-        if term.language is not None:
-            inner = (f"<literal xml:lang={quoteattr(term.language)}>"
-                     f"{escape(term.lexical)}</literal>")
-        elif term.datatype is not None:
-            inner = (f"<literal datatype={quoteattr(term.datatype)}>"
-                     f"{escape(term.lexical)}</literal>")
-        else:
-            inner = f"<literal>{escape(term.lexical)}</literal>"
-    else:
-        raise TypeError(f"cannot serialize term {term!r}")
-    return f"<binding name={quoteattr(name)}>{inner}</binding>"
 
 
 def _write_xml_prologue(fp, variables):
@@ -142,14 +227,10 @@ def write_xml(fp, variables, bindings):
     _write_xml_prologue(fp, names)
     fp.write("<results>")
     count = 0
-    for binding in bindings:
-        fp.write("<result>")
-        for name in names:
-            term = binding.get(name)
-            if term is not None:
-                fp.write(term_xml(name, term))
-        fp.write("</result>")
-        count += 1
+    for rows in _encoded_chunks(names, bindings, _xml_cell):
+        body = "</result><result>".join(map("".join, rows))
+        fp.write(f"<result>{body}</result>")
+        count += len(rows)
     fp.write("</results></sparql>")
     return count
 
@@ -160,9 +241,9 @@ def write_csv(fp, variables, bindings):
     writer = csv.writer(fp, lineterminator="\r\n")
     writer.writerow(names)
     count = 0
-    for binding in bindings:
-        writer.writerow([term_csv(binding.get(name)) for name in names])
-        count += 1
+    for rows in _encoded_chunks(names, bindings, _csv_cell):
+        writer.writerows(rows)
+        count += len(rows)
     return count
 
 
@@ -171,9 +252,9 @@ def write_tsv(fp, variables, bindings):
     names = [variable_name(v) for v in variables]
     fp.write("\t".join("?" + name for name in names) + "\n")
     count = 0
-    for binding in bindings:
-        fp.write("\t".join(term_tsv(binding.get(name)) for name in names) + "\n")
-        count += 1
+    for rows in _encoded_chunks(names, bindings, _tsv_cell):
+        fp.write("\n".join(map("\t".join, rows)) + "\n")
+        count += len(rows)
     return count
 
 

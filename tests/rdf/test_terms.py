@@ -93,6 +93,16 @@ class TestLiteral:
         literal = Literal("5", datatype=XSD_INTEGER)
         assert literal.to_python() == 5
 
+    def test_empty_language_tag_or_datatype_is_absent(self):
+        # One rule for every encoder: absent is None, "" is normalized to it
+        # (n3() used to drop an empty tag that the JSON/XML writers emitted).
+        literal = Literal("chat", language="")
+        assert literal.language is None
+        assert literal == Literal("chat") and hash(literal) == hash(Literal("chat"))
+        assert literal.n3() == '"chat"'
+        assert Literal("5", datatype="").datatype is None
+        assert Literal("chat", datatype="", language="fr").n3() == '"chat"@fr'
+
     def test_int_constructor_assigns_integer_datatype(self):
         literal = Literal(7)
         assert literal.datatype == XSD_INTEGER

@@ -109,6 +109,55 @@ class TestSelectCursor:
         cursor = make_cursor(deadline=Deadline(60.0))
         assert len(list(cursor)) == 3
 
+    def test_rows_cross_in_growing_batches(self):
+        produced = []
+
+        def generate():
+            for index in range(5000):
+                produced.append(index)
+                yield Binding({"s": Literal(index)})
+
+        cursor = SelectCursor([Variable("s")], generate())
+        next(cursor)
+        assert (len(produced), cursor.count) == (1, 1)   # first() / LIMIT 1 stay lazy
+        next(cursor)
+        assert len(produced) == 3
+        for _ in range(10):
+            next(cursor)
+        assert len(produced) < 20                        # ... and grow from there
+        assert len(list(cursor)) == 5000 - 12
+        assert cursor.count == 5000 and cursor.closed
+
+    def test_deadline_is_checked_per_batch_and_at_exhaustion(self):
+        class CountingDeadline(Deadline):
+            __slots__ = ("checks",)
+
+            def check(self):
+                self.checks = getattr(self, "checks", 0) + 1
+                super().check()
+
+        deadline = CountingDeadline(60.0)
+        rows = [Binding({"s": Literal(index)}) for index in range(5000)]
+        cursor = SelectCursor([Variable("s")], iter(rows), deadline=deadline)
+        assert list(cursor) == rows
+        # 1 + 2 + ... + 512 rows in ten batches, four of <= 1024, one empty.
+        assert deadline.checks == 15
+
+    def test_deadline_expiring_between_batches_raises_mid_stream(self):
+        deadline = Deadline(60.0)
+        delivered = []
+
+        def generate():
+            for binding in make_bindings():
+                yield binding
+                deadline.expires_at = 0.0            # expires after row one
+
+        cursor = SelectCursor([Variable("s")], generate(), deadline=deadline)
+        with pytest.raises(QueryTimeout):
+            for binding in cursor:
+                delivered.append(binding)
+        assert len(delivered) <= 1
+
 
 class TestAskCursor:
     def test_boolean_protocol(self):

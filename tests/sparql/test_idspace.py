@@ -1,5 +1,9 @@
 """Tests for the id-space evaluation pipeline (joins over dictionary ids)."""
 
+import gc
+import json
+import weakref
+
 import pytest
 
 from repro.queries import ALL_QUERIES
@@ -14,21 +18,27 @@ from repro.rdf import (
     Literal,
     Triple,
     URIRef,
+    Variable,
 )
 from repro.sparql import (
     NESTED_LOOP,
     SCAN_HASH,
     AskResult,
+    Binding,
     EvaluationError,
     Evaluator,
+    IdBinding,
     IdSpaceEvaluation,
+    SelectResult,
     SlotLayout,
     SparqlEngine,
     parse_query,
+    serializers,
     translate_query,
 )
 from repro.sparql.engine import NATIVE_OPTIMIZED, EngineConfig
 from repro.store import IndexedStore, MemoryStore
+from repro.store.mvcc import MvccStore, read_snapshot
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
@@ -196,19 +206,102 @@ class TestZeroDecodeJoins:
         assert consumed, "expected non-empty join results"
         assert store.decode_calls == 0
 
+    CREATORS = "SELECT ?d ?name WHERE { ?d dc:creator ?p . ?p foaf:name ?name }"
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_decodes_happen_only_at_the_result_boundary(self, strategy):
+        """Draining decodes nothing; serializing decodes each distinct id once."""
         store = CountingDictionaryStore(GRAPH)
-        evaluator = Evaluator(store, strategy=strategy)
-        bindings = list(
-            evaluator.evaluate(
-                tree_for("SELECT ?d ?name WHERE { ?d dc:creator ?p . ?p foaf:name ?name }")
+        engine = SparqlEngine(
+            EngineConfig(store_type="indexed", join_strategy=strategy),
+            store=store,
+        )
+        prepared = engine.prepare(self.CREATORS)
+        rows = list(prepared.run())
+        assert len(rows) == 4
+        assert all(isinstance(row, IdBinding) for row in rows)
+        assert store.decode_calls == 0
+        # 3 distinct documents + 3 distinct names over 4 rows x 2 columns,
+        # and a second format re-uses the result's term memo.
+        document = json.loads(serializers.serialize(prepared.variables, rows, "json"))
+        assert len(document["results"]["bindings"]) == 4
+        assert store.decode_calls == 6
+        serializers.serialize(prepared.variables, rows, "tsv")
+        assert store.decode_calls == 6
+
+    def test_get_decodes_on_touch(self):
+        store = CountingDictionaryStore(GRAPH)
+        evaluator = Evaluator(store)
+        rows = list(evaluator.evaluate(tree_for(self.CREATORS)))
+        assert store.decode_calls == 0
+        assert rows[0].is_bound("name") and "d" in rows[0]
+        assert store.decode_calls == 0
+        assert isinstance(rows[0].get("name"), Literal)
+        assert store.decode_calls == 1
+        assert rows[0].get("?p") is None      # projected away
+        assert rows[0].get("nowhere", "fallback") == "fallback"
+        assert store.decode_calls == 1
+
+    def test_lazy_rows_agree_with_eager_bindings(self):
+        lazy = list(Evaluator(IndexedStore(GRAPH)).evaluate(tree_for(self.CREATORS)))
+        eager = list(
+            Evaluator(IndexedStore(GRAPH), use_id_space=False).evaluate(
+                tree_for(self.CREATORS)
             )
         )
-        assert len(bindings) == 4
-        assert store.decode_calls > 0
-        # Only projected columns are decoded, and each id at most once.
-        assert store.decode_calls <= 2 * len(store.dictionary)
+        assert not any(isinstance(row, IdBinding) for row in eager)
+        assert multiset(lazy) == multiset(eager)
+        by_key = {frozenset(row.items()): row for row in eager}
+        for row in lazy:
+            twin = by_key[frozenset(row.items())]
+            assert row == twin and twin == row
+            assert hash(row) == hash(twin)
+            assert len({row, twin}) == 1
+            assert row.as_dict() == twin.as_dict()
+            assert row.variables() == twin.variables() == {"d", "name"}
+            assert row.row(["name", "d", "p"]) == twin.row(["name", "d", "p"])
+            assert row.project(["name"]) == twin.project(["name"])
+            assert row.merge(Binding({"x": s("y")})).get("x") == s("y")
+        variables = [Variable("d"), Variable("name")]
+        assert SelectResult(variables, lazy) == SelectResult(variables, eager)
+        with pytest.raises(AttributeError):
+            lazy[0].extra = 1
+
+    @pytest.mark.parametrize("update", (
+        'INSERT DATA { <http://x/doc9> dc:creator _:zed . _:zed foaf:name "Zed" }',
+        "DELETE WHERE { ?d dc:creator ?p }",
+    ))
+    def test_rows_drained_before_a_publish_decode_the_same_after_it(self, update):
+        engine = SparqlEngine(NATIVE_OPTIMIZED, store=MvccStore(IndexedStore(GRAPH)))
+        prepared = engine.prepare(self.CREATORS)
+        expected = prepared.run().all().as_multiset()
+        rows = list(prepared.run())               # drained, nothing decoded
+        version = engine.store.version
+        engine.update(update)
+        assert engine.store.version == version + 1
+        assert prepared.run().all().as_multiset() != expected
+        assert multiset(rows) == expected
+        assert len(json.loads(
+            serializers.serialize(prepared.variables, rows, "json")
+        )["results"]["bindings"]) == 4
+
+    def test_held_rows_pin_only_the_dictionary_and_the_term_memo(self):
+        store = MvccStore(IndexedStore(GRAPH))
+        generation = read_snapshot(store)
+        run = IdSpaceEvaluation(generation)
+        rows = list(run.bindings(tree_for(self.CREATORS)))
+        shape = rows[0]._shape
+        assert all(row._shape is shape for row in rows)
+        dead = [weakref.ref(run), weakref.ref(generation)]
+        alive = weakref.ref(generation.dictionary)
+        SparqlEngine(NATIVE_OPTIMIZED, store=store).update(
+            "DELETE WHERE { ?d dc:creator ?p }"
+        )                                         # the store moves on
+        del run, generation, store, shape
+        gc.collect()
+        assert [ref() for ref in dead] == [None, None]
+        assert alive() is not None
+        assert {row.get("name") for row in rows} == {s("Alice"), s("Bob"), s("Carol")}
 
     def test_filter_decodes_are_memoized_per_id(self):
         store = CountingDictionaryStore(GRAPH)

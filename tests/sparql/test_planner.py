@@ -297,6 +297,34 @@ class TestExplain:
             report.stages["execute"] + 1e-6
 
 
+    def test_explain_names_the_result_boundary(self, cost_engine):
+        report = cost_engine.explain(get_query("Q4").text)
+        line = report.render().splitlines()[-1]
+        assert line.startswith(f"result: rows={report.result_count} decoded=")
+        assert " operators=" in line and " boundary=" in line
+        # Rows out of the last operator are the rows delivered, every plan
+        # step lies inside the operator time, and operators + boundary is
+        # the execute stage: the residual is named, not missing.
+        assert report.result.actual == report.result_count
+        assert not report.result.partial
+        steps = [step.seconds for step in report.plan_steps()]
+        assert max(steps) <= report.result.seconds <= report.elapsed
+        # Q4's inline ?name1 < ?name2 filter decoded names; the drain of the
+        # lazy rows decoded nothing on top (no id is decoded twice).
+        assert 0 < report.decoded <= len(cost_engine.store.dictionary)
+
+    def test_result_line_without_an_id_space_select(self, cost_engine,
+                                                    generated_graph_small):
+        from repro.sparql import IN_MEMORY_OPTIMIZED
+
+        ask = cost_engine.explain(get_query("Q12c").text)
+        assert ask.render().splitlines()[-1] == f"result: rows={ask.result_count}"
+        memory = SparqlEngine.from_graph(generated_graph_small, IN_MEMORY_OPTIMIZED)
+        report = memory.explain(get_query("Q1").text)
+        assert report.result is None
+        assert report.render().splitlines()[-1] == "result: rows=1"
+
+
 class TestQError:
     """Planner estimates are checkable output (ROADMAP item 5c)."""
 

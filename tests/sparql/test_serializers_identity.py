@@ -1,0 +1,345 @@
+"""Byte identity of the result writers against the encoders they replaced.
+
+The writers in :mod:`repro.sparql.serializers` build fragments with direct
+per-format encoders and, for rows that are still id tuples, once per distinct
+id.  The encoders they replaced — one dict and one ``json.dumps`` per row,
+``escape`` per cell, ``csv.writer`` per row — live on *here* as the oracle:
+every catalog and aggregate query, and a generated family of awkward terms,
+must serialize to the same bytes through both.
+"""
+
+import csv
+import io
+import json
+from xml.etree import ElementTree
+from xml.sax.saxutils import escape, quoteattr
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.queries import AGGREGATE_QUERIES, ALL_QUERIES
+from repro.rdf import BNode, Literal, URIRef, Variable
+from repro.sparql import (
+    IN_MEMORY_OPTIMIZED,
+    NATIVE_COST,
+    NATIVE_OPTIMIZED,
+    Binding,
+    IdBinding,
+    SlotLayout,
+    kernels,
+    load_engines,
+    serializers,
+    variable_name,
+)
+from repro.store.dictionary import TermDictionary
+
+# -- the oracle: the replaced encoders, verbatim ------------------------------
+
+
+def oracle_term_json(term):
+    if isinstance(term, URIRef):
+        return {"type": "uri", "value": term.value}
+    if isinstance(term, BNode):
+        return {"type": "bnode", "value": term.label}
+    encoded = {"type": "literal", "value": term.lexical}
+    if term.language is not None:
+        encoded["xml:lang"] = term.language
+    elif term.datatype is not None:
+        encoded["datatype"] = term.datatype
+    return encoded
+
+
+def oracle_json(fp, names, bindings):
+    fp.write('{"head": {"vars": %s}, "results": {"bindings": [' % json.dumps(names))
+    for count, binding in enumerate(bindings):
+        if count:
+            fp.write(", ")
+        fp.write(json.dumps({
+            name: oracle_term_json(term)
+            for name in names
+            for term in (binding.get(name),)
+            if term is not None
+        }))
+    fp.write("]}}")
+
+
+def oracle_term_xml(name, term):
+    if isinstance(term, URIRef):
+        inner = f"<uri>{escape(term.value)}</uri>"
+    elif isinstance(term, BNode):
+        inner = f"<bnode>{escape(term.label)}</bnode>"
+    elif term.language is not None:
+        inner = (f"<literal xml:lang={quoteattr(term.language)}>"
+                 f"{escape(term.lexical)}</literal>")
+    elif term.datatype is not None:
+        inner = (f"<literal datatype={quoteattr(term.datatype)}>"
+                 f"{escape(term.lexical)}</literal>")
+    else:
+        inner = f"<literal>{escape(term.lexical)}</literal>"
+    return f"<binding name={quoteattr(name)}>{inner}</binding>"
+
+
+def oracle_xml(fp, names, bindings):
+    fp.write('<?xml version="1.0"?>\n')
+    fp.write(f'<sparql xmlns="{serializers.SPARQL_RESULTS_NS}"><head>')
+    for name in names:
+        fp.write(f"<variable name={quoteattr(name)}/>")
+    fp.write("</head><results>")
+    for binding in bindings:
+        fp.write("<result>")
+        for name in names:
+            term = binding.get(name)
+            if term is not None:
+                fp.write(oracle_term_xml(name, term))
+        fp.write("</result>")
+    fp.write("</results></sparql>")
+
+
+def oracle_term_csv(term):
+    if term is None:
+        return ""
+    if isinstance(term, URIRef):
+        return term.value
+    if isinstance(term, BNode):
+        return f"_:{term.label}"
+    return term.lexical
+
+
+def oracle_csv(fp, names, bindings):
+    writer = csv.writer(fp, lineterminator="\r\n")
+    writer.writerow(names)
+    for binding in bindings:
+        writer.writerow([oracle_term_csv(binding.get(name)) for name in names])
+
+
+def oracle_tsv(fp, names, bindings):
+    fp.write("\t".join("?" + name for name in names) + "\n")
+    for binding in bindings:
+        fp.write("\t".join(
+            "" if term is None else term.n3()
+            for term in map(binding.get, names)
+        ) + "\n")
+
+
+ORACLES = {"json": oracle_json, "xml": oracle_xml, "csv": oracle_csv, "tsv": oracle_tsv}
+
+
+def oracle(variables, bindings, format):
+    buffer = io.StringIO()
+    ORACLES[format](buffer, [variable_name(v) for v in variables], bindings)
+    return buffer.getvalue()
+
+
+# -- every catalog and aggregate query ---------------------------------------
+
+PRESETS = (NATIVE_COST, NATIVE_OPTIMIZED, IN_MEMORY_OPTIMIZED)
+QUERIES = tuple(ALL_QUERIES) + tuple(AGGREGATE_QUERIES)
+
+
+@pytest.fixture(scope="module")
+def engines(generated_graph_medium):
+    return {
+        engine.config.name: engine
+        for engine in load_engines(generated_graph_medium, PRESETS)
+    }
+
+
+@pytest.mark.parametrize("numpy", (True, False), ids=("numpy", "SP2B_DISABLE_NUMPY"))
+@pytest.mark.parametrize("preset", [config.name for config in PRESETS])
+def test_catalog_documents_are_byte_identical(engines, preset, numpy, monkeypatch):
+    if not numpy:
+        # What SP2B_DISABLE_NUMPY=1 does at import time.
+        monkeypatch.setattr(kernels, "_np", None)
+    elif not kernels.numpy_enabled():
+        pytest.skip("numpy is not available")
+    assert len(QUERIES) == 21
+    lazy_rows = 0
+    for query in QUERIES:
+        prepared = engines[preset].prepare(query.text)
+        cursor = prepared.run()
+        if cursor.form == "ASK":
+            for format in serializers.FORMATS:
+                assert cursor.serialize(format) == cursor.all().serialize(format)
+            continue
+        rows = list(cursor)
+        lazy_rows += sum(isinstance(row, IdBinding) for row in rows)
+        for format in serializers.FORMATS:
+            expected = oracle(prepared.variables, rows, format)
+            assert serializers.serialize(prepared.variables, rows, format) == expected, (
+                f"{query.identifier} {format}: list of drained rows")
+        assert prepared.run().serialize("json") == oracle(prepared.variables, rows, "json"), (
+            f"{query.identifier}: cursor streamed into the writer")
+    # The id-space presets really exercised the lazy path, the scan preset
+    # the eager one.
+    assert (lazy_rows > 0) == (preset != IN_MEMORY_OPTIMIZED.name)
+
+
+def test_first_chunk_is_written_before_the_evaluation_finishes(engines):
+    prepared = engines[NATIVE_COST.name].prepare("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+    total = len(list(prepared.run()))
+    assert total > 2 * kernels.BLOCK_ROWS
+    cursor = prepared.run()
+
+    class FirstWrite(io.StringIO):
+        pulled = None
+
+        def write(self, text):
+            if self.pulled is None and "bindings" not in text:
+                self.pulled = cursor.count
+            return super().write(text)
+
+    buffer = FirstWrite()
+    assert cursor.write(buffer, "json") == total
+    assert 0 < buffer.pulled < total
+    assert len(json.loads(buffer.getvalue())["results"]["bindings"]) == total
+
+
+# -- generated terms: quoting, escaping, lazy / computed / unbound cells -----
+
+_AWKWARD = ['"', "\\", "\n", "\r", "\t", "\x01", "\x1f", "\x7f", "<", ">", "&",
+            "'", ",", "]]>", "\u00e9", "\u2028", "\U0001F600", "\U00010348", " "]
+_text = st.lists(
+    st.one_of(
+        st.sampled_from(_AWKWARD),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=8,
+).map("".join)
+_iri_text = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cs", "Cc"), blacklist_characters='<> "'),
+    max_size=8,
+)
+_terms = st.one_of(
+    _iri_text.map(lambda text: URIRef("http://x/" + text)),
+    st.text(alphabet="abcXYZ019", min_size=1, max_size=6).map(BNode),
+    _text.map(Literal),
+    st.tuples(_text, st.sampled_from(("en", "en-GB", "de"))).map(
+        lambda pair: Literal(pair[0], language=pair[1])),
+    st.tuples(_text, _iri_text).map(
+        lambda pair: Literal(pair[0], datatype="http://dt/" + pair[1])),
+    st.integers(-5, 5).map(Literal),
+)
+#: One cell: (how it is stored in a lazy row, its term).  "id" cells go
+#: through the dictionary, "term" cells sit in the row as computed terms
+#: (aggregates), None is an unbound OPTIONAL cell.
+_cells = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(("id", "term")), _terms),
+)
+_results = st.lists(st.tuples(_cells, _cells, _cells), max_size=6)
+
+NAMES = ("a", "b", "c")
+VARIABLES = [Variable(name) for name in NAMES]
+XML_NS = "{http://www.w3.org/2005/sparql-results#}"
+XML_LANG = "{http://www.w3.org/XML/1998/namespace}lang"
+
+
+def _xml_safe(text):
+    """Whether an XML 1.0 document can carry ``text`` at all and a parser
+    hands it back unchanged (most control characters are not XML ``Char``s —
+    nor were they for the replaced writer — and ``\\r`` is normalized away)."""
+    return all(
+        ch in "\t\n" or " " <= ch <= "\ud7ff" or "\ue000" <= ch <= "\ufffd"
+        or ch >= "\U00010000"
+        for ch in text
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_results)
+def test_generated_results_are_identical_and_parse_back(result):
+    dictionary = TermDictionary()
+    layout = SlotLayout(NAMES + ("hidden",), dictionary)
+    lazy, eager, terms = [], [], []
+    for cells in result:
+        row_terms = [None if cell is None else cell[1] for cell in cells]
+        row = tuple(
+            None if cell is None
+            else dictionary.encode(cell[1]) if cell[0] == "id" else cell[1]
+            for cell in cells
+        )
+        lazy.append(IdBinding(layout, row + (None,)))
+        eager.append(Binding(
+            {name: term for name, term in zip(NAMES, row_terms) if term is not None}
+        ))
+        terms.append(row_terms)
+    mixed = lazy[::2] + eager[1::2]
+    documents = {}
+    for format in serializers.FORMATS:
+        expected = oracle(VARIABLES, eager, format)
+        assert serializers.serialize(VARIABLES, lazy, format) == expected
+        assert serializers.serialize(VARIABLES, eager, format) == expected
+        assert (serializers.serialize(VARIABLES, mixed, format)
+                == oracle(VARIABLES, mixed, format))
+        documents[format] = expected
+
+    parsed = json.loads(documents["json"])
+    assert parsed["head"]["vars"] == list(NAMES)
+    assert parsed["results"]["bindings"] == [
+        {name: oracle_term_json(term)
+         for name, term in zip(NAMES, row_terms) if term is not None}
+        for row_terms in terms
+    ]
+
+    rows = list(csv.reader(io.StringIO(documents["csv"], newline="")))
+    assert rows[0] == list(NAMES)
+    assert rows[1:] == [
+        [oracle_term_csv(term) for term in row_terms] for row_terms in terms
+    ]
+
+    lines = documents["tsv"].split("\n")
+    assert lines[0] == "?a\t?b\t?c" and lines[-1] == ""
+    assert [line.split("\t") for line in lines[1:-1]] == [
+        ["" if term is None else term.n3() for term in row_terms]
+        for row_terms in terms
+    ]
+
+    texts = [
+        text
+        for row_terms in terms for term in row_terms if term is not None
+        for text in (
+            (term.value,) if isinstance(term, URIRef)
+            else (term.label,) if isinstance(term, BNode)
+            else (term.lexical, term.datatype or "")
+        )
+    ]
+    if all(_xml_safe(text) for text in texts):
+        root = ElementTree.fromstring(documents["xml"])
+        results = root.find(f"{XML_NS}results").findall(f"{XML_NS}result")
+        assert len(results) == len(terms)
+        for element, row_terms in zip(results, terms):
+            bound = [(name, term) for name, term in zip(NAMES, row_terms)
+                     if term is not None]
+            assert [b.get("name") for b in element] == [name for name, _ in bound]
+            for binding, (_name, term) in zip(element, bound):
+                (child,) = binding
+                if isinstance(term, URIRef):
+                    assert (child.tag, child.text) == (f"{XML_NS}uri", term.value)
+                elif isinstance(term, BNode):
+                    assert (child.tag, child.text) == (f"{XML_NS}bnode", term.label)
+                else:
+                    assert child.tag == f"{XML_NS}literal"
+                    assert (child.text or "") == term.lexical
+                    assert child.get(XML_LANG) == term.language
+                    assert child.get("datatype") == term.datatype
+
+
+def test_projection_without_variables_and_unprojected_names():
+    dictionary = TermDictionary()
+    layout = SlotLayout(("a",), dictionary)
+    rows = [IdBinding(layout, (dictionary.encode(URIRef("http://x/1")),)),
+            Binding({"a": URIRef("http://x/2")})]
+    for format in serializers.FORMATS:
+        for variables in ([], [Variable("zz"), Variable("a")]):
+            assert (serializers.serialize(variables, rows, format)
+                    == oracle(variables, rows, format))
+
+
+def test_non_terms_are_rejected_by_every_writer():
+    layout = SlotLayout(("a",), TermDictionary())
+    for rows in ([Binding({"a": 42})], [IdBinding(layout, ("not a term",))]):
+        for format in ("json", "xml", "csv"):
+            with pytest.raises(TypeError):
+                serializers.serialize([Variable("a")], rows, format)

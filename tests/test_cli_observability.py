@@ -28,6 +28,10 @@ class TestQueryProfile:
             assert stage in out
         assert "time=" in out
         assert "est=" in out and "actual=" in out
+        result = out.strip().splitlines()[-1]
+        assert result.startswith("result: rows=")
+        for field in (" decoded=", " operators=", " boundary="):
+            assert field in result
 
     def test_profile_and_explain_share_the_traced_report(self, document,
                                                          capsys):
