@@ -219,12 +219,15 @@ def format_server_report(before, after):
                      - before.by_label("sp2b_query_stage_seconds_sum",
                                        "stage").get(stage, 0.0))
             if count > 0:
-                means.append(f"{stage}={total / count * 1e3:.2f}")
+                # With its sample count: parse (and plan) are recorded only
+                # by requests the statement cache did not answer.
+                means.append(f"{stage}={total / count * 1e3:.2f}ms n={int(count)}")
         if means:
-            lines.append("  stage mean (ms)     " + " ".join(means))
+            lines.append("  stage mean          " + "  ".join(means))
 
     counter_rows = (
         ("prepared cache", (("hits", "sp2b_prepared_cache_hits_total"),
+                            ("replans", "sp2b_prepared_cache_replans_total"),
                             ("misses", "sp2b_prepared_cache_misses_total"),
                             ("evictions",
                              "sp2b_prepared_cache_evictions_total"))),

@@ -244,9 +244,9 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             outcome["status"] = 400
             self._send_json(400, error_payload(error))
             return
-        # A cache hit skips parse+plan entirely, so those stages only
-        # appear in the trace when prepare_cached() actually prepared.
-        outcome["cache_hit"] = "parse" not in trace.stages
+        # A cache hit skips parse+plan entirely; a re-plan after an update
+        # skips only the parse, so "plan" is the stage every non-hit has.
+        outcome["cache_hit"] = "plan" not in trace.stages
         outcome["form"] = prepared.form
         outcome["plan_renderer"] = self._plan_renderer(prepared, trace,
                                                        outcome)

@@ -172,7 +172,12 @@ class SparqlEngine:
         self._cache_misses = registry.counter(
             "sp2b_prepared_cache_misses_total",
             "prepare_cached() lookups that had to parse and plan "
-            "(first sight, stale store version, or evicted entry).",
+            "(first sight or evicted entry).",
+        )
+        self._cache_replans = registry.counter(
+            "sp2b_prepared_cache_replans_total",
+            "prepare_cached() lookups that skipped the parse but re-planned "
+            "(an update changed statistics the cached plan had read).",
         )
         self._cache_evictions = registry.counter(
             "sp2b_prepared_cache_evictions_total",
@@ -224,25 +229,31 @@ class SparqlEngine:
         """
         if isinstance(query, str):
             query = self.parse(query)
+        return query, self._plan_algebra(self._algebra(query),
+                                         read_snapshot(self.store))
+
+    def _algebra(self, query):
+        """The store-independent half of planning: translate and push filters."""
         tree = algebra.translate_query(query)
+        if self.config.push_filters:
+            tree = optimizer.optimize(tree, None, reorder=False)
+        return tree
+
+    def _plan_algebra(self, tree, store):
+        """The statistics-dependent half: order and cost ``tree`` (not mutated).
+
+        ``store`` is one pinned generation for the whole pass, so selectivity
+        estimates and dictionary lookups cannot straddle an update commit.
+        """
         mode = self.config.resolved_planner()
-        reorder = mode == PLANNER_GREEDY
-        # One pinned generation for the whole planning pass, so selectivity
-        # estimates and dictionary lookups cannot straddle an update commit.
-        store = read_snapshot(self.store)
-        if reorder or self.config.push_filters:
-            tree = optimizer.optimize(
-                tree,
-                store,
-                reorder=reorder,
-                push_filters=self.config.push_filters,
-            )
+        if mode == PLANNER_GREEDY:
+            return optimizer.optimize(tree, store, push_filters=False)
         if mode == PLANNER_COST:
-            tree = planner.plan_tree(
+            return planner.plan_tree(
                 tree, store,
                 vectorize=self.config.resolved_vectorize(store),
             )
-        return query, tree
+        return tree
 
     def prepare(self, query_text, trace=NULL_TRACE):
         """Parse, translate, optimize, and cost-plan a query exactly once.
@@ -274,39 +285,61 @@ class SparqlEngine:
         parameterized templates should pass constants via
         ``run(bindings=...)`` instead.
 
+        An entry has two levels.  The parsed query and its translated,
+        filter-pushed algebra depend on the text alone and live as long as
+        the entry.  The plan on top is stamped with the version of the store
+        generation it was costed against; once an update has published a
+        newer one, the plan is kept (and restamped, so the next hit is again
+        one integer compare) exactly when no predicate whose statistics it
+        read (:func:`.planner.plan_dependencies`) has changed since its
+        stamp, and otherwise rebuilt from the cached algebra — never
+        re-parsed.  Stores that do not stamp predicate changes re-plan on
+        every version.
+
         Thread-safe: lookup, insertion, and eviction happen under the
         engine's statement-cache lock, so N server worker threads can share
-        one engine.  A miss prepares *outside* the lock (parse+plan of a new
+        one engine.  Parsing and planning happen *outside* the lock (a new
         template never blocks other threads' cache hits); when two threads
-        race on the same uncached text, the first insertion wins and both
-        get the same :class:`PreparedQuery`.
-
-        Entries are keyed by the store version they were planned against:
-        when an update publishes a new generation (bumping ``version``), the
-        next lookup of every cached text re-prepares against fresh planner
-        statistics instead of running a stale plan.
+        race on the same text, the plan for the newest generation wins and
+        threads at the same version get the same :class:`PreparedQuery`.
         """
         cache = self._prepared_cache
-        version = getattr(self.store, "version", 0)
+        store = read_snapshot(self.store)
+        version = store.version
         with self._prepared_lock:
             entry = cache.pop(query_text, None)
-            if entry is not None and entry[0] == version:
+            if entry is not None:
                 # Re-insertion moves the entry to the back of the eviction
                 # order.
                 cache[query_text] = entry
-                self._cache_hits.inc()
-                return entry[1]
-        self._cache_misses.inc()
-        candidate = self.prepare(query_text, trace=trace)
+                if entry.version < version and not entry.outdated_on(store):
+                    entry.version = version
+                if entry.version >= version:
+                    self._cache_hits.inc()
+                    return entry.prepared
+        if entry is None:
+            self._cache_misses.inc()
+            with trace.span("parse"):
+                parsed = self.parse(query_text)
+            with trace.span("plan"):
+                entry = _Statement(parsed, self._algebra(parsed))
+        else:
+            self._cache_replans.inc()
+        with trace.span("plan"):
+            candidate = PreparedQuery(
+                self, query_text, entry.parsed,
+                self._plan_algebra(entry.tree, store))
         with self._prepared_lock:
-            entry = cache.pop(query_text, None)
-            if entry is None or entry[0] != version:
-                entry = (version, candidate)
+            current = cache.pop(query_text, None)
+            if current is None:
+                current = entry
                 while len(cache) >= self.PREPARED_CACHE_SIZE:
                     cache.pop(next(iter(cache)))
                     self._cache_evictions.inc()
-            cache[query_text] = entry
-            return entry[1]
+            if current.version < version:
+                current.prepared, current.version = candidate, version
+            cache[query_text] = current
+            return current.prepared
 
     def stream(self, query_text, **run_options):
         """One-shot streaming execution: ``prepare(text).run(**options)``.
@@ -424,6 +457,30 @@ class SparqlEngine:
         return f"SparqlEngine(config={self.config.name!r}, triples={len(self.store)})"
 
 
+class _Statement:
+    """One statement-cache entry (see :meth:`SparqlEngine.prepare_cached`).
+
+    ``parsed`` / ``tree`` / ``depends`` are fixed by the query text;
+    ``prepared`` is the current plan and ``version`` the store version up to
+    which it is known to be what a fresh plan would be.
+    """
+
+    __slots__ = ("parsed", "tree", "depends", "prepared", "version")
+
+    def __init__(self, parsed, tree):
+        self.parsed = parsed
+        self.tree = tree
+        self.depends = planner.plan_dependencies(tree)
+        self.prepared = None
+        self.version = -1
+
+    def outdated_on(self, store):
+        """Whether ``store`` (a newer generation) would be planned differently."""
+        changed = getattr(store, "predicates_changed_since", None)
+        return (self.depends is None or changed is None
+                or changed(self.depends, self.version))
+
+
 class PreparedQuery:
     """A query parsed, translated, optimized, and planned exactly once.
 
@@ -472,8 +529,8 @@ class PreparedQuery:
         ``bindings`` pre-binds query variables to RDF terms (a mapping of
         variable/name -> term): every basic graph pattern starts from that
         partial solution, so index probes use the bound terms directly and
-        an id-capable store short-circuits to the empty result when a bound
-        term does not occur in the data.  ``limit``/``offset`` bound the
+        a bound term that does not occur in the data empties exactly the
+        patterns that use its variable.  ``limit``/``offset`` bound the
         result without re-planning — evaluation stops as soon as the window
         is produced.  ``deadline`` (a :class:`~repro.sparql.cursor.Deadline`
         or seconds, equivalently ``timeout=seconds``; when both are given

@@ -121,6 +121,13 @@ class SlotLayout:
             term = self._terms[cell] = self._decode(cell)
         return term
 
+    def adopt(self, term):
+        """A (negative) id of this layout's own for a term the dictionary
+        has never seen: no index holds it, and it decodes back to ``term``."""
+        cell = -1 - len(self._terms)
+        self._terms[cell] = term
+        return cell
+
     def __repr__(self):
         return f"SlotLayout({', '.join(self.names)})"
 
@@ -223,19 +230,18 @@ class IdSpaceEvaluation:
         if isinstance(tree, algebra.Ask):
             raise EvaluationError("solve() takes the Ask operand, not the Ask node")
         self._layout = SlotLayout.for_tree(tree, self._dictionary)
-        if not self._encode_seed():
-            # A pre-bound term the dictionary has never seen: no triple
-            # pattern using that variable can match, the same short-circuit
-            # unknown query constants take.
-            return self._layout, iter(())
+        self._encode_seed()
         return self._layout, self._eval(tree)
 
     def _encode_seed(self):
         """Encode the pre-binding seed into the starting row.
 
-        Seed variables without a slot (never used by the query) are ignored;
-        a seed term unknown to the dictionary makes the evaluation empty
-        (returns False).  Seeded slots count as bound for hash-join keying.
+        Seed variables without a slot (never used by the query) are ignored.
+        A seed term unknown to the dictionary gets an id no index holds
+        (:meth:`SlotLayout.adopt`), so exactly the BGPs that use the
+        variable come out empty, as on the term-space engines; rows of any
+        other BGP carry it through to the result.  Seeded slots count as
+        bound for hash-join keying.
         """
         row = list(self._layout.empty_row())
         slots = set()
@@ -246,12 +252,11 @@ class IdSpaceEvaluation:
                 continue
             term_id = lookup(term)
             if term_id is None:
-                return False
+                term_id = self._layout.adopt(term)
             row[slot] = term_id
             slots.add(slot)
         self._seed_row = tuple(row)
         self._seed_slots = frozenset(slots)
-        return True
 
     def solve_bgp(self, node, names):
         """Evaluate one BGP under an externally fixed slot layout.
@@ -264,8 +269,7 @@ class IdSpaceEvaluation:
         seeds behave exactly as in :meth:`solve`.
         """
         self._layout = SlotLayout(names, self._dictionary)
-        if not self._encode_seed():
-            return iter(())
+        self._encode_seed()
         return self._eval_bgp(node)
 
     def ask(self, tree):

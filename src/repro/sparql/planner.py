@@ -190,8 +190,6 @@ class CostModel:
     def __init__(self, store):
         self._store = store
         self._stats = getattr(store, "statistics", None)
-        self._total_subjects = None
-        self._total_objects = None
 
     def pattern_cardinality(self, pattern):
         """Standalone estimate: only the pattern's constants are bound."""
@@ -235,13 +233,13 @@ class CostModel:
                 divisor = (
                     stats.distinct_subjects(predicate)
                     if predicate is not None
-                    else self._distinct_subject_total()
+                    else stats.distinct_subject_total()
                 )
             elif position == "object":
                 divisor = (
                     stats.distinct_objects(predicate)
                     if predicate is not None
-                    else self._distinct_object_total()
+                    else stats.distinct_object_total()
                 )
             else:  # a bound predicate variable
                 divisor = stats.distinct_predicates()
@@ -266,15 +264,25 @@ class CostModel:
                         best = min(best, self._stats.distinct_objects(pattern.predicate))
         return max(best, 1.0)
 
-    def _distinct_subject_total(self):
-        if self._total_subjects is None:
-            self._total_subjects = self._stats.distinct_subject_total()
-        return self._total_subjects
 
-    def _distinct_object_total(self):
-        if self._total_objects is None:
-            self._total_objects = self._stats.distinct_object_total()
-        return self._total_objects
+def plan_dependencies(tree):
+    """The predicates whose statistics decide how ``tree`` is planned.
+
+    Everything the cost model (and the greedy reorder's ``estimate_count``)
+    asks about a constant-predicate pattern — triple count, distinct
+    subjects/objects, class counts, index bucket sizes — changes only when
+    a triple of that predicate is added or removed, so a plan stays what a
+    fresh planning pass would produce until one of the returned predicates
+    is touched.  A variable-predicate pattern is estimated from store-wide
+    totals that every update moves: returns None ("any").
+    """
+    predicates = set()
+    for bgp in algebra.collect_bgps(tree):
+        for pattern in bgp.patterns:
+            if isinstance(pattern.predicate, Variable):
+                return None
+            predicates.add(pattern.predicate)
+    return frozenset(predicates)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,9 @@ class IndexedStore(TripleStore):
         self._by_po = {}
         self._by_so = {}
         self._sorted_runs = {}     # (predicate_id, order) -> SortedRun
+        #: predicate_id -> ``version`` at which a triple of that predicate
+        #: was last added or removed (absent: not since construction).
+        self._predicate_stamps = {}
         self.statistics = StoreStatistics()
         if triples is not None:
             self.load_graph(triples)
@@ -193,6 +196,7 @@ class IndexedStore(TripleStore):
         if added:
             self._sorted_runs.clear()
             self.version += 1
+            self._predicate_stamps = dict.fromkeys(self._by_p, self.version)
         return added
 
     def _recompute_statistics(self):
@@ -246,6 +250,7 @@ class IndexedStore(TripleStore):
         self._invalidate_sorted_runs(p)
         self.statistics.observe(triple)
         self.version += 1
+        self._predicate_stamps[p] = self.version
         return True
 
     def remove(self, triple):
@@ -277,6 +282,7 @@ class IndexedStore(TripleStore):
         self._invalidate_sorted_runs(p)
         self.statistics.forget(triple)
         self.version += 1
+        self._predicate_stamps[p] = self.version
         return True
 
     def begin_generation(self):
@@ -290,6 +296,18 @@ class IndexedStore(TripleStore):
         view while the writer assembles the next generation.
         """
         return GenerationDraft(self)
+
+    def predicates_changed_since(self, predicates, version):
+        """True when a triple of any of ``predicates`` (terms) was added or
+        removed after this store was at ``version``.
+
+        What lets the engine's statement cache keep a plan across updates
+        that leave every statistic the plan was costed with untouched.
+        """
+        stamps = self._predicate_stamps
+        lookup = self._dictionary.lookup
+        return any(stamps.get(lookup(predicate), 0) > version
+                   for predicate in predicates)
 
     # -- id-level access ----------------------------------------------------
 
@@ -456,7 +474,11 @@ class GenerationDraft:
     * sorted runs are shared and only the runs of *touched predicates* are
       dropped at :meth:`finish` — untouched predicates keep their (immutable)
       runs across generations with zero rebuild cost,
-    * statistics are deep-copied once and maintained incrementally.
+    * statistics share every per-predicate map with the base until the
+      draft first touches that predicate (``StoreStatistics.copy``), and are
+      maintained incrementally,
+    * the per-predicate change stamps are carried over and the touched
+      predicates restamped with the new version at :meth:`finish`.
 
     The base store is never mutated: concurrent readers pinned to it see a
     frozen, consistent state for as long as they hold the reference.
@@ -475,6 +497,7 @@ class GenerationDraft:
         # dict.copy() is a single C-level call, so it is atomic with respect
         # to readers lazily inserting sorted runs into the base generation.
         store._sorted_runs = base._sorted_runs.copy()
+        store._predicate_stamps = base._predicate_stamps.copy()
         store.statistics = base.statistics.copy()
         store.version = base.version
         self.store = store
@@ -552,12 +575,14 @@ class GenerationDraft:
         """Seal the draft as generation ``version`` and return its store.
 
         Sorted runs of every touched predicate are dropped (they rebuild
-        lazily on first use in the new generation); untouched predicates
-        keep the shared runs of the previous generation.
+        lazily on first use in the new generation) and its change stamp
+        becomes ``version``; untouched predicates keep the shared runs and
+        the stamps of the previous generation.
         """
         store = self.store
         for predicate_id in self._touched_predicates:
             store._sorted_runs.pop((predicate_id, RUN_BY_SUBJECT), None)
             store._sorted_runs.pop((predicate_id, RUN_BY_OBJECT), None)
+            store._predicate_stamps[predicate_id] = version
         store.version = version
         return store

@@ -14,7 +14,8 @@ Invariants:
   deliberate exception is lazy sorted-run materialization inside
   ``IndexedStore`` — a cache fill, not a logical mutation.)
 * Publishing bumps ``version`` monotonically; the engine's prepared-statement
-  cache and planner statistics key off it to invalidate stale plans.
+  cache compares it (and the per-predicate change stamps of the generation)
+  to decide which cached plans to re-plan.
 * ``write_transaction`` holds the writer lock across WHERE evaluation *and*
   application, so read-modify-write updates never lose concurrent writes.
 

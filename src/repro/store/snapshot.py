@@ -591,6 +591,10 @@ def _unpack_statistics(reader, terms):
         if objects:
             statistics._predicate_objects[predicate] = objects
     statistics.class_counts = unpack_counter()
+    # The distinct totals are not stored: derive them once here, off every
+    # query's clock.
+    statistics.distinct_subject_total()
+    statistics.distinct_object_total()
     return statistics
 
 

@@ -24,6 +24,12 @@ class StoreStatistics:
     The distinct-subject/object structures are reference-counted (term ->
     occurrence count) rather than plain sets so that :meth:`forget` can
     maintain them exactly when triples are removed.
+
+    The distinct totals across all predicates (what a variable-predicate
+    estimate divides by, Q9/Q10) are two integers: derived by one union the
+    first time they are asked for — bulk loads never ask — and from then on
+    kept exact by :meth:`observe`/:meth:`forget`, so :meth:`estimate` never
+    walks the maps.
     """
 
     def __init__(self):
@@ -32,16 +38,24 @@ class StoreStatistics:
         self._predicate_subjects = {}
         self._predicate_objects = {}
         self.class_counts = {}
+        self._subject_total = None
+        self._object_total = None
+        #: Copy-on-write bookkeeping: None while every per-predicate map is
+        #: private; after :meth:`copy`, the predicates whose maps this side
+        #: has made private again.
+        self._owned = None
 
     def observe(self, triple):
         """Record one added triple."""
         self.triple_count += 1
         predicate = triple.predicate
         self.predicate_counts[predicate] = self.predicate_counts.get(predicate, 0) + 1
-        subjects = self._predicate_subjects.setdefault(predicate, {})
-        subjects[triple.subject] = subjects.get(triple.subject, 0) + 1
-        objects = self._predicate_objects.setdefault(predicate, {})
-        objects[triple.object] = objects.get(triple.object, 0) + 1
+        if self._owned is not None:
+            self._own(predicate)
+        self._subject_total = _enter(
+            self._predicate_subjects, predicate, triple.subject, self._subject_total)
+        self._object_total = _enter(
+            self._predicate_objects, predicate, triple.object, self._object_total)
         if predicate == _RDF_TYPE:
             self.class_counts[triple.object] = self.class_counts.get(triple.object, 0) + 1
 
@@ -50,40 +64,44 @@ class StoreStatistics:
         self.triple_count -= 1
         predicate = triple.predicate
         _decrement(self.predicate_counts, predicate)
-        subjects = self._predicate_subjects.get(predicate)
-        if subjects is not None:
-            _decrement(subjects, triple.subject)
-            if not subjects:
-                del self._predicate_subjects[predicate]
-        objects = self._predicate_objects.get(predicate)
-        if objects is not None:
-            _decrement(objects, triple.object)
-            if not objects:
-                del self._predicate_objects[predicate]
+        if self._owned is not None:
+            self._own(predicate)
+        self._subject_total = _leave(
+            self._predicate_subjects, predicate, triple.subject, self._subject_total)
+        self._object_total = _leave(
+            self._predicate_objects, predicate, triple.object, self._object_total)
         if predicate == _RDF_TYPE:
             _decrement(self.class_counts, triple.object)
 
     def copy(self):
-        """An independent deep copy (MVCC generation builds start from one).
+        """An independent copy in O(predicates) (MVCC drafts start from one).
 
-        The copy shares no mutable structure with the original, so a writer
-        can :meth:`observe`/:meth:`forget` incrementally on the next
+        Both sides keep sharing every per-predicate distinct map until one
+        of them first writes to that predicate and copies just those two
+        maps, so a writer can :meth:`observe`/:meth:`forget` on the next
         generation's statistics while readers keep planning against the
         published generation's counts.
         """
         clone = StoreStatistics()
         clone.triple_count = self.triple_count
         clone.predicate_counts = dict(self.predicate_counts)
-        clone._predicate_subjects = {
-            predicate: dict(counts)
-            for predicate, counts in self._predicate_subjects.items()
-        }
-        clone._predicate_objects = {
-            predicate: dict(counts)
-            for predicate, counts in self._predicate_objects.items()
-        }
+        clone._predicate_subjects = dict(self._predicate_subjects)
+        clone._predicate_objects = dict(self._predicate_objects)
         clone.class_counts = dict(self.class_counts)
+        # Derived here at the latest, so no generation re-derives them.
+        clone._subject_total = self.distinct_subject_total()
+        clone._object_total = self.distinct_object_total()
+        self._owned = set()
+        clone._owned = set()
         return clone
+
+    def _own(self, predicate):
+        """Make ``predicate``'s maps private before the first write after a copy."""
+        if predicate not in self._owned:
+            self._owned.add(predicate)
+            for maps in (self._predicate_subjects, self._predicate_objects):
+                if predicate in maps:
+                    maps[predicate] = dict(maps[predicate])
 
     # -- accessors ---------------------------------------------------------
 
@@ -108,17 +126,16 @@ class StoreStatistics:
         return len(self.predicate_counts)
 
     def distinct_subject_total(self):
-        """Number of distinct subjects across all predicates.
-
-        Linear in the number of (predicate, subject) pairs; the cost-based
-        planner memoizes it per planning pass (it is only needed for
-        variable-predicate patterns, Q9/Q10 style).
-        """
-        return len(self._all_subjects())
+        """Number of distinct subjects across all predicates."""
+        if self._subject_total is None:
+            self._subject_total = len(set().union(*self._predicate_subjects.values()))
+        return self._subject_total
 
     def distinct_object_total(self):
         """Number of distinct objects across all predicates."""
-        return len(self._all_objects())
+        if self._object_total is None:
+            self._object_total = len(set().union(*self._predicate_objects.values()))
+        return self._object_total
 
     # -- selectivity estimation ---------------------------------------------
 
@@ -146,22 +163,10 @@ class StoreStatistics:
         # subject and/or object are bound.
         estimate = float(self.triple_count)
         if subject is not None:
-            estimate /= max(len(self._all_subjects()), 1)
+            estimate /= max(self.distinct_subject_total(), 1)
         if object is not None:
-            estimate /= max(len(self._all_objects()), 1)
+            estimate /= max(self.distinct_object_total(), 1)
         return estimate
-
-    def _all_subjects(self):
-        subjects = set()
-        for per_predicate in self._predicate_subjects.values():
-            subjects.update(per_predicate)
-        return subjects
-
-    def _all_objects(self):
-        objects = set()
-        for per_predicate in self._predicate_objects.values():
-            objects.update(per_predicate)
-        return objects
 
     def __eq__(self, other):
         """Exact structural equality (snapshot round-trip tests rely on it)."""
@@ -216,6 +221,34 @@ def merge_statistics(parts):
                 merged.class_counts.get(class_uri, 0) + count
             )
     return merged
+
+
+def _enter(maps, predicate, term, total):
+    """Count ``term`` once more under ``predicate``; returns the distinct total.
+
+    ``total`` (None = not derived yet) grows when no predicate had the term.
+    """
+    counts = maps.setdefault(predicate, {})
+    if term in counts:
+        counts[term] += 1
+    else:
+        if total is not None and not any(term in other for other in maps.values()):
+            total += 1
+        counts[term] = 1
+    return total
+
+
+def _leave(maps, predicate, term, total):
+    """Exact inverse of :func:`_enter`."""
+    counts = maps.get(predicate)
+    if counts is not None and term in counts:
+        _decrement(counts, term)
+        if term not in counts:
+            if not counts:
+                del maps[predicate]
+            if total is not None and not any(term in other for other in maps.values()):
+                total -= 1
+    return total
 
 
 def _decrement(counter, key):

@@ -121,6 +121,25 @@ class TestServerReport:
         assert "hits=+20" in report and "misses=+2" in report
         assert "in-flight now       1" in report
 
+    def test_stage_means_carry_their_sample_counts(self):
+        # A parse mean is the mean over the cache misses only: without the
+        # count, one first sight reads like every request's cost.
+        before = parse_exposition(
+            'sp2b_query_stage_seconds_count{stage="execute"} 10\n'
+            'sp2b_query_stage_seconds_sum{stage="execute"} 0.5\n'
+        )
+        after = parse_exposition(
+            'sp2b_query_stage_seconds_count{stage="execute"} 110\n'
+            'sp2b_query_stage_seconds_sum{stage="execute"} 0.7\n'
+            'sp2b_query_stage_seconds_count{stage="parse"} 3\n'
+            'sp2b_query_stage_seconds_sum{stage="parse"} 0.0006\n'
+            "sp2b_prepared_cache_replans_total 4\n"
+        )
+        report = format_server_report(before, after)
+        assert "parse=0.20ms n=3" in report
+        assert "execute=2.00ms n=100" in report
+        assert "replans=+4" in report
+
     def test_report_skips_absent_sections(self):
         empty = MetricsSnapshot({})
         report = format_server_report(empty, empty)

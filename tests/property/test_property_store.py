@@ -5,7 +5,7 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Literal, Triple, URIRef
-from repro.store import IndexedStore, MemoryStore
+from repro.store import IndexedStore, MemoryStore, StoreStatistics, merge_statistics
 
 # A deliberately small term universe so patterns frequently match.
 _locals = st.sampled_from(list(string.ascii_lowercase[:6]))
@@ -60,3 +60,57 @@ class TestIndexEquivalence:
             assert indexed.estimate_count(s, p, o) == len(indexed)
         else:
             assert indexed.estimate_count(s, p, o) == indexed.count(s, p, o)
+
+
+# One step of a statistics history: (operation, index of the statistics
+# object it applies to, a second index — the other side of a merge, or which
+# held triple to forget — and the triple to observe).
+_indexes = st.integers(min_value=0, max_value=7)
+statistics_steps = st.lists(
+    st.tuples(st.sampled_from(["observe", "observe", "forget", "copy",
+                               "ask", "merge"]), _indexes, _indexes, triples),
+    max_size=80,
+)
+
+
+def _recomputed(held):
+    fresh = StoreStatistics()
+    for triple in held:
+        fresh.observe(triple)
+    return fresh
+
+
+class TestStatisticsTotals:
+    """The O(1) distinct totals and the copy-on-write maps stay exact."""
+
+    @given(statistics_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_totals_equal_a_from_scratch_recomputation(self, steps):
+        # Every live statistics object next to the triple set it describes.
+        live = [(StoreStatistics(), set())]
+        for operation, first, second, triple in steps:
+            statistics, held = live[first % len(live)]
+            if operation == "observe" and triple not in held:
+                held.add(triple)
+                statistics.observe(triple)
+            elif operation == "forget" and held:
+                triple = sorted(held, key=str)[second % len(held)]
+                held.discard(triple)
+                statistics.forget(triple)
+            elif operation == "copy":
+                live.append((statistics.copy(), set(held)))
+            elif operation == "ask":
+                # Derives the totals now, so later steps maintain them.
+                statistics.distinct_subject_total()
+                statistics.distinct_object_total()
+            elif operation == "merge":
+                other, other_held = live[second % len(live)]
+                if not held & other_held:
+                    live.append((merge_statistics([statistics, other]),
+                                 held | other_held))
+        for statistics, held in live:
+            assert statistics == _recomputed(held)
+            assert statistics.distinct_subject_total() == len(
+                {triple.subject for triple in held})
+            assert statistics.distinct_object_total() == len(
+                {triple.object for triple in held})

@@ -7,11 +7,14 @@ paths), ASK short-circuiting, parameter pre-binding on both store families,
 and mid-stream :class:`QueryTimeout` enforcement.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.generator import DblpGenerator, GeneratorConfig
 from repro.queries import get_query
 from repro.sparql import (
+    ENGINE_PRESETS,
     IN_MEMORY_OPTIMIZED,
     NATIVE_COST,
     NATIVE_OPTIMIZED,
@@ -230,6 +233,41 @@ class TestPreBinding:
         prepared = native.prepare(self.QUERY)
         result = prepared.run(bindings={"unused": Literal("whatever")}).all()
         assert result == prepared.run().all()
+
+    #: ?name pre-bound to a term the data does not hold empties the BGP
+    #: that uses ?name and nothing else: (query, query giving the rows that
+    #: must remain, each then carrying the pre-bound ?name).
+    UNKNOWN_TERM_CASES = {
+        "union": (
+            "SELECT ?name ?t WHERE { { ?p foaf:name ?name } UNION "
+            "{ ?j rdf:type bench:Journal . ?j dc:title ?t } }",
+            "SELECT ?t WHERE { ?j rdf:type bench:Journal . ?j dc:title ?t }",
+        ),
+        "optional": (
+            "SELECT ?name ?j WHERE { ?j rdf:type bench:Journal "
+            "OPTIONAL { ?j dc:creator ?p . ?p foaf:name ?name } }",
+            "SELECT ?j WHERE { ?j rdf:type bench:Journal }",
+        ),
+        "ungrouped aggregate": (
+            "SELECT (COUNT(?p) AS ?n) WHERE { ?p foaf:name ?name }",
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", UNKNOWN_TERM_CASES)
+    @pytest.mark.parametrize("config", ENGINE_PRESETS + (NATIVE_COST,),
+                             ids=lambda c: c.name)
+    def test_unknown_term_empties_only_the_bgps_using_it(self, graph, config, case):
+        engine = SparqlEngine.from_graph(graph, config)
+        query, remaining = self.UNKNOWN_TERM_CASES[case]
+        nobody = Literal("no such author")
+        rows = engine.prepare(query).run(bindings={"name": nobody}).all().rows()
+        if remaining is None:
+            assert rows == [(Literal(0),)]
+        else:
+            kept = engine.query(remaining).rows()
+            assert len(kept) > 1
+            assert Counter(rows) == Counter((nobody,) + row for row in kept)
 
 
 class TestMidStreamTimeout:

@@ -123,3 +123,47 @@ class TestForget:
             statistics.forget(triple)
         assert statistics.predicate_count(uri("pages")) == 0
         assert statistics.estimate(None, uri("pages"), None) == 0
+
+
+class TestTotalsAndCopy:
+    def test_variable_predicate_estimate_does_not_walk_the_maps(self):
+        statistics = build_statistics()
+        before = statistics.estimate(uri("a1"), None, None)
+        # Once derived, the totals are two integers: emptying the maps
+        # behind the statistics' back must not change the estimate.
+        statistics._predicate_subjects = {}
+        statistics._predicate_objects = {}
+        assert statistics.estimate(uri("a1"), None, None) == before == 8 / 3
+
+    def test_totals_follow_observe_and_forget_once_derived(self):
+        statistics = build_statistics()
+        assert statistics.distinct_subject_total() == 3
+        statistics.observe(Triple(uri("a3"), uri("pages"), Literal("21--30")))
+        statistics.observe(Triple(uri("a3"), uri("creator"), uri("alice")))
+        assert statistics.distinct_subject_total() == 4
+        assert statistics.distinct_object_total() == 7
+        # a3 still has its creator triple; "21--30" is gone for good.
+        statistics.forget(Triple(uri("a3"), uri("pages"), Literal("21--30")))
+        assert statistics.distinct_subject_total() == 4
+        assert statistics.distinct_object_total() == 6
+        statistics.forget(Triple(uri("a3"), uri("creator"), uri("alice")))
+        assert statistics.distinct_subject_total() == 3
+        assert statistics.distinct_object_total() == 6
+
+    def test_copy_shares_untouched_predicates_and_isolates_touched_ones(self):
+        original = build_statistics()
+        clone = original.copy()
+        assert clone == original
+        pages, creator = uri("pages"), uri("creator")
+        assert clone._predicate_subjects[pages] is original._predicate_subjects[pages]
+        clone.observe(Triple(uri("a3"), creator, uri("carol")))
+        original.forget(Triple(uri("a1"), pages, Literal("1--10")))
+        # Each side copied only the predicate it wrote to, and sees only
+        # its own write.
+        assert clone._predicate_subjects[pages] is not original._predicate_subjects[pages]
+        assert clone.distinct_subjects(creator) == 3
+        assert original.distinct_subjects(creator) == 2
+        assert clone.distinct_subjects(pages) == 2
+        assert original.distinct_subjects(pages) == 1
+        assert (clone.distinct_subject_total(), original.distinct_subject_total()) == (4, 3)
+        assert (clone.distinct_object_total(), original.distinct_object_total()) == (7, 5)
