@@ -121,8 +121,7 @@ def test_ablation_planner_families(benchmark, medium_graph):
     engines = {}
     for family in ("none", "greedy", "cost"):
         config = EngineConfig(
-            name=f"native-{family}", store_type="indexed",
-            reorder_patterns=True, push_filters=True, planner=family,
+            name=f"native-{family}", store_type="indexed", planner=family,
         )
         engines[family] = Engine.from_graph(medium_graph, config)
 
@@ -163,7 +162,6 @@ def test_ablation_planner_families(benchmark, medium_graph):
     # Only asserted at the default (or larger) document size — at smoke scale
     # the mix totals are a few dozen milliseconds and scheduler noise on a
     # shared CI runner can flip a comparison that holds comfortably at 5k
-    # (same policy as the id-space speedup bench).
     if len(medium_graph) >= 5_000:
         assert totals["cost"] < totals["greedy"]
 
@@ -171,15 +169,15 @@ def test_ablation_planner_families(benchmark, medium_graph):
 def test_ablation_pattern_reuse(benchmark, medium_graph):
     """Graph-pattern result reuse (Table II row 5) pays off on Q4/Q8-style
     queries for the scan-based engine, without changing results."""
-    from repro.sparql import EngineConfig, SCAN_HASH
+    from repro.sparql import EngineConfig
 
     no_reuse = EngineConfig(
-        name="inmemory-no-reuse", store_type="memory", join_strategy=SCAN_HASH,
-        reorder_patterns=True, push_filters=True, reuse_pattern_results=False,
+        name="inmemory-no-reuse", store_type="memory",
+        reuse_pattern_results=False,
     )
     with_reuse = EngineConfig(
-        name="inmemory-reuse", store_type="memory", join_strategy=SCAN_HASH,
-        reorder_patterns=True, push_filters=True, reuse_pattern_results=True,
+        name="inmemory-reuse", store_type="memory",
+        reuse_pattern_results=True,
     )
     engine_plain = SparqlEngine.from_graph(medium_graph, no_reuse)
     engine_reuse = SparqlEngine.from_graph(medium_graph, with_reuse)

@@ -73,6 +73,10 @@ HEALTH_PATH = "/health"
 #: when the attached telemetry enables it, e.g. ``repro serve --metrics``).
 METRICS_PATH = "/metrics"
 
+#: Largest request body read (a query or update text); a bigger declared
+#: Content-Length is refused with 413 before a byte of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class ThreadPoolHTTPServer(HTTPServer):
     """An HTTPServer whose requests run on a bounded worker pool.
@@ -156,10 +160,20 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "SP2BenchSparql/0.4"
     protocol_version = "HTTP/1.1"
-    # Headers and body leave in separate small writes; without TCP_NODELAY,
-    # Nagle + the client's delayed ACK turns every response into a ~40ms
-    # round trip.  Serving latency is the product here — disable Nagle.
+    # A response leaves in one write: headers and body collect in a buffered
+    # ``wfile`` that ``handle_one_request`` flushes, so the client never wakes
+    # for the headers and then blocks again for the body.  A body too big for
+    # the buffer still goes out separately; without TCP_NODELAY, Nagle + the
+    # client's delayed ACK would turn that into a ~40ms round trip.
+    wbufsize = -1
     disable_nagle_algorithm = True
+
+    def handle_expect_100(self):
+        # The interim response must not wait in the buffer: the client holds
+        # its body back until it arrives.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     # -- HTTP entry points -------------------------------------------------
 
@@ -181,7 +195,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         if path != ENDPOINT_PATH:
             self._send_not_found(path)
             return
-        self._handle_query("GET", body=None)
+        self._handle_query("GET")
 
     def do_POST(self):
         path = urlsplit(self.path).path
@@ -191,13 +205,34 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         if path != ENDPOINT_PATH:
             self._send_not_found(path)
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8", errors="replace")
-        self._handle_query("POST", body=body)
+        self._handle_query("POST")
 
     # -- the protocol pipeline ---------------------------------------------
 
-    def _handle_query(self, method, body):
+    def _read_body(self):
+        """The request body as text, as long as Content-Length announces.
+
+        A length that is not a non-negative integer is a 400 and one above
+        :data:`MAX_BODY_BYTES` a 413 — ``rfile.read`` of a negative length
+        would park this worker until the client hangs up.  The unread body
+        makes the connection unusable for a further request: it is closed
+        after the error response.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length).decode("utf-8", errors="replace")
+        self.close_connection = True
+        if length < 0:
+            raise ProtocolError(400, f"invalid Content-Length {declared!r}")
+        raise ProtocolError(
+            413, f"request body of {length} bytes exceeds the "
+                 f"{MAX_BODY_BYTES}-byte limit")
+
+    def _handle_query(self, method):
         server = self.server
         trace = QueryTrace(queue_wait=server.pop_queue_wait())
         # Everything the telemetry layer wants to know about this request;
@@ -209,16 +244,17 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             "plan_renderer": None,
         }
         try:
-            self._run_query(method, body, trace, outcome)
+            self._run_query(method, trace, outcome)
         finally:
             server.telemetry.observe_request(
                 trace, endpoint=ENDPOINT_PATH, method=method, **outcome
             )
 
-    def _run_query(self, method, body, trace, outcome):
+    def _run_query(self, method, trace, outcome):
         """The protocol pipeline for one query request (traced)."""
         server = self.server
         try:
+            body = self._read_body() if method == "POST" else None
             query_text, timeout = parse_query_request(
                 method,
                 self.path,
@@ -308,7 +344,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         def render():
             report = planner.ExplainReport(
                 tree=prepared.tree,
-                planner=engine.config.resolved_planner(),
+                planner=engine.config.planner,
                 engine=engine.config.name,
                 id_space=getattr(engine.store, "supports_id_access", False),
                 result_count=outcome["rows"] or 0,
@@ -332,22 +368,21 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
 
     def _run_update(self, trace, outcome):
         server = self.server
-        # Drain the request body even on rejection paths: a keep-alive
-        # client's next request would otherwise read leftover body bytes as
-        # its request line.
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8", errors="replace")
-        if getattr(server, "read_only", False):
-            # 403, not 405: the resource exists and POST is the right verb,
-            # but this deployment refuses state changes.
-            outcome["status"] = 403
-            self._send_json(403, error_payload(
-                PermissionError("server is serving in read-only mode; "
-                                "updates are disabled"),
-                code=ERROR_READ_ONLY,
-            ))
-            return
         try:
+            # Drain the request body even on rejection paths: a keep-alive
+            # client's next request would otherwise read leftover body
+            # bytes as its request line.
+            body = self._read_body()
+            if getattr(server, "read_only", False):
+                # 403, not 405: the resource exists and POST is the right
+                # verb, but this deployment refuses state changes.
+                outcome["status"] = 403
+                self._send_json(403, error_payload(
+                    PermissionError("server is serving in read-only mode; "
+                                    "updates are disabled"),
+                    code=ERROR_READ_ONLY,
+                ))
+                return
             update_text = parse_update_request(
                 "POST", content_type=self.headers.get("Content-Type"),
                 body=body,

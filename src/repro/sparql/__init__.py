@@ -27,7 +27,7 @@ from .errors import (
 )
 from .serializers import CONTENT_TYPES as RESULT_CONTENT_TYPES
 from .serializers import FORMATS as RESULT_FORMATS
-from .evaluator import NESTED_LOOP, SCAN_HASH, Evaluator
+from .evaluator import Evaluator
 from .idspace import IdBinding, IdSpaceEvaluation, SlotLayout
 from .optimizer import optimize, reorder_patterns
 from .parser import parse_query, parse_update
@@ -60,8 +60,6 @@ __all__ = [
     "IdSpaceEvaluation",
     "SlotLayout",
     "IdBinding",
-    "NESTED_LOOP",
-    "SCAN_HASH",
     "Binding",
     "EMPTY_BINDING",
     "variable_name",

@@ -2,14 +2,15 @@
 
 :class:`EngineConfig` captures the two axes the paper varies across engines:
 
-* the storage backend / access-path profile (unindexed in-memory scan store
-  versus a fully indexed "native" store), and
-* the optimization level (triple-pattern reordering and filter pushing on or
-  off).
+* the storage backend (unindexed in-memory scan store versus a fully indexed
+  "native" store) — which also fixes how patterns are accessed and joined:
+  scan + hash join over terms, or index probes over dictionary ids, with
+  batch kernels where the cost planner finds sorted runs and numpy; and
+* the optimization level (planner family, filter pushing, pattern reuse).
 
-Four preset configurations mirror the four engines whose results the paper
-discusses (ARQ, Sesame-memory, Sesame-native, Virtuoso); the benchmark
-harness runs all of them and the ablation benches flip individual flags.
+Five presets mirror the engines whose results the paper discusses (ARQ,
+Sesame-memory, Sesame-native, Virtuoso) plus the cost-based planner; the
+benchmark harness runs them and the ablation bench varies single fields.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
 
 from ..obs import NULL_TRACE, QueryTrace, get_registry
 from ..rdf.graph import Graph
@@ -28,7 +28,7 @@ from . import algebra, optimizer, planner
 from .ast import AskQuery, SelectQuery
 from .bindings import variable_name
 from .cursor import AskCursor, Deadline, SelectCursor
-from .evaluator import NESTED_LOOP, SCAN_HASH, Evaluator
+from .evaluator import Evaluator
 from .parser import parse_query
 from .planner import PLANNER_COST, PLANNER_GREEDY, PLANNER_NONE
 
@@ -39,47 +39,17 @@ class EngineConfig:
 
     name: str = "native-optimized"
     store_type: str = "indexed"           # "memory" or "indexed"
-    join_strategy: str = NESTED_LOOP      # NESTED_LOOP or SCAN_HASH
-    reorder_patterns: bool = True
+    #: Join-planner family: "none" (textual order), "greedy" (static
+    #: selectivity reorder in :mod:`.optimizer`), or "cost" (the statistics
+    #: backed physical planner in :mod:`.planner`).
+    planner: str = PLANNER_GREEDY
     push_filters: bool = True
     #: Reuse scan results of repeated triple patterns (Table II row 5).
     reuse_pattern_results: bool = False
-    #: Join over dictionary ids when the store supports it (None = auto).
-    #: Forcing False keeps an id-capable store on the term-space path, which
-    #: is what the id-space ablation benchmark measures against.
-    use_id_space: Optional[bool] = None
-    #: Join-planner family: "none" (textual order), "greedy" (static
-    #: selectivity reorder in :mod:`.optimizer`), or "cost" (the statistics
-    #: backed physical planner in :mod:`.planner`).  ``None`` derives the
-    #: family from ``reorder_patterns`` for backward compatibility.
-    planner: Optional[str] = None
-    #: Batch columnar kernels over sorted id runs (None = auto: on whenever
-    #: the cost planner runs on an id-space store with sorted runs).  Forcing
-    #: False keeps the tuple-at-a-time path; kernel annotation never changes
-    #: pattern order or strategies, so both settings produce step-identical
-    #: plans and (by the regression suite) identical result multisets.
-    vectorize: Optional[bool] = None
 
-    def resolved_planner(self):
-        """The effective planner family for this configuration."""
-        if self.planner is not None:
-            if self.planner not in (PLANNER_NONE, PLANNER_GREEDY, PLANNER_COST):
-                raise ValueError(f"unknown planner family {self.planner!r}")
-            return self.planner
-        return PLANNER_GREEDY if self.reorder_patterns else PLANNER_NONE
-
-    def resolved_vectorize(self, store=None):
-        """Whether plans built for ``store`` should carry batch kernels."""
-        if self.vectorize is False:
-            return False
-        if self.resolved_planner() != PLANNER_COST:
-            return False
-        if self.use_id_space is False:
-            return False
-        if store is not None and not getattr(store, "supports_sorted_runs",
-                                             False):
-            return False
-        return True
+    def __post_init__(self):
+        if self.planner not in (PLANNER_NONE, PLANNER_GREEDY, PLANNER_COST):
+            raise ValueError(f"unknown planner family {self.planner!r}")
 
     def create_store(self):
         """Instantiate the storage backend this configuration asks for."""
@@ -94,44 +64,25 @@ class EngineConfig:
 IN_MEMORY_BASELINE = EngineConfig(
     name="inmemory-baseline",
     store_type="memory",
-    join_strategy=SCAN_HASH,
-    reorder_patterns=False,
+    planner=PLANNER_NONE,
     push_filters=False,
 )
 IN_MEMORY_OPTIMIZED = EngineConfig(
     name="inmemory-optimized",
     store_type="memory",
-    join_strategy=SCAN_HASH,
-    reorder_patterns=True,
-    push_filters=True,
     reuse_pattern_results=True,
 )
 NATIVE_BASELINE = EngineConfig(
     name="native-baseline",
-    store_type="indexed",
-    join_strategy=NESTED_LOOP,
-    reorder_patterns=False,
+    planner=PLANNER_NONE,
     push_filters=False,
 )
-NATIVE_OPTIMIZED = EngineConfig(
-    name="native-optimized",
-    store_type="indexed",
-    join_strategy=NESTED_LOOP,
-    reorder_patterns=True,
-    push_filters=True,
-)
+NATIVE_OPTIMIZED = EngineConfig(name="native-optimized")
 #: The cost-based planner on top of the native profile: statistics-driven
 #: pattern order, per-step probe/scan choice, and bind joins.  Not part of
 #: ENGINE_PRESETS (the paper's four-engine comparison) — the ablation
 #: benchmarks contrast it against the greedy family explicitly.
-NATIVE_COST = EngineConfig(
-    name="native-cost",
-    store_type="indexed",
-    join_strategy=NESTED_LOOP,
-    reorder_patterns=True,
-    push_filters=True,
-    planner=PLANNER_COST,
-)
+NATIVE_COST = EngineConfig(name="native-cost", planner=PLANNER_COST)
 
 #: All presets in the order used by benchmark reports.
 ENGINE_PRESETS = (
@@ -224,8 +175,8 @@ class SparqlEngine:
 
         The ``greedy`` planner family applies the static selectivity reorder
         of :mod:`.optimizer`; the ``cost`` family leaves ordering to the
-        statistics-backed physical planner (:mod:`.planner`), which runs
-        after filter pushing and attaches the plan to the tree.
+        statistics-backed physical planner (:mod:`.planner`).  Either way
+        every BGP of the returned tree carries the plan it will run from.
         """
         if isinstance(query, str):
             query = self.parse(query)
@@ -245,15 +196,11 @@ class SparqlEngine:
         ``store`` is one pinned generation for the whole pass, so selectivity
         estimates and dictionary lookups cannot straddle an update commit.
         """
-        mode = self.config.resolved_planner()
-        if mode == PLANNER_GREEDY:
-            return optimizer.optimize(tree, store, push_filters=False)
-        if mode == PLANNER_COST:
-            return planner.plan_tree(
-                tree, store,
-                vectorize=self.config.resolved_vectorize(store),
-            )
-        return tree
+        if self.config.planner == PLANNER_COST:
+            return planner.plan_tree(tree, store)
+        if self.config.planner == PLANNER_GREEDY:
+            tree = optimizer.optimize(tree, store, push_filters=False)
+        return planner.annotate_tree(tree, store)
 
     def prepare(self, query_text, trace=NULL_TRACE):
         """Parse, translate, optimize, and cost-plan a query exactly once.
@@ -366,11 +313,10 @@ class SparqlEngine:
 
         Returns an :class:`~repro.sparql.planner.ExplainReport` whose
         rendering shows, per plan step, the estimated and the actually
-        observed cardinality.  For the ``none``/``greedy`` planner families
-        the tree keeps its configured order and physical strategy and is
-        merely annotated with estimates, so the report describes exactly
-        what the engine would do for :meth:`query`.  Actual counts require
-        the id-space path; term-space execution reports estimates only.
+        observed cardinality.  The tree is the one :meth:`prepare` builds,
+        so the report describes exactly what the engine does for
+        :meth:`query`.  Actual counts require the id-space path;
+        term-space execution reports estimates only.
 
         The report also carries ``stages`` — parse/plan/execute wall time —
         so ``repro query --profile`` shows where a one-shot query spends
@@ -382,24 +328,11 @@ class SparqlEngine:
         trace = QueryTrace()
         with trace.span("parse"):
             parsed = self.parse(query_text)
-        mode = self.config.resolved_planner()
         with trace.span("plan"):
             parsed, tree = self.plan(parsed)
-            if mode != PLANNER_COST:
-                step_strategy = (
-                    planner.PROBE if self.config.join_strategy == NESTED_LOOP
-                    else planner.SCAN
-                )
-                tree = planner.annotate_tree(tree, self.store,
-                                             strategy=step_strategy)
-            for node in algebra.walk(tree):
-                if getattr(node, "plan", None) is not None:
-                    node.plan.reset_actuals()
         evaluator = Evaluator(
             read_snapshot(self.store),
-            strategy=self.config.join_strategy,
             reuse_patterns=self.config.reuse_pattern_results,
-            use_id_space=self.config.use_id_space,
             observe_plans=True,
         )
         with trace.span("execute"):
@@ -411,7 +344,7 @@ class SparqlEngine:
         run = evaluator.id_space_run
         return planner.ExplainReport(
             tree=tree,
-            planner=mode,
+            planner=self.config.planner,
             engine=self.config.name,
             id_space=evaluator.uses_id_space,
             result_count=result_count,
@@ -425,23 +358,15 @@ class SparqlEngine:
         """Parse and execute a SPARQL 1.1 Update operation.
 
         Accepts ``INSERT DATA``, ``DELETE DATA``, ``DELETE WHERE``, and
-        ``DELETE/INSERT ... WHERE``; the WHERE pattern runs on this engine's
-        configured execution profile.  Against an MVCC store the operation
+        ``DELETE/INSERT ... WHERE``; the WHERE pattern runs in textual order
+        on the store's access path.  Against an MVCC store the operation
         commits as one atomically-published generation; plain stores are
         mutated in place.  Returns an
         :class:`~repro.sparql.update.UpdateResult`.
         """
         from .update import execute_update
 
-        return execute_update(
-            self.store,
-            update_text,
-            evaluator_options={
-                "strategy": self.config.join_strategy,
-                "reuse_patterns": self.config.reuse_pattern_results,
-                "use_id_space": self.config.use_id_space,
-            },
-        )
+        return execute_update(self.store, update_text)
 
     def ask(self, query_text):
         """Run an ASK query and return its boolean answer."""
@@ -546,15 +471,12 @@ class PreparedQuery:
                     or timeout_deadline.expires_at < deadline.expires_at):
                 deadline = timeout_deadline
         seed = _normalize_bindings(bindings)
-        config = self.engine.config
         # Pin one store generation for the whole run: every scan of this
         # cursor reads the same immutable snapshot even while concurrent
         # updates publish new generations (no-op for plain stores).
         evaluator = Evaluator(
             read_snapshot(self.engine.store),
-            strategy=config.join_strategy,
-            reuse_patterns=config.reuse_pattern_results,
-            use_id_space=config.use_id_space,
+            reuse_patterns=self.engine.config.reuse_pattern_results,
             deadline=deadline,
             seed=seed,
         )

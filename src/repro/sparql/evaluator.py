@@ -1,40 +1,29 @@
 """Bottom-up evaluation of the SPARQL algebra against a triple store.
 
-Two join strategies for basic graph patterns are provided, mirroring the two
-engine families the paper benchmarks:
+The store decides how a query runs, mirroring the two engine families the
+paper benchmarks (see DESIGN.md):
 
-``nested_loop``
-    Index nested-loop join: patterns are evaluated left to right and, for
-    every intermediate solution, the already-bound components are substituted
-    into the next pattern before asking the store.  With an
-    :class:`~repro.store.IndexedStore` backend each such probe is an index
-    lookup, which is what gives native engines (Sesame-native, Virtuoso)
-    near-constant time on selective queries such as Q1, Q3c, Q10, and Q12c.
-
-``scan_hash``
-    Scan-and-hash join: each pattern is matched once against the whole store
-    (a linear scan on a :class:`~repro.store.MemoryStore`) and the resulting
-    binding sets are hash-joined.  Every query therefore costs at least one
-    full pass over the document — the "in-memory engines must always load and
-    scan the document" behaviour discussed for ARQ and Sesame-memory.
-
-Orthogonal to the strategy, the evaluator picks one of two *solution
-representations* based on the store's capabilities (see DESIGN.md):
-
+* Scan-based stores (:class:`~repro.store.MemoryStore`, the ARQ /
+  Sesame-memory model) are evaluated **in term space** by this module:
+  solutions are dict-backed :class:`~repro.sparql.bindings.Binding` objects
+  and every pattern is matched in one linear pass over the store whose
+  bindings are hash-joined — a query costs at least one full pass over the
+  document, and paying term-object costs per row is part of the cost model
+  the benchmark contrasts against.
 * Stores advertising ``supports_id_access`` (the indexed "native engine"
-  model) are evaluated **in id space**: joins compare dictionary-encoded
-  integers in flat slot-addressed tuples and RDF terms are only materialized
-  at the result boundary.  The machinery lives in :mod:`.idspace`; this
-  module is its term-level twin and the facade (:class:`Evaluator`) that
-  dispatches between the two.
-* Scan-based stores keep the historical **term-space** path below, where
-  solutions are dict-backed :class:`~repro.sparql.bindings.Binding` objects —
-  deliberately so, because paying term-object costs per probe is part of the
-  in-memory-engine cost model the benchmark contrasts against.
+  model) are evaluated **in id space**: index probes substitute the bound
+  components of every intermediate solution, joins compare dictionary ids
+  in flat slot-addressed tuples and RDF terms are only materialized at the
+  result boundary.  The machinery lives in :mod:`.idspace`; this module is
+  its term-level twin and the facade (:class:`Evaluator`) that dispatches
+  between the two.
 
-OPTIONAL is evaluated as a hash-based left outer join on both paths; the
-quadratic pairwise formulation survives only as a reference in the test
-suite.
+Either way a basic graph pattern runs from its plan (``node.plan``, attached
+by the engine; :func:`~repro.sparql.planner.textual_plan` for a tree nobody
+planned): one step per pattern, each a probe per solution or a scan plus
+hash join.  OPTIONAL is evaluated as a hash-based left outer join on both
+paths; the quadratic pairwise formulation survives only as a reference in
+the test suite.
 """
 
 from __future__ import annotations
@@ -46,41 +35,27 @@ from . import algebra
 from .bindings import EMPTY_BINDING, Binding, variable_name
 from .errors import EvaluationError
 from .expressions import effective_boolean_value, value_key
-from .idspace import NESTED_LOOP, SCAN_HASH, IdSpaceEvaluation, reduce_numbers
-from .planner import BIND_JOIN
+from .idspace import IdSpaceEvaluation, reduce_numbers
+from .planner import BIND_JOIN, SCAN, default_strategy, textual_plan
 from .scatter import ScatterGatherEvaluation
-
-_STRATEGIES = (NESTED_LOOP, SCAN_HASH)
 
 
 class Evaluator:
     """Evaluates algebra trees over a :class:`~repro.store.TripleStore`.
 
     ``reuse_patterns`` enables the third optimization the paper calls out
-    (Table II row 5): when the same triple pattern shape occurs several times
-    in a query (Q4 scans the article/creator/name patterns twice, Q6/Q7/Q8
-    repeat whole blocks), its scan result is computed once and reused.  The
-    cache lives for a single evaluation, keyed by the pattern's bound
-    components, and is only consulted for scans whose bound components come
-    from the query itself (not from intermediate bindings).
+    (Table II row 5) for the scan engines: when the same triple pattern
+    shape occurs several times in a query (Q4 scans the article/creator/name
+    patterns twice, Q6/Q7/Q8 repeat whole blocks), its scan result is
+    computed once and reused.  The cache lives for a single evaluation and
+    is keyed by the pattern's ground components.
     """
 
-    def __init__(self, store, strategy=NESTED_LOOP, reuse_patterns=False,
-                 use_id_space=None, observe_plans=False, deadline=None,
-                 seed=None):
-        if strategy not in _STRATEGIES:
-            raise EvaluationError(f"unknown join strategy {strategy!r}")
-        supports_ids = getattr(store, "supports_id_access", False)
-        if use_id_space is None:
-            use_id_space = supports_ids
-        elif use_id_space and not supports_ids:
-            raise EvaluationError(
-                f"store {store!r} does not support id-space evaluation"
-            )
+    def __init__(self, store, reuse_patterns=False, observe_plans=False,
+                 deadline=None, seed=None):
         self._store = store
-        self._strategy = strategy
+        self._id_space = bool(getattr(store, "supports_id_access", False))
         self._reuse_patterns = reuse_patterns
-        self._use_id_space = bool(use_id_space)
         self._observe_plans = observe_plans
         #: The most recent id-space run; EXPLAIN reads its ``result``
         #: observation and decode count after draining.
@@ -107,7 +82,7 @@ class Evaluator:
     @property
     def uses_id_space(self):
         """True when this evaluator joins over dictionary ids."""
-        return self._use_id_space
+        return self._id_space
 
     def evaluate(self, node):
         """Evaluate an algebra tree.
@@ -118,7 +93,7 @@ class Evaluator:
         are lazy :class:`~repro.sparql.idspace.IdBinding` rows: still id
         tuples, decoded when touched.
         """
-        if self._use_id_space:
+        if self._id_space:
             run = self._id_space_run()
             if isinstance(node, algebra.Ask):
                 return run.ask(node.operand)
@@ -136,7 +111,7 @@ class Evaluator:
         are dictionary ids (or None for unbound slots).  Exposed for
         benchmarks and the decode-counter tests; requires an id-capable store.
         """
-        if not self._use_id_space:
+        if not self._id_space:
             raise EvaluationError("evaluate_ids() requires an id-capable store")
         return self._id_space_run().solve(node)
 
@@ -151,9 +126,8 @@ class Evaluator:
         if getattr(self._store, "segments", None) is not None:
             cls = ScatterGatherEvaluation
         self.id_space_run = cls(
-            self._store, self._strategy, reuse_patterns=self._reuse_patterns,
-            observe_plans=self._observe_plans, deadline=self._deadline,
-            seed=self._seed_map,
+            self._store, observe_plans=self._observe_plans,
+            deadline=self._deadline, seed=self._seed_map,
         )
         return self.id_space_run
 
@@ -184,19 +158,38 @@ class Evaluator:
 
     # -- basic graph patterns ------------------------------------------------------
 
-    def _eval_bgp(self, node):
+    def _eval_bgp(self, node, solutions=None):
+        """Run a BGP along its plan, from ``solutions`` (default: the seed).
+
+        A PROBE step asks the store once per current solution with its bound
+        components substituted; a SCAN step matches the pattern once against
+        the whole store and hash-joins the bindings with the solutions so
+        far.  ``solutions`` carries the left rows of a bind join.
+        """
         if not node.admits(self._seed_map):
             return iter(())
-        if not node.patterns:
-            return iter((self._seed_binding,))
-        if self._strategy == NESTED_LOOP:
-            return self._bgp_nested_loop(node)
-        return self._bgp_scan_hash(node)
-
-    def _bgp_nested_loop(self, node):
-        solutions = iter((self._seed_binding,))
-        for position, pattern in enumerate(node.patterns):
-            solutions = self._extend_by_pattern(solutions, pattern)
+        if solutions is None:
+            solutions = (self._seed_binding,)
+        plan = node.plan or textual_plan(node.patterns,
+                                         default_strategy(self._store))
+        check = self._check
+        solutions = iter(solutions)
+        for position, step in enumerate(plan.steps):
+            pattern = step.pattern
+            if step.strategy == SCAN:
+                left = list(solutions)
+                if not left:
+                    return iter(())
+                scanned = []
+                for triple in self._scan_pattern(pattern):
+                    if check is not None:
+                        check()
+                    binding = _bind_triple(pattern, triple, EMPTY_BINDING)
+                    if binding is not None:
+                        scanned.append(binding)
+                solutions = iter(_hash_join(left, scanned))
+            else:
+                solutions = self._extend_by_pattern(solutions, pattern)
             for expression in node.filters_at(position):
                 solutions = self._apply_inline_filter(solutions, expression)
         return solutions
@@ -227,28 +220,6 @@ class Evaluator:
             extended = _bind_triple(pattern, triple, binding)
             if extended is not None:
                 yield extended
-
-    def _bgp_scan_hash(self, node):
-        check = self._check
-        solutions = [self._seed_binding]
-        for position, pattern in enumerate(node.patterns):
-            pattern_bindings = []
-            for triple in self._scan_pattern(pattern):
-                if check is not None:
-                    check()
-                extended = _bind_triple(pattern, triple, EMPTY_BINDING)
-                if extended is not None:
-                    pattern_bindings.append(extended)
-            solutions = _hash_join(solutions, pattern_bindings)
-            for expression in node.filters_at(position):
-                solutions = [
-                    binding
-                    for binding in solutions
-                    if effective_boolean_value(expression, binding)
-                ]
-            if not solutions:
-                break
-        return iter(solutions)
 
     def _scan_pattern(self, pattern):
         """Match one triple pattern against the whole store.
@@ -292,7 +263,7 @@ class Evaluator:
         evaluation followed by a hash join.
         """
         if isinstance(node, algebra.BGP):
-            return self._bgp_seeded(node, bindings)
+            return self._eval_bgp(node, bindings)
         if isinstance(node, algebra.Union):
             def generate():
                 yield from self._eval_seeded(node.left, list(bindings))
@@ -309,19 +280,6 @@ class Evaluator:
             )
         right = list(self._eval(node))
         return iter(_hash_join(list(bindings), right))
-
-    def _bgp_seeded(self, node, bindings):
-        """Extend seed solutions through a BGP's patterns (probe per row)."""
-        if not node.admits(self._seed_map):
-            return iter(())
-        if not node.patterns:
-            return iter(bindings)
-        solutions = iter(bindings)
-        for position, pattern in enumerate(node.patterns):
-            solutions = self._extend_by_pattern(solutions, pattern)
-            for expression in node.filters_at(position):
-                solutions = self._apply_inline_filter(solutions, expression)
-        return solutions
 
     def _eval_left_join(self, node):
         return self._keyed_join(node, outer=True)

@@ -13,10 +13,12 @@ same execution model on top of stores that advertise
 * Query constants are encoded exactly once per evaluation; a constant the
   dictionary has never seen short-circuits its whole basic graph pattern to
   the empty result without touching an index.
-* Both BGP strategies work on id rows: ``nested_loop`` probes
-  ``triples_ids`` with already-encoded components, ``scan_hash`` hash-joins
-  pattern scans on their shared slot columns.  OPTIONAL is a hash-based left
-  outer join on the statically shared slots.
+* A BGP runs from its plan on id rows: a ``probe`` step asks
+  ``triples_ids`` with already-encoded components once per row, a ``scan``
+  step hash-joins one pattern scan on the shared slot columns, and a plan
+  whose steps all carry batch kernels runs column-at-a-time
+  (:mod:`.kernels`).  OPTIONAL is a hash-based left outer join on the
+  statically shared slots.
 * Terms are reconstructed lazily and memoized per id: FILTER / ORDER BY /
   aggregate evaluation decodes only the cells it actually touches, and
   finished rows cross the result boundary *still as id tuples*, each
@@ -25,7 +27,7 @@ same execution model on top of stores that advertise
 
 Nothing in this module mutates the store or its dictionary; a fresh
 :class:`IdSpaceEvaluation` is created per query evaluation, so decode memos
-and pattern caches can never go stale.
+can never go stale.
 """
 
 from __future__ import annotations
@@ -41,11 +43,7 @@ from . import algebra, ast, kernels
 from .bindings import Binding, _name
 from .errors import EvaluationError
 from .expressions import effective_boolean_value, value_key
-from .planner import BIND_JOIN, SCAN, Observed
-
-#: Join strategy names shared with (and re-exported by) the evaluator facade.
-NESTED_LOOP = "nested_loop"
-SCAN_HASH = "scan_hash"
+from .planner import BIND_JOIN, PROBE, SCAN, Observed, textual_plan
 
 #: What a left row contributes to :meth:`IdSpaceEvaluation._hash_join`.
 INNER = "inner"
@@ -192,16 +190,13 @@ class IdSpaceEvaluation:
     without decoding: terms appear when a consumer touches them.
     """
 
-    def __init__(self, store, strategy=NESTED_LOOP, reuse_patterns=False,
-                 observe_plans=False, deadline=None, seed=None):
+    def __init__(self, store, observe_plans=False, deadline=None, seed=None):
         if not getattr(store, "supports_id_access", False):
             raise EvaluationError(
                 f"store {store!r} does not support id-space evaluation"
             )
         self._store = store
         self._dictionary = store.dictionary
-        self._strategy = strategy
-        self._reuse_patterns = reuse_patterns
         #: When set, planned BGP steps count the rows they produce into
         #: their PlanStep.actual field (the EXPLAIN instrumentation).
         self._observe = observe_plans
@@ -218,7 +213,6 @@ class IdSpaceEvaluation:
         self._seed = dict(seed) if seed else {}
         self._seed_row = None
         self._seed_slots = frozenset()
-        self._pattern_cache = {}
         self._value_key_memo = {}
         self._order_key_memo = {}
         self._layout = None
@@ -371,30 +365,6 @@ class IdSpaceEvaluation:
         return self._layout.empty_row()
 
     def _eval_bgp(self, node, seeds=None):
-        if not node.admits(self._seed):
-            return iter(())
-        if not node.patterns:
-            if seeds is not None:
-                return iter(seeds)
-            return iter((self._start_row(),))
-        compiled = self._compile_patterns(node.patterns)
-        if compiled is None:
-            return iter(())
-        if node.plan is not None:
-            return self._bgp_planned(node, compiled, node.plan, seeds)
-        if seeds is not None or self._strategy == NESTED_LOOP:
-            return self._bgp_nested_loop(node, compiled, seeds)
-        return self._bgp_scan_hash(node, compiled)
-
-    def _bgp_nested_loop(self, node, compiled, seeds=None):
-        rows = iter(seeds) if seeds is not None else iter((self._start_row(),))
-        for position, cpattern in enumerate(compiled):
-            rows = self._extend_rows(rows, cpattern)
-            for expression in node.filters_at(position):
-                rows = self._filter_rows(rows, expression)
-        return rows
-
-    def _bgp_planned(self, node, compiled, plan, seeds=None):
         """Execute a BGP along its :class:`~repro.sparql.planner.BGPPlan`.
 
         Each step either probes the store per intermediate row (PROBE) or
@@ -410,6 +380,12 @@ class IdSpaceEvaluation:
         kernels.Block` streams and only converts back to tuple rows at the
         BGP boundary.
         """
+        if not node.admits(self._seed):
+            return iter(())
+        compiled = self._compile_patterns(node.patterns)
+        if compiled is None:
+            return iter(())
+        plan = node.plan or textual_plan(node.patterns, PROBE)
         if (seeds is None and not self._seed and plan.steps
                 and all(step.kernel is not None for step in plan.steps)):
             return kernels.rows_from_blocks(
@@ -434,7 +410,8 @@ class IdSpaceEvaluation:
                 if not left_rows:
                     return iter(())
                 pattern_rows = []
-                for ids in self._scan_ids(cpattern):
+                scan_key = (None if is_var else ref for is_var, ref in cpattern)
+                for ids in self._store.triples_ids(*scan_key):
                     if check is not None:
                         check()
                     row = _bind_ids(empty, cpattern, ids)
@@ -779,45 +756,6 @@ class IdSpaceEvaluation:
         if negate:
             return lambda row: row[slot] is None
         return lambda row: row[slot] is not None
-
-    def _bgp_scan_hash(self, node, compiled):
-        layout = self._layout
-        empty = layout.empty_row()
-        check = self._check
-        solutions = [self._start_row()]
-        bound_slots = set(self._seed_slots)
-        for position, cpattern in enumerate(compiled):
-            pattern_rows = []
-            for ids in self._scan_ids(cpattern):
-                if check is not None:
-                    check()
-                row = _bind_ids(empty, cpattern, ids)
-                if row is not None:
-                    pattern_rows.append(row)
-            pattern_slots = {ref for is_var, ref in cpattern if is_var}
-            solutions = _join_rows(solutions, pattern_rows, bound_slots & pattern_slots)
-            bound_slots |= pattern_slots
-            for expression in node.filters_at(position):
-                solutions = [row for row in solutions if self._ebv(expression, row)]
-            if not solutions:
-                break
-        return iter(solutions)
-
-    def _scan_ids(self, cpattern):
-        """Scan one pattern against the whole store, optionally cached.
-
-        With pattern reuse enabled, repeated pattern shapes (Q4's doubled
-        article/creator/name chains, the repeated blocks of Q6/Q7/Q8) are
-        scanned once per evaluation and replayed from the cache.
-        """
-        pattern_key = tuple(None if is_var else ref for is_var, ref in cpattern)
-        if not self._reuse_patterns:
-            return self._store.triples_ids(*pattern_key)
-        cached = self._pattern_cache.get(pattern_key)
-        if cached is None:
-            cached = list(self._store.triples_ids(*pattern_key))
-            self._pattern_cache[pattern_key] = cached
-        return cached
 
     # -- binary operators ----------------------------------------------------
 
@@ -1195,28 +1133,22 @@ class IdSpaceEvaluation:
     def _distinct_projected(self, blocks, keep):
         """Distinct rows of a block stream, built a block at a time.
 
-        Keys are u64 composites under numpy (``np.unique`` sorts and
-        deduplicates each block) and cell tuples otherwise; either way a
-        block contributes its not-yet-seen keys in one go, and the
-        full-width rows come out of a C-level ``zip`` — no per-row Python
-        frame between the kernels and the result boundary.
+        Keys are u64 composites (``np.unique`` sorts and deduplicates each
+        block); a block contributes its not-yet-seen keys in one go, and
+        the full-width rows come out of a C-level ``zip`` — no per-row
+        Python frame between the kernels and the result boundary.
         """
         width = self._layout.width
-        packed = kernels.numpy_enabled()
+        np = kernels._np
 
         def block_keys(block):
-            columns = [block.columns[slot] for slot in keep]
-            if not packed:
-                return dict.fromkeys(zip(*map(kernels._tolist, columns)))
-            np = kernels._np
             if len(keep) == 1:
-                return np.unique(np.asarray(columns[0])).tolist()
-            a, b = (np.asarray(column, dtype=np.uint64) for column in columns)
+                return np.unique(np.asarray(block.columns[keep[0]])).tolist()
+            a, b = (np.asarray(block.columns[slot], dtype=np.uint64)
+                    for slot in keep)
             return np.unique((a << 32) | b).tolist()
 
         def key_columns(keys):
-            if not packed:
-                return zip(*keys)
             if len(keep) == 1:
                 return (keys,)
             return ([key >> 32 for key in keys],

@@ -21,40 +21,29 @@ Three kinds of kernels live here:
   semantics of :mod:`.expressions` (value equality across numeric datatypes,
   type errors mapping to false) through per-unique-id proxies.
 
-Every kernel has a numpy fast path and a pure-``array``/``bisect`` fallback;
-numpy is detected once at import (and disabled by ``SP2B_DISABLE_NUMPY=1``,
-the CI leg that keeps the fallback measured).  Nothing here imports the
-planner or evaluator — the dependency points the other way.
+The kernels are numpy code and nothing else: numpy is an optional extra, and
+the one place that asks for it is the planner, which annotates kernels only
+when :func:`numpy_enabled` — without numpy no plan carries a kernel and
+every BGP runs on the tuple path.  Nothing here imports the planner or
+evaluator — the dependency points the other way.
 """
 
 from __future__ import annotations
 
 import operator
-import os
-from bisect import bisect_left, bisect_right
 
 from ..rdf.terms import BNode, Literal, URIRef, Variable
 from . import ast
 
-
-def _load_numpy():
-    """The numpy module, or None when unavailable or explicitly disabled."""
-    if os.environ.get("SP2B_DISABLE_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy ships in the dev image
-        return None
-    return numpy
-
-
-#: The numpy module when the fast path is active (tests monkeypatch this to
-#: None to exercise the pure-array fallback without re-importing).
-_np = _load_numpy()
+try:
+    import numpy as _np
+except ImportError:
+    #: What tests monkeypatch to see a numpy-less install.
+    _np = None
 
 
 def numpy_enabled():
-    """True when the numpy fast path is active."""
+    """Whether plans may carry batch kernels at all."""
     return _np is not None
 
 
@@ -69,12 +58,12 @@ BLOCK_ROWS = 1024
 class Block:
     """A batch of intermediate solutions as parallel id columns.
 
-    ``columns`` maps slot index -> column of dictionary ids (a numpy array on
-    the fast path, a plain list on the fallback); every column has exactly
-    ``length`` entries.  Slots absent from ``columns`` are unbound in every
-    row of the block — within one planned BGP a variable is either bound in
-    all rows of a block or in none, which is what lets blocks drop the
-    per-cell ``None`` bookkeeping of the tuple path.
+    ``columns`` maps slot index -> numpy column of dictionary ids; every
+    column has exactly ``length`` entries.  Slots absent from ``columns``
+    are unbound in every row of the block — within one planned BGP a
+    variable is either bound in all rows of a block or in none, which is
+    what lets blocks drop the per-cell ``None`` bookkeeping of the tuple
+    path.
     """
 
     __slots__ = ("columns", "length")
@@ -101,13 +90,6 @@ def empty_block():
 
 
 # -- column plumbing ----------------------------------------------------------
-
-
-def _tolist(column):
-    """A column as a plain list of Python ints."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        return column.tolist()
-    return list(column)
 
 
 def _run_np(run):
@@ -142,46 +124,27 @@ def _run_composite(run):
 
 def mask_all(block, value):
     """A constant filter mask over one block."""
-    if _np is not None:
-        return _np.full(block.length, bool(value))
-    return [bool(value)] * block.length
+    return _np.full(block.length, bool(value))
 
 
 def combine_masks(left, right):
     """Conjunction of two masks."""
-    if _np is not None:
-        return left & right
-    return [a and b for a, b in zip(left, right)]
+    return left & right
 
 
 def apply_mask(block, mask):
     """The block restricted to the rows where ``mask`` is true."""
-    if _np is not None:
-        length = int(mask.sum())
-        if length == block.length:
-            return block
-        columns = {slot: col[mask] for slot, col in block.columns.items()}
-        return Block(columns, length)
-    keep = [index for index, flag in enumerate(mask) if flag]
-    if len(keep) == block.length:
+    length = int(mask.sum())
+    if length == block.length:
         return block
-    columns = {
-        slot: [col[index] for index in keep]
-        for slot, col in block.columns.items()
-    }
-    return Block(columns, len(keep))
+    columns = {slot: col[mask] for slot, col in block.columns.items()}
+    return Block(columns, length)
 
 
 def gather(block, indices):
     """The block restricted to (and ordered by) the given row indices."""
-    if _np is not None:
-        idx = _np.asarray(indices, dtype=_np.intp)
-        columns = {slot: col[idx] for slot, col in block.columns.items()}
-        return Block(columns, len(indices))
-    columns = {
-        slot: [col[index] for index in indices]
-        for slot, col in block.columns.items()
-    }
+    idx = _np.asarray(indices, dtype=_np.intp)
+    columns = {slot: col[idx] for slot, col in block.columns.items()}
     return Block(columns, len(indices))
 
 
@@ -202,7 +165,7 @@ def block_rows(block, width):
             yield row
         return
     template = [None] * width
-    lists = [_tolist(block.columns[slot]) for slot in slots]
+    lists = [block.columns[slot].tolist() for slot in slots]
     for cells in zip(*lists):
         row = template.copy()
         for slot, cell in zip(slots, cells):
@@ -227,23 +190,11 @@ def run_scan_blocks(run, key_slot, value_slot):
     pushdown stops the scan early.
     """
     total = len(run)
-    if _np is not None:
-        keys, values = _run_np(run)
-        for start in range(0, total, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, total)
-            yield Block(
-                {key_slot: keys[start:stop], value_slot: values[start:stop]},
-                stop - start,
-            )
-        return
-    keys, values = run.keys, run.values
+    keys, values = _run_np(run)
     for start in range(0, total, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, total)
         yield Block(
-            {
-                key_slot: list(keys[start:stop]),
-                value_slot: list(values[start:stop]),
-            },
+            {key_slot: keys[start:stop], value_slot: values[start:stop]},
             stop - start,
         )
 
@@ -254,18 +205,10 @@ def select_eq(run, key):
     Within equal keys a run is sorted by value (lexicographic pair sort), so
     the returned column is itself binary-searchable by :func:`member_mask`.
     """
-    if _np is not None:
-        keys, values = _run_np(run)
-        lo = int(_np.searchsorted(keys, key, "left"))
-        hi = int(_np.searchsorted(keys, key, "right"))
-        return values[lo:hi]
-    lo = bisect_left(run.keys, key)
-    hi = bisect_right(run.keys, key)
-    return list(run.values[lo:hi])
-
-
-def column_length(column):
-    return len(column)
+    keys, values = _run_np(run)
+    lo = int(_np.searchsorted(keys, key, "left"))
+    hi = int(_np.searchsorted(keys, key, "right"))
+    return values[lo:hi]
 
 
 def cross_extend(block, new_columns):
@@ -281,19 +224,11 @@ def cross_extend(block, new_columns):
     (m,) = lengths
     if m == 0 or block.length == 0:
         return empty_block()
-    if _np is not None:
-        columns = {
-            slot: _np.repeat(col, m) for slot, col in block.columns.items()
-        }
-        for slot, col in new_columns.items():
-            columns[slot] = _np.tile(_np.asarray(col), block.length)
-        return Block(columns, block.length * m)
     columns = {
-        slot: [cell for cell in col for _ in range(m)]
-        for slot, col in block.columns.items()
+        slot: _np.repeat(col, m) for slot, col in block.columns.items()
     }
     for slot, col in new_columns.items():
-        columns[slot] = list(col) * block.length
+        columns[slot] = _np.tile(_np.asarray(col), block.length)
     return Block(columns, block.length * m)
 
 
@@ -310,90 +245,53 @@ def extend_bound(block, bound_slot, run, new_slot):
     property that keeps merge-join steps merge-joinable down the pipeline.
     """
     column = block.columns[bound_slot]
-    if _np is not None:
-        np = _np
-        keys, values = _run_np(run)
-        lo = np.searchsorted(keys, column, "left")
-        hi = np.searchsorted(keys, column, "right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return empty_block()
-        out_index = np.repeat(np.arange(block.length), counts)
-        # Positions into the run: a ramp over the output rows, rebased per
-        # input row to that row's [lo, hi) match range.
-        starts = np.repeat(lo, counts)
-        rebase = np.repeat(np.cumsum(counts) - counts, counts)
-        positions = np.arange(total) - rebase + starts
-        columns = {
-            slot: col[out_index] for slot, col in block.columns.items()
-        }
-        columns[new_slot] = values[positions]
-        return Block(columns, total)
-    keys, values = run.keys, run.values
-    out_index = []
-    new_column = []
-    for index, key in enumerate(column):
-        lo = bisect_left(keys, key)
-        hi = bisect_right(keys, key)
-        if lo == hi:
-            continue
-        out_index.extend([index] * (hi - lo))
-        new_column.extend(values[lo:hi])
-    if not out_index:
+    np = _np
+    keys, values = _run_np(run)
+    lo = np.searchsorted(keys, column, "left")
+    hi = np.searchsorted(keys, column, "right")
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
         return empty_block()
+    out_index = np.repeat(np.arange(block.length), counts)
+    # Positions into the run: a ramp over the output rows, rebased per
+    # input row to that row's [lo, hi) match range.
+    starts = np.repeat(lo, counts)
+    rebase = np.repeat(np.cumsum(counts) - counts, counts)
+    positions = np.arange(total) - rebase + starts
     columns = {
-        slot: [col[index] for index in out_index]
-        for slot, col in block.columns.items()
+        slot: col[out_index] for slot, col in block.columns.items()
     }
-    columns[new_slot] = new_column
-    return Block(columns, len(out_index))
+    columns[new_slot] = values[positions]
+    return Block(columns, total)
 
 
 def member_mask(block, bound_slot, sorted_values):
     """Mask of rows whose column id occurs in an ascending value column."""
     column = block.columns[bound_slot]
-    if _np is not None:
-        np = _np
-        if len(sorted_values) == 0:
-            return np.zeros(block.length, dtype=bool)
-        values = np.asarray(sorted_values)
-        positions = np.searchsorted(values, column, "left")
-        clipped = np.minimum(positions, len(values) - 1)
-        return values[clipped] == column
-    mask = []
-    size = len(sorted_values)
-    for key in column:
-        index = bisect_left(sorted_values, key)
-        mask.append(index < size and sorted_values[index] == key)
-    return mask
+    np = _np
+    if len(sorted_values) == 0:
+        return np.zeros(block.length, dtype=bool)
+    values = np.asarray(sorted_values)
+    positions = np.searchsorted(values, column, "left")
+    clipped = np.minimum(positions, len(values) - 1)
+    return values[clipped] == column
 
 
 def semijoin_pair(block, key_slot, value_slot, run):
     """Mask of rows whose (key, value) column pair occurs in the run."""
     key_column = block.columns[key_slot]
     value_column = block.columns[value_slot]
-    if _np is not None:
-        np = _np
-        composite = _run_composite(run)
-        if len(composite) == 0:
-            return np.zeros(block.length, dtype=bool)
-        needles = (
-            np.asarray(key_column, dtype=np.uint64) << 32
-        ) | np.asarray(value_column, dtype=np.uint64)
-        positions = np.searchsorted(composite, needles, "left")
-        clipped = np.minimum(positions, len(composite) - 1)
-        return composite[clipped] == needles
-    keys, values = run.keys, run.values
-    mask = []
-    for key, value in zip(key_column, value_column):
-        lo = bisect_left(keys, key)
-        hi = bisect_right(keys, key)
-        # Values are ascending within one key's range, so the pair test is a
-        # second bisect bounded to that range — no slice is materialized.
-        index = bisect_left(values, value, lo, hi)
-        mask.append(index < hi and values[index] == value)
-    return mask
+    np = _np
+    composite = _run_composite(run)
+    if len(composite) == 0:
+        return np.zeros(block.length, dtype=bool)
+    needles = (
+        np.asarray(key_column, dtype=np.uint64) << 32
+    ) | np.asarray(value_column, dtype=np.uint64)
+    positions = np.searchsorted(composite, needles, "left")
+    clipped = np.minimum(positions, len(composite) - 1)
+    return composite[clipped] == needles
 
 
 # -- columnar filters ---------------------------------------------------------
@@ -543,19 +441,9 @@ def _conjunct_mask(block, op, left, right, cell_term):
 
 def _unique_decode(column, proxy_fn, cell_term):
     """Proxy per unique column id, plus the row->unique inverse mapping."""
-    if _np is not None:
-        unique, inverse = _np.unique(column, return_inverse=True)
-        proxies = [proxy_fn(cell_term(ident)) for ident in unique.tolist()]
-        return proxies, inverse
-    memo = {}
-    row_proxies = []
-    for ident in column:
-        proxy = memo.get(ident)
-        if proxy is None:
-            proxy = proxy_fn(cell_term(ident))
-            memo[ident] = proxy
-        row_proxies.append(proxy)
-    return row_proxies, None
+    unique, inverse = _np.unique(column, return_inverse=True)
+    proxies = [proxy_fn(cell_term(ident)) for ident in unique.tolist()]
+    return proxies, inverse
 
 
 def _equality_mask(block, op, left, right, cell_term):
@@ -572,45 +460,31 @@ def _equality_mask(block, op, left, right, cell_term):
         equal = proxy_a == proxy_b
         result = False if error else (equal if op == "=" else not equal)
         return mask_all(block, result)
-    if _np is not None:
-        np = _np
-        codes = {}
+    np = _np
+    codes = {}
 
-        def encode(proxies):
-            out_codes = np.empty(len(proxies), dtype=np.int64)
-            out_terms = np.empty(len(proxies), dtype=bool)
-            for index, proxy in enumerate(proxies):
-                out_codes[index] = codes.setdefault(proxy, len(codes))
-                out_terms[index] = proxy[0] == _EQ_TERM
-            return out_codes, out_terms
+    def encode(proxies):
+        out_codes = np.empty(len(proxies), dtype=np.int64)
+        out_terms = np.empty(len(proxies), dtype=bool)
+        for index, proxy in enumerate(proxies):
+            out_codes[index] = codes.setdefault(proxy, len(codes))
+            out_terms[index] = proxy[0] == _EQ_TERM
+        return out_codes, out_terms
 
-        lanes = []
-        for side in sides:
-            if side[0] == "const":
-                code, is_term = encode([side[1]])
-                lanes.append((code[0], is_term[0]))
-            else:
-                code, is_term = encode(side[1])
-                lanes.append((code[side[2]], is_term[side[2]]))
-        (code_a, term_a), (code_b, term_b) = lanes
-        equal = code_a == code_b
-        error = term_a != term_b
-        if op == "=":
-            return equal & ~error
-        return ~equal & ~error
-    lanes = [
-        [side[1]] * block.length if side[0] == "const" else side[1]
-        for side in sides
-    ]
-    mask = []
-    for proxy_a, proxy_b in zip(*lanes):
-        if (proxy_a[0] == _EQ_TERM) != (proxy_b[0] == _EQ_TERM):
-            mask.append(False)
-        elif op == "=":
-            mask.append(proxy_a == proxy_b)
+    lanes = []
+    for side in sides:
+        if side[0] == "const":
+            code, is_term = encode([side[1]])
+            lanes.append((code[0], is_term[0]))
         else:
-            mask.append(proxy_a != proxy_b)
-    return mask
+            code, is_term = encode(side[1])
+            lanes.append((code[side[2]], is_term[side[2]]))
+    (code_a, term_a), (code_b, term_b) = lanes
+    equal = code_a == code_b
+    error = term_a != term_b
+    if op == "=":
+        return equal & ~error
+    return ~equal & ~error
 
 
 def _ordering_mask(block, op, left, right, cell_term):
@@ -627,47 +501,36 @@ def _ordering_mask(block, op, left, right, cell_term):
         valid = proxy_a[0] == proxy_b[0] != _ORD_ERROR
         result = valid and compare(proxy_a[1], proxy_b[1])
         return mask_all(block, result)
-    if _np is not None:
-        np = _np
-        # Strings from both sides share one dense rank so the float key
-        # lanes compare consistently; numeric keys are their own rank.
-        strings = sorted({
-            proxy[1]
-            for side in sides
-            for proxy in ([side[1]] if side[0] == "const" else side[1])
-            if proxy[0] == _ORD_STR
-        })
-        rank = {text: float(index) for index, text in enumerate(strings)}
-
-        def encode(proxies):
-            kinds = np.empty(len(proxies), dtype=np.int8)
-            keys = np.zeros(len(proxies), dtype=np.float64)
-            for index, (kind, key) in enumerate(proxies):
-                kinds[index] = kind
-                if kind == _ORD_NUM:
-                    keys[index] = key
-                elif kind == _ORD_STR:
-                    keys[index] = rank[key]
-            return kinds, keys
-
-        lanes = []
-        for side in sides:
-            if side[0] == "const":
-                kinds, keys = encode([side[1]])
-                lanes.append((kinds[0], keys[0]))
-            else:
-                kinds, keys = encode(side[1])
-                lanes.append((kinds[side[2]], keys[side[2]]))
-        (kind_a, key_a), (kind_b, key_b) = lanes
-        return (kind_a == kind_b) & (kind_a != _ORD_ERROR) \
-            & compare(key_a, key_b)
-    lanes = [
-        [side[1]] * block.length if side[0] == "const" else side[1]
+    np = _np
+    # Strings from both sides share one dense rank so the float key lanes
+    # compare consistently; numeric keys are their own rank.
+    strings = sorted({
+        proxy[1]
         for side in sides
-    ]
-    mask = []
-    for (kind_a, key_a), (kind_b, key_b) in zip(*lanes):
-        mask.append(
-            kind_a == kind_b != _ORD_ERROR and compare(key_a, key_b)
-        )
-    return mask
+        for proxy in ([side[1]] if side[0] == "const" else side[1])
+        if proxy[0] == _ORD_STR
+    })
+    rank = {text: float(index) for index, text in enumerate(strings)}
+
+    def encode(proxies):
+        kinds = np.empty(len(proxies), dtype=np.int8)
+        keys = np.zeros(len(proxies), dtype=np.float64)
+        for index, (kind, key) in enumerate(proxies):
+            kinds[index] = kind
+            if kind == _ORD_NUM:
+                keys[index] = key
+            elif kind == _ORD_STR:
+                keys[index] = rank[key]
+        return kinds, keys
+
+    lanes = []
+    for side in sides:
+        if side[0] == "const":
+            kinds, keys = encode([side[1]])
+            lanes.append((kinds[0], keys[0]))
+        else:
+            kinds, keys = encode(side[1])
+            lanes.append((kinds[side[2]], keys[side[2]]))
+    (kind_a, key_a), (kind_b, key_b) = lanes
+    return (kind_a == kind_b) & (kind_a != _ORD_ERROR) \
+        & compare(key_a, key_b)

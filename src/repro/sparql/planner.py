@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..rdf.terms import Variable
-from . import algebra
+from . import algebra, kernels
 from .bindings import _name
 
 #: Physical access strategies a plan step can choose from.
@@ -110,11 +110,6 @@ class Observed:
     #: (ASK and LIMIT stop early): ``actual`` is then only a lower bound.
     partial: bool = False
 
-    def reset_actuals(self):
-        self.actual = None
-        self.seconds = None
-        self.partial = False
-
     def q_error(self):
         """``max(est/actual, actual/est)`` once fully observed, else None.
 
@@ -153,10 +148,6 @@ class BGPPlan:
     cost: float = 0.0                     #: summed intermediate-work estimate
     scatter: Optional[str] = None         #: SCATTER_UNION/SCATTER_BROADCAST on
                                           #: partitioned stores, else None
-
-    def reset_actuals(self):
-        for step in self.steps:
-            step.reset_actuals()
 
 
 @dataclass
@@ -303,18 +294,13 @@ def _star_key(pattern):
 
 
 def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
-             initial_rows=1.0, reorder=True, fixed_strategy=None,
-             vectorize=False):
+             initial_rows=1.0, reorder=True, fixed_strategy=None):
     """Plan one basic graph pattern.
 
     Returns ``(ordered_patterns, remapped_inline_filters, BGPPlan)``.  With
-    ``reorder=False`` the given order is kept (used to describe the greedy /
-    unoptimized families for EXPLAIN); ``fixed_strategy`` forces every step
-    to PROBE or SCAN, mirroring a configured single-strategy engine.  With
-    ``vectorize`` the finished steps are additionally annotated with batch
-    kernels (all steps or none — see :func:`_annotate_kernels`); kernel
-    annotation never changes ordering or strategy choice, so a vectorized
-    and a tuple-path plan of the same query are step-for-step identical.
+    ``reorder=False`` the given order is kept (the plan of the greedy /
+    unoptimized families); ``fixed_strategy`` forces every step to PROBE or
+    SCAN, the one access path a store family has.
     """
     star_groups = {}
     for pattern in patterns:
@@ -403,8 +389,6 @@ def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
         estimate=rows,
         cost=cost,
     )
-    if vectorize and not outer_bound and cost >= VECTORIZE_MIN_COST:
-        _annotate_kernels(steps)
     return ordered, placed_filters, plan
 
 
@@ -467,36 +451,69 @@ def _annotate_kernels(steps):
 # Tree planning
 # ---------------------------------------------------------------------------
 
-def plan_tree(tree, store, vectorize=False):
+def default_strategy(store):
+    """The one access path a store family has.
+
+    A store with id-level indexes (the paper's native engines) probes them
+    once per intermediate row; a scan store (the in-memory engines) matches
+    each pattern in one pass over the document and hash-joins the result.
+    """
+    return PROBE if getattr(store, "supports_id_access", False) else SCAN
+
+
+def plan_tree(tree, store):
     """Cost-based planning pass over a whole algebra tree.
 
-    Reorders every BGP, chooses per-step physical strategies, decides
-    hash-versus-bind for Join nodes, and attaches the plans to the returned
-    (new) tree.  The input tree is not mutated.  ``vectorize`` additionally
-    annotates batch kernels on the steps of standalone BGPs (requires a
-    store with sorted runs); it never changes ordering or strategies, so
-    forcing it off reproduces the identical plan on the tuple path.
+    Reorders every BGP, chooses per-step physical strategies (scan stores
+    have only the one), decides hash-versus-bind for Join nodes, and
+    attaches the plans to the returned (new) tree.  The input tree is not
+    mutated.  When the store keeps sorted runs and numpy is importable, the
+    steps of standalone BGPs worth it are then annotated with batch kernels
+    (:func:`_annotate_kernels`) — which never changes ordering or
+    strategies, so the same plan without kernels is the tuple path.
     """
-    model = CostModel(store)
-    if vectorize and not getattr(store, "supports_sorted_runs", False):
-        vectorize = False
-    planned, _estimate, _cost = _plan_node(tree, model, frozenset(), 1.0,
-                                           reorder=True, fixed_strategy=None,
-                                           vectorize=vectorize)
+    fixed = None if default_strategy(store) == PROBE else SCAN
+    planned, _estimate, cost = _plan_node(tree, CostModel(store), frozenset(),
+                                          1.0, reorder=True,
+                                          fixed_strategy=fixed)
+    # Costs add up the tree: below the threshold no BGP in it reaches it.
+    if (cost >= VECTORIZE_MIN_COST
+            and getattr(store, "supports_sorted_runs", False)
+            and kernels.numpy_enabled()):
+        for node in algebra.collect_bgps(planned):
+            plan = node.plan
+            if (plan is not None and not plan.outer_bound
+                    and plan.cost >= VECTORIZE_MIN_COST):
+                _annotate_kernels(plan.steps)
     return annotate_scatter(planned, store)
 
 
-def annotate_tree(tree, store, strategy=PROBE):
-    """Attach descriptive plans without changing evaluation order.
+def annotate_tree(tree, store):
+    """The plan of the ``none``/``greedy`` planner families.
 
-    Used by EXPLAIN for the ``none``/``greedy`` planner families: the tree
-    keeps its order and single physical strategy, but every BGP still gets
-    estimates so the rendered plan can show estimated-versus-actual rows.
+    Every BGP keeps its pattern order and gets the store family's one
+    strategy on each step, plus the estimates EXPLAIN renders next to the
+    observed rows.  A store without statistics gets the static estimates:
+    counting would cost it a pass over the document per pattern, for
+    numbers a fixed-order plan only displays.
     """
-    model = CostModel(store)
-    annotated, _estimate, _cost = _plan_node(tree, model, frozenset(), 1.0,
-                                             reorder=False, fixed_strategy=strategy)
+    counted = store if getattr(store, "statistics", None) is not None else None
+    annotated, _estimate, _cost = _plan_node(
+        tree, CostModel(counted), frozenset(), 1.0, reorder=False,
+        fixed_strategy=default_strategy(store))
     return annotate_scatter(annotated, store)
+
+
+def textual_plan(patterns, strategy):
+    """A plan for a BGP nobody planned: the given order, one strategy.
+
+    What the evaluators execute for a tree that did not come through
+    :class:`~repro.sparql.engine.SparqlEngine` (an Update's WHERE pattern,
+    hand-translated trees in tests).
+    """
+    return BGPPlan(steps=[
+        PlanStep(pattern=pattern, strategy=strategy) for pattern in patterns
+    ])
 
 
 def scatter_strategy(patterns):
@@ -561,8 +578,7 @@ def _seedable(node):
     return False
 
 
-def _plan_node(node, model, outer, rows, reorder, fixed_strategy,
-               vectorize=False):
+def _plan_node(node, model, outer, rows, reorder, fixed_strategy):
     """Plan one node; returns ``(new_node, estimated_rows, estimated_cost)``."""
     if isinstance(node, algebra.BGP):
         if not node.patterns:
@@ -571,19 +587,18 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy,
             node.patterns, node.inline_filters, model,
             outer_bound=outer, initial_rows=rows,
             reorder=reorder, fixed_strategy=fixed_strategy,
-            vectorize=vectorize,
         )
         new = algebra.BGP(ordered, filters, plan, node.substituted)
         return new, plan.estimate, plan.cost
 
     if isinstance(node, algebra.Join):
         left, left_rows, left_cost = _plan_node(
-            node.left, model, outer, rows, reorder, fixed_strategy, vectorize)
+            node.left, model, outer, rows, reorder, fixed_strategy)
         left_vars = {_name(v) for v in node.left.variables()}
         right_vars = {_name(v) for v in node.right.variables()}
         # Hash option: the right side evaluates standalone.
         hash_right, hash_rows, hash_cost_right = _plan_node(
-            node.right, model, outer, 1.0, reorder, fixed_strategy, vectorize)
+            node.right, model, outer, 1.0, reorder, fixed_strategy)
         if node.condition is not None:
             # A keyed join (FILTER (?a = ?b) between otherwise unconnected
             # sides): |L| x |R| pairs, of which one in max(distinct ?a,
@@ -613,7 +628,7 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy,
             # Bind option: seed the right side with the left rows.
             bind_right, bind_rows, bind_cost_right = _plan_node(
                 node.right, model, outer | left_vars, left_rows,
-                reorder, fixed_strategy, vectorize)
+                reorder, fixed_strategy)
             bind_cost = left_cost + bind_cost_right
             if bind_cost < hash_cost:
                 plan = JoinPlan(strategy=BIND_JOIN, estimate=bind_rows,
@@ -627,25 +642,24 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy,
 
     if isinstance(node, algebra.LeftJoin):
         left, left_rows, left_cost = _plan_node(
-            node.left, model, outer, rows, reorder, fixed_strategy, vectorize)
+            node.left, model, outer, rows, reorder, fixed_strategy)
         right, right_rows, right_cost = _plan_node(
-            node.right, model, outer, 1.0, reorder, fixed_strategy, vectorize)
+            node.right, model, outer, 1.0, reorder, fixed_strategy)
         cost = left_cost + right_cost + left_rows + right_rows
         return (algebra.LeftJoin(left, right, node.condition),
                 max(left_rows, 1.0) if left_rows else left_rows, cost)
 
     if isinstance(node, algebra.Union):
         left, left_rows, left_cost = _plan_node(
-            node.left, model, outer, rows, reorder, fixed_strategy, vectorize)
+            node.left, model, outer, rows, reorder, fixed_strategy)
         right, right_rows, right_cost = _plan_node(
-            node.right, model, outer, rows, reorder, fixed_strategy, vectorize)
+            node.right, model, outer, rows, reorder, fixed_strategy)
         return (algebra.Union(left, right),
                 left_rows + right_rows, left_cost + right_cost)
 
     if isinstance(node, algebra.Filter):
         operand, operand_rows, operand_cost = _plan_node(
-            node.operand, model, outer, rows, reorder, fixed_strategy,
-            vectorize)
+            node.operand, model, outer, rows, reorder, fixed_strategy)
         return (algebra.Filter(node.expression, operand),
                 operand_rows * FILTER_SELECTIVITY, operand_cost + operand_rows)
 
@@ -656,8 +670,7 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy,
             # no SCAN materializes an intermediate result it will never need.
             fixed_strategy = PROBE
         operand, operand_rows, operand_cost = _plan_node(
-            node.operand, model, outer, rows, reorder, fixed_strategy,
-            vectorize)
+            node.operand, model, outer, rows, reorder, fixed_strategy)
         estimate = operand_rows
         if isinstance(node, algebra.Slice) and node.limit is not None:
             estimate = min(estimate, float(node.limit))

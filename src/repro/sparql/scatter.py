@@ -37,7 +37,7 @@ import weakref
 from time import perf_counter
 
 from ..obs import get_registry
-from .idspace import NESTED_LOOP, IdSpaceEvaluation
+from .idspace import IdSpaceEvaluation
 from .planner import SCATTER_UNION, scatter_strategy
 
 # Scatter-layer telemetry (no-ops until the global registry is enabled).
@@ -116,10 +116,8 @@ class ScatterGatherEvaluation(IdSpaceEvaluation):
             pool = pool_for(self._store)
             if pool is not None:
                 try:
-                    rows = pool.scatter(
-                        node, self._layout.names, self._strategy,
-                        self._reuse_patterns, check=self._check,
-                    )
+                    rows = pool.scatter(node, self._layout.names,
+                                        check=self._check)
                     _SCATTER_BGPS.labels(strategy="union_pool").inc()
                     return rows
                 except ScatterError as error:
@@ -137,8 +135,6 @@ class ScatterGatherEvaluation(IdSpaceEvaluation):
         # on, this is the *required* path: the per-segment evaluations feed
         # the same PlanStep objects, so step.actual accumulates the true
         # per-step row totals across all segments.
-        strategy = self._strategy
-        reuse = self._reuse_patterns
         observe = self._observe
         deadline = self._deadline
         names = self._layout.names
@@ -146,8 +142,7 @@ class ScatterGatherEvaluation(IdSpaceEvaluation):
         def generate():
             for segment in segments:
                 evaluation = IdSpaceEvaluation(
-                    segment, strategy, reuse_patterns=reuse,
-                    observe_plans=observe, deadline=deadline,
+                    segment, observe_plans=observe, deadline=deadline,
                 )
                 yield from evaluation.solve_bgp(node, names)
 
@@ -222,11 +217,8 @@ def _segment_worker(index, segment, tasks, results):
             return
         task_id, payload = item
         try:
-            names, node, strategy, reuse_patterns = pickle.loads(payload)
-            evaluation = IdSpaceEvaluation(
-                segment, strategy, reuse_patterns=reuse_patterns
-            )
-            rows = list(evaluation.solve_bgp(node, names))
+            names, node = pickle.loads(payload)
+            rows = list(IdSpaceEvaluation(segment).solve_bgp(node, names))
             results.put((task_id, index, rows, None))
         except Exception as error:  # noqa: BLE001 - relayed to the parent
             try:
@@ -312,8 +304,7 @@ class SegmentPool:
     def workers(self):
         return len(self._processes)
 
-    def scatter(self, node, names, strategy=NESTED_LOOP, reuse_patterns=False,
-                check=None):
+    def scatter(self, node, names, check=None):
         """Run one BGP on every segment; return the unioned id rows.
 
         The payload is pickled *here*, synchronously, so an unpicklable
@@ -323,8 +314,7 @@ class SegmentPool:
         death also surfaces instead of blocking forever.
         """
         try:
-            payload = pickle.dumps((tuple(names), node, strategy,
-                                    reuse_patterns))
+            payload = pickle.dumps((tuple(names), node))
         except Exception as error:  # noqa: BLE001 - fall back, do not hang
             raise ScatterError(f"BGP is not picklable: {error}") from error
         with self._lock:

@@ -67,14 +67,12 @@ class UpdateResult:
         return payload
 
 
-def execute_update(store, operation, evaluator_options=None):
+def execute_update(store, operation):
     """Apply one SPARQL Update operation to ``store``.
 
-    ``operation`` is update text or a parsed :class:`UpdateOperation`.
-    ``evaluator_options`` are passed to the :class:`Evaluator` used for the
-    WHERE pattern of modify forms (``strategy``, ``use_id_space``, ...), so
-    an engine can keep updates on its configured execution profile.
-    Returns an :class:`UpdateResult`.
+    ``operation`` is update text or a parsed :class:`UpdateOperation`; the
+    WHERE pattern of modify forms runs in textual order on the store's own
+    access path.  Returns an :class:`UpdateResult`.
     """
     if isinstance(operation, str):
         operation = parse_update(operation)
@@ -83,15 +81,13 @@ def execute_update(store, operation, evaluator_options=None):
     transaction_factory = getattr(store, "write_transaction", None)
     if transaction_factory is not None:
         with transaction_factory() as txn:
-            result = _apply(txn.base, txn.insert, txn.remove, operation,
-                            evaluator_options)
+            result = _apply(txn.base, txn.insert, txn.remove, operation)
         # The transaction published (or skipped publishing) by now; report
         # the store's post-commit version.
         return _stamp(result, store.version)
     # Plain store: mutate in place, WHERE solutions materialized first so
     # deletes cannot perturb the pattern evaluation they feed.
-    result = _apply(store, store.add, store.remove, operation,
-                    evaluator_options)
+    result = _apply(store, store.add, store.remove, operation)
     return _stamp(result, getattr(store, "version", 0))
 
 
@@ -100,7 +96,7 @@ def _stamp(result, version):
                         matched=result.matched, version=version)
 
 
-def _apply(base, insert, remove, operation, evaluator_options):
+def _apply(base, insert, remove, operation):
     """Run ``operation`` reading from ``base``, writing via the callbacks."""
     if isinstance(operation, InsertDataUpdate):
         inserted = sum(1 for triple in operation.triples if insert(triple))
@@ -112,7 +108,7 @@ def _apply(base, insert, remove, operation, evaluator_options):
         raise EvaluationError(f"unsupported update operation: {operation!r}")
 
     tree = algebra.translate_group(operation.where)
-    evaluator = Evaluator(base, **(evaluator_options or {}))
+    evaluator = Evaluator(base)
     # Materialize: application must see the complete pre-update solution
     # sequence even on plain stores where writes are applied in place.
     solutions = list(evaluator.evaluate(tree))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import replace
+
 import pytest
 
 from repro.generator import DblpGenerator, GeneratorConfig
@@ -24,6 +27,7 @@ from repro.sparql import (
     ENGINE_PRESETS,
     NATIVE_OPTIMIZED,
     SparqlEngine,
+    kernels,
 )
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -147,3 +151,47 @@ def all_engines_small(generated_graph_small):
 def sample_engines(sample_graph):
     """All four engine presets loaded with the hand-built sample graph."""
     return [SparqlEngine.from_graph(sample_graph, config) for config in ENGINE_PRESETS]
+
+
+@contextmanager
+def no_numpy():
+    """What a numpy-less install observes while the block is active."""
+    saved, kernels._np = kernels._np, None
+    try:
+        yield
+    finally:
+        kernels._np = saved
+
+
+class TuplePathEngine(SparqlEngine):
+    """An engine that plans as on a numpy-less install.
+
+    Its plans carry no kernels, so every BGP runs on the tuple path —
+    same order, same strategies — whatever the running interpreter has.
+    """
+
+    def _plan_algebra(self, tree, store):
+        with no_numpy():
+            return super()._plan_algebra(tree, store)
+
+
+class ReferencePaths:
+    """The two references every cross-path test compares an engine with."""
+
+    @staticmethod
+    def tuple_path(engine):
+        """Same configuration over the same store, without kernels."""
+        return TuplePathEngine(engine.config, store=engine.store)
+
+    @staticmethod
+    def term_space(engine):
+        """Same configuration over the same triples in a scan store."""
+        config = replace(engine.config, store_type="memory",
+                         name=engine.config.name + "-term")
+        return SparqlEngine.from_store(engine.store, config)
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """Builders of the tuple-path and the term-space reference engine."""
+    return ReferencePaths

@@ -20,7 +20,7 @@ from repro.sparql import EngineConfig, SelectResult, SparqlEngine
 _CONFIGS = tuple(
     EngineConfig(
         name=f"{store}-{family}", store_type=store,
-        reorder_patterns=True, push_filters=True, planner=family,
+        planner=family,
     )
     for store in ("indexed", "memory")
     for family in ("none", "greedy", "cost")

@@ -19,8 +19,7 @@ _CONFIGS = (
     EngineConfig(name="indexed-cost", store_type="indexed", planner="cost"),
     EngineConfig(name="indexed-greedy", store_type="indexed",
                  planner="greedy"),
-    EngineConfig(name="memory-none", store_type="memory", planner="none",
-                 reorder_patterns=False),
+    EngineConfig(name="memory-none", store_type="memory", planner="none"),
 )
 
 P = "http://example.org/p"

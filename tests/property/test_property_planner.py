@@ -18,7 +18,7 @@ _FAMILIES = ("none", "greedy", "cost")
 _CONFIGS = {
     family: EngineConfig(
         name=f"native-{family}", store_type="indexed",
-        reorder_patterns=True, push_filters=True, planner=family,
+        planner=family,
     )
     for family in _FAMILIES
 }
@@ -146,7 +146,7 @@ class TestPlannerFamiliesAgree:
             triples,
             EngineConfig(
                 name="term-cost", store_type="memory",
-                reorder_patterns=True, push_filters=True, planner="cost",
+                planner="cost",
             ),
         )
         assert id_space.query(query).as_multiset() == term_space.query(query).as_multiset()

@@ -12,7 +12,6 @@ deadline must abort both paths, and a generous one must not change results.
 """
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -30,24 +29,24 @@ SIZES = (1000, 5000)
 
 QUERY_IDS = tuple(query.identifier for query in ALL_QUERIES)
 
-#: (vectorized engine, tuple-path engine) pairs sharing one store, built
-#: once per size — hypothesis draws must not rebuild 5k-triple stores.
-_PAIRS = {}
 
+@pytest.fixture(scope="module")
+def engines(reference):
+    """size -> (vectorized engine, tuple-path reference) sharing one store,
+    built once per size — hypothesis draws must not rebuild 5k-triple stores."""
+    pairs = {}
 
-def _engines(size):
-    pair = _PAIRS.get(size)
-    if pair is None:
-        graph = DblpGenerator(
-            GeneratorConfig(triple_limit=size, seed=823645187)
-        ).graph()
-        batch = SparqlEngine.from_graph(graph, NATIVE_COST)
-        tuple_path = SparqlEngine(
-            replace(NATIVE_COST, name="native-cost-tuple", vectorize=False)
-        )
-        tuple_path.store = batch.store
-        pair = _PAIRS[size] = (batch, tuple_path)
-    return pair
+    def build(size):
+        pair = pairs.get(size)
+        if pair is None:
+            graph = DblpGenerator(
+                GeneratorConfig(triple_limit=size, seed=823645187)
+            ).graph()
+            batch = SparqlEngine.from_graph(graph, NATIVE_COST)
+            pair = pairs[size] = (batch, reference.tuple_path(batch))
+        return pair
+
+    return build
 
 
 def _multiset(result):
@@ -61,9 +60,9 @@ def _multiset(result):
 @settings(deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(query_id=st.sampled_from(QUERY_IDS), size=st.sampled_from(SIZES))
-def test_batch_equals_tuple_path(query_id, size):
+def test_batch_equals_tuple_path(engines, query_id, size):
     """Full results are multiset-equal across the two physical paths."""
-    batch, tuple_path = _engines(size)
+    batch, tuple_path = engines(size)
     text = get_query(query_id).text
     assert _multiset(batch.query(text)) == _multiset(tuple_path.query(text))
 
@@ -77,14 +76,14 @@ def test_batch_equals_tuple_path(query_id, size):
     size=st.sampled_from(SIZES),
     limit=st.integers(min_value=0, max_value=25),
 )
-def test_batch_limit_window_is_subset(query_id, size, limit):
+def test_batch_limit_window_is_subset(engines, query_id, size, limit):
     """LIMIT pushdown through block iterators stays within the full result.
 
     The two paths may order rows differently, so the checkable contract is:
     the window has ``min(limit, total)`` rows and every row is drawn from
     the full multiset (with multiplicity).
     """
-    batch, tuple_path = _engines(size)
+    batch, tuple_path = engines(size)
     prepared = batch.prepare(get_query(query_id).text)
     full = _multiset(tuple_path.query(get_query(query_id).text))
     window = Counter(
@@ -95,9 +94,9 @@ def test_batch_limit_window_is_subset(query_id, size, limit):
 
 
 @pytest.mark.parametrize("query_id", ("Q2", "Q4", "Q6", "Q9"))
-def test_expired_deadline_aborts_block_pipeline(query_id):
+def test_expired_deadline_aborts_block_pipeline(engines, query_id):
     """An already-expired deadline stops both paths mid-stream."""
-    batch, tuple_path = _engines(SIZES[0])
+    batch, tuple_path = engines(SIZES[0])
     for engine in (batch, tuple_path):
         prepared = engine.prepare(get_query(query_id).text)
         with pytest.raises(QueryTimeout):
@@ -105,9 +104,9 @@ def test_expired_deadline_aborts_block_pipeline(query_id):
 
 
 @pytest.mark.parametrize("query_id", ("Q2", "Q6"))
-def test_generous_deadline_is_invisible(query_id):
+def test_generous_deadline_is_invisible(engines, query_id):
     """A deadline that never fires must not perturb batch results."""
-    batch, tuple_path = _engines(SIZES[0])
+    batch, tuple_path = engines(SIZES[0])
     text = get_query(query_id).text
     bounded = Counter(
         frozenset(binding.items())

@@ -7,6 +7,7 @@ concurrent clients sharing the worker pool.
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.parse
@@ -209,3 +210,23 @@ class TestHealthAndConcurrency:
         bodies = {body for _status, _type, body in results}
         assert statuses == {200}
         assert len(bodies) == 1
+
+class TestExpectContinue:
+    def test_interim_response_arrives_before_the_body_is_sent(self, server):
+        """Responses leave through a buffered writer; ``100 Continue`` must
+        not sit in it while the client holds its body back."""
+        body = SELECT_QUERY.encode("utf-8")
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5.0) as client:
+            client.sendall(
+                b"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/sparql-query\r\n"
+                b"Expect: 100-continue\r\nConnection: close\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii"))
+            assert client.recv(4096).startswith(b"HTTP/1.1 100 ")
+            client.sendall(body)
+            answer = b""
+            while chunk := client.recv(4096):
+                answer += chunk
+        assert answer.startswith(b"HTTP/1.1 200 ")
+        assert b'"1940"' in answer

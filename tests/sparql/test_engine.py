@@ -46,9 +46,9 @@ class TestEngineConfig:
         assert isinstance(NATIVE_OPTIMIZED.create_store(), IndexedStore)
 
     def test_baseline_presets_disable_optimizations(self):
-        assert not NATIVE_BASELINE.reorder_patterns
+        assert NATIVE_BASELINE.planner == "none"
         assert not NATIVE_BASELINE.push_filters
-        assert NATIVE_OPTIMIZED.reorder_patterns
+        assert NATIVE_OPTIMIZED.planner == "greedy"
         assert NATIVE_OPTIMIZED.push_filters
 
     def test_unknown_store_type_rejected(self):

@@ -1,0 +1,124 @@
+"""The engine matrix is what the five presets vary, and nothing else.
+
+How a query runs follows from the store (term space + scan/hash steps on a
+scan store, id space + probe steps on an indexed one) and from the planner
+family; every BGP runs from the plan ``prepare()`` attached, and EXPLAIN
+executes that same tree.
+"""
+
+from collections import Counter
+from dataclasses import fields
+
+import pytest
+
+from repro.queries import ALL_QUERIES
+from repro.queries.aggregates import AGGREGATE_QUERIES
+from repro.sparql import (
+    IN_MEMORY_BASELINE,
+    IN_MEMORY_OPTIMIZED,
+    NATIVE_BASELINE,
+    NATIVE_COST,
+    NATIVE_OPTIMIZED,
+    EngineConfig,
+    Evaluator,
+    IdBinding,
+    algebra,
+    kernels,
+    load_engines,
+)
+from repro.sparql.planner import PROBE, SCAN, default_strategy
+
+PRESETS = (IN_MEMORY_BASELINE, IN_MEMORY_OPTIMIZED, NATIVE_BASELINE,
+           NATIVE_OPTIMIZED, NATIVE_COST)
+QUERIES = tuple(ALL_QUERIES) + tuple(AGGREGATE_QUERIES)
+
+
+@pytest.fixture(scope="module")
+def engines(generated_graph_small):
+    return {engine.config.name: engine
+            for engine in load_engines(generated_graph_small, PRESETS)}
+
+
+def test_config_has_exactly_the_fields_the_presets_vary():
+    assert [field.name for field in fields(EngineConfig)] == [
+        "name", "store_type", "planner", "push_filters",
+        "reuse_pattern_results",
+    ]
+
+
+#: preset -> (store family, joins over ids?, strategy of a step nobody costed)
+MATRIX = {
+    IN_MEMORY_BASELINE: ("memory", False, SCAN),
+    IN_MEMORY_OPTIMIZED: ("memory", False, SCAN),
+    NATIVE_BASELINE: ("indexed", True, PROBE),
+    NATIVE_OPTIMIZED: ("indexed", True, PROBE),
+    NATIVE_COST: ("indexed", True, PROBE),
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda config: config.name)
+def test_evaluator_kind_and_step_strategy_follow_from_the_store(engines, preset):
+    store_type, id_space, strategy = MATRIX[preset]
+    engine = engines[preset.name]
+    assert preset.store_type == store_type
+    assert Evaluator(engine.store).uses_id_space is id_space
+    assert default_strategy(engine.store) == strategy
+    rows = list(engine.stream("SELECT ?s WHERE { ?s rdf:type foaf:Person }"))
+    assert rows and all(isinstance(row, IdBinding) is id_space for row in rows)
+    if preset.planner != "cost":
+        # Only the cost planner picks a strategy per step.
+        for query in QUERIES:
+            steps = list(engine.explain(query.text).plan_steps())
+            assert {step.strategy for step in steps} <= {strategy}
+            assert not any(step.kernel for step in steps)
+
+
+def _shape(tree):
+    """Operators, BGP pattern order, step strategies and kernels of a tree."""
+    shape = []
+    for node in algebra.walk(tree):
+        entry = [type(node).__name__]
+        if isinstance(node, algebra.BGP) and node.patterns:
+            assert [step.pattern for step in node.plan.steps] == node.patterns
+            entry += [(step.pattern.n3(), step.strategy, step.kernel)
+                      for step in node.plan.steps]
+            entry.append(sorted((position, str(expression))
+                                for position, expression in node.inline_filters))
+        elif isinstance(node, algebra.Join):
+            entry.append(node.plan.strategy)
+        shape.append(entry)
+    return shape
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=lambda query: query.identifier)
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda config: config.name)
+def test_explain_executes_the_tree_prepare_built(engines, preset, query):
+    engine = engines[preset.name]
+    prepared = engine.prepare(query.text)
+    report = engine.explain(query.text)
+    assert report.planner == preset.planner
+    assert _shape(report.tree) == _shape(prepared.tree)
+    cursor = prepared.run()
+    if cursor.form == "ASK":
+        assert report.result_count == int(bool(cursor))
+        return
+    rows = Counter(frozenset(row.items()) for row in cursor)
+    assert report.result_count == sum(rows.values())
+    assert rows == engine.query(query.text).as_multiset()
+    if report.id_space:
+        # The observed run is the prepared plan: its last operator handed
+        # over exactly the rows the cursor delivered.
+        assert report.result.actual == report.result_count
+
+
+def test_kernels_need_the_cost_planner_sorted_runs_and_numpy(engines, reference):
+    q4 = next(query for query in QUERIES if query.identifier == "Q4").text
+    cost = engines[NATIVE_COST.name]
+    kernelled = [step.kernel for step in cost.explain(q4).plan_steps()]
+    assert all(kernelled) is kernels.numpy_enabled()
+    without = reference.tuple_path(cost).explain(q4)
+    assert not any(step.kernel for step in without.plan_steps())
+    assert ([(step.pattern, step.strategy) for step in without.plan_steps()]
+            == [(step.pattern, step.strategy)
+                for step in cost.explain(q4).plan_steps()])
+    assert "vectorized=no" in without.render()

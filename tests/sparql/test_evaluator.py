@@ -1,4 +1,4 @@
-"""Unit tests for algebra evaluation semantics, on both join strategies."""
+"""Unit tests for algebra evaluation semantics, on both plan-step strategies."""
 
 import pytest
 
@@ -14,7 +14,9 @@ from repro.rdf import (
     Triple,
     URIRef,
 )
-from repro.sparql import NESTED_LOOP, SCAN_HASH, Evaluator, parse_query, translate_query
+from repro.sparql import Evaluator, parse_query, translate_query
+from repro.sparql.algebra import collect_bgps
+from repro.sparql.planner import PROBE, SCAN, textual_plan
 from repro.store import IndexedStore, MemoryStore
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -58,14 +60,15 @@ GRAPH = build_graph()
 def run(query_text, strategy, store_cls=IndexedStore):
     store = store_cls(GRAPH)
     tree = translate_query(parse_query(query_text))
-    evaluator = Evaluator(store, strategy=strategy)
-    outcome = evaluator.evaluate(tree)
+    for bgp in collect_bgps(tree):
+        bgp.plan = textual_plan(bgp.patterns, strategy)
+    outcome = Evaluator(store).evaluate(tree)
     if isinstance(outcome, bool):
         return outcome
     return list(outcome)
 
 
-STRATEGIES = (NESTED_LOOP, SCAN_HASH)
+STRATEGIES = (PROBE, SCAN)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -256,12 +259,6 @@ class TestStrategyEquivalence:
     @pytest.mark.parametrize("query", QUERIES)
     @pytest.mark.parametrize("store_cls", (MemoryStore, IndexedStore))
     def test_strategies_and_stores_agree(self, query, store_cls):
-        nested = run(query, NESTED_LOOP, store_cls)
-        hashed = run(query, SCAN_HASH, store_cls)
+        nested = run(query, PROBE, store_cls)
+        hashed = run(query, SCAN, store_cls)
         assert sorted(nested, key=repr) == sorted(hashed, key=repr)
-
-    def test_unknown_strategy_rejected(self):
-        from repro.sparql import EvaluationError
-
-        with pytest.raises(EvaluationError):
-            Evaluator(IndexedStore(GRAPH), strategy="bogus")

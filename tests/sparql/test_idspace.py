@@ -21,8 +21,6 @@ from repro.rdf import (
     Variable,
 )
 from repro.sparql import (
-    NESTED_LOOP,
-    SCAN_HASH,
     AskResult,
     Binding,
     EvaluationError,
@@ -36,7 +34,9 @@ from repro.sparql import (
     serializers,
     translate_query,
 )
-from repro.sparql.engine import NATIVE_OPTIMIZED, EngineConfig
+from repro.sparql.algebra import collect_bgps
+from repro.sparql.engine import NATIVE_OPTIMIZED
+from repro.sparql.planner import PROBE, SCAN, textual_plan
 from repro.store import IndexedStore, MemoryStore
 from repro.store.mvcc import MvccStore, read_snapshot
 
@@ -44,7 +44,8 @@ XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_GYEAR = "http://www.w3.org/2001/XMLSchema#gYear"
 
-STRATEGIES = (NESTED_LOOP, SCAN_HASH)
+#: The two kinds of plan step a BGP can run from.
+STRATEGIES = (PROBE, SCAN)
 
 
 def s(value):
@@ -75,8 +76,13 @@ def build_graph():
 GRAPH = build_graph()
 
 
-def tree_for(query_text):
-    return translate_query(parse_query(query_text))
+def tree_for(query_text, strategy=None):
+    """The bare algebra tree; with ``strategy``, every BGP planned on it."""
+    tree = translate_query(parse_query(query_text))
+    if strategy is not None:
+        for bgp in collect_bgps(tree):
+            bgp.plan = textual_plan(bgp.patterns, strategy)
+    return tree
 
 
 def multiset(bindings):
@@ -148,10 +154,13 @@ class TestIdRoundTrip:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_evaluate_ids_rows_decode_to_evaluate_bindings(self, strategy):
         store = IndexedStore(GRAPH)
-        tree = tree_for("SELECT ?d ?name WHERE { ?d dc:creator ?p . ?p foaf:name ?name }")
+        tree = tree_for(
+            "SELECT ?d ?name WHERE { ?d dc:creator ?p . ?p foaf:name ?name }",
+            strategy,
+        )
         from collections import Counter
 
-        layout, rows = Evaluator(store, strategy=strategy).evaluate_ids(tree)
+        layout, rows = Evaluator(store).evaluate_ids(tree)
         decode = store.dictionary.decode
         from_ids = Counter(
             frozenset(
@@ -163,7 +172,7 @@ class TestIdRoundTrip:
         )
         from_terms = Counter(
             frozenset(binding.items())
-            for binding in Evaluator(store, strategy=strategy).evaluate(tree)
+            for binding in Evaluator(store).evaluate(tree)
         )
         assert from_ids == from_terms
 
@@ -174,16 +183,16 @@ class TestUnknownConstantShortCircuit:
         store = CountingDictionaryStore(GRAPH)
         # bench:Journal never occurs in the data, so the whole BGP is empty.
         tree = tree_for(
-            "SELECT ?x ?t WHERE { ?x rdf:type bench:Journal . ?x dc:title ?t }"
+            "SELECT ?x ?t WHERE { ?x rdf:type bench:Journal . ?x dc:title ?t }",
+            strategy,
         )
-        evaluator = Evaluator(store, strategy=strategy)
-        assert list(evaluator.evaluate(tree)) == []
+        assert list(Evaluator(store).evaluate(tree)) == []
         assert store.probe_calls == 0
 
     def test_known_constants_do_probe(self):
         store = CountingDictionaryStore(GRAPH)
         tree = tree_for("SELECT ?x WHERE { ?x rdf:type bench:Article }")
-        assert len(list(Evaluator(store, strategy=NESTED_LOOP).evaluate(tree))) == 3
+        assert len(list(Evaluator(store).evaluate(tree))) == 3
         assert store.probe_calls > 0
 
 
@@ -200,22 +209,17 @@ class TestZeroDecodeJoins:
     @pytest.mark.parametrize("query", JOIN_QUERIES)
     def test_zero_decodes_during_join_execution(self, strategy, query):
         store = CountingDictionaryStore(GRAPH)
-        evaluator = Evaluator(store, strategy=strategy)
-        _layout, rows = evaluator.evaluate_ids(tree_for(query))
+        _layout, rows = Evaluator(store).evaluate_ids(tree_for(query, strategy))
         consumed = list(rows)
         assert consumed, "expected non-empty join results"
         assert store.decode_calls == 0
 
     CREATORS = "SELECT ?d ?name WHERE { ?d dc:creator ?p . ?p foaf:name ?name }"
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_decodes_happen_only_at_the_result_boundary(self, strategy):
+    def test_decodes_happen_only_at_the_result_boundary(self):
         """Draining decodes nothing; serializing decodes each distinct id once."""
         store = CountingDictionaryStore(GRAPH)
-        engine = SparqlEngine(
-            EngineConfig(store_type="indexed", join_strategy=strategy),
-            store=store,
-        )
+        engine = SparqlEngine(NATIVE_OPTIMIZED, store=store)
         prepared = engine.prepare(self.CREATORS)
         rows = list(prepared.run())
         assert len(rows) == 4
@@ -244,11 +248,7 @@ class TestZeroDecodeJoins:
 
     def test_lazy_rows_agree_with_eager_bindings(self):
         lazy = list(Evaluator(IndexedStore(GRAPH)).evaluate(tree_for(self.CREATORS)))
-        eager = list(
-            Evaluator(IndexedStore(GRAPH), use_id_space=False).evaluate(
-                tree_for(self.CREATORS)
-            )
-        )
+        eager = list(Evaluator(MemoryStore(GRAPH)).evaluate(tree_for(self.CREATORS)))
         assert not any(isinstance(row, IdBinding) for row in eager)
         assert multiset(lazy) == multiset(eager)
         by_key = {frozenset(row.items()): row for row in eager}
@@ -305,8 +305,7 @@ class TestZeroDecodeJoins:
 
     def test_filter_decodes_are_memoized_per_id(self):
         store = CountingDictionaryStore(GRAPH)
-        evaluator = Evaluator(store, strategy=NESTED_LOOP)
-        _layout, rows = evaluator.evaluate_ids(
+        _layout, rows = Evaluator(store).evaluate_ids(
             tree_for("SELECT ?d WHERE { ?d dcterms:issued ?yr FILTER (?yr > 1992) }")
         )
         assert len(list(rows)) == 2
@@ -315,10 +314,8 @@ class TestZeroDecodeJoins:
 
 
 class NaiveLeftJoinEvaluator(Evaluator):
-    """Term-space evaluator with the quadratic reference OPTIONAL join."""
-
-    def __init__(self, store, strategy=NESTED_LOOP):
-        super().__init__(store, strategy=strategy, use_id_space=False)
+    """Term-space evaluator (scan stores only) with the quadratic reference
+    OPTIONAL join."""
 
     def _eval_left_join(self, node):
         from repro.sparql.expressions import effective_boolean_value
@@ -390,18 +387,17 @@ class TestHashLeftJoinEquivalence:
     @pytest.mark.parametrize("query", (Q6_SHAPED, Q7_SHAPED, SHARED_OPTIONAL))
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_id_space_left_join_matches_naive(self, query, strategy):
-        store = IndexedStore(GRAPH)
-        tree = tree_for(query)
-        naive = multiset(NaiveLeftJoinEvaluator(store, strategy).evaluate(tree))
-        hashed = multiset(Evaluator(store, strategy=strategy).evaluate(tree))
+        tree = tree_for(query, strategy)
+        naive = multiset(NaiveLeftJoinEvaluator(MemoryStore(GRAPH)).evaluate(tree))
+        hashed = multiset(Evaluator(IndexedStore(GRAPH)).evaluate(tree))
         assert hashed == naive
 
     @pytest.mark.parametrize("query", (Q6_SHAPED, Q7_SHAPED, SHARED_OPTIONAL))
     def test_term_space_left_join_matches_naive(self, query):
         store = MemoryStore(GRAPH)
         tree = tree_for(query)
-        naive = multiset(NaiveLeftJoinEvaluator(store, SCAN_HASH).evaluate(tree))
-        hashed = multiset(Evaluator(store, strategy=SCAN_HASH).evaluate(tree))
+        naive = multiset(NaiveLeftJoinEvaluator(store).evaluate(tree))
+        hashed = multiset(Evaluator(store).evaluate(tree))
         assert hashed == naive
 
 
@@ -434,9 +430,7 @@ class TestEquiConditionValueSemantics:
         graph = self.build()
         tree = tree_for(self.QUERY)
         id_rows = list(Evaluator(IndexedStore(graph)).evaluate(tree))
-        term_rows = list(
-            Evaluator(IndexedStore(graph), use_id_space=False).evaluate(tree)
-        )
+        term_rows = list(Evaluator(MemoryStore(graph)).evaluate(tree))
         assert multiset(id_rows) == multiset(term_rows)
         assert len(id_rows) == 1
         assert id_rows[0].get("b") is not None  # 1940^^gYear = 1940^^integer
@@ -461,7 +455,7 @@ class TestEquiConditionValueSemantics:
         """
         tree = tree_for(query)
         id_rows = list(Evaluator(IndexedStore(g)).evaluate(tree))
-        term_rows = list(Evaluator(IndexedStore(g), use_id_space=False).evaluate(tree))
+        term_rows = list(Evaluator(MemoryStore(g)).evaluate(tree))
         assert multiset(id_rows) == multiset(term_rows)
         assert len(id_rows) == 1
         assert id_rows[0].get("b") is None  # "same"@en != "same"
@@ -473,10 +467,6 @@ class TestEvaluatorFacade:
 
     def test_memory_store_stays_on_term_path(self):
         assert Evaluator(MemoryStore(GRAPH)).uses_id_space is False
-
-    def test_forcing_id_space_on_scan_store_is_rejected(self):
-        with pytest.raises(EvaluationError):
-            Evaluator(MemoryStore(GRAPH), use_id_space=True)
 
     def test_evaluate_ids_requires_id_capable_store(self):
         evaluator = Evaluator(MemoryStore(GRAPH))
@@ -492,23 +482,18 @@ class TestEvaluatorFacade:
         assert evaluator.evaluate(tree_for("ASK { ?d rdf:type bench:Article }")) is True
         assert evaluator.evaluate(tree_for("ASK { ?d rdf:type bench:Journal }")) is False
 
-    def test_engine_config_can_force_term_space(self):
-        config = EngineConfig(name="native-term", use_id_space=False)
-        engine = SparqlEngine.from_graph(GRAPH, config)
-        rows = engine.query("SELECT ?d WHERE { ?d rdf:type bench:Article }")
-        assert len(rows) == 3
-
 
 class TestCatalogEquivalence:
     """Every catalog query returns identical multisets on both paths."""
 
+    @pytest.fixture(scope="class")
+    def term_engine(self, native_engine, reference):
+        return reference.term_space(native_engine)
+
     @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.identifier)
-    def test_id_space_matches_term_space_on_catalog(self, query, generated_graph_small):
-        id_engine = SparqlEngine.from_graph(generated_graph_small, NATIVE_OPTIMIZED)
-        term_engine = SparqlEngine(
-            EngineConfig(name="native-term", use_id_space=False)
-        )
-        term_engine.store = id_engine.store  # identical data, shared dictionary
+    def test_id_space_matches_term_space_on_catalog(self, query, native_engine,
+                                                    term_engine):
+        id_engine = native_engine
         id_result = id_engine.query(query.text)
         term_result = term_engine.query(query.text)
         if isinstance(id_result, AskResult):

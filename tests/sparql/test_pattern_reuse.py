@@ -5,7 +5,6 @@ from repro.rdf import BENCH, DC, FOAF, RDF, BNode, Graph, Literal, Triple, URIRe
 from repro.sparql import (
     IN_MEMORY_BASELINE,
     IN_MEMORY_OPTIMIZED,
-    SCAN_HASH,
     EngineConfig,
     Evaluator,
     SparqlEngine,
@@ -63,9 +62,9 @@ class TestEvaluatorReuse:
         tree = translate_query(parse_query(REPEATED_PATTERN_QUERY))
 
         plain_store = CountingStore(graph)
-        list(Evaluator(plain_store, strategy=SCAN_HASH, reuse_patterns=False).evaluate(tree))
+        list(Evaluator(plain_store, reuse_patterns=False).evaluate(tree))
         reusing_store = CountingStore(graph)
-        list(Evaluator(reusing_store, strategy=SCAN_HASH, reuse_patterns=True).evaluate(tree))
+        list(Evaluator(reusing_store, reuse_patterns=True).evaluate(tree))
 
         assert reusing_store.scan_calls < plain_store.scan_calls
         # Each of the four pattern shapes occurs twice, so reuse needs only
@@ -82,9 +81,9 @@ class TestEvaluatorReuse:
     def test_cache_is_per_evaluation(self):
         store = CountingStore(list(build_graph()))
         tree = translate_query(parse_query("SELECT ?a WHERE { ?a rdf:type bench:Article }"))
-        list(Evaluator(store, strategy=SCAN_HASH, reuse_patterns=True).evaluate(tree))
+        list(Evaluator(store, reuse_patterns=True).evaluate(tree))
         first_calls = store.scan_calls
-        list(Evaluator(store, strategy=SCAN_HASH, reuse_patterns=True).evaluate(tree))
+        list(Evaluator(store, reuse_patterns=True).evaluate(tree))
         # A fresh evaluator starts with an empty cache, so the store is
         # consulted again (no stale results across updates).
         assert store.scan_calls == 2 * first_calls
@@ -97,7 +96,7 @@ class TestConfiguration:
 
     def test_custom_config_flag(self):
         config = EngineConfig(name="custom", store_type="memory",
-                              join_strategy=SCAN_HASH, reuse_pattern_results=True)
+                              reuse_pattern_results=True)
         engine = SparqlEngine.from_graph(build_graph(), config)
         result = engine.query(REPEATED_PATTERN_QUERY)
         assert len(result) > 0

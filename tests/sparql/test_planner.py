@@ -198,8 +198,7 @@ class TestPlannerEquivalence:
         results = []
         for family in self.FAMILIES:
             config = EngineConfig(
-                name=f"native-{family}", store_type="indexed",
-                reorder_patterns=True, push_filters=True, planner=family,
+                name=f"native-{family}", store_type="indexed", planner=family,
             )
             engine = SparqlEngine.from_graph(generated_graph_small, config)
             result = engine.query(get_query(query).text)
@@ -209,18 +208,13 @@ class TestPlannerEquivalence:
         assert results[0] == results[1] == results[2]
 
 
-class TestResolvedPlanner:
-    def test_derived_from_reorder_patterns(self):
-        assert EngineConfig(reorder_patterns=True).resolved_planner() == "greedy"
-        assert EngineConfig(reorder_patterns=False).resolved_planner() == "none"
-
-    def test_explicit_family_wins(self):
-        config = EngineConfig(reorder_patterns=False, planner="cost")
-        assert config.resolved_planner() == "cost"
+class TestPlannerFamily:
+    def test_default_family_is_greedy(self):
+        assert EngineConfig().planner == "greedy"
 
     def test_unknown_family_is_rejected(self):
         with pytest.raises(ValueError):
-            EngineConfig(planner="quantum").resolved_planner()
+            EngineConfig(planner="quantum")
 
 
 class TestExplain:
@@ -440,17 +434,16 @@ class TestSeededEvaluation:
         )
         reference = None
         for store_type in ("memory", "indexed"):
-            for use_id_space in (None, False):
-                engine = SparqlEngine.from_graph(triples, EngineConfig(
-                    name=f"{store_type}-cost", store_type=store_type,
-                    planner="cost", use_id_space=use_id_space,
-                ))
-                result = engine.query(query).as_multiset()
-                if reference is None:
-                    reference = result
-                    assert len(result) == 1
-                else:
-                    assert result == reference
+            engine = SparqlEngine.from_graph(triples, EngineConfig(
+                name=f"{store_type}-cost", store_type=store_type,
+                planner="cost",
+            ))
+            result = engine.query(query).as_multiset()
+            if reference is None:
+                reference = result
+                assert len(result) == 1
+            else:
+                assert result == reference
 
     def test_empty_left_side_short_circuits(self, sample_graph):
         engine = SparqlEngine.from_graph(sample_graph, NATIVE_COST)

@@ -180,18 +180,22 @@ class TestAskShortCircuit:
         assert counts["produced"] <= 1
 
     def test_ask_short_circuit_term_space(self, graph):
-        # A nested-loop term-space engine: the scan_hash strategy is excluded
-        # on purpose, since scanning the whole document per pattern is the
-        # in-memory cost model the benchmark contrasts against.
-        from repro.sparql import NESTED_LOOP, EngineConfig
+        # The term-space loop on a plan of probe steps: a scan store's own
+        # plans are excluded on purpose, since scanning the whole document
+        # per pattern is the in-memory cost model the benchmark contrasts
+        # against.
+        from repro.sparql import Evaluator, parse_query, translate_query
+        from repro.sparql.algebra import collect_bgps
+        from repro.sparql.planner import PROBE, textual_plan
+        from repro.store import MemoryStore
 
-        engine = SparqlEngine.from_graph(graph, EngineConfig(
-            name="memory-nested", store_type="memory",
-            join_strategy=NESTED_LOOP,
-        ))
-        counts = probe_counter(engine.store, "triples")
+        store = MemoryStore(graph)
+        tree = translate_query(parse_query("ASK { ?s ?p ?o }"))
+        for bgp in collect_bgps(tree):
+            bgp.plan = textual_plan(bgp.patterns, PROBE)
+        counts = probe_counter(store, "triples")
         try:
-            assert bool(engine.stream("ASK { ?s ?p ?o }"))
+            assert Evaluator(store).evaluate(tree) is True
         finally:
             counts["restore"]()
         assert counts["produced"] <= 1

@@ -12,7 +12,15 @@ import pytest
 
 from repro.queries import get_query
 from repro.rdf import DC, RDF, Triple, Variable
-from repro.sparql import NATIVE_COST, SparqlEngine
+from repro.sparql import (
+    NATIVE_BASELINE,
+    NATIVE_COST,
+    NATIVE_OPTIMIZED,
+    IdSpaceEvaluation,
+    SlotLayout,
+    SparqlEngine,
+    algebra,
+)
 from repro.sparql.results import AskResult
 from repro.sparql.planner import (
     SCATTER_BROADCAST,
@@ -140,6 +148,29 @@ def test_pool_is_persistent_and_correct(pooled, whole_engine):
     for query_id in ("Q1", "Q2", "Q9"):
         assert _multiset(engine, query_id) == _multiset(whole_engine, query_id)
     assert pool_for(pooled) is pool
+
+
+@needs_fork
+@pytest.mark.parametrize("preset", (NATIVE_BASELINE, NATIVE_OPTIMIZED, NATIVE_COST),
+                         ids=lambda config: config.name)
+def test_workers_run_the_shipped_plan_and_nothing_else(pooled, whole_store,
+                                                       preset):
+    """A task is ``(names, planned BGP)``: what a worker returns for it is
+    what the segments return in-process, whichever preset planned it."""
+    engine = SparqlEngine.from_store(pooled, preset)
+    whole = SparqlEngine.from_store(whole_store, preset)
+    for query_id in ("Q2", "Q3a", "Q11"):
+        assert _multiset(engine, query_id) == _multiset(whole, query_id)
+    _parsed, tree = engine.plan(get_query("Q2").text)
+    bgp = algebra.collect_bgps(tree)[0]
+    assert len(bgp.patterns) > 1 and bgp.plan.scatter == SCATTER_UNION
+    names = SlotLayout.for_tree(tree).names
+    pooled_rows = Counter(pool_for(pooled).scatter(bgp, names))
+    in_process = Counter(
+        row for segment in pooled.segments
+        for row in IdSpaceEvaluation(segment).solve_bgp(bgp, names)
+    )
+    assert pooled_rows == in_process and sum(in_process.values()) > 0
 
 
 @needs_fork

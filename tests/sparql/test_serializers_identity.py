@@ -145,18 +145,18 @@ def engines(generated_graph_medium):
     }
 
 
-@pytest.mark.parametrize("numpy", (True, False), ids=("numpy", "SP2B_DISABLE_NUMPY"))
+@pytest.mark.parametrize("path", ("kernels", "tuple-path"))
 @pytest.mark.parametrize("preset", [config.name for config in PRESETS])
-def test_catalog_documents_are_byte_identical(engines, preset, numpy, monkeypatch):
-    if not numpy:
-        # What SP2B_DISABLE_NUMPY=1 does at import time.
-        monkeypatch.setattr(kernels, "_np", None)
+def test_catalog_documents_are_byte_identical(engines, preset, path, reference):
+    engine = engines[preset]
+    if path == "tuple-path":
+        engine = reference.tuple_path(engine)
     elif not kernels.numpy_enabled():
         pytest.skip("numpy is not available")
     assert len(QUERIES) == 21
     lazy_rows = 0
     for query in QUERIES:
-        prepared = engines[preset].prepare(query.text)
+        prepared = engine.prepare(query.text)
         cursor = prepared.run()
         if cursor.form == "ASK":
             for format in serializers.FORMATS:

@@ -34,8 +34,7 @@ STORE_BUILDERS = {
 ENGINE_CONFIGS = (
     EngineConfig(name="mem-greedy", store_type="memory", planner="greedy"),
     EngineConfig(name="idx-cost", store_type="indexed", planner="cost"),
-    EngineConfig(name="idx-none", store_type="indexed", planner="none",
-                 reorder_patterns=False),
+    EngineConfig(name="idx-none", store_type="indexed", planner="none"),
 )
 
 
