@@ -68,12 +68,7 @@ from .sparql.engine import (
 )
 from .sparql.errors import SparqlError, error_payload
 from .sparql.serializers import FORMATS as RESULT_FORMATS
-from .store import (
-    IndexedStore,
-    PartitionedStore,
-    is_partition_manifest,
-    load_snapshot,
-)
+from .store import IndexedStore, load_snapshot
 
 #: Engine configurations selectable from the command line: the paper's four
 #: presets plus the cost-based planner profile.
@@ -231,35 +226,15 @@ def cache_main(argv=None):
 TABLE_PREVIEW_ROWS = 20
 
 
-def _build_engine(document, engine_name, shards=1):
-    """Load a document (N-Triples or ``.sp2b`` snapshot) into an engine.
-
-    With ``shards > 1`` the loaded store is hash-partitioned by subject id
-    into a :class:`PartitionedStore`, enabling scatter-gather evaluation;
-    that requires an id-space (``indexed``) engine preset.  A ``.sp2b``
-    path holding a partition manifest loads as a partitioned store
-    directly (and is re-partitioned only if ``shards`` disagrees).
-    """
+def _build_engine(document, engine_name):
+    """Load a document (N-Triples or ``.sp2b`` snapshot) into an engine."""
     config = next(c for c in CLI_ENGINE_CONFIGS if c.name == engine_name)
-    if shards > 1 and config.store_type != "indexed":
-        raise SystemExit(
-            f"--shards requires an id-space engine preset; "
-            f"{engine_name!r} evaluates over terms, not ids"
-        )
     if document.endswith(SNAPSHOT_SUFFIX):
         # The fast path: rebuild the store from its snapshot — no parsing,
         # no per-triple loading.
-        if is_partition_manifest(document):
-            store = PartitionedStore.load(document)
-        else:
-            store = load_snapshot(document)
-        if shards > 1 and getattr(store, "shard_count", 1) != shards:
-            store = PartitionedStore.from_store(store, shards)
-        return SparqlEngine.from_store(store, config)
+        return SparqlEngine.from_store(load_snapshot(document), config)
     engine = SparqlEngine(config)
     load_into(engine.store, document)
-    if shards > 1:
-        engine.store = PartitionedStore.from_store(engine.store, shards)
     return engine
 
 
@@ -310,21 +285,22 @@ def query_main(argv=None):
                              "the timed plan: parse/plan/execute stage "
                              "timings plus per-step time= self-times "
                              "alongside the EXPLAIN cardinalities")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="hash-partition the store into K segments by "
-                             "subject id and evaluate with scatter-gather "
-                             "(default: 1 = single store)")
     args = parser.parse_args(argv)
 
-    engine = _build_engine(args.document, args.engine, shards=args.shards)
-
+    # Resolve the query before loading the document, so a mistyped id fails
+    # in milliseconds with the list of known ids.
+    label = args.query
     try:
         query_text = get_query(args.query).text
-        label = args.query
-    except KeyError:
-        with open(args.query, "r", encoding="utf-8") as handle:
-            query_text = handle.read()
-        label = args.query
+    except KeyError as unknown:
+        try:
+            with open(args.query, "r", encoding="utf-8") as handle:
+                query_text = handle.read()
+        except (OSError, UnicodeDecodeError):
+            parser.error(f"{unknown.args[0]} (and no readable query file "
+                         f"of that name)")
+
+    engine = _build_engine(args.document, args.engine)
 
     try:
         if args.explain or args.profile:
@@ -443,10 +419,6 @@ def serve_main(argv=None):
     parser.add_argument("--read-only", action="store_true",
                         help="reject POST /update with 403 instead of "
                              "serving writes")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="hash-partition the store into K segments by "
-                             "subject id and serve with scatter-gather "
-                             "evaluation; implies --read-only (default: 1)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-request access logging")
     parser.add_argument("--metrics", action="store_true",
@@ -467,30 +439,11 @@ def serve_main(argv=None):
     from .store import MvccStore
 
     start = time.perf_counter()
-    engine = _build_engine(args.document, args.engine, shards=args.shards)
-    sharded = getattr(engine.store, "shard_count", 1) > 1
-    read_only = args.read_only
-    if sharded and not read_only:
-        # Partitioned stores have no MVCC generation chain yet; scale-out
-        # serving is read-only scale-out.
-        print("partitioned store: forcing --read-only "
-              "(sharded serving does not accept updates)")
-        read_only = True
-    if not read_only:
+    engine = _build_engine(args.document, args.engine)
+    if not args.read_only:
         # Writable serving: snapshot-isolate the store so updates publish
         # atomically under concurrent readers.
         engine.store = MvccStore(engine.store)
-    if sharded:
-        # Warm the scatter pool now, before any server thread exists: the
-        # segment workers must fork from a single-threaded parent.
-        from .sparql.scatter import pool_for
-
-        pool = pool_for(engine.store)
-        if pool is not None:
-            print(f"scatter-gather: {pool.workers} segment workers forked")
-        else:
-            print("scatter-gather: evaluating segments in-process "
-                  "(no fork support)")
     elapsed = time.perf_counter() - start
     telemetry = None
     if args.metrics or args.access_log or args.slow_query_ms is not None:
@@ -514,13 +467,12 @@ def serve_main(argv=None):
         default_timeout=args.timeout,
         max_timeout=args.max_timeout,
         verbose=not args.quiet,
-        read_only=read_only,
+        read_only=args.read_only,
         telemetry=telemetry,
     )
     print(f"loaded {len(engine.store)} triples in {elapsed:.2f}s "
-          f"({engine.config.name} engine"
-          + (f", {engine.store.shard_count} shards)" if sharded else ")"))
-    mode = "read-only" if read_only else "read/write"
+          f"({engine.config.name} engine)")
+    mode = "read-only" if args.read_only else "read/write"
     print(f"serving SPARQL Protocol ({mode}) at {server.url} "
           f"({args.workers} workers, {args.timeout:g}s default timeout); "
           f"updates at {server.update_url}; health at {server.health_url}",

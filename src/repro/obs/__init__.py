@@ -1,8 +1,8 @@
 """Observability: metrics registry, tracing, structured logs, exposition.
 
 The package is self-contained (it imports nothing from the rest of
-``repro``), so every layer — engine, stores, scatter pool, dataset cache,
-HTTP server — can import it without cycles.  All instrumented code records
+``repro``), so every layer — engine, stores, dataset cache, HTTP
+server — can import it without cycles.  All instrumented code records
 into one process-wide :class:`~repro.obs.registry.MetricsRegistry` obtained
 via :func:`get_registry`.  The global registry starts **disabled**: every
 ``inc``/``observe``/``set`` is a no-op branch until something (normally

@@ -245,18 +245,6 @@ def format_server_report(before, after):
         if parts:
             lines.append(f"  {title:<18}  " + " ".join(parts))
 
-    fallbacks = {}
-    for reason, count in after.by_label(
-            "sp2b_scatter_fallbacks_total", "reason").items():
-        changed = count - before.by_label(
-            "sp2b_scatter_fallbacks_total", "reason").get(reason, 0.0)
-        if changed > 0:
-            fallbacks[reason] = changed
-    if fallbacks:
-        detail = " ".join(f"{reason}=+{int(count)}"
-                          for reason, count in sorted(fallbacks.items()))
-        lines.append(f"  scatter fallbacks   {detail}")
-
     inflight = after.get("sp2b_server_inflight_requests")
     if inflight is not None:
         lines.append(f"  in-flight now       {int(inflight)}")

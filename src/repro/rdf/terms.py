@@ -47,23 +47,6 @@ class Term:
         """True for concrete RDF terms, False for query variables."""
         return True
 
-    def __reduce__(self):
-        # The concrete classes enforce immutability by raising from
-        # __setattr__, which also defeats the default slot-state unpickling;
-        # rebuild through object.__new__/__setattr__ instead (the same
-        # trusted path the snapshot loader uses).  Needed so query plans can
-        # be shipped to scatter-gather segment workers.
-        state = tuple(getattr(self, slot) for slot in type(self).__slots__)
-        return (_restore_term, (type(self), state))
-
-
-def _restore_term(cls, state):
-    """Unpickle one term without running its validating constructor."""
-    term = object.__new__(cls)
-    for slot, value in zip(cls.__slots__, state):
-        object.__setattr__(term, slot, value)
-    return term
-
 
 class URIRef(Term):
     """A URI reference identifying a resource."""

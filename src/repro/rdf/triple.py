@@ -36,12 +36,6 @@ class Triple:
     def __setattr__(self, name, _value):
         raise AttributeError(f"Triple is immutable (tried to set {name})")
 
-    def __reduce__(self):
-        # The raising __setattr__ defeats default slot-state unpickling;
-        # the components were validated at construction, so re-running the
-        # constructor is safe and cheap (scatter workers unpickle patterns).
-        return (Triple, self.as_tuple())
-
     def is_ground(self):
         """True when the triple contains no variables."""
         return (

@@ -37,7 +37,6 @@ from .errors import EvaluationError
 from .expressions import effective_boolean_value, value_key
 from .idspace import IdSpaceEvaluation, reduce_numbers
 from .planner import BIND_JOIN, SCAN, default_strategy, textual_plan
-from .scatter import ScatterGatherEvaluation
 
 
 class Evaluator:
@@ -116,16 +115,8 @@ class Evaluator:
         return self._id_space_run().solve(node)
 
     def _id_space_run(self):
-        """A fresh per-evaluation id-space run (own caches and decode memo).
-
-        Partitioned stores (anything exposing a ``segments`` attribute) get
-        the scatter-gather evaluation; with one segment it degenerates to
-        plain single-store behaviour, so the dispatch is purely structural.
-        """
-        cls = IdSpaceEvaluation
-        if getattr(self._store, "segments", None) is not None:
-            cls = ScatterGatherEvaluation
-        self.id_space_run = cls(
+        """A fresh per-evaluation id-space run (own caches and decode memo)."""
+        self.id_space_run = IdSpaceEvaluation(
             self._store, observe_plans=self._observe_plans,
             deadline=self._deadline, seed=self._seed_map,
         )

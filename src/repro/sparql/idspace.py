@@ -252,20 +252,6 @@ class IdSpaceEvaluation:
         self._seed_row = tuple(row)
         self._seed_slots = frozenset(slots)
 
-    def solve_bgp(self, node, names):
-        """Evaluate one BGP under an externally fixed slot layout.
-
-        The scatter-gather layer (:mod:`repro.sparql.scatter`) ships a BGP
-        node (with its plan) plus the *parent* evaluation's layout names to
-        per-segment evaluations; rebuilding the layout from those names
-        keeps slot indexes identical across the parent and every segment,
-        so gathered rows concatenate without any re-mapping.  Pre-binding
-        seeds behave exactly as in :meth:`solve`.
-        """
-        self._layout = SlotLayout(names, self._dictionary)
-        self._encode_seed()
-        return self._eval_bgp(node)
-
     def ask(self, tree):
         """Existence test: True as soon as one solution row exists."""
         _layout, rows = self.solve(tree)

@@ -77,16 +77,6 @@ PLANNER_NONE = "none"
 PLANNER_GREEDY = "greedy"
 PLANNER_COST = "cost"
 
-#: Scatter/gather strategies over a subject-partitioned store (PR 8).
-#: ``union``: the whole BGP evaluates independently on every segment and the
-#: result is the plain union — sound exactly when every joined triple of a
-#: result row provably lives in the same segment.  ``broadcast``: the BGP
-#: runs once against the global segment-chained view; probes with a bound
-#: subject route to the owning segment (an implicit re-partitioning), all
-#: other accesses fan out across every segment.
-SCATTER_UNION = "union"
-SCATTER_BROADCAST = "broadcast"
-
 #: Assumed selectivity of one inline FILTER conjunct (no value histograms).
 FILTER_SELECTIVITY = 0.5
 
@@ -146,8 +136,6 @@ class BGPPlan:
     outer_bound: frozenset = frozenset()  #: variables bound before this BGP runs
     estimate: float = 0.0                 #: estimated final cardinality
     cost: float = 0.0                     #: summed intermediate-work estimate
-    scatter: Optional[str] = None         #: SCATTER_UNION/SCATTER_BROADCAST on
-                                          #: partitioned stores, else None
 
 
 @dataclass
@@ -485,7 +473,7 @@ def plan_tree(tree, store):
             if (plan is not None and not plan.outer_bound
                     and plan.cost >= VECTORIZE_MIN_COST):
                 _annotate_kernels(plan.steps)
-    return annotate_scatter(planned, store)
+    return planned
 
 
 def annotate_tree(tree, store):
@@ -501,7 +489,7 @@ def annotate_tree(tree, store):
     annotated, _estimate, _cost = _plan_node(
         tree, CostModel(counted), frozenset(), 1.0, reorder=False,
         fixed_strategy=default_strategy(store))
-    return annotate_scatter(annotated, store)
+    return annotated
 
 
 def textual_plan(patterns, strategy):
@@ -514,44 +502,6 @@ def textual_plan(patterns, strategy):
     return BGPPlan(steps=[
         PlanStep(pattern=pattern, strategy=strategy) for pattern in patterns
     ])
-
-
-def scatter_strategy(patterns):
-    """How one BGP distributes over subject-partitioned segments.
-
-    Partitioning is by subject id, so a result row is discoverable inside a
-    single segment exactly when all of its contributing triples share that
-    segment — guaranteed when every pattern has the *same* subject term
-    (one shared subject variable, or one constant subject): the star shape
-    that dominates the catalog and the published query logs.  Those BGPs
-    scatter as :data:`SCATTER_UNION`.  Any other shape can join triples
-    across segment boundaries and falls back to :data:`SCATTER_BROADCAST`.
-    The runtime (:mod:`repro.sparql.scatter`) applies the same rule, so the
-    EXPLAIN annotation and the executed strategy always agree.
-    """
-    subjects = {pattern.subject for pattern in patterns}
-    return SCATTER_UNION if len(subjects) == 1 else SCATTER_BROADCAST
-
-
-def annotate_scatter(tree, store):
-    """Record the scatter/gather strategy on every planned BGP.
-
-    A no-op for unpartitioned stores (fewer than two segments).  A BGP with
-    outer-bound variables (the right side of a bind join) is evaluated with
-    per-row seeds, which the union scatter does not model — it is annotated
-    (and executed) as a broadcast.
-    """
-    if len(getattr(store, "segments", ()) or ()) < 2:
-        return tree
-    for node in algebra.walk(tree):
-        plan = getattr(node, "plan", None)
-        if not isinstance(node, algebra.BGP) or plan is None or not node.patterns:
-            continue
-        if plan.outer_bound:
-            plan.scatter = SCATTER_BROADCAST
-        else:
-            plan.scatter = scatter_strategy(node.patterns)
-    return tree
 
 
 def _seedable(node):
@@ -791,13 +741,10 @@ class ExplainReport:
                         f" vectorized=yes kernel={step.kernel}"
                         if step.kernel else " vectorized=no"
                     )
-                    scatter = (
-                        f" scatter={plan.scatter}" if plan.scatter else ""
-                    )
                     lines.append(
                         f"{pad}  {index}. [{step.strategy:<5}] "
                         f"{step.pattern.n3()}{join}{filter_note} "
-                        f"{_observed(step)}{time_note}{vectorized}{scatter}"
+                        f"{_observed(step)}{time_note}{vectorized}"
                     )
             else:
                 for index, pattern in enumerate(node.patterns, start=1):

@@ -14,7 +14,6 @@ from .dictionary import TermDictionary
 from .indexed_store import IndexedStore
 from .memory_store import MemoryStore
 from .mvcc import MvccStore, read_snapshot
-from .partitioned import PartitionedStore, is_partition_manifest, save_partitioned
 from .snapshot import (
     FORMAT_VERSION as SNAPSHOT_FORMAT_VERSION,
     SnapshotCorruptError,
@@ -25,18 +24,14 @@ from .snapshot import (
     read_snapshot_metadata,
     save_snapshot,
 )
-from .statistics import StoreStatistics, merge_statistics
+from .statistics import StoreStatistics
 
 __all__ = [
     "TripleStore",
     "MemoryStore",
     "IndexedStore",
     "MvccStore",
-    "PartitionedStore",
-    "is_partition_manifest",
-    "save_partitioned",
     "read_snapshot",
-    "merge_statistics",
     "TermDictionary",
     "StoreStatistics",
     "SNAPSHOT_FORMAT_VERSION",

@@ -189,40 +189,6 @@ class StoreStatistics:
         )
 
 
-def merge_statistics(parts):
-    """Exact statistics of the disjoint union of several stores.
-
-    The partitioned store keeps one :class:`StoreStatistics` per segment and
-    plans against their merge.  Because every triple lives in exactly one
-    segment, all counters — including the reference-counted distinct
-    subject/object maps — add exactly: the merge is structurally equal
-    (``==``) to the statistics a single store holding all the triples would
-    have computed, so planner cardinality estimates are identical under
-    sharding.  (This exactness is asserted by the statistics-equivalence
-    test; it would break if segments could ever share a triple.)
-    """
-    merged = StoreStatistics()
-    for part in parts:
-        merged.triple_count += part.triple_count
-        for predicate, count in part.predicate_counts.items():
-            merged.predicate_counts[predicate] = (
-                merged.predicate_counts.get(predicate, 0) + count
-            )
-        for predicate, counts in part._predicate_subjects.items():
-            target = merged._predicate_subjects.setdefault(predicate, {})
-            for term, count in counts.items():
-                target[term] = target.get(term, 0) + count
-        for predicate, counts in part._predicate_objects.items():
-            target = merged._predicate_objects.setdefault(predicate, {})
-            for term, count in counts.items():
-                target[term] = target.get(term, 0) + count
-        for class_uri, count in part.class_counts.items():
-            merged.class_counts[class_uri] = (
-                merged.class_counts.get(class_uri, 0) + count
-            )
-    return merged
-
-
 def _enter(maps, predicate, term, total):
     """Count ``term`` once more under ``predicate``; returns the distinct total.
 

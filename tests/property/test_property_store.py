@@ -5,7 +5,7 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Literal, Triple, URIRef
-from repro.store import IndexedStore, MemoryStore, StoreStatistics, merge_statistics
+from repro.store import IndexedStore, MemoryStore, StoreStatistics
 
 # A deliberately small term universe so patterns frequently match.
 _locals = st.sampled_from(list(string.ascii_lowercase[:6]))
@@ -63,12 +63,12 @@ class TestIndexEquivalence:
 
 
 # One step of a statistics history: (operation, index of the statistics
-# object it applies to, a second index — the other side of a merge, or which
-# held triple to forget — and the triple to observe).
+# object it applies to, a second index — which held triple to forget — and
+# the triple to observe).
 _indexes = st.integers(min_value=0, max_value=7)
 statistics_steps = st.lists(
     st.tuples(st.sampled_from(["observe", "observe", "forget", "copy",
-                               "ask", "merge"]), _indexes, _indexes, triples),
+                               "ask"]), _indexes, _indexes, triples),
     max_size=80,
 )
 
@@ -103,11 +103,6 @@ class TestStatisticsTotals:
                 # Derives the totals now, so later steps maintain them.
                 statistics.distinct_subject_total()
                 statistics.distinct_object_total()
-            elif operation == "merge":
-                other, other_held = live[second % len(live)]
-                if not held & other_held:
-                    live.append((merge_statistics([statistics, other]),
-                                 held | other_held))
         for statistics, held in live:
             assert statistics == _recomputed(held)
             assert statistics.distinct_subject_total() == len(

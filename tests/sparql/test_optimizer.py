@@ -22,7 +22,7 @@ from repro.sparql.algebra import collect_bgps, walk
 from repro.sparql.optimizer import push_filter, split_conjuncts
 from repro.sparql import ast
 from repro.sparql.results import AskResult
-from repro.store import IndexedStore, PartitionedStore
+from repro.store import IndexedStore
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 
@@ -312,7 +312,7 @@ def edge_case_graph():
     return triples
 
 
-#: (query, pre-bindings) pairs; every preset and shard count must agree with
+#: (query, pre-bindings) pairs; every preset must agree with
 #: the same preset run without filter pushing.
 EDGE_CASES = (
     ("SELECT ?a WHERE { ?a rdf:type bench:Article . ?a ?p ?v FILTER (?p = dc:creator) }", None),
@@ -378,12 +378,6 @@ def edge_engines():
         oracle = replace(config, name=config.name + "-unpushed", push_filters=False)
         engines.append((config.name, SparqlEngine.from_graph(graph, config),
                         SparqlEngine.from_graph(graph, oracle)))
-    whole = engines[-1][1].store
-    oracle = engines[-1][2]
-    for shards in (1, 2, 4):
-        store = PartitionedStore.from_store(whole, shards, parallel=False)
-        engines.append((f"native-cost/K={shards}",
-                        SparqlEngine.from_store(store, NATIVE_COST), oracle))
     return engines
 
 
