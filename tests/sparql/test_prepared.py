@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from repro.generator import DblpGenerator, GeneratorConfig
-from repro.queries import get_query
+from repro.queries import get_query, select_queries
 from repro.sparql import (
     ENGINE_PRESETS,
     IN_MEMORY_OPTIMIZED,
@@ -157,6 +157,20 @@ class TestLimitPushdown:
         everything = native.prepare(text).run().all().rows()
         window = native.prepare(text).run(limit=3, offset=2).all().rows()
         assert window == everything[2:5]
+
+    @pytest.mark.parametrize("query", select_queries(), ids=lambda q: q.identifier)
+    @pytest.mark.parametrize("family", ("native", "memory"))
+    def test_pages_cover_every_catalog_result_once(self, request, family, query):
+        # A client paging one prepared plan with limit/offset sees full-size
+        # windows that concatenate to exactly the unbounded run.
+        prepared = request.getfixturevalue(family).prepare(query.text)
+        full = list(prepared.run())
+        size = len(full) // 3 + 1
+        starts = range(0, len(full) + size, size)
+        pages = [list(prepared.run(limit=size, offset=start)) for start in starts]
+        assert [len(page) for page in pages] == [
+            max(0, min(size, len(full) - start)) for start in starts]
+        assert [row for page in pages for row in page] == full
 
     def test_full_run_unaffected_by_probe(self, native):
         # Sanity check of the probe itself: an unbounded run produces >= the

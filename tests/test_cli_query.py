@@ -1,0 +1,171 @@
+"""CLI tests for ``repro query``: engines, output formats, --limit, --repeat,
+query files, and the failures that must print a message, never a traceback.
+"""
+
+import csv
+import io
+import json
+import xml.etree.ElementTree as ET
+
+import pytest
+
+from repro.cli import CLI_ENGINE_CONFIGS, TABLE_PREVIEW_ROWS, main
+from repro.queries import get_query
+from repro.sparql.serializers import FORMATS
+
+SPARQL_RESULTS = "{http://www.w3.org/2005/sparql-results#}"
+
+#: format -> stdout document -> the values of its solutions' ``?yr``.
+YEARS = {
+    "json": lambda out: [b["yr"]["value"]
+                         for b in json.loads(out)["results"]["bindings"]],
+    "xml": lambda out: [e.text for e in ET.fromstring(out).iter(
+        SPARQL_RESULTS + "literal")],
+    "csv": lambda out: [row["yr"] for row in csv.DictReader(io.StringIO(out))],
+    "tsv": lambda out: [line.split('"')[1] for line in out.splitlines()[1:]],
+}
+
+#: format -> stdout document -> the boolean of an ASK result.
+BOOLEAN = {
+    "json": lambda out: json.loads(out)["boolean"],
+    "xml": lambda out: ET.fromstring(out).find(SPARQL_RESULTS + "boolean")
+    .text == "true",
+    "csv": lambda out: out.strip() == "true",
+    "tsv": lambda out: out.strip() == "true",
+}
+
+
+def _undecodable_file(tmp_path):
+    path = tmp_path / "latin1.rq"
+    path.write_bytes('ASK { ?s ?p "caf\xe9" }'.encode("latin-1"))
+    return str(path)
+
+
+#: --query arguments that are neither a catalog id nor a readable file.
+UNREADABLE = {
+    "next-id": lambda tmp_path: "Q13",
+    "id-prefix": lambda tmp_path: "Q12",
+    "empty": lambda tmp_path: "",
+    "missing-file": lambda tmp_path: str(tmp_path / "missing.rq"),
+    "directory": str,
+    "undecodable-file": _undecodable_file,
+}
+
+
+@pytest.fixture(scope="module")
+def document(tmp_path_factory):
+    # 2000 triples reach the 1940 entry points Q1 relies on.
+    path = tmp_path_factory.mktemp("query-cli") / "doc.nt"
+    assert main(["generate", str(path), "--triples", "2000"]) == 0
+    return str(path)
+
+
+def run_query(capsys, document, *options):
+    capsys.readouterr()
+    code = main(["query", document, *options])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def csv_rows(capsys, document, *options):
+    code, out, _ = run_query(capsys, document, "--format", "csv", *options)
+    assert code == 0
+    return out.splitlines()[1:]
+
+
+@pytest.mark.parametrize("engine", [config.name for config in CLI_ENGINE_CONFIGS])
+def test_every_engine_finds_the_1940_journal(document, capsys, engine):
+    code, out, _ = run_query(capsys, document, "--query", "Q1", "--engine", engine)
+    assert code == 0
+    header, row = out.splitlines()
+    assert header.startswith("Q1: 1 results")
+    assert '"1940"' in row
+
+
+@pytest.mark.parametrize("config", CLI_ENGINE_CONFIGS, ids=lambda config: config.name)
+def test_explain_reports_the_plan_of_every_engine(document, capsys, config):
+    rows = len(csv_rows(capsys, document, "--query", "Q5a",
+                        "--engine", config.name))
+    code, out, _ = run_query(capsys, document, "--query", "Q5a", "--explain",
+                             "--engine", config.name)
+    assert code == 0
+    space = "id" if config.store_type == "indexed" else "term"
+    assert f"engine={config.name} space={space} rows={rows} " in out
+    # Only id-space execution observes per-step actual cardinalities.
+    assert ("actual=-" in out) == (space == "term")
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_select_format_keeps_stdout_one_document(document, capsys, format):
+    code, out, err = run_query(capsys, document, "--query", "Q1",
+                               "--format", format)
+    assert code == 0
+    assert YEARS[format](out) == ["1940"]
+    assert err.startswith("Q1: prepare ")  # timings stay off stdout
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_ask_format_writes_the_boolean(document, capsys, format):
+    code, out, _ = run_query(capsys, document, "--query", "Q12a",
+                             "--format", format)
+    assert code == 0 and BOOLEAN[format](out) is True
+    code, out, _ = run_query(capsys, document, "--query", "Q12c",
+                             "--format", format)
+    assert code == 0 and BOOLEAN[format](out) is False
+
+
+@pytest.mark.parametrize("limit", (0, 1, 5, 10_000))
+def test_limit_keeps_a_prefix_of_the_result(document, capsys, limit):
+    full = csv_rows(capsys, document, "--query", "Q3a")
+    assert len(full) > 5
+    assert csv_rows(capsys, document, "--query", "Q3a",
+                    "--limit", str(limit)) == full[:limit]
+
+
+def test_table_previews_rows_unless_limited(document, capsys):
+    total = len(csv_rows(capsys, document, "--query", "Q3a"))
+    assert total > TABLE_PREVIEW_ROWS + 1
+    _, out, _ = run_query(capsys, document, "--query", "Q3a")
+    lines = out.splitlines()
+    assert lines[0].startswith(f"Q3a: {total} results")
+    assert len(lines) == 1 + TABLE_PREVIEW_ROWS
+    limit = TABLE_PREVIEW_ROWS + 1
+    _, out, _ = run_query(capsys, document, "--query", "Q3a",
+                          "--limit", str(limit))
+    assert len(out.splitlines()) == 1 + limit
+
+
+def test_repeat_prints_the_result_once_and_amortized_times(document, capsys):
+    code, out, err = run_query(capsys, document, "--query", "Q1",
+                               "--format", "json", "--repeat", "3")
+    assert code == 0
+    assert YEARS["json"](out) == ["1940"]
+    assert "3 runs: first " in err and "amortized " in err
+
+
+def test_query_file_is_read_when_not_a_catalog_id(document, capsys, tmp_path):
+    path = tmp_path / "q1.rq"
+    path.write_text(get_query("Q1").text, encoding="utf-8")
+    code, out, _ = run_query(capsys, document, "--query", str(path))
+    assert code == 0
+    assert out.startswith(f"{path}: 1 results")
+
+
+def test_parse_error_prints_the_payload(document, capsys, tmp_path):
+    path = tmp_path / "broken.rq"
+    path.write_text("SELECT WHERE {", encoding="utf-8")
+    code, out, err = run_query(capsys, document, "--query", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["code"] == "parse_error"
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unknown_query_is_a_usage_error_before_loading(tmp_path, capsys, case):
+    argument = UNREADABLE[case](tmp_path)
+    # The document does not exist: the query must be rejected first.
+    with pytest.raises(SystemExit) as exited:
+        main(["query", str(tmp_path / "missing.sp2b"), "--query", argument])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"unknown query {argument!r}; known queries: Q1, Q10," in err

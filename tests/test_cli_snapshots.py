@@ -120,13 +120,3 @@ class TestDispatch:
     def test_unknown_command_prints_usage(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "usage: repro" in capsys.readouterr().err
-
-    def test_unknown_query_id_is_a_usage_error_before_loading(self, tmp_path,
-                                                              capsys):
-        # The document does not exist: the query must be rejected first.
-        with pytest.raises(SystemExit) as exited:
-            main(["query", str(tmp_path / "missing.sp2b"), "--query", "Q13"])
-        assert exited.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert "unknown query 'Q13'; known queries: Q1, Q10," in err
