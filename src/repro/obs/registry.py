@@ -45,10 +45,11 @@ METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Default buckets for request/stage latency histograms, in seconds.
-#: 1ms..10s covers everything from a cache-hit ASK to a deadline-bounded
-#: worst case; the log-ish spacing keeps quantile estimates useful at both
-#: ends without per-metric tuning.
+#: 50us..10s covers everything from a parse stage or a whole point lookup
+#: (~0.5 ms over HTTP) to a deadline-bounded worst case; the log-ish spacing
+#: keeps quantile estimates useful at both ends without per-metric tuning.
 DEFAULT_LATENCY_BUCKETS = (
+    0.00005, 0.0001, 0.00025, 0.0005,
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )

@@ -346,7 +346,6 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
                 tree=prepared.tree,
                 planner=engine.config.planner,
                 engine=engine.config.name,
-                id_space=getattr(engine.store, "supports_id_access", False),
                 result_count=outcome["rows"] or 0,
                 elapsed=trace.stages.get("execute", 0.0),
                 stages=dict(trace.stages),

@@ -1,8 +1,8 @@
-"""SPARQL query processor: parser, algebra, optimizer, evaluator, engine."""
+"""SPARQL query processor: parser, algebra, optimizer, executor, engine."""
 
 from .algebra import translate_group, translate_query
 from .ast import AskQuery, SelectQuery
-from .bindings import EMPTY_BINDING, Binding, variable_name
+from .bindings import Binding, variable_name
 from .cursor import AskCursor, Deadline, ResultCursor, SelectCursor
 from .engine import (
     ENGINE_PRESETS,
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .serializers import CONTENT_TYPES as RESULT_CONTENT_TYPES
 from .serializers import FORMATS as RESULT_FORMATS
-from .evaluator import Evaluator
 from .idspace import IdBinding, IdSpaceEvaluation, SlotLayout
 from .optimizer import optimize, reorder_patterns
 from .parser import parse_query, parse_update
@@ -56,12 +55,10 @@ __all__ = [
     "translate_group",
     "optimize",
     "reorder_patterns",
-    "Evaluator",
     "IdSpaceEvaluation",
     "SlotLayout",
     "IdBinding",
     "Binding",
-    "EMPTY_BINDING",
     "variable_name",
     "SelectQuery",
     "AskQuery",

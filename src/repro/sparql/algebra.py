@@ -48,7 +48,7 @@ class BGP(AlgebraNode):
 
     ``plan`` optionally carries a :class:`~repro.sparql.planner.BGPPlan`
     (per-step physical strategies and cardinality estimates); when present,
-    the id-space evaluator executes the plan instead of re-deriving an order.
+    the executor runs the plan instead of re-deriving an order.
 
     ``substituted`` maps the name of every variable the optimizer replaced by
     an IRI in ``patterns`` (the ``FILTER (?v = <iri>)`` rewrite) to that IRI.
@@ -92,8 +92,8 @@ class Join(AlgebraNode):
 
     ``condition`` holds the cross-side conjuncts the optimizer turned into
     join keys (``FILTER (?a = ?b)`` with ``?a`` bound only on the left and
-    ``?b`` only on the right); the evaluators hash on them exactly as they
-    do for a LeftJoin condition.
+    ``?b`` only on the right); the executor hashes on them exactly as it
+    does for a LeftJoin condition.
 
     ``plan`` optionally carries a :class:`~repro.sparql.planner.JoinPlan`
     selecting the physical strategy (hash join, or a bind join that seeds

@@ -1,10 +1,10 @@
-"""Solution mappings ("bindings") and their compatibility semantics.
+"""Solution mappings ("bindings"): variable names bound to RDF terms.
 
-A solution mapping binds query variables to RDF terms.  Two mappings are
-*compatible* when they agree on every variable bound in both; joining
-compatible mappings merges them.  This is the core of SPARQL's AND (join),
-OPTIONAL (left outer join), and UNION semantics as formalised by
-Perez/Arenas/Gutierrez, which the paper builds its query design on.
+:class:`Binding` is the result-row container: rows of eager results and
+hand-built results, and the base of the executor's lazy id rows
+(:class:`~repro.sparql.idspace.IdBinding`), so every consumer reads one
+interface (``get`` / ``items`` / ``row`` / equality and hashing by mapping).
+Joins happen on id rows inside the executor, never on Bindings.
 """
 
 from __future__ import annotations
@@ -59,35 +59,6 @@ class Binding:
         whose names were normalized once per result."""
         return tuple(map(self._map.get, names))
 
-    def project(self, variables):
-        """Return a new Binding restricted to the given variables."""
-        names = [_name(v) for v in variables]
-        return Binding({name: self._map[name] for name in names if name in self._map})
-
-    # -- algebra ------------------------------------------------------------
-
-    def compatible(self, other):
-        """True when the two mappings agree on all shared variables."""
-        mine, theirs = self._map, other._map
-        if len(theirs) < len(mine):
-            mine, theirs = theirs, mine
-        for name, value in mine.items():
-            if name in theirs and theirs[name] != value:
-                return False
-        return True
-
-    def merge(self, other):
-        """Return the union of two compatible mappings."""
-        merged = dict(self._map)
-        merged.update(other._map)
-        return Binding(merged)
-
-    def extend(self, variable, term):
-        """Return a new Binding with one additional variable bound."""
-        merged = dict(self._map)
-        merged[_name(variable)] = term
-        return Binding(merged)
-
     # -- dunder ---------------------------------------------------------------
 
     def __getitem__(self, variable):
@@ -104,8 +75,8 @@ class Binding:
 
     def __hash__(self):
         # Bindings are immutable, so the (fairly expensive) frozenset hash is
-        # computed once on first use — DISTINCT and hash joins hash the same
-        # binding many times.
+        # computed once on first use — consumers that set or key result rows
+        # hash the same binding many times.
         cached = self._hash
         if cached is None:
             cached = hash(frozenset(self._map.items()))
@@ -115,10 +86,6 @@ class Binding:
     def __repr__(self):
         inner = ", ".join(f"?{k}={v}" for k, v in sorted(self._map.items()))
         return f"Binding({inner})"
-
-
-#: The empty solution mapping (identity element of the join).
-EMPTY_BINDING = Binding()
 
 
 def variable_name(variable):

@@ -35,8 +35,8 @@ from .serializers import serialize, write
 class Deadline:
     """A wall-clock budget that evaluation loops check cooperatively.
 
-    Pure-Python evaluation cannot be preempted portably, so the evaluators
-    call :meth:`check` inside their row-producing loops; the first check
+    Pure-Python evaluation cannot be preempted portably, so the executor
+    calls :meth:`check` inside its row-producing loops; the first check
     past the expiry raises :class:`QueryTimeout`.  A ``None`` budget never
     expires (:meth:`check` still exists so call sites stay branch-free).
     """
@@ -130,7 +130,7 @@ class SelectCursor(ResultCursor):
     kernels' ``BLOCK_ROWS``, so ``first()`` and ``LIMIT k`` still pull no
     more than they deliver while a large result is drained at C speed —
     and ``deadline`` is re-checked once per batch and once at exhaustion
-    (the evaluators additionally check inside their own loops, so row-free
+    (the executor additionally checks inside its own loops, so row-free
     stretches of work are interrupted too).
     """
 

@@ -1,10 +1,10 @@
-"""The SPARQL engine facade tying parser, optimizer, and evaluator together.
+"""The SPARQL engine facade tying parser, optimizer, and executor together.
 
 :class:`EngineConfig` captures the two axes the paper varies across engines:
 
 * the storage backend (unindexed in-memory scan store versus a fully indexed
-  "native" store) — which also fixes how patterns are accessed and joined:
-  scan + hash join over terms, or index probes over dictionary ids, with
+  "native" store) — which also fixes how patterns are accessed: one scan per
+  pattern plus a hash join, or index probes, both over dictionary ids, with
   batch kernels where the cost planner finds sorted runs and numpy; and
 * the optimization level (planner family, filter pushing, pattern reuse).
 
@@ -28,9 +28,12 @@ from . import algebra, optimizer, planner
 from .ast import AskQuery, SelectQuery
 from .bindings import variable_name
 from .cursor import AskCursor, Deadline, SelectCursor
-from .evaluator import Evaluator
+from .idspace import IdSpaceEvaluation
 from .parser import parse_query
 from .planner import PLANNER_COST, PLANNER_GREEDY, PLANNER_NONE
+
+#: ``EngineConfig.store_type`` -> the store class of that family.
+_STORE_FAMILIES = {"memory": MemoryStore, "indexed": IndexedStore}
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,10 @@ class EngineConfig:
 
     def create_store(self):
         """Instantiate the storage backend this configuration asks for."""
-        if self.store_type == "memory":
-            return MemoryStore()
-        if self.store_type == "indexed":
-            return IndexedStore()
-        raise ValueError(f"unknown store type {self.store_type!r}")
+        family = _STORE_FAMILIES.get(self.store_type)
+        if family is None:
+            raise ValueError(f"unknown store type {self.store_type!r}")
+        return family()
 
 
 #: Engine presets mirroring the paper's evaluated engines (Section VI-C).
@@ -157,8 +159,8 @@ class SparqlEngine:
         configured type so the engine's cost model stays truthful.
         """
         config = config or NATIVE_OPTIMIZED
-        expects_ids = config.store_type == "indexed"
-        if expects_ids != bool(getattr(store, "supports_id_access", False)):
+        family = _STORE_FAMILIES.get(config.store_type, ())
+        if not isinstance(read_snapshot(store), family):
             converted = config.create_store()
             converted.bulk_load(store.triples())
             store = converted
@@ -315,43 +317,39 @@ class SparqlEngine:
         rendering shows, per plan step, the estimated and the actually
         observed cardinality.  The tree is the one :meth:`prepare` builds,
         so the report describes exactly what the engine does for
-        :meth:`query`.  Actual counts require the id-space path;
-        term-space execution reports estimates only.
+        :meth:`query`.
 
         The report also carries ``stages`` — parse/plan/execute wall time —
         so ``repro query --profile`` shows where a one-shot query spends
         its front-end versus back-end time next to the per-step ``time=``
-        column, and (id space) what reached the result boundary: the
-        ``result:`` line names the part of ``execute`` spent between the
-        last operator and the end of the drain.
+        column, and what reached the result boundary: the ``result:`` line
+        names the part of ``execute`` spent between the last operator and
+        the end of the drain.
         """
         trace = QueryTrace()
         with trace.span("parse"):
             parsed = self.parse(query_text)
         with trace.span("plan"):
             parsed, tree = self.plan(parsed)
-        evaluator = Evaluator(
+        run = IdSpaceEvaluation(
             read_snapshot(self.store),
-            reuse_patterns=self.config.reuse_pattern_results,
             observe_plans=True,
+            reuse_patterns=self.config.reuse_pattern_results,
         )
         with trace.span("execute"):
-            outcome = evaluator.evaluate(tree)
             if isinstance(parsed, AskQuery):
-                result_count = 1 if outcome else 0
+                result_count = 1 if run.ask(tree.operand) else 0
             else:
-                result_count = sum(1 for _binding in outcome)
-        run = evaluator.id_space_run
+                result_count = sum(1 for _binding in run.bindings(tree))
         return planner.ExplainReport(
             tree=tree,
             planner=self.config.planner,
             engine=self.config.name,
-            id_space=evaluator.uses_id_space,
             result_count=result_count,
             elapsed=trace.stages["execute"],
             stages=dict(trace.stages),
-            result=run.result if run is not None else None,
-            decoded=run.decoded if run is not None else None,
+            result=run.result,
+            decoded=run.decoded,
         )
 
     def update(self, update_text):
@@ -470,20 +468,19 @@ class PreparedQuery:
             if (deadline is None or deadline.expires_at is None
                     or timeout_deadline.expires_at < deadline.expires_at):
                 deadline = timeout_deadline
-        seed = _normalize_bindings(bindings)
         # Pin one store generation for the whole run: every scan of this
         # cursor reads the same immutable snapshot even while concurrent
         # updates publish new generations (no-op for plain stores).
-        evaluator = Evaluator(
+        run = IdSpaceEvaluation(
             read_snapshot(self.engine.store),
-            reuse_patterns=self.engine.config.reuse_pattern_results,
             deadline=deadline,
-            seed=seed,
+            seed=_normalize_bindings(bindings),
+            reuse_patterns=self.engine.config.reuse_pattern_results,
         )
         self.run_count += 1
         if isinstance(self._parsed, AskQuery):
-            return AskCursor(evaluator.evaluate(self._tree), deadline=deadline)
-        rows = evaluator.evaluate(self._tree)
+            return AskCursor(run.ask(self._tree.operand), deadline=deadline)
+        rows = run.bindings(self._tree)
         if offset:
             rows = islice(rows, offset, None)
         if limit is not None:

@@ -2,8 +2,8 @@
 
 Implements the SPARQL effective-boolean-value rules for the operator subset
 the benchmark queries use: ``&&``, ``||``, ``!``, the six comparison
-operators, ``bound()``, and ``regex()``.  Type errors (comparing a URI to a
-number, using an unbound variable as an operand, …) raise
+operators, ``bound()``, and ``regex()``.  Type errors (ordering a URI
+against a number, using an unbound variable as an operand, …) raise
 :class:`ExpressionError`, which callers interpret as *false* per the SPARQL
 semantics — that is what makes ``FILTER (!bound(?x))`` the standard
 closed-world-negation idiom used in Q6 and Q7.
@@ -124,7 +124,8 @@ def _compare(operator, left, right):
 
 
 def _equals(left, right):
-    """SPARQL ``=``: value equality for literals, term equality otherwise."""
+    """SPARQL ``=``: value equality for literals, term equality otherwise
+    (RDFterm-equal: an IRI or blank node never equals a literal)."""
     left = _as_term(left)
     right = _as_term(right)
     if isinstance(left, Literal) and isinstance(right, Literal):
@@ -135,9 +136,6 @@ def _equals(left, right):
             if left.language or right.language:
                 return left == right
             return left_value == right_value
-        return left == right
-    if isinstance(left, Literal) or isinstance(right, Literal):
-        raise ExpressionError("cannot compare a literal with a non-literal for equality")
     return left == right
 
 
@@ -148,10 +146,8 @@ def value_key(term):
     numeric literals compare by value across datatypes, language-free
     string-valued literals by their string value, and everything else
     (URIs, blank nodes, language-tagged or boolean literals) by term
-    identity.  Pairs ``_equals`` would reject with a type error land in
-    different key classes, matching the comparison evaluating to false.
-    NaN equals nothing, itself included: it has no key (None), which the
-    joins treat like an unbound operand.
+    identity.  NaN equals nothing, itself included: it has no key (None),
+    which the joins treat like an unbound operand.
     The joins hash on this key to run ``FILTER (?a = ?b)`` as an equi-join.
     """
     if isinstance(term, Literal) and term.language is None:

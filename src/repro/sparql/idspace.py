@@ -1,10 +1,12 @@
-"""Id-space query evaluation: join on dictionary ids, decode at the boundary.
+"""The SPARQL executor: join on dictionary ids, decode at the boundary.
 
 The paper's native engines (Sesame-native, Virtuoso) are fast because their
 join loops compare small fixed-size integers from physical indexes and only
-materialize RDF terms for final results.  This module gives our evaluator the
-same execution model on top of stores that advertise
-``supports_id_access`` (:class:`~repro.store.IndexedStore`):
+materialize RDF terms for final results.  Every store here dictionary-encodes
+its terms, so this one executor serves both engine families; they differ only
+in what ``triples_ids`` does for a pattern — a linear scan of the document
+(:class:`~repro.store.MemoryStore`) or an index probe
+(:class:`~repro.store.IndexedStore`):
 
 * :class:`SlotLayout` compiles one algebra tree into a variable -> column
   mapping; every intermediate solution is then a flat tuple of that width
@@ -12,13 +14,13 @@ same execution model on top of stores that advertise
   above GROUP BY — a computed RDF term.
 * Query constants are encoded exactly once per evaluation; a constant the
   dictionary has never seen short-circuits its whole basic graph pattern to
-  the empty result without touching an index.
+  the empty result without touching a triple.
 * A BGP runs from its plan on id rows: a ``probe`` step asks
   ``triples_ids`` with already-encoded components once per row, a ``scan``
-  step hash-joins one pattern scan on the shared slot columns, and a plan
-  whose steps all carry batch kernels runs column-at-a-time
-  (:mod:`.kernels`).  OPTIONAL is a hash-based left outer join on the
-  statically shared slots.
+  step hash-joins one pattern scan on the shared slot columns (with pattern
+  reuse, Table II row 5, one scan per distinct scan key), and a plan whose
+  steps all carry batch kernels runs column-at-a-time (:mod:`.kernels`).
+  OPTIONAL is a hash-based left outer join on the statically shared slots.
 * Terms are reconstructed lazily and memoized per id: FILTER / ORDER BY /
   aggregate evaluation decodes only the cells it actually touches, and
   finished rows cross the result boundary *still as id tuples*, each
@@ -43,7 +45,7 @@ from . import algebra, ast, kernels
 from .bindings import Binding, _name
 from .errors import EvaluationError
 from .expressions import effective_boolean_value, value_key
-from .planner import BIND_JOIN, PROBE, SCAN, Observed, textual_plan
+from .planner import BIND_JOIN, SCAN, Observed, default_strategy, textual_plan
 
 #: What a left row contributes to :meth:`IdSpaceEvaluation._hash_join`.
 INNER = "inner"
@@ -188,13 +190,16 @@ class IdSpaceEvaluation:
     benchmarks and the decode-counter tests consume rows at this level.
     ``bindings`` wraps each solved row in an :class:`IdBinding`, still
     without decoding: terms appear when a consumer touches them.
+
+    ``reuse_patterns`` enables the optimization the paper lists as Table II
+    row 5: a SCAN step whose scan key (the pattern's encoded constants) was
+    scanned before in this evaluation reuses that scan's triples — Q4 scans
+    its article/creator/name/journal shapes twice, Q6/Q7/Q8 repeat whole
+    blocks.
     """
 
-    def __init__(self, store, observe_plans=False, deadline=None, seed=None):
-        if not getattr(store, "supports_id_access", False):
-            raise EvaluationError(
-                f"store {store!r} does not support id-space evaluation"
-            )
+    def __init__(self, store, observe_plans=False, deadline=None, seed=None,
+                 reuse_patterns=False):
         self._store = store
         self._dictionary = store.dictionary
         #: When set, planned BGP steps count the rows they produce into
@@ -215,6 +220,7 @@ class IdSpaceEvaluation:
         self._seed_slots = frozenset()
         self._value_key_memo = {}
         self._order_key_memo = {}
+        self._scans = {} if reuse_patterns else None
         self._layout = None
 
     # -- public API ---------------------------------------------------------
@@ -231,11 +237,10 @@ class IdSpaceEvaluation:
         """Encode the pre-binding seed into the starting row.
 
         Seed variables without a slot (never used by the query) are ignored.
-        A seed term unknown to the dictionary gets an id no index holds
+        A seed term unknown to the dictionary gets an id no triple holds
         (:meth:`SlotLayout.adopt`), so exactly the BGPs that use the
-        variable come out empty, as on the term-space engines; rows of any
-        other BGP carry it through to the result.  Seeded slots count as
-        bound for hash-join keying.
+        variable come out empty; rows of any other BGP carry it through to
+        the result.  Seeded slots count as bound for hash-join keying.
         """
         row = list(self._layout.empty_row())
         slots = set()
@@ -371,7 +376,8 @@ class IdSpaceEvaluation:
         compiled = self._compile_patterns(node.patterns)
         if compiled is None:
             return iter(())
-        plan = node.plan or textual_plan(node.patterns, PROBE)
+        plan = node.plan or textual_plan(node.patterns,
+                                         default_strategy(self._store))
         if (seeds is None and not self._seed and plan.steps
                 and all(step.kernel is not None for step in plan.steps)):
             return kernels.rows_from_blocks(
@@ -396,8 +402,8 @@ class IdSpaceEvaluation:
                 if not left_rows:
                     return iter(())
                 pattern_rows = []
-                scan_key = (None if is_var else ref for is_var, ref in cpattern)
-                for ids in self._store.triples_ids(*scan_key):
+                scan_key = tuple(None if is_var else ref for is_var, ref in cpattern)
+                for ids in self._scan(scan_key):
                     if check is not None:
                         check()
                     row = _bind_ids(empty, cpattern, ids)
@@ -414,6 +420,17 @@ class IdSpaceEvaluation:
             if self._observe:
                 rows = self._observe_rows(rows, step)
         return rows
+
+    def _scan(self, scan_key):
+        """The triples of one SCAN step: a fresh scan, or with pattern reuse
+        the triples an earlier step of this evaluation scanned for the key."""
+        if self._scans is None:
+            return self._store.triples_ids(*scan_key)
+        triples = self._scans.get(scan_key)
+        if triples is None:
+            triples = self._scans[scan_key] = list(
+                self._store.triples_ids(*scan_key))
+        return triples
 
     @staticmethod
     def _observe_rows(rows, step):
@@ -1235,7 +1252,7 @@ class IdSpaceEvaluation:
         return reduce_numbers(aggregate.function, numbers)
 
 
-# -- aggregation helper shared with the term-space evaluator -------------------
+# -- aggregation ----------------------------------------------------------------
 
 
 def reduce_numbers(function, numbers):
@@ -1355,7 +1372,7 @@ def _join_rows(left, right, shared_slots):
 
     Rows with every shared slot bound meet through a hash table; rows with
     unbound shared slots (possible after OPTIONAL) fall back to pairwise
-    compatibility checks, mirroring the term-space join semantics.
+    compatibility checks.
     """
     if not left or not right:
         return []

@@ -312,7 +312,7 @@ _ORDERING = {
 }
 
 #: Equality proxy kinds (the _equals type ladder).
-_EQ_TERM = 0    # URI / blank node: term equality, errors against literals
+_EQ_TERM = 0    # URI / blank node: term equality
 _EQ_NUM = 1     # numeric literal: value equality across datatypes
 _EQ_STR = 2     # language-free string-valued literal: string value equality
 _EQ_LIT = 3     # other literal (lang-tagged, boolean, ...): term equality
@@ -455,36 +455,23 @@ def _equality_mask(block, op, left, right, cell_term):
             proxies, inverse = _unique_decode(operand[1], _eq_proxy, cell_term)
             sides.append(("col", proxies, inverse))
     if sides[0][0] == "const" and sides[1][0] == "const":
-        proxy_a, proxy_b = sides[0][1], sides[1][1]
-        error = (proxy_a[0] == _EQ_TERM) != (proxy_b[0] == _EQ_TERM)
-        equal = proxy_a == proxy_b
-        result = False if error else (equal if op == "=" else not equal)
-        return mask_all(block, result)
+        equal = sides[0][1] == sides[1][1]
+        return mask_all(block, equal if op == "=" else not equal)
     np = _np
     codes = {}
 
     def encode(proxies):
-        out_codes = np.empty(len(proxies), dtype=np.int64)
-        out_terms = np.empty(len(proxies), dtype=bool)
-        for index, proxy in enumerate(proxies):
-            out_codes[index] = codes.setdefault(proxy, len(codes))
-            out_terms[index] = proxy[0] == _EQ_TERM
-        return out_codes, out_terms
+        return np.array([codes.setdefault(proxy, len(codes)) for proxy in proxies],
+                        dtype=np.int64)
 
     lanes = []
     for side in sides:
         if side[0] == "const":
-            code, is_term = encode([side[1]])
-            lanes.append((code[0], is_term[0]))
+            lanes.append(encode([side[1]])[0])
         else:
-            code, is_term = encode(side[1])
-            lanes.append((code[side[2]], is_term[side[2]]))
-    (code_a, term_a), (code_b, term_b) = lanes
-    equal = code_a == code_b
-    error = term_a != term_b
-    if op == "=":
-        return equal & ~error
-    return ~equal & ~error
+            lanes.append(encode(side[1])[side[2]])
+    equal = lanes[0] == lanes[1]
+    return equal if op == "=" else ~equal
 
 
 def _ordering_mask(block, op, left, right, cell_term):

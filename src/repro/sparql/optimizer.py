@@ -287,7 +287,7 @@ def _split_on_equality(bgp, conjunct, a, b):
     Patterns are connected when they share a variable.  With ``?a`` and
     ``?b`` in different components the BGP is a cross product filtered by
     the equality; the equivalent ``Join(rest, component of ?b)`` carries the
-    equality as its condition, which the evaluators hash on by value.
+    equality as its condition, which the executor hashes on by value.
     Already-pushed filters follow their variables: to one side when it binds
     them all, otherwise into the join condition.
     """

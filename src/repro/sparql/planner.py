@@ -1,4 +1,4 @@
-"""Cost-based join planning for the id-space engine.
+"""Cost-based join planning for the SPARQL executor.
 
 Section V of the paper frames SP2Bench's query mix as an optimizer stress
 test: Q4/Q5a/Q8 live or die by triple-pattern join order and filter
@@ -35,7 +35,7 @@ plan* derived from live :class:`~repro.store.statistics.StoreStatistics`:
 
 The planner is a pure function over the algebra tree: it returns a new tree
 whose BGP nodes carry a :class:`BGPPlan` (ordered steps with estimates) and
-whose Join nodes carry a :class:`JoinPlan`.  The id-space evaluator executes
+whose Join nodes carry a :class:`JoinPlan`.  The executor runs
 those plans verbatim; :class:`ExplainReport` renders them with the actual
 per-step cardinalities observed during an instrumented run.
 """
@@ -442,11 +442,12 @@ def _annotate_kernels(steps):
 def default_strategy(store):
     """The one access path a store family has.
 
-    A store with id-level indexes (the paper's native engines) probes them
-    once per intermediate row; a scan store (the in-memory engines) matches
-    each pattern in one pass over the document and hash-joins the result.
+    An indexed store (the paper's native engines, the one family with
+    sorted runs) probes its indexes once per intermediate row; a scan store
+    (the in-memory engines) matches each pattern in one pass over the
+    document and hash-joins the result.
     """
-    return PROBE if getattr(store, "supports_id_access", False) else SCAN
+    return PROBE if getattr(store, "supports_sorted_runs", False) else SCAN
 
 
 def plan_tree(tree, store):
@@ -495,7 +496,7 @@ def annotate_tree(tree, store):
 def textual_plan(patterns, strategy):
     """A plan for a BGP nobody planned: the given order, one strategy.
 
-    What the evaluators execute for a tree that did not come through
+    What the executor runs for a tree that did not come through
     :class:`~repro.sparql.engine.SparqlEngine` (an Update's WHERE pattern,
     hand-translated trees in tests).
     """
@@ -637,21 +638,20 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy):
 class ExplainReport:
     """A rendered query plan with estimated and observed cardinalities.
 
-    Produced by :meth:`repro.sparql.engine.SparqlEngine.explain`; ``actual``
-    columns are filled only when the query executed on the id-space path
-    (term-space execution is not instrumented).
+    Produced by :meth:`repro.sparql.engine.SparqlEngine.explain`, whose
+    instrumented run fills the ``actual`` columns; the slow-query log renders
+    a prepared plan without running it, so its ``actual`` columns stay ``-``.
     """
 
     tree: object
     planner: str
     engine: str
-    id_space: bool = True
     result_count: int = 0
     elapsed: float = 0.0
     #: Front-end/back-end stage wall times in seconds (parse/plan/execute),
     #: filled by :meth:`~repro.sparql.engine.SparqlEngine.explain`.
     stages: dict = field(default_factory=dict)
-    #: Rows and cumulative seconds out of the last operator of an id-space
+    #: Rows and cumulative seconds out of the last operator of an observed
     #: SELECT (None otherwise), and the distinct ids decoded by the end of
     #: the drain — FILTER / ORDER BY decode, the lazy result rows do not.
     result: Optional[Observed] = None
@@ -681,7 +681,6 @@ class ExplainReport:
     def render(self):
         lines = [
             f"plan: planner={self.planner} engine={self.engine} "
-            f"space={'id' if self.id_space else 'term'} "
             f"rows={self.result_count} elapsed={self.elapsed:.3f}s"
         ]
         if self.stages:

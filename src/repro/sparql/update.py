@@ -31,7 +31,7 @@ from ..rdf.triple import Triple
 from . import algebra
 from .ast import DeleteDataUpdate, InsertDataUpdate, ModifyUpdate, UpdateOperation
 from .errors import EvaluationError
-from .evaluator import Evaluator
+from .idspace import IdSpaceEvaluation
 from .parser import parse_update
 
 #: Counter minting process-unique blank-node labels for INSERT templates.
@@ -108,10 +108,9 @@ def _apply(base, insert, remove, operation):
         raise EvaluationError(f"unsupported update operation: {operation!r}")
 
     tree = algebra.translate_group(operation.where)
-    evaluator = Evaluator(base)
     # Materialize: application must see the complete pre-update solution
     # sequence even on plain stores where writes are applied in place.
-    solutions = list(evaluator.evaluate(tree))
+    solutions = list(IdSpaceEvaluation(base).bindings(tree))
     deleted = inserted = 0
     for solution in solutions:
         for template in operation.delete_templates:

@@ -1,12 +1,12 @@
 """Triple-storage substrate: unindexed and indexed stores plus statistics.
 
-Two backends model the paper's two engine families.  :class:`MemoryStore`
-answers every pattern by scanning (the in-memory engine model).
-:class:`IndexedStore` dictionary-encodes terms to integers and answers
-patterns from six hash indexes; it additionally exposes an id-level access
-interface (``encode_pattern`` / ``triples_ids`` / ``count_ids``, advertised
-via ``supports_id_access``) that the id-space SPARQL evaluator joins over
-without decoding — the native-engine model.  See DESIGN.md.
+Two backends model the paper's two engine families.  Both dictionary-encode
+terms to integers and answer a pattern as raw id 3-tuples (``triples_ids``),
+which the one SPARQL executor joins over without decoding; they differ in the
+access path behind it.  :class:`MemoryStore` scans every triple per pattern
+(the in-memory engine model); :class:`IndexedStore` probes six hash indexes
+and keeps per-predicate sorted runs and statistics (the native-engine model).
+See DESIGN.md.
 """
 
 from .base import TripleStore

@@ -3,27 +3,30 @@
 The paper distinguishes *in-memory engines* (ARQ, Sesame-memory), which scan
 the loaded document, from *native engines* (Sesame-native, Virtuoso), which
 answer triple patterns from physical indexes.  Both families are modelled as
-implementations of :class:`TripleStore`; the SPARQL evaluator is written
-against this interface only, so engine behaviour differences come purely from
-the storage/access-path characteristics — exactly the axis SP2Bench probes.
+implementations of :class:`TripleStore`: every store dictionary-encodes its
+terms and answers a pattern as raw id 3-tuples (``triples_ids``), and one
+SPARQL executor joins over those ids for both.  Engine behaviour differences
+therefore come purely from the access path behind ``triples_ids`` — a linear
+scan or an index probe — exactly the axis SP2Bench probes.
 """
 
 from __future__ import annotations
 
 import abc
 
+from ..rdf.triple import Triple
+
 
 class TripleStore(abc.ABC):
-    """Interface every storage backend implements."""
+    """Interface every storage backend implements.
+
+    Subclasses keep their :class:`~repro.store.dictionary.TermDictionary` in
+    ``_dictionary``; the term-level methods below encode patterns through it
+    and decode what ``triples_ids`` yields.
+    """
 
     #: Human-readable backend name used in benchmark reports.
     name = "abstract"
-
-    #: True when the backend additionally offers the id-level access interface
-    #: (``encode_pattern`` / ``triples_ids`` / ``count_ids`` plus a
-    #: ``dictionary`` property).  The SPARQL evaluator checks this capability
-    #: to decide between id-space and term-space query execution.
-    supports_id_access = False
 
     #: Monotonic mutation counter.  Every successful ``add``/``remove`` (and
     #: every published MVCC generation) bumps it; the engine's prepared-
@@ -41,14 +44,50 @@ class TripleStore(abc.ABC):
         raise NotImplementedError(f"{type(self).__name__} does not support removal")
 
     @abc.abstractmethod
-    def triples(self, subject=None, predicate=None, object=None):
-        """Yield stored triples matching the wildcard pattern."""
+    def triples_ids(self, subject=None, predicate=None, object=None):
+        """Yield raw id 3-tuples matching an already-encoded pattern.
+
+        Arguments are dictionary ids (or ``None`` wildcards); nothing is
+        decoded.  This is the access path the SPARQL executor joins over.
+        """
 
     @abc.abstractmethod
     def __len__(self):
         """Total number of stored triples."""
 
     # -- generic conveniences built on the abstract core -------------------
+
+    @property
+    def dictionary(self):
+        """The term dictionary (id-space evaluation and white-box tests)."""
+        return self._dictionary
+
+    def encode_pattern(self, subject, predicate, object):
+        """Encode bound pattern positions; returns None if a bound term is unknown.
+
+        ``None`` positions stay ``None`` (wildcards).  A ``None`` return means
+        the pattern cannot match anything in this store — callers short-circuit
+        to an empty result without touching a triple.
+        """
+        encoded = []
+        for term in (subject, predicate, object):
+            if term is None:
+                encoded.append(None)
+                continue
+            term_id = self._dictionary.lookup(term)
+            if term_id is None:
+                return None
+            encoded.append(term_id)
+        return tuple(encoded)
+
+    def triples(self, subject=None, predicate=None, object=None):
+        """Yield stored triples matching the wildcard pattern, decoded."""
+        encoded = self.encode_pattern(subject, predicate, object)
+        if encoded is None:
+            return
+        decode = self._dictionary.decode
+        for s_id, p_id, o_id in self.triples_ids(*encoded):
+            yield Triple(decode(s_id), decode(p_id), decode(o_id))
 
     def load_graph(self, graph):
         """Bulk-load every triple of an iterable/Graph.  Returns count added."""
@@ -81,7 +120,10 @@ class TripleStore(abc.ABC):
         Backends with indexes override this with a cheaper implementation;
         the default counts by iteration.
         """
-        return sum(1 for _t in self.triples(subject, predicate, object))
+        encoded = self.encode_pattern(subject, predicate, object)
+        if encoded is None:
+            return 0
+        return sum(1 for _ids in self.triples_ids(*encoded))
 
     def estimate_count(self, subject=None, predicate=None, object=None):
         """Estimated number of matches, used by the query optimizer.

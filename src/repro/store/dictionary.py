@@ -2,8 +2,8 @@
 
 Native RDF stores (the paper cites Sesame's native SAIL and Virtuoso)
 dictionary-encode terms so that index entries are small fixed-size integers.
-:class:`TermDictionary` provides the same service for :class:`IndexedStore`,
-and its ids double as the join currency of the id-space evaluator
+:class:`TermDictionary` provides the same service for every store, and its
+ids are the join currency of the SPARQL executor
 (:mod:`repro.sparql.idspace`): the mapping is injective, so id equality is
 term equality inside join loops, and ``decode`` is deferred to the result
 boundary (memoized per id by each evaluation).  Ids are stable for the
@@ -47,6 +47,12 @@ class TermDictionary:
         self._term_to_id[term] = new_id
         self._id_to_term.append(term)
         return new_id
+
+    def encode_triple(self, triple):
+        """The id 3-tuple of a ground triple, assigning ids to unseen terms."""
+        encode = self.encode
+        return (encode(triple.subject), encode(triple.predicate),
+                encode(triple.object))
 
     def lookup(self, term):
         """Return the id for ``term`` or None if the term was never encoded."""

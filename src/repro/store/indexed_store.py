@@ -12,20 +12,12 @@ reproduces both halves of that design in pure Python:
   triple pattern has a direct access path,
 * per-predicate and per-class statistics are maintained for the optimizer.
 
-Two access levels are exposed:
-
-``triples()`` / ``count()``
-    The term-level :class:`~repro.store.base.TripleStore` interface: patterns
-    are encoded on the way in and every matching id-triple is decoded back to
-    a :class:`~repro.rdf.triple.Triple` on the way out.
-
-``encode_pattern()`` / ``triples_ids()`` / ``count_ids()``
-    The id-level interface used by the id-space query evaluator
-    (:mod:`repro.sparql.idspace`): the caller encodes its constants once,
-    probes the indexes with raw integers, and receives raw id 3-tuples with
-    **no decoding at all** — terms are only reconstructed at the result
-    boundary.  ``supports_id_access`` advertises this capability so the
-    evaluator can keep scan-based stores on the term-level path.
+``triples_ids()`` / ``count_ids()`` answer an encoded pattern from the
+index matching its bound positions, with **no decoding at all** — the SPARQL
+executor (:mod:`repro.sparql.idspace`) joins over the ids and terms are only
+reconstructed at the result boundary.  ``supports_sorted_runs`` marks the
+family for the planner: index probes per row, and batch kernels over the
+per-predicate sorted runs.
 """
 
 from __future__ import annotations
@@ -107,10 +99,8 @@ class IndexedStore(TripleStore):
 
     name = "indexed"
 
-    #: Id-level access (``triples_ids`` & friends) is available.
-    supports_id_access = True
-
-    #: Predicate-sorted id runs (``sorted_run``) are available.
+    #: Index probes and predicate-sorted id runs (``sorted_run``) are
+    #: available: the planner's cue for PROBE steps and batch kernels.
     supports_sorted_runs = True
 
     def __init__(self, triples=None):
@@ -232,11 +222,7 @@ class IndexedStore(TripleStore):
     # -- mutation -----------------------------------------------------------
 
     def add(self, triple):
-        ids = (
-            self._dictionary.encode(triple.subject),
-            self._dictionary.encode(triple.predicate),
-            self._dictionary.encode(triple.object),
-        )
+        ids = self._dictionary.encode_triple(triple)
         if ids in self._spo:
             return False
         self._spo.add(ids)
@@ -311,24 +297,6 @@ class IndexedStore(TripleStore):
 
     # -- id-level access ----------------------------------------------------
 
-    def encode_pattern(self, subject, predicate, object):
-        """Encode bound pattern positions; returns None if a bound term is unknown.
-
-        ``None`` positions stay ``None`` (wildcards).  A ``None`` return means
-        the pattern cannot match anything in this store — callers short-circuit
-        to an empty result without touching any index.
-        """
-        encoded = []
-        for term in (subject, predicate, object):
-            if term is None:
-                encoded.append(None)
-                continue
-            term_id = self._dictionary.lookup(term)
-            if term_id is None:
-                return None
-            encoded.append(term_id)
-        return tuple(encoded)
-
     def id_triples(self):
         """Iterate over every stored triple as a raw id 3-tuple (no decode).
 
@@ -339,11 +307,7 @@ class IndexedStore(TripleStore):
         return iter(self._spo)
 
     def triples_ids(self, subject=None, predicate=None, object=None):
-        """Yield raw id 3-tuples matching an already-encoded pattern.
-
-        Arguments are dictionary ids (or ``None`` wildcards); nothing is
-        decoded.  This is the join-loop access path of the id-space evaluator.
-        """
+        """Raw id 3-tuples matching an encoded pattern: one index probe."""
         return iter(self._candidates(subject, predicate, object))
 
     def count_ids(self, subject=None, predicate=None, object=None):
@@ -412,14 +376,6 @@ class IndexedStore(TripleStore):
 
     # -- term-level lookup --------------------------------------------------
 
-    def triples(self, subject=None, predicate=None, object=None):
-        encoded = self.encode_pattern(subject, predicate, object)
-        if encoded is None:
-            return
-        decode = self._dictionary.decode
-        for s_id, p_id, o_id in self._candidates(*encoded):
-            yield Triple(decode(s_id), decode(p_id), decode(o_id))
-
     def contains(self, triple):
         encoded = self.encode_pattern(triple.subject, triple.predicate, triple.object)
         if encoded is None:
@@ -449,11 +405,6 @@ class IndexedStore(TripleStore):
 
     def __len__(self):
         return len(self._spo)
-
-    @property
-    def dictionary(self):
-        """The term dictionary (id-space evaluation and white-box tests)."""
-        return self._dictionary
 
     def __repr__(self):
         return f"IndexedStore(len={len(self)}, terms={len(self._dictionary)})"
@@ -518,9 +469,7 @@ class GenerationDraft:
     def add(self, triple):
         """Insert one ground triple into the draft; True when it was new."""
         store = self.store
-        encode = store._dictionary.encode
-        ids = (encode(triple.subject), encode(triple.predicate),
-               encode(triple.object))
+        ids = store._dictionary.encode_triple(triple)
         if ids in store._spo:
             return False
         store._spo.add(ids)

@@ -2,18 +2,20 @@
 
 Every triple-pattern lookup is a linear scan over the full document, which is
 what makes the in-memory engines of the paper (ARQ, Sesame-memory) scale with
-document size even for highly selective queries like Q1 or Q12c.  The triples
-live in one insertion-ordered dict used simultaneously as scan sequence and
+document size even for highly selective queries like Q1 or Q12c.  Terms are
+dictionary-encoded as in every store, and the triples live as id 3-tuples in
+one insertion-ordered dict used simultaneously as scan sequence and
 duplicate-detection set, so ``add``/``remove``/``contains`` are O(1) while the
-only *pattern* access path remains the scan.  This store deliberately does not
-implement the id-level access interface (``supports_id_access`` stays False):
-the SPARQL evaluator keeps it on the term-level path, preserving the
-in-memory-engine cost model.
+only *pattern* access path remains the scan: ``triples_ids`` filters every
+triple, whatever is bound — no index, no sorted runs, no statistics.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .base import TripleStore
+from .dictionary import TermDictionary
 
 
 class MemoryStore(TripleStore):
@@ -22,15 +24,17 @@ class MemoryStore(TripleStore):
     name = "memory"
 
     def __init__(self, triples=None):
+        self._dictionary = TermDictionary()
         # Insertion-ordered dict doubling as ordered sequence and membership set.
         self._triples = {}
         if triples is not None:
             self.load_graph(triples)
 
     def add(self, triple):
-        if triple in self._triples:
+        ids = self._dictionary.encode_triple(triple)
+        if ids in self._triples:
             return False
-        self._triples[triple] = None
+        self._triples[ids] = None
         self.version += 1
         return True
 
@@ -55,9 +59,10 @@ class MemoryStore(TripleStore):
 
     def remove(self, triple):
         """Remove a triple if present; returns True when removed.  O(1)."""
-        if triple not in self._triples:
+        ids = self.encode_pattern(triple.subject, triple.predicate, triple.object)
+        if ids not in self._triples:
             return False
-        del self._triples[triple]
+        del self._triples[ids]
         self.version += 1
         return True
 
@@ -70,18 +75,21 @@ class MemoryStore(TripleStore):
         """
         return MemoryGenerationDraft(self)
 
-    def triples(self, subject=None, predicate=None, object=None):
-        for triple in self._triples:
-            if subject is not None and triple.subject != subject:
-                continue
-            if predicate is not None and triple.predicate != predicate:
-                continue
-            if object is not None and triple.object != object:
-                continue
-            yield triple
+    def triples_ids(self, subject=None, predicate=None, object=None):
+        """The stored id 3-tuples matching an encoded pattern: one linear
+        pass over every triple of the document."""
+        bound = [(position, term_id) for position, term_id
+                 in enumerate((subject, predicate, object)) if term_id is not None]
+        if not bound:
+            return iter(self._triples)
+        positions, wanted = zip(*bound)
+        key = itemgetter(*positions)
+        if len(wanted) == 1:
+            wanted = wanted[0]
+        return (ids for ids in self._triples if key(ids) == wanted)
 
     def contains(self, triple):
-        return triple in self._triples
+        return self.encode_pattern(*triple) in self._triples
 
     def __len__(self):
         return len(self._triples)
@@ -94,11 +102,14 @@ class MemoryGenerationDraft:
     """Draft of a :class:`MemoryStore`'s next MVCC generation.
 
     Same driver-facing surface as ``indexed_store.GenerationDraft``:
-    ``add``/``remove``/``mutated``/``inserted``/``deleted``/``finish``.
+    ``add``/``remove``/``mutated``/``inserted``/``deleted``/``finish``.  The
+    id-triple dict is copied; the term dictionary is shared (append-only, so
+    ids stay valid across generations).
     """
 
     def __init__(self, base):
         store = MemoryStore()
+        store._dictionary = base._dictionary
         store._triples = base._triples.copy()
         store.version = base.version
         self.store = store
@@ -107,19 +118,15 @@ class MemoryGenerationDraft:
 
     def add(self, triple):
         """Insert one ground triple into the draft; True when it was new."""
-        if triple in self.store._triples:
-            return False
-        self.store._triples[triple] = None
-        self.inserted += 1
-        return True
+        added = self.store.add(triple)
+        self.inserted += added
+        return added
 
     def remove(self, triple):
         """Remove one ground triple from the draft; True when present."""
-        if triple not in self.store._triples:
-            return False
-        del self.store._triples[triple]
-        self.deleted += 1
-        return True
+        removed = self.store.remove(triple)
+        self.deleted += removed
+        return removed
 
     @property
     def mutated(self):

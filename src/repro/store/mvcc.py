@@ -138,10 +138,6 @@ class MvccStore(TripleStore):
     def name(self):
         return f"mvcc({self._current.name})"
 
-    @property
-    def supports_id_access(self):
-        return self._current.supports_id_access
-
     def add(self, triple):
         with self.write_transaction() as txn:
             return txn.insert(triple)
@@ -163,6 +159,9 @@ class MvccStore(TripleStore):
     def triples(self, subject=None, predicate=None, object=None):
         return self._current.triples(subject, predicate, object)
 
+    def triples_ids(self, subject=None, predicate=None, object=None):
+        return self._current.triples_ids(subject, predicate, object)
+
     def contains(self, triple):
         return self._current.contains(triple)
 
@@ -179,8 +178,8 @@ class MvccStore(TripleStore):
         return self._current.save(path, metadata=metadata)
 
     def __getattr__(self, attribute):
-        # Anything else (statistics, dictionary, id-space access, sorted
-        # runs) resolves against the current generation.  Readers that need
+        # Anything else (statistics, dictionary, sorted runs) resolves
+        # against the current generation.  Readers that need
         # a *consistent* view across several calls must pin a snapshot first.
         return getattr(self._current, attribute)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -176,22 +175,16 @@ class TuplePathEngine(SparqlEngine):
 
 
 class ReferencePaths:
-    """The two references every cross-path test compares an engine with."""
+    """The kernel-free reference engine cross-path tests compare with; the
+    independent reference for results is ``tests/oracle.py``."""
 
     @staticmethod
     def tuple_path(engine):
         """Same configuration over the same store, without kernels."""
         return TuplePathEngine(engine.config, store=engine.store)
 
-    @staticmethod
-    def term_space(engine):
-        """Same configuration over the same triples in a scan store."""
-        config = replace(engine.config, store_type="memory",
-                         name=engine.config.name + "-term")
-        return SparqlEngine.from_store(engine.store, config)
-
 
 @pytest.fixture(scope="session")
 def reference():
-    """Builders of the tuple-path and the term-space reference engine."""
+    """Builder of the tuple-path reference engine."""
     return ReferencePaths

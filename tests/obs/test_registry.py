@@ -81,6 +81,15 @@ class TestHistogram:
         assert list(DEFAULT_LATENCY_BUCKETS) == \
             sorted(DEFAULT_LATENCY_BUCKETS)
 
+    def test_default_buckets_resolve_sub_millisecond_latencies(self, registry):
+        # A whole point lookup over HTTP takes ~0.5 ms; 0.2 ms and 0.7 ms
+        # must not share a bucket.
+        histogram = registry.histogram("lookup_seconds", "help")
+        histogram.observe(0.0002)
+        histogram.observe(0.0007)
+        counts, _sum, _count = histogram.snapshot()
+        assert sorted(counts, reverse=True)[:2] == [1, 1]
+
 
 class TestEstimateQuantile:
     def test_empty_histogram_is_none(self):

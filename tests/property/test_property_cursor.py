@@ -3,8 +3,8 @@
 The laziness redesign must be invisible to results: for any graph and query,
 draining ``engine.stream(query)`` row by row produces exactly the multiset
 ``engine.query(query)`` materializes — across every planner family
-(none/greedy/cost) and both store families (indexed id-space evaluation and
-the in-memory term-space path).  LIMIT windows must also be prefixes of the
+(none/greedy/cost) and both store families (index probes and the in-memory
+scan store).  LIMIT windows must also be prefixes of the
 unlimited sequence in the engine's result order.
 """
 

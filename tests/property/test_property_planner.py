@@ -5,13 +5,17 @@ pattern orders, physical step strategies, and join algorithms — but they
 must never change a query's result multiset.  Hypothesis generates random
 mini-DBLP graphs and random BGP-shaped queries (including UNION branches
 behind a bind-join seam and OPTIONAL parts) and checks all three families
-agree; EXPLAIN must list every triple pattern of the query exactly once.
+agree, and that the cost planner on both store families agrees with the
+naive reference evaluator (``tests/oracle.py``); EXPLAIN must list every
+triple pattern of the query exactly once.
 """
 
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.rdf import BENCH, DC, FOAF, RDF, Literal, Triple, URIRef
 from repro.sparql import EngineConfig, SparqlEngine, algebra
+
+import oracle
 
 _FAMILIES = ("none", "greedy", "cost")
 
@@ -139,17 +143,13 @@ class TestPlannerFamiliesAgree:
 
     @given(small_graphs(), random_queries())
     @settings(max_examples=40, deadline=None)
-    def test_cost_planner_matches_term_space_evaluation(self, triples, query_and_size):
+    def test_cost_planner_matches_the_oracle(self, triples, query_and_size):
         query, _pattern_count = query_and_size
-        id_space = SparqlEngine.from_graph(triples, _CONFIGS["cost"])
-        term_space = SparqlEngine.from_graph(
-            triples,
-            EngineConfig(
-                name="term-cost", store_type="memory",
-                planner="cost",
-            ),
-        )
-        assert id_space.query(query).as_multiset() == term_space.query(query).as_multiset()
+        scan = EngineConfig(name="memory-cost", store_type="memory", planner="cost")
+        expected = oracle.answer(query, triples)
+        for config in (_CONFIGS["cost"], scan):
+            engine = SparqlEngine.from_graph(triples, config)
+            assert oracle.answer_of(engine.query(query)) == expected, (config.name, query)
 
 
 class TestExplainProperties:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import Literal, URIRef, Variable
-from repro.sparql import EMPTY_BINDING, Binding
+from repro.sparql import Binding
 
 A = URIRef("http://example.org/a")
 B = URIRef("http://example.org/b")
@@ -45,39 +45,6 @@ class TestAccess:
         assert binding.get("x") == A
 
 
-class TestAlgebra:
-    def test_compatible_on_disjoint_domains(self):
-        assert Binding({"x": A}).compatible(Binding({"y": B}))
-
-    def test_compatible_on_agreeing_shared_variable(self):
-        assert Binding({"x": A, "y": B}).compatible(Binding({"x": A}))
-
-    def test_incompatible_on_conflicting_shared_variable(self):
-        assert not Binding({"x": A}).compatible(Binding({"x": B}))
-
-    def test_empty_binding_compatible_with_everything(self):
-        assert EMPTY_BINDING.compatible(Binding({"x": A}))
-        assert Binding({"x": A}).compatible(EMPTY_BINDING)
-
-    def test_merge_unions_mappings(self):
-        merged = Binding({"x": A}).merge(Binding({"y": B}))
-        assert merged.get("x") == A and merged.get("y") == B
-
-    def test_extend_adds_one_variable(self):
-        extended = Binding({"x": A}).extend(Variable("y"), B)
-        assert extended.get("y") == B
-        assert Binding({"x": A}).get("y") is None
-
-    def test_project_restricts_variables(self):
-        binding = Binding({"x": A, "y": B})
-        projected = binding.project([Variable("x")])
-        assert projected.variables() == {"x"}
-
-    def test_project_ignores_unbound_variables(self):
-        projected = Binding({"x": A}).project([Variable("x"), Variable("z")])
-        assert projected.variables() == {"x"}
-
-
 class TestEqualityAndHashing:
     def test_equality(self):
         assert Binding({"x": A}) == Binding({"x": A})
@@ -104,4 +71,4 @@ class TestEqualityAndHashing:
 
     def test_len(self):
         assert len(Binding({"x": A, "y": Literal("v")})) == 2
-        assert len(EMPTY_BINDING) == 0
+        assert len(Binding()) == 0

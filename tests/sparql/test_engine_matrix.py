@@ -1,9 +1,9 @@
 """The engine matrix is what the five presets vary, and nothing else.
 
-How a query runs follows from the store (term space + scan/hash steps on a
-scan store, id space + probe steps on an indexed one) and from the planner
-family; every BGP runs from the plan ``prepare()`` attached, and EXPLAIN
-executes that same tree.
+Every preset runs on the one executor over dictionary ids; the step strategy
+follows from the store (scan/hash steps on a scan store, probe steps on an
+indexed one) and from the planner family; every BGP runs from the plan
+``prepare()`` attached, and EXPLAIN executes that same tree.
 """
 
 from collections import Counter
@@ -20,7 +20,6 @@ from repro.sparql import (
     NATIVE_COST,
     NATIVE_OPTIMIZED,
     EngineConfig,
-    Evaluator,
     IdBinding,
     algebra,
     kernels,
@@ -46,25 +45,24 @@ def test_config_has_exactly_the_fields_the_presets_vary():
     ]
 
 
-#: preset -> (store family, joins over ids?, strategy of a step nobody costed)
+#: preset -> (store family, strategy of a step nobody costed)
 MATRIX = {
-    IN_MEMORY_BASELINE: ("memory", False, SCAN),
-    IN_MEMORY_OPTIMIZED: ("memory", False, SCAN),
-    NATIVE_BASELINE: ("indexed", True, PROBE),
-    NATIVE_OPTIMIZED: ("indexed", True, PROBE),
-    NATIVE_COST: ("indexed", True, PROBE),
+    IN_MEMORY_BASELINE: ("memory", SCAN),
+    IN_MEMORY_OPTIMIZED: ("memory", SCAN),
+    NATIVE_BASELINE: ("indexed", PROBE),
+    NATIVE_OPTIMIZED: ("indexed", PROBE),
+    NATIVE_COST: ("indexed", PROBE),
 }
 
 
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda config: config.name)
-def test_evaluator_kind_and_step_strategy_follow_from_the_store(engines, preset):
-    store_type, id_space, strategy = MATRIX[preset]
+def test_step_strategy_follows_from_the_store(engines, preset):
+    store_type, strategy = MATRIX[preset]
     engine = engines[preset.name]
     assert preset.store_type == store_type
-    assert Evaluator(engine.store).uses_id_space is id_space
     assert default_strategy(engine.store) == strategy
     rows = list(engine.stream("SELECT ?s WHERE { ?s rdf:type foaf:Person }"))
-    assert rows and all(isinstance(row, IdBinding) is id_space for row in rows)
+    assert rows and all(isinstance(row, IdBinding) for row in rows)
     if preset.planner != "cost":
         # Only the cost planner picks a strategy per step.
         for query in QUERIES:
@@ -105,10 +103,9 @@ def test_explain_executes_the_tree_prepare_built(engines, preset, query):
     rows = Counter(frozenset(row.items()) for row in cursor)
     assert report.result_count == sum(rows.values())
     assert rows == engine.query(query.text).as_multiset()
-    if report.id_space:
-        # The observed run is the prepared plan: its last operator handed
-        # over exactly the rows the cursor delivered.
-        assert report.result.actual == report.result_count
+    # The observed run is the prepared plan: its last operator handed over
+    # exactly the rows the cursor delivered.
+    assert report.result.actual == report.result_count
 
 
 def test_kernels_need_the_cost_planner_sorted_runs_and_numpy(engines, reference):

@@ -14,8 +14,8 @@ from repro.rdf import (
     Triple,
     URIRef,
 )
-from repro.sparql import Evaluator, parse_query, translate_query
-from repro.sparql.algebra import collect_bgps
+from repro.sparql import IdSpaceEvaluation, parse_query, translate_query
+from repro.sparql.algebra import Ask, collect_bgps
 from repro.sparql.planner import PROBE, SCAN, textual_plan
 from repro.store import IndexedStore, MemoryStore
 
@@ -62,10 +62,10 @@ def run(query_text, strategy, store_cls=IndexedStore):
     tree = translate_query(parse_query(query_text))
     for bgp in collect_bgps(tree):
         bgp.plan = textual_plan(bgp.patterns, strategy)
-    outcome = Evaluator(store).evaluate(tree)
-    if isinstance(outcome, bool):
-        return outcome
-    return list(outcome)
+    evaluation = IdSpaceEvaluation(store)
+    if isinstance(tree, Ask):
+        return evaluation.ask(tree.operand)
+    return list(evaluation.bindings(tree))
 
 
 STRATEGIES = (PROBE, SCAN)

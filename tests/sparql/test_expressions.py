@@ -85,9 +85,10 @@ class TestComparisons:
         with pytest.raises(ExpressionError):
             evaluate(compare("<", var("five"), var("name_a")), BINDING)
 
-    def test_equality_literal_and_uri_raises(self):
-        with pytest.raises(ExpressionError):
-            evaluate(compare("=", var("five"), var("uri_a")), BINDING)
+    def test_equality_literal_and_uri_is_false(self):
+        # RDFterm-equal: an IRI never equals a literal, so != holds.
+        assert evaluate(compare("=", var("five"), var("uri_a")), BINDING) is False
+        assert evaluate(compare("!=", var("five"), var("uri_a")), BINDING) is True
 
 
 class TestLogicalOperators:

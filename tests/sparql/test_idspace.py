@@ -6,7 +6,6 @@ import weakref
 
 import pytest
 
-from repro.queries import ALL_QUERIES
 from repro.rdf import (
     BENCH,
     DC,
@@ -21,10 +20,7 @@ from repro.rdf import (
     Variable,
 )
 from repro.sparql import (
-    AskResult,
     Binding,
-    EvaluationError,
-    Evaluator,
     IdBinding,
     IdSpaceEvaluation,
     SelectResult,
@@ -39,6 +35,8 @@ from repro.sparql.engine import NATIVE_OPTIMIZED
 from repro.sparql.planner import PROBE, SCAN, textual_plan
 from repro.store import IndexedStore, MemoryStore
 from repro.store.mvcc import MvccStore, read_snapshot
+
+import oracle
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
@@ -86,11 +84,12 @@ def tree_for(query_text, strategy=None):
 
 
 def multiset(bindings):
-    counts = {}
-    for binding in bindings:
-        key = frozenset(binding.items())
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return oracle.multiset(dict(binding.items()) for binding in bindings)
+
+
+def bindings(store, tree):
+    """The result rows of a SELECT-shaped tree on the executor."""
+    return list(IdSpaceEvaluation(store).bindings(tree))
 
 
 class CountingDictionaryStore(IndexedStore):
@@ -160,7 +159,7 @@ class TestIdRoundTrip:
         )
         from collections import Counter
 
-        layout, rows = Evaluator(store).evaluate_ids(tree)
+        layout, rows = IdSpaceEvaluation(store).solve(tree)
         decode = store.dictionary.decode
         from_ids = Counter(
             frozenset(
@@ -171,28 +170,41 @@ class TestIdRoundTrip:
             for row in rows
         )
         from_terms = Counter(
-            frozenset(binding.items())
-            for binding in Evaluator(store).evaluate(tree)
+            frozenset(binding.items()) for binding in bindings(store, tree)
         )
         assert from_ids == from_terms
 
 
+class CountingScanStore(MemoryStore):
+    """A MemoryStore counting its id-level pattern scans."""
+
+    probe_calls = 0
+
+    def triples_ids(self, subject=None, predicate=None, object=None):
+        self.probe_calls += 1
+        return super().triples_ids(subject, predicate, object)
+
+
 class TestUnknownConstantShortCircuit:
+    #: bench:Journal never occurs in the data, so the whole BGP is empty.
+    UNKNOWN = "SELECT ?x ?t WHERE { ?x rdf:type bench:Journal . ?x dc:title ?t }"
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_unknown_constant_skips_index_probes(self, strategy):
         store = CountingDictionaryStore(GRAPH)
-        # bench:Journal never occurs in the data, so the whole BGP is empty.
-        tree = tree_for(
-            "SELECT ?x ?t WHERE { ?x rdf:type bench:Journal . ?x dc:title ?t }",
-            strategy,
-        )
-        assert list(Evaluator(store).evaluate(tree)) == []
+        assert bindings(store, tree_for(self.UNKNOWN, strategy)) == []
+        assert store.probe_calls == 0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unknown_constant_skips_the_scan_too(self, strategy):
+        store = CountingScanStore(GRAPH)
+        assert bindings(store, tree_for(self.UNKNOWN, strategy)) == []
         assert store.probe_calls == 0
 
     def test_known_constants_do_probe(self):
         store = CountingDictionaryStore(GRAPH)
         tree = tree_for("SELECT ?x WHERE { ?x rdf:type bench:Article }")
-        assert len(list(Evaluator(store).evaluate(tree))) == 3
+        assert len(bindings(store, tree)) == 3
         assert store.probe_calls > 0
 
 
@@ -209,7 +221,7 @@ class TestZeroDecodeJoins:
     @pytest.mark.parametrize("query", JOIN_QUERIES)
     def test_zero_decodes_during_join_execution(self, strategy, query):
         store = CountingDictionaryStore(GRAPH)
-        _layout, rows = Evaluator(store).evaluate_ids(tree_for(query, strategy))
+        _layout, rows = IdSpaceEvaluation(store).solve(tree_for(query, strategy))
         consumed = list(rows)
         assert consumed, "expected non-empty join results"
         assert store.decode_calls == 0
@@ -235,8 +247,7 @@ class TestZeroDecodeJoins:
 
     def test_get_decodes_on_touch(self):
         store = CountingDictionaryStore(GRAPH)
-        evaluator = Evaluator(store)
-        rows = list(evaluator.evaluate(tree_for(self.CREATORS)))
+        rows = bindings(store, tree_for(self.CREATORS))
         assert store.decode_calls == 0
         assert rows[0].is_bound("name") and "d" in rows[0]
         assert store.decode_calls == 0
@@ -247,9 +258,8 @@ class TestZeroDecodeJoins:
         assert store.decode_calls == 1
 
     def test_lazy_rows_agree_with_eager_bindings(self):
-        lazy = list(Evaluator(IndexedStore(GRAPH)).evaluate(tree_for(self.CREATORS)))
-        eager = list(Evaluator(MemoryStore(GRAPH)).evaluate(tree_for(self.CREATORS)))
-        assert not any(isinstance(row, IdBinding) for row in eager)
+        lazy = bindings(IndexedStore(GRAPH), tree_for(self.CREATORS))
+        eager = [Binding(row) for row in oracle.evaluate(self.CREATORS, GRAPH)]
         assert multiset(lazy) == multiset(eager)
         by_key = {frozenset(row.items()): row for row in eager}
         for row in lazy:
@@ -260,8 +270,6 @@ class TestZeroDecodeJoins:
             assert row.as_dict() == twin.as_dict()
             assert row.variables() == twin.variables() == {"d", "name"}
             assert row.row(["name", "d", "p"]) == twin.row(["name", "d", "p"])
-            assert row.project(["name"]) == twin.project(["name"])
-            assert row.merge(Binding({"x": s("y")})).get("x") == s("y")
         variables = [Variable("d"), Variable("name")]
         assert SelectResult(variables, lazy) == SelectResult(variables, eager)
         with pytest.raises(AttributeError):
@@ -305,42 +313,12 @@ class TestZeroDecodeJoins:
 
     def test_filter_decodes_are_memoized_per_id(self):
         store = CountingDictionaryStore(GRAPH)
-        _layout, rows = Evaluator(store).evaluate_ids(
+        _layout, rows = IdSpaceEvaluation(store).solve(
             tree_for("SELECT ?d WHERE { ?d dcterms:issued ?yr FILTER (?yr > 1992) }")
         )
         assert len(list(rows)) == 2
         # Three distinct year literals exist; each is decoded at most once.
         assert store.decode_calls <= 3
-
-
-class NaiveLeftJoinEvaluator(Evaluator):
-    """Term-space evaluator (scan stores only) with the quadratic reference
-    OPTIONAL join."""
-
-    def _eval_left_join(self, node):
-        from repro.sparql.expressions import effective_boolean_value
-
-        left = list(self._eval(node.left))
-        if not left:
-            return iter(())
-        right = list(self._eval(node.right))
-        condition = node.condition
-        results = []
-        for left_binding in left:
-            matched = False
-            for right_binding in right:
-                if not left_binding.compatible(right_binding):
-                    continue
-                merged = left_binding.merge(right_binding)
-                if condition is not None and not effective_boolean_value(
-                    condition, merged
-                ):
-                    continue
-                results.append(merged)
-                matched = True
-            if not matched:
-                results.append(left_binding)
-        return iter(results)
 
 
 #: Q6-shaped: the OPTIONAL shares no variable with the outer group; the join
@@ -382,23 +360,19 @@ SELECT ?d ?a WHERE {
 
 
 class TestHashLeftJoinEquivalence:
-    """The hash-based OPTIONAL joins agree with the quadratic reference."""
+    """The hash-based OPTIONAL joins agree with the oracle's textbook one."""
 
     @pytest.mark.parametrize("query", (Q6_SHAPED, Q7_SHAPED, SHARED_OPTIONAL))
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_id_space_left_join_matches_naive(self, query, strategy):
-        tree = tree_for(query, strategy)
-        naive = multiset(NaiveLeftJoinEvaluator(MemoryStore(GRAPH)).evaluate(tree))
-        hashed = multiset(Evaluator(IndexedStore(GRAPH)).evaluate(tree))
-        assert hashed == naive
+        hashed = multiset(bindings(IndexedStore(GRAPH), tree_for(query, strategy)))
+        assert hashed == oracle.multiset(oracle.evaluate(query, GRAPH))
 
     @pytest.mark.parametrize("query", (Q6_SHAPED, Q7_SHAPED, SHARED_OPTIONAL))
     def test_term_space_left_join_matches_naive(self, query):
-        store = MemoryStore(GRAPH)
-        tree = tree_for(query)
-        naive = multiset(NaiveLeftJoinEvaluator(store).evaluate(tree))
-        hashed = multiset(Evaluator(store).evaluate(tree))
-        assert hashed == naive
+        # On the scan store.
+        hashed = multiset(bindings(MemoryStore(GRAPH), tree_for(query)))
+        assert hashed == oracle.multiset(oracle.evaluate(query, GRAPH))
 
 
 class TestEquiConditionValueSemantics:
@@ -429,9 +403,10 @@ class TestEquiConditionValueSemantics:
     def test_numeric_value_equality_across_datatypes(self):
         graph = self.build()
         tree = tree_for(self.QUERY)
-        id_rows = list(Evaluator(IndexedStore(graph)).evaluate(tree))
-        term_rows = list(Evaluator(MemoryStore(graph)).evaluate(tree))
-        assert multiset(id_rows) == multiset(term_rows)
+        id_rows = bindings(IndexedStore(graph), tree)
+        expected = oracle.multiset(oracle.evaluate(self.QUERY, graph))
+        assert multiset(id_rows) == multiset(bindings(MemoryStore(graph), tree))
+        assert multiset(id_rows) == expected
         assert len(id_rows) == 1
         assert id_rows[0].get("b") is not None  # 1940^^gYear = 1940^^integer
 
@@ -454,49 +429,25 @@ class TestEquiConditionValueSemantics:
         }
         """
         tree = tree_for(query)
-        id_rows = list(Evaluator(IndexedStore(g)).evaluate(tree))
-        term_rows = list(Evaluator(MemoryStore(g)).evaluate(tree))
-        assert multiset(id_rows) == multiset(term_rows)
+        id_rows = bindings(IndexedStore(g), tree)
+        expected = oracle.multiset(oracle.evaluate(query, g))
+        assert multiset(id_rows) == multiset(bindings(MemoryStore(g), tree))
+        assert multiset(id_rows) == expected
         assert len(id_rows) == 1
         assert id_rows[0].get("b") is None  # "same"@en != "same"
 
 
 class TestEvaluatorFacade:
-    def test_indexed_store_defaults_to_id_space(self):
-        assert Evaluator(IndexedStore(GRAPH)).uses_id_space is True
+    """IdSpaceEvaluation is the one evaluator every store runs through."""
 
-    def test_memory_store_stays_on_term_path(self):
-        assert Evaluator(MemoryStore(GRAPH)).uses_id_space is False
-
-    def test_evaluate_ids_requires_id_capable_store(self):
-        evaluator = Evaluator(MemoryStore(GRAPH))
-        with pytest.raises(EvaluationError):
-            evaluator.evaluate_ids(tree_for("SELECT ?x WHERE { ?x ?p ?o }"))
-
-    def test_id_space_evaluation_rejects_scan_store(self):
-        with pytest.raises(EvaluationError):
-            IdSpaceEvaluation(MemoryStore(GRAPH))
+    def test_scan_store_answers_on_the_same_executor(self):
+        tree = tree_for(TestZeroDecodeJoins.CREATORS)
+        scanned = bindings(MemoryStore(GRAPH), tree)
+        assert scanned and all(isinstance(row, IdBinding) for row in scanned)
+        assert multiset(scanned) == multiset(bindings(IndexedStore(GRAPH), tree))
 
     def test_ask_on_id_path(self):
-        evaluator = Evaluator(IndexedStore(GRAPH))
-        assert evaluator.evaluate(tree_for("ASK { ?d rdf:type bench:Article }")) is True
-        assert evaluator.evaluate(tree_for("ASK { ?d rdf:type bench:Journal }")) is False
-
-
-class TestCatalogEquivalence:
-    """Every catalog query returns identical multisets on both paths."""
-
-    @pytest.fixture(scope="class")
-    def term_engine(self, native_engine, reference):
-        return reference.term_space(native_engine)
-
-    @pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda q: q.identifier)
-    def test_id_space_matches_term_space_on_catalog(self, query, native_engine,
-                                                    term_engine):
-        id_engine = native_engine
-        id_result = id_engine.query(query.text)
-        term_result = term_engine.query(query.text)
-        if isinstance(id_result, AskResult):
-            assert bool(id_result) == bool(term_result)
-        else:
-            assert id_result.as_multiset() == term_result.as_multiset()
+        for store in (IndexedStore(GRAPH), MemoryStore(GRAPH)):
+            evaluation = IdSpaceEvaluation(store)
+            assert evaluation.ask(tree_for("ASK { ?d rdf:type bench:Article }").operand)
+            assert not evaluation.ask(tree_for("ASK { ?d rdf:type bench:Journal }").operand)

@@ -6,7 +6,7 @@ from repro.sparql import (
     IN_MEMORY_BASELINE,
     IN_MEMORY_OPTIMIZED,
     EngineConfig,
-    Evaluator,
+    IdSpaceEvaluation,
     SparqlEngine,
     parse_query,
     translate_query,
@@ -21,9 +21,13 @@ class CountingStore(MemoryStore):
         super().__init__(triples)
         self.scan_calls = 0
 
-    def triples(self, subject=None, predicate=None, object=None):
+    def triples_ids(self, subject=None, predicate=None, object=None):
         self.scan_calls += 1
-        return super().triples(subject, predicate, object)
+        return super().triples_ids(subject, predicate, object)
+
+
+def run(store, tree, reuse_patterns):
+    return list(IdSpaceEvaluation(store, reuse_patterns=reuse_patterns).bindings(tree))
 
 
 def build_graph():
@@ -62,9 +66,9 @@ class TestEvaluatorReuse:
         tree = translate_query(parse_query(REPEATED_PATTERN_QUERY))
 
         plain_store = CountingStore(graph)
-        list(Evaluator(plain_store, reuse_patterns=False).evaluate(tree))
+        run(plain_store, tree, reuse_patterns=False)
         reusing_store = CountingStore(graph)
-        list(Evaluator(reusing_store, reuse_patterns=True).evaluate(tree))
+        run(reusing_store, tree, reuse_patterns=True)
 
         assert reusing_store.scan_calls < plain_store.scan_calls
         # Each of the four pattern shapes occurs twice, so reuse needs only
@@ -81,10 +85,10 @@ class TestEvaluatorReuse:
     def test_cache_is_per_evaluation(self):
         store = CountingStore(list(build_graph()))
         tree = translate_query(parse_query("SELECT ?a WHERE { ?a rdf:type bench:Article }"))
-        list(Evaluator(store, reuse_patterns=True).evaluate(tree))
+        run(store, tree, reuse_patterns=True)
         first_calls = store.scan_calls
-        list(Evaluator(store, reuse_patterns=True).evaluate(tree))
-        # A fresh evaluator starts with an empty cache, so the store is
+        run(store, tree, reuse_patterns=True)
+        # A fresh evaluation starts with an empty cache, so the store is
         # consulted again (no stale results across updates).
         assert store.scan_calls == 2 * first_calls
 

@@ -258,15 +258,16 @@ class TestExplain:
             report = cost_engine.explain(get_query(query_id).text)
             assert report.result_count == len(cost_engine.query(get_query(query_id).text))
 
-    def test_explain_on_term_space_engine_keeps_estimates(self, generated_graph_small):
+    def test_explain_on_scan_engine_observes_actuals(self, generated_graph_small):
         from repro.sparql import IN_MEMORY_OPTIMIZED
 
         engine = SparqlEngine.from_graph(generated_graph_small, IN_MEMORY_OPTIMIZED)
         report = engine.explain(get_query("Q1").text)
         steps = list(report.plan_steps())
-        assert steps
-        assert not report.id_space
-        assert all(step.actual is None for step in steps)
+        assert steps and all(step.strategy == "scan" for step in steps)
+        assert all(step.actual is not None for step in steps)
+        assert steps[-1].actual == report.result.actual == report.result_count == 1
+        assert report.render().splitlines()[-1].startswith("result: rows=1 decoded=")
 
     def test_explain_renders_stage_timings(self, cost_engine):
         report = cost_engine.explain(get_query("Q4").text)
@@ -307,16 +308,9 @@ class TestExplain:
         # lazy rows decoded nothing on top (no id is decoded twice).
         assert 0 < report.decoded <= len(cost_engine.store.dictionary)
 
-    def test_result_line_without_an_id_space_select(self, cost_engine,
-                                                    generated_graph_small):
-        from repro.sparql import IN_MEMORY_OPTIMIZED
-
+    def test_result_line_without_an_id_space_select(self, cost_engine):
         ask = cost_engine.explain(get_query("Q12c").text)
         assert ask.render().splitlines()[-1] == f"result: rows={ask.result_count}"
-        memory = SparqlEngine.from_graph(generated_graph_small, IN_MEMORY_OPTIMIZED)
-        report = memory.explain(get_query("Q1").text)
-        assert report.result is None
-        assert report.render().splitlines()[-1] == "result: rows=1"
 
 
 class TestQError:
@@ -413,9 +407,8 @@ class TestSeededEvaluation:
     def test_bind_planned_join_is_seeded_on_the_term_path_too(self):
         # Regression: a bind-join plan reorders the right group's patterns
         # and inline-filter placement assuming the left rows seed its
-        # evaluation.  The term-space evaluator used to execute such a right
-        # side standalone, so the filter ran while ?a was still unbound
-        # (error -> false) and the join came back empty on scan stores.
+        # evaluation; executing such a right side standalone runs the filter
+        # while ?a is still unbound (error -> false) and empties the join.
         from repro.rdf import Literal, Triple, URIRef
 
         rdf_type = URIRef("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")

@@ -194,11 +194,11 @@ class TestAskShortCircuit:
         assert counts["produced"] <= 1
 
     def test_ask_short_circuit_term_space(self, graph):
-        # The term-space loop on a plan of probe steps: a scan store's own
-        # plans are excluded on purpose, since scanning the whole document
+        # The executor on a plan of probe steps over a scan store: the store's
+        # own plans are scans on purpose, since scanning the whole document
         # per pattern is the in-memory cost model the benchmark contrasts
         # against.
-        from repro.sparql import Evaluator, parse_query, translate_query
+        from repro.sparql import IdSpaceEvaluation, parse_query, translate_query
         from repro.sparql.algebra import collect_bgps
         from repro.sparql.planner import PROBE, textual_plan
         from repro.store import MemoryStore
@@ -207,9 +207,9 @@ class TestAskShortCircuit:
         tree = translate_query(parse_query("ASK { ?s ?p ?o }"))
         for bgp in collect_bgps(tree):
             bgp.plan = textual_plan(bgp.patterns, PROBE)
-        counts = probe_counter(store, "triples")
+        counts = probe_counter(store, "triples_ids")
         try:
-            assert Evaluator(store).evaluate(tree) is True
+            assert IdSpaceEvaluation(store).ask(tree.operand) is True
         finally:
             counts["restore"]()
         assert counts["produced"] <= 1

@@ -104,9 +104,10 @@ class TestStatisticsIntegration:
 
 
 class TestIdLevelAccess:
-    def test_supports_id_access_capability(self, store):
-        assert store.supports_id_access is True
-        assert MemoryStore().supports_id_access is False
+    def test_sorted_runs_are_the_one_capability(self, store):
+        assert store.supports_sorted_runs is True
+        assert not hasattr(MemoryStore(), "supports_sorted_runs")
+        assert not hasattr(store, "supports_id_access")
 
     def test_encode_pattern_round_trips_known_terms(self, store):
         encoded = store.encode_pattern(uri("a"), uri("p"), None)

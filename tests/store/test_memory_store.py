@@ -84,3 +84,30 @@ class TestMemoryStore:
     def test_iteration(self):
         store = MemoryStore(sample_triples())
         assert list(store) == sample_triples()
+
+    def test_triples_ids_is_a_filter_over_every_triple(self):
+        store = MemoryStore(sample_triples())
+        encoded = store.encode_pattern(uri("a"), None, None)
+        decode = store.dictionary.decode
+        found = [tuple(map(decode, ids)) for ids in store.triples_ids(*encoded)]
+        assert found == [triple.as_tuple() for triple in sample_triples()[:2]]
+        assert list(store.triples_ids(*store.encode_pattern(None, uri("q"), uri("b")))) == []
+        assert len(list(store.triples_ids())) == 3
+        assert store.encode_pattern(uri("nowhere"), None, None) is None
+
+    def test_the_scan_store_has_no_index_runs_or_statistics(self):
+        store = MemoryStore(sample_triples())
+        for attribute in ("supports_sorted_runs", "sorted_run", "statistics"):
+            assert not hasattr(store, attribute)
+
+    def test_generation_draft_shares_the_dictionary(self):
+        store = MemoryStore(sample_triples())
+        draft = store.begin_generation()
+        assert draft.add(Triple(uri("n"), uri("p"), uri("b"))) is True
+        assert draft.remove(sample_triples()[0]) is True
+        assert draft.add(sample_triples()[1]) is False
+        published = draft.finish(store.version + 1)
+        assert published.dictionary is store.dictionary
+        assert (draft.inserted, draft.deleted) == (1, 1)
+        assert list(store) == sample_triples()
+        assert list(published) == sample_triples()[1:] + [Triple(uri("n"), uri("p"), uri("b"))]

@@ -89,10 +89,14 @@ def test_explain_reports_the_plan_of_every_engine(document, capsys, config):
     code, out, _ = run_query(capsys, document, "--query", "Q5a", "--explain",
                              "--engine", config.name)
     assert code == 0
-    space = "id" if config.store_type == "indexed" else "term"
-    assert f"engine={config.name} space={space} rows={rows} " in out
-    # Only id-space execution observes per-step actual cardinalities.
-    assert ("actual=-" in out) == (space == "term")
+    assert f"engine={config.name} rows={rows} " in out
+    # Every engine observes each step's actual rows, self time and q-error,
+    # and names what reached the result boundary.
+    steps = [line for line in out.splitlines() if line.lstrip()[:1].isdigit()]
+    assert steps
+    for line in steps:
+        assert "actual=-" not in line and "qerr=-" not in line and " time=" in line
+    assert f"result: rows={rows} decoded=" in out
 
 
 @pytest.mark.parametrize("format", FORMATS)
