@@ -167,7 +167,7 @@ def workload_summary(report):
     the reader/writer QpS split.
     """
     line = (
-        f"{report.clients} client(s), {report.mode} mode, "
+        f"{report.clients} client(s), "
         f"{report.elapsed:.1f}s window: {report.total} requests, "
         f"{report.successes} ok / {report.timeouts} timeout / "
         f"{report.errors} error"

@@ -8,7 +8,8 @@ queries-per-second plus p50/p95/p99 latency, per query class and overall.
 The default mix follows the shape real SPARQL query logs show (Bonifati et
 al., "An Analytical Study of Large SPARQL Query Logs"): dominated by cheap
 point lookups and small selections, with a thin tail of heavy analytic
-queries.
+queries.  A mix may also interleave canary-pair updates and probes that
+turn a snapshot-isolation violation into a ``torn`` record.
 
 Two execution targets share the client loop:
 
@@ -18,32 +19,26 @@ Two execution targets share the client loop:
 * :class:`HttpWorkloadClient` — over HTTP against a running SPARQL
   Protocol endpoint (one persistent connection per client).
 
-Two concurrency modes, because CPython's GIL makes them measure different
-things: ``thread`` mode runs clients as threads — right for HTTP targets
-(the client side is I/O-bound) and for exercising thread-safety — while
-``process`` mode forks clients as processes, which is the only way a
-pure-Python *in-process* workload scales with cores.  The parent builds the
-engine once (e.g. from a ``.sp2b`` snapshot) before forking, so every
-client inherits the same read-only store via copy-on-write — the store is
-loaded exactly once, as a shared-memory server would.
+Clients are threads: the HTTP client side is I/O-bound, and using more
+than one core is the server's job, not the load generator's.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from http.client import HTTPConnection
-from queue import Empty
+from itertools import accumulate
 from random import Random
 from urllib.parse import urlsplit
 
 from ..queries.catalog import get_query
-from ..sparql.cursor import Deadline
-from ..sparql.errors import QueryTimeout, SparqlError
+from ..server.protocol import UPDATE_PATH
+from ..sparql.errors import QueryTimeout
+from ..store.mvcc import MvccStore
 from .metrics import (
     ERROR,
     REJECTED,
@@ -71,6 +66,9 @@ DEFAULT_MIX_WEIGHTS = {
 
 #: Tail-latency fractions every report includes.
 REPORT_PERCENTILES = (0.50, 0.95, 0.99)
+
+#: Share of canary probes in every mix that writes.
+CANARY_FRACTION = 0.15
 
 #: Record-id prefix marking write operations in mixed read/write runs.
 WRITE_ID_PREFIX = "U:"
@@ -117,44 +115,66 @@ def canary_insert_text(token):
 
 
 class WorkloadMix:
-    """A weighted mix of (query id, query text) templates."""
+    """A weighted mix of (query id, query text) templates, optionally
+    interleaved with canary writes and probes.
 
-    def __init__(self, entries):
+    ``update_fraction`` of the chosen operations are writes (split evenly
+    between canary-pair inserts and pair deletes).  A mix that writes also
+    issues :data:`CANARY_FRACTION` canary probe reads that verify snapshot
+    isolation (a probe observing a half-written pair is recorded as
+    :data:`~repro.bench.metrics.TORN`); everything else comes from the
+    weighted templates.  The default, 0, is a read-only mix without probes.
+    Insert texts embed a token drawn from the caller's random stream, so
+    each insert writes a distinct pair and runs stay seed-reproducible.
+    """
+
+    def __init__(self, entries, update_fraction=0.0):
         entries = tuple(
             (str(identifier), text, float(weight))
             for identifier, text, weight in entries
         )
         if not entries:
             raise ValueError("a workload mix needs at least one query")
-        if any(weight <= 0 for _i, _t, weight in entries):
-            raise ValueError("mix weights must be positive")
+        for identifier, _text, weight in entries:
+            if not 0 < weight < float("inf"):
+                raise ValueError(f"mix weight of {identifier} must be a "
+                                 f"positive number, not {weight:g}")
+        if not 0.0 <= update_fraction < 1.0 - CANARY_FRACTION:
+            raise ValueError(f"update fraction must be in "
+                             f"[0, {1.0 - CANARY_FRACTION:g}), "
+                             f"not {update_fraction:g}")
         self.entries = entries
-        self._cumulative = []
-        total = 0.0
-        for _identifier, _text, weight in entries:
-            total += weight
-            self._cumulative.append(total)
-        self.total_weight = total
+        self.update_fraction = update_fraction
+        self.canary_fraction = CANARY_FRACTION if update_fraction else 0.0
+        self._cumulative = list(accumulate(weight for _i, _t, weight in entries))
+        self.total_weight = self._cumulative[-1]
 
     @classmethod
-    def from_catalog(cls, weights=None):
+    def from_catalog(cls, weights=None, update_fraction=0.0):
         """Build a mix of catalog queries from ``{query id: weight}``."""
         weights = dict(weights or DEFAULT_MIX_WEIGHTS)
         return cls(
-            (identifier, get_query(identifier).text, weight)
-            for identifier, weight in weights.items()
+            ((identifier, get_query(identifier).text, weight)
+             for identifier, weight in weights.items()),
+            update_fraction=update_fraction,
         )
 
-    @classmethod
-    def uniform(cls, query_ids):
-        """An equal-weight mix over the given catalog query ids."""
-        return cls.from_catalog({identifier: 1 for identifier in query_ids})
-
     def query_ids(self):
-        return [identifier for identifier, _text, _weight in self.entries]
+        identifiers = [identifier for identifier, _text, _weight in self.entries]
+        if self.update_fraction:
+            identifiers.extend((CANARY_PROBE_ID, INSERT_ID, DELETE_ID))
+        return identifiers
 
     def choose(self, rng):
-        """Pick one ``(query id, text)`` with probability ∝ weight."""
+        """Pick one ``(operation id, text)``; templates ∝ their weight."""
+        if self.update_fraction:
+            roll = rng.random()
+            if roll < self.update_fraction:
+                if rng.random() < 0.5:
+                    return INSERT_ID, canary_insert_text(rng.getrandbits(48))
+                return DELETE_ID, CANARY_DELETE_TEXT
+            if roll < self.update_fraction + self.canary_fraction:
+                return CANARY_PROBE_ID, CANARY_PROBE_TEXT
         point = rng.random() * self.total_weight
         index = min(bisect_right(self._cumulative, point), len(self.entries) - 1)
         identifier, text, _weight = self.entries[index]
@@ -165,60 +185,32 @@ class WorkloadMix:
             f"{identifier}:{weight:g}"
             for identifier, _text, weight in self.entries
         )
+        if self.update_fraction:
+            parts += (f"; updates={self.update_fraction:g}, "
+                      f"canary={self.canary_fraction:g}")
         return f"WorkloadMix({parts})"
-
-
-class MixedWorkloadMix:
-    """A read mix with an interleaved stream of update operations.
-
-    ``update_fraction`` of the chosen operations are writes (split evenly
-    between canary-pair inserts and pair deletes); ``canary_fraction`` are
-    canary probe reads that verify snapshot isolation (a probe observing a
-    half-written pair is recorded as :data:`~repro.bench.metrics.TORN`);
-    everything else comes from the wrapped read mix.  Insert texts embed a
-    token drawn from the caller's random stream, so each insert writes a
-    distinct pair and runs stay seed-reproducible.
-    """
-
-    def __init__(self, read_mix=None, update_fraction=0.1,
-                 canary_fraction=0.15):
-        if not 0.0 <= update_fraction < 1.0:
-            raise ValueError("update_fraction must be in [0, 1)")
-        if canary_fraction < 0 or update_fraction + canary_fraction >= 1.0:
-            raise ValueError("update_fraction + canary_fraction must be < 1")
-        self.read_mix = read_mix or WorkloadMix.from_catalog()
-        self.update_fraction = update_fraction
-        self.canary_fraction = canary_fraction
-
-    def query_ids(self):
-        return self.read_mix.query_ids() + [CANARY_PROBE_ID, INSERT_ID,
-                                            DELETE_ID]
-
-    def choose(self, rng):
-        """Pick one ``(operation id, text)``."""
-        roll = rng.random()
-        if roll < self.update_fraction:
-            if rng.random() < 0.5:
-                return INSERT_ID, canary_insert_text(rng.getrandbits(48))
-            return DELETE_ID, CANARY_DELETE_TEXT
-        if roll < self.update_fraction + self.canary_fraction:
-            return CANARY_PROBE_ID, CANARY_PROBE_TEXT
-        return self.read_mix.choose(rng)
-
-    def __repr__(self):
-        return (f"MixedWorkloadMix(updates={self.update_fraction:g}, "
-                f"canary={self.canary_fraction:g}, reads={self.read_mix!r})")
 
 
 # -- execution targets --------------------------------------------------------
 
 
-class EngineWorkloadClient:
-    """Executes mix queries in-process against a shared engine.
+def _torn(bindings):
+    """Whether any canary probe solution misses one half of its pair.
 
-    Goes through ``prepare_cached`` — the same statement cache a server
+    Under snapshot isolation both halves of a pair are published
+    atomically, so a solution with ``?l`` or ``?r`` unbound is a torn write.
+    """
+    return any(b.get("l") is None or b.get("r") is None for b in bindings)
+
+
+class EngineWorkloadClient:
+    """Executes mix operations in-process against a shared engine.
+
+    Reads go through ``prepare_cached`` — the same statement cache a server
     worker uses — so each template is parsed and planned once per engine,
-    not once per client.
+    not once per client.  Updates go through ``engine.update`` (one MVCC
+    transaction each); the canary probe inspects its own result rows and
+    classifies a half-visible pair as :data:`~repro.bench.metrics.TORN`.
     """
 
     def __init__(self, engine, timeout=None):
@@ -226,20 +218,23 @@ class EngineWorkloadClient:
         self.timeout = timeout
 
     def execute(self, query_id, text):
-        """Run one query; returns ``(query_id, status, seconds)``."""
+        """Run one operation; returns ``(query_id, status, seconds)``."""
         start = time.perf_counter()
         try:
-            prepared = self.engine.prepare_cached(text)
-            deadline = None if self.timeout is None else Deadline(self.timeout)
-            with prepared.run(deadline=deadline) as cursor:
-                if cursor.form != "ASK":
-                    for _binding in cursor:
-                        pass
             status = SUCCESS
+            if query_id.startswith(WRITE_ID_PREFIX):
+                self.engine.update(text)
+            else:
+                prepared = self.engine.prepare_cached(text)
+                with prepared.run(timeout=self.timeout) as cursor:
+                    if query_id == CANARY_PROBE_ID:
+                        if _torn(cursor):
+                            status = TORN
+                    elif cursor.form != "ASK":
+                        for _binding in cursor:
+                            pass
         except QueryTimeout:
             status = TIMEOUT
-        except SparqlError:
-            status = ERROR
         except Exception:  # noqa: BLE001 - the load loop must survive anything
             status = ERROR
         return query_id, status, time.perf_counter() - start
@@ -249,17 +244,21 @@ class EngineWorkloadClient:
 
 
 class HttpWorkloadClient:
-    """Executes mix queries over HTTP against a SPARQL Protocol endpoint.
+    """Executes mix operations over HTTP against a SPARQL Protocol endpoint.
 
-    Holds one persistent connection (re-established after network errors),
-    POSTs the query as ``application/sparql-query``, and classifies the
-    response via :func:`~repro.bench.metrics.classify_http_status`: 2xx is
-    a success, a 503 carrying the structured ``timeout`` error code is a
-    timeout, a plain 503/429 is overload, 403/405 is a policy rejection,
-    anything else — including transport failures — is an error.
+    Holds one persistent connection (re-established after network errors).
+    Queries POST as ``application/sparql-query`` and ask for JSON results;
+    updates POST to the server's ``/update`` endpoint as
+    ``application/sparql-update``; the canary probe inspects its bindings
+    for half-visible pairs.  Responses are classified via
+    :func:`~repro.bench.metrics.classify_http_status`: 2xx is a success, a
+    503 carrying the structured ``timeout`` error code is a timeout, a
+    plain 503/429 is overload, 403/405 (a read-only deployment refusing an
+    update) is a policy rejection, anything else — including transport
+    failures — is an error.
     """
 
-    def __init__(self, url, timeout=None, format="json"):
+    def __init__(self, url, timeout=None):
         parts = urlsplit(url)
         if parts.scheme not in ("http", ""):
             raise ValueError(f"unsupported URL scheme in {url!r}")
@@ -269,39 +268,39 @@ class HttpWorkloadClient:
         if timeout is not None:
             self.path += f"?timeout={timeout:g}"
         self.timeout = timeout
-        self.accept = {
-            "json": "application/sparql-results+json",
-            "xml": "application/sparql-results+xml",
-            "csv": "text/csv",
-            "tsv": "text/tab-separated-values",
-        }[format]
         # Socket budget: the per-query budget plus slack for queueing at the
         # server's worker pool; never below a floor that survives load.
         self.socket_timeout = max(30.0 if timeout is None else timeout * 4, 10.0)
         self._connection = None
 
-    def _connect(self):
+    def _post(self, path, text, headers):
+        """POST ``text``; returns ``(status class, response body)``."""
         if self._connection is None:
             self._connection = HTTPConnection(
                 self.host, self.port, timeout=self.socket_timeout
             )
-        return self._connection
+        self._connection.request("POST", path, body=text.encode("utf-8"),
+                                 headers=headers)
+        response = self._connection.getresponse()
+        body = response.read()
+        return classify_http_status(response.status, body), body
 
     def execute(self, query_id, text):
-        """Run one query; returns ``(query_id, status, seconds)``."""
+        """Run one operation; returns ``(query_id, status, seconds)``."""
         start = time.perf_counter()
         try:
-            connection = self._connect()
-            connection.request(
-                "POST", self.path, body=text.encode("utf-8"),
-                headers={
+            if query_id.startswith(WRITE_ID_PREFIX):
+                status, _body = self._post(UPDATE_PATH, text, {
+                    "Content-Type": "application/sparql-update",
+                })
+            else:
+                status, body = self._post(self.path, text, {
                     "Content-Type": "application/sparql-query",
-                    "Accept": self.accept,
-                },
-            )
-            response = connection.getresponse()
-            body = response.read()
-            status = classify_http_status(response.status, body)
+                    "Accept": "application/sparql-results+json",
+                })
+                if (query_id == CANARY_PROBE_ID and status == SUCCESS
+                        and _torn(json.loads(body)["results"]["bindings"])):
+                    status = TORN
         except Exception:  # noqa: BLE001 - transport failure = error record
             status = ERROR
             self.close()
@@ -311,116 +310,6 @@ class HttpWorkloadClient:
         if self._connection is not None:
             self._connection.close()
             self._connection = None
-
-
-# -- mixed read/write targets -------------------------------------------------
-
-
-def _canary_rows_torn(rows):
-    """Whether any probe row misses one half of its canary pair.
-
-    ``rows`` yields ``(left, right)`` value pairs with ``None`` for an
-    unbound half.  Under snapshot isolation both halves of a pair are
-    published atomically, so a half-bound row is a torn write.
-    """
-    return any(left is None or right is None for left, right in rows)
-
-
-class MixedEngineWorkloadClient(EngineWorkloadClient):
-    """Engine client that additionally executes updates and canary probes.
-
-    Updates go through ``engine.update`` (one MVCC transaction each); the
-    canary probe inspects its own result rows and classifies a half-visible
-    pair as :data:`~repro.bench.metrics.TORN`.
-    """
-
-    def execute(self, query_id, text):
-        if not query_id.startswith(WRITE_ID_PREFIX) and \
-                query_id != CANARY_PROBE_ID:
-            return super().execute(query_id, text)
-        start = time.perf_counter()
-        try:
-            if query_id.startswith(WRITE_ID_PREFIX):
-                self.engine.update(text)
-                status = SUCCESS
-            else:
-                prepared = self.engine.prepare_cached(text)
-                deadline = (None if self.timeout is None
-                            else Deadline(self.timeout))
-                with prepared.run(deadline=deadline) as cursor:
-                    rows = ((binding.get("l"), binding.get("r"))
-                            for binding in cursor)
-                    status = TORN if _canary_rows_torn(rows) else SUCCESS
-        except QueryTimeout:
-            status = TIMEOUT
-        except Exception:  # noqa: BLE001 - the load loop must survive anything
-            status = ERROR
-        return query_id, status, time.perf_counter() - start
-
-
-class MixedHttpWorkloadClient(HttpWorkloadClient):
-    """HTTP client that additionally POSTs updates and runs canary probes.
-
-    Updates POST to the server's ``/update`` endpoint as
-    ``application/sparql-update``; a 403 from a read-only deployment is a
-    :data:`~repro.bench.metrics.REJECTED` record, not an error.  The canary
-    probe requests JSON results and inspects the bindings for half-visible
-    pairs.
-    """
-
-    def __init__(self, url, timeout=None, format="json"):
-        super().__init__(url, timeout=timeout, format=format)
-        from ..server.protocol import UPDATE_PATH
-
-        self.update_path = UPDATE_PATH
-
-    def execute(self, query_id, text):
-        if query_id.startswith(WRITE_ID_PREFIX):
-            return self._execute_update(query_id, text)
-        if query_id == CANARY_PROBE_ID:
-            return self._execute_probe(query_id, text)
-        return super().execute(query_id, text)
-
-    def _execute_update(self, query_id, text):
-        start = time.perf_counter()
-        try:
-            connection = self._connect()
-            connection.request(
-                "POST", self.update_path, body=text.encode("utf-8"),
-                headers={"Content-Type": "application/sparql-update"},
-            )
-            response = connection.getresponse()
-            body = response.read()
-            status = classify_http_status(response.status, body)
-        except Exception:  # noqa: BLE001 - transport failure = error record
-            status = ERROR
-            self.close()
-        return query_id, status, time.perf_counter() - start
-
-    def _execute_probe(self, query_id, text):
-        start = time.perf_counter()
-        try:
-            connection = self._connect()
-            connection.request(
-                "POST", self.path, body=text.encode("utf-8"),
-                headers={
-                    "Content-Type": "application/sparql-query",
-                    "Accept": "application/sparql-results+json",
-                },
-            )
-            response = connection.getresponse()
-            body = response.read()
-            status = classify_http_status(response.status, body)
-            if status == SUCCESS:
-                bindings = json.loads(body)["results"]["bindings"]
-                rows = ((entry.get("l"), entry.get("r"))
-                        for entry in bindings)
-                if _canary_rows_torn(rows):
-                    status = TORN
-        except Exception:  # noqa: BLE001 - transport failure = error record
-            status = ERROR
-            self.close()
-        return query_id, status, time.perf_counter() - start
 
 
 # -- the closed loop ----------------------------------------------------------
@@ -450,7 +339,6 @@ class WorkloadReport:
 
     clients: int
     duration: float
-    mode: str
     mix_ids: list = field(default_factory=list)
     #: Flat ``(query_id, status, seconds)`` records across all clients.
     records: list = field(default_factory=list)
@@ -501,11 +389,7 @@ class WorkloadReport:
 
     def read_count(self, status=None):
         """Records of read operations (everything that is not an update)."""
-        return sum(
-            1 for record_id, record_status, _seconds in self.records
-            if not record_id.startswith(WRITE_ID_PREFIX)
-            and (status is None or record_status == status)
-        )
+        return self.count(status) - self.write_count(status)
 
     @property
     def elapsed(self):
@@ -516,33 +400,28 @@ class WorkloadReport:
             start for start, _end in self.spans
         )
 
+    def _rate(self, count):
+        window = self.elapsed
+        return count / window if window > 0 else 0.0
+
     def qps(self, query_id=None):
         """Sustained successful queries per second over the window."""
-        window = self.elapsed
-        if window <= 0:
-            return 0.0
-        return self.count(SUCCESS, query_id=query_id) / window
+        return self._rate(self.count(SUCCESS, query_id=query_id))
 
     def read_qps(self):
         """Sustained successful read operations per second."""
-        window = self.elapsed
-        return self.read_count(SUCCESS) / window if window > 0 else 0.0
+        return self._rate(self.read_count(SUCCESS))
 
     def write_qps(self):
         """Sustained successful (committed) update operations per second."""
-        window = self.elapsed
-        return self.write_count(SUCCESS) / window if window > 0 else 0.0
-
-    def latencies(self, query_id=None, status=SUCCESS):
-        return [
-            seconds for record_id, record_status, seconds in self.records
-            if record_status == status
-            and (query_id is None or record_id == query_id)
-        ]
+        return self._rate(self.write_count(SUCCESS))
 
     def percentiles(self, query_id=None):
-        """``{"p50": ..., "p95": ..., "p99": ...}`` latencies in seconds."""
-        values = self.latencies(query_id=query_id)
+        """``{"p50": ..., "p95": ..., "p99": ...}`` success latencies in s."""
+        values = [
+            seconds for record_id, status, seconds in self.records
+            if status == SUCCESS and query_id in (None, record_id)
+        ]
         return {
             f"p{int(fraction * 100)}": percentile(values, fraction)
             for fraction in REPORT_PERCENTILES
@@ -573,7 +452,6 @@ class WorkloadReport:
             "clients": self.clients,
             "duration": self.duration,
             "elapsed": self.elapsed,
-            "mode": self.mode,
             "total": self.total,
             "success": self.successes,
             "timeout": self.timeouts,
@@ -590,41 +468,17 @@ class WorkloadReport:
         }
 
 
-def process_mode_available():
-    """Whether ``mode="process"`` can run here (needs the fork method)."""
-    return "fork" in multiprocessing.get_all_start_methods()
+def run_workload(client_factory, mix, clients=4, duration=5.0, seed=97):
+    """Run a closed-loop workload on threads; returns a :class:`WorkloadReport`.
 
-
-def run_workload(client_factory, mix, clients=4, duration=5.0, mode="thread",
-                 seed=97):
-    """Run a closed-loop workload; returns a :class:`WorkloadReport`.
-
-    ``client_factory`` builds one client per worker (called inside the
-    worker, so process-mode clients own their sockets).  ``mode`` is
-    ``"thread"`` or ``"process"``; process mode requires the ``fork`` start
-    method (the engine/store built before the call is inherited
-    copy-on-write, i.e. loaded exactly once).  Each client's random stream
-    is seeded from ``seed`` + client index, so a run is reproducible up to
-    scheduling.
+    ``client_factory`` builds one client per thread.  All clients start
+    together behind a barrier; a client that fails to build aborts the
+    barrier and its exception is raised here.  Each client's random
+    stream is seeded from ``seed`` + client index, so a run is
+    reproducible up to scheduling.
     """
     if clients < 1:
         raise ValueError("clients must be >= 1")
-    if mode == "thread":
-        outcomes = _run_threads(client_factory, mix, clients, duration, seed)
-    elif mode == "process":
-        outcomes = _run_processes(client_factory, mix, clients, duration, seed)
-    else:
-        raise ValueError(f"unknown workload mode {mode!r}")
-    report = WorkloadReport(
-        clients=clients, duration=duration, mode=mode, mix_ids=mix.query_ids()
-    )
-    for start, end, records in outcomes:
-        report.spans.append((start, end))
-        report.records.extend(records)
-    return report
-
-
-def _run_threads(client_factory, mix, clients, duration, seed):
     barrier = threading.Barrier(clients)
     outcomes = [None] * clients
     errors = []
@@ -649,144 +503,37 @@ def _run_threads(client_factory, mix, clients, duration, seed):
         thread.join()
     if errors:
         raise errors[0]
-    return [outcome for outcome in outcomes if outcome is not None]
-
-
-def _run_processes(client_factory, mix, clients, duration, seed):
-    if not process_mode_available():
-        raise RuntimeError(
-            "workload process mode requires the fork start method "
-            "(unavailable on this platform); use mode='thread'"
-        )
-    context = multiprocessing.get_context("fork")
-    queue = context.Queue()
-    barrier = context.Barrier(clients)
-
-    def work(index):
-        # Every exit path enqueues a message: the parent never has to
-        # block on a child that died before reporting.  A failing child
-        # breaks the barrier so its siblings fail fast instead of waiting
-        # forever for a start that cannot happen.
-        try:
-            client = client_factory()
-            rng = Random(seed + index)
-            barrier.wait()
-            queue.put((index, _client_loop(client, mix, duration, rng), None))
-        except Exception as error:  # noqa: BLE001 - relayed to the parent
-            try:
-                barrier.abort()
-            except Exception:  # noqa: BLE001 - barrier may be gone already
-                pass
-            queue.put((index, None, f"{type(error).__name__}: {error}"))
-
-    processes = [
-        context.Process(target=work, args=(index,), name=f"workload-{index}")
-        for index in range(clients)
-    ]
-    for process in processes:
-        process.start()
-    outcomes = []
-    failures = []
-    try:
-        # Collect one message per child, polling so a child killed before
-        # it could report (OOM, signal) cannot hang the run.
-        give_up_at = time.monotonic() + duration + 60.0
-        pending = clients
-        while pending:
-            try:
-                _index, outcome, failure = queue.get(timeout=0.5)
-            except Empty:
-                # Both child exit paths enqueue first and exit 0, so a
-                # non-zero exit (OOM kill, signal) means a lost report.
-                dead = sum(
-                    1 for process in processes
-                    if not process.is_alive()
-                    and process.exitcode not in (0, None)
-                )
-                if dead:
-                    raise RuntimeError(
-                        f"{dead} workload client process(es) died without "
-                        "reporting a result"
-                    ) from None
-                if time.monotonic() > give_up_at:
-                    raise RuntimeError(
-                        "workload client processes did not finish within "
-                        f"{duration + 60.0:.0f}s"
-                    ) from None
-                continue
-            pending -= 1
-            if failure is not None:
-                failures.append(failure)
-            else:
-                outcomes.append(outcome)
-    finally:
-        for process in processes:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
-    if failures:
-        raise RuntimeError(f"workload client failed: {failures[0]}")
-    return outcomes
+    report = WorkloadReport(clients=clients, duration=duration,
+                            mix_ids=mix.query_ids())
+    for start, end, records in outcomes:
+        report.spans.append((start, end))
+        report.records.extend(records)
+    return report
 
 
 def run_engine_workload(engine, mix=None, clients=4, duration=5.0,
-                        mode="thread", timeout=None, seed=97):
+                        timeout=None, seed=97):
     """Closed-loop workload directly against an engine (no HTTP).
 
-    ``mode="process"`` is how an in-process workload scales past the GIL:
-    the engine (and its store) must be fully built before the call, so the
-    forked clients share it copy-on-write.
+    When the mix writes, the engine's store is wrapped in an
+    :class:`~repro.store.MvccStore` unless it is one already: concurrent
+    clients then commit updates through the serialized writer while
+    readers stay on pinned snapshots.
     """
     mix = mix or WorkloadMix.from_catalog()
+    if mix.update_fraction and not hasattr(engine.store, "write_transaction"):
+        engine.store = MvccStore(engine.store)
     return run_workload(
         lambda: EngineWorkloadClient(engine, timeout=timeout),
-        mix, clients=clients, duration=duration, mode=mode, seed=seed,
+        mix, clients=clients, duration=duration, seed=seed,
     )
 
 
-def run_http_workload(url, mix=None, clients=4, duration=5.0, mode="thread",
-                      timeout=None, seed=97):
+def run_http_workload(url, mix=None, clients=4, duration=5.0, timeout=None,
+                      seed=97):
     """Closed-loop workload against a running SPARQL Protocol endpoint."""
     mix = mix or WorkloadMix.from_catalog()
     return run_workload(
         lambda: HttpWorkloadClient(url, timeout=timeout),
-        mix, clients=clients, duration=duration, mode=mode, seed=seed,
+        mix, clients=clients, duration=duration, seed=seed,
     )
-
-
-def run_mixed_engine_workload(engine, mix=None, update_fraction=0.1,
-                              clients=4, duration=5.0, timeout=None, seed=97):
-    """Closed-loop mixed read/write workload directly against an engine.
-
-    The engine's store is wrapped in an :class:`~repro.store.MvccStore`
-    when it is not one already — concurrent clients then commit updates
-    through the serialized writer while readers stay on pinned snapshots.
-    Thread mode only: forked processes would each write a private
-    copy-on-write store, so updates would never be visible across clients.
-    """
-    from ..store.mvcc import MvccStore
-
-    if not hasattr(engine.store, "write_transaction"):
-        engine.store = MvccStore(engine.store)
-    mix = _as_mixed(mix, update_fraction)
-    return run_workload(
-        lambda: MixedEngineWorkloadClient(engine, timeout=timeout),
-        mix, clients=clients, duration=duration, mode="thread", seed=seed,
-    )
-
-
-def run_mixed_http_workload(url, mix=None, update_fraction=0.1, clients=4,
-                            duration=5.0, mode="thread", timeout=None,
-                            seed=97):
-    """Closed-loop mixed read/write workload against a running endpoint."""
-    mix = _as_mixed(mix, update_fraction)
-    return run_workload(
-        lambda: MixedHttpWorkloadClient(url, timeout=timeout),
-        mix, clients=clients, duration=duration, mode=mode, seed=seed,
-    )
-
-
-def _as_mixed(mix, update_fraction):
-    if isinstance(mix, MixedWorkloadMix):
-        return mix
-    return MixedWorkloadMix(mix, update_fraction=update_fraction)

@@ -47,14 +47,7 @@ from pathlib import Path
 
 from .bench.harness import DEFAULT_DOCUMENT_SIZES, ExperimentConfig, BenchmarkHarness
 from .bench import reporting
-from .bench.workload import (
-    WorkloadMix,
-    process_mode_available,
-    run_engine_workload,
-    run_http_workload,
-    run_mixed_engine_workload,
-    run_mixed_http_workload,
-)
+from .bench.workload import WorkloadMix, run_engine_workload, run_http_workload
 from .cache import DatasetCache, combined_cache_key, dataset_key, default_cache_dir
 from .generator.config import GeneratorConfig
 from .generator.generator import DblpGenerator
@@ -489,17 +482,19 @@ def serve_main(argv=None):
     return 0
 
 
-def _parse_mix(spec, query_ids):
-    """Build the workload mix from ``--mix Q1=4,Q3a=2`` / ``--queries``."""
-    if spec:
-        weights = {}
-        for part in spec.replace(",", " ").split():
-            identifier, _equals, weight = part.partition("=")
+def _parse_mix(spec, update_fraction):
+    """Build the workload mix from ``--mix Q1=4,Q3a=2`` and
+    ``--update-fraction``; a bare id weighs 1.  Raises ``KeyError`` or
+    ``ValueError`` naming the bad value."""
+    weights = {}
+    for part in (spec or "").replace(",", " ").split():
+        identifier, _equals, weight = part.partition("=")
+        try:
             weights[identifier] = float(weight) if weight else 1.0
-        return WorkloadMix.from_catalog(weights)
-    if query_ids:
-        return WorkloadMix.uniform(query_ids)
-    return WorkloadMix.from_catalog()
+        except ValueError:
+            raise ValueError(f"mix weight of {identifier} must be a positive "
+                             f"number, not {weight!r}") from None
+    return WorkloadMix.from_catalog(weights, update_fraction=update_fraction)
 
 
 def loadtest_main(argv=None):
@@ -525,13 +520,8 @@ def loadtest_main(argv=None):
     parser.add_argument("--duration", type=float, default=5.0,
                         help="seconds each client issues queries (default: 5)")
     parser.add_argument("--mix", default=None,
-                        help="weighted mix, e.g. 'Q1=4,Q3a=2,Q2=1' "
-                             "(default: the log-study mix)")
-    parser.add_argument("--queries", nargs="+", default=None,
-                        help="equal-weight mix over these catalog query ids")
-    parser.add_argument("--mode", choices=("thread", "process"), default=None,
-                        help="client concurrency model (default: thread; "
-                             "process scales in-process runs past the GIL)")
+                        help="weighted mix, e.g. 'Q1=4,Q3a=2,Q2' (a bare id "
+                             "weighs 1; default: the log-study mix)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-query deadline in seconds")
     parser.add_argument("--engine", default=NATIVE_COST.name,
@@ -541,11 +531,11 @@ def loadtest_main(argv=None):
                         help="base seed of the per-client query streams")
     parser.add_argument("--update-fraction", type=float, default=0.0,
                         help="fraction of operations that are SPARQL updates "
-                             "(mixed read/write mode with canary torn-write "
-                             "detection; default: 0 = read-only)")
+                             "(canary-pair writes, plus probes that detect "
+                             "torn reads; default: 0 = read-only)")
     parser.add_argument("--scrape-metrics", action="store_true",
                         help="scrape the server's /metrics before and after "
-                             "the run (HTTP mode only; requires the server "
+                             "the run (--url runs only; requires the server "
                              "to run with --metrics) and print a server-side "
                              "telemetry report alongside the client view")
     parser.add_argument("--json", action="store_true",
@@ -555,12 +545,12 @@ def loadtest_main(argv=None):
                              "as an error or a torn read")
     args = parser.parse_args(argv)
 
-    mix = _parse_mix(args.mix, args.queries)
-    mode = args.mode or "thread"
-    if mode == "process" and not process_mode_available():
-        print("process mode unavailable (no fork); falling back to threads",
-              file=sys.stderr)
-        mode = "thread"
+    if args.clients < 1:
+        parser.error(f"--clients must be at least 1, not {args.clients}")
+    try:
+        mix = _parse_mix(args.mix, args.update_fraction)
+    except (KeyError, ValueError) as error:
+        parser.error(error.args[0])
     scrape_before = None
     if args.scrape_metrics:
         if not args.url:
@@ -576,39 +566,13 @@ def loadtest_main(argv=None):
             # unreachable one should not abort the load test itself.
             print(f"warning: could not scrape {metrics_url}: {error}",
                   file=sys.stderr)
-    mixed = args.update_fraction > 0
+    options = dict(mix=mix, clients=args.clients, duration=args.duration,
+                   timeout=args.timeout, seed=args.seed)
     if args.url:
-        if mixed:
-            report = run_mixed_http_workload(
-                args.url, mix=mix, update_fraction=args.update_fraction,
-                clients=args.clients, duration=args.duration, mode=mode,
-                timeout=args.timeout, seed=args.seed,
-            )
-        else:
-            report = run_http_workload(
-                args.url, mix=mix, clients=args.clients,
-                duration=args.duration, mode=mode, timeout=args.timeout,
-                seed=args.seed,
-            )
+        report = run_http_workload(args.url, **options)
     else:
         engine = _build_engine(args.document, args.engine)
-        if mixed:
-            # In-process mixed runs are thread-only: forked processes would
-            # write into private copy-on-write stores.
-            if args.mode == "process":
-                print("mixed read/write mode is thread-only in-process; "
-                      "using threads", file=sys.stderr)
-            report = run_mixed_engine_workload(
-                engine, mix=mix, update_fraction=args.update_fraction,
-                clients=args.clients, duration=args.duration,
-                timeout=args.timeout, seed=args.seed,
-            )
-        else:
-            report = run_engine_workload(
-                engine, mix=mix, clients=args.clients,
-                duration=args.duration, mode=mode, timeout=args.timeout,
-                seed=args.seed,
-            )
+        report = run_engine_workload(engine, **options)
 
     if args.json:
         json.dump(report.as_dict(), sys.stdout, indent=2)

@@ -21,19 +21,20 @@ from repro.bench.metrics import (
 )
 from repro.bench.workload import (
     CANARY_DELETE_TEXT,
+    CANARY_FRACTION,
     CANARY_LEFT,
     CANARY_PROBE_ID,
     CANARY_PROBE_TEXT,
     CANARY_RIGHT,
     DELETE_ID,
     INSERT_ID,
-    MixedEngineWorkloadClient,
-    MixedWorkloadMix,
+    EngineWorkloadClient,
+    HttpWorkloadClient,
     WorkloadMix,
     WorkloadReport,
     canary_insert_text,
-    run_mixed_engine_workload,
-    run_mixed_http_workload,
+    run_engine_workload,
+    run_http_workload,
 )
 from repro.bench import reporting
 from repro.store import MvccStore
@@ -62,32 +63,45 @@ class TestClassifyHttpStatus:
         assert classify_http_status(503) == TIMEOUT
 
 
+def writing_mix(update_fraction=0.4):
+    return WorkloadMix.from_catalog({"Q1": 1}, update_fraction=update_fraction)
+
+
 class TestMixedWorkloadMix:
     def test_query_ids_include_write_operations(self):
-        mix = MixedWorkloadMix(WorkloadMix.from_catalog({"Q1": 1}))
-        assert mix.query_ids() == ["Q1", CANARY_PROBE_ID, INSERT_ID,
-                                   DELETE_ID]
+        assert writing_mix().query_ids() == ["Q1", CANARY_PROBE_ID, INSERT_ID,
+                                             DELETE_ID]
+        assert WorkloadMix.from_catalog({"Q1": 1}).query_ids() == ["Q1"]
 
     def test_fractions_validated(self):
         with pytest.raises(ValueError):
-            MixedWorkloadMix(update_fraction=1.0)
+            writing_mix(update_fraction=1.0)
         with pytest.raises(ValueError):
-            MixedWorkloadMix(update_fraction=0.6, canary_fraction=0.5)
+            writing_mix(update_fraction=1.0 - CANARY_FRACTION)
+        with pytest.raises(ValueError):
+            writing_mix(update_fraction=-0.1)
 
     def test_choose_respects_fractions(self):
         from random import Random
 
-        mix = MixedWorkloadMix(WorkloadMix.from_catalog({"Q1": 1}),
-                               update_fraction=0.4, canary_fraction=0.2)
+        mix = writing_mix(update_fraction=0.4)
         rng = Random(5)
         counts = {}
         for _ in range(4000):
             identifier, _text = mix.choose(rng)
             counts[identifier] = counts.get(identifier, 0) + 1
         writes = counts.get(INSERT_ID, 0) + counts.get(DELETE_ID, 0)
+        probes = 4000 * CANARY_FRACTION
         assert writes == pytest.approx(1600, rel=0.15)
-        assert counts.get(CANARY_PROBE_ID, 0) == pytest.approx(800, rel=0.2)
-        assert counts.get("Q1", 0) == pytest.approx(1600, rel=0.15)
+        assert counts.get(CANARY_PROBE_ID, 0) == pytest.approx(probes, rel=0.2)
+        assert counts.get("Q1", 0) == pytest.approx(2400 - probes, rel=0.15)
+
+    def test_read_only_mix_issues_no_probes(self):
+        from random import Random
+
+        mix = WorkloadMix.from_catalog({"Q1": 1})
+        rng = Random(5)
+        assert {mix.choose(rng)[0] for _ in range(200)} == {"Q1"}
 
     def test_insert_texts_are_distinct_pairs(self):
         text = canary_insert_text(0xABC)
@@ -102,7 +116,7 @@ class TestCanaryProbe:
         engine = SparqlEngine.from_graph([])
         engine.store = MvccStore(engine.store)
         engine.update(canary_insert_text(7))
-        client = MixedEngineWorkloadClient(engine)
+        client = EngineWorkloadClient(engine)
         _id, status, _seconds = client.execute(CANARY_PROBE_ID,
                                                CANARY_PROBE_TEXT)
         assert status == SUCCESS
@@ -116,9 +130,23 @@ class TestCanaryProbe:
             f'INSERT DATA {{ <http://localhost/canary/cbad> '
             f'<{CANARY_LEFT}> "bad" . }}'
         )
-        client = MixedEngineWorkloadClient(engine)
+        client = EngineWorkloadClient(engine)
         _id, status, _seconds = client.execute(CANARY_PROBE_ID,
                                                CANARY_PROBE_TEXT)
+        assert status == TORN
+
+    def test_http_probe_flags_half_written_pair_as_torn(self):
+        engine = SparqlEngine.from_graph([])
+        engine.store = MvccStore(engine.store)
+        engine.update(
+            f'INSERT DATA {{ <http://localhost/canary/cbad> '
+            f'<{CANARY_RIGHT}> "bad" . }}'
+        )
+        with SparqlServer(engine, port=0, workers=1) as server:
+            client = HttpWorkloadClient(server.url)
+            _id, status, _seconds = client.execute(CANARY_PROBE_ID,
+                                                   CANARY_PROBE_TEXT)
+            client.close()
         assert status == TORN
 
     def test_delete_removes_only_complete_pairs(self):
@@ -137,7 +165,7 @@ class TestCanaryProbe:
 class TestReportSplit:
     def report(self):
         return WorkloadReport(
-            clients=1, duration=1.0, mode="thread",
+            clients=1, duration=1.0,
             mix_ids=["Q1", CANARY_PROBE_ID, INSERT_ID, DELETE_ID],
             records=[
                 ("Q1", SUCCESS, 0.01),
@@ -180,7 +208,7 @@ class TestReportSplit:
 
     def test_read_only_reports_keep_plain_shape(self):
         report = WorkloadReport(
-            clients=1, duration=1.0, mode="thread", mix_ids=["Q1"],
+            clients=1, duration=1.0, mix_ids=["Q1"],
             records=[("Q1", SUCCESS, 0.01)], spans=[(0.0, 1.0)],
         )
         table = reporting.workload_table(report)
@@ -192,9 +220,8 @@ class TestReportSplit:
 class TestEndToEnd:
     def test_mixed_engine_run(self):
         engine = SparqlEngine.from_graph(generate_graph(triple_limit=1_000))
-        report = run_mixed_engine_workload(
-            engine, mix=WorkloadMix.from_catalog({"Q1": 1}),
-            update_fraction=0.4, clients=2, duration=0.5, timeout=5.0,
+        report = run_engine_workload(
+            engine, mix=writing_mix(), clients=2, duration=0.5, timeout=5.0,
             seed=11,
         )
         assert report.write_count() > 0
@@ -205,9 +232,9 @@ class TestEndToEnd:
     def test_mixed_engine_run_wraps_plain_store(self):
         engine = SparqlEngine.from_graph([])
         assert not hasattr(type(engine.store), "write_transaction")
-        run_mixed_engine_workload(
-            engine, mix=WorkloadMix.from_catalog({"Q1": 1}),
-            update_fraction=0.5, clients=1, duration=0.2, seed=1,
+        run_engine_workload(
+            engine, mix=writing_mix(update_fraction=0.5), clients=1,
+            duration=0.2, seed=1,
         )
         assert isinstance(engine.store, MvccStore)
 
@@ -215,9 +242,8 @@ class TestEndToEnd:
         engine = SparqlEngine.from_graph(generate_graph(triple_limit=500))
         engine.store = MvccStore(engine.store)
         with SparqlServer(engine, port=0, workers=2) as server:
-            report = run_mixed_http_workload(
-                server.url, mix=WorkloadMix.from_catalog({"Q1": 1}),
-                update_fraction=0.4, clients=2, duration=0.5,
+            report = run_http_workload(
+                server.url, mix=writing_mix(), clients=2, duration=0.5,
                 timeout=5.0, seed=11,
             )
         assert report.write_count(SUCCESS) > 0
@@ -228,9 +254,8 @@ class TestEndToEnd:
         engine = SparqlEngine.from_graph(generate_graph(triple_limit=500))
         with SparqlServer(engine, port=0, workers=2,
                           read_only=True) as server:
-            report = run_mixed_http_workload(
-                server.url, mix=WorkloadMix.from_catalog({"Q1": 1}),
-                update_fraction=0.4, clients=2, duration=0.5,
+            report = run_http_workload(
+                server.url, mix=writing_mix(), clients=2, duration=0.5,
                 timeout=5.0, seed=11,
             )
         # Writes are refused by policy, not errors; reads keep flowing.

@@ -10,7 +10,6 @@ from repro.bench.workload import (
     HttpWorkloadClient,
     WorkloadMix,
     WorkloadReport,
-    process_mode_available,
     run_engine_workload,
     run_http_workload,
     run_workload,
@@ -30,7 +29,7 @@ class TestWorkloadMix:
         assert all(text.strip() for _i, text, _w in mix.entries)
 
     def test_uniform_mix(self):
-        mix = WorkloadMix.uniform(["Q1", "Q2"])
+        mix = WorkloadMix.from_catalog({"Q1": 1, "Q2": 1})
         assert mix.query_ids() == ["Q1", "Q2"]
         assert {weight for _i, _t, weight in mix.entries} == {1.0}
 
@@ -76,9 +75,7 @@ class TestPercentile:
 
 class TestEngineWorkload:
     def test_thread_mode_produces_successful_records(self, engine):
-        report = run_engine_workload(
-            engine, clients=2, duration=0.3, mode="thread", seed=5
-        )
+        report = run_engine_workload(engine, clients=2, duration=0.3, seed=5)
         assert report.total > 0
         assert report.errors == 0
         assert report.successes == report.total
@@ -93,7 +90,7 @@ class TestEngineWorkload:
     def test_zero_timeout_classifies_everything_as_timeout(self, engine):
         report = run_engine_workload(
             engine, clients=1, duration=0.2, timeout=0.0,
-            mix=WorkloadMix.uniform(["Q2"]),
+            mix=WorkloadMix.from_catalog({"Q2": 1}),
         )
         assert report.total > 0
         assert report.timeouts == report.total
@@ -105,39 +102,19 @@ class TestEngineWorkload:
         assert report.total > 0
         assert report.errors == report.total
 
-    @pytest.mark.skipif(not process_mode_available(),
-                        reason="requires the fork start method")
-    def test_process_mode_produces_records(self, engine):
-        report = run_engine_workload(
-            engine, clients=2, duration=0.3, mode="process",
-            mix=WorkloadMix.uniform(["Q1", "Q10"]),
-        )
-        assert report.mode == "process"
-        assert report.total > 0
-        assert report.errors == 0
-
-    def test_unknown_mode_rejected(self, engine):
-        with pytest.raises(ValueError):
-            run_engine_workload(engine, clients=1, duration=0.1, mode="fiber")
+    def test_read_only_mix_leaves_the_store_unwrapped(self, engine):
+        store = engine.store
+        run_engine_workload(engine, clients=1, duration=0.1,
+                            mix=WorkloadMix.from_catalog({"Q1": 1}))
+        assert engine.store is store
 
     def test_client_factory_failure_propagates(self):
         def explode():
             raise RuntimeError("no client for you")
 
         with pytest.raises(RuntimeError):
-            run_workload(explode, WorkloadMix.uniform(["Q1"]),
+            run_workload(explode, WorkloadMix.from_catalog({"Q1": 1}),
                          clients=2, duration=0.1)
-
-    @pytest.mark.skipif(not process_mode_available(),
-                        reason="requires the fork start method")
-    def test_process_mode_client_failure_does_not_hang(self):
-        """A child that cannot build its client fails the run, never hangs."""
-        def explode():
-            raise ValueError("no client for you")
-
-        with pytest.raises(RuntimeError, match="no client for you"):
-            run_workload(explode, WorkloadMix.uniform(["Q1"]),
-                         clients=2, duration=0.1, mode="process")
 
 
 class TestHttpWorkload:
@@ -145,7 +122,7 @@ class TestHttpWorkload:
         with SparqlServer(engine, port=0, workers=4) as server:
             report = run_http_workload(
                 server.url, clients=2, duration=0.3,
-                mix=WorkloadMix.uniform(["Q1", "Q12c"]),
+                mix=WorkloadMix.from_catalog({"Q1": 1, "Q12c": 1}),
             )
         assert report.total > 0
         assert report.errors == 0
@@ -173,8 +150,7 @@ class TestHttpWorkload:
 
 class TestWorkloadReporting:
     def make_report(self):
-        report = WorkloadReport(clients=2, duration=1.0, mode="thread",
-                               mix_ids=["Q1", "Q2"])
+        report = WorkloadReport(clients=2, duration=1.0, mix_ids=["Q1", "Q2"])
         report.spans = [(0.0, 1.0), (0.1, 1.1)]
         report.records = [
             ("Q1", "success", 0.010),
