@@ -71,6 +71,21 @@ CLI_ENGINE_CONFIGS = ENGINE_PRESETS + (NATIVE_COST,)
 SNAPSHOT_SUFFIX = ".sp2b"
 
 
+def _int_at_least(minimum):
+    """An argparse ``type``: an int no smaller than ``minimum``, so a bad
+    value is a usage error (exit 2) before anything loads."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, not {value}")
+        return value
+    return parse
+
+
 def generate_main(argv=None):
     """Entry point of ``sp2bench-generate``."""
     parser = argparse.ArgumentParser(description="Generate SP2Bench DBLP-like RDF data.")
@@ -127,7 +142,7 @@ def build_main(argv=None):
         description="Build dataset snapshots into the cache (generate once, "
                     "load everywhere)."
     )
-    parser.add_argument("--triples", type=int, nargs="+",
+    parser.add_argument("--triples", type=_int_at_least(1), nargs="+",
                         default=list(DEFAULT_DOCUMENT_SIZES),
                         help="document sizes to build (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=GeneratorConfig.seed,
@@ -202,8 +217,11 @@ def cache_main(argv=None):
         removed = cache.clear()
         print(f"removed {removed} snapshot(s) from {cache.root}")
         return 0
-    sizes = [int(size) for size in str(args.sizes).replace(",", " ").split()]
-    configs = [GeneratorConfig(triple_limit=size, seed=args.seed) for size in sizes]
+    try:
+        configs = [GeneratorConfig(triple_limit=int(size), seed=args.seed)
+                   for size in args.sizes.replace(",", " ").split()]
+    except ValueError:
+        parser.error(f"--sizes takes positive integers, not {args.sizes!r}")
     if args.command == "prune":
         keep = [dataset_key(config, args.store) for config in configs]
         removed = cache.prune(keep)
@@ -262,11 +280,11 @@ def query_main(argv=None):
                         default="table",
                         help="output format: human-readable table or a W3C "
                              "SPARQL-results serialization (default: table)")
-    parser.add_argument("--limit", type=int, default=None,
+    parser.add_argument("--limit", type=_int_at_least(0), default=None,
                         help="LIMIT pushed into evaluation: the query stops "
                              "producing after N rows (default: unbounded; the "
                              f"table format then previews {TABLE_PREVIEW_ROWS} rows)")
-    parser.add_argument("--repeat", type=int, default=1,
+    parser.add_argument("--repeat", type=_int_at_least(1), default=1,
                         help="execute the prepared query N times and report "
                              "per-run and amortized times (default: 1)")
     parser.add_argument("--explain", action="store_true",
@@ -305,7 +323,7 @@ def query_main(argv=None):
             print(report.render())
             return 0
 
-        repeat = max(args.repeat, 1)
+        repeat = args.repeat
         prepare_start = time.perf_counter()
         prepared = engine.prepare(query_text)
         prepare_time = time.perf_counter() - prepare_start
@@ -397,7 +415,7 @@ def serve_main(argv=None):
     parser.add_argument("--port", type=int, default=8008,
                         help="port to bind; 0 picks an ephemeral port "
                              "(default: %(default)s)")
-    parser.add_argument("--workers", type=int, default=4,
+    parser.add_argument("--workers", type=_int_at_least(1), default=4,
                         help="worker threads executing queries (default: 4)")
     parser.add_argument("--engine", default=NATIVE_COST.name,
                         choices=[config.name for config in CLI_ENGINE_CONFIGS],
@@ -599,13 +617,15 @@ def loadtest_main(argv=None):
 def bench_main(argv=None):
     """Entry point of ``sp2bench-bench``."""
     parser = argparse.ArgumentParser(description="Run the full SP2Bench benchmark harness.")
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_DOCUMENT_SIZES),
+    parser.add_argument("--sizes", type=_int_at_least(1), nargs="+",
+                        default=list(DEFAULT_DOCUMENT_SIZES),
                         help="document sizes in triples (default: %(default)s)")
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="per-query timeout in seconds (default: 30)")
     parser.add_argument("--queries", nargs="+", default=None,
                         help="subset of query ids to run (default: all 17)")
-    parser.add_argument("--runs", type=int, default=1, help="runs per query (default: 1)")
+    parser.add_argument("--runs", type=_int_at_least(1), default=1,
+                        help="runs per query (default: 1)")
     parser.add_argument("--cache-dir", default=None,
                         help="dataset cache directory (default: $SP2B_CACHE_DIR "
                              "or ~/.cache/sp2bench)")
@@ -617,9 +637,12 @@ def bench_main(argv=None):
         cache_dir = None
     else:
         cache_dir = str(args.cache_dir or default_cache_dir())
-    queries = ALL_QUERIES if args.queries is None else tuple(
-        get_query(identifier) for identifier in args.queries
-    )
+    try:
+        queries = ALL_QUERIES if args.queries is None else tuple(
+            get_query(identifier) for identifier in args.queries
+        )
+    except KeyError as unknown:
+        parser.error(unknown.args[0])
     config = ExperimentConfig(
         document_sizes=tuple(args.sizes),
         queries=queries,

@@ -460,6 +460,9 @@ class PreparedQuery:
         the tighter bound applies) is checked inside the evaluation loops
         and raises :class:`~repro.sparql.errors.QueryTimeout` mid-stream.
         """
+        for name, value in (("limit", limit), ("offset", offset)):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must not be negative, not {value}")
         deadline = Deadline.resolve(deadline)
         if timeout is not None:
             # Both given: the tighter bound wins (an unbounded deadline is

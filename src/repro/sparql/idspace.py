@@ -294,7 +294,7 @@ class IdSpaceEvaluation:
         if isinstance(node, algebra.Join):
             return self._eval_join(node)
         if isinstance(node, algebra.LeftJoin):
-            return self._eval_left_join(node)
+            return self._hash_join(node, LEFT_OUTER)
         if isinstance(node, algebra.Union):
             return self._eval_union(node)
         if isinstance(node, algebra.Filter):
@@ -364,28 +364,24 @@ class IdSpaceEvaluation:
         With observation on, every step counts the rows it produces into
         ``step.actual`` — the EXPLAIN estimated-versus-actual column.
 
-        When the planner annotated every step with a batch kernel (and this
-        evaluation carries no bind-join seeds or prepared pre-bindings,
-        whose per-row starting bindings the block pipeline does not model),
-        the BGP executes column-at-a-time over :class:`~repro.sparql.
-        kernels.Block` streams and only converts back to tuple rows at the
-        BGP boundary.
+        When :meth:`_bgp_block_stream` accepts the BGP (and no bind-join
+        seeds come in, whose per-row starting bindings the block pipeline
+        does not model), it executes column-at-a-time over
+        :class:`~repro.sparql.kernels.Block` streams and only converts back
+        to tuple rows at the BGP boundary.
         """
         if not node.admits(self._seed):
             return iter(())
+        if seeds is None:
+            blocks = self._bgp_block_stream(node)
+            if blocks is not None:
+                return kernels.rows_from_blocks(blocks, self._layout.width)
         compiled = self._compile_patterns(node.patterns)
         if compiled is None:
             return iter(())
         plan = node.plan or textual_plan(node.patterns,
                                          default_strategy(self._store))
-        if (seeds is None and not self._seed and plan.steps
-                and all(step.kernel is not None for step in plan.steps)):
-            return kernels.rows_from_blocks(
-                self._bgp_blocks(node, compiled, plan), self._layout.width
-            )
         layout = self._layout
-        empty = layout.empty_row()
-        check = self._check
         if seeds is not None:
             rows = iter(seeds)
         else:
@@ -398,20 +394,18 @@ class IdSpaceEvaluation:
         for position, (cpattern, step) in enumerate(zip(compiled, plan.steps)):
             pattern_slots = {ref for is_var, ref in cpattern if is_var}
             if step.strategy == SCAN:
-                left_rows = list(rows)
-                if not left_rows:
-                    return iter(())
-                pattern_rows = []
-                scan_key = tuple(None if is_var else ref for is_var, ref in cpattern)
-                for ids in self._scan(scan_key):
-                    if check is not None:
-                        check()
-                    row = _bind_ids(empty, cpattern, ids)
-                    if row is not None:
-                        pattern_rows.append(row)
-                rows = iter(_join_rows(
-                    left_rows, pattern_rows, bound_slots & pattern_slots
-                ))
+                first = next(rows, None)
+                if first is None:
+                    return iter(())  # the steps from here on never run
+                # Seed rows may bind slots the plan does not know of, so
+                # only unseeded rows are disjoint from the pattern's.  The
+                # step's rows are drained here, which frees its table
+                # before the next step builds one.
+                rows = iter(list(self._join(
+                    chain((first,), rows), partial(self._scan_rows, cpattern),
+                    tuple(sorted(bound_slots & pattern_slots)), INNER,
+                    pattern_slots if seeds is None else None,
+                )))
             else:
                 rows = self._extend_rows(rows, cpattern)
             bound_slots |= pattern_slots
@@ -421,24 +415,39 @@ class IdSpaceEvaluation:
                 rows = self._observe_rows(rows, step)
         return rows
 
-    def _scan(self, scan_key):
-        """The triples of one SCAN step: a fresh scan, or with pattern reuse
-        the triples an earlier step of this evaluation scanned for the key."""
+    def _scan_rows(self, cpattern):
+        """The rows of one SCAN step's pattern, one per matching triple.
+
+        The triples come from a fresh scan or, with pattern reuse, from an
+        earlier step of this evaluation that scanned the same key.
+        """
+        scan_key = tuple(None if is_var else ref for is_var, ref in cpattern)
         if self._scans is None:
-            return self._store.triples_ids(*scan_key)
-        triples = self._scans.get(scan_key)
-        if triples is None:
-            triples = self._scans[scan_key] = list(
-                self._store.triples_ids(*scan_key))
-        return triples
+            triples = self._store.triples_ids(*scan_key)
+        else:
+            triples = self._scans.get(scan_key)
+            if triples is None:
+                triples = self._scans[scan_key] = list(
+                    self._store.triples_ids(*scan_key))
+        empty = self._layout.empty_row()
+        check = self._check
+        rows = []
+        for ids in triples:
+            if check is not None:
+                check()
+            row = _bind_ids(empty, cpattern, ids)
+            if row is not None:
+                rows.append(row)
+        return rows
 
     @staticmethod
-    def _observe_rows(rows, step):
+    def _observe_rows(items, step, rows_of=None):
         """Count rows into ``step.actual`` and time pulls into ``step.seconds``.
 
-        ``step.partial`` stays set until the rows are exhausted, so an
-        early-stopping consumer (ASK, LIMIT) leaves ``actual`` marked as
-        the lower bound it is.
+        Each item is one row, or ``rows_of(item)`` rows (``len`` for a
+        stream of Blocks).  ``step.partial`` stays set until the items are
+        exhausted, so an early-stopping consumer (ASK, LIMIT) leaves
+        ``actual`` marked as the lower bound it is.
 
         ``seconds`` accumulates the wall time spent inside ``next()`` at
         this boundary.  Steps are nested generators, so the measurement is
@@ -453,18 +462,18 @@ class IdSpaceEvaluation:
         step.partial = True
 
         def generate():
-            iterator = iter(rows)
+            iterator = iter(items)
             while True:
                 started = perf_counter()
                 try:
-                    row = next(iterator)
+                    item = next(iterator)
                 except StopIteration:
                     step.seconds += perf_counter() - started
                     step.partial = False
                     return
                 step.seconds += perf_counter() - started
-                step.actual += 1
-                yield row
+                step.actual += 1 if rows_of is None else rows_of(item)
+                yield item
 
         return generate()
 
@@ -481,9 +490,8 @@ class IdSpaceEvaluation:
         if not isinstance(node, algebra.BGP) or not node.patterns:
             return None
         plan = node.plan
-        if plan is None or not plan.steps or self._seed:
-            return None
-        if any(step.kernel is None for step in plan.steps):
+        # The planner gives every step a kernel or none.
+        if plan is None or not plan.steps or plan.steps[0].kernel is None or self._seed:
             return None
         compiled = self._compile_patterns(node.patterns)
         if compiled is None:
@@ -507,7 +515,7 @@ class IdSpaceEvaluation:
             for expression in node.filters_at(position):
                 blocks = self._filter_blocks(blocks, expression)
             if self._observe:
-                blocks = self._observe_blocks(blocks, plan.steps[position])
+                blocks = self._observe_rows(blocks, plan.steps[position], len)
         return blocks
 
     def _kernel_step(self, blocks, cpattern, bound):
@@ -544,17 +552,8 @@ class IdSpaceEvaluation:
                 return iter(())
             values = kernels.select_eq(run, key)
             if var_slot in bound:
-                def generate():
-                    for block in blocks:
-                        if check is not None:
-                            check()
-                        if block.length == 0:
-                            continue
-                        mask = kernels.member_mask(block, var_slot, values)
-                        out = kernels.apply_mask(block, mask)
-                        if out.length:
-                            yield out
-                return generate()
+                return self._map_blocks(blocks, lambda block: kernels.apply_mask(
+                    block, kernels.member_mask(block, var_slot, values)))
             if len(values) == 0:
                 return iter(())
 
@@ -573,36 +572,16 @@ class IdSpaceEvaluation:
         s_bound = s_ref in bound
         o_bound = o_ref in bound
         if s_bound and o_bound:
-            def generate():
-                for block in blocks:
-                    if check is not None:
-                        check()
-                    if block.length == 0:
-                        continue
-                    mask = kernels.semijoin_pair(block, s_ref, o_ref, run)
-                    out = kernels.apply_mask(block, mask)
-                    if out.length:
-                        yield out
-            return generate()
+            return self._map_blocks(blocks, lambda block: kernels.apply_mask(
+                block, kernels.semijoin_pair(block, s_ref, o_ref, run)))
         if s_bound or o_bound:
             if s_bound:
                 probe_slot, new_slot, probe_run = s_ref, o_ref, run
             else:
                 probe_run = store.sorted_run(p_ref, RUN_BY_OBJECT)
                 probe_slot, new_slot = o_ref, s_ref
-
-            def generate():
-                for block in blocks:
-                    if check is not None:
-                        check()
-                    if block.length == 0:
-                        continue
-                    out = kernels.extend_bound(
-                        block, probe_slot, probe_run, new_slot
-                    )
-                    if out.length:
-                        yield out
-            return generate()
+            return self._map_blocks(blocks, lambda block: kernels.extend_bound(
+                block, probe_slot, probe_run, new_slot))
 
         def generate():
             for block in blocks:
@@ -651,60 +630,33 @@ class IdSpaceEvaluation:
         block-sized batches).
         """
         compiled = kernels.compile_filter(expression, self._layout.slot)
-        width = self._layout.width
         if compiled is not None:
-            def generate():
-                for block in blocks:
-                    if block.length == 0:
-                        continue
-                    mask = kernels.filter_mask(block, compiled, self._layout.term)
-                    out = kernels.apply_mask(block, mask)
-                    if out.length:
-                        yield out
-            return generate()
+            return self._map_blocks(blocks, lambda block: kernels.apply_mask(
+                block, kernels.filter_mask(block, compiled, self._layout.term)))
+        width = self._layout.width
 
-        def generate():
-            for block in blocks:
-                if block.length == 0:
-                    continue
-                keep = [
-                    index
-                    for index, row in enumerate(kernels.block_rows(block, width))
-                    if self._ebv(expression, row)
-                ]
-                if not keep:
-                    continue
-                if len(keep) == block.length:
-                    yield block
-                else:
-                    yield kernels.gather(block, keep)
-        return generate()
+        def keep_rows(block):
+            keep = [
+                index
+                for index, row in enumerate(kernels.block_rows(block, width))
+                if self._ebv(expression, row)
+            ]
+            return block if len(keep) == block.length else kernels.gather(block, keep)
 
-    @staticmethod
-    def _observe_blocks(blocks, step):
-        """Count block rows into ``step.actual`` and pull time into
-        ``step.seconds`` (cumulative, like :meth:`_observe_rows`)."""
-        if step.actual is None:
-            step.actual = 0
-        if step.seconds is None:
-            step.seconds = 0.0
-        step.partial = True
+        return self._map_blocks(blocks, keep_rows)
 
-        def generate():
-            iterator = iter(blocks)
-            while True:
-                started = perf_counter()
-                try:
-                    block = next(iterator)
-                except StopIteration:
-                    step.seconds += perf_counter() - started
-                    step.partial = False
-                    return
-                step.seconds += perf_counter() - started
-                step.actual += block.length
-                yield block
-
-        return generate()
+    def _map_blocks(self, blocks, transform):
+        """``transform`` over every non-empty block, deadline-checked per
+        block; blocks it empties are dropped."""
+        check = self._check
+        for block in blocks:
+            if check is not None:
+                check()
+            if block.length == 0:
+                continue
+            out = transform(block)
+            if out.length:
+                yield out
 
     def _extend_rows(self, rows, cpattern):
         """Index nested-loop step: probe the store once per current row."""
@@ -779,9 +731,9 @@ class IdSpaceEvaluation:
     def _eval_seeded(self, node, rows):
         """Evaluate ``node`` continuing from the given solution rows.
 
-        Supported for the operators the planner marks seedable (BGP, Union,
-        Filter); anything else falls back to standalone evaluation followed
-        by a hash join on the slots the seeds actually bind.
+        Only the operators :func:`~repro.sparql.planner._seedable` accepts
+        (BGP, Union, Filter) can be seeded; the planner bind-joins no other
+        right side.
         """
         if isinstance(node, algebra.BGP):
             return self._eval_bgp(node, seeds=rows)
@@ -795,119 +747,123 @@ class IdSpaceEvaluation:
             return self._filter_rows(
                 self._eval_seeded(node.operand, rows), node.expression
             )
-        right = list(self._eval(node))
-        seeded_slots = set()
-        for row in rows:
-            for slot, cell in enumerate(row):
-                if cell is not None:
-                    seeded_slots.add(slot)
-        shared = self._node_slots(node) & seeded_slots
-        return iter(_join_rows(rows, right, shared))
-
-    def _eval_left_join(self, node):
-        return self._hash_join(node, LEFT_OUTER)
+        raise EvaluationError(f"cannot seed {type(node).__name__} with "
+                              f"bind-join rows")
 
     def _hash_join(self, node, mode):
-        """The keyed hash join behind Join, OPTIONAL and closed-world negation.
+        """Join, OPTIONAL and closed-world negation of two operands, keyed
+        on their statically shared slots and on the cross-side equalities
+        of ``node.condition`` (Q5a's ``?name = ?name2``, Q6's ``?author =
+        ?author2``): native engines turn exactly these theta-joins into
+        equi-joins."""
+        left_slots = self._node_slots(node.left)
+        right_slots = self._node_slots(node.right)
+        return self._join(
+            self._eval(node.left), lambda: list(self._eval(node.right)),
+            tuple(sorted(left_slots & right_slots)), mode, right_slots,
+            self._split_equi_condition(node.condition, left_slots, right_slots),
+        )
 
-        The right operand is built into a hash table, the left operand
-        streams through it (so ASK and LIMIT stop pulling left rows at the
-        first result).  The hash key combines the statically shared slots
-        with the value-equality conjuncts of ``node.condition``:
-        ``FILTER (?name = ?name2)`` between two sides that share no
-        variable (Q5a), and ``FILTER (?author = ?author2 && ...)`` in
-        Q6-style closed-world negation, join on the equality, not on a
-        shared variable — native engines turn exactly these theta-joins
-        into equi-joins.  Cross-side ordering conjuncts compare memoized
-        sort keys; only the residual condition is evaluated per candidate
-        pair.
+    def _join(self, left_rows, build_right, shared, mode, right_slots=None,
+              condition=((), (), (), None)):
+        """The one hash join: ``left_rows`` stream through a table of the
+        rows ``build_right()`` returns, keyed on the ``shared`` slots and the
+        equalities of ``condition`` (:meth:`_split_equi_condition`); only
+        ordering conjuncts and the residual are tested per candidate pair.
 
-        ``mode`` selects what a left row contributes: its matches (INNER),
-        its matches or else itself (LEFT_OUTER), or itself only when
-        nothing matches (ANTI, which stops probing at the first match).
+        ``build_right`` runs once a first left row exists, so a SCAN step
+        never scans for an empty input.  A row with an unbound shared slot
+        meets every row of the other side through a compatibility check.
+        With no shared slot, ``right_slots`` (when given) promises that
+        right rows bind only those slots and left rows none of them.
+        ``mode``: a left row contributes its matches (INNER), its matches or
+        else itself (LEFT_OUTER), or itself when nothing matches (ANTI).
         """
-        left_rows = iter(self._eval(node.left))
+        left_rows = iter(left_rows)
         first = next(left_rows, None)
         if first is None:
             return iter(())
         left_rows = chain((first,), left_rows)
-        right = list(self._eval(node.right))
+        right = build_right()
         if not right:
             return iter(()) if mode == INNER else left_rows
-        left_slots = self._node_slots(node.left)
-        right_slots = self._node_slots(node.right)
-        shared = tuple(sorted(left_slots & right_slots))
-        equi_left, equi_right, order_pairs, residual = (
-            self._split_equi_condition(node.condition, left_slots, right_slots)
-        )
+        equi_left, equi_right, order_pairs, residual = condition
         value_key = self._value_key
         order_key = self._order_key
-        compare_ops = tuple(
-            kernels.ORDERING_OPS[op] for _ls, _rs, op in order_pairs
-        )
-
-        shared_width = len(shared)
+        n_shared = len(shared)
 
         def join_key(cells):
-            """``(shared cells, equality value keys)`` of one row's key cells.
-
-            None when an equality cell is unbound or NaN: that can never
-            satisfy the condition.
-            """
-            equi_cells = cells[shared_width:]
+            """Shared cells plus the value keys of the equality cells; None
+            when an equality cell is unbound or NaN (no pair can match)."""
+            equi_cells = cells[n_shared:]
             if None in equi_cells:
                 return None
             equi_keys = tuple(map(value_key, equi_cells))
-            if None in equi_keys:
-                return None
-            return cells[:shared_width], equi_keys
+            return None if None in equi_keys else cells[:n_shared] + equi_keys
 
+        # A bare table holds the right rows themselves; with equality or
+        # ordering conjuncts it holds (row, equality keys, ordering keys).
+        bare = not (equi_left or order_pairs)
         build_cells = _cells_getter(shared + equi_right)
         keyed = {}
-        loose = []     # eligible rows whose shared-slot key is incomplete
-        entries = []   # all eligible rows, for unkeyed left rows
+        loose = []     # entries whose shared-slot key is incomplete
+        entries = []   # every entry, for left rows with an unbound key cell
         for row in right:
-            key = join_key(build_cells(row))
-            if key is None:
-                continue
-            order_keys = _order_cells_key(
-                row, order_pairs, 1, order_key
-            ) if order_pairs else ()
-            if order_keys is None:
-                # An unbound ordering operand: type error -> false.
-                continue
-            entry = (row, key[1], order_keys)
+            key = build_cells(row)
+            if bare:
+                entry = row
+            else:
+                key = join_key(key)
+                order_keys = (_order_cells_key(row, order_pairs, 1, order_key)
+                              if order_pairs else ())
+                if key is None or order_keys is None:
+                    continue  # an unbound or NaN operand: no pair can match
+                entry = (row, key[n_shared:], order_keys)
             entries.append(entry)
-            if None in key[0]:
+            if None in key:
                 loose.append(entry)
             else:
-                keyed.setdefault(key, []).append(entry)
+                bucket = keyed.get(key)
+                if bucket is None:
+                    keyed[key] = [entry]
+                else:
+                    bucket.append(entry)
+
+        # Without equality conjuncts or loose entries the key cells are the
+        # table key, so the table itself is the per-key-cells memo.
+        plain = not equi_left and not loose
+        candidates_of = keyed if plain else {}
 
         def find(cells):
-            """The build entries a left row with these key cells can match."""
+            """The entries a left row can match, for key cells not yet in
+            ``candidates_of``: one value-key derivation and table lookup
+            per distinct key cells."""
+            if plain:
+                return entries if None in cells else ()
             key = join_key(cells)
             if key is None:
-                return ()
-            if None in key[0]:
-                return [entry for entry in entries if entry[1] == key[1]]
-            found = keyed.get(key, ())
-            if loose:
-                found = list(found) + [
-                    entry for entry in loose if entry[1] == key[1]
-                ]
+                found = ()
+            elif None in key:
+                found = [entry for entry in entries
+                         if bare or entry[1] == key[n_shared:]]
+            else:
+                found = keyed.get(key, ())
+                if loose:
+                    found = list(found) + [entry for entry in loose
+                                           if bare or entry[1] == key[n_shared:]]
+            candidates_of[cells] = found
             return found
 
-        # With no statically shared slot, left and right rows bind disjoint
-        # columns (modulo equal-valued seed slots): the cell-wise union can
-        # never conflict, so the merge picks each column from its side.
+        # Disjoint columns (modulo equal-valued seed slots): the cell-wise
+        # union can never conflict.
         width = self._layout.width
-        merge_disjoint = None if shared else _cells_getter([
+        merge_disjoint = None if shared or right_slots is None else _cells_getter([
             slot + width if slot in right_slots else slot
             for slot in range(width)
         ])
         probe_cells = _cells_getter(shared + equi_left)
-        candidates_of = {}
         check = self._check
+        compare_ops = tuple(kernels.ORDERING_OPS[op] for _ls, _rs, op in order_pairs)
         ebv = self._ebv
         anti = mode == ANTI
         outer = mode != INNER
@@ -919,19 +875,15 @@ class IdSpaceEvaluation:
                 cells = probe_cells(left_row)
                 candidates = candidates_of.get(cells)
                 if candidates is None:
-                    # Left rows repeat their key cells heavily: one value-key
-                    # derivation and table lookup per distinct key.
-                    candidates = candidates_of[cells] = find(cells)
+                    candidates = find(cells)
                 matched = False
-                left_keys = ()
-                if candidates and order_pairs:
-                    left_keys = _order_cells_key(
-                        left_row, order_pairs, 0, order_key
-                    )
-                if candidates and left_keys is not None:
-                    for right_row, _key, right_keys in candidates:
+                left_keys = (_order_cells_key(left_row, order_pairs, 0, order_key)
+                             if candidates and order_pairs else ())
+                if left_keys is not None:
+                    for entry in candidates:
+                        right_row = entry if bare else entry[0]
                         if order_pairs and not _order_keys_hold(
-                                left_keys, right_keys, compare_ops):
+                                left_keys, entry[2], compare_ops):
                             continue
                         if merge_disjoint is not None:
                             if anti and residual is None:
@@ -1343,17 +1295,6 @@ def _bind_ids(row, cpattern, ids):
     return tuple(updated)
 
 
-def _row_key(row, shared_slots):
-    """Join key over the shared slots, or None if any of them is unbound."""
-    key = []
-    for slot in shared_slots:
-        value = row[slot]
-        if value is None:
-            return None
-        key.append(value)
-    return tuple(key)
-
-
 def _merge_compatible(left_row, right_row):
     """Cell-wise union of two rows, or None when any column disagrees."""
     merged = []
@@ -1365,45 +1306,3 @@ def _merge_compatible(left_row, right_row):
         else:
             return None
     return tuple(merged)
-
-
-def _join_rows(left, right, shared_slots):
-    """Hash join two row lists on the given shared slot columns.
-
-    Rows with every shared slot bound meet through a hash table; rows with
-    unbound shared slots (possible after OPTIONAL) fall back to pairwise
-    compatibility checks.
-    """
-    if not left or not right:
-        return []
-    if not shared_slots:
-        results = []
-        for left_row in left:
-            for right_row in right:
-                merged = _merge_compatible(left_row, right_row)
-                if merged is not None:
-                    results.append(merged)
-        return results
-    shared = tuple(sorted(shared_slots))
-    keyed = {}
-    unkeyed = []
-    for row in right:
-        key = _row_key(row, shared)
-        if key is None:
-            unkeyed.append(row)
-        else:
-            keyed.setdefault(key, []).append(row)
-    results = []
-    for left_row in left:
-        key = _row_key(left_row, shared)
-        if key is None:
-            candidates = right
-        elif unkeyed:
-            candidates = keyed.get(key, []) + unkeyed
-        else:
-            candidates = keyed.get(key, ())
-        for right_row in candidates:
-            merged = _merge_compatible(left_row, right_row)
-            if merged is not None:
-                results.append(merged)
-    return results

@@ -4,7 +4,7 @@ Two backends model the paper's two engine families.  Both dictionary-encode
 terms to integers and answer a pattern as raw id 3-tuples (``triples_ids``),
 which the one SPARQL executor joins over without decoding; they differ in the
 access path behind it.  :class:`MemoryStore` scans every triple per pattern
-(the in-memory engine model); :class:`IndexedStore` probes six hash indexes
+(the in-memory engine model); :class:`IndexedStore` probes five hash indexes
 and keeps per-predicate sorted runs and statistics (the native-engine model).
 See DESIGN.md.
 """

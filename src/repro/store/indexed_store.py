@@ -7,9 +7,10 @@ reproduces both halves of that design in pure Python:
 
 * all terms are dictionary-encoded to integers (:mod:`.dictionary`),
 * triples are stored once as id-triples,
-* six hash indexes (S, P, O, SP, PO, SO) map bound components to the set of
-  matching triple positions, so every possible binding combination of a
-  triple pattern has a direct access path,
+* five hash indexes (S, P, O, SP, PO) map bound components to the set of
+  matching triples; every binding combination of a triple pattern has a
+  direct access path except ``(s, ?p, o)``, which filters the S bucket
+  (no query template binds it),
 * per-predicate and per-class statistics are maintained for the optimizer.
 
 ``triples_ids()`` / ``count_ids()`` answer an encoded pattern from the
@@ -86,7 +87,7 @@ def _rebuild_index(triples, image):
         key: set(islice(multi_iter, count))
         for key, count in zip(multi_keys, multi_counts)
     }
-    # Singleton buckets dominate (the sp/po/so keys are mostly unique); build
+    # Singleton buckets dominate (the sp/po keys are mostly unique); build
     # them without any per-bucket Python frame: zip() wraps each member triple
     # in a 1-tuple and map(set, ...) turns it into its singleton bucket, so
     # the whole stream runs inside the C iterator protocol.
@@ -111,7 +112,6 @@ class IndexedStore(TripleStore):
         self._by_o = {}
         self._by_sp = {}
         self._by_po = {}
-        self._by_so = {}
         self._sorted_runs = {}     # (predicate_id, order) -> SortedRun
         #: predicate_id -> ``version`` at which a triple of that predicate
         #: was last added or removed (absent: not since construction).
@@ -148,7 +148,7 @@ class IndexedStore(TripleStore):
         store._dictionary = dictionary
         store._spo = set(triples)
         (store._by_s, store._by_p, store._by_o,
-         store._by_sp, store._by_po, store._by_so) = (
+         store._by_sp, store._by_po) = (
             _rebuild_index(triples, image) for image in index_images
         )
         store.statistics = statistics
@@ -164,19 +164,13 @@ class IndexedStore(TripleStore):
         be valid for this store's dictionary.
         """
         spo = self._spo
-        by_s, by_p, by_o = self._by_s, self._by_p, self._by_o
-        by_sp, by_po, by_so = self._by_sp, self._by_po, self._by_so
         added = 0
         for ids in id_triples:
             ids = tuple(ids)
             if ids in spo:
                 continue
             spo.add(ids)
-            s, p, o = ids
-            for index, key in (
-                (by_s, s), (by_p, p), (by_o, o),
-                (by_sp, (s, p)), (by_po, (p, o)), (by_so, (s, o)),
-            ):
+            for index, key in self._index_entries(*ids):
                 bucket = index.get(key)
                 if bucket is None:
                     index[key] = {ids}
@@ -198,10 +192,17 @@ class IndexedStore(TripleStore):
         return statistics
 
     def _index_table(self):
-        """The six hash indexes with their key arity, in snapshot order."""
+        """The five hash indexes with their key arity, in snapshot order."""
         return (
             (1, self._by_s), (1, self._by_p), (1, self._by_o),
-            (2, self._by_sp), (2, self._by_po), (2, self._by_so),
+            (2, self._by_sp), (2, self._by_po),
+        )
+
+    def _index_entries(self, s, p, o):
+        """``(index, key)`` of one id triple in each index, in table order."""
+        return (
+            (self._by_s, s), (self._by_p, p), (self._by_o, o),
+            (self._by_sp, (s, p)), (self._by_po, (p, o)),
         )
 
     # -- snapshots -----------------------------------------------------------
@@ -226,13 +227,9 @@ class IndexedStore(TripleStore):
         if ids in self._spo:
             return False
         self._spo.add(ids)
-        s, p, o = ids
-        self._by_s.setdefault(s, set()).add(ids)
-        self._by_p.setdefault(p, set()).add(ids)
-        self._by_o.setdefault(o, set()).add(ids)
-        self._by_sp.setdefault((s, p), set()).add(ids)
-        self._by_po.setdefault((p, o), set()).add(ids)
-        self._by_so.setdefault((s, o), set()).add(ids)
+        for index, key in self._index_entries(*ids):
+            index.setdefault(key, set()).add(ids)
+        p = ids[1]
         self._invalidate_sorted_runs(p)
         self.statistics.observe(triple)
         self.version += 1
@@ -242,7 +239,7 @@ class IndexedStore(TripleStore):
     def remove(self, triple):
         """Remove a triple if present; returns True when removed.
 
-        All six indexes and the store statistics are maintained; empty index
+        All five indexes and the store statistics are maintained; empty index
         buckets are dropped so lookups of fully removed keys stay O(1).
         Dictionary entries are intentionally kept — ids are stable for the
         lifetime of the store, which is what lets id-space evaluation cache
@@ -252,15 +249,8 @@ class IndexedStore(TripleStore):
         if encoded is None or encoded not in self._spo:
             return False
         self._spo.discard(encoded)
-        s, p, o = encoded
-        for index, key in (
-            (self._by_s, s),
-            (self._by_p, p),
-            (self._by_o, o),
-            (self._by_sp, (s, p)),
-            (self._by_po, (p, o)),
-            (self._by_so, (s, o)),
-        ):
+        p = encoded[1]
+        for index, key in self._index_entries(*encoded):
             bucket = index[key]
             bucket.discard(encoded)
             if not bucket:
@@ -323,7 +313,7 @@ class IndexedStore(TripleStore):
         if p is not None and o is not None:
             return self._by_po.get((p, o), _EMPTY)
         if s is not None and o is not None:
-            return self._by_so.get((s, o), _EMPTY)
+            return {ids for ids in self._by_s.get(s, _EMPTY) if ids[2] == o}
         if s is not None:
             return self._by_s.get(s, _EMPTY)
         if p is not None:
@@ -419,7 +409,7 @@ class GenerationDraft:
 
     * the term dictionary is *shared* (append-only; ids are stable forever),
     * the id-triple set is copied (O(n), the per-transaction floor),
-    * the six hash indexes copy their **dict spines** but share every bucket
+    * the five hash indexes copy their **dict spines** but share every bucket
       set with the base; a bucket is copied exactly once, the first time a
       mutation touches it (``_owned`` tracks copied keys per index),
     * sorted runs are shared and only the runs of *touched predicates* are
@@ -444,7 +434,6 @@ class GenerationDraft:
         store._by_o = base._by_o.copy()
         store._by_sp = base._by_sp.copy()
         store._by_po = base._by_po.copy()
-        store._by_so = base._by_so.copy()
         # dict.copy() is a single C-level call, so it is atomic with respect
         # to readers lazily inserting sorted runs into the base generation.
         store._sorted_runs = base._sorted_runs.copy()
@@ -453,18 +442,10 @@ class GenerationDraft:
         store.version = base.version
         self.store = store
         #: Keys whose bucket has been copied, aligned with _index_table order.
-        self._owned = tuple(set() for _ in range(6))
+        self._owned = tuple(set() for _ in store._index_table())
         self._touched_predicates = set()
         self.inserted = 0
         self.deleted = 0
-
-    def _index_entries(self, s, p, o):
-        store = self.store
-        return (
-            (store._by_s, s), (store._by_p, p), (store._by_o, o),
-            (store._by_sp, (s, p)), (store._by_po, (p, o)),
-            (store._by_so, (s, o)),
-        )
 
     def add(self, triple):
         """Insert one ground triple into the draft; True when it was new."""
@@ -473,8 +454,7 @@ class GenerationDraft:
         if ids in store._spo:
             return False
         store._spo.add(ids)
-        s, p, o = ids
-        for owned, (index, key) in zip(self._owned, self._index_entries(s, p, o)):
+        for owned, (index, key) in zip(self._owned, store._index_entries(*ids)):
             bucket = index.get(key)
             if bucket is None:
                 index[key] = {ids}
@@ -487,7 +467,7 @@ class GenerationDraft:
                 index[key] = copied
                 owned.add(key)
         store.statistics.observe(triple)
-        self._touched_predicates.add(p)
+        self._touched_predicates.add(ids[1])
         self.inserted += 1
         return True
 
@@ -499,8 +479,7 @@ class GenerationDraft:
         if encoded is None or encoded not in store._spo:
             return False
         store._spo.discard(encoded)
-        s, p, o = encoded
-        for owned, (index, key) in zip(self._owned, self._index_entries(s, p, o)):
+        for owned, (index, key) in zip(self._owned, store._index_entries(*encoded)):
             bucket = index[key]
             if key not in owned:
                 bucket = set(bucket)
@@ -511,7 +490,7 @@ class GenerationDraft:
                 del index[key]
                 owned.discard(key)
         store.statistics.forget(triple)
-        self._touched_predicates.add(p)
+        self._touched_predicates.add(encoded[1])
         self.deleted += 1
         return True
 

@@ -5,7 +5,7 @@ paper reports loading times per engine precisely because native engines
 (Sesame-native, Virtuoso) amortize the expensive physical build into a
 reusable on-disk database (Section V).  This module is that on-disk database
 for the reproduction: a fully built :class:`~.indexed_store.IndexedStore` is
-serialized once — term dictionary, id-triple set, grouped images of the six
+serialized once — term dictionary, id-triple set, grouped images of the five
 hash indexes, and the :class:`~.statistics.StoreStatistics` — and every later
 run rebuilds the store from the snapshot through bulk constructors that skip
 the per-triple dictionary encoding, statistics observation, and index churn
@@ -27,15 +27,14 @@ File layout (all integers little-endian)::
     payload       kind-specific sections (see _pack_indexed / _pack_memory)
 
 The version is bumped whenever the payload layout changes; readers reject
-other versions (callers such as the dataset cache then rebuild).  The CRC
-guards against truncated or bit-rotted cache entries.
+every other version (callers such as the dataset cache then rebuild).  The
+CRC guards against truncated or bit-rotted cache entries.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import logging
 import os
 import struct
 import sys
@@ -49,14 +48,9 @@ from .statistics import StoreStatistics
 
 MAGIC = b"SP2BSNAP"
 
-#: Bump on any payload layout change.  Version 2 appended the sorted-run
-#: section to the indexed payload; version-1 files are still readable (the
-#: runs section is simply absent and runs are rebuilt lazily on demand).
-FORMAT_VERSION = 2
-
-#: Versions this build can read.  Anything else is rejected and callers such
-#: as the dataset cache rebuild from source.
-READ_VERSIONS = (1, 2)
+#: Bump on any payload layout change; this build reads no other version
+#: (docs/snapshot-format.md lists what each version changed).
+FORMAT_VERSION = 3
 
 KIND_INDEXED = 1
 KIND_MEMORY = 2
@@ -70,12 +64,6 @@ _U64 = struct.Struct("<Q")
 _TERM_URI = 0
 _TERM_BNODE = 1
 _TERM_LITERAL = 2
-
-_LOG = logging.getLogger(__name__)
-
-#: Set after the first legacy-version load so the lazy-rebuild notice is
-#: logged once per process, not once per cached snapshot.
-_warned_legacy_runs = False
 
 
 class SnapshotError(Exception):
@@ -155,7 +143,7 @@ def load_snapshot(path, expected_kind=None):
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    version, kind, meta_bytes, payload = _split(path, data, verify=True)
+    kind, meta_bytes, payload = _split(path, data, verify=True)
     kind_name = "indexed" if kind == KIND_INDEXED else "memory"
     if expected_kind is not None and expected_kind != kind_name:
         raise SnapshotFormatError(
@@ -170,7 +158,7 @@ def load_snapshot(path, expected_kind=None):
     gc.disable()
     try:
         if kind == KIND_INDEXED:
-            return _unpack_indexed(path, payload, version)
+            return _unpack_indexed(path, payload)
         return _unpack_memory(payload)
     finally:
         if was_enabled:
@@ -201,16 +189,16 @@ def _check_header(path, head):
     if len(head) < _HEADER.size or head[:8] != MAGIC:
         raise SnapshotFormatError(f"{path}: not an SP2Bench snapshot")
     version = _HEADER.unpack(head[: _HEADER.size])[1]
-    if version not in READ_VERSIONS:
+    if version != FORMAT_VERSION:
         raise SnapshotVersionError(
             f"{path}: snapshot format version {version}, this build reads "
-            f"versions {', '.join(map(str, READ_VERSIONS))}"
+            f"version {FORMAT_VERSION}"
         )
 
 
 def _split(path, data, verify):
     _check_header(path, data[: _HEADER.size])
-    _magic, version, kind, _flags, meta_len, data_len, crc = _HEADER.unpack(
+    _magic, _version, kind, _flags, meta_len, data_len, crc = _HEADER.unpack(
         data[: _HEADER.size]
     )
     if kind not in (KIND_INDEXED, KIND_MEMORY):
@@ -223,7 +211,7 @@ def _split(path, data, verify):
     payload = data[data_start:]
     if verify and zlib.crc32(payload, zlib.crc32(meta_bytes)) != crc:
         raise SnapshotCorruptError(f"{path}: snapshot integrity check failed")
-    return version, kind, meta_bytes, payload
+    return kind, meta_bytes, payload
 
 
 # -- low-level helpers -------------------------------------------------------
@@ -299,16 +287,15 @@ def _append_string(out, text):
 # Sections, in order:
 #   dictionary   term kinds + datatype/language tables + one shared text blob
 #   triples      the id-triple set as a flat u32 array
-#   indexes      six grouped index images (singleton and multi buckets split,
+#   indexes      five grouped index images (singleton and multi buckets split,
 #                members as positions into the triples section) — the bulk
 #                rebuild data that lets load skip per-triple index churn
 #   statistics   StoreStatistics in id space (decoded through the dictionary
 #                on load instead of being re-observed per triple)
-#   runs         (version >= 2) predicate-sorted id runs for the batch
-#                kernels: run count, then per run the predicate id, the sort
-#                order tag (0 = by subject, 1 = by object), the length, and
-#                the two u32 columns — absent in version-1 files, in which
-#                case runs are rebuilt lazily on first use
+#   runs         predicate-sorted id runs for the batch kernels: run
+#                count, then per run the predicate id, the sort order tag
+#                (0 = by subject, 1 = by object), the length, and the two
+#                u32 columns
 
 
 def _pack_indexed(store):
@@ -325,7 +312,7 @@ def _pack_indexed(store):
     return b"".join(out)
 
 
-def _unpack_indexed(path, payload, version=FORMAT_VERSION):
+def _unpack_indexed(path, payload):
     from .indexed_store import IndexedStore
 
     reader = _Reader(payload)
@@ -334,24 +321,15 @@ def _unpack_indexed(path, payload, version=FORMAT_VERSION):
         count = reader.u32()
         flat = iter(reader.u32_array(3 * count))
         triples = list(zip(flat, flat, flat))
-        images = [_unpack_index_image(reader) for _ in range(6)]
+        # S, P, O, SP, PO: the order of IndexedStore._index_table.
+        images = [_unpack_index_image(reader) for _ in range(5)]
         statistics = _unpack_statistics(reader, terms)
-        runs = _unpack_sorted_runs(reader) if version >= 2 else None
+        runs = _unpack_sorted_runs(reader)
     except SnapshotError as error:
         raise type(error)(f"{path}: {error}") from None
     dictionary = TermDictionary.from_terms(terms)
     store = IndexedStore._from_snapshot(dictionary, triples, images, statistics)
-    if runs is not None:
-        store._install_sorted_runs(runs)
-    else:
-        global _warned_legacy_runs
-        if not _warned_legacy_runs:
-            _warned_legacy_runs = True
-            _LOG.warning(
-                "%s: version-%d snapshot has no sorted-run section; "
-                "predicate runs will be rebuilt lazily (save a new snapshot "
-                "to persist them)", path, version,
-            )
+    store._install_sorted_runs(runs)
     return store
 
 

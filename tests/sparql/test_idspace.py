@@ -30,9 +30,10 @@ from repro.sparql import (
     serializers,
     translate_query,
 )
+from repro.sparql import algebra
 from repro.sparql.algebra import collect_bgps
 from repro.sparql.engine import NATIVE_OPTIMIZED
-from repro.sparql.planner import PROBE, SCAN, textual_plan
+from repro.sparql.planner import BIND_JOIN, PROBE, SCAN, JoinPlan, textual_plan
 from repro.store import IndexedStore, MemoryStore
 from repro.store.mvcc import MvccStore, read_snapshot
 
@@ -373,6 +374,66 @@ class TestHashLeftJoinEquivalence:
         # On the scan store.
         hashed = multiset(bindings(MemoryStore(GRAPH), tree_for(query)))
         assert hashed == oracle.multiset(oracle.evaluate(query, GRAPH))
+
+
+#: A bind join whose OPTIONAL left side leaves the shared ?abs unbound in
+#: most rows: those rows are compatible with every right row.
+UNBOUND_SHARED_BIND_JOIN = """
+SELECT * WHERE {
+  { ?d rdf:type bench:Article OPTIONAL { ?d bench:abstract ?abs } }
+  { ?e bench:abstract ?abs . ?e dc:creator ?p }
+}
+"""
+
+#: A bind join whose right side shares no variable with the left one.
+CARTESIAN_BIND_JOIN = """
+SELECT * WHERE {
+  { ?d rdf:type bench:Article OPTIONAL { ?d bench:abstract ?abs } }
+  { ?p rdf:type foaf:Person . ?p foaf:name ?n }
+}
+"""
+
+#: Two patterns without a shared variable: a cartesian SCAN step.
+CARTESIAN_SCAN = """
+SELECT ?d ?p WHERE { ?d rdf:type bench:Article . ?p rdf:type foaf:Person }
+"""
+
+
+class TestHandPlannedJoinPaths:
+    """SCAN steps joining rows that leave shared slots unbound, and rows
+    that share no slot at all, agree with the oracle on both stores."""
+
+    @staticmethod
+    def bind_joined(query, outer_bound):
+        """Every BGP on SCAN steps, every Join a bind join; with
+        ``outer_bound`` the right side's steps know the left side's
+        variables, as the cost planner tells them."""
+        tree = tree_for(query, SCAN)
+        for node in algebra.walk(tree):
+            if isinstance(node, algebra.Join):
+                node.plan = JoinPlan(strategy=BIND_JOIN)
+                if outer_bound:
+                    names = frozenset(v.name for v in node.left.variables())
+                    for bgp in collect_bgps(node.right):
+                        bgp.plan.outer_bound = names
+        return tree
+
+    @pytest.mark.parametrize("family", (IndexedStore, MemoryStore))
+    @pytest.mark.parametrize("outer_bound", (True, False))
+    @pytest.mark.parametrize("query", (UNBOUND_SHARED_BIND_JOIN,
+                                       CARTESIAN_BIND_JOIN))
+    def test_bind_join_into_scan_steps(self, family, outer_bound, query):
+        rows = bindings(family(GRAPH), self.bind_joined(query, outer_bound))
+        expected = oracle.multiset(oracle.evaluate(query, GRAPH))
+        assert multiset(rows) == expected
+        assert len(rows) >= 3
+
+    @pytest.mark.parametrize("family", (IndexedStore, MemoryStore))
+    def test_cartesian_scan_step(self, family):
+        rows = bindings(family(GRAPH), tree_for(CARTESIAN_SCAN, SCAN))
+        assert multiset(rows) == oracle.multiset(
+            oracle.evaluate(CARTESIAN_SCAN, GRAPH))
+        assert len(rows) == 9
 
 
 class TestEquiConditionValueSemantics:

@@ -177,6 +177,27 @@ class TestPlanTree:
         # The tree itself still evaluates correctly (smoke).
         assert cost_engine.query(get_query("Q6").text) is not None
 
+    def test_every_bind_join_seeds_a_seedable_right_side(
+            self, generated_graph_medium):
+        # The executor seeds only what _seedable accepts; anything else
+        # would be an EvaluationError at run time.
+        from repro.generator import DblpGenerator, GeneratorConfig
+        from repro.sparql.planner import _seedable
+
+        graphs = (DblpGenerator(GeneratorConfig(triple_limit=1_000, seed=7))
+                  .graph(), generated_graph_medium)
+        bind_joins = 0
+        for graph in graphs:
+            engine = SparqlEngine.from_graph(graph, NATIVE_COST)
+            for query in ALL_QUERIES:
+                _parsed, tree = engine.plan(query.text)
+                for node in algebra.walk(tree):
+                    if (isinstance(node, algebra.Join) and node.plan is not None
+                            and node.plan.strategy == BIND_JOIN):
+                        assert _seedable(node.right), query.identifier
+                        bind_joins += 1
+        assert bind_joins >= 2
+
     def test_plan_tree_does_not_mutate_input(self, small_store):
         from repro.sparql import parse_query, translate_query
 

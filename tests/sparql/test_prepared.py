@@ -158,6 +158,14 @@ class TestLimitPushdown:
         window = native.prepare(text).run(limit=3, offset=2).all().rows()
         assert window == everything[2:5]
 
+    @pytest.mark.parametrize("argument", ("limit", "offset"))
+    def test_negative_window_is_rejected_by_name(self, native, argument):
+        prepared = native.prepare("SELECT ?s WHERE { ?s ?p ?o }")
+        with pytest.raises(ValueError, match=f"^{argument} must not be negative"):
+            prepared.run(**{argument: -1})
+        assert len(list(prepared.run(**{argument: 0}))) == (
+            0 if argument == "limit" else len(native.store))
+
     @pytest.mark.parametrize("query", select_queries(), ids=lambda q: q.identifier)
     @pytest.mark.parametrize("family", ("native", "memory"))
     def test_pages_cover_every_catalog_result_once(self, request, family, query):

@@ -189,3 +189,39 @@ class TestRemove:
             assert indexed.remove(target) == memory.remove(target) is True
         assert set(indexed.triples()) == set(memory.triples())
         assert len(indexed) == len(memory)
+
+
+def _subject_object_stores(tmp_path):
+    """The three ways an IndexedStore comes about: built, MVCC-published
+    after inserts and deletes, and loaded from a snapshot."""
+    from repro.store import MvccStore, load_snapshot, read_snapshot
+
+    plain = IndexedStore(sample_triples())
+    mvcc = MvccStore(IndexedStore(sample_triples()))
+    with mvcc.write_transaction() as txn:
+        txn.insert(Triple(uri("a"), uri("r"), uri("b")))
+        txn.insert(Triple(uri("b"), uri("q"), uri("c")))
+        txn.remove(Triple(uri("a"), uri("p"), uri("c")))
+    path = tmp_path / "round-trip.sp2b"
+    plain.save(path)
+    return {"plain": plain, "mvcc": read_snapshot(mvcc),
+            "snapshot": load_snapshot(path)}
+
+
+@pytest.mark.parametrize("kind", ["plain", "mvcc", "snapshot"])
+def test_subject_object_patterns_match_brute_force(tmp_path, kind):
+    """``(s, ?p, o)`` has no index of its own: it filters the S bucket."""
+    store = _subject_object_stores(tmp_path)[kind]
+    everything = list(store.id_triples())
+    subjects = {s for s, _p, _o in everything}
+    objects = {o for _s, _p, o in everything}
+    decode = store.dictionary.decode
+    checked = 0
+    for s, o in itertools.product(subjects, objects):
+        expected = {ids for ids in everything if ids[0] == s and ids[2] == o}
+        assert set(store.triples_ids(s, None, o)) == expected
+        assert store.count_ids(s, None, o) == len(expected)
+        assert store.count(decode(s), None, decode(o)) == len(expected)
+        assert store.estimate_count(decode(s), None, decode(o)) == len(expected)
+        checked += bool(expected)
+    assert checked >= 3

@@ -221,17 +221,7 @@ class TestQueriesOnLoadedStores:
 
 
 class TestSortedRunSection:
-    """The version-2 sorted-run section and graceful version-1 loads."""
-
-    def _save_v1(self, store, path, monkeypatch):
-        """Write a true version-1 file: no runs section, version header 1."""
-        from repro.store import snapshot as snapshot_module
-
-        monkeypatch.setattr(snapshot_module, "FORMAT_VERSION", 1)
-        monkeypatch.setattr(
-            snapshot_module, "_pack_sorted_runs", lambda out, store: None
-        )
-        save_snapshot(store, path)
+    """The sorted-run section, and files of an older format version."""
 
     def test_runs_round_trip_verbatim(self, tmp_path):
         store = IndexedStore(sample_triples())
@@ -257,37 +247,33 @@ class TestSortedRunSection:
         # Both orders of every predicate are present without any lazy build.
         assert len(loaded._sorted_runs) == 2 * len(store._by_p)
 
-    def test_legacy_v1_loads_and_rebuilds_lazily(self, tmp_path, monkeypatch):
-        from repro.store import snapshot as snapshot_module
+    @staticmethod
+    def _as_version(path, version):
+        data = bytearray(path.read_bytes())
+        data[8:10] = struct.pack("<H", version)
+        path.write_bytes(bytes(data))
 
-        store = IndexedStore(sample_triples())
-        path = tmp_path / "legacy.sp2b"
-        self._save_v1(store, path, monkeypatch)
-        assert struct.unpack_from("<H", path.read_bytes(), 8)[0] == 1
-        loaded = load_snapshot(path)
-        assert not loaded._sorted_runs
-        for predicate_id in store._by_p:
-            fresh = store.sorted_run(predicate_id, RUN_BY_SUBJECT)
-            rebuilt = loaded.sorted_run(predicate_id, RUN_BY_SUBJECT)
-            assert rebuilt.keys == fresh.keys
-            assert rebuilt.values == fresh.values
-        assert snapshot_module.READ_VERSIONS == (1, 2)
-
-    def test_legacy_warning_logged_once(self, tmp_path, monkeypatch, caplog):
-        from repro.store import snapshot as snapshot_module
-
-        store = IndexedStore(sample_triples())
-        path = tmp_path / "legacy.sp2b"
-        self._save_v1(store, path, monkeypatch)
-        monkeypatch.setattr(snapshot_module, "_warned_legacy_runs", False)
-        with caplog.at_level("WARNING", logger=snapshot_module.__name__):
+    def test_version_2_is_rejected(self, tmp_path):
+        assert SNAPSHOT_FORMAT_VERSION == 3
+        path = tmp_path / "old.sp2b"
+        save_snapshot(IndexedStore(sample_triples()), path)
+        self._as_version(path, 2)
+        with pytest.raises(SnapshotVersionError, match="reads version 3"):
             load_snapshot(path)
-            load_snapshot(path)
-        notices = [
-            record for record in caplog.records
-            if "sorted-run" in record.getMessage()
-        ]
-        assert len(notices) == 1
+
+    def test_dataset_cache_rebuilds_a_version_2_entry(self, tmp_path):
+        from repro.cache import DatasetCache
+        from repro.generator import GeneratorConfig
+
+        cache = DatasetCache(tmp_path / "cache")
+        config = GeneratorConfig(triple_limit=300, seed=3)
+        built = cache.resolve(config)
+        self._as_version(built.path, 2)
+        rebuilt = cache.resolve(config)
+        assert not rebuilt.hit
+        assert set(rebuilt.store.id_triples()) == set(built.store.id_triples())
+        assert struct.unpack_from("<H", built.path.read_bytes(), 8)[0] == 3
+        assert cache.resolve(config).hit
 
     def test_vectorized_queries_on_loaded_runs(self, tmp_path, generated_graph_small):
         fresh = IndexedStore(generated_graph_small)

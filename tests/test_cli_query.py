@@ -173,3 +173,42 @@ def test_unknown_query_is_a_usage_error_before_loading(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"unknown query {argument!r}; known queries: Q1, Q10," in err
+
+
+#: Bad arguments of every subcommand, each with the message naming it.
+BAD_ARGUMENTS = {
+    "query-negative-limit": (["query", "{doc}", "--limit", "-1"],
+                             "--limit: must be at least 0, not -1"),
+    "query-zero-repeat": (["query", "{doc}", "--repeat", "0"],
+                          "--repeat: must be at least 1, not 0"),
+    "serve-zero-workers": (["serve", "{doc}", "--workers", "0"],
+                           "--workers: must be at least 1, not 0"),
+    "bench-unknown-query": (["bench", "--sizes", "100", "--no-cache",
+                             "--queries", "Q1", "Q99"],
+                            "unknown query 'Q99'; known queries: Q1,"),
+    "bench-zero-runs": (["bench", "--sizes", "100", "--no-cache",
+                         "--runs", "0"], "--runs: must be at least 1, not 0"),
+    "build-negative-size": (["build", "--cache-dir", "{dir}",
+                             "--triples", "-5"],
+                            "--triples: must be at least 1, not -5"),
+    "cache-key-bad-size": (["cache", "key", "--sizes", "abc"],
+                           "--sizes takes positive integers, not 'abc'"),
+    "cache-prune-bad-size": (["cache", "prune", "--cache-dir", "{dir}",
+                              "--sizes", "1000,0"],
+                             "--sizes takes positive integers, not '1000,0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_are_usage_errors_before_loading(tmp_path, capsys, case):
+    argv, message = BAD_ARGUMENTS[case]
+    # The document does not exist: validation must come first.
+    argv = [word.format(doc=tmp_path / "missing.sp2b", dir=tmp_path / "cache")
+            for word in argv]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    assert not (tmp_path / "cache").exists()

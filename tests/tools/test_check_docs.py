@@ -137,3 +137,32 @@ def test_missing_metrics_doc_fails_only_with_registrations(tmp_path, capsys):
     )
     assert check_docs.main([str(root)]) == 1
     assert "docs/metrics.md: missing" in capsys.readouterr().out
+
+
+def _snapshot_repo(tmp_path, spec):
+    root = _fake_repo(tmp_path, "# Title\n")
+    (root / "src" / "repro" / "store").mkdir(parents=True)
+    (root / "src" / "repro" / "store" / "snapshot.py").write_text(
+        "FORMAT_VERSION = 3\n")
+    (root / "docs" / "snapshot-format.md").write_text(spec)
+    return root
+
+
+def test_snapshot_spec_naming_another_version_fails(tmp_path, capsys):
+    root = _snapshot_repo(tmp_path, "# Spec\n\nThis build writes version 2 "
+                                    "and reads only version 2.\n")
+    assert check_docs.main([str(root)]) == 1
+    out = capsys.readouterr().out
+    assert "snapshot-format.md:3: says version 2" in out
+    assert "FORMAT_VERSION = 3" in out
+
+
+def test_snapshot_spec_without_the_sentence_fails(tmp_path, capsys):
+    root = _snapshot_repo(tmp_path, "# Spec\n\nNo version here.\n")
+    assert check_docs.main([str(root)]) == 1
+    assert "This build writes version" in capsys.readouterr().out
+
+
+def test_snapshot_spec_in_sync_passes(tmp_path):
+    root = _snapshot_repo(tmp_path, "# Spec\n\nThis build writes version 3.\n")
+    assert check_docs.main([str(root)]) == 0

@@ -1,6 +1,6 @@
 """Fail CI when the docs drift from the repo or the CLI.
 
-Three independent checks over README.md, DESIGN.md, and docs/*.md:
+Four independent checks over README.md, DESIGN.md, and docs/*.md:
 
 1. **Intra-repo links.**  Every relative markdown link must point at a
    file that exists, and every ``#anchor`` fragment must match a
@@ -16,6 +16,10 @@ Three independent checks over README.md, DESIGN.md, and docs/*.md:
    ``src/repro`` (a ``.counter(``/``.gauge(``/``.histogram(`` call) must
    appear in ``docs/metrics.md``, and every ``sp2b_*`` name that page
    documents must still be registered somewhere in the source tree.
+
+4. **Snapshot version drift.**  The "This build writes version N"
+   sentence of ``docs/snapshot-format.md`` must name the
+   ``FORMAT_VERSION`` that ``src/repro/store/snapshot.py`` writes.
 
 Exit status is non-zero iff any check fails; every failure is reported
 with file and line.  Run from anywhere:
@@ -42,6 +46,8 @@ METRIC_REGISTRATION_RE = re.compile(
 METRIC_NAME_TOKEN_RE = re.compile(r"sp2b_[a-z0-9_]+")
 #: per-sample suffixes histograms expand into — not separate series
 METRIC_SUFFIX_RE = re.compile(r"_(?:bucket|sum|count)$")
+FORMAT_VERSION_RE = re.compile(r"^FORMAT_VERSION = (\d+)", re.MULTILINE)
+WRITES_VERSION_RE = re.compile(r"This build writes version (\d+)")
 
 
 def doc_files(root):
@@ -223,6 +229,28 @@ def check_metrics_reference(root, errors):
         )
 
 
+def check_snapshot_version(root, errors):
+    source = root / "src" / "repro" / "store" / "snapshot.py"
+    if not source.is_file():
+        return
+    written = FORMAT_VERSION_RE.search(source.read_text(encoding="utf-8"))
+    spec = root / "docs" / "snapshot-format.md"
+    text = spec.read_text(encoding="utf-8") if spec.is_file() else ""
+    documented = WRITES_VERSION_RE.search(text)
+    if written is None:
+        errors.append("src/repro/store/snapshot.py: no `FORMAT_VERSION = N` line")
+    elif documented is None:
+        errors.append("docs/snapshot-format.md: no \"This build writes version "
+                      "N\" sentence to check against FORMAT_VERSION")
+    elif documented.group(1) != written.group(1):
+        lineno = text.count("\n", 0, documented.start()) + 1
+        errors.append(
+            f"docs/snapshot-format.md:{lineno}: says version "
+            f"{documented.group(1)}, but src/repro/store/snapshot.py writes "
+            f"FORMAT_VERSION = {written.group(1)}"
+        )
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     root = (Path(argv[0]) if argv else Path(__file__).resolve().parent.parent)
@@ -231,6 +259,7 @@ def main(argv=None):
     check_links(root, errors)
     check_commands(root, errors)
     check_metrics_reference(root, errors)
+    check_snapshot_version(root, errors)
     if errors:
         print(f"docs check failed ({len(errors)} problem(s)):")
         for error in errors:
