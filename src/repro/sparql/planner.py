@@ -6,7 +6,8 @@ placement, and the cross-engine results (Figures 6-8) largely separate
 engines by how well they plan joins.  The greedy reorder in
 :mod:`.optimizer` scores each pattern once with a static ``/10`` discount
 per bound variable; this module replaces that with an explicit *physical
-plan* derived from live :class:`~repro.store.statistics.StoreStatistics`:
+plan* derived from live statistics the indexed store reads off its index
+sizes (:meth:`~repro.store.IndexedStore.estimate` and the distinct counts):
 
 * **Cardinality propagation.**  Planning tracks the estimated intermediate
   result size.  A candidate pattern's contribution is its standalone
@@ -158,9 +159,10 @@ class JoinPlan(Observed):
 class CostModel:
     """Cardinality estimation backed by store statistics.
 
-    Works at the term level (patterns are not dictionary-encoded yet).
-    Stores without a ``statistics`` attribute fall back to their
-    ``estimate_count`` access path with a fixed per-bound-variable discount.
+    Works at the term level (patterns are not dictionary-encoded yet).  An
+    indexed store (``supports_sorted_runs``) answers the statistics from its
+    index sizes; any other store falls back to its ``estimate_count``
+    access path with a fixed per-bound-variable discount.
     """
 
     #: Fallback divisor per bound variable when no statistics exist.
@@ -168,7 +170,7 @@ class CostModel:
 
     def __init__(self, store):
         self._store = store
-        self._stats = getattr(store, "statistics", None)
+        self._stats = store if _indexed(store) else None
 
     def pattern_cardinality(self, pattern):
         """Standalone estimate: only the pattern's constants are bound."""
@@ -190,7 +192,7 @@ class CostModel:
         Starts from the standalone cardinality and divides by the number of
         distinct values each already-bound variable position can take —
         the classic attribute-independence refinement, but with the live
-        per-predicate distinct counts the statistics maintain.
+        per-predicate distinct counts the indexed store keeps.
         """
         estimate = self.pattern_cardinality(pattern)
         if estimate <= 0:
@@ -439,6 +441,11 @@ def _annotate_kernels(steps):
 # Tree planning
 # ---------------------------------------------------------------------------
 
+def _indexed(store):
+    """True for the native family: index probes, runs and index statistics."""
+    return getattr(store, "supports_sorted_runs", False)
+
+
 def default_strategy(store):
     """The one access path a store family has.
 
@@ -447,7 +454,7 @@ def default_strategy(store):
     (the in-memory engines) matches each pattern in one pass over the
     document and hash-joins the result.
     """
-    return PROBE if getattr(store, "supports_sorted_runs", False) else SCAN
+    return PROBE if _indexed(store) else SCAN
 
 
 def plan_tree(tree, store):
@@ -467,7 +474,7 @@ def plan_tree(tree, store):
                                           fixed_strategy=fixed)
     # Costs add up the tree: below the threshold no BGP in it reaches it.
     if (cost >= VECTORIZE_MIN_COST
-            and getattr(store, "supports_sorted_runs", False)
+            and _indexed(store)
             and kernels.numpy_enabled()):
         for node in algebra.collect_bgps(planned):
             plan = node.plan
@@ -482,11 +489,11 @@ def annotate_tree(tree, store):
 
     Every BGP keeps its pattern order and gets the store family's one
     strategy on each step, plus the estimates EXPLAIN renders next to the
-    observed rows.  A store without statistics gets the static estimates:
+    observed rows.  A scan store gets the static estimates:
     counting would cost it a pass over the document per pattern, for
     numbers a fixed-order plan only displays.
     """
-    counted = store if getattr(store, "statistics", None) is not None else None
+    counted = store if _indexed(store) else None
     annotated, _estimate, _cost = _plan_node(
         tree, CostModel(counted), frozenset(), 1.0, reorder=False,
         fixed_strategy=default_strategy(store))

@@ -1,11 +1,13 @@
-"""Triple-storage substrate: unindexed and indexed stores plus statistics.
+"""Triple-storage substrate: an unindexed and an indexed store.
 
 Two backends model the paper's two engine families.  Both dictionary-encode
 terms to integers and answer a pattern as raw id 3-tuples (``triples_ids``),
 which the one SPARQL executor joins over without decoding; they differ in the
 access path behind it.  :class:`MemoryStore` scans every triple per pattern
-(the in-memory engine model); :class:`IndexedStore` probes five hash indexes
-and keeps per-predicate sorted runs and statistics (the native-engine model).
+(the in-memory engine model); :class:`IndexedStore` probes five hash indexes,
+keeps per-predicate sorted runs, and answers the cost model from its index
+sizes (the native-engine model).  An MVCC draft of either is a store of the
+same class (:class:`MvccStore`), and both snapshot to the same container.
 See DESIGN.md.
 """
 
@@ -24,7 +26,6 @@ from .snapshot import (
     read_snapshot_metadata,
     save_snapshot,
 )
-from .statistics import StoreStatistics
 
 __all__ = [
     "TripleStore",
@@ -33,7 +34,6 @@ __all__ = [
     "MvccStore",
     "read_snapshot",
     "TermDictionary",
-    "StoreStatistics",
     "SNAPSHOT_FORMAT_VERSION",
     "SnapshotError",
     "SnapshotFormatError",

@@ -128,10 +128,16 @@ class TripleStore(abc.ABC):
     def estimate_count(self, subject=None, predicate=None, object=None):
         """Estimated number of matches, used by the query optimizer.
 
-        The default estimate is exact (it counts); index-backed stores return
-        cheap estimates from their statistics instead.
+        The estimate is exact (it counts): a pass over the document for the
+        scan store, one index bucket's size for the indexed store.
         """
         return self.count(subject, predicate, object)
+
+    def seal(self, version):
+        """Finish this MVCC draft (``begin_generation``) as generation
+        ``version``; returns the store, now ready to publish."""
+        self.version = version
+        return self
 
     def __iter__(self):
         return self.triples()

@@ -11,7 +11,9 @@ reproduces both halves of that design in pure Python:
   matching triples; every binding combination of a triple pattern has a
   direct access path except ``(s, ?p, o)``, which filters the S bucket
   (no query template binds it),
-* per-predicate and per-class statistics are maintained for the optimizer.
+* the cost model's statistics are the index sizes themselves: triples per
+  predicate, class counts, distinct totals, plus two per-predicate counters
+  (distinct subjects and objects) kept exact by ``add``/``remove``.
 
 ``triples_ids()`` / ``count_ids()`` answer an encoded pattern from the
 index matching its bound positions, with **no decoding at all** — the SPARQL
@@ -19,17 +21,22 @@ executor (:mod:`repro.sparql.idspace`) joins over the ids and terms are only
 reconstructed at the result boundary.  ``supports_sorted_runs`` marks the
 family for the planner: index probes per row, and batch kernels over the
 per-predicate sorted runs.
+
+``begin_generation()`` returns an MVCC draft that is itself an
+``IndexedStore``: it shares the dictionary and every index bucket with its
+base, and either side copies a shared bucket before its first write to it.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from itertools import islice
+from operator import itemgetter
 
-from ..rdf.triple import Triple
+from ..rdf.namespace import RDF
 from .base import TripleStore
 from .dictionary import TermDictionary
-from .statistics import StoreStatistics
 
 #: Shared empty set returned for index misses (never mutated).
 _EMPTY = frozenset()
@@ -37,6 +44,8 @@ _EMPTY = frozenset()
 #: Sort orders a predicate run can be materialized in.
 RUN_BY_SUBJECT = "s"
 RUN_BY_OBJECT = "o"
+
+_RDF_TYPE = RDF.type
 
 
 class SortedRun:
@@ -95,13 +104,20 @@ def _rebuild_index(triples, image):
     return index
 
 
+def _nothing_owned():
+    """Copy-on-write bookkeeping of a store sharing all its buckets: per
+    index (in ``_index_table`` order), the keys whose bucket it has copied."""
+    return tuple(set() for _ in range(5))
+
+
 class IndexedStore(TripleStore):
     """A hash-indexed triple store with dictionary encoding."""
 
     name = "indexed"
 
     #: Index probes and predicate-sorted id runs (``sorted_run``) are
-    #: available: the planner's cue for PROBE steps and batch kernels.
+    #: available: the planner's cue for PROBE steps and batch kernels, and
+    #: for reading its statistics (``estimate`` and the distinct counts).
     supports_sorted_runs = True
 
     def __init__(self, triples=None):
@@ -112,37 +128,23 @@ class IndexedStore(TripleStore):
         self._by_o = {}
         self._by_sp = {}
         self._by_po = {}
+        #: predicate_id -> number of ``_by_sp`` / ``_by_po`` keys carrying it,
+        #: i.e. the predicate's distinct subjects / objects.
+        self._subject_counts = Counter()
+        self._object_counts = Counter()
         self._sorted_runs = {}     # (predicate_id, order) -> SortedRun
         #: predicate_id -> ``version`` at which a triple of that predicate
         #: was last added or removed (absent: not since construction).
         self._predicate_stamps = {}
-        self.statistics = StoreStatistics()
+        #: None while this store owns every bucket; after ``begin_generation``
+        #: the keys per index whose bucket it has copied since (the rest may
+        #: be shared with another generation and are copied before a write).
+        self._owned = None
         if triples is not None:
             self.load_graph(triples)
 
-    # -- bulk construction --------------------------------------------------
-
     @classmethod
-    def from_id_triples(cls, dictionary, id_triples, statistics=None):
-        """Bulk-construct a store from a dictionary and raw id 3-tuples.
-
-        This is the snapshot/bulk-load entry point: the caller supplies an
-        already-populated :class:`TermDictionary` and the id-triple set, so
-        construction skips per-triple term encoding.  When ``statistics`` is
-        given (e.g. deserialized from a snapshot) the per-triple statistics
-        observation is skipped as well; otherwise statistics are recomputed
-        in one pass over the loaded triples.
-        """
-        store = cls()
-        store._dictionary = dictionary
-        store.bulk_add_ids(id_triples)
-        if statistics is None:
-            statistics = store._recompute_statistics()
-        store.statistics = statistics
-        return store
-
-    @classmethod
-    def _from_snapshot(cls, dictionary, triples, index_images, statistics):
+    def _from_snapshot(cls, dictionary, triples, index_images):
         """Assemble a store from deserialized snapshot sections (trusted)."""
         store = cls()
         store._dictionary = dictionary
@@ -151,45 +153,9 @@ class IndexedStore(TripleStore):
          store._by_sp, store._by_po) = (
             _rebuild_index(triples, image) for image in index_images
         )
-        store.statistics = statistics
+        store._subject_counts = Counter(map(itemgetter(1), store._by_sp))
+        store._object_counts = Counter(map(itemgetter(0), store._by_po))
         return store
-
-    def bulk_add_ids(self, id_triples):
-        """Insert raw id 3-tuples in bulk; returns the number actually added.
-
-        The bulk path of :meth:`from_id_triples`: indexes are maintained with
-        a tightened insert loop, but **statistics are deliberately not
-        updated** — callers either install deserialized statistics or call
-        :meth:`_recompute_statistics` once afterwards.  All ids must already
-        be valid for this store's dictionary.
-        """
-        spo = self._spo
-        added = 0
-        for ids in id_triples:
-            ids = tuple(ids)
-            if ids in spo:
-                continue
-            spo.add(ids)
-            for index, key in self._index_entries(*ids):
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = {ids}
-                else:
-                    bucket.add(ids)
-            added += 1
-        if added:
-            self._sorted_runs.clear()
-            self.version += 1
-            self._predicate_stamps = dict.fromkeys(self._by_p, self.version)
-        return added
-
-    def _recompute_statistics(self):
-        """Rebuild :class:`StoreStatistics` from the stored id-triples."""
-        statistics = StoreStatistics()
-        decode = self._dictionary.decode
-        for s_id, p_id, o_id in self._spo:
-            statistics.observe(Triple(decode(s_id), decode(p_id), decode(o_id)))
-        return statistics
 
     def _index_table(self):
         """The five hash indexes with their key arity, in snapshot order."""
@@ -227,51 +193,113 @@ class IndexedStore(TripleStore):
         if ids in self._spo:
             return False
         self._spo.add(ids)
-        for index, key in self._index_entries(*ids):
-            index.setdefault(key, set()).add(ids)
-        p = ids[1]
-        self._invalidate_sorted_runs(p)
-        self.statistics.observe(triple)
-        self.version += 1
-        self._predicate_stamps[p] = self.version
+        s, p, o = ids
+        if (s, p) not in self._by_sp:
+            self._subject_counts[p] += 1
+        if (p, o) not in self._by_po:
+            self._object_counts[p] += 1
+        owned = self._owned
+        for slot, (index, key) in enumerate(self._index_entries(s, p, o)):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {ids}
+                continue
+            if owned is not None and key not in owned[slot]:
+                owned[slot].add(key)
+                bucket = index[key] = set(bucket)
+            bucket.add(ids)
+        self._touch(p)
         return True
 
     def remove(self, triple):
         """Remove a triple if present; returns True when removed.
 
-        All five indexes and the store statistics are maintained; empty index
-        buckets are dropped so lookups of fully removed keys stay O(1).
-        Dictionary entries are intentionally kept — ids are stable for the
-        lifetime of the store, which is what lets id-space evaluation cache
-        decoded terms safely.
+        All five indexes and both per-predicate counters are maintained;
+        empty index buckets are dropped so lookups of fully removed keys
+        stay O(1).  Dictionary entries are intentionally kept — ids are
+        stable for the lifetime of the store, which is what lets id-space
+        evaluation cache decoded terms safely.
         """
         encoded = self.encode_pattern(triple.subject, triple.predicate, triple.object)
         if encoded is None or encoded not in self._spo:
             return False
         self._spo.discard(encoded)
-        p = encoded[1]
-        for index, key in self._index_entries(*encoded):
+        s, p, o = encoded
+        owned = self._owned
+        for slot, (index, key) in enumerate(self._index_entries(s, p, o)):
             bucket = index[key]
-            bucket.discard(encoded)
-            if not bucket:
+            if len(bucket) == 1:
                 del index[key]
-        self._invalidate_sorted_runs(p)
-        self.statistics.forget(triple)
-        self.version += 1
-        self._predicate_stamps[p] = self.version
+            elif owned is None or key in owned[slot]:
+                bucket.discard(encoded)
+            else:
+                owned[slot].add(key)
+                index[key] = bucket - {encoded}
+        if (s, p) not in self._by_sp:
+            _decrement(self._subject_counts, p)
+        if (p, o) not in self._by_po:
+            _decrement(self._object_counts, p)
+        self._touch(p)
         return True
+
+    def _touch(self, predicate_id):
+        """Bump the version, stamp the predicate and drop its sorted runs."""
+        self._invalidate_sorted_runs(predicate_id)
+        self.version += 1
+        self._predicate_stamps[predicate_id] = self.version
 
     def begin_generation(self):
         """Start a copy-on-write draft of this store's next MVCC generation.
 
-        Returns a :class:`GenerationDraft` sharing this store's term
-        dictionary (append-only, so ids stay valid across generations), its
-        untouched index buckets, and its sorted runs; the draft copies a
-        bucket only when a mutation first touches it.  This store is never
-        modified through the draft — readers holding it keep an immutable
-        view while the writer assembles the next generation.
+        The draft is an ``IndexedStore`` driven by the MVCC writer
+        (:mod:`repro.store.mvcc`) through the ordinary ``add``/``remove``:
+
+        * the term dictionary is *shared* (append-only; ids are stable forever),
+        * the id-triple set is copied (O(n), the per-transaction floor),
+        * the five hash indexes copy their **dict spines** but share every
+          bucket set; from now on this store and the draft each copy a
+          shared bucket the first time they write to it,
+        * the sorted runs, change stamps and per-predicate counters are
+          copied dicts, so untouched predicates keep their (immutable) runs
+          across generations with zero rebuild cost.
+
+        Readers holding this store keep a frozen view while the writer
+        assembles the next generation in the draft.
         """
-        return GenerationDraft(self)
+        draft = IndexedStore()
+        draft._dictionary = self._dictionary
+        draft._spo = set(self._spo)
+        draft._by_s = self._by_s.copy()
+        draft._by_p = self._by_p.copy()
+        draft._by_o = self._by_o.copy()
+        draft._by_sp = self._by_sp.copy()
+        draft._by_po = self._by_po.copy()
+        draft._subject_counts = self._subject_counts.copy()
+        draft._object_counts = self._object_counts.copy()
+        # dict.copy() is a single C-level call, so it is atomic with respect
+        # to readers lazily inserting sorted runs into this generation.
+        draft._sorted_runs = self._sorted_runs.copy()
+        draft._predicate_stamps = self._predicate_stamps.copy()
+        draft.version = self.version
+        self._owned = _nothing_owned()
+        draft._owned = _nothing_owned()
+        return draft
+
+    def seal(self, version):
+        """Finish this draft as generation ``version`` (one past its base's).
+
+        Every predicate written since the draft began carries a stamp of at
+        least ``version`` (each write bumped the draft's version) and is
+        restamped ``version``; untouched predicates keep their stamps.  The
+        copy-on-write bookkeeping starts over: a later write to the sealed
+        store copies its bucket first, since the base may still share it.
+        """
+        self._predicate_stamps = {
+            predicate_id: min(stamp, version)
+            for predicate_id, stamp in self._predicate_stamps.items()
+        }
+        self._owned = _nothing_owned()
+        return super().seal(version)
 
     def predicates_changed_since(self, predicates, version):
         """True when a triple of any of ``predicates`` (terms) was added or
@@ -285,14 +313,70 @@ class IndexedStore(TripleStore):
         return any(stamps.get(lookup(predicate), 0) > version
                    for predicate in predicates)
 
+    # -- statistics for the cost model -----------------------------------------
+    #
+    # Term-level, like the patterns the planner costs.  Every number is an
+    # index size or one of the two per-predicate counters, so it is exact
+    # at every generation without a separate structure to maintain.
+
+    def estimate(self, subject, predicate, object):
+        """Estimate the number of triples matching an (s, p, o) pattern.
+
+        ``None`` marks a wildcard position; a bound subject or object only
+        counts as bound, whatever its value.  The estimates follow the
+        classic attribute-independence model: start from the predicate count
+        (or the total triple count for a variable predicate) and divide by
+        the number of distinct subjects/objects for each bound
+        subject/object.  ``rdf:type`` with a bound class is its class count.
+        """
+        if predicate is not None:
+            p = self._dictionary.lookup(predicate)
+            base = len(self._by_p.get(p, _EMPTY))
+            if base == 0:
+                return 0
+            estimate = float(base)
+            if subject is not None:
+                estimate /= max(self._subject_counts[p], 1)
+            if object is not None:
+                if predicate == _RDF_TYPE and subject is None:
+                    return len(self._by_po.get(
+                        (p, self._dictionary.lookup(object)), _EMPTY))
+                estimate /= max(self._object_counts[p], 1)
+            return estimate
+        estimate = float(len(self._spo))
+        if subject is not None:
+            estimate /= max(self.distinct_subject_total(), 1)
+        if object is not None:
+            estimate /= max(self.distinct_object_total(), 1)
+        return estimate
+
+    def distinct_subjects(self, predicate):
+        """Number of distinct subjects appearing with ``predicate``."""
+        return self._subject_counts[self._dictionary.lookup(predicate)]
+
+    def distinct_objects(self, predicate):
+        """Number of distinct objects appearing with ``predicate``."""
+        return self._object_counts[self._dictionary.lookup(predicate)]
+
+    def distinct_subject_total(self):
+        """Number of distinct subjects across all predicates."""
+        return len(self._by_s)
+
+    def distinct_object_total(self):
+        """Number of distinct objects across all predicates."""
+        return len(self._by_o)
+
+    def distinct_predicates(self):
+        """Number of distinct predicates with at least one triple."""
+        return len(self._by_p)
+
     # -- id-level access ----------------------------------------------------
 
     def id_triples(self):
         """Iterate over every stored triple as a raw id 3-tuple (no decode).
 
-        The bulk counterpart of :meth:`triples_ids` used by snapshot and
-        copy/bulk-load paths: ``IndexedStore.from_id_triples(other.dictionary,
-        other.id_triples())`` clones a store without touching terms.
+        The bulk counterpart of :meth:`triples_ids` used by the snapshot
+        writer and by tests that recount what the indexes hold.
         """
         return iter(self._spo)
 
@@ -378,21 +462,6 @@ class IndexedStore(TripleStore):
             return 0
         return len(self._candidates(*encoded))
 
-    def estimate_count(self, subject=None, predicate=None, object=None):
-        """Cheap cardinality estimate for the optimizer.
-
-        Fully bound or singly/doubly bound patterns are answered exactly from
-        the index sizes (constant time); everything else falls back to the
-        statistics-based estimate.
-        """
-        encoded = self.encode_pattern(subject, predicate, object)
-        if encoded is None:
-            return 0
-        s, p, o = encoded
-        if s is not None or o is not None or p is not None:
-            return len(self._candidates(s, p, o))
-        return self.statistics.triple_count
-
     def __len__(self):
         return len(self._spo)
 
@@ -400,117 +469,9 @@ class IndexedStore(TripleStore):
         return f"IndexedStore(len={len(self)}, terms={len(self._dictionary)})"
 
 
-class GenerationDraft:
-    """A copy-on-write draft of an :class:`IndexedStore`'s next generation.
-
-    Built by :meth:`IndexedStore.begin_generation` and driven by the MVCC
-    writer (:mod:`repro.store.mvcc`).  The draft's store starts as a
-    structural-sharing copy of the base generation:
-
-    * the term dictionary is *shared* (append-only; ids are stable forever),
-    * the id-triple set is copied (O(n), the per-transaction floor),
-    * the five hash indexes copy their **dict spines** but share every bucket
-      set with the base; a bucket is copied exactly once, the first time a
-      mutation touches it (``_owned`` tracks copied keys per index),
-    * sorted runs are shared and only the runs of *touched predicates* are
-      dropped at :meth:`finish` — untouched predicates keep their (immutable)
-      runs across generations with zero rebuild cost,
-    * statistics share every per-predicate map with the base until the
-      draft first touches that predicate (``StoreStatistics.copy``), and are
-      maintained incrementally,
-    * the per-predicate change stamps are carried over and the touched
-      predicates restamped with the new version at :meth:`finish`.
-
-    The base store is never mutated: concurrent readers pinned to it see a
-    frozen, consistent state for as long as they hold the reference.
-    """
-
-    def __init__(self, base):
-        store = IndexedStore()
-        store._dictionary = base._dictionary
-        store._spo = set(base._spo)
-        store._by_s = base._by_s.copy()
-        store._by_p = base._by_p.copy()
-        store._by_o = base._by_o.copy()
-        store._by_sp = base._by_sp.copy()
-        store._by_po = base._by_po.copy()
-        # dict.copy() is a single C-level call, so it is atomic with respect
-        # to readers lazily inserting sorted runs into the base generation.
-        store._sorted_runs = base._sorted_runs.copy()
-        store._predicate_stamps = base._predicate_stamps.copy()
-        store.statistics = base.statistics.copy()
-        store.version = base.version
-        self.store = store
-        #: Keys whose bucket has been copied, aligned with _index_table order.
-        self._owned = tuple(set() for _ in store._index_table())
-        self._touched_predicates = set()
-        self.inserted = 0
-        self.deleted = 0
-
-    def add(self, triple):
-        """Insert one ground triple into the draft; True when it was new."""
-        store = self.store
-        ids = store._dictionary.encode_triple(triple)
-        if ids in store._spo:
-            return False
-        store._spo.add(ids)
-        for owned, (index, key) in zip(self._owned, store._index_entries(*ids)):
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = {ids}
-                owned.add(key)
-            elif key in owned:
-                bucket.add(ids)
-            else:
-                copied = set(bucket)
-                copied.add(ids)
-                index[key] = copied
-                owned.add(key)
-        store.statistics.observe(triple)
-        self._touched_predicates.add(ids[1])
-        self.inserted += 1
-        return True
-
-    def remove(self, triple):
-        """Remove one ground triple from the draft; True when it was present."""
-        store = self.store
-        encoded = store.encode_pattern(triple.subject, triple.predicate,
-                                       triple.object)
-        if encoded is None or encoded not in store._spo:
-            return False
-        store._spo.discard(encoded)
-        for owned, (index, key) in zip(self._owned, store._index_entries(*encoded)):
-            bucket = index[key]
-            if key not in owned:
-                bucket = set(bucket)
-                index[key] = bucket
-                owned.add(key)
-            bucket.discard(encoded)
-            if not bucket:
-                del index[key]
-                owned.discard(key)
-        store.statistics.forget(triple)
-        self._touched_predicates.add(encoded[1])
-        self.deleted += 1
-        return True
-
-    @property
-    def mutated(self):
-        """True when at least one triple was actually inserted or removed."""
-        return bool(self.inserted or self.deleted)
-
-    def finish(self, version):
-        """Seal the draft as generation ``version`` and return its store.
-
-        Sorted runs of every touched predicate are dropped (they rebuild
-        lazily on first use in the new generation) and its change stamp
-        becomes ``version``; untouched predicates keep the shared runs and
-        the stamps of the previous generation.
-        """
-        store = self.store
-        for predicate_id in self._touched_predicates:
-            store._sorted_runs.pop((predicate_id, RUN_BY_SUBJECT), None)
-            store._sorted_runs.pop((predicate_id, RUN_BY_OBJECT), None)
-            store._predicate_stamps[predicate_id] = version
-        store.version = version
-        return store
+def _decrement(counter, key):
+    """Decrease ``counter[key]`` by one, dropping the entry at zero."""
+    if counter[key] > 1:
+        counter[key] -= 1
+    else:
+        del counter[key]

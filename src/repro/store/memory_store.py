@@ -39,13 +39,8 @@ class MemoryStore(TripleStore):
         return True
 
     def save(self, path, metadata=None):
-        """Write a snapshot of this store (an N-Triples-backed payload).
-
-        The in-memory engines of the paper re-parse their document on every
-        load, so the "snapshot" of a scan store is simply the serialized
-        document inside the common snapshot container — symmetric API with
-        :meth:`IndexedStore.save`, same cost model as the modelled engines.
-        """
+        """Write a snapshot of this store: its dictionary and id triples, in
+        the same sections an :class:`IndexedStore` snapshot starts with."""
         from .snapshot import save_snapshot
 
         return save_snapshot(self, path, metadata=metadata)
@@ -69,11 +64,16 @@ class MemoryStore(TripleStore):
     def begin_generation(self):
         """Start a draft of this store's next MVCC generation.
 
-        A scan store has no sharable index structure, so the draft simply
-        copies the triple dict (one C-level ``dict.copy``) — O(n) but with a
-        very small constant, matching the store's own cost model.
+        The draft is a ``MemoryStore`` sharing the term dictionary
+        (append-only, so ids stay valid across generations) with a copy of
+        the triple dict — one C-level ``dict.copy``, O(n) with a very small
+        constant, matching the store's own cost model.
         """
-        return MemoryGenerationDraft(self)
+        draft = MemoryStore()
+        draft._dictionary = self._dictionary
+        draft._triples = self._triples.copy()
+        draft.version = self.version
+        return draft
 
     def triples_ids(self, subject=None, predicate=None, object=None):
         """The stored id 3-tuples matching an encoded pattern: one linear
@@ -96,44 +96,3 @@ class MemoryStore(TripleStore):
 
     def __repr__(self):
         return f"MemoryStore(len={len(self)})"
-
-
-class MemoryGenerationDraft:
-    """Draft of a :class:`MemoryStore`'s next MVCC generation.
-
-    Same driver-facing surface as ``indexed_store.GenerationDraft``:
-    ``add``/``remove``/``mutated``/``inserted``/``deleted``/``finish``.  The
-    id-triple dict is copied; the term dictionary is shared (append-only, so
-    ids stay valid across generations).
-    """
-
-    def __init__(self, base):
-        store = MemoryStore()
-        store._dictionary = base._dictionary
-        store._triples = base._triples.copy()
-        store.version = base.version
-        self.store = store
-        self.inserted = 0
-        self.deleted = 0
-
-    def add(self, triple):
-        """Insert one ground triple into the draft; True when it was new."""
-        added = self.store.add(triple)
-        self.inserted += added
-        return added
-
-    def remove(self, triple):
-        """Remove one ground triple from the draft; True when present."""
-        removed = self.store.remove(triple)
-        self.deleted += removed
-        return removed
-
-    @property
-    def mutated(self):
-        """True when at least one triple was actually inserted or removed."""
-        return bool(self.inserted or self.deleted)
-
-    def finish(self, version):
-        """Seal the draft as generation ``version`` and return its store."""
-        self.store.version = version
-        return self.store

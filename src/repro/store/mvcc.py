@@ -4,8 +4,10 @@ SPARQL Update turns the previously read-only stores into shared mutable
 state.  Rather than locking readers, :class:`MvccStore` keeps every published
 store *generation* immutable: readers pin the current generation with one
 attribute read and keep scanning it unperturbed; a single serialized writer
-builds the next generation as a copy-on-write draft (``begin_generation`` on
-the underlying store) and publishes it atomically by swapping one reference.
+builds the next generation in a draft (``begin_generation`` on the underlying
+store returns a copy-on-write store of the same class, written through its
+ordinary ``add``/``remove``) and publishes it atomically by sealing it and
+swapping one reference.
 
 Invariants:
 
@@ -13,11 +15,13 @@ Invariants:
   frozen, consistent state for as long as they keep the reference.  (The one
   deliberate exception is lazy sorted-run materialization inside
   ``IndexedStore`` — a cache fill, not a logical mutation.)
-* Publishing bumps ``version`` monotonically; the engine's prepared-statement
-  cache compares it (and the per-predicate change stamps of the generation)
-  to decide which cached plans to re-plan.
+* Publishing bumps ``version`` monotonically, once per outermost
+  transaction; the engine's prepared-statement cache compares it (and the
+  per-predicate change stamps of the generation) to decide which cached
+  plans to re-plan.
 * ``write_transaction`` holds the writer lock across WHERE evaluation *and*
   application, so read-modify-write updates never lose concurrent writes.
+  A transaction opened inside another on the same thread joins it.
 
 Readers should go through :func:`read_snapshot` at operation start and use
 the returned plain store for the whole operation; the helper is a no-op on
@@ -51,30 +55,31 @@ class WriteTransaction:
     """Handle yielded by :meth:`MvccStore.write_transaction`.
 
     ``base`` is the pre-update generation (evaluate WHERE clauses against
-    it); ``insert``/``remove`` mutate the copy-on-write draft.  Deletions and
-    insertions may be issued in any order — the SPARQL Update executor applies
-    deletes first per the spec, but the draft itself is order-agnostic.
+    it); ``insert``/``remove`` mutate the copy-on-write draft and count what
+    actually changed.  Deletions and insertions may be issued in any order —
+    the SPARQL Update executor applies deletes first per the spec, but the
+    draft itself is order-agnostic.
     """
 
     def __init__(self, base, draft):
         self.base = base
         self._draft = draft
+        self.inserted = 0
+        self.deleted = 0
+        #: Set when an exception left this transaction or one nested in it.
+        self.failed = False
 
     def insert(self, triple):
         """Add one ground triple to the next generation; True when new."""
-        return self._draft.add(triple)
+        added = self._draft.add(triple)
+        self.inserted += added
+        return added
 
     def remove(self, triple):
         """Remove one ground triple from the next generation; True if present."""
-        return self._draft.remove(triple)
-
-    @property
-    def inserted(self):
-        return self._draft.inserted
-
-    @property
-    def deleted(self):
-        return self._draft.deleted
+        removed = self._draft.remove(triple)
+        self.deleted += removed
+        return removed
 
 
 class MvccStore(TripleStore):
@@ -90,6 +95,8 @@ class MvccStore(TripleStore):
     def __init__(self, store):
         self._current = store
         self._writer_lock = threading.RLock()
+        #: The outermost open transaction (only its lock holder reads it).
+        self._transaction = None
         registry = get_registry()
         self._lock_wait_seconds = registry.histogram(
             "sp2b_mvcc_writer_lock_wait_seconds",
@@ -117,19 +124,34 @@ class MvccStore(TripleStore):
 
         On normal exit, a mutated draft is sealed with ``version + 1`` and
         published atomically; an unmutated draft is discarded without a
-        version bump (no-op updates must not invalidate prepared plans).  On
-        exception nothing is published.
+        version bump (no-op updates must not invalidate prepared plans).
+        A transaction opened while this thread already holds one (the lock
+        is reentrant) joins it: same base, same draft, and only the
+        outermost exit publishes.  An exception in any of them publishes
+        nothing.
         """
         lock_requested = perf_counter()
         with self._writer_lock:
             # Reentrant acquires (nested transactions) report ~0 wait.
             self._lock_wait_seconds.observe(perf_counter() - lock_requested)
+            outer = self._transaction
+            if outer is not None:
+                try:
+                    yield WriteTransaction(outer.base, outer._draft)
+                except BaseException:
+                    outer.failed = True
+                    raise
+                return
             base = self._current
-            draft = base.begin_generation()
-            transaction = WriteTransaction(base, draft)
-            yield transaction
-            if draft.mutated:
-                self._current = draft.finish(base.version + 1)
+            transaction = WriteTransaction(base, base.begin_generation())
+            self._transaction = transaction
+            try:
+                yield transaction
+            finally:
+                self._transaction = None
+            draft = transaction._draft
+            if not transaction.failed and draft.version != base.version:
+                self._current = draft.seal(base.version + 1)
                 self._generations_published.inc()
 
     # -- TripleStore interface ---------------------------------------------
@@ -178,7 +200,7 @@ class MvccStore(TripleStore):
         return self._current.save(path, metadata=metadata)
 
     def __getattr__(self, attribute):
-        # Anything else (statistics, dictionary, sorted runs) resolves
+        # Anything else (estimates, dictionary, sorted runs) resolves
         # against the current generation.  Readers that need
         # a *consistent* view across several calls must pin a snapshot first.
         return getattr(self._current, attribute)

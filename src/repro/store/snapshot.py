@@ -6,13 +6,13 @@ paper reports loading times per engine precisely because native engines
 reusable on-disk database (Section V).  This module is that on-disk database
 for the reproduction: a fully built :class:`~.indexed_store.IndexedStore` is
 serialized once — term dictionary, id-triple set, grouped images of the five
-hash indexes, and the :class:`~.statistics.StoreStatistics` — and every later
-run rebuilds the store from the snapshot through bulk constructors that skip
-the per-triple dictionary encoding, statistics observation, and index churn
-of the incremental ``add()`` path.  :class:`~.memory_store.MemoryStore`
-snapshots keep the two engine families symmetric with a trivial
-N-Triples-backed payload (the in-memory engines of the paper re-parse their
-document; only the parse is amortized, matching their cost model).
+hash indexes, and the sorted runs — and every later run rebuilds the store
+from the snapshot through bulk constructors that skip the per-triple
+dictionary encoding and index churn of the incremental ``add()`` path (the
+cost model's statistics are index sizes, derived on the way).
+:class:`~.memory_store.MemoryStore` snapshots are the first two of those
+sections, the dictionary and the id triples, loaded back into the scan
+store's insertion-ordered dict with their ids unchanged.
 
 File layout (all integers little-endian)::
 
@@ -24,7 +24,7 @@ File layout (all integers little-endian)::
     data_len u64  length of the payload that follows the metadata
     crc32    u32  CRC-32 of metadata + payload
     metadata      JSON object (generator config, statistics, free-form)
-    payload       kind-specific sections (see _pack_indexed / _pack_memory)
+    payload       kind-specific sections (see _pack_indexed / _pack_triples)
 
 The version is bumped whenever the payload layout changes; readers reject
 every other version (callers such as the dataset cache then rebuild).  The
@@ -41,16 +41,14 @@ import sys
 import zlib
 from array import array
 
-from ..rdf import ntriples
 from ..rdf.terms import BNode, Literal, URIRef
 from .dictionary import TermDictionary
-from .statistics import StoreStatistics
 
 MAGIC = b"SP2BSNAP"
 
 #: Bump on any payload layout change; this build reads no other version
 #: (docs/snapshot-format.md lists what each version changed).
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 KIND_INDEXED = 1
 KIND_MEMORY = 2
@@ -96,14 +94,18 @@ def save_snapshot(store, path, metadata=None):
     from .indexed_store import IndexedStore
     from .memory_store import MemoryStore
 
+    out = []
     if isinstance(store, IndexedStore):
-        kind, payload = KIND_INDEXED, _pack_indexed(store)
+        kind = KIND_INDEXED
+        _pack_indexed(out, store)
     elif isinstance(store, MemoryStore):
-        kind, payload = KIND_MEMORY, _pack_memory(store)
+        kind = KIND_MEMORY
+        _pack_triples(out, store.dictionary, store._triples)
     else:
         raise SnapshotFormatError(
             f"no snapshot serialization for {type(store).__name__}"
         )
+    payload = b"".join(out)
     meta = dict(metadata or {})
     meta.setdefault("store", store.name)
     meta.setdefault("triples", len(store))
@@ -157,9 +159,7 @@ def load_snapshot(path, expected_kind=None):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if kind == KIND_INDEXED:
-            return _unpack_indexed(path, payload)
-        return _unpack_memory(payload)
+        return _unpack(path, kind, payload)
     finally:
         if was_enabled:
             gc.enable()
@@ -282,53 +282,63 @@ def _append_string(out, text):
     out.append(encoded)
 
 
-# -- indexed-store payload ---------------------------------------------------
+# -- payloads ----------------------------------------------------------------
 #
-# Sections, in order:
+# Both kinds start with the same two sections:
 #   dictionary   term kinds + datatype/language tables + one shared text blob
 #   triples      the id-triple set as a flat u32 array
+# The memory payload ends there (its triples in scan order).  The indexed
+# payload continues with:
 #   indexes      five grouped index images (singleton and multi buckets split,
 #                members as positions into the triples section) — the bulk
 #                rebuild data that lets load skip per-triple index churn
-#   statistics   StoreStatistics in id space (decoded through the dictionary
-#                on load instead of being re-observed per triple)
 #   runs         predicate-sorted id runs for the batch kernels: run
 #                count, then per run the predicate id, the sort order tag
 #                (0 = by subject, 1 = by object), the length, and the two
 #                u32 columns
 
 
-def _pack_indexed(store):
-    out = []
-    _pack_dictionary(out, store.dictionary)
-    triples = list(store._spo)
+def _pack_triples(out, dictionary, id_triples):
+    """Append the dictionary and triples sections; returns the triple list."""
+    _pack_dictionary(out, dictionary)
+    triples = list(id_triples)
     out.append(_U32.pack(len(triples)))
     out.append(_u32_array(component for triple in triples for component in triple))
+    return triples
+
+
+def _pack_indexed(out, store):
+    triples = _pack_triples(out, store.dictionary, store._spo)
     positions = {triple: index for index, triple in enumerate(triples)}
     for arity, index in store._index_table():
         _pack_index_image(out, arity, index, positions)
-    _pack_statistics(out, store.statistics, store.dictionary)
     _pack_sorted_runs(out, store)
-    return b"".join(out)
 
 
-def _unpack_indexed(path, payload):
+def _unpack(path, kind, payload):
     from .indexed_store import IndexedStore
+    from .memory_store import MemoryStore
 
     reader = _Reader(payload)
     try:
-        terms = _unpack_dictionary(reader)
+        dictionary = TermDictionary.from_terms(_unpack_dictionary(reader))
         count = reader.u32()
         flat = iter(reader.u32_array(3 * count))
         triples = list(zip(flat, flat, flat))
-        # S, P, O, SP, PO: the order of IndexedStore._index_table.
-        images = [_unpack_index_image(reader) for _ in range(5)]
-        statistics = _unpack_statistics(reader, terms)
-        runs = _unpack_sorted_runs(reader)
+        if kind == KIND_INDEXED:
+            # S, P, O, SP, PO: the order of IndexedStore._index_table.
+            images = [_unpack_index_image(reader) for _ in range(5)]
+            runs = _unpack_sorted_runs(reader)
     except SnapshotError as error:
         raise type(error)(f"{path}: {error}") from None
-    dictionary = TermDictionary.from_terms(terms)
-    store = IndexedStore._from_snapshot(dictionary, triples, images, statistics)
+    except UnicodeDecodeError as error:
+        raise SnapshotCorruptError(f"{path}: unreadable term text: {error}") from None
+    if kind == KIND_MEMORY:
+        store = MemoryStore()
+        store._dictionary = dictionary
+        store._triples = dict.fromkeys(triples)
+        return store
+    store = IndexedStore._from_snapshot(dictionary, triples, images)
     store._install_sorted_runs(runs)
     return store
 
@@ -528,69 +538,3 @@ def _unpack_index_image(reader):
     multi_counts = reader.u32_array(n_multi)
     multi_members = reader.u32_array(reader.u32())
     return single_keys, single_members, multi_keys, multi_counts, multi_members
-
-
-def _pack_statistics(out, statistics, dictionary):
-    lookup = dictionary.lookup
-
-    def pack_counter(counter):
-        out.append(_U32.pack(len(counter)))
-        out.append(_u32_array(lookup(term) for term in counter))
-        out.append(_u32_array(counter.values()))
-
-    out.append(_U64.pack(statistics.triple_count))
-    out.append(_U32.pack(len(statistics.predicate_counts)))
-    for predicate, count in statistics.predicate_counts.items():
-        out.append(_U32.pack(lookup(predicate)))
-        out.append(_U32.pack(count))
-        pack_counter(statistics._predicate_subjects.get(predicate, {}))
-        pack_counter(statistics._predicate_objects.get(predicate, {}))
-    pack_counter(statistics.class_counts)
-
-
-def _unpack_statistics(reader, terms):
-    decode = terms.__getitem__
-
-    def unpack_counter():
-        count = reader.u32()
-        ids = reader.u32_array(count)
-        values = reader.u32_array(count)
-        return dict(zip(map(decode, ids), values))
-
-    statistics = StoreStatistics()
-    statistics.triple_count = reader.u64()
-    for _ in range(reader.u32()):
-        predicate = decode(reader.u32())
-        statistics.predicate_counts[predicate] = reader.u32()
-        subjects = unpack_counter()
-        objects = unpack_counter()
-        if subjects:
-            statistics._predicate_subjects[predicate] = subjects
-        if objects:
-            statistics._predicate_objects[predicate] = objects
-    statistics.class_counts = unpack_counter()
-    # The distinct totals are not stored: derive them once here, off every
-    # query's clock.
-    statistics.distinct_subject_total()
-    statistics.distinct_object_total()
-    return statistics
-
-
-# -- memory-store payload ----------------------------------------------------
-
-
-def _pack_memory(store):
-    """The in-memory engine snapshot: the document itself, as N-Triples."""
-    return ntriples.serialize(store.triples()).encode("utf-8")
-
-
-def _unpack_memory(payload):
-    from .memory_store import MemoryStore
-
-    try:
-        text = payload.decode("utf-8")
-        store = MemoryStore()
-        store.bulk_load(ntriples.parse(text))
-    except (UnicodeDecodeError, ntriples.ParseError) as error:
-        raise SnapshotCorruptError(f"unreadable memory-store payload: {error}") from None
-    return store

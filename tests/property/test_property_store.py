@@ -2,10 +2,12 @@
 
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import recount
 from repro.rdf import Literal, Triple, URIRef
-from repro.store import IndexedStore, MemoryStore, StoreStatistics
+from repro.store import IndexedStore, MemoryStore
 
 # A deliberately small term universe so patterns frequently match.
 _locals = st.sampled_from(list(string.ascii_lowercase[:6]))
@@ -62,50 +64,88 @@ class TestIndexEquivalence:
             assert indexed.estimate_count(s, p, o) == indexed.count(s, p, o)
 
 
-# One step of a statistics history: (operation, index of the statistics
-# object it applies to, a second index — which held triple to forget — and
-# the triple to observe).
-_indexes = st.integers(min_value=0, max_value=7)
-statistics_steps = st.lists(
-    st.tuples(st.sampled_from(["observe", "observe", "forget", "copy",
-                               "ask"]), _indexes, _indexes, triples),
-    max_size=80,
+# One step of a generation history: (operation, pick, triple).  Writes go to
+# the open draft, or in place to the newest generation when none is open;
+# "runs" builds a sorted run there, so later drafts inherit it.
+history_steps = st.lists(
+    st.tuples(st.sampled_from(["add", "add", "remove", "begin", "publish",
+                               "runs"]),
+              st.integers(min_value=0, max_value=7), triples),
+    max_size=60,
 )
 
 
-def _recomputed(held):
-    fresh = StoreStatistics()
-    for triple in held:
-        fresh.observe(triple)
-    return fresh
+def _fingerprint(store):
+    """The containers a superseded generation must keep, and their contents."""
+    if isinstance(store, MemoryStore):
+        return [store._triples], [list(store._triples)]
+    objects, contents = [], []
+    for _arity, index in store._index_table():
+        objects += [index, *index.values()]
+        contents.append({key: frozenset(bucket) for key, bucket in index.items()})
+    runs = store._sorted_runs
+    objects += [runs, *runs.values(), store._subject_counts,
+                store._object_counts, store._predicate_stamps]
+    contents += [
+        {key: (run.keys.tolist(), run.values.tolist()) for key, run in runs.items()},
+        dict(store._subject_counts), dict(store._object_counts),
+        dict(store._predicate_stamps), store.version,
+    ]
+    return objects, contents
 
 
-class TestStatisticsTotals:
-    """The O(1) distinct totals and the copy-on-write maps stay exact."""
+def _assert_exact(store, expected):
+    """``store`` holds ``expected``, and every statistic and run recounts."""
+    assert set(store.triples()) == expected
+    assert len(store) == len(expected)
+    if isinstance(store, IndexedStore):
+        assert recount.statistics_of(store) == recount.recount(store)
+        for (predicate_id, order), run in store._sorted_runs.items():
+            pairs = sorted((s, o) if order == "s" else (o, s)
+                           for s, p, o in store.id_triples() if p == predicate_id)
+            assert list(zip(run.keys, run.values)) == pairs
 
-    @given(statistics_steps)
-    @settings(max_examples=200, deadline=None)
-    def test_totals_equal_a_from_scratch_recomputation(self, steps):
-        # Every live statistics object next to the triple set it describes.
-        live = [(StoreStatistics(), set())]
-        for operation, first, second, triple in steps:
-            statistics, held = live[first % len(live)]
-            if operation == "observe" and triple not in held:
-                held.add(triple)
-                statistics.observe(triple)
-            elif operation == "forget" and held:
-                triple = sorted(held, key=str)[second % len(held)]
-                held.discard(triple)
-                statistics.forget(triple)
-            elif operation == "copy":
-                live.append((statistics.copy(), set(held)))
-            elif operation == "ask":
-                # Derives the totals now, so later steps maintain them.
-                statistics.distinct_subject_total()
-                statistics.distinct_object_total()
-        for statistics, held in live:
-            assert statistics == _recomputed(held)
-            assert statistics.distinct_subject_total() == len(
-                {triple.subject for triple in held})
-            assert statistics.distinct_object_total() == len(
-                {triple.object for triple in held})
+
+class TestGenerationHistories:
+    """Drafts are stores: every generation stays exact, and a superseded
+    one keeps its very buckets, runs and counters (identity, not equality)."""
+
+    @pytest.mark.parametrize("family", [MemoryStore, IndexedStore])
+    @given(steps=history_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_generations_recount_and_stay_frozen(self, family, steps):
+        current, held = family(), set()
+        draft = draft_held = base_print = None
+        superseded = []
+        for operation, pick, triple in steps:
+            target, expected = ((current, held) if draft is None
+                                else (draft, draft_held))
+            if operation == "add":
+                assert target.add(triple) is (triple not in expected)
+                expected.add(triple)
+            elif operation == "remove":
+                if expected and pick % 2:
+                    triple = sorted(expected, key=str)[pick % len(expected)]
+                assert target.remove(triple) is (triple in expected)
+                expected.discard(triple)
+            elif operation == "runs" and family is IndexedStore:
+                predicate_id = target.dictionary.lookup(triple.predicate)
+                if predicate_id is not None:
+                    target.sorted_run(predicate_id, "so"[pick % 2])
+            elif operation == "begin" and draft is None:
+                base_print = _fingerprint(current)
+                draft, draft_held = current.begin_generation(), set(held)
+                assert type(draft) is family
+            elif operation == "publish" and draft is not None:
+                superseded.append((current, held, base_print))
+                current = draft.seal(current.version + 1)
+                held, draft = draft_held, None
+        for store, expected, (objects, contents) in superseded:
+            _assert_exact(store, expected)
+            now_objects, now_contents = _fingerprint(store)
+            assert len(now_objects) == len(objects)
+            assert all(now is then for now, then in zip(now_objects, objects))
+            assert now_contents == contents
+        _assert_exact(current, held)
+        if draft is not None:
+            _assert_exact(draft, draft_held)

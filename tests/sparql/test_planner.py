@@ -37,31 +37,31 @@ class TestCostModel:
         model = CostModel(small_store)
         pattern = _pattern(Variable("d"), DC.creator, Variable("p"))
         assert model.pattern_cardinality(pattern) == pytest.approx(
-            small_store.statistics.predicate_count(DC.creator)
+            small_store.count(None, DC.creator, None)
         )
 
     def test_class_pattern_uses_class_counts(self, small_store):
         model = CostModel(small_store)
         pattern = _pattern(Variable("d"), RDF.type, BENCH.Article)
         assert model.pattern_cardinality(pattern) == pytest.approx(
-            small_store.statistics.class_count(BENCH.Article)
+            small_store.count(None, RDF.type, BENCH.Article)
         )
 
     def test_bound_subject_divides_by_distinct_subjects(self, small_store):
         model = CostModel(small_store)
-        stats = small_store.statistics
         pattern = _pattern(Variable("d"), DC.creator, Variable("p"))
         free = model.matches_per_row(pattern, set())
         bound = model.matches_per_row(pattern, {"d"})
-        assert bound == pytest.approx(free / stats.distinct_subjects(DC.creator))
+        assert bound == pytest.approx(
+            free / small_store.distinct_subjects(DC.creator))
 
     def test_bound_object_divides_by_distinct_objects(self, small_store):
         model = CostModel(small_store)
-        stats = small_store.statistics
         pattern = _pattern(Variable("d"), DC.creator, Variable("p"))
         bound = model.matches_per_row(pattern, {"p"})
         assert bound == pytest.approx(
-            stats.predicate_count(DC.creator) / stats.distinct_objects(DC.creator)
+            small_store.count(None, DC.creator, None)
+            / small_store.distinct_objects(DC.creator)
         )
 
     def test_unknown_predicate_estimates_zero(self, small_store):

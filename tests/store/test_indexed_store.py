@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.rdf import BNode, Literal, Triple, URIRef
+from repro.rdf import RDF, BNode, Literal, Triple, URIRef
 from repro.store import IndexedStore, MemoryStore
 
 EX = "http://example.org/"
@@ -92,15 +92,16 @@ class TestEstimates:
         assert store.estimate_count(subject=uri("nope")) == 0
 
 
-class TestStatisticsIntegration:
-    def test_statistics_observe_all_triples(self, store):
-        assert store.statistics.triple_count == 5
+class TestIndexStatistics:
+    def test_the_unbound_estimate_is_the_store_size(self, store):
+        assert store.estimate(None, None, None) == 5
 
     def test_predicate_counts(self, store):
-        assert store.statistics.predicate_count(uri("p")) == 3
+        assert store.estimate(None, uri("p"), None) == 3
 
     def test_class_counts_only_for_rdf_type(self, store):
-        assert store.statistics.class_counts == {}
+        # No rdf:type triple: a class pattern on rdf:type estimates zero.
+        assert store.estimate(None, RDF.type, uri("b")) == 0
 
 
 class TestIdLevelAccess:
@@ -170,10 +171,10 @@ class TestRemove:
     def test_remove_maintains_statistics(self, store):
         removed = sample_triples()[0]
         store.remove(removed)
-        assert store.statistics.triple_count == 4
-        assert store.statistics.predicate_count(uri("p")) == 2
+        assert store.estimate(None, None, None) == 4
+        assert store.estimate(None, uri("p"), None) == 2
         # uri("a") still appears as subject of another p-triple.
-        assert store.statistics.distinct_subjects(uri("p")) == 2
+        assert store.distinct_subjects(uri("p")) == 2
 
     def test_remove_then_re_add(self, store):
         target = sample_triples()[0]

@@ -100,14 +100,16 @@ class TestMemoryStore:
         for attribute in ("supports_sorted_runs", "sorted_run", "statistics"):
             assert not hasattr(store, attribute)
 
-    def test_generation_draft_shares_the_dictionary(self):
+    def test_generation_draft_is_a_store_sharing_the_dictionary(self):
         store = MemoryStore(sample_triples())
         draft = store.begin_generation()
+        assert isinstance(draft, MemoryStore)
         assert draft.add(Triple(uri("n"), uri("p"), uri("b"))) is True
         assert draft.remove(sample_triples()[0]) is True
         assert draft.add(sample_triples()[1]) is False
-        published = draft.finish(store.version + 1)
+        published = draft.seal(store.version + 1)
+        assert published is draft
+        assert published.version == store.version + 1
         assert published.dictionary is store.dictionary
-        assert (draft.inserted, draft.deleted) == (1, 1)
         assert list(store) == sample_triples()
         assert list(published) == sample_triples()[1:] + [Triple(uri("n"), uri("p"), uri("b"))]

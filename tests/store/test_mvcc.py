@@ -10,10 +10,12 @@ What multi-version concurrency control must guarantee here:
   store holding the same triples (statistics, indexes, sorted runs).
 """
 
+import sys
 import threading
 
 import pytest
 
+import recount
 from repro.rdf import Literal, Triple, URIRef
 from repro.store import IndexedStore, MemoryStore, MvccStore, read_snapshot
 from repro.store.indexed_store import RUN_BY_SUBJECT
@@ -82,6 +84,88 @@ class TestSnapshots:
         assert "mvcc(" in store.name
 
 
+class TestNestedTransactions:
+    """A transaction opened inside another on the same thread joins it."""
+
+    def test_a_point_write_inside_a_transaction_is_kept(self, store):
+        with store.write_transaction() as txn:
+            txn.insert(triple(1))
+            store.add(triple(2))
+        assert len(store) == 2
+        assert store.contains(triple(1)) and store.contains(triple(2))
+
+    def test_one_publish_bumps_the_version_once(self, store):
+        v0 = store.version
+        with store.write_transaction() as outer:
+            outer.insert(triple(1))
+            with store.write_transaction() as inner:
+                inner.insert(triple(2))
+            store.remove(triple(1))
+            assert store.version == v0
+        assert store.version == v0 + 1
+        assert list(store.triples()) == [triple(2)]
+
+    def test_a_nested_transaction_shares_base_and_draft(self, store):
+        store.add(triple(1))
+        with store.write_transaction() as outer:
+            outer.insert(triple(2))
+            with store.write_transaction() as inner:
+                assert inner.base is outer.base is store.snapshot()
+                assert inner.base.contains(triple(1))
+                assert not inner.base.contains(triple(2))
+                assert inner.insert(triple(2)) is False
+                assert inner.remove(triple(2)) is True
+            assert (outer.inserted, inner.deleted) == (1, 1)
+
+    def test_an_exception_in_a_nested_transaction_publishes_nothing(self, store):
+        store.add(triple(1))
+        generation, version = store.snapshot(), store.version
+        with store.write_transaction() as outer:
+            outer.insert(triple(2))
+            with pytest.raises(RuntimeError):
+                with store.write_transaction() as inner:
+                    inner.insert(triple(3))
+                    raise RuntimeError("abort")
+            outer.insert(triple(4))
+        assert store.snapshot() is generation
+        assert store.version == version
+        assert list(store.triples()) == [triple(1)]
+
+    def test_an_exception_in_the_outer_transaction_publishes_nothing(self, store):
+        with pytest.raises(RuntimeError):
+            with store.write_transaction() as txn:
+                store.add(triple(1))
+                txn.insert(triple(2))
+                raise RuntimeError("abort")
+        assert len(store) == 0 and store.version == 0
+        # The next transaction starts from a fresh draft.
+        store.add(triple(3))
+        assert list(store.triples()) == [triple(3)]
+        assert store.version == 1
+
+    def test_nested_writers_on_many_threads_publish_once_each(self, store):
+        threads, rounds = 8, 20
+        def writer(offset):
+            for n in range(offset, offset + 2 * rounds, 2):
+                with store.write_transaction() as txn:
+                    txn.insert(triple(n))
+                    store.add(triple(n + 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=writer, args=(k * 2 * rounds,))
+                       for k in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(store) == 2 * threads * rounds
+        assert store.version == threads * rounds
+
+
 class TestDraftConsistency:
     def scratch(self, triples, family):
         fresh = family()
@@ -115,10 +199,8 @@ class TestDraftConsistency:
         current = store.snapshot()
         scratch = IndexedStore()
         scratch.bulk_load(list(current.triples()))
-        assert current.statistics.triple_count == \
-            scratch.statistics.triple_count
-        assert current.statistics.predicate_counts == \
-            scratch.statistics.predicate_counts
+        assert recount.statistics_of(current) == recount.statistics_of(scratch)
+        assert recount.statistics_of(current) == recount.recount(current)
         assert current.estimate_count(None, P, None) == \
             scratch.estimate_count(None, P, None)
         assert current.estimate_count(None, Q, None) == \

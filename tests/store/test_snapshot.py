@@ -1,9 +1,11 @@
 """Unit tests for the binary store snapshot format."""
 
 import struct
+import zlib
 
 import pytest
 
+import recount
 from repro.queries import get_query
 from repro.rdf import BNode, Graph, Literal, Triple, URIRef
 from repro.sparql import NATIVE_COST, SparqlEngine
@@ -61,8 +63,8 @@ class TestIndexedRoundTrip:
     def test_statistics_are_equal(self, saved):
         store, path = saved
         loaded = load_snapshot(path)
-        assert loaded.statistics == store.statistics
-        assert loaded.statistics.triple_count == len(store)
+        assert recount.statistics_of(loaded) == recount.statistics_of(store)
+        assert loaded.estimate(None, None, None) == len(store)
 
     def test_indexes_answer_every_pattern_shape(self, saved):
         store, path = saved
@@ -97,7 +99,8 @@ class TestIndexedRoundTrip:
         save_snapshot(IndexedStore(), path)
         loaded = load_snapshot(path)
         assert len(loaded) == 0
-        assert loaded.statistics.triple_count == 0
+        assert loaded.estimate(None, None, None) == 0
+        assert loaded.distinct_predicates() == 0
 
     def test_save_and_load_methods_mirror_module_functions(self, tmp_path):
         store = IndexedStore(sample_triples())
@@ -178,20 +181,78 @@ class TestRejection:
         assert issubclass(SnapshotCorruptError, SnapshotError)
 
 
-class TestBulkConstruction:
-    def test_from_id_triples_with_recomputed_statistics(self):
-        source = IndexedStore(sample_triples())
-        clone = IndexedStore.from_id_triples(
-            source.dictionary, source.id_triples()
-        )
-        assert set(clone.triples()) == set(source.triples())
-        assert clone.statistics == source.statistics
+#: Terms a text payload cannot carry verbatim, one triple per case; both
+#: store families must round-trip each of them exactly.
+EDGE_CASES = {
+    "bnode with a space": Triple(BNode("a b"), URIRef(EX + "p"), Literal("x")),
+    "bnode with a dot": Triple(BNode("a.b"), URIRef(EX + "p"), BNode("c.")),
+    "bnode with a dash": Triple(BNode("-a-b"), URIRef(EX + "p"), Literal("x")),
+    "literal with a newline": Triple(URIRef(EX + "s"), URIRef(EX + "p"), Literal("a\nb\r")),
+    "literal with a tab": Triple(URIRef(EX + "s"), URIRef(EX + "p"), Literal("a\tb")),
+    "literal with a quote": Triple(URIRef(EX + "s"), URIRef(EX + "p"), Literal('say "hi"')),
+    "literal with a backslash": Triple(URIRef(EX + "s"), URIRef(EX + "p"), Literal("a\\n")),
+    "language tag": Triple(URIRef(EX + "s"), URIRef(EX + "p"), Literal("colour", language="en-GB")),
+    "datatype": Triple(URIRef(EX + "s"), URIRef(EX + "p"), Literal("5", datatype=XSD_INT)),
+    "non-ASCII IRI": Triple(URIRef("http://例え.jp/ü/ß"), URIRef(EX + "p"), Literal("日本語 ✓")),
+    "empty literal": Triple(URIRef(EX + "s"), URIRef(EX + "p"), Literal("")),
+}
 
-    def test_bulk_add_ids_skips_duplicates(self):
-        source = IndexedStore(sample_triples())
-        store = IndexedStore.from_id_triples(source.dictionary, source.id_triples())
-        assert store.bulk_add_ids(source.id_triples()) == 0
-        assert len(store) == len(source)
+
+class TestEdgeCaseTerms:
+    @pytest.mark.parametrize("family", [MemoryStore, IndexedStore])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_round_trip(self, tmp_path, family, case):
+        triples = [EDGE_CASES[case], sample_triples()[0]]
+        path = tmp_path / "edge.sp2b"
+        family(triples).save(path)
+        loaded = family.load(path)
+        assert list(loaded.triples()) == list(family(triples).triples())
+        assert loaded.contains(EDGE_CASES[case])
+
+
+class TestMemoryPayload:
+    """A memory snapshot is the indexed payload's first two sections."""
+
+    def test_dictionary_ids_and_scan_order_survive(self, tmp_path):
+        store = MemoryStore(sample_triples())
+        store.remove(sample_triples()[1])
+        store.add(sample_triples()[1])
+        path = tmp_path / "memory.sp2b"
+        store.save(path)
+        loaded = load_snapshot(path)
+        assert list(loaded._triples) == list(store._triples)
+        assert loaded.dictionary._id_to_term == store.dictionary._id_to_term
+
+    def test_loaded_store_stays_writable(self, tmp_path):
+        path = tmp_path / "memory.sp2b"
+        MemoryStore(sample_triples()).save(path)
+        loaded = MemoryStore.load(path)
+        new = Triple(URIRef(EX + "new"), URIRef(EX + "p"), URIRef(EX + "a"))
+        assert loaded.add(new) and loaded.remove(sample_triples()[0])
+        assert list(loaded.triples())[-1] == new
+        assert len(loaded) == len(sample_triples())
+
+    @pytest.mark.parametrize("damage, message", [
+        # The last triple's bytes are gone.
+        (lambda body: body[:-4], "ends prematurely"),
+        # A term's text is no longer UTF-8.
+        (lambda body: body.replace(b"plain", b"pl\xffin"), "unreadable term text"),
+    ])
+    def test_corrupt_payload_raises_snapshot_corrupt_error(self, tmp_path, damage,
+                                                           message):
+        path = tmp_path / "memory.sp2b"
+        MemoryStore(sample_triples()).save(path)
+        data = path.read_bytes()
+        magic, version, kind, flags, meta_len, _len, _crc = struct.unpack_from(
+            "<8sHBBIQI", data)
+        # Re-seal the damaged container, so the CRC passes and the payload
+        # itself is what is broken.
+        body = damage(data[28:])
+        header = struct.pack("<8sHBBIQI", magic, version, kind, flags, meta_len,
+                             len(body) - meta_len, zlib.crc32(body))
+        path.write_bytes(header + body)
+        with pytest.raises(SnapshotCorruptError, match=message):
+            load_snapshot(path)
 
 
 class TestQueriesOnLoadedStores:
@@ -253,26 +314,26 @@ class TestSortedRunSection:
         data[8:10] = struct.pack("<H", version)
         path.write_bytes(bytes(data))
 
-    def test_version_2_is_rejected(self, tmp_path):
-        assert SNAPSHOT_FORMAT_VERSION == 3
+    def test_version_3_is_rejected(self, tmp_path):
+        assert SNAPSHOT_FORMAT_VERSION == 4
         path = tmp_path / "old.sp2b"
         save_snapshot(IndexedStore(sample_triples()), path)
-        self._as_version(path, 2)
-        with pytest.raises(SnapshotVersionError, match="reads version 3"):
+        self._as_version(path, 3)
+        with pytest.raises(SnapshotVersionError, match="reads version 4"):
             load_snapshot(path)
 
-    def test_dataset_cache_rebuilds_a_version_2_entry(self, tmp_path):
+    def test_dataset_cache_rebuilds_a_version_3_entry(self, tmp_path):
         from repro.cache import DatasetCache
         from repro.generator import GeneratorConfig
 
         cache = DatasetCache(tmp_path / "cache")
         config = GeneratorConfig(triple_limit=300, seed=3)
         built = cache.resolve(config)
-        self._as_version(built.path, 2)
+        self._as_version(built.path, 3)
         rebuilt = cache.resolve(config)
         assert not rebuilt.hit
         assert set(rebuilt.store.id_triples()) == set(built.store.id_triples())
-        assert struct.unpack_from("<H", built.path.read_bytes(), 8)[0] == 3
+        assert struct.unpack_from("<H", built.path.read_bytes(), 8)[0] == 4
         assert cache.resolve(config).hit
 
     def test_vectorized_queries_on_loaded_runs(self, tmp_path, generated_graph_small):
