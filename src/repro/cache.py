@@ -33,7 +33,7 @@ from pathlib import Path
 from .generator.config import GeneratorConfig
 from .generator.generator import DblpGenerator
 from .obs import get_registry
-from .store import IndexedStore, MemoryStore
+from .store import IndexedStore
 from .store.snapshot import (
     FORMAT_VERSION,
     SnapshotError,
@@ -44,8 +44,6 @@ from .store.snapshot import (
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "SP2B_CACHE_DIR"
-
-_STORE_TYPES = {"indexed": IndexedStore, "memory": MemoryStore}
 
 # Dataset-cache telemetry (no-ops until the global registry is enabled).
 _CACHE_HITS = get_registry().counter(
@@ -98,21 +96,18 @@ def _generator_code_digest():
     return _generator_digest_cache
 
 
-def dataset_key(config, store_type="indexed"):
-    """The content address of one dataset: config + store + format + code.
+def dataset_key(config):
+    """The content address of one dataset: config + format + code.
 
     The digest covers *every* field of the generator configuration (seed,
-    limits, Erdoes parameters, ...), the store family, the snapshot format
-    version, and a digest of the generator sources — any change that could
-    alter the bytes on disk changes the key.  The human-readable prefix
-    makes ``repro cache list`` and the CI cache key legible.
+    limits, Erdoes parameters, ...), the snapshot format version, and a
+    digest of the generator sources — any change that could alter the bytes
+    on disk changes the key.  Either store family loads the one entry.  The
+    human-readable prefix makes ``repro cache list`` legible.
     """
-    if store_type not in _STORE_TYPES:
-        raise ValueError(f"unknown store type {store_type!r}")
     payload = json.dumps(
         {
             "format": FORMAT_VERSION,
-            "store": store_type,
             "generator": asdict(config),
             "generator_code": _generator_code_digest(),
         },
@@ -125,10 +120,10 @@ def dataset_key(config, store_type="indexed"):
         label = f"y{config.end_year}"
     else:
         label = f"{config.default_triple_limit}t"
-    return f"{store_type}-{label}-{digest}"
+    return f"{label}-{digest}"
 
 
-def combined_cache_key(configs, store_type="indexed"):
+def combined_cache_key(configs):
     """One key covering a set of dataset configurations (for CI caching).
 
     ``repro cache key`` prints this so the CI workflow can key its
@@ -136,7 +131,7 @@ def combined_cache_key(configs, store_type="indexed"):
     resolve; the ``v<format>`` prefix doubles as a coarse restore-keys
     fallback boundary.
     """
-    keys = [dataset_key(config, store_type) for config in configs]
+    keys = [dataset_key(config) for config in configs]
     digest = hashlib.sha256("\n".join(sorted(keys)).encode("utf-8")).hexdigest()[:16]
     return f"v{FORMAT_VERSION}-{digest}"
 
@@ -178,8 +173,9 @@ class DatasetCache:
     def path_for(self, key):
         return self.root / f"{key}.sp2b"
 
-    def resolve(self, config, store_type="indexed"):
-        """Return the built store for ``config``, loading or building it.
+    def resolve(self, config):
+        """Return the built ``IndexedStore`` for ``config``, loading or
+        building it.
 
         On a hit the snapshot is loaded (orders of magnitude cheaper than
         regenerating); a corrupt or version-mismatched file is discarded and
@@ -187,11 +183,11 @@ class DatasetCache:
         store, snapshotted atomically, and returned.
         """
         started = time.perf_counter()
-        key = dataset_key(config, store_type)
+        key = dataset_key(config)
         path = self.path_for(key)
         if path.exists():
             try:
-                store = load_snapshot(path, expected_kind=store_type)
+                store = load_snapshot(path)
                 metadata = read_snapshot_metadata(path)
                 elapsed = time.perf_counter() - started
                 _CACHE_HITS.inc()
@@ -208,7 +204,7 @@ class DatasetCache:
                 path.unlink(missing_ok=True)
         _CACHE_MISSES.inc()
         generator = DblpGenerator(config)
-        store = _STORE_TYPES[store_type]()
+        store = IndexedStore()
         # Time generation alone: key digests and any failed load of a
         # corrupt entry above are resolve overhead, not generation, and
         # this figure is persisted as the snapshot's generation_seconds.
@@ -243,9 +239,9 @@ class DatasetCache:
             generation_time=generation_time,
         )
 
-    def remove(self, config, store_type="indexed"):
+    def remove(self, config):
         """Drop the entry for one configuration.  Returns True if it existed."""
-        path = self.path_for(dataset_key(config, store_type))
+        path = self.path_for(dataset_key(config))
         if path.exists():
             path.unlink()
             return True
@@ -308,7 +304,7 @@ class DatasetCache:
         return f"DatasetCache(root={str(self.root)!r})"
 
 
-def resolve_dataset(config=None, store_type="indexed", cache_dir=None, **overrides):
+def resolve_dataset(config=None, cache_dir=None, **overrides):
     """One-call convenience: resolve a dataset through a cache directory.
 
     ``config`` defaults to ``GeneratorConfig(**overrides)``; ``cache_dir``
@@ -316,4 +312,4 @@ def resolve_dataset(config=None, store_type="indexed", cache_dir=None, **overrid
     """
     if config is None:
         config = GeneratorConfig(**overrides)
-    return DatasetCache(cache_dir).resolve(config, store_type)
+    return DatasetCache(cache_dir).resolve(config)

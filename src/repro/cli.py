@@ -24,9 +24,9 @@ Console scripts are installed via ``pyproject.toml``:
     slow-query logs); ``repro loadtest --scrape-metrics`` diffs the
     server's metrics across the run.  ``repro query --profile`` prints the
     traced plan with per-stage and per-step timings.
-    ``repro build`` fills the dataset cache; ``repro cache {list,clear,key}``
-    administers it (``key`` prints the composite key CI uses for
-    ``actions/cache``).
+    ``repro build`` fills the dataset cache; ``repro cache
+    {list,clear,key,prune}`` administers it (``key`` prints the composite
+    key CI uses for ``actions/cache``).
 ``sp2bench-generate``
     Generate a DBLP-like document and write it as N-Triples
     (``--save-snapshot`` additionally writes the built ``.sp2b`` store).
@@ -61,7 +61,7 @@ from .sparql.engine import (
 )
 from .sparql.errors import SparqlError, error_payload
 from .sparql.serializers import FORMATS as RESULT_FORMATS
-from .store import IndexedStore, load_snapshot
+from .store import IndexedStore
 
 #: Engine configurations selectable from the command line: the paper's four
 #: presets plus the cost-based planner profile.
@@ -147,8 +147,6 @@ def build_main(argv=None):
                         help="document sizes to build (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=GeneratorConfig.seed,
                         help="generator seed (default: %(default)s)")
-    parser.add_argument("--store", choices=("indexed", "memory"), default="indexed",
-                        help="store family to snapshot (default: indexed)")
     parser.add_argument("--cache-dir", default=None,
                         help="cache directory (default: $SP2B_CACHE_DIR or "
                              "~/.cache/sp2bench)")
@@ -160,8 +158,8 @@ def build_main(argv=None):
     for size in args.triples:
         config = GeneratorConfig(triple_limit=size, seed=args.seed)
         if args.force:
-            cache.remove(config, args.store)
-        resolved = cache.resolve(config, args.store)
+            cache.remove(config)
+        resolved = cache.resolve(config)
         verb = "cached" if resolved.hit else "built "
         print(f"{verb} {size:>9} triples in {resolved.elapsed:6.2f}s -> {resolved.path}")
     return 0
@@ -194,9 +192,6 @@ def cache_main(argv=None):
                                      "(default: %(default)s)")
         sub_parser.add_argument("--seed", type=int, default=GeneratorConfig.seed,
                                 help="generator seed (default: %(default)s)")
-        sub_parser.add_argument("--store", choices=("indexed", "memory"),
-                                default="indexed",
-                                help="store family (default: indexed)")
     args = parser.parse_args(argv)
 
     cache = DatasetCache(args.cache_dir)
@@ -221,15 +216,18 @@ def cache_main(argv=None):
         configs = [GeneratorConfig(triple_limit=int(size), seed=args.seed)
                    for size in args.sizes.replace(",", " ").split()]
     except ValueError:
+        configs = None
+    if not configs:
+        # An empty list would key no datasets, and prune would empty the cache.
         parser.error(f"--sizes takes positive integers, not {args.sizes!r}")
     if args.command == "prune":
-        keep = [dataset_key(config, args.store) for config in configs]
+        keep = [dataset_key(config) for config in configs]
         removed = cache.prune(keep)
         print(f"pruned {removed} snapshot(s) from {cache.root} "
               f"(kept up to {len(keep)})")
         return 0
     # args.command == "key"
-    print(combined_cache_key(configs, args.store))
+    print(combined_cache_key(configs))
     return 0
 
 
@@ -242,8 +240,8 @@ def _build_engine(document, engine_name):
     config = next(c for c in CLI_ENGINE_CONFIGS if c.name == engine_name)
     if document.endswith(SNAPSHOT_SUFFIX):
         # The fast path: rebuild the store from its snapshot — no parsing,
-        # no per-triple loading.
-        return SparqlEngine.from_store(load_snapshot(document), config)
+        # no per-triple loading — straight into the preset's store family.
+        return SparqlEngine(config, store=config.store_family.load(document))
     engine = SparqlEngine(config)
     load_into(engine.store, document)
     return engine

@@ -148,6 +148,8 @@ def _parse_timeout(raw, max_timeout):
         timeout = float(raw)
     except ValueError:
         raise ProtocolError(400, f"malformed timeout parameter {raw!r}") from None
+    if timeout != timeout:
+        raise ProtocolError(400, "timeout parameter must be a number, not NaN")
     if timeout < 0:
         raise ProtocolError(400, "timeout parameter must be non-negative")
     if max_timeout is not None:

@@ -44,6 +44,9 @@ class Deadline:
     __slots__ = ("budget", "expires_at")
 
     def __init__(self, budget):
+        if budget is not None and budget != budget:
+            # NaN compares false with everything: it would never expire.
+            raise ValueError("deadline budget must be a number, not NaN")
         self.budget = budget
         self.expires_at = (
             None if budget is None else time.perf_counter() + max(budget, 0.0)

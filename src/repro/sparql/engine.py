@@ -54,12 +54,17 @@ class EngineConfig:
         if self.planner not in (PLANNER_NONE, PLANNER_GREEDY, PLANNER_COST):
             raise ValueError(f"unknown planner family {self.planner!r}")
 
-    def create_store(self):
-        """Instantiate the storage backend this configuration asks for."""
+    @property
+    def store_family(self):
+        """The store class this configuration runs on."""
         family = _STORE_FAMILIES.get(self.store_type)
         if family is None:
             raise ValueError(f"unknown store type {self.store_type!r}")
-        return family()
+        return family
+
+    def create_store(self):
+        """Instantiate the storage backend this configuration asks for."""
+        return self.store_family()
 
 
 #: Engine presets mirroring the paper's evaluated engines (Section VI-C).
@@ -159,8 +164,7 @@ class SparqlEngine:
         configured type so the engine's cost model stays truthful.
         """
         config = config or NATIVE_OPTIMIZED
-        family = _STORE_FAMILIES.get(config.store_type, ())
-        if not isinstance(read_snapshot(store), family):
+        if not isinstance(read_snapshot(store), config.store_family):
             converted = config.create_store()
             converted.bulk_load(store.triples())
             store = converted

@@ -39,18 +39,25 @@ class MemoryStore(TripleStore):
         return True
 
     def save(self, path, metadata=None):
-        """Write a snapshot of this store: its dictionary and id triples, in
-        the same sections an :class:`IndexedStore` snapshot starts with."""
+        """Write a snapshot of this store: no sorted runs, either family loads it."""
         from .snapshot import save_snapshot
 
         return save_snapshot(self, path, metadata=metadata)
 
     @classmethod
     def load(cls, path):
-        """Rebuild a store from a snapshot written by :meth:`save`."""
+        """Rebuild a store from a snapshot saved by either store family."""
         from .snapshot import load_snapshot
 
-        return load_snapshot(path, expected_kind="memory")
+        return load_snapshot(path, cls)
+
+    @classmethod
+    def _from_snapshot(cls, dictionary, triples, runs):
+        """Assemble a store from snapshot sections (no use for the runs)."""
+        store = cls()
+        store._dictionary = dictionary
+        store._triples = dict.fromkeys(triples)
+        return store
 
     def remove(self, triple):
         """Remove a triple if present; returns True when removed.  O(1)."""

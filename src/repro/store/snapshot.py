@@ -4,31 +4,28 @@ SP2Bench separates document generation and loading from query time, and the
 paper reports loading times per engine precisely because native engines
 (Sesame-native, Virtuoso) amortize the expensive physical build into a
 reusable on-disk database (Section V).  This module is that on-disk database
-for the reproduction: a fully built :class:`~.indexed_store.IndexedStore` is
-serialized once — term dictionary, id-triple set, grouped images of the five
-hash indexes, and the sorted runs — and every later run rebuilds the store
-from the snapshot through bulk constructors that skip the per-triple
-dictionary encoding and index churn of the incremental ``add()`` path (the
-cost model's statistics are index sizes, derived on the way).
-:class:`~.memory_store.MemoryStore` snapshots are the first two of those
-sections, the dictionary and the id triples, loaded back into the scan
-store's insertion-ordered dict with their ids unchanged.
+for the reproduction: a store is serialized once — term dictionary, id-triple
+list, and per-predicate sorted runs — and later runs rebuild a store from
+those sections without parsing or dictionary encoding.  Both families write
+the same payload (a :class:`~.memory_store.MemoryStore` writes zero runs) and
+load any snapshot, with the ids unchanged.
 
 File layout (all integers little-endian)::
 
     magic    8s   b"SP2BSNAP"
     version  u16  FORMAT_VERSION
-    kind     u8   1 = indexed, 2 = memory
+    kind     u8   reserved (0)
     flags    u8   reserved (0)
     meta_len u32  length of the metadata JSON that follows the header
     data_len u64  length of the payload that follows the metadata
     crc32    u32  CRC-32 of metadata + payload
     metadata      JSON object (generator config, statistics, free-form)
-    payload       kind-specific sections (see _pack_indexed / _pack_triples)
+    payload       dictionary, triples and sorted-run sections (see _pack)
 
 The version is bumped whenever the payload layout changes; readers reject
 every other version (callers such as the dataset cache then rebuild).  The
-CRC guards against truncated or bit-rotted cache entries.
+CRC guards against truncated or bit-rotted cache entries; a CRC-valid payload
+is still checked for trailing bytes and for ids outside the dictionary.
 """
 
 from __future__ import annotations
@@ -48,10 +45,7 @@ MAGIC = b"SP2BSNAP"
 
 #: Bump on any payload layout change; this build reads no other version
 #: (docs/snapshot-format.md lists what each version changed).
-FORMAT_VERSION = 4
-
-KIND_INDEXED = 1
-KIND_MEMORY = 2
+FORMAT_VERSION = 5
 
 _HEADER = struct.Struct("<8sHBBIQI")
 _U8 = struct.Struct("<B")
@@ -90,29 +84,15 @@ def save_snapshot(store, path, metadata=None):
     payload; :func:`read_snapshot_metadata` retrieves it without loading the
     store.  Returns ``path``.
     """
-    # Imported here: the store modules import this module from save()/load().
-    from .indexed_store import IndexedStore
-    from .memory_store import MemoryStore
-
     out = []
-    if isinstance(store, IndexedStore):
-        kind = KIND_INDEXED
-        _pack_indexed(out, store)
-    elif isinstance(store, MemoryStore):
-        kind = KIND_MEMORY
-        _pack_triples(out, store.dictionary, store._triples)
-    else:
-        raise SnapshotFormatError(
-            f"no snapshot serialization for {type(store).__name__}"
-        )
+    _pack(out, store)
     payload = b"".join(out)
     meta = dict(metadata or {})
-    meta.setdefault("store", store.name)
     meta.setdefault("triples", len(store))
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     crc = zlib.crc32(payload, zlib.crc32(meta_bytes))
     header = _HEADER.pack(
-        MAGIC, FORMAT_VERSION, kind, 0, len(meta_bytes), len(payload), crc
+        MAGIC, FORMAT_VERSION, 0, 0, len(meta_bytes), len(payload), crc
     )
     # Write-then-rename keeps concurrent readers (and interrupted writers)
     # from ever observing a half-written snapshot; a failed write must not
@@ -134,24 +114,20 @@ def save_snapshot(store, path, metadata=None):
     return path
 
 
-def load_snapshot(path, expected_kind=None):
-    """Load a snapshot file and return the rebuilt store.
+def load_snapshot(path, family=None):
+    """Load a snapshot file as a store of ``family`` (an ``IndexedStore``
+    unless given; ``MemoryStore`` loads the same files).
 
-    ``expected_kind`` (``"indexed"`` / ``"memory"``) rejects snapshots of the
-    other store family up front.  Raises :class:`SnapshotFormatError` /
-    :class:`SnapshotVersionError` / :class:`SnapshotCorruptError` on invalid
-    input — callers holding a cache treat any :class:`SnapshotError` as a
-    miss and rebuild.
+    Raises :class:`SnapshotFormatError` / :class:`SnapshotVersionError` /
+    :class:`SnapshotCorruptError` on invalid input — callers holding a cache
+    treat any :class:`SnapshotError` as a miss and rebuild.
     """
+    if family is None:
+        # Imported here: the store modules import this module from load().
+        from .indexed_store import IndexedStore as family
     with open(path, "rb") as handle:
         data = handle.read()
-    kind, meta_bytes, payload = _split(path, data, verify=True)
-    kind_name = "indexed" if kind == KIND_INDEXED else "memory"
-    if expected_kind is not None and expected_kind != kind_name:
-        raise SnapshotFormatError(
-            f"{path}: snapshot holds a {kind_name} store, expected {expected_kind}"
-        )
-    del meta_bytes
+    payload = _split(path, data)
     # Rebuilding a store allocates hundreds of thousands of tracked
     # containers at once; pausing the generational collector for the burst
     # shaves ~30% off load time (nothing allocated here can be cyclic
@@ -159,59 +135,60 @@ def load_snapshot(path, expected_kind=None):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _unpack(path, kind, payload)
+        dictionary, triples, runs = _unpack(path, payload)
+        store = family._from_snapshot(dictionary, triples, runs)
     finally:
         if was_enabled:
             gc.enable()
+    if len(store) != len(triples):
+        raise SnapshotCorruptError(f"{path}: duplicate triples in snapshot")
+    return store
 
 
 def read_snapshot_metadata(path):
     """Return the metadata dict of a snapshot without loading its payload."""
     with open(path, "rb") as handle:
         head = handle.read(_HEADER.size)
-        _check_header(path, head)
-        _magic, _version, kind, _flags, meta_len, data_len, _crc = _HEADER.unpack(head)
+        meta_len = _check_header(path, head)[4]
         meta_bytes = handle.read(meta_len)
     if len(meta_bytes) != meta_len:
         raise SnapshotCorruptError(f"{path}: truncated snapshot metadata")
     try:
-        metadata = json.loads(meta_bytes.decode("utf-8"))
+        return json.loads(meta_bytes.decode("utf-8"))
     except ValueError as error:
         raise SnapshotCorruptError(f"{path}: unreadable snapshot metadata") from error
-    metadata.setdefault("store", "indexed" if kind == KIND_INDEXED else "memory")
-    return metadata
 
 
 # -- container framing -------------------------------------------------------
 
 
 def _check_header(path, head):
+    """Validate the fixed header and return its unpacked fields."""
     if len(head) < _HEADER.size or head[:8] != MAGIC:
         raise SnapshotFormatError(f"{path}: not an SP2Bench snapshot")
-    version = _HEADER.unpack(head[: _HEADER.size])[1]
-    if version != FORMAT_VERSION:
+    fields = _HEADER.unpack(head[: _HEADER.size])
+    if fields[1] != FORMAT_VERSION:
         raise SnapshotVersionError(
-            f"{path}: snapshot format version {version}, this build reads "
+            f"{path}: snapshot format version {fields[1]}, this build reads "
             f"version {FORMAT_VERSION}"
         )
+    if fields[2] or fields[3]:
+        raise SnapshotFormatError(f"{path}: reserved header bytes are set")
+    return fields
 
 
-def _split(path, data, verify):
-    _check_header(path, data[: _HEADER.size])
-    _magic, _version, kind, _flags, meta_len, data_len, crc = _HEADER.unpack(
-        data[: _HEADER.size]
-    )
-    if kind not in (KIND_INDEXED, KIND_MEMORY):
-        raise SnapshotFormatError(f"{path}: unknown store kind {kind}")
-    meta_start = _HEADER.size
-    data_start = meta_start + meta_len
-    if len(data) != data_start + data_len:
+def _split(path, data):
+    """The CRC-checked payload of a whole snapshot file."""
+    _magic, _version, _kind, _flags, meta_len, data_len, crc = _check_header(path, data)
+    data_start = _HEADER.size + meta_len
+    if len(data) < data_start + data_len:
         raise SnapshotCorruptError(f"{path}: truncated snapshot")
-    meta_bytes = data[meta_start:data_start]
+    if len(data) > data_start + data_len:
+        raise SnapshotCorruptError(f"{path}: trailing data after the snapshot")
     payload = data[data_start:]
-    if verify and zlib.crc32(payload, zlib.crc32(meta_bytes)) != crc:
+    if zlib.crc32(payload, zlib.crc32(data[_HEADER.size:data_start])) != crc:
         raise SnapshotCorruptError(f"{path}: snapshot integrity check failed")
-    return kind, meta_bytes, payload
+    return payload
 
 
 # -- low-level helpers -------------------------------------------------------
@@ -282,65 +259,67 @@ def _append_string(out, text):
     out.append(encoded)
 
 
-# -- payloads ----------------------------------------------------------------
+# -- payload ------------------------------------------------------------------
 #
-# Both kinds start with the same two sections:
+# Three sections, whichever family saved the store:
 #   dictionary   term kinds + datatype/language tables + one shared text blob
-#   triples      the id-triple set as a flat u32 array
-# The memory payload ends there (its triples in scan order).  The indexed
-# payload continues with:
-#   indexes      five grouped index images (singleton and multi buckets split,
-#                members as positions into the triples section) — the bulk
-#                rebuild data that lets load skip per-triple index churn
+#   triples      the id-triple list as a flat u32 array (sorted for an
+#                IndexedStore, in scan order for a MemoryStore)
 #   runs         predicate-sorted id runs for the batch kernels: run
 #                count, then per run the predicate id, the sort order tag
 #                (0 = by subject, 1 = by object), the length, and the two
-#                u32 columns
+#                u32 columns (none for a MemoryStore)
 
 
-def _pack_triples(out, dictionary, id_triples):
-    """Append the dictionary and triples sections; returns the triple list."""
-    _pack_dictionary(out, dictionary)
-    triples = list(id_triples)
+def _pack(out, store):
+    indexed = getattr(store, "supports_sorted_runs", False)
+    _pack_dictionary(out, store.dictionary)
+    # An IndexedStore's triples are a set.  Written sorted, its file is
+    # deterministic, and a load allocates the triples and each index's
+    # buckets in id order: a faster build, and faster queries on catalog.100k
+    # than set order.  A MemoryStore's triples are its scan order, kept.
+    triples = sorted(store.triples_ids()) if indexed else list(store.triples_ids())
     out.append(_U32.pack(len(triples)))
     out.append(_u32_array(component for triple in triples for component in triple))
-    return triples
+    if indexed:
+        _pack_sorted_runs(out, store)
+    else:
+        out.append(_U32.pack(0))  # the scan family keeps no sorted runs
 
 
-def _pack_indexed(out, store):
-    triples = _pack_triples(out, store.dictionary, store._spo)
-    positions = {triple: index for index, triple in enumerate(triples)}
-    for arity, index in store._index_table():
-        _pack_index_image(out, arity, index, positions)
-    _pack_sorted_runs(out, store)
-
-
-def _unpack(path, kind, payload):
-    from .indexed_store import IndexedStore
-    from .memory_store import MemoryStore
-
+def _unpack(path, payload):
+    """``(dictionary, triples, runs)`` of a CRC-checked payload."""
     reader = _Reader(payload)
     try:
-        dictionary = TermDictionary.from_terms(_unpack_dictionary(reader))
-        count = reader.u32()
-        flat = iter(reader.u32_array(3 * count))
-        triples = list(zip(flat, flat, flat))
-        if kind == KIND_INDEXED:
-            # S, P, O, SP, PO: the order of IndexedStore._index_table.
-            images = [_unpack_index_image(reader) for _ in range(5)]
-            runs = _unpack_sorted_runs(reader)
+        terms = _unpack_dictionary(reader)
+        flat = reader.u32_array(3 * reader.u32())
+        runs = _unpack_sorted_runs(reader)
+        if reader._pos != len(payload):
+            raise SnapshotCorruptError(
+                f"payload has {len(payload) - reader._pos} byte(s) after its last section")
+        # A CRC-valid file can still be crafted: an id past the dictionary
+        # would load and then fail the first query that decodes it.  A run's
+        # key column is sorted, so its last key bounds it.
+        limit = len(terms)
+        if flat and max(flat) >= limit or any(
+            run.predicate >= limit
+            or run.keys and max(run.keys[-1], max(run.values)) >= limit
+            for run in runs
+        ):
+            raise SnapshotCorruptError(f"a term id is not in the {limit}-term dictionary")
+        dictionary = TermDictionary.from_terms(terms)
+        if len(dictionary._term_to_id) != limit:
+            raise SnapshotCorruptError("duplicate terms in the dictionary")
     except SnapshotError as error:
         raise type(error)(f"{path}: {error}") from None
     except UnicodeDecodeError as error:
         raise SnapshotCorruptError(f"{path}: unreadable term text: {error}") from None
-    if kind == KIND_MEMORY:
-        store = MemoryStore()
-        store._dictionary = dictionary
-        store._triples = dict.fromkeys(triples)
-        return store
-    store = IndexedStore._from_snapshot(dictionary, triples, images)
-    store._install_sorted_runs(runs)
-    return store
+    except IndexError:
+        raise SnapshotCorruptError(
+            f"{path}: a literal names a datatype or language the tables lack"
+        ) from None
+    flat = iter(flat)
+    return dictionary, list(zip(flat, flat, flat)), runs
 
 
 def _pack_sorted_runs(out, store):
@@ -479,62 +458,3 @@ def _unpack_dictionary(reader):
             raise SnapshotFormatError(f"unknown term kind tag {kind}")
         append(term)
     return terms
-
-
-def _pack_index_image(out, arity, index, positions):
-    """Serialize one hash index as grouped singleton/multi bucket images."""
-    single_keys = []
-    single_members = []
-    multi_keys = []
-    multi_counts = []
-    multi_members = []
-    for key, bucket in index.items():
-        if len(bucket) == 1:
-            single_keys.append(key)
-            single_members.append(positions[next(iter(bucket))])
-        else:
-            multi_keys.append(key)
-            multi_counts.append(len(bucket))
-            multi_members.extend(positions[triple] for triple in bucket)
-    out.append(_U8.pack(arity))
-    out.append(_U32.pack(len(single_keys)))
-    if arity == 1:
-        out.append(_u32_array(single_keys))
-    else:
-        out.append(_u32_array(key[0] for key in single_keys))
-        out.append(_u32_array(key[1] for key in single_keys))
-    out.append(_u32_array(single_members))
-    out.append(_U32.pack(len(multi_keys)))
-    if arity == 1:
-        out.append(_u32_array(multi_keys))
-    else:
-        out.append(_u32_array(key[0] for key in multi_keys))
-        out.append(_u32_array(key[1] for key in multi_keys))
-    out.append(_u32_array(multi_counts))
-    out.append(_U32.pack(len(multi_members)))
-    out.append(_u32_array(multi_members))
-
-
-def _unpack_index_image(reader):
-    """Read one index image; key iterables stay lazy for the bulk rebuild."""
-    arity = reader.u8()
-    if arity not in (1, 2):
-        raise SnapshotFormatError(f"index image with key arity {arity}")
-    n_single = reader.u32()
-    if arity == 1:
-        single_keys = reader.u32_array(n_single)
-    else:
-        first = reader.u32_array(n_single)
-        second = reader.u32_array(n_single)
-        single_keys = zip(first, second)
-    single_members = reader.u32_array(n_single)
-    n_multi = reader.u32()
-    if arity == 1:
-        multi_keys = reader.u32_array(n_multi)
-    else:
-        first = reader.u32_array(n_multi)
-        second = reader.u32_array(n_multi)
-        multi_keys = zip(first, second)
-    multi_counts = reader.u32_array(n_multi)
-    multi_members = reader.u32_array(reader.u32())
-    return single_keys, single_members, multi_keys, multi_counts, multi_members

@@ -80,17 +80,35 @@ class TestIndexedSnapshotRoundTrip:
         second = load_snapshot(root / "two.sp2b")
         assert set(second.triples()) == set(store.triples())
         assert recount.statistics_of(second) == recount.statistics_of(store)
+        # The triples are written sorted: the bytes do not depend on set order.
+        assert (root / "one.sp2b").read_bytes() == (root / "two.sp2b").read_bytes()
 
 
 class TestMemorySnapshotRoundTrip:
-    # The memory payload shares the indexed payload's binary sections, so it
-    # gets the same full-unicode term universe.
+    # Both families write the one payload, so the scan store gets the same
+    # full-unicode term universe.
     @given(items=triple_lists)
     @settings(max_examples=40, deadline=None)
     def test_triple_set_identical(self, items, tmp_path_factory):
         store = MemoryStore(items)
         path = tmp_path_factory.mktemp("snap") / "store.sp2b"
         save_snapshot(store, path)
-        loaded = load_snapshot(path)
+        loaded = MemoryStore.load(path)
         assert set(loaded.triples()) == set(items)
         assert list(loaded.triples()) == list(store.triples())
+
+    @given(items=triple_lists)
+    @settings(max_examples=30, deadline=None)
+    def test_either_family_loads_the_other_familys_file(self, items,
+                                                        tmp_path_factory):
+        root = tmp_path_factory.mktemp("snap")
+        memory, indexed = MemoryStore(items), IndexedStore(items)
+        memory.save(root / "memory.sp2b")
+        indexed.save(root / "indexed.sp2b")
+        as_indexed = IndexedStore.load(root / "memory.sp2b")
+        as_memory = MemoryStore.load(root / "indexed.sp2b")
+        assert as_indexed.dictionary._id_to_term == memory.dictionary._id_to_term
+        assert as_indexed._spo == set(memory._triples)
+        assert recount.statistics_of(as_indexed) == recount.statistics_of(indexed)
+        assert as_memory.dictionary._id_to_term == indexed.dictionary._id_to_term
+        assert set(as_memory._triples) == indexed._spo

@@ -80,7 +80,8 @@ def _fingerprint(store):
     if isinstance(store, MemoryStore):
         return [store._triples], [list(store._triples)]
     objects, contents = [], []
-    for _arity, index in store._index_table():
+    for index in (store._by_s, store._by_p, store._by_o, store._by_sp,
+                  store._by_po):
         objects += [index, *index.values()]
         contents.append({key: frozenset(bucket) for key, bucket in index.items()})
     runs = store._sorted_runs
@@ -102,7 +103,7 @@ def _assert_exact(store, expected):
         assert recount.statistics_of(store) == recount.recount(store)
         for (predicate_id, order), run in store._sorted_runs.items():
             pairs = sorted((s, o) if order == "s" else (o, s)
-                           for s, p, o in store.id_triples() if p == predicate_id)
+                           for s, p, o in store.triples_ids() if p == predicate_id)
             assert list(zip(run.keys, run.values)) == pairs
 
 

@@ -1,7 +1,7 @@
 """Brute-force recount of every number the cost model reads from a store.
 
 The reference for ``IndexedStore``'s statistics, which are index sizes plus
-two per-predicate counters: here they are recomputed from ``id_triples()``
+two per-predicate counters: here they are recomputed from ``triples_ids()``
 with plain sets and lists, sharing nothing with the store.  Tests compare
 ``statistics_of(store)`` (what the store answers) with ``recount(store)``
 (what a full pass finds), and ``store.estimate`` with :func:`estimate`.
@@ -13,7 +13,7 @@ from repro.rdf import RDF
 def decoded_triples(store):
     """The store's triples as term 3-tuples, read through ``id_triples``."""
     decode = store.dictionary.decode
-    return [tuple(map(decode, ids)) for ids in store.id_triples()]
+    return [tuple(map(decode, ids)) for ids in store.triples_ids()]
 
 
 def estimate(triples, subject, predicate, object):

@@ -158,6 +158,13 @@ class TestFailureResponses:
         assert payload["error"]["code"] == "timeout"
         assert payload["error"]["budget_seconds"] == 0.0
 
+    def test_nan_timeout_is_400_not_an_unbounded_run(self, server):
+        status, _type, body = fetch(query_url(server, SELECT_QUERY, timeout="nan"))
+        assert status == 400
+        payload = json.loads(body)
+        assert payload["error"]["code"] == "bad_request"
+        assert "NaN" in payload["error"]["message"]
+
     def test_unknown_path_is_404(self, server):
         root = server.url.rsplit("/sparql", 1)[0]
         status, _type, body = fetch(f"{root}/nope")

@@ -96,6 +96,21 @@ class TestParseQueryRequest:
         assert excinfo.value.status == 400
 
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "-nan"])
+    def test_nan_timeout_is_400(self, raw):
+        # min(nan, cap) is nan: without the check it escapes the cap.
+        with pytest.raises(ProtocolError, match="NaN") as excinfo:
+            parse_query_request("GET", f"/sparql?query={QUERY}&timeout={raw}",
+                                max_timeout=0.005)
+        assert excinfo.value.status == 400
+
+    def test_infinite_timeout_is_capped(self):
+        _text, timeout = parse_query_request(
+            "GET", f"/sparql?query={QUERY}&timeout=inf", max_timeout=30.0
+        )
+        assert timeout == 30.0
+
+
 class TestNegotiate:
     def test_absent_and_wildcard_default_to_json(self):
         assert negotiate(None) == "json"

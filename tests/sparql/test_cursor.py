@@ -194,6 +194,12 @@ class TestDeadline:
             deadline.check()
         assert info.value.budget == 0.0
 
+    def test_nan_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Deadline(float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            Deadline.resolve("nan")
+
     def test_guard_checks_every_item(self):
         deadline = Deadline(0.0)
         with pytest.raises(QueryTimeout):

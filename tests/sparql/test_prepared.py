@@ -166,6 +166,13 @@ class TestLimitPushdown:
         assert len(list(prepared.run(**{argument: 0}))) == (
             0 if argument == "limit" else len(native.store))
 
+    @pytest.mark.parametrize("argument", ("timeout", "deadline"))
+    def test_nan_budget_is_rejected(self, native, argument):
+        # NaN compares false with everything, so it would never expire.
+        prepared = native.prepare("SELECT ?s WHERE { ?s ?p ?o }")
+        with pytest.raises(ValueError, match="NaN"):
+            prepared.run(**{argument: float("nan")})
+
     @pytest.mark.parametrize("query", select_queries(), ids=lambda q: q.identifier)
     @pytest.mark.parametrize("family", ("native", "memory"))
     def test_pages_cover_every_catalog_result_once(self, request, family, query):

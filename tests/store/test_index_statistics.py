@@ -3,7 +3,7 @@
 Every value the planner reads — ``estimate`` on all eight bound/unbound
 pattern shapes, distinct subjects/objects per predicate, the two distinct
 totals and the distinct-predicate count — is checked against a brute-force
-recount over ``id_triples()`` (``tests/recount.py``).  The check runs on
+recount over ``triples_ids()`` (``tests/recount.py``).  The check runs on
 the three ways an indexed store comes about: built by ``add``, published by
 ``MvccStore`` after interleaved inserts and deletes, and loaded from a
 snapshot.

@@ -213,7 +213,7 @@ def _subject_object_stores(tmp_path):
 def test_subject_object_patterns_match_brute_force(tmp_path, kind):
     """``(s, ?p, o)`` has no index of its own: it filters the S bucket."""
     store = _subject_object_stores(tmp_path)[kind]
-    everything = list(store.id_triples())
+    everything = list(store.triples_ids())
     subjects = {s for s, _p, _o in everything}
     objects = {o for _s, _p, o in everything}
     decode = store.dictionary.decode

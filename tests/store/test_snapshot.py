@@ -1,5 +1,6 @@
 """Unit tests for the binary store snapshot format."""
 
+import io
 import struct
 import zlib
 
@@ -21,6 +22,7 @@ from repro.store import (
     read_snapshot_metadata,
     save_snapshot,
 )
+from repro.store import snapshot as snapshot_module
 from repro.store.indexed_store import RUN_BY_OBJECT, RUN_BY_SUBJECT
 
 EX = "http://example.org/"
@@ -35,6 +37,18 @@ def sample_triples():
         Triple(URIRef(EX + "a"), URIRef(EX + "q"), Literal("hi", language="en")),
         Triple(URIRef(EX + "b"), URIRef(EX + "p"), Literal("escaped \"quotes\"\n")),
     ]
+
+
+def reseal(path, damage):
+    """Apply ``damage`` to the metadata + payload bytes of a snapshot and
+    re-seal the container, so the CRC passes and the body is what is broken."""
+    data = path.read_bytes()
+    magic, version, kind, flags, meta_len, _len, _crc = struct.unpack_from(
+        "<8sHBBIQI", data)
+    body = damage(data[28:])
+    header = struct.pack("<8sHBBIQI", magic, version, kind, flags, meta_len,
+                         len(body) - meta_len, zlib.crc32(body))
+    path.write_bytes(header + body)
 
 
 class TestIndexedRoundTrip:
@@ -89,10 +103,19 @@ class TestIndexedRoundTrip:
 
     def test_metadata_round_trip(self, saved):
         _store, path = saved
-        metadata = read_snapshot_metadata(path)
-        assert metadata["note"] == "unit"
-        assert metadata["store"] == "indexed"
-        assert metadata["triples"] == len(sample_triples())
+        # Nothing in the file names the family that saved it.
+        assert read_snapshot_metadata(path) == {
+            "note": "unit", "triples": len(sample_triples())}
+
+    def test_indexes_counters_and_runs_are_equal(self, saved):
+        store, path = saved  # saving built every sorted run of ``store``
+        loaded = load_snapshot(path)
+        for name in ("_spo", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po",
+                     "_subject_counts", "_object_counts"):
+            assert getattr(loaded, name) == getattr(store, name), name
+        assert {key: (run.keys, run.values)
+                for key, run in loaded._sorted_runs.items()} == {
+            key: (run.keys, run.values) for key, run in store._sorted_runs.items()}
 
     def test_empty_store_round_trips(self, tmp_path):
         path = tmp_path / "empty.sp2b"
@@ -119,16 +142,18 @@ class TestMemoryRoundTrip:
         assert isinstance(loaded, MemoryStore)
         assert set(loaded.triples()) == set(store.triples())
 
-    def test_kind_dispatch_and_expectation(self, tmp_path):
-        memory_path = tmp_path / "memory.sp2b"
-        MemoryStore(sample_triples()).save(memory_path)
-        assert isinstance(load_snapshot(memory_path), MemoryStore)
-        with pytest.raises(SnapshotFormatError):
-            IndexedStore.load(memory_path)
-        indexed_path = tmp_path / "indexed.sp2b"
-        IndexedStore(sample_triples()).save(indexed_path)
-        with pytest.raises(SnapshotFormatError):
-            MemoryStore.load(indexed_path)
+    @pytest.mark.parametrize("saver", [MemoryStore, IndexedStore])
+    @pytest.mark.parametrize("loader", [MemoryStore, IndexedStore])
+    def test_either_family_loads_either_file(self, tmp_path, saver, loader):
+        store = saver(sample_triples())
+        path = tmp_path / "store.sp2b"
+        store.save(path)
+        assert path.read_bytes()[10:12] == b"\0\0"  # no family in the header
+        loaded = loader.load(path)
+        assert type(loaded) is loader
+        assert loaded.dictionary._id_to_term == store.dictionary._id_to_term
+        assert set(loaded.triples_ids()) == set(store.triples_ids())
+        assert type(load_snapshot(path)) is IndexedStore
 
 
 class TestRejection:
@@ -199,15 +224,21 @@ EDGE_CASES = {
 
 
 class TestEdgeCaseTerms:
+    @pytest.mark.parametrize("loader", [MemoryStore, IndexedStore])
     @pytest.mark.parametrize("family", [MemoryStore, IndexedStore])
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-    def test_round_trip(self, tmp_path, family, case):
+    def test_round_trip(self, tmp_path, family, loader, case):
         triples = [EDGE_CASES[case], sample_triples()[0]]
         path = tmp_path / "edge.sp2b"
         family(triples).save(path)
-        loaded = family.load(path)
-        assert list(loaded.triples()) == list(family(triples).triples())
+        loaded = loader.load(path)
+        if loader is family:
+            assert list(loaded.triples()) == list(family(triples).triples())
+        assert set(loaded.triples()) == set(triples)
         assert loaded.contains(EDGE_CASES[case])
+        if loader is IndexedStore:
+            assert recount.statistics_of(loaded) == recount.statistics_of(
+                IndexedStore(triples))
 
 
 class TestMemoryPayload:
@@ -219,7 +250,7 @@ class TestMemoryPayload:
         store.add(sample_triples()[1])
         path = tmp_path / "memory.sp2b"
         store.save(path)
-        loaded = load_snapshot(path)
+        loaded = MemoryStore.load(path)
         assert list(loaded._triples) == list(store._triples)
         assert loaded.dictionary._id_to_term == store.dictionary._id_to_term
 
@@ -237,22 +268,20 @@ class TestMemoryPayload:
         (lambda body: body[:-4], "ends prematurely"),
         # A term's text is no longer UTF-8.
         (lambda body: body.replace(b"plain", b"pl\xffin"), "unreadable term text"),
+        # The datatype table loses its one entry; a literal still names it.
+        (lambda body: body.replace(
+            struct.pack("<II", 1, len(XSD_INT)) + XSD_INT.encode(),
+            struct.pack("<I", 0)), "names a datatype or language"),
+        # Bytes follow the last (sorted-run) section.
+        (lambda body: body + b"\0", "1 byte\\(s\\) after its last section"),
     ])
     def test_corrupt_payload_raises_snapshot_corrupt_error(self, tmp_path, damage,
                                                            message):
         path = tmp_path / "memory.sp2b"
         MemoryStore(sample_triples()).save(path)
-        data = path.read_bytes()
-        magic, version, kind, flags, meta_len, _len, _crc = struct.unpack_from(
-            "<8sHBBIQI", data)
-        # Re-seal the damaged container, so the CRC passes and the payload
-        # itself is what is broken.
-        body = damage(data[28:])
-        header = struct.pack("<8sHBBIQI", magic, version, kind, flags, meta_len,
-                             len(body) - meta_len, zlib.crc32(body))
-        path.write_bytes(header + body)
+        reseal(path, damage)
         with pytest.raises(SnapshotCorruptError, match=message):
-            load_snapshot(path)
+            MemoryStore.load(path)
 
 
 class TestQueriesOnLoadedStores:
@@ -314,26 +343,26 @@ class TestSortedRunSection:
         data[8:10] = struct.pack("<H", version)
         path.write_bytes(bytes(data))
 
-    def test_version_3_is_rejected(self, tmp_path):
-        assert SNAPSHOT_FORMAT_VERSION == 4
+    def test_version_4_is_rejected(self, tmp_path):
+        assert SNAPSHOT_FORMAT_VERSION == 5
         path = tmp_path / "old.sp2b"
         save_snapshot(IndexedStore(sample_triples()), path)
-        self._as_version(path, 3)
-        with pytest.raises(SnapshotVersionError, match="reads version 4"):
+        self._as_version(path, 4)
+        with pytest.raises(SnapshotVersionError, match="reads version 5"):
             load_snapshot(path)
 
-    def test_dataset_cache_rebuilds_a_version_3_entry(self, tmp_path):
+    def test_dataset_cache_rebuilds_a_version_4_entry(self, tmp_path):
         from repro.cache import DatasetCache
         from repro.generator import GeneratorConfig
 
         cache = DatasetCache(tmp_path / "cache")
         config = GeneratorConfig(triple_limit=300, seed=3)
         built = cache.resolve(config)
-        self._as_version(built.path, 3)
+        self._as_version(built.path, 4)
         rebuilt = cache.resolve(config)
         assert not rebuilt.hit
-        assert set(rebuilt.store.id_triples()) == set(built.store.id_triples())
-        assert struct.unpack_from("<H", built.path.read_bytes(), 8)[0] == 4
+        assert set(rebuilt.store.triples_ids()) == set(built.store.triples_ids())
+        assert struct.unpack_from("<H", built.path.read_bytes(), 8)[0] == 5
         assert cache.resolve(config).hit
 
     def test_vectorized_queries_on_loaded_runs(self, tmp_path, generated_graph_small):
@@ -351,3 +380,91 @@ class TestSortedRunSection:
                 assert fresh_result.as_multiset() == loaded_result.as_multiset()
             else:
                 assert bool(fresh_result) == bool(loaded_result)
+
+
+class TestHardening:
+    """Every damaged file raises a SnapshotError subclass; none loads."""
+
+    @pytest.mark.parametrize("family", [MemoryStore, IndexedStore])
+    def test_every_bit_flip_and_truncation_is_rejected(self, tmp_path, family,
+                                                       monkeypatch):
+        path = tmp_path / "small.sp2b"
+        family(sample_triples()[:3]).save(path)
+        original = path.read_bytes()
+        damaged = [original[:length] for length in range(len(original))]
+        for position in range(len(original)):
+            for bit in range(8):
+                flipped = bytearray(original)
+                flipped[position] ^= 1 << bit
+                damaged.append(bytes(flipped))
+        # The loader reads the variant from memory: thousands of file
+        # writes would be most of the sweep's time.
+        variant = {}
+        monkeypatch.setattr(snapshot_module, "open",
+                            lambda *_args: io.BytesIO(variant["data"]),
+                            raising=False)
+        loaded = []
+        for data in damaged:
+            variant["data"] = data
+            try:
+                family.load(path)
+            except SnapshotError:
+                continue
+            loaded.append(data)
+        # The CRC covers metadata and payload, and the header has no byte
+        # that nothing reads, so not even the original store comes back.
+        assert loaded == []
+
+    @pytest.mark.parametrize("family", [MemoryStore, IndexedStore])
+    def test_triple_id_outside_the_dictionary(self, tmp_path, family):
+        store = family(sample_triples())
+        store.dictionary._id_to_term.pop()  # the last triple's object
+        path = tmp_path / "dangling.sp2b"
+        save_snapshot(store, path)
+        with pytest.raises(SnapshotCorruptError, match="not in the 8-term dictionary"):
+            family.load(path)
+
+    @pytest.mark.parametrize("column", ["keys", "values"])
+    def test_sorted_run_id_outside_the_dictionary(self, tmp_path, column):
+        store = IndexedStore(sample_triples())
+        run = store.sorted_run(store.dictionary.lookup(URIRef(EX + "p")))
+        getattr(run, column)[-1] = len(store.dictionary)
+        path = tmp_path / "dangling.sp2b"
+        save_snapshot(store, path)
+        with pytest.raises(SnapshotCorruptError, match="not in the"):
+            load_snapshot(path)
+
+    def test_duplicate_terms_and_triples(self, tmp_path):
+        store = MemoryStore(sample_triples())
+        store.dictionary._id_to_term.append(store.dictionary.decode(0))
+        path = tmp_path / "terms.sp2b"
+        save_snapshot(store, path)
+        with pytest.raises(SnapshotCorruptError, match="duplicate terms"):
+            load_snapshot(path)
+        store = MemoryStore(sample_triples())
+        store.triples_ids = lambda: [*store._triples, next(iter(store._triples))]
+        save_snapshot(store, path)
+        with pytest.raises(SnapshotCorruptError, match="duplicate triples"):
+            MemoryStore.load(path)
+
+    def test_longer_file_is_trailing_data_not_truncation(self, tmp_path):
+        path = tmp_path / "long.sp2b"
+        save_snapshot(IndexedStore(sample_triples()), path)
+        path.write_bytes(path.read_bytes() + b"x")
+        with pytest.raises(SnapshotCorruptError, match="trailing data"):
+            load_snapshot(path)
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(SnapshotCorruptError, match="truncated snapshot"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("offset", [10, 11])
+    def test_reserved_header_bytes_must_be_zero(self, tmp_path, offset):
+        path = tmp_path / "reserved.sp2b"
+        save_snapshot(IndexedStore(sample_triples()), path)
+        data = bytearray(path.read_bytes())
+        data[offset] = 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotFormatError, match="reserved header bytes"):
+            load_snapshot(path)
+        with pytest.raises(SnapshotFormatError, match="reserved header bytes"):
+            read_snapshot_metadata(path)

@@ -193,6 +193,11 @@ BAD_ARGUMENTS = {
                             "--triples: must be at least 1, not -5"),
     "cache-key-bad-size": (["cache", "key", "--sizes", "abc"],
                            "--sizes takes positive integers, not 'abc'"),
+    "cache-key-empty-sizes": (["cache", "key", "--sizes", ""],
+                              "--sizes takes positive integers, not ''"),
+    "cache-prune-blank-sizes": (["cache", "prune", "--cache-dir", "{dir}",
+                                 "--sizes", " , "],
+                                "--sizes takes positive integers, not ' , '"),
     "cache-prune-bad-size": (["cache", "prune", "--cache-dir", "{dir}",
                               "--sizes", "1000,0"],
                              "--sizes takes positive integers, not '1000,0'"),

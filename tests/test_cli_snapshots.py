@@ -20,7 +20,7 @@ class TestGenerateSaveSnapshot:
                      "--save-snapshot"]) == 0
         snapshot = tmp_path / "doc.sp2b"
         assert output.exists() and snapshot.exists()
-        assert read_snapshot_metadata(snapshot)["store"] == "indexed"
+        assert read_snapshot_metadata(snapshot)["statistics"]["triples"] >= 400
         out = capsys.readouterr().out
         assert "saved store snapshot" in out
 
@@ -41,7 +41,7 @@ class TestGenerateSaveSnapshot:
     def test_snapshot_works_with_every_engine_preset(self, tmp_path, capsys):
         output = tmp_path / "doc.nt"
         main(["generate", str(output), "--triples", "2000", "--save-snapshot"])
-        # A memory-profile engine on an indexed snapshot converts the store.
+        # A memory-profile engine loads the snapshot as a scan store.
         assert main(["query", str(tmp_path / "doc.sp2b"), "--query", "Q1",
                      "--engine", "inmemory-optimized"]) == 0
         assert "Q1: 1 results" in capsys.readouterr().out
@@ -68,7 +68,7 @@ class TestBuildAndCacheCommands:
         capsys.readouterr()
         assert main(["cache", "list"]) == 0
         listing = capsys.readouterr().out
-        assert "indexed-300t-" in listing and "1 snapshot(s)" in listing
+        assert "300t-" in listing and "1 snapshot(s)" in listing
         assert main(["cache", "clear"]) == 0
         assert "removed 1 snapshot(s)" in capsys.readouterr().out
         assert main(["cache", "list"]) == 0
@@ -79,6 +79,17 @@ class TestBuildAndCacheCommands:
         capsys.readouterr()
         assert main(["cache", "prune", "--sizes", "300"]) == 0
         assert "pruned 1 snapshot(s)" in capsys.readouterr().out
+        assert len(list(cache_dir.glob("*.sp2b"))) == 1
+
+    @pytest.mark.parametrize("sizes", ["", " , "])
+    def test_cache_prune_with_no_sizes_keeps_the_cache(self, cache_dir, capsys,
+                                                       sizes):
+        # An unset $SP2B_BENCH_SIZES must not empty the cache.
+        main(["build", "--triples", "300"])
+        with pytest.raises(SystemExit) as exited:
+            main(["cache", "prune", "--sizes", sizes])
+        assert exited.value.code == 2
+        assert "--sizes takes positive integers" in capsys.readouterr().err
         assert len(list(cache_dir.glob("*.sp2b"))) == 1
 
     def test_cache_key_is_stable_and_parameter_sensitive(self, capsys):

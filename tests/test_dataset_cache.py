@@ -36,7 +36,6 @@ class TestKeys:
         assert dataset_key(replace(SMALL, seed=8)) != base
         assert dataset_key(replace(SMALL, triple_limit=501)) != base
         assert dataset_key(replace(SMALL, abstract_fraction=0.02)) != base
-        assert dataset_key(SMALL, store_type="memory") != base
 
     def test_key_covers_generator_code(self, monkeypatch):
         # Editing the generator sources must invalidate every cached
@@ -51,20 +50,14 @@ class TestKeys:
         assert dataset_key(SMALL) != base
 
     def test_key_is_human_readable(self):
-        assert dataset_key(SMALL).startswith("indexed-500t-")
-        assert dataset_key(GeneratorConfig(end_year=1950), "memory").startswith(
-            "memory-y1950-"
-        )
+        assert dataset_key(SMALL).startswith("500t-")
+        assert dataset_key(GeneratorConfig(end_year=1950)).startswith("y1950-")
 
     def test_combined_key_order_independent(self):
         a = GeneratorConfig(triple_limit=100)
         b = GeneratorConfig(triple_limit=200)
         assert combined_cache_key([a, b]) == combined_cache_key([b, a])
         assert combined_cache_key([a]) != combined_cache_key([b])
-
-    def test_unknown_store_type_rejected(self):
-        with pytest.raises(ValueError):
-            dataset_key(SMALL, store_type="quantum")
 
 
 class TestResolve:
@@ -86,10 +79,13 @@ class TestResolve:
         assert loaded.statistics == built.statistics
         assert len(list(cache.root.glob("*.sp2b"))) == 1
 
-    def test_memory_store_family(self, cache):
-        resolved = cache.resolve(SMALL, store_type="memory")
-        assert isinstance(resolved.store, MemoryStore)
-        assert isinstance(cache.resolve(SMALL, store_type="memory").store, MemoryStore)
+    def test_one_entry_loads_as_either_family(self, cache):
+        resolved = cache.resolve(SMALL)
+        memory = MemoryStore.load(resolved.path)
+        assert memory.dictionary._id_to_term == resolved.store.dictionary._id_to_term
+        assert set(memory._triples) == set(resolved.store.triples_ids())
+        assert cache.resolve(SMALL).hit
+        assert len(cache.entries()) == 1
 
     def test_corrupt_entry_is_rebuilt(self, cache):
         resolved = cache.resolve(SMALL)
