@@ -52,6 +52,7 @@ from .cache import DatasetCache, combined_cache_key, dataset_key, default_cache_
 from .generator.config import GeneratorConfig
 from .generator.generator import DblpGenerator
 from .queries.catalog import ALL_QUERIES, get_query
+from .rdf.errors import ParseError
 from .rdf.ntriples import load_into, serialize_triple
 from .sparql.engine import (
     ENGINE_PRESETS,
@@ -61,7 +62,7 @@ from .sparql.engine import (
 )
 from .sparql.errors import SparqlError, error_payload
 from .sparql.serializers import FORMATS as RESULT_FORMATS
-from .store import IndexedStore
+from .store import IndexedStore, SnapshotError
 
 #: Engine configurations selectable from the command line: the paper's four
 #: presets plus the cost-based planner profile.
@@ -71,19 +72,27 @@ CLI_ENGINE_CONFIGS = ENGINE_PRESETS + (NATIVE_COST,)
 SNAPSHOT_SUFFIX = ".sp2b"
 
 
-def _int_at_least(minimum):
-    """An argparse ``type``: an int no smaller than ``minimum``, so a bad
-    value is a usage error (exit 2) before anything loads."""
+def _checked(convert, valid, requirement):
+    """An argparse ``type``: ``convert(text)`` when ``valid`` holds for it,
+    so a bad value is a usage error (exit 2) before anything loads."""
     def parse(text):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
             raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, not {value}")
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, not {text}")
         return value
     return parse
+
+
+def _int_at_least(minimum):
+    return _checked(int, lambda value: value >= minimum, f"at least {minimum}")
+
+
+#: Deadline budgets: NaN, zero or a negative one would fail every request.
+_positive_seconds = _checked(float, lambda value: value > 0, "a positive number of seconds")
 
 
 def generate_main(argv=None):
@@ -236,15 +245,21 @@ TABLE_PREVIEW_ROWS = 20
 
 
 def _build_engine(document, engine_name):
-    """Load a document (N-Triples or ``.sp2b`` snapshot) into an engine."""
+    """Load a document (N-Triples or ``.sp2b`` snapshot) into an engine; one
+    that cannot be loaded ends the command with one stderr line, exit 1."""
     config = next(c for c in CLI_ENGINE_CONFIGS if c.name == engine_name)
-    if document.endswith(SNAPSHOT_SUFFIX):
-        # The fast path: rebuild the store from its snapshot — no parsing,
-        # no per-triple loading — straight into the preset's store family.
-        return SparqlEngine(config, store=config.store_family.load(document))
-    engine = SparqlEngine(config)
-    load_into(engine.store, document)
-    return engine
+    try:
+        if document.endswith(SNAPSHOT_SUFFIX):
+            # The fast path: rebuild the store from its snapshot — no parsing,
+            # no per-triple loading — straight into the preset's store family.
+            return SparqlEngine(config, store=config.store_family.load(document))
+        engine = SparqlEngine(config)
+        load_into(engine.store, document)
+        return engine
+    except (OSError, UnicodeDecodeError, SnapshotError, ParseError) as error:
+        reason = str(getattr(error, "strerror", None) or error).removeprefix(document + ": ")
+        print(f"error: cannot load {document}: {reason}", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 def _print_error_payload(error):
@@ -263,8 +278,8 @@ def query_main(argv=None):
     rendering or a W3C SPARQL-results serialization (json/xml/csv/tsv)
     written to stdout (timings then go to stderr, keeping stdout a valid
     document).  Failures (parse errors, timeouts) print the structured
-    error payload — the same JSON shape the SPARQL Protocol server returns
-    — to stderr, never a traceback.
+    error payload — the SPARQL Protocol server's JSON shape — and a bad
+    document one line naming it, to stderr: never a traceback.
     """
     parser = argparse.ArgumentParser(description="Run SP2Bench queries on an RDF document.")
     parser.add_argument("document",
@@ -418,11 +433,11 @@ def serve_main(argv=None):
     parser.add_argument("--engine", default=NATIVE_COST.name,
                         choices=[config.name for config in CLI_ENGINE_CONFIGS],
                         help="engine preset to serve with (default: native-cost)")
-    parser.add_argument("--timeout", type=float, default=30.0,
+    parser.add_argument("--timeout", type=_positive_seconds, default=30.0,
                         help="default per-request deadline in seconds; "
                              "requests may lower it with ?timeout= "
                              "(default: 30)")
-    parser.add_argument("--max-timeout", type=float, default=None,
+    parser.add_argument("--max-timeout", type=_positive_seconds, default=None,
                         help="cap on client-requested timeouts "
                              "(default: the --timeout value)")
     parser.add_argument("--read-only", action="store_true",

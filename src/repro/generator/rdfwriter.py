@@ -165,10 +165,3 @@ def _person_reference(person, emitted_persons):
         return
     emitted_persons.add(key)
     yield from person_triples(person)
-
-
-def count_document_triples(document):
-    """Number of triples :func:`document_triples` would emit for the document
-    itself (excluding person type/name triples, which depend on emission state)."""
-    return sum(1 for _ in document_triples(document, emitted_persons=set(
-        person.index for person in document.authors + document.editors)))

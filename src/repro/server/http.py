@@ -469,14 +469,17 @@ class SparqlServer:
     ``port=0`` binds an ephemeral port (the resolved one is in ``.port`` /
     ``.url`` after construction), which is what tests and in-process demos
     use.  ``default_timeout`` applies to requests that carry no ``timeout=``
-    parameter; ``max_timeout`` caps client-requested budgets.  The server is
-    a context manager: entering starts the background serve thread, leaving
-    stops it and closes the listener.
+    parameter; ``max_timeout`` caps client-requested budgets (positive or
+    None, else ``ValueError``).  As a context manager, entering starts the
+    background serve thread; leaving stops it and closes the listener.
     """
 
     def __init__(self, engine, host="127.0.0.1", port=0, workers=4,
                  default_timeout=30.0, max_timeout=None, verbose=False,
                  read_only=False, telemetry=None):
+        for name, budget in (("default_timeout", default_timeout), ("max_timeout", max_timeout)):
+            if budget is not None and not budget > 0:
+                raise ValueError(f"{name} must be a positive number of seconds, not {budget!r}")
         self.engine = engine
         self._httpd = ThreadPoolHTTPServer(
             (host, port), SparqlRequestHandler, workers=workers

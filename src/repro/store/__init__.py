@@ -4,9 +4,9 @@ Two backends model the paper's two engine families.  Both dictionary-encode
 terms to integers and answer a pattern as raw id 3-tuples (``triples_ids``),
 which the one SPARQL executor joins over without decoding; they differ in the
 access path behind it.  :class:`MemoryStore` scans every triple per pattern
-(the in-memory engine model); :class:`IndexedStore` probes five hash indexes,
-keeps per-predicate sorted runs, and answers the cost model from its index
-sizes (the native-engine model).  An MVCC draft of either is a store of the
+(the in-memory engine model); :class:`IndexedStore` probes three hash indexes
+and binary-searches per-predicate sorted runs, and answers the cost model
+from both (the native-engine model).  An MVCC draft of either is a store of the
 same class (:class:`MvccStore`), and both snapshot to the same container.
 See DESIGN.md.
 """

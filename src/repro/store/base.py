@@ -129,7 +129,7 @@ class TripleStore(abc.ABC):
         """Estimated number of matches, used by the query optimizer.
 
         The estimate is exact (it counts): a pass over the document for the
-        scan store, one index bucket's size for the indexed store.
+        scan store, a bucket's size or a run's key range for the indexed one.
         """
         return self.count(subject, predicate, object)
 

@@ -6,31 +6,33 @@ materializing RDF terms only for final results.  :class:`IndexedStore`
 reproduces both halves of that design in pure Python:
 
 * all terms are dictionary-encoded to integers (:mod:`.dictionary`),
-* triples are stored once as id-triples,
-* five hash indexes (S, P, O, SP, PO) map bound components to the set of
-  matching triples; every binding combination of a triple pattern has a
-  direct access path except ``(s, ?p, o)``, which filters the S bucket
-  (no query template binds it),
-* the cost model's statistics are the index sizes themselves: triples per
-  predicate, class counts, distinct totals, plus two per-predicate counters
-  (distinct subjects and objects) kept exact by ``add``/``remove``.
+* triples are stored once as id-triples, and three hash indexes (S, P, O)
+  map one bound component to the set of matching triples,
+* each predicate's two sorted runs (by subject, by object) are its only
+  predicate-keyed structure: ``(s, p, ?)`` and ``(?, p, o)`` binary-search
+  the run keyed on the bound side (``(s, ?p, o)``, bound by no query
+  template, filters the S bucket),
+* the cost model's statistics are index sizes, a run's distinct keys
+  (distinct subjects/objects per predicate) and key ranges (class counts).
 
 ``triples_ids()`` / ``count_ids()`` answer an encoded pattern from the
-index matching its bound positions, with **no decoding at all** — the SPARQL
-executor (:mod:`repro.sparql.idspace`) joins over the ids and terms are only
-reconstructed at the result boundary.  ``supports_sorted_runs`` marks the
-family for the planner: index probes per row, and batch kernels over the
-per-predicate sorted runs.
+index or run matching its bound positions, with **no decoding at all** —
+the SPARQL executor (:mod:`repro.sparql.idspace`) joins over the ids and
+terms are only reconstructed at the result boundary.
+``supports_sorted_runs`` marks the family for the planner: probes per row,
+and batch kernels over the same runs.
 
 ``begin_generation()`` returns an MVCC draft that is itself an
-``IndexedStore``: it shares the dictionary and every index bucket with its
-base, and either side copies a shared bucket before its first write to it.
+``IndexedStore``: it shares the dictionary, every index bucket and every
+run with its base; either side copies a shared bucket before its first
+write to it, and a write to a predicate drops that side's runs of it.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from bisect import bisect_left, bisect_right
+from itertools import repeat
 from operator import itemgetter
 
 from ..rdf.namespace import RDF
@@ -56,9 +58,9 @@ class SortedRun:
     the layout the batch kernels (:mod:`repro.sparql.kernels`) binary-search
     and merge-join over without materializing any Python tuples.
 
-    ``cache`` is scratch space for kernel-computed views (numpy mirrors,
-    composite keys); it lives and dies with the run, so store mutation
-    invalidating the run also drops every derived view.
+    ``cache`` is scratch space for views derived from the run (numpy
+    mirrors, composite keys, the distinct-key count); it lives and dies with
+    the run, so store mutation invalidating the run also drops every view.
     """
 
     __slots__ = ("predicate", "order", "keys", "values", "cache")
@@ -81,7 +83,7 @@ class SortedRun:
 def _nothing_owned():
     """Copy-on-write bookkeeping of a store sharing all its buckets: per
     index (in ``_index_entries`` order), the keys whose bucket it has copied."""
-    return tuple(set() for _ in range(5))
+    return tuple(set() for _ in range(3))
 
 
 class IndexedStore(TripleStore):
@@ -100,12 +102,6 @@ class IndexedStore(TripleStore):
         self._by_s = {}
         self._by_p = {}
         self._by_o = {}
-        self._by_sp = {}
-        self._by_po = {}
-        #: predicate_id -> number of ``_by_sp`` / ``_by_po`` keys carrying it,
-        #: i.e. the predicate's distinct subjects / objects.
-        self._subject_counts = Counter()
-        self._object_counts = Counter()
         self._sorted_runs = {}     # (predicate_id, order) -> SortedRun
         #: predicate_id -> ``version`` at which a triple of that predicate
         #: was last added or removed (absent: not since construction).
@@ -126,27 +122,20 @@ class IndexedStore(TripleStore):
         # add()'s walk over _index_entries minus the encode, one index at a
         # time: each index's buckets are then allocated together, which
         # makes both this build and later queries faster than one pass
-        # interleaving all five.
-        for index, key_of in ((store._by_s, itemgetter(0)), (store._by_p, itemgetter(1)),
-                              (store._by_o, itemgetter(2)), (store._by_sp, itemgetter(0, 1)),
-                              (store._by_po, itemgetter(1, 2))):
-            for ids, key in zip(triples, map(key_of, triples)):
+        # interleaving all three.
+        for index, position in ((store._by_s, 0), (store._by_p, 1), (store._by_o, 2)):
+            for ids, key in zip(triples, map(itemgetter(position), triples)):
                 bucket = index.get(key)
                 if bucket is None:
                     index[key] = {ids}
                 else:
                     bucket.add(ids)
-        store._subject_counts = Counter(map(itemgetter(1), store._by_sp))
-        store._object_counts = Counter(map(itemgetter(0), store._by_po))
         store._sorted_runs = {(run.predicate, run.order): run for run in runs}
         return store
 
     def _index_entries(self, s, p, o):
-        """``(index, key)`` of one id triple in each index: S, P, O, SP, PO."""
-        return (
-            (self._by_s, s), (self._by_p, p), (self._by_o, o),
-            (self._by_sp, (s, p)), (self._by_po, (p, o)),
-        )
+        """``(index, key)`` of one id triple in each index: S, P, O."""
+        return ((self._by_s, s), (self._by_p, p), (self._by_o, o))
 
     # -- snapshots -----------------------------------------------------------
 
@@ -171,10 +160,6 @@ class IndexedStore(TripleStore):
             return False
         self._spo.add(ids)
         s, p, o = ids
-        if (s, p) not in self._by_sp:
-            self._subject_counts[p] += 1
-        if (p, o) not in self._by_po:
-            self._object_counts[p] += 1
         owned = self._owned
         for slot, (index, key) in enumerate(self._index_entries(s, p, o)):
             bucket = index.get(key)
@@ -191,7 +176,7 @@ class IndexedStore(TripleStore):
     def remove(self, triple):
         """Remove a triple if present; returns True when removed.
 
-        All five indexes and both per-predicate counters are maintained;
+        All three indexes are maintained and the predicate's runs dropped;
         empty index buckets are dropped so lookups of fully removed keys
         stay O(1).  Dictionary entries are intentionally kept — ids are
         stable for the lifetime of the store, which is what lets id-space
@@ -212,16 +197,13 @@ class IndexedStore(TripleStore):
             else:
                 owned[slot].add(key)
                 index[key] = bucket - {encoded}
-        if (s, p) not in self._by_sp:
-            _decrement(self._subject_counts, p)
-        if (p, o) not in self._by_po:
-            _decrement(self._object_counts, p)
         self._touch(p)
         return True
 
     def _touch(self, predicate_id):
         """Bump the version, stamp the predicate and drop its sorted runs."""
-        self._invalidate_sorted_runs(predicate_id)
+        self._sorted_runs.pop((predicate_id, RUN_BY_SUBJECT), None)
+        self._sorted_runs.pop((predicate_id, RUN_BY_OBJECT), None)
         self.version += 1
         self._predicate_stamps[predicate_id] = self.version
 
@@ -233,12 +215,12 @@ class IndexedStore(TripleStore):
 
         * the term dictionary is *shared* (append-only; ids are stable forever),
         * the id-triple set is copied (O(n), the per-transaction floor),
-        * the five hash indexes copy their **dict spines** but share every
+        * the three hash indexes copy their **dict spines** but share every
           bucket set; from now on this store and the draft each copy a
           shared bucket the first time they write to it,
-        * the sorted runs, change stamps and per-predicate counters are
-          copied dicts, so untouched predicates keep their (immutable) runs
-          across generations with zero rebuild cost.
+        * the sorted runs and change stamps are copied dicts, so untouched
+          predicates keep their (immutable) runs, and the statistics read
+          off them, across generations with zero rebuild cost.
 
         Readers holding this store keep a frozen view while the writer
         assembles the next generation in the draft.
@@ -249,10 +231,6 @@ class IndexedStore(TripleStore):
         draft._by_s = self._by_s.copy()
         draft._by_p = self._by_p.copy()
         draft._by_o = self._by_o.copy()
-        draft._by_sp = self._by_sp.copy()
-        draft._by_po = self._by_po.copy()
-        draft._subject_counts = self._subject_counts.copy()
-        draft._object_counts = self._object_counts.copy()
         # dict.copy() is a single C-level call, so it is atomic with respect
         # to readers lazily inserting sorted runs into this generation.
         draft._sorted_runs = self._sorted_runs.copy()
@@ -293,8 +271,8 @@ class IndexedStore(TripleStore):
     # -- statistics for the cost model -----------------------------------------
     #
     # Term-level, like the patterns the planner costs.  Every number is an
-    # index size or one of the two per-predicate counters, so it is exact
-    # at every generation without a separate structure to maintain.
+    # index size or read off a predicate's runs, so it is exact at every
+    # generation without a separate structure to maintain.
 
     def estimate(self, subject, predicate, object):
         """Estimate the number of triples matching an (s, p, o) pattern.
@@ -313,12 +291,12 @@ class IndexedStore(TripleStore):
                 return 0
             estimate = float(base)
             if subject is not None:
-                estimate /= max(self._subject_counts[p], 1)
+                estimate /= max(self._distinct(p, RUN_BY_SUBJECT), 1)
             if object is not None:
                 if predicate == _RDF_TYPE and subject is None:
-                    return len(self._by_po.get(
-                        (p, self._dictionary.lookup(object)), _EMPTY))
-                estimate /= max(self._object_counts[p], 1)
+                    o = self._dictionary.lookup(object)
+                    return 0 if o is None else self.count_ids(None, p, o)
+                estimate /= max(self._distinct(p, RUN_BY_OBJECT), 1)
             return estimate
         estimate = float(len(self._spo))
         if subject is not None:
@@ -329,11 +307,19 @@ class IndexedStore(TripleStore):
 
     def distinct_subjects(self, predicate):
         """Number of distinct subjects appearing with ``predicate``."""
-        return self._subject_counts[self._dictionary.lookup(predicate)]
+        return self._distinct(self._dictionary.lookup(predicate), RUN_BY_SUBJECT)
 
     def distinct_objects(self, predicate):
         """Number of distinct objects appearing with ``predicate``."""
-        return self._object_counts[self._dictionary.lookup(predicate)]
+        return self._distinct(self._dictionary.lookup(predicate), RUN_BY_OBJECT)
+
+    def _distinct(self, predicate_id, order):
+        """Distinct keys of the predicate's run in ``order`` (0 without one),
+        counted once per run: a run never changes."""
+        run = self.sorted_run(predicate_id, order)
+        if run is not None and "distinct" not in run.cache:
+            run.cache["distinct"] = len(set(run.keys))
+        return 0 if run is None else run.cache["distinct"]
 
     def distinct_subject_total(self):
         """Number of distinct subjects across all predicates."""
@@ -350,21 +336,38 @@ class IndexedStore(TripleStore):
     # -- id-level access ----------------------------------------------------
 
     def triples_ids(self, subject=None, predicate=None, object=None):
-        """Raw id 3-tuples matching an encoded pattern: one index probe."""
-        return iter(self._candidates(subject, predicate, object))
+        """Raw id 3-tuples matching an encoded pattern: one index probe, or
+        one binary search for ``(s, p, ?)`` and ``(?, p, o)``."""
+        values = self._run_values(subject, predicate, object)
+        if values is None:
+            return iter(self._candidates(subject, predicate, object))
+        if object is None:
+            return zip(repeat(subject), repeat(predicate), values)
+        return zip(values, repeat(predicate), repeat(object))
 
     def count_ids(self, subject=None, predicate=None, object=None):
         """Number of triples matching an already-encoded pattern (no decode)."""
-        return len(self._candidates(subject, predicate, object))
+        values = self._run_values(subject, predicate, object)
+        if values is None:
+            return len(self._candidates(subject, predicate, object))
+        return len(values)
+
+    def _run_values(self, s, p, o):
+        """For ``(s, p, ?)`` and ``(?, p, o)``, the bound key's values in the
+        predicate's run keyed on it; None for every other shape."""
+        if p is None or (s is None) == (o is None):
+            return None
+        key, order = (s, RUN_BY_SUBJECT) if o is None else (o, RUN_BY_OBJECT)
+        run = self.sorted_run(p, order)
+        if run is None:
+            return ()
+        lo = bisect_left(run.keys, key)
+        return run.values[lo:bisect_right(run.keys, key, lo)]
 
     def _candidates(self, s, p, o):
-        """Return the candidate id-triple set for an encoded pattern."""
+        """The candidate id-triple set of a shape no run answers."""
         if s is not None and p is not None and o is not None:
             return {(s, p, o)} if (s, p, o) in self._spo else _EMPTY
-        if s is not None and p is not None:
-            return self._by_sp.get((s, p), _EMPTY)
-        if p is not None and o is not None:
-            return self._by_po.get((p, o), _EMPTY)
         if s is not None and o is not None:
             return {ids for ids in self._by_s.get(s, _EMPTY) if ids[2] == o}
         if s is not None:
@@ -387,12 +390,12 @@ class IndexedStore(TripleStore):
         Returns ``None`` for a predicate with no triples, so callers can
         fall back to the tuple path without special-casing empty columns.
         """
-        if order not in (RUN_BY_SUBJECT, RUN_BY_OBJECT):
-            raise ValueError(f"unknown run order: {order!r}")
         key = (predicate_id, order)
         run = self._sorted_runs.get(key)
         if run is not None:
             return run
+        if order not in (RUN_BY_SUBJECT, RUN_BY_OBJECT):
+            raise ValueError(f"unknown run order: {order!r}")
         bucket = self._by_p.get(predicate_id)
         if not bucket:
             return None
@@ -406,12 +409,6 @@ class IndexedStore(TripleStore):
         self._sorted_runs[key] = run
         return run
 
-    def _invalidate_sorted_runs(self, predicate_id):
-        """Drop both cached runs of one predicate after a mutation."""
-        if self._sorted_runs:
-            self._sorted_runs.pop((predicate_id, RUN_BY_SUBJECT), None)
-            self._sorted_runs.pop((predicate_id, RUN_BY_OBJECT), None)
-
     # -- term-level lookup --------------------------------------------------
 
     def contains(self, triple):
@@ -424,18 +421,10 @@ class IndexedStore(TripleStore):
         encoded = self.encode_pattern(subject, predicate, object)
         if encoded is None:
             return 0
-        return len(self._candidates(*encoded))
+        return self.count_ids(*encoded)
 
     def __len__(self):
         return len(self._spo)
 
     def __repr__(self):
         return f"IndexedStore(len={len(self)}, terms={len(self._dictionary)})"
-
-
-def _decrement(counter, key):
-    """Decrease ``counter[key]`` by one, dropping the entry at zero."""
-    if counter[key] > 1:
-        counter[key] -= 1
-    else:
-        del counter[key]

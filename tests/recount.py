@@ -1,7 +1,7 @@
 """Brute-force recount of every number the cost model reads from a store.
 
-The reference for ``IndexedStore``'s statistics, which are index sizes plus
-two per-predicate counters: here they are recomputed from ``triples_ids()``
+The reference for ``IndexedStore``'s statistics, which are index sizes and
+facts about the sorted runs: here they are recomputed from ``triples_ids()``
 with plain sets and lists, sharing nothing with the store.  Tests compare
 ``statistics_of(store)`` (what the store answers) with ``recount(store)``
 (what a full pass finds), and ``store.estimate`` with :func:`estimate`.

@@ -237,3 +237,23 @@ class TestExpectContinue:
                 answer += chunk
         assert answer.startswith(b"HTTP/1.1 200 ")
         assert b'"1940"' in answer
+
+
+class TestBudgets:
+    """A budget that would fail every request is refused at construction."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return SparqlEngine.from_graph(generate_graph(triple_limit=200))
+
+    @pytest.mark.parametrize("name", ["default_timeout", "max_timeout"])
+    @pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0, 0])
+    def test_nan_zero_and_negative_raise(self, engine, name, budget):
+        with pytest.raises(ValueError, match=f"{name} must be a positive"):
+            SparqlServer(engine, port=0, **{name: budget})
+
+    def test_infinite_and_absent_budgets_are_allowed(self, engine):
+        for budgets in ({"default_timeout": float("inf")},
+                        {"default_timeout": None, "max_timeout": float("inf")}):
+            with SparqlServer(engine, port=0, workers=1, **budgets) as live:
+                assert fetch(query_url(live, SELECT_QUERY))[0] == 200

@@ -1,4 +1,5 @@
-"""The cost model's statistics are the indexed store's own index sizes.
+"""The cost model's statistics are read off the indexed store's indexes
+and sorted runs.
 
 Every value the planner reads — ``estimate`` on all eight bound/unbound
 pattern shapes, distinct subjects/objects per predicate, the two distinct
@@ -10,7 +11,6 @@ snapshot.
 """
 
 import itertools
-from collections import Counter
 
 import pytest
 
@@ -102,9 +102,18 @@ class TestAgainstBruteForce:
         assert store.distinct_object_total() == len({t[2] for t in triples})
         assert store.distinct_predicates() == len({t[1] for t in triples})
 
-    def test_counters_are_the_two_key_indexes_per_predicate(self, store):
-        assert store._subject_counts == Counter(p for _s, p in store._by_sp)
-        assert store._object_counts == Counter(p for p, _o in store._by_po)
+    def test_distinct_counts_are_the_runs_distinct_keys(self, store):
+        triples = list(store.triples_ids())
+        for predicate_id in {p for _s, p, _o in triples}:
+            predicate = store.dictionary.decode(predicate_id)
+            by_subject = store.sorted_run(predicate_id, "s")
+            by_object = store.sorted_run(predicate_id, "o")
+            assert list(zip(by_subject.keys, by_subject.values)) == sorted(
+                (s, o) for s, p, o in triples if p == predicate_id)
+            assert list(zip(by_object.keys, by_object.values)) == sorted(
+                (o, s) for s, p, o in triples if p == predicate_id)
+            assert store.distinct_subjects(predicate) == len(set(by_subject.keys))
+            assert store.distinct_objects(predicate) == len(set(by_object.keys))
 
 
 class TestEstimates:
@@ -137,7 +146,8 @@ class TestEstimates:
 
 
 class TestMaintenance:
-    """``add``/``remove`` keep the counters exact; totals follow the indexes."""
+    """``add``/``remove`` keep the statistics exact: totals follow the
+    indexes, per-predicate counts the runs rebuilt after a write."""
 
     @pytest.fixture
     def store(self):
@@ -165,8 +175,11 @@ class TestMaintenance:
         store.remove(Triple(uri("a2"), uri("pages"), Literal("11--20")))
         assert store.estimate(None, uri("pages"), None) == 0
         assert store.distinct_predicates() == 2
-        assert uri("pages") not in {
-            store.dictionary.decode(p) for p in store._subject_counts}
+        assert store.distinct_subjects(uri("pages")) == 0
+        assert store.distinct_objects(uri("pages")) == 0
+        pages = store.dictionary.lookup(uri("pages"))
+        assert store.sorted_run(pages, "s") is store.sorted_run(pages, "o") is None
+        assert store.count_ids(store.dictionary.lookup(uri("a1")), pages) == 0
 
     def test_totals_track_add_and_remove(self, store):
         store.add(Triple(uri("a3"), uri("pages"), Literal("21--30")))
@@ -178,8 +191,13 @@ class TestMaintenance:
         assert (store.distinct_subject_total(), store.distinct_object_total()) == (3, 6)
         assert recount.statistics_of(store) == recount.recount(store)
 
-    def test_a_snapshot_load_derives_the_counters(self, store, tmp_path):
-        store.save(tmp_path / "counters.sp2b")
-        loaded = load_snapshot(tmp_path / "counters.sp2b")
-        assert loaded._subject_counts == store._subject_counts
-        assert loaded._object_counts == store._object_counts
+    def test_a_snapshot_load_adopts_the_runs(self, store, tmp_path):
+        store.save(tmp_path / "runs.sp2b")
+        loaded = load_snapshot(tmp_path / "runs.sp2b")
+        assert sorted(loaded._sorted_runs) == sorted(store._sorted_runs)
+        for key, run in loaded._sorted_runs.items():
+            assert (run.keys, run.values) == (store._sorted_runs[key].keys,
+                                              store._sorted_runs[key].values)
+        for predicate in (uri("pages"), uri("creator"), RDF.type):
+            assert loaded.distinct_subjects(predicate) == store.distinct_subjects(predicate)
+            assert loaded.distinct_objects(predicate) == store.distinct_objects(predicate)

@@ -107,11 +107,10 @@ class TestIndexedRoundTrip:
         assert read_snapshot_metadata(path) == {
             "note": "unit", "triples": len(sample_triples())}
 
-    def test_indexes_counters_and_runs_are_equal(self, saved):
+    def test_indexes_and_runs_are_equal(self, saved):
         store, path = saved  # saving built every sorted run of ``store``
         loaded = load_snapshot(path)
-        for name in ("_spo", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po",
-                     "_subject_counts", "_object_counts"):
+        for name in ("_spo", "_by_s", "_by_p", "_by_o"):
             assert getattr(loaded, name) == getattr(store, name), name
         assert {key: (run.keys, run.values)
                 for key, run in loaded._sorted_runs.items()} == {

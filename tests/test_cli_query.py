@@ -183,6 +183,18 @@ BAD_ARGUMENTS = {
                           "--repeat: must be at least 1, not 0"),
     "serve-zero-workers": (["serve", "{doc}", "--workers", "0"],
                            "--workers: must be at least 1, not 0"),
+    "serve-nan-timeout": (["serve", "{doc}", "--timeout", "nan"],
+                          "--timeout: must be a positive number of seconds, not nan"),
+    "serve-zero-timeout": (["serve", "{doc}", "--timeout", "0"],
+                           "--timeout: must be a positive number of seconds, not 0"),
+    "serve-negative-timeout": (["serve", "{doc}", "--timeout", "-1"],
+                               "--timeout: must be a positive number of seconds, not -1"),
+    "serve-nan-max-timeout": (["serve", "{doc}", "--max-timeout", "NaN"],
+                              "--max-timeout: must be a positive number of seconds, not NaN"),
+    "serve-zero-max-timeout": (["serve", "{doc}", "--max-timeout", "0"],
+                               "--max-timeout: must be a positive number of seconds, not 0"),
+    "serve-bad-timeout": (["serve", "{doc}", "--timeout", "soon"],
+                          "--timeout: invalid float value: 'soon'"),
     "bench-unknown-query": (["bench", "--sizes", "100", "--no-cache",
                              "--queries", "Q1", "Q99"],
                             "unknown query 'Q99'; known queries: Q1,"),
@@ -217,3 +229,31 @@ def test_bad_arguments_are_usage_errors_before_loading(tmp_path, capsys, case):
     assert "Traceback" not in err
     assert message in err
     assert not (tmp_path / "cache").exists()
+
+
+#: Documents that cannot be loaded: (file name, contents or None for a
+#: missing file, the reason printed after the file name).
+BAD_DOCUMENTS = {
+    "missing-ntriples": ("nope.nt", None, "No such file or directory"),
+    "missing-snapshot": ("nope.sp2b", None, "No such file or directory"),
+    "garbage-snapshot": ("garbage.sp2b", "garbage\n", "not an SP2Bench snapshot"),
+    "truncated-triple": ("short.nt", "<a> <b> .\n", "line 1: unexpected character"),
+}
+
+
+@pytest.mark.parametrize("command", ["query", "serve"])
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_a_bad_document_is_one_line_and_exit_1(tmp_path, capsys, command, case):
+    name, contents, reason = BAD_DOCUMENTS[case]
+    path = tmp_path / name
+    if contents is not None:
+        path.write_text(contents, encoding="utf-8")
+    argv = [command, str(path)] + (["--port", "0"] if command == "serve" else [])
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot load {path}: {reason}")
+    assert err.count("\n") == 1
+    assert "serving" not in out

@@ -1,0 +1,175 @@
+"""The committed work ledger: what every catalog query answers, and the plan
+it answers with, per document size and engine preset.
+
+It runs the 17 catalog queries on every preset at 5k triples, and on
+``native-optimized`` and ``native-cost`` at 25k (``native-baseline`` there
+takes a minute), and writes ``WORK.json``.  Per (size, preset, query) the
+file holds a digest of the result multiset, a digest of the EXPLAIN render
+with every timing removed and the ``actual=`` counts of steps an ASK or
+LIMIT stopped early masked, and the rows each step produced ("-" where
+stopped early).  The work runs in a child process with
+``PYTHONHASHSEED=0``, so two runs write byte-identical files.
+
+``--check`` compares a fresh run with the file instead of writing it: it
+exits 1 naming every (size, preset, query) whose answer digest differs,
+and prints EXPLAIN differences without failing.  Usage:
+
+    python tools/work.py [--check] [--file WORK.json] [--sizes 5000 25000]
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from repro import generate_graph
+from repro.queries.catalog import ALL_QUERIES
+from repro.sparql import (ENGINE_PRESETS, NATIVE_COST, NATIVE_OPTIMIZED,
+                          SparqlEngine, kernels)
+
+DEFAULT_FILE = Path(__file__).resolve().parents[1] / "WORK.json"
+DEFAULT_SIZES = (5_000, 25_000)
+
+#: Every preset runs up to this size; above it only the two presets whose
+#: catalog pass stays within seconds.
+ALL_PRESETS_UP_TO = 5_000
+PRESETS = ENGINE_PRESETS + (NATIVE_COST,)
+FAST_PRESETS = (NATIVE_OPTIMIZED, NATIVE_COST)
+
+#: Render fragments that are timings, so differ between any two runs.
+_TIMINGS = re.compile(r" (?:elapsed|time|operators|boundary)=[0-9.]+m?s")
+_ACTUAL = re.compile(r"actual=(\d+)")
+
+
+def _digest(value):
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()[:16]
+
+
+def answer_digest(result):
+    """A digest of a result's multiset: ASK's boolean, or SELECT's variables
+    and its sorted rows of N3 terms."""
+    if result.form == "ASK":
+        return _digest(bool(result))
+    rows = sorted(["" if term is None else term.n3() for term in row]
+                  for row in result.rows())
+    return _digest([str(variable) for variable in result.variables] + rows)
+
+
+def explain_lines(report):
+    """The EXPLAIN render without timings; a step an ASK or LIMIT stopped
+    early (``qerr=-``) reads ``actual=-``."""
+    lines = []
+    for line in report.render().splitlines():
+        if line.startswith("stages:"):
+            continue
+        line = _TIMINGS.sub("", line)
+        if "qerr=-" in line:
+            line = _ACTUAL.sub("actual=-", line)
+        lines.append(line)
+    return lines
+
+
+def step_rows(lines):
+    """The ``actual=`` of every step line, "-" for partial ones."""
+    return " ".join(re.findall(r"actual=(\d+|-)", "\n".join(lines)))
+
+
+def presets_for(size):
+    return PRESETS if size <= ALL_PRESETS_UP_TO else FAST_PRESETS
+
+
+def measure(sizes):
+    """The ledger for ``sizes``: {size: {preset: {query: entry}}}."""
+    ledger = {}
+    for size in sizes:
+        graph = generate_graph(triple_limit=size)
+        stores = {}
+        ledger[str(size)] = per_preset = {}
+        for config in presets_for(size):
+            family = config.store_family
+            if family not in stores:
+                stores[family] = family(graph)
+            engine = SparqlEngine(config, store=stores[family])
+            per_preset[config.name] = entries = {}
+            for query in ALL_QUERIES:
+                lines = explain_lines(engine.explain(query.text))
+                entries[query.identifier] = {
+                    "answer": answer_digest(engine.query(query.text)),
+                    "explain": _digest(lines),
+                    "rows": step_rows(lines),
+                }
+    return {"numpy": kernels.numpy_enabled(), "sizes": ledger}
+
+
+def dumps(ledger):
+    return json.dumps(ledger, indent=1, sort_keys=True) + "\n"
+
+
+def differences(committed, fresh):
+    """``(answers, plans)``: messages for every (size, preset, query) whose
+    answer digest differs, and for those whose EXPLAIN differs."""
+    answers, plans = [], []
+    if committed.get("numpy") != fresh["numpy"]:
+        plans.append(f"numpy: committed {committed.get('numpy')}, "
+                     f"now {fresh['numpy']} (kernels change every plan)")
+    for size, per_preset in fresh["sizes"].items():
+        for preset, entries in per_preset.items():
+            for query, entry in entries.items():
+                old = committed["sizes"].get(size, {}).get(preset, {}).get(query)
+                where = f"{size} {preset} {query}"
+                if old is None:
+                    answers.append(f"{where}: not in the committed file")
+                    continue
+                if old["answer"] != entry["answer"]:
+                    answers.append(f"{where}: answer {entry['answer']}, "
+                                   f"committed {old['answer']}")
+                if (old["explain"], old["rows"]) != (entry["explain"], entry["rows"]):
+                    plans.append(f"{where}: explain {entry['explain']} rows "
+                                 f"[{entry['rows']}], committed {old['explain']} "
+                                 f"rows [{old['rows']}]")
+    return answers, plans
+
+
+def run(args):
+    fresh = measure(args.sizes)
+    if not args.check:
+        args.file.write_text(dumps(fresh), encoding="utf-8")
+        print(f"wrote {args.file}")
+        return 0
+    answers, plans = differences(
+        json.loads(args.file.read_text(encoding="utf-8")), fresh)
+    for message in plans:
+        print(f"plan differs (not failing): {message}")
+    for message in answers:
+        print(f"ANSWER DIFFERS: {message}")
+    checked = sum(len(entries) for per_preset in fresh["sizes"].values()
+                  for entries in per_preset.values())
+    print(f"{checked} answers checked against {args.file}: "
+          f"{len(answers)} differ, {len(plans)} plan differences")
+    return 1 if answers else 0
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the file instead of writing it")
+    parser.add_argument("--file", type=Path, default=DEFAULT_FILE,
+                        help="the ledger file (default: WORK.json)")
+    parser.add_argument("--sizes", type=int, nargs="+", default=DEFAULT_SIZES,
+                        help="document sizes in triples (default: 5000 25000)")
+    args = parser.parse_args(argv)
+    if os.environ.get("PYTHONHASHSEED") == "0":
+        return run(args)
+    # String hashing orders sets, and with them tie-breaks in plans: the
+    # work runs in a child whose hash seed is fixed.
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    return subprocess.run([sys.executable, __file__, *argv], env=env).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())
