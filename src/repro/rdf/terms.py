@@ -196,8 +196,12 @@ class Literal(Term):
         if isinstance(value, bool):
             value = int(value)
         if isinstance(value, (int, float)):
-            # Numbers order before strings, among themselves by value.
-            return (self._order_rank, 0, float(value), self.lexical)
+            # Numbers order before strings, among themselves by value, with
+            # NaN (unordered as a float) first.
+            number = float(value)
+            if number != number:
+                return (self._order_rank, 0, 0, 0.0, self.lexical)
+            return (self._order_rank, 0, 1, number, self.lexical)
         return (self._order_rank, 1, str(value), self.lexical)
 
     def __str__(self):

@@ -7,13 +7,19 @@ against a number, using an unbound variable as an operand, …) raise
 :class:`ExpressionError`, which callers interpret as *false* per the SPARQL
 semantics — that is what makes ``FILTER (!bound(?x))`` the standard
 closed-world-negation idiom used in Q6 and Q7.
+
+:func:`value_key` and :func:`order_key` are the one definition of how two
+RDF terms compare: the row filters here, the join keys of :mod:`.idspace`
+and the column masks of :mod:`.kernels` all decide ``=`` and the orderings
+through them.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
-from ..rdf.terms import BNode, Literal, URIRef, Variable
+from ..rdf.terms import XSD_BOOLEAN, XSD_STRING, BNode, Literal, URIRef, Variable
 from . import ast
 from .errors import ExpressionError
 
@@ -93,89 +99,82 @@ def _ebv_or_error(expression, binding):
 
 
 def _to_boolean(value):
-    """SPARQL effective boolean value of an expression result."""
+    """SPARQL effective boolean value of an expression result (SPARQL 1.1
+    §17.2.2): a numeric is false at zero, NaN or a malformed lexical form, a
+    simple, language-tagged or ``xsd:string`` literal when it is empty;
+    any other datatype is a type error."""
     if isinstance(value, bool):
         return value
     if isinstance(value, Literal):
-        python_value = value.to_python()
-        if isinstance(python_value, bool):
-            return python_value
-        if isinstance(python_value, (int, float)):
-            return python_value != 0
-        return len(value.lexical) > 0
+        if value.datatype == XSD_BOOLEAN:
+            return value.to_python()
+        if value.is_numeric():
+            key = order_key(value)
+            return key is not None and key[1] != 0 and key[1] == key[1]
+        if value.datatype in (None, XSD_STRING):
+            return value.lexical != ""
     raise ExpressionError(f"no effective boolean value for {value!r}")
 
 
-def _compare(operator, left, right):
-    if operator == "=":
-        return _equals(left, right)
-    if operator == "!=":
-        return not _equals(left, right)
-    ordering = _order_values(left, right)
-    if operator == "<":
-        return ordering < 0
-    if operator == ">":
-        return ordering > 0
-    if operator == "<=":
-        return ordering <= 0
-    if operator == ">=":
-        return ordering >= 0
-    raise ExpressionError(f"unknown comparison operator {operator!r}")
+#: The ordering operators, applied to the second items of two order keys of
+#: one kind.
+ORDERING = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
-def _equals(left, right):
-    """SPARQL ``=``: value equality for literals, term equality otherwise
-    (RDFterm-equal: an IRI or blank node never equals a literal)."""
-    left = _as_term(left)
-    right = _as_term(right)
-    if isinstance(left, Literal) and isinstance(right, Literal):
-        left_value, right_value = left.to_python(), right.to_python()
-        if _both_numbers(left_value, right_value):
-            return float(left_value) == float(right_value)
-        if isinstance(left_value, str) and isinstance(right_value, str):
-            if left.language or right.language:
-                return left == right
-            return left_value == right_value
-    return left == right
+def order_key(term):
+    """The key an RDF term orders by under ``<``, ``<=``, ``>``, ``>=``.
+
+    ``("num", float)`` for a numeric literal whose lexical form parses,
+    ``("str", text)`` for a simple or ``xsd:string`` literal, and None for
+    anything else (IRIs, blank nodes, booleans, language-tagged strings,
+    malformed numerics, unknown datatypes).  Two keys order only when both
+    exist and have one kind; otherwise the comparison is a type error.  NaN
+    keeps its float, so every ordering against it is false.
+    """
+    if isinstance(term, Literal):
+        if term.datatype in (None, XSD_STRING):
+            return None if term.language else ("str", term.lexical)
+        if term.is_numeric():
+            value = term.to_python()
+            if not isinstance(value, str):
+                return ("num", float(value))
+    return None
 
 
 def value_key(term):
-    """Canonical hash key of an RDF term under SPARQL ``=`` (value) equality.
+    """The key an RDF term compares by under ``=`` and ``!=``.
 
-    Two terms get the same key exactly when :func:`_equals` holds for them:
-    numeric literals compare by value across datatypes, language-free
-    string-valued literals by their string value, and everything else
-    (URIs, blank nodes, language-tagged or boolean literals) by term
-    identity.  NaN equals nothing, itself included: it has no key (None),
-    which the joins treat like an unbound operand.
-    The joins hash on this key to run ``FILTER (?a = ?b)`` as an equi-join.
+    Its :func:`order_key` where it has one, so numbers compare by value
+    across datatypes and strings by text; NaN equals nothing, itself
+    included, so its key is None, which matches nothing (the joins treat it
+    like an unbound operand).  Every other term keys on itself: RDF term
+    identity.  The joins hash on this key to run ``FILTER (?a = ?b)`` as an
+    equi-join, and the column masks compare it per distinct id.
     """
-    if isinstance(term, Literal) and term.language is None:
-        value = term.to_python()
-        if isinstance(value, str):
-            return ("str", value)
-        if not isinstance(value, bool):
-            number = float(value)
-            return None if number != number else ("num", number)
-    return ("term", term)
+    key = order_key(term)
+    if key is None:
+        return ("term", term)
+    return None if key[1] != key[1] else key
 
 
-def _order_values(left, right):
-    """Three-way comparison for the ordering operators."""
+def _compare(op, left, right):
     left = _as_term(left)
     right = _as_term(right)
-    if isinstance(left, Literal) and isinstance(right, Literal):
-        left_value, right_value = left.to_python(), right.to_python()
-        if _both_numbers(left_value, right_value):
-            return (float(left_value) > float(right_value)) - (
-                float(left_value) < float(right_value)
-            )
-        if isinstance(left_value, str) and isinstance(right_value, str):
-            return (left_value > right_value) - (left_value < right_value)
-        raise ExpressionError(
-            f"cannot order literals {left!r} and {right!r} by value"
-        )
-    raise ExpressionError("ordering comparison requires two literals")
+    if op in ("=", "!="):
+        key = value_key(left)
+        return (key is not None and key == value_key(right)) == (op == "=")
+    compare = ORDERING.get(op)
+    if compare is None:
+        raise ExpressionError(f"unknown comparison operator {op!r}")
+    left_key, right_key = order_key(left), order_key(right)
+    if left_key is None or right_key is None or left_key[0] != right_key[0]:
+        raise ExpressionError(f"cannot order {left!r} and {right!r} by value")
+    return compare(left_key[1], right_key[1])
 
 
 def _as_term(value):
@@ -184,15 +183,6 @@ def _as_term(value):
     if isinstance(value, (URIRef, BNode, Literal)):
         return value
     raise ExpressionError(f"not an RDF term: {value!r}")
-
-
-def _both_numbers(left, right):
-    return (
-        isinstance(left, (int, float))
-        and not isinstance(left, bool)
-        and isinstance(right, (int, float))
-        and not isinstance(right, bool)
-    )
 
 
 def _regex(expression, binding):

@@ -39,12 +39,14 @@ from itertools import chain, islice, repeat
 from operator import itemgetter
 from time import perf_counter
 
+import numpy as np
+
 from ..rdf.terms import Literal, Variable, term_sort_key
 from ..store.indexed_store import RUN_BY_OBJECT, RUN_BY_SUBJECT
 from . import algebra, ast, kernels
 from .bindings import Binding, _name
 from .errors import EvaluationError
-from .expressions import effective_boolean_value, value_key
+from .expressions import ORDERING, effective_boolean_value, order_key, value_key
 from .planner import BIND_JOIN, SCAN, Observed, default_strategy, textual_plan
 
 #: What a left row contributes to :meth:`IdSpaceEvaluation._hash_join`.
@@ -863,7 +865,7 @@ class IdSpaceEvaluation:
         ])
         probe_cells = _cells_getter(shared + equi_left)
         check = self._check
-        compare_ops = tuple(kernels.ORDERING_OPS[op] for _ls, _rs, op in order_pairs)
+        compare_ops = tuple(ORDERING[op] for _ls, _rs, op in order_pairs)
         ebv = self._ebv
         anti = mode == ANTI
         outer = mode != INNER
@@ -946,12 +948,13 @@ class IdSpaceEvaluation:
                 algebra.conjunction(residual))
 
     def _order_key(self, cell):
-        """Memoized SPARQL ordering key of one cell (kind, comparable)."""
-        key = self._order_key_memo.get(cell)
-        if key is None:
-            key = kernels.ordering_proxy(self._layout.term(cell))
-            self._order_key_memo[cell] = key
-        return key
+        """Memoized :func:`~repro.sparql.expressions.order_key` of one
+        cell's term (None results included)."""
+        try:
+            return self._order_key_memo[cell]
+        except KeyError:
+            key = self._order_key_memo[cell] = order_key(self._layout.term(cell))
+            return key
 
     def _value_key(self, cell):
         """:func:`~repro.sparql.expressions.value_key` of one cell's term.
@@ -1094,7 +1097,6 @@ class IdSpaceEvaluation:
         Python frame between the kernels and the result boundary.
         """
         width = self._layout.width
-        np = kernels._np
 
         def block_keys(block):
             if len(keep) == 1:
@@ -1258,14 +1260,12 @@ def _order_cells_key(row, order_pairs, side, order_key):
 def _order_keys_hold(left_keys, right_keys, compare_ops):
     """All extracted ordering conjuncts hold for one candidate pair.
 
-    Cross-type pairs (or unorderable kinds) are SPARQL type errors, which
-    under the condition's conjunction make the pair fail.
+    A missing key or a cross-kind pair is a SPARQL type error, which under
+    the condition's conjunction makes the pair fail.
     """
-    for (kind_a, key_a), (kind_b, key_b), compare in zip(
-            left_keys, right_keys, compare_ops):
-        if kind_a != kind_b or kind_a == kernels.ORD_ERROR:
-            return False
-        if not compare(key_a, key_b):
+    for key_a, key_b, compare in zip(left_keys, right_keys, compare_ops):
+        if (key_a is None or key_b is None or key_a[0] != key_b[0]
+                or not compare(key_a[1], key_b[1])):
             return False
     return True
 

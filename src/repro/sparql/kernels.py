@@ -17,34 +17,21 @@ Three kinds of kernels live here:
   (``extend_bound``), or filter rows by membership of one column
   (``member_mask``) / a column pair (``semijoin_pair``) in a run;
 * **columnar filters** — evaluate the comparison/equality FILTER shapes the
-  catalog queries use against whole columns, reproducing the exact SPARQL
-  semantics of :mod:`.expressions` (value equality across numeric datatypes,
-  type errors mapping to false) through per-unique-id proxies.
+  catalog queries use against whole columns, with the keys of
+  :func:`.expressions.value_key` / :func:`.expressions.order_key` computed
+  once per distinct id, so a mask decides exactly what the row filter does.
 
-The kernels are numpy code and nothing else: numpy is an optional extra, and
-the one place that asks for it is the planner, which annotates kernels only
-when :func:`numpy_enabled` — without numpy no plan carries a kernel and
-every BGP runs on the tuple path.  Nothing here imports the planner or
-evaluator — the dependency points the other way.
+The kernels are numpy code and nothing else.  Nothing here imports the
+planner or the id-space evaluator — the dependency points the other way.
 """
 
 from __future__ import annotations
 
-import operator
+import numpy as np
 
 from ..rdf.terms import BNode, Literal, URIRef, Variable
 from . import ast
-
-try:
-    import numpy as _np
-except ImportError:
-    #: What tests monkeypatch to see a numpy-less install.
-    _np = None
-
-
-def numpy_enabled():
-    """Whether plans may carry batch kernels at all."""
-    return _np is not None
+from .expressions import ORDERING, order_key, value_key
 
 
 #: Rows per block on the scan/selection kernels.  Large enough that per-block
@@ -102,11 +89,11 @@ def _run_np(run):
     view = run.cache.get("np")
     if view is None:
         if run.keys.itemsize == 4:
-            keys = _np.frombuffer(run.keys, dtype=_np.uint32)
-            values = _np.frombuffer(run.values, dtype=_np.uint32)
+            keys = np.frombuffer(run.keys, dtype=np.uint32)
+            values = np.frombuffer(run.values, dtype=np.uint32)
         else:  # pragma: no cover - exotic platform where u32 arrays widen
-            keys = _np.asarray(run.keys, dtype=_np.uint32)
-            values = _np.asarray(run.values, dtype=_np.uint32)
+            keys = np.asarray(run.keys, dtype=np.uint32)
+            values = np.asarray(run.values, dtype=np.uint32)
         view = (keys, values)
         run.cache["np"] = view
     return view
@@ -117,14 +104,14 @@ def _run_composite(run):
     composite = run.cache.get("composite")
     if composite is None:
         keys, values = _run_np(run)
-        composite = (keys.astype(_np.uint64) << 32) | values
+        composite = (keys.astype(np.uint64) << 32) | values
         run.cache["composite"] = composite
     return composite
 
 
 def mask_all(block, value):
     """A constant filter mask over one block."""
-    return _np.full(block.length, bool(value))
+    return np.full(block.length, bool(value))
 
 
 def combine_masks(left, right):
@@ -143,7 +130,7 @@ def apply_mask(block, mask):
 
 def gather(block, indices):
     """The block restricted to (and ordered by) the given row indices."""
-    idx = _np.asarray(indices, dtype=_np.intp)
+    idx = np.asarray(indices, dtype=np.intp)
     columns = {slot: col[idx] for slot, col in block.columns.items()}
     return Block(columns, len(indices))
 
@@ -206,8 +193,8 @@ def select_eq(run, key):
     the returned column is itself binary-searchable by :func:`member_mask`.
     """
     keys, values = _run_np(run)
-    lo = int(_np.searchsorted(keys, key, "left"))
-    hi = int(_np.searchsorted(keys, key, "right"))
+    lo = int(np.searchsorted(keys, key, "left"))
+    hi = int(np.searchsorted(keys, key, "right"))
     return values[lo:hi]
 
 
@@ -225,10 +212,10 @@ def cross_extend(block, new_columns):
     if m == 0 or block.length == 0:
         return empty_block()
     columns = {
-        slot: _np.repeat(col, m) for slot, col in block.columns.items()
+        slot: np.repeat(col, m) for slot, col in block.columns.items()
     }
     for slot, col in new_columns.items():
-        columns[slot] = _np.tile(_np.asarray(col), block.length)
+        columns[slot] = np.tile(np.asarray(col), block.length)
     return Block(columns, block.length * m)
 
 
@@ -245,7 +232,6 @@ def extend_bound(block, bound_slot, run, new_slot):
     property that keeps merge-join steps merge-joinable down the pipeline.
     """
     column = block.columns[bound_slot]
-    np = _np
     keys, values = _run_np(run)
     lo = np.searchsorted(keys, column, "left")
     hi = np.searchsorted(keys, column, "right")
@@ -269,7 +255,6 @@ def extend_bound(block, bound_slot, run, new_slot):
 def member_mask(block, bound_slot, sorted_values):
     """Mask of rows whose column id occurs in an ascending value column."""
     column = block.columns[bound_slot]
-    np = _np
     if len(sorted_values) == 0:
         return np.zeros(block.length, dtype=bool)
     values = np.asarray(sorted_values)
@@ -282,7 +267,6 @@ def semijoin_pair(block, key_slot, value_slot, run):
     """Mask of rows whose (key, value) column pair occurs in the run."""
     key_column = block.columns[key_slot]
     value_column = block.columns[value_slot]
-    np = _np
     composite = _run_composite(run)
     if len(composite) == 0:
         return np.zeros(block.length, dtype=bool)
@@ -296,66 +280,12 @@ def semijoin_pair(block, key_slot, value_slot, run):
 
 # -- columnar filters ---------------------------------------------------------
 #
-# The filter kernels reproduce expressions._compare exactly, one unique id at
-# a time instead of one row at a time: every distinct id in the operand
-# columns is decoded once and classified into a comparison proxy, then the
-# row-level mask is pure id-class arithmetic.  The proxy classes mirror the
-# type ladder of expressions._equals/_order_values, including the SPARQL
-# type-error cases (which map to a false mask entry, matching
-# effective_boolean_value's error handling).
-
-_ORDERING = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-#: Equality proxy kinds (the _equals type ladder).
-_EQ_TERM = 0    # URI / blank node: term equality
-_EQ_NUM = 1     # numeric literal: value equality across datatypes
-_EQ_STR = 2     # language-free string-valued literal: string value equality
-_EQ_LIT = 3     # other literal (lang-tagged, boolean, ...): term equality
-
-#: Ordering proxy kinds (the _order_values ladder; 0 = type error).
-_ORD_ERROR = 0
-_ORD_NUM = 1
-_ORD_STR = 2
-
-
-def _eq_proxy(term):
-    """Equality class of one term: equal proxies <=> _equals() holds."""
-    if isinstance(term, Literal):
-        value = term.to_python()
-        if isinstance(value, bool):
-            return (_EQ_LIT, term)
-        if isinstance(value, (int, float)):
-            return (_EQ_NUM, float(value))
-        if isinstance(value, str) and term.language is None:
-            return (_EQ_STR, value)
-        return (_EQ_LIT, term)
-    return (_EQ_TERM, term)
-
-
-def _ord_proxy(term):
-    """Ordering class and key of one term (kind 0 = unorderable)."""
-    if isinstance(term, Literal):
-        value = term.to_python()
-        if isinstance(value, bool):
-            return (_ORD_ERROR, None)
-        if isinstance(value, (int, float)):
-            return (_ORD_NUM, float(value))
-        if isinstance(value, str):
-            return (_ORD_STR, value)
-    return (_ORD_ERROR, None)
-
-
-#: Public names for the ordering-key machinery: the left-join build reuses
-#: it to turn theta-join conjuncts (``?yr2 < ?yr``) into precomputed-key
-#: comparisons instead of per-candidate expression evaluation.
-ORD_ERROR = _ORD_ERROR
-ORDERING_OPS = _ORDERING
-ordering_proxy = _ord_proxy
+# The filter kernels decide each comparison by the keys of the row filters
+# (expressions.value_key / order_key), one distinct id at a time instead of
+# one row at a time: every distinct id in the operand columns is decoded and
+# keyed once, then the row-level mask is pure array arithmetic.  A type error
+# (an ordering without two keys of one kind) is a false mask entry, as
+# effective_boolean_value makes it on the row path.
 
 
 def compile_filter(expression, slot_of):
@@ -372,7 +302,7 @@ def compile_filter(expression, slot_of):
         if not isinstance(conjunct, ast.Comparison):
             return None
         if conjunct.operator not in ("=", "!=") and \
-                conjunct.operator not in _ORDERING:
+                conjunct.operator not in ORDERING:
             return None
         operands = []
         for side in (conjunct.left, conjunct.right):
@@ -439,85 +369,56 @@ def _conjunct_mask(block, op, left, right, cell_term):
     return _ordering_mask(block, op, left, right, cell_term)
 
 
-def _unique_decode(column, proxy_fn, cell_term):
-    """Proxy per unique column id, plus the row->unique inverse mapping."""
-    unique, inverse = _np.unique(column, return_inverse=True)
-    proxies = [proxy_fn(cell_term(ident)) for ident in unique.tolist()]
-    return proxies, inverse
+def _side_keys(operand, key_of, cell_term):
+    """An operand's keys: ``(keys, None)`` for a constant (one key), or one
+    key per distinct column id plus the row -> distinct-id inverse."""
+    if operand[0] == "const":
+        return [key_of(operand[1])], None
+    unique, inverse = np.unique(operand[1], return_inverse=True)
+    return [key_of(cell_term(ident)) for ident in unique.tolist()], inverse
+
+
+def _lane(values, inverse):
+    """One operand's per-row lane (a scalar for a constant operand)."""
+    return values[0] if inverse is None else values[inverse]
+
+
+def _as_mask(block, result):
+    """A comparison result as a row mask; both-constant results are scalars."""
+    return np.broadcast_to(result, (block.length,))
 
 
 def _equality_mask(block, op, left, right, cell_term):
-    sides = []
-    for operand in (left, right):
-        if operand[0] == "const":
-            sides.append(("const", _eq_proxy(operand[1])))
-        else:
-            proxies, inverse = _unique_decode(operand[1], _eq_proxy, cell_term)
-            sides.append(("col", proxies, inverse))
-    if sides[0][0] == "const" and sides[1][0] == "const":
-        equal = sides[0][1] == sides[1][1]
-        return mask_all(block, equal if op == "=" else not equal)
-    np = _np
+    # Equal keys get equal codes; a None key (NaN) gets a per-side code that
+    # matches nothing.
     codes = {}
-
-    def encode(proxies):
-        return np.array([codes.setdefault(proxy, len(codes)) for proxy in proxies],
-                        dtype=np.int64)
-
     lanes = []
-    for side in sides:
-        if side[0] == "const":
-            lanes.append(encode([side[1]])[0])
-        else:
-            lanes.append(encode(side[1])[side[2]])
+    for missing, operand in enumerate((left, right), start=1):
+        keys, inverse = _side_keys(operand, value_key, cell_term)
+        values = np.array([-missing if key is None
+                           else codes.setdefault(key, len(codes))
+                           for key in keys], dtype=np.int64)
+        lanes.append(_lane(values, inverse))
     equal = lanes[0] == lanes[1]
-    return equal if op == "=" else ~equal
+    return _as_mask(block, equal if op == "=" else ~equal)
 
 
 def _ordering_mask(block, op, left, right, cell_term):
-    compare = _ORDERING[op]
-    sides = []
-    for operand in (left, right):
-        if operand[0] == "const":
-            sides.append(("const", _ord_proxy(operand[1])))
-        else:
-            proxies, inverse = _unique_decode(operand[1], _ord_proxy, cell_term)
-            sides.append(("col", proxies, inverse))
-    if sides[0][0] == "const" and sides[1][0] == "const":
-        proxy_a, proxy_b = sides[0][1], sides[1][1]
-        valid = proxy_a[0] == proxy_b[0] != _ORD_ERROR
-        result = valid and compare(proxy_a[1], proxy_b[1])
-        return mask_all(block, result)
-    np = _np
-    # Strings from both sides share one dense rank so the float key lanes
-    # compare consistently; numeric keys are their own rank.
-    strings = sorted({
-        proxy[1]
-        for side in sides
-        for proxy in ([side[1]] if side[0] == "const" else side[1])
-        if proxy[0] == _ORD_STR
-    })
+    sides = [_side_keys(operand, order_key, cell_term) for operand in (left, right)]
+    # Strings from both sides share one dense rank so the float lanes compare
+    # consistently; numbers are their own rank.  Kind 0 is a missing key.
+    kinds = {"num": 1, "str": 2}
+    strings = sorted({key[1] for keys, _inverse in sides for key in keys
+                      if key is not None and key[0] == "str"})
     rank = {text: float(index) for index, text in enumerate(strings)}
-
-    def encode(proxies):
-        kinds = np.empty(len(proxies), dtype=np.int8)
-        keys = np.zeros(len(proxies), dtype=np.float64)
-        for index, (kind, key) in enumerate(proxies):
-            kinds[index] = kind
-            if kind == _ORD_NUM:
-                keys[index] = key
-            elif kind == _ORD_STR:
-                keys[index] = rank[key]
-        return kinds, keys
-
     lanes = []
-    for side in sides:
-        if side[0] == "const":
-            kinds, keys = encode([side[1]])
-            lanes.append((kinds[0], keys[0]))
-        else:
-            kinds, keys = encode(side[1])
-            lanes.append((kinds[side[2]], keys[side[2]]))
-    (kind_a, key_a), (kind_b, key_b) = lanes
-    return (kind_a == kind_b) & (kind_a != _ORD_ERROR) \
-        & compare(key_a, key_b)
+    for keys, inverse in sides:
+        kind = np.array([0 if key is None else kinds[key[0]] for key in keys],
+                        dtype=np.int8)
+        value = np.array([0.0 if key is None else
+                          key[1] if key[0] == "num" else rank[key[1]]
+                          for key in keys], dtype=np.float64)
+        lanes.append((_lane(kind, inverse), _lane(value, inverse)))
+    (kind_a, value_a), (kind_b, value_b) = lanes
+    return _as_mask(block, (kind_a == kind_b) & (kind_a != 0)
+                    & ORDERING[op](value_a, value_b))

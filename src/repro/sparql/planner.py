@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..rdf.terms import Variable
-from . import algebra, kernels
+from . import algebra
 from .bindings import _name
 
 #: Physical access strategies a plan step can choose from.
@@ -463,8 +463,8 @@ def plan_tree(tree, store):
     Reorders every BGP, chooses per-step physical strategies (scan stores
     have only the one), decides hash-versus-bind for Join nodes, and
     attaches the plans to the returned (new) tree.  The input tree is not
-    mutated.  When the store keeps sorted runs and numpy is importable, the
-    steps of standalone BGPs worth it are then annotated with batch kernels
+    mutated.  When the store keeps sorted runs, the steps of standalone
+    BGPs worth it are then annotated with batch kernels
     (:func:`_annotate_kernels`) — which never changes ordering or
     strategies, so the same plan without kernels is the tuple path.
     """
@@ -473,9 +473,7 @@ def plan_tree(tree, store):
                                           1.0, reorder=True,
                                           fixed_strategy=fixed)
     # Costs add up the tree: below the threshold no BGP in it reaches it.
-    if (cost >= VECTORIZE_MIN_COST
-            and _indexed(store)
-            and kernels.numpy_enabled()):
+    if cost >= VECTORIZE_MIN_COST and _indexed(store):
         for node in algebra.collect_bgps(planned):
             plan = node.plan
             if (plan is not None and not plan.outer_bound

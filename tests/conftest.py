@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.generator import DblpGenerator, GeneratorConfig
@@ -26,7 +24,7 @@ from repro.sparql import (
     ENGINE_PRESETS,
     NATIVE_OPTIMIZED,
     SparqlEngine,
-    kernels,
+    algebra,
 )
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -152,26 +150,19 @@ def sample_engines(sample_graph):
     return [SparqlEngine.from_graph(sample_graph, config) for config in ENGINE_PRESETS]
 
 
-@contextmanager
-def no_numpy():
-    """What a numpy-less install observes while the block is active."""
-    saved, kernels._np = kernels._np, None
-    try:
-        yield
-    finally:
-        kernels._np = saved
-
-
 class TuplePathEngine(SparqlEngine):
-    """An engine that plans as on a numpy-less install.
+    """An engine whose plans carry no batch kernels.
 
-    Its plans carry no kernels, so every BGP runs on the tuple path —
-    same order, same strategies — whatever the running interpreter has.
+    It plans as its configuration says, then clears the kernel of every BGP
+    step, so every BGP runs on the tuple path — same order, same strategies.
     """
 
     def _plan_algebra(self, tree, store):
-        with no_numpy():
-            return super()._plan_algebra(tree, store)
+        planned = super()._plan_algebra(tree, store)
+        for node in algebra.collect_bgps(planned):
+            for step in node.plan.steps if node.plan is not None else ():
+                step.kernel = None
+        return planned
 
 
 class ReferencePaths:

@@ -240,15 +240,19 @@ def value(expression, mu):
 
 
 def _boolean(result):
+    """Effective boolean value (SPARQL 1.1 §17.2.2): a numeric literal is
+    false at zero, NaN or a malformed lexical form; a simple, language-tagged
+    or ``xsd:string`` literal is false when empty."""
     if isinstance(result, bool):
         return result
     if isinstance(result, Literal):
         python = result.to_python()
         if isinstance(python, bool):
             return python
-        if _number(result) is not None:
-            return _number(result) != 0
-        if _string(result) is not None:
+        if result.is_numeric():
+            number = _number(result)
+            return number is not None and number == number and number != 0
+        if _string(result) is not None or result.language is not None:
             return result.lexical != ""
     raise ExpressionTypeError(f"no boolean value for {result!r}")
 

@@ -1,10 +1,21 @@
 """Property-based tests (hypothesis) for the RDF substrate."""
 
 import string
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import BNode, Graph, Literal, Triple, URIRef, parse_graph, serialize
+from repro.rdf import (
+    XSD_DOUBLE,
+    BNode,
+    Graph,
+    Literal,
+    Triple,
+    URIRef,
+    parse_graph,
+    serialize,
+    term_sort_key,
+)
 
 # -- strategies -------------------------------------------------------------------
 
@@ -23,6 +34,11 @@ language_literals = st.tuples(
     st.sampled_from(["en", "de", "fr"]),
 ).map(lambda pair: Literal(pair[0], language=pair[1]))
 literals = st.one_of(plain_literals, typed_literals, language_literals)
+numeric_literals = st.one_of(
+    typed_literals,
+    st.floats().map(Literal),
+    st.just(Literal("NaN", datatype=XSD_DOUBLE)),
+)
 
 subjects = st.one_of(uris, bnodes)
 objects = st.one_of(uris, bnodes, literals)
@@ -79,6 +95,15 @@ class TestTermOrdering:
     def test_sort_key_defines_total_order(self, terms):
         keys = [term.sort_key() for term in terms]
         assert sorted(keys) == sorted(sorted(keys))
+
+    @given(st.lists(st.one_of(plain_literals, numeric_literals), min_size=1, max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_every_permutation_sorts_to_one_sequence(self, terms):
+        # NaN included: a float NaN inside a key is unordered, so the sorted
+        # result would depend on the input order.
+        expected = sorted(terms, key=term_sort_key)
+        for permutation in permutations(terms):
+            assert sorted(permutation, key=term_sort_key) == expected
 
     @given(objects, objects)
     @settings(max_examples=100, deadline=None)

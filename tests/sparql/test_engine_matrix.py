@@ -22,7 +22,6 @@ from repro.sparql import (
     EngineConfig,
     IdBinding,
     algebra,
-    kernels,
     load_engines,
 )
 from repro.sparql.planner import PROBE, SCAN, default_strategy
@@ -108,11 +107,10 @@ def test_explain_executes_the_tree_prepare_built(engines, preset, query):
     assert report.result.actual == report.result_count
 
 
-def test_kernels_need_the_cost_planner_sorted_runs_and_numpy(engines, reference):
+def test_kernels_need_the_cost_planner_sorted_runs(engines, reference):
     q4 = next(query for query in QUERIES if query.identifier == "Q4").text
     cost = engines[NATIVE_COST.name]
-    kernelled = [step.kernel for step in cost.explain(q4).plan_steps()]
-    assert all(kernelled) is kernels.numpy_enabled()
+    assert all(step.kernel for step in cost.explain(q4).plan_steps())
     without = reference.tuple_path(cost).explain(q4)
     assert not any(step.kernel for step in without.plan_steps())
     assert ([(step.pattern, step.strategy) for step in without.plan_steps()]

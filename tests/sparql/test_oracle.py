@@ -1,11 +1,12 @@
 """Every preset against the naive reference evaluator (``tests/oracle.py``).
 
 The 17 catalog queries, the 4 aggregate queries and the edge cases below run
-on all five presets over the hand-built sample graph and the small generated
-document.  SELECT results must equal the oracle's as multisets, ASK answers
-must be equal, and ORDER BY results must come back sorted by the oracle's
-key; under LIMIT/OFFSET a window may pick other rows among equal sort keys,
-so there the key sequence must match and every row must be one the oracle's
+on all five presets over the hand-built sample graph, the small generated
+document and a value matrix (thirteen terms of every comparison kind).
+SELECT results must equal the oracle's as multisets, ASK answers must be
+equal, and ORDER BY results must come back sorted by the oracle's key;
+under LIMIT/OFFSET a window may pick other rows among equal sort keys, so
+there the key sequence must match and every row must be one the oracle's
 unsliced result holds.
 """
 
@@ -14,13 +15,15 @@ from dataclasses import replace
 import pytest
 
 from repro.queries import AGGREGATE_QUERIES, ALL_QUERIES
-from repro.rdf.terms import term_sort_key
+from repro.rdf import Graph, Literal, Triple, URIRef
+from repro.rdf.terms import XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, term_sort_key
 from repro.sparql import (
     IN_MEMORY_BASELINE,
     IN_MEMORY_OPTIMIZED,
     NATIVE_BASELINE,
     NATIVE_COST,
     NATIVE_OPTIMIZED,
+    SparqlEngine,
     load_engines,
     parse_query,
 )
@@ -50,12 +53,51 @@ EDGE_CASES = {
     "empty-count": "SELECT (COUNT(?x) AS ?n) WHERE { ?x rdf:type bench:Nothing }",
 }
 
+#: The value matrix: each value is the object of ``ex:v`` and of ``ex:w``.
+EX = "http://example.org/values/"
+VALUES = (
+    Literal(1), Literal("1.0", datatype=XSD_DECIMAL), Literal(2),
+    Literal("NaN", datatype=XSD_DOUBLE), Literal("abc", datatype=XSD_INTEGER),
+    Literal("abc"), Literal("abc", datatype=XSD_STRING), Literal("abd"),
+    Literal("abc", language="en"), Literal("b", language="en"),
+    Literal("abc", datatype="http://ex/foo"), Literal(True), URIRef(EX + "iri"),
+)
+#: Each value's effective boolean value (SPARQL 1.1 §17.2.2): NaN and a
+#: malformed numeric are false, an unknown datatype and an IRI have none.
+EBV = (True, True, True, False, False, True, True, True, True, True, False, True, False)
+OPERATORS = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
+
+
+def _over_values(pattern, modifiers=""):
+    return f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?s ex:v ?v {pattern} }} {modifiers}"
+
+
+#: Every operator over the matrix: across the two predicates in one BGP
+#: (the column masks on native-cost) and under OPTIONAL (the join keys), and
+#: against a NaN and a string constant.
+for op, name in OPERATORS.items():
+    EDGE_CASES.update({
+        f"bgp-{name}": _over_values(f". ?t ex:w ?w FILTER (?v {op} ?w)"),
+        f"optional-{name}": _over_values(f"OPTIONAL {{ ?t ex:w ?w FILTER (?v {op} ?w) }}"),
+        f"nan-{name}": _over_values(f'FILTER (?v {op} "NaN"^^xsd:double)'),
+        f"abc-{name}": _over_values(f'FILTER (?v {op} "abc")'),
+    })
+EDGE_CASES["order-by"] = _over_values("", "ORDER BY ?v")
+EDGE_CASES["ebv"] = _over_values("FILTER (?v)")
+
 QUERIES = {query.identifier: query.text
            for query in tuple(ALL_QUERIES) + tuple(AGGREGATE_QUERIES)}
 QUERIES.update(EDGE_CASES)
 
 
-@pytest.fixture(scope="module", params=("sample_graph", "generated_graph_small"))
+@pytest.fixture(scope="session")
+def value_graph():
+    return Graph(Triple(URIRef(f"{EX}s{index}"), URIRef(EX + predicate), value)
+                 for index, value in enumerate(VALUES) for predicate in "vw")
+
+
+@pytest.fixture(scope="module",
+                params=("sample_graph", "generated_graph_small", "value_graph"))
 def document(request):
     """(triples, engines by preset name, oracle answers memo) for one graph."""
     graph = request.getfixturevalue(request.param)
@@ -93,3 +135,34 @@ def test_preset_matches_the_oracle(document, identifier, preset):
     assert keys(rows) == keys(expected)
     unsliced = oracle.evaluate(replace(query, limit=None, offset=0), triples)
     assert not oracle.multiset(rows) - oracle.multiset(unsliced)
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda config: config.name)
+def test_effective_boolean_value_truth_table(value_graph, preset):
+    engine = SparqlEngine.from_graph(value_graph, preset)
+    kept = {row["v"] for row in engine.query(EDGE_CASES["ebv"])}
+    assert kept == {value for value, true in zip(VALUES, EBV) if true}
+
+
+@pytest.mark.parametrize("name", OPERATORS.values())
+def test_the_bgp_shape_runs_on_value_keys_or_a_column_mask(value_graph, name):
+    """On native-cost ``=`` becomes a hash join on value keys; every other
+    operator filters the second step's blocks through a column mask."""
+    lines = SparqlEngine.from_graph(value_graph, NATIVE_COST).explain(
+        EDGE_CASES[f"bgp-{name}"]).render().splitlines()
+    if name == "eq":
+        assert any("Join [hash]" in line and "on (?v = ?w)" in line for line in lines)
+        return
+    (filtered,) = [line for line in lines if "+1filter" in line]
+    assert "kernel=" in filtered
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda config: config.name)
+def test_order_by_puts_nan_before_every_number(preset):
+    doubles = ("3", "NaN", "1", "2", "NaN", "0.5")
+    graph = Graph(Triple(URIRef(f"{EX}s{index}"), URIRef(EX + "v"),
+                         Literal(text, datatype=XSD_DOUBLE))
+                  for index, text in enumerate(doubles))
+    engine = SparqlEngine.from_graph(graph, preset)
+    rows = engine.query(EDGE_CASES["order-by"])
+    assert [str(row["v"]) for row in rows] == ["NaN", "NaN", "0.5", "1", "2", "3"]

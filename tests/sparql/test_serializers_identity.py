@@ -151,8 +151,6 @@ def test_catalog_documents_are_byte_identical(engines, preset, path, reference):
     engine = engines[preset]
     if path == "tuple-path":
         engine = reference.tuple_path(engine)
-    elif not kernels.numpy_enabled():
-        pytest.skip("numpy is not available")
     assert len(QUERIES) == 21
     lazy_rows = 0
     for query in QUERIES:

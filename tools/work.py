@@ -28,8 +28,7 @@ from pathlib import Path
 
 from repro import generate_graph
 from repro.queries.catalog import ALL_QUERIES
-from repro.sparql import (ENGINE_PRESETS, NATIVE_COST, NATIVE_OPTIMIZED,
-                          SparqlEngine, kernels)
+from repro.sparql import ENGINE_PRESETS, NATIVE_COST, NATIVE_OPTIMIZED, SparqlEngine
 
 DEFAULT_FILE = Path(__file__).resolve().parents[1] / "WORK.json"
 DEFAULT_SIZES = (5_000, 25_000)
@@ -102,7 +101,7 @@ def measure(sizes):
                     "explain": _digest(lines),
                     "rows": step_rows(lines),
                 }
-    return {"numpy": kernels.numpy_enabled(), "sizes": ledger}
+    return {"sizes": ledger}
 
 
 def dumps(ledger):
@@ -113,9 +112,6 @@ def differences(committed, fresh):
     """``(answers, plans)``: messages for every (size, preset, query) whose
     answer digest differs, and for those whose EXPLAIN differs."""
     answers, plans = [], []
-    if committed.get("numpy") != fresh["numpy"]:
-        plans.append(f"numpy: committed {committed.get('numpy')}, "
-                     f"now {fresh['numpy']} (kernels change every plan)")
     for size, per_preset in fresh["sizes"].items():
         for preset, entries in per_preset.items():
             for query, entry in entries.items():
