@@ -28,7 +28,7 @@ from .errors import (
 from .serializers import CONTENT_TYPES as RESULT_CONTENT_TYPES
 from .serializers import FORMATS as RESULT_FORMATS
 from .idspace import IdBinding, IdSpaceEvaluation, SlotLayout
-from .optimizer import optimize, reorder_patterns
+from .optimizer import push_filters
 from .parser import parse_query, parse_update
 from .planner import (
     PLANNER_COST,
@@ -39,7 +39,6 @@ from .planner import (
     ExplainReport,
     JoinPlan,
     PlanStep,
-    annotate_tree,
     plan_bgp,
     plan_tree,
 )
@@ -53,8 +52,7 @@ __all__ = [
     "UpdateResult",
     "translate_query",
     "translate_group",
-    "optimize",
-    "reorder_patterns",
+    "push_filters",
     "IdSpaceEvaluation",
     "SlotLayout",
     "IdBinding",
@@ -90,7 +88,6 @@ __all__ = [
     "ExplainReport",
     "plan_bgp",
     "plan_tree",
-    "annotate_tree",
     "SparqlError",
     "SparqlSyntaxError",
     "EvaluationError",

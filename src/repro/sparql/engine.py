@@ -42,9 +42,9 @@ class EngineConfig:
 
     name: str = "native-optimized"
     store_type: str = "indexed"           # "memory" or "indexed"
-    #: Join-planner family: "none" (textual order), "greedy" (static
-    #: selectivity reorder in :mod:`.optimizer`), or "cost" (the statistics
-    #: backed physical planner in :mod:`.planner`).
+    #: Join-planner family (:func:`.planner.plan_tree`): "none" (textual
+    #: order), "greedy" (reordered, one access path), or "cost" (per-step
+    #: access paths, bind joins, batch kernels).
     planner: str = PLANNER_GREEDY
     push_filters: bool = True
     #: Reuse scan results of repeated triple patterns (Table II row 5).
@@ -177,12 +177,10 @@ class SparqlEngine:
         return parse_query(query_text)
 
     def plan(self, query):
-        """Translate (and optionally optimize/plan) a parsed query into algebra.
+        """Translate, push filters and plan a parsed query (or query text).
 
-        The ``greedy`` planner family applies the static selectivity reorder
-        of :mod:`.optimizer`; the ``cost`` family leaves ordering to the
-        statistics-backed physical planner (:mod:`.planner`).  Either way
-        every BGP of the returned tree carries the plan it will run from.
+        Every BGP of the returned tree carries the plan it will run from,
+        made by :func:`.planner.plan_tree` for the configured family.
         """
         if isinstance(query, str):
             query = self.parse(query)
@@ -192,9 +190,7 @@ class SparqlEngine:
     def _algebra(self, query):
         """The store-independent half of planning: translate and push filters."""
         tree = algebra.translate_query(query)
-        if self.config.push_filters:
-            tree = optimizer.optimize(tree, None, reorder=False)
-        return tree
+        return optimizer.push_filters(tree) if self.config.push_filters else tree
 
     def _plan_algebra(self, tree, store):
         """The statistics-dependent half: order and cost ``tree`` (not mutated).
@@ -202,14 +198,10 @@ class SparqlEngine:
         ``store`` is one pinned generation for the whole pass, so selectivity
         estimates and dictionary lookups cannot straddle an update commit.
         """
-        if self.config.planner == PLANNER_COST:
-            return planner.plan_tree(tree, store)
-        if self.config.planner == PLANNER_GREEDY:
-            tree = optimizer.optimize(tree, store, push_filters=False)
-        return planner.annotate_tree(tree, store)
+        return planner.plan_tree(tree, store, self.config.planner)
 
     def prepare(self, query_text, trace=NULL_TRACE):
-        """Parse, translate, optimize, and cost-plan a query exactly once.
+        """Parse, translate, push filters and plan a query exactly once.
 
         Returns a :class:`PreparedQuery` whose :meth:`~PreparedQuery.run`
         executes the pre-built plan any number of times — the serving-shaped
@@ -415,7 +407,7 @@ class PreparedQuery:
     (with any attached physical plan) and executes it repeatedly through
     :meth:`run`.  Evaluation state is created fresh per run — prepared
     queries are reusable and independent across runs — while the one-time
-    front-end cost (tokenize, parse, translate, optimize, cost-plan) is paid
+    front-end cost (tokenize, parse, translate, push filters, plan) is paid
     at prepare time only.
     """
 

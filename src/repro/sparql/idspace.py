@@ -493,7 +493,7 @@ class IdSpaceEvaluation:
             return None
         plan = node.plan
         # The planner gives every step a kernel or none.
-        if plan is None or not plan.steps or plan.steps[0].kernel is None or self._seed:
+        if plan is None or not plan.steps or not plan.steps[0].kernel or self._seed:
             return None
         compiled = self._compile_patterns(node.patterns)
         if compiled is None:
@@ -525,7 +525,7 @@ class IdSpaceEvaluation:
 
         ``bound`` holds the slots every incoming block binds (a variable is
         bound in all rows of a block or in none).  The shapes match
-        :func:`~repro.sparql.planner._annotate_kernels`: the predicate is
+        :func:`~repro.sparql.planner._vectorizable`: the predicate is
         always a constant id, subject/object are constants or distinct
         variables.  A predicate without triples (no run) or an empty
         selection short-circuits to the empty stream.

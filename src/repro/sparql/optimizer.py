@@ -1,13 +1,10 @@
-"""Query optimization: triple-pattern reordering and filter pushing.
+"""Filter pushing: the store-independent half of query optimization.
 
-These are exactly the two optimization families the paper designs its
-queries around (Section V, Table II rows 4-5):
+The paper designs its queries around two optimization families (Section V,
+Table II rows 4-5).  Triple-pattern reordering based on selectivity
+estimation belongs to the planner (:func:`.planner.plan_tree`), which needs
+the store's statistics.  This module is the other one:
 
-* **Triple-pattern reordering based on selectivity estimation** — analogous
-  to relational join reordering.  Patterns inside a BGP are greedily ordered
-  so that the estimated-cheapest pattern is evaluated first and every later
-  pattern shares a variable with the part already evaluated whenever
-  possible, which keeps intermediate results small (crucial for Q4/Q8).
 * **Filter pushing** — conjuncts of a FILTER are evaluated as soon as all
   their variables are bound instead of after the whole block, analogous to
   selection pushing in relational algebra (crucial for Q3abc, Q5a, Q8).
@@ -16,11 +13,10 @@ queries around (Section V, Table II rows 4-5):
   ``?a = ?b`` linking two otherwise disconnected parts of a BGP turns the
   cross product into a keyed join (Q5a, Q12a).
 
-Both transformations are pure functions over the algebra tree, so the engine
-can be configured with either, both, or none of them — that switch is the
-ablation axis the benchmark harness exercises.  Filters are pushed first and
-patterns reordered second, so the reorder sees the substituted constants and
-orders each side of a split BGP on its own.
+It is a pure function over the algebra tree, so the engine can run with or
+without it — the ablation axis the benchmark harness exercises.  Filters
+are pushed before planning, so the planner sees the substituted constants
+and orders each side of a split BGP on its own.
 """
 
 from __future__ import annotations
@@ -34,20 +30,12 @@ from . import algebra, ast
 from .algebra import split_conjuncts
 
 
-def optimize(tree, store, reorder=True, push_filters=True):
-    """Return an optimized copy of the algebra ``tree``.
-
-    The input is never mutated (a tree with nothing to rewrite is returned
-    as is).  ``store`` supplies cardinality estimates via ``estimate_count``; passing
-    ``None`` disables statistics-informed ordering (a static heuristic that
-    prefers patterns with more bound components is used instead).
-    """
-    if push_filters and any(
-            isinstance(node, algebra.Filter) for node in algebra.walk(tree)):
-        tree = _push_filters(tree, _variable_mentions(tree))
-    if reorder:
-        tree = _reorder(tree, store)
-    return tree
+def push_filters(tree):
+    """A copy of the algebra ``tree`` with every Filter pushed as far down as
+    it goes (a tree without filters is returned as is; never mutated)."""
+    if not any(isinstance(node, algebra.Filter) for node in algebra.walk(tree)):
+        return tree
+    return _pushed(tree, _variable_mentions(tree))
 
 
 def _with_children(node, visit):
@@ -59,7 +47,7 @@ def _with_children(node, visit):
     return node
 
 
-def _push_filters(node, mentions):
+def _pushed(node, mentions):
     """Copy the tree with every Filter pushed as far down as it goes."""
     if isinstance(node, algebra.BGP):
         # Pushes attach filters to (and substitute into) this fresh copy.
@@ -67,84 +55,14 @@ def _push_filters(node, mentions):
                        inline_filters=list(node.inline_filters),
                        substituted=dict(node.substituted))
     if isinstance(node, algebra.Filter):
-        operand = _push_filters(node.operand, mentions)
+        operand = _pushed(node.operand, mentions)
         return push_filter(node.expression, operand, mentions)
-    return _with_children(node, lambda child: _push_filters(child, mentions))
-
-
-def _reorder(node, store):
-    if isinstance(node, algebra.BGP):
-        patterns = reorder_patterns(node.patterns, store)
-        filters = _place_filters(
-            patterns, [expression for _position, expression in node.inline_filters])
-        return replace(node, patterns=patterns, inline_filters=filters)
-    return _with_children(node, lambda child: _reorder(child, store))
-
-
-# ---------------------------------------------------------------------------
-# Pattern reordering
-# ---------------------------------------------------------------------------
-
-def reorder_patterns(patterns, store=None):
-    """Greedy selectivity-based ordering of BGP triple patterns."""
-    if len(patterns) <= 1:
-        return list(patterns)
-    remaining = list(patterns)
-    ordered = []
-    bound_variables = set()
-
-    def cost(pattern):
-        return estimate_pattern_cost(pattern, store, bound_variables)
-
-    while remaining:
-        connected = [
-            p for p in remaining
-            if not bound_variables or _variable_names(p) & bound_variables
-        ]
-        candidates = connected or remaining
-        best = min(candidates, key=cost)
-        ordered.append(best)
-        remaining.remove(best)
-        bound_variables |= _variable_names(best)
-    return ordered
-
-
-def estimate_pattern_cost(pattern, store, bound_variables):
-    """Estimated result cardinality of a pattern given already-bound variables.
-
-    Bound positions (constants or variables already bound upstream) reduce the
-    estimate; with a store the estimate starts from index statistics, without
-    one it falls back to a static heuristic based on the number of unbound
-    positions.
-    """
-    lookup = []
-    unbound = 0
-    for term in pattern:
-        if isinstance(term, Variable):
-            lookup.append(None)
-            if term.name not in bound_variables:
-                unbound += 1
-        else:
-            lookup.append(term)
-    if store is not None:
-        base = float(store.estimate_count(*lookup))
-    else:
-        base = 10.0 ** sum(1 for t in lookup if t is None)
-    # Each join variable already bound upstream shrinks the expected result.
-    bound_join_vars = sum(
-        1 for term in pattern
-        if isinstance(term, Variable) and term.name in bound_variables
-    )
-    return base / (10.0 ** bound_join_vars) + 0.01 * unbound
+    return _with_children(node, lambda child: _pushed(child, mentions))
 
 
 def _variable_names(pattern):
     return _names(pattern.variables())
 
-
-# ---------------------------------------------------------------------------
-# Filter pushing
-# ---------------------------------------------------------------------------
 
 def push_filter(expression, operand, mentions=None):
     """Push conjuncts of ``expression`` into ``operand`` where possible.

@@ -29,6 +29,8 @@ SPARQL 1.1 Update operations are parsed by :func:`parse_update`::
 
 from __future__ import annotations
 
+import re
+
 from ..rdf.namespace import DEFAULT_PREFIXES, RDF, Namespace
 from ..rdf.terms import BNode, Literal, URIRef, Variable
 from ..rdf.triple import Triple
@@ -467,7 +469,7 @@ class _Parser:
             return Variable(token.value)
         if token.kind == "IRI":
             self._advance()
-            return URIRef(token.value[1:-1])
+            return _iri(token)
         if token.kind == "QNAME":
             self._advance()
             return self._expand_qname(token)
@@ -496,14 +498,14 @@ class _Parser:
 
     def _parse_literal(self):
         token = self._expect("STRING")
-        lexical = _unescape_string(token.value[1:-1])
+        lexical = _unescape_string(token.value[1:-1], token.position)
         datatype = None
         if self._peek().kind == "TYPED_HINT":
             self._advance()
             datatype_token = self._peek()
             if datatype_token.kind == "IRI":
                 self._advance()
-                datatype = datatype_token.value[1:-1]
+                datatype = _iri(datatype_token).value
             elif datatype_token.kind == "QNAME":
                 self._advance()
                 datatype = self._expand_qname(datatype_token).value
@@ -596,7 +598,7 @@ class _Parser:
             return ast.TermExpression(Variable(token.value))
         if token.kind == "IRI":
             self._advance()
-            return ast.TermExpression(URIRef(token.value[1:-1]))
+            return ast.TermExpression(_iri(token))
         if token.kind == "QNAME":
             self._advance()
             return ast.TermExpression(self._expand_qname(token))
@@ -619,24 +621,37 @@ def _number_literal(text):
     return Literal(int(text))
 
 
+def _iri(token):
+    """The IRI an IRI token spells.  ``<>`` would be the base IRI, and the
+    fragment has none: a syntax error, not an empty URIRef."""
+    if token.value == "<>":
+        raise SparqlSyntaxError("empty IRI <> is not supported", token.position)
+    return URIRef(token.value[1:-1])
+
+
 _STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "'": "'"}
 
+#: One escape sequence of a string body: a backslash and ``uXXXX``,
+#: ``UXXXXXXXX`` or any other character.
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 
-def _unescape_string(text):
-    result = []
-    index = 0
-    while index < len(text):
-        char = text[index]
-        if char == "\\" and index + 1 < len(text):
-            escape = text[index + 1]
-            if escape in _STRING_ESCAPES:
-                result.append(_STRING_ESCAPES[escape])
-                index += 2
-                continue
-            if escape == "u" and index + 5 < len(text):
-                result.append(chr(int(text[index + 2:index + 6], 16)))
-                index += 6
-                continue
-        result.append(char)
-        index += 1
-    return "".join(result)
+
+def _unescape_string(text, position):
+    """Decode the escapes of a string body.  A ``u``/``U`` escape not
+    followed by 4/8 hex digits, or naming no Unicode scalar value, is a
+    syntax error; an unknown escape stays as written."""
+    def decode(match):
+        digits = match.group(1) or match.group(2)
+        if digits is None:
+            escape = match.group(3)
+            if escape in "uU":
+                raise SparqlSyntaxError(f"malformed \\{escape} escape in string",
+                                        position)
+            return _STRING_ESCAPES.get(escape, match.group())
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise SparqlSyntaxError(
+                f"escape {match.group()!r} names no Unicode character", position)
+        return chr(code)
+
+    return _ESCAPE.sub(decode, text)

@@ -1,13 +1,20 @@
-"""Cost-based join planning for the SPARQL executor.
+"""Join planning for the SPARQL executor: one planner for three families.
 
 Section V of the paper frames SP2Bench's query mix as an optimizer stress
 test: Q4/Q5a/Q8 live or die by triple-pattern join order and filter
 placement, and the cross-engine results (Figures 6-8) largely separate
-engines by how well they plan joins.  The greedy reorder in
-:mod:`.optimizer` scores each pattern once with a static ``/10`` discount
-per bound variable; this module replaces that with an explicit *physical
-plan* derived from live statistics the indexed store reads off its index
-sizes (:meth:`~repro.store.IndexedStore.estimate` and the distinct counts):
+engines by how well they plan joins.  :func:`plan_tree` is the one planning
+pass; it returns the algebra tree with an explicit *physical plan* for the
+engine's planner family (``EngineConfig.planner``):
+
+* ``none`` keeps every BGP's textual order;
+* ``greedy`` reorders each BGP (:func:`plan_bgp`) over the store family's
+  one access path — index probes or a scan plus hash join;
+* ``cost`` also picks the access path per step, bind joins and the build
+  side of keyed joins, and marks BGPs worth running on batch kernels.
+
+A pattern's standalone cardinality is the store's exact ``count``
+(:class:`CostModel`).  The rest of the design:
 
 * **Cardinality propagation.**  Planning tracks the estimated intermediate
   result size.  A candidate pattern's contribution is its standalone
@@ -18,21 +25,21 @@ sizes (:meth:`~repro.store.IndexedStore.estimate` and the distinct counts):
   group (the dominant shape in real SPARQL logs per Bonifati et al.);
   candidate ranking prefers continuing the star whose subject is already
   bound, keeping star probes contiguous and cheap.
-* **Physical strategy per step.**  Each step is either an index
+* **Physical strategy per step** (``cost``).  Each step is either an index
   nested-loop ``probe`` (one index lookup per intermediate row) or a
   ``scan`` of the pattern's extent hash-joined on the shared slots — chosen
   by comparing the probe count against the scan cardinality.
-* **Keyed joins.**  A Join carrying a condition (the optimizer's rewrite of
+* **Keyed joins.**  A Join carrying a condition (filter pushing's rewrite of
   ``FILTER (?a = ?b)`` between otherwise unconnected BGP parts, Q5a) is
   always a hash join keyed on the equality; its output is estimated from
-  the distinct counts of the key variables, and the smaller operand becomes
-  the build side.
-* **Bind joins across operators.**  A :class:`~repro.sparql.algebra.Join`
-  whose left side is estimated small seeds the evaluation of its right side
-  (sideways information passing) instead of evaluating it standalone and
-  hash-joining.  This is what keeps Q8's UNION branches anchored to the
-  single "Paul Erdoes" solution instead of enumerating every co-author pair
-  in the document.
+  the distinct counts of the key variables, and under ``cost`` the smaller
+  operand becomes the build side.
+* **Bind joins across operators** (``cost``).  A
+  :class:`~repro.sparql.algebra.Join` whose left side is estimated small
+  seeds the evaluation of its right side (sideways information passing)
+  instead of evaluating it standalone and hash-joining.  This is what keeps
+  Q8's UNION branches anchored to the single "Paul Erdoes" solution instead
+  of enumerating every co-author pair in the document.
 
 The planner is a pure function over the algebra tree: it returns a new tree
 whose BGP nodes carry a :class:`BGPPlan` (ordered steps with estimates) and
@@ -57,15 +64,6 @@ SCAN = "scan"     # scan the pattern extent once, hash-join on the shared slots
 #: Join-node strategies.
 HASH_JOIN = "hash"
 BIND_JOIN = "bind"
-
-#: Batch kernels a vectorized plan step can execute (PlanStep.kernel).
-#: BATCH_SCAN streams a predicate's sorted run in blocks; MERGE_JOIN extends
-#: blocks whose join column is run-sorted (linear merge over two sorted
-#: orders); BATCH_PROBE binary-searches the run per block column.  ``None``
-#: means the step runs on the tuple path.
-BATCH_SCAN = "batch_scan"
-MERGE_JOIN = "merge_join"
-BATCH_PROBE = "batch_probe"
 
 #: Minimum estimated BGP cost before batch kernels pay off.  Block execution
 #: has per-query fixed overhead (block plumbing, numpy call constants) of the
@@ -126,7 +124,7 @@ class PlanStep(Observed):
     join_vars: tuple = ()           #: variable names shared with bound prefix
     star: int = 0                   #: star-group id (patterns sharing a subject)
     pattern_estimate: float = 0.0   #: standalone cardinality of the pattern
-    kernel: Optional[str] = None    #: batch kernel (MERGE_JOIN/...), or tuple path
+    kernel: bool = False            #: runs on the batch kernels, else the tuple path
 
 
 @dataclass
@@ -159,10 +157,12 @@ class JoinPlan(Observed):
 class CostModel:
     """Cardinality estimation backed by store statistics.
 
-    Works at the term level (patterns are not dictionary-encoded yet).  An
-    indexed store (``supports_sorted_runs``) answers the statistics from its
-    index sizes; any other store falls back to its ``estimate_count``
-    access path with a fixed per-bound-variable discount.
+    Works at the term level (patterns are not dictionary-encoded yet).  A
+    pattern's standalone cardinality is the store's exact ``count``, asked
+    once per distinct pattern; an indexed store (``supports_sorted_runs``)
+    also refines bound positions by its distinct counts, any other store by
+    a fixed per-bound-variable discount.  Without a store every estimate is
+    a static guess.
     """
 
     #: Fallback divisor per bound variable when no statistics exist.
@@ -171,20 +171,21 @@ class CostModel:
     def __init__(self, store):
         self._store = store
         self._stats = store if _indexed(store) else None
+        self._counts = {}
 
     def pattern_cardinality(self, pattern):
-        """Standalone estimate: only the pattern's constants are bound."""
-        subject, predicate, object_ = (
+        """Standalone cardinality: only the pattern's constants are bound."""
+        constants = tuple(
             None if isinstance(term, Variable) else term for term in pattern
         )
-        if self._stats is not None:
-            return float(self._stats.estimate(subject, predicate, object_))
-        if self._store is not None:
-            return float(self._store.estimate_count(subject, predicate, object_))
-        # No store at all: a static unbound-position heuristic.
-        return 10.0 ** sum(
-            1 for term in pattern if isinstance(term, Variable)
-        )
+        count = self._counts.get(constants)
+        if count is None:
+            if self._store is not None:
+                count = float(self._store.count(*constants))
+            else:
+                count = 10.0 ** constants.count(None)
+            self._counts[constants] = count
+        return count
 
     def matches_per_row(self, pattern, bound_names):
         """Expected matches per intermediate row, given bound variables.
@@ -249,9 +250,8 @@ class CostModel:
 def plan_dependencies(tree):
     """The predicates whose statistics decide how ``tree`` is planned.
 
-    Everything the cost model (and the greedy reorder's ``estimate_count``)
-    asks about a constant-predicate pattern — triple count, distinct
-    subjects/objects, class counts, index bucket sizes — changes only when
+    Everything the cost model asks about a constant-predicate pattern —
+    its count, distinct subjects/objects — changes only when
     a triple of that predicate is added or removed, so a plan stays what a
     fresh planning pass would produce until one of the returned predicates
     is touched.  A variable-predicate pattern is estimated from store-wide
@@ -288,9 +288,9 @@ def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
     """Plan one basic graph pattern.
 
     Returns ``(ordered_patterns, remapped_inline_filters, BGPPlan)``.  With
-    ``reorder=False`` the given order is kept (the plan of the greedy /
-    unoptimized families); ``fixed_strategy`` forces every step to PROBE or
-    SCAN, the one access path a store family has.
+    ``reorder=False`` the given order is kept (the ``none`` family);
+    ``fixed_strategy`` forces every step to PROBE or SCAN, the one access
+    path a store family has.
     """
     star_groups = {}
     for pattern in patterns:
@@ -382,59 +382,21 @@ def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
     return ordered, placed_filters, plan
 
 
-def _annotate_kernels(steps):
-    """Assign a batch kernel to every step, or to none.
+def _vectorizable(steps):
+    """True when every step can run on the batch kernels.
 
-    A step is kernel-eligible when its predicate is constant (the batch
-    kernels execute over per-predicate sorted runs) and its subject/object
-    are distinct variables or constants.  The whole BGP vectorizes or none
-    of it does: blocks and tuples cannot alternate mid-pipeline.  Kernel
-    choice mirrors what the block executor will do — scan a run, merge-join
-    on the column the pipeline keeps run-sorted, or binary-search probe —
-    but is purely descriptive: the runtime dispatches on the same shapes.
+    The kernels execute over per-predicate sorted runs, so every predicate
+    must be constant, and a subject that is also its object is a shape they
+    do not handle.  The whole BGP vectorizes or none of it does: blocks and
+    tuples cannot alternate mid-pipeline.  Which kernel a step runs is
+    decided at run time from the same shapes.
     """
-    bound = set()
-    sorted_name = None
-    kernels = []
-    for index, step in enumerate(steps):
-        pattern = step.pattern
-        if isinstance(pattern.predicate, Variable):
-            return
-        subject, object_ = pattern.subject, pattern.object
-        s_name = subject.name if isinstance(subject, Variable) else None
-        o_name = object_.name if isinstance(object_, Variable) else None
-        if s_name is not None and s_name == o_name:
-            return
-        s_bound = s_name is not None and s_name in bound
-        o_bound = o_name is not None and o_name in bound
-        s_free = s_name is not None and not s_bound
-        o_free = o_name is not None and not o_bound
-        if s_free and o_free:
-            kernel = BATCH_SCAN
-            if index == 0:
-                # The first step's run scan leaves the block sorted by the
-                # run key; later kernels preserve that order (their output
-                # row indexes are non-decreasing), so joins on this column
-                # stay linear merges for the rest of the pipeline.
-                sorted_name = s_name
-        elif s_bound or o_bound:
-            probe_name = s_name if s_bound else o_name
-            if s_bound and o_bound:
-                kernel = BATCH_PROBE
-            elif probe_name == sorted_name:
-                kernel = MERGE_JOIN
-            else:
-                kernel = BATCH_PROBE
-        else:
-            # Constant subject and/or object: an existence check or a
-            # single-key selection cross-extended into the block.
-            kernel = BATCH_PROBE
-            if index == 0 and (s_free or o_free):
-                sorted_name = s_name if s_free else o_name
-        bound.update(name for name in (s_name, o_name) if name is not None)
-        kernels.append(kernel)
-    for step, kernel in zip(steps, kernels):
-        step.kernel = kernel
+    for step in steps:
+        subject, predicate, object_ = step.pattern
+        if isinstance(predicate, Variable) or (
+                isinstance(subject, Variable) and subject == object_):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -457,45 +419,34 @@ def default_strategy(store):
     return PROBE if _indexed(store) else SCAN
 
 
-def plan_tree(tree, store):
-    """Cost-based planning pass over a whole algebra tree.
+def plan_tree(tree, store, family):
+    """Plan a whole algebra tree for planner ``family``; returns a new tree.
 
-    Reorders every BGP, chooses per-step physical strategies (scan stores
-    have only the one), decides hash-versus-bind for Join nodes, and
-    attaches the plans to the returned (new) tree.  The input tree is not
-    mutated.  When the store keeps sorted runs, the steps of standalone
-    BGPs worth it are then annotated with batch kernels
-    (:func:`_annotate_kernels`) — which never changes ordering or
-    strategies, so the same plan without kernels is the tuple path.
+    ``none`` keeps each BGP's pattern order, ``greedy`` reorders it, and
+    both give every step the store family's one access path.  ``cost`` also
+    chooses per-step strategies (an indexed store only), hash-versus-bind
+    for Join nodes and the build side of keyed joins; when the store keeps
+    sorted runs, the steps of standalone BGPs worth it are then marked for
+    the batch kernels — which never changes ordering or strategies, so the
+    same plan without the marks is the tuple path.  The input tree is not
+    mutated.
     """
-    fixed = None if default_strategy(store) == PROBE else SCAN
-    planned, _estimate, cost = _plan_node(tree, CostModel(store), frozenset(),
-                                          1.0, reorder=True,
-                                          fixed_strategy=fixed)
+    strategy = default_strategy(store)
+    if family == PLANNER_COST and strategy == PROBE:
+        strategy = None
+    counted = store if family != PLANNER_NONE or _indexed(store) else None
+    planned, _estimate, cost = _plan_node(tree, CostModel(counted), frozenset(),
+                                          1.0, family, strategy)
     # Costs add up the tree: below the threshold no BGP in it reaches it.
-    if cost >= VECTORIZE_MIN_COST and _indexed(store):
+    if strategy is None and cost >= VECTORIZE_MIN_COST:
         for node in algebra.collect_bgps(planned):
             plan = node.plan
             if (plan is not None and not plan.outer_bound
-                    and plan.cost >= VECTORIZE_MIN_COST):
-                _annotate_kernels(plan.steps)
+                    and plan.cost >= VECTORIZE_MIN_COST
+                    and _vectorizable(plan.steps)):
+                for step in plan.steps:
+                    step.kernel = True
     return planned
-
-
-def annotate_tree(tree, store):
-    """The plan of the ``none``/``greedy`` planner families.
-
-    Every BGP keeps its pattern order and gets the store family's one
-    strategy on each step, plus the estimates EXPLAIN renders next to the
-    observed rows.  A scan store gets the static estimates:
-    counting would cost it a pass over the document per pattern, for
-    numbers a fixed-order plan only displays.
-    """
-    counted = store if _indexed(store) else None
-    annotated, _estimate, _cost = _plan_node(
-        tree, CostModel(counted), frozenset(), 1.0, reorder=False,
-        fixed_strategy=default_strategy(store))
-    return annotated
 
 
 def textual_plan(patterns, strategy):
@@ -534,7 +485,7 @@ def _seedable(node):
     return False
 
 
-def _plan_node(node, model, outer, rows, reorder, fixed_strategy):
+def _plan_node(node, model, outer, rows, family, fixed_strategy):
     """Plan one node; returns ``(new_node, estimated_rows, estimated_cost)``."""
     if isinstance(node, algebra.BGP):
         if not node.patterns:
@@ -542,19 +493,19 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy):
         ordered, filters, plan = plan_bgp(
             node.patterns, node.inline_filters, model,
             outer_bound=outer, initial_rows=rows,
-            reorder=reorder, fixed_strategy=fixed_strategy,
+            reorder=family != PLANNER_NONE, fixed_strategy=fixed_strategy,
         )
         new = algebra.BGP(ordered, filters, plan, node.substituted)
         return new, plan.estimate, plan.cost
 
     if isinstance(node, algebra.Join):
         left, left_rows, left_cost = _plan_node(
-            node.left, model, outer, rows, reorder, fixed_strategy)
+            node.left, model, outer, rows, family, fixed_strategy)
         left_vars = {_name(v) for v in node.left.variables()}
         right_vars = {_name(v) for v in node.right.variables()}
         # Hash option: the right side evaluates standalone.
         hash_right, hash_rows, hash_cost_right = _plan_node(
-            node.right, model, outer, 1.0, reorder, fixed_strategy)
+            node.right, model, outer, 1.0, family, fixed_strategy)
         if node.condition is not None:
             # A keyed join (FILTER (?a = ?b) between otherwise unconnected
             # sides): |L| x |R| pairs, of which one in max(distinct ?a,
@@ -570,7 +521,7 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy):
                     )
                 else:
                     hash_out *= FILTER_SELECTIVITY
-            if reorder and hash_rows > left_rows:
+            if family == PLANNER_COST and hash_rows > left_rows:
                 # The evaluator builds its table on the right operand and
                 # streams the left one: build on the smaller side.
                 left, hash_right = hash_right, left
@@ -580,11 +531,12 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy):
         else:
             hash_out = left_rows * hash_rows
         hash_cost = left_cost + hash_cost_right + left_rows + hash_rows + hash_out
-        if reorder and node.condition is None and _seedable(node.right):
+        if (family == PLANNER_COST and node.condition is None
+                and _seedable(node.right)):
             # Bind option: seed the right side with the left rows.
             bind_right, bind_rows, bind_cost_right = _plan_node(
                 node.right, model, outer | left_vars, left_rows,
-                reorder, fixed_strategy)
+                family, fixed_strategy)
             bind_cost = left_cost + bind_cost_right
             if bind_cost < hash_cost:
                 plan = JoinPlan(strategy=BIND_JOIN, estimate=bind_rows,
@@ -598,24 +550,24 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy):
 
     if isinstance(node, algebra.LeftJoin):
         left, left_rows, left_cost = _plan_node(
-            node.left, model, outer, rows, reorder, fixed_strategy)
+            node.left, model, outer, rows, family, fixed_strategy)
         right, right_rows, right_cost = _plan_node(
-            node.right, model, outer, 1.0, reorder, fixed_strategy)
+            node.right, model, outer, 1.0, family, fixed_strategy)
         cost = left_cost + right_cost + left_rows + right_rows
         return (algebra.LeftJoin(left, right, node.condition),
                 max(left_rows, 1.0) if left_rows else left_rows, cost)
 
     if isinstance(node, algebra.Union):
         left, left_rows, left_cost = _plan_node(
-            node.left, model, outer, rows, reorder, fixed_strategy)
+            node.left, model, outer, rows, family, fixed_strategy)
         right, right_rows, right_cost = _plan_node(
-            node.right, model, outer, rows, reorder, fixed_strategy)
+            node.right, model, outer, rows, family, fixed_strategy)
         return (algebra.Union(left, right),
                 left_rows + right_rows, left_cost + right_cost)
 
     if isinstance(node, algebra.Filter):
         operand, operand_rows, operand_cost = _plan_node(
-            node.operand, model, outer, rows, reorder, fixed_strategy)
+            node.operand, model, outer, rows, family, fixed_strategy)
         return (algebra.Filter(node.expression, operand),
                 operand_rows * FILTER_SELECTIVITY, operand_cost + operand_rows)
 
@@ -626,7 +578,7 @@ def _plan_node(node, model, outer, rows, reorder, fixed_strategy):
             # no SCAN materializes an intermediate result it will never need.
             fixed_strategy = PROBE
         operand, operand_rows, operand_cost = _plan_node(
-            node.operand, model, outer, rows, reorder, fixed_strategy)
+            node.operand, model, outer, rows, family, fixed_strategy)
         estimate = operand_rows
         if isinstance(node, algebra.Slice) and node.limit is not None:
             estimate = min(estimate, float(node.limit))
@@ -741,10 +693,8 @@ class ExplainReport:
                                            0.0)
                         previous_seconds = step.seconds
                         time_note = f" time={self_seconds * 1e3:.2f}ms"
-                    vectorized = (
-                        f" vectorized=yes kernel={step.kernel}"
-                        if step.kernel else " vectorized=no"
-                    )
+                    vectorized = (" vectorized=yes" if step.kernel
+                                  else " vectorized=no")
                     lines.append(
                         f"{pad}  {index}. [{step.strategy:<5}] "
                         f"{step.pattern.n3()}{join}{filter_note} "

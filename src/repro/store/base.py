@@ -125,14 +125,6 @@ class TripleStore(abc.ABC):
             return 0
         return sum(1 for _ids in self.triples_ids(*encoded))
 
-    def estimate_count(self, subject=None, predicate=None, object=None):
-        """Estimated number of matches, used by the query optimizer.
-
-        The estimate is exact (it counts): a pass over the document for the
-        scan store, a bucket's size or a run's key range for the indexed one.
-        """
-        return self.count(subject, predicate, object)
-
     def seal(self, version):
         """Finish this MVCC draft (``begin_generation``) as generation
         ``version``; returns the store, now ready to publish."""

@@ -12,8 +12,9 @@ reproduces both halves of that design in pure Python:
   predicate-keyed structure: ``(s, p, ?)`` and ``(?, p, o)`` binary-search
   the run keyed on the bound side (``(s, ?p, o)``, bound by no query
   template, filters the S bucket),
-* the cost model's statistics are index sizes, a run's distinct keys
-  (distinct subjects/objects per predicate) and key ranges (class counts).
+* the cost model's statistics are exact counts (an index bucket's size or
+  a run's key range) and a run's distinct keys (distinct subjects/objects
+  per predicate).
 
 ``triples_ids()`` / ``count_ids()`` answer an encoded pattern from the
 index or run matching its bound positions, with **no decoding at all** —
@@ -35,7 +36,6 @@ from bisect import bisect_left, bisect_right
 from itertools import repeat
 from operator import itemgetter
 
-from ..rdf.namespace import RDF
 from .base import TripleStore
 from .dictionary import TermDictionary
 
@@ -45,8 +45,6 @@ _EMPTY = frozenset()
 #: Sort orders a predicate run can be materialized in.
 RUN_BY_SUBJECT = "s"
 RUN_BY_OBJECT = "o"
-
-_RDF_TYPE = RDF.type
 
 
 class SortedRun:
@@ -93,7 +91,7 @@ class IndexedStore(TripleStore):
 
     #: Index probes and predicate-sorted id runs (``sorted_run``) are
     #: available: the planner's cue for PROBE steps and batch kernels, and
-    #: for reading its statistics (``estimate`` and the distinct counts).
+    #: for reading its statistics (``count`` and the distinct counts).
     supports_sorted_runs = True
 
     def __init__(self, triples=None):
@@ -273,37 +271,6 @@ class IndexedStore(TripleStore):
     # Term-level, like the patterns the planner costs.  Every number is an
     # index size or read off a predicate's runs, so it is exact at every
     # generation without a separate structure to maintain.
-
-    def estimate(self, subject, predicate, object):
-        """Estimate the number of triples matching an (s, p, o) pattern.
-
-        ``None`` marks a wildcard position; a bound subject or object only
-        counts as bound, whatever its value.  The estimates follow the
-        classic attribute-independence model: start from the predicate count
-        (or the total triple count for a variable predicate) and divide by
-        the number of distinct subjects/objects for each bound
-        subject/object.  ``rdf:type`` with a bound class is its class count.
-        """
-        if predicate is not None:
-            p = self._dictionary.lookup(predicate)
-            base = len(self._by_p.get(p, _EMPTY))
-            if base == 0:
-                return 0
-            estimate = float(base)
-            if subject is not None:
-                estimate /= max(self._distinct(p, RUN_BY_SUBJECT), 1)
-            if object is not None:
-                if predicate == _RDF_TYPE and subject is None:
-                    o = self._dictionary.lookup(object)
-                    return 0 if o is None else self.count_ids(None, p, o)
-                estimate /= max(self._distinct(p, RUN_BY_OBJECT), 1)
-            return estimate
-        estimate = float(len(self._spo))
-        if subject is not None:
-            estimate /= max(self.distinct_subject_total(), 1)
-        if object is not None:
-            estimate /= max(self.distinct_object_total(), 1)
-        return estimate
 
     def distinct_subjects(self, predicate):
         """Number of distinct subjects appearing with ``predicate``."""

@@ -190,9 +190,6 @@ class MvccStore(TripleStore):
     def count(self, subject=None, predicate=None, object=None):
         return self._current.count(subject, predicate, object)
 
-    def estimate_count(self, subject=None, predicate=None, object=None):
-        return self._current.estimate_count(subject, predicate, object)
-
     def __len__(self):
         return len(self._current)
 
@@ -200,7 +197,7 @@ class MvccStore(TripleStore):
         return self._current.save(path, metadata=metadata)
 
     def __getattr__(self, attribute):
-        # Anything else (estimates, dictionary, sorted runs) resolves
+        # Anything else (statistics, dictionary, sorted runs) resolves
         # against the current generation.  Readers that need
         # a *consistent* view across several calls must pin a snapshot first.
         return getattr(self._current, attribute)

@@ -161,7 +161,7 @@ class TuplePathEngine(SparqlEngine):
         planned = super()._plan_algebra(tree, store)
         for node in algebra.collect_bgps(planned):
             for step in node.plan.steps if node.plan is not None else ():
-                step.kernel = None
+                step.kernel = False
         return planned
 
 

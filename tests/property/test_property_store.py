@@ -57,12 +57,9 @@ class TestIndexEquivalence:
 
     @given(triple_lists, maybe_uri, maybe_uri, maybe_object)
     @settings(max_examples=80, deadline=None)
-    def test_estimate_is_exact_for_indexed_patterns(self, items, s, p, o):
+    def test_count_equals_the_recount(self, items, s, p, o):
         indexed = IndexedStore(items)
-        if s is None and p is None and o is None:
-            assert indexed.estimate_count(s, p, o) == len(indexed)
-        else:
-            assert indexed.estimate_count(s, p, o) == indexed.count(s, p, o)
+        assert indexed.count(s, p, o) == recount.count(set(items), s, p, o)
 
 
 # One step of a generation history: (operation, pick, triple).  Writes go to

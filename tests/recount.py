@@ -4,7 +4,7 @@ The reference for ``IndexedStore``'s statistics, which are index sizes and
 facts about the sorted runs: here they are recomputed from ``triples_ids()``
 with plain sets and lists, sharing nothing with the store.  Tests compare
 ``statistics_of(store)`` (what the store answers) with ``recount(store)``
-(what a full pass finds), and ``store.estimate`` with :func:`estimate`.
+(what a full pass finds), and ``store.count`` with :func:`count`.
 """
 
 from repro.rdf import RDF
@@ -16,26 +16,11 @@ def decoded_triples(store):
     return [tuple(map(decode, ids)) for ids in store.triples_ids()]
 
 
-def estimate(triples, subject, predicate, object):
-    """The attribute-independence estimate, straight from its definition."""
-    if predicate is not None:
-        matching = [triple for triple in triples if triple[1] == predicate]
-        if not matching:
-            return 0
-        if object is not None and subject is None and predicate == RDF.type:
-            return sum(1 for triple in matching if triple[2] == object)
-        result = float(len(matching))
-        if subject is not None:
-            result /= max(len({triple[0] for triple in matching}), 1)
-        if object is not None:
-            result /= max(len({triple[2] for triple in matching}), 1)
-        return result
-    result = float(len(triples))
-    if subject is not None:
-        result /= max(len({triple[0] for triple in triples}), 1)
-    if object is not None:
-        result /= max(len({triple[2] for triple in triples}), 1)
-    return result
+def count(triples, subject, predicate, object):
+    """How many of ``triples`` match the pattern (``None`` is a wildcard)."""
+    return sum(1 for triple in triples
+               if all(term is None or term == value
+                      for term, value in zip((subject, predicate, object), triple)))
 
 
 def recount(store):
@@ -73,15 +58,15 @@ def statistics_of(store):
     return {
         "predicates": {
             predicate: (
-                store.estimate(None, predicate, None),
+                store.count(None, predicate, None),
                 store.distinct_subjects(predicate),
                 store.distinct_objects(predicate),
             )
             for predicate in predicates
         },
-        "classes": {cls: store.estimate(None, RDF.type, cls) for cls in classes},
+        "classes": {cls: store.count(None, RDF.type, cls) for cls in classes},
         "totals": (
-            store.estimate(None, None, None),
+            store.count(),
             store.distinct_subject_total(),
             store.distinct_object_total(),
             store.distinct_predicates(),

@@ -19,6 +19,7 @@ from repro import SparqlEngine, SparqlServer, generate_graph, get_query
 from repro.obs import ServerTelemetry, disable_metrics, enable_metrics
 from repro.obs.logs import JsonLinesLogger
 from repro.obs.scrape import parse_exposition
+from repro.store import MvccStore
 
 SELECT_QUERY = get_query("Q1").text
 
@@ -144,6 +145,34 @@ class TestMetricsEndpoint:
         count = snapshot.get("sp2b_http_request_seconds_count",
                              endpoint="/sparql")
         assert inf == count > 0
+
+
+def test_an_unrelated_publish_keeps_q2s_cached_plan(server):
+    """An INSERT DATA on a predicate no catalog query mentions costs Q2
+    neither a parse nor a plan: a statement-cache hit, no miss or replan.
+    (``server`` keeps the shared registry enabled.)"""
+    engine = SparqlEngine.from_graph(generate_graph(triple_limit=1_000))
+    engine.store = MvccStore(engine.store)
+    telemetry = ServerTelemetry(metrics_endpoint=True)
+    insert = b'INSERT DATA { <http://ci.example/s2> <http://ci.example/p> "again" . }'
+    with SparqlServer(engine, port=0, workers=2, default_timeout=10.0,
+                      telemetry=telemetry) as live:
+        status, _body = run_query(live, get_query("Q2").text)
+        assert status == 200
+        _type, before = scrape(live)
+        request = urllib.request.Request(
+            live.update_url, data=insert,
+            headers={"Content-Type": "application/sparql-update"})
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            assert response.status == 200
+        status, _body = run_query(live, get_query("Q2").text)
+        assert status == 200
+        after = scrape_when(live, lambda snapshot: snapshot.delta(
+            before, "sp2b_prepared_cache_hits_total"))
+    moved = {outcome: after.delta(before, f"sp2b_prepared_cache_{outcome}_total")
+             for outcome in ("hits", "replans", "misses")}
+    assert moved["misses"] == 0 and moved["replans"] == 0, moved
+    assert moved["hits"] >= 1, moved
 
 
 class TestStructuredLogs:

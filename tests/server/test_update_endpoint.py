@@ -111,6 +111,17 @@ class TestWritableServer:
         payload = json.loads(body)
         assert payload["error"]["code"] == "parse_error"
 
+    @pytest.mark.parametrize("term", ["<>", r'"\uzzzz"'])
+    def test_empty_iri_and_bad_escape_are_parse_errors(self, server, term):
+        # Any error but a SparqlError would be a 500.
+        status, body = post_update(
+            server, f"INSERT DATA {{ <http://x/a> <http://x/b> {term} }}")
+        assert (status, json.loads(body)["error"]["code"]) == (400, "parse_error")
+        url = (f"{server.url}?"
+               + urllib.parse.urlencode({"query": f"SELECT ?s WHERE {{ ?s ?p {term} }}"}))
+        status, body = fetch(url, headers={"Accept": "application/sparql-results+json"})
+        assert (status, json.loads(body)["error"]["code"]) == (400, "parse_error")
+
     def test_get_update_is_405(self, server):
         status, body = fetch(server.update_url)
         assert status == 405

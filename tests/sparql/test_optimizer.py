@@ -1,4 +1,4 @@
-"""Unit tests for triple-pattern reordering and filter pushing."""
+"""Unit tests for the greedy family's pattern reordering and filter pushing."""
 
 from collections import Counter
 from dataclasses import replace
@@ -12,9 +12,9 @@ from repro.sparql import (
     NATIVE_COST,
     NATIVE_OPTIMIZED,
     SparqlEngine,
-    optimize,
     parse_query,
-    reorder_patterns,
+    plan_tree,
+    push_filters,
     translate_query,
 )
 from repro.sparql import algebra
@@ -46,6 +46,11 @@ def var(name):
     return Variable(name)
 
 
+def greedy_order(patterns, store):
+    """The pattern order the greedy family plans for one BGP."""
+    return plan_tree(algebra.BGP(list(patterns)), store, "greedy").patterns
+
+
 class TestReordering:
     def test_selective_pattern_moves_first(self):
         store = build_store()
@@ -53,7 +58,7 @@ class TestReordering:
             Triple(var("a"), RDF.type, BENCH.Article),
             Triple(var("a"), DC.title, Literal("Paper 3", datatype=XSD_STRING)),
         ]
-        ordered = reorder_patterns(patterns, store)
+        ordered = greedy_order(patterns, store)
         assert ordered[0].predicate == DC.title
 
     def test_connected_patterns_preferred_over_cheap_disconnected(self):
@@ -63,7 +68,7 @@ class TestReordering:
             Triple(var("a"), DC.creator, var("p")),
             Triple(var("j"), RDF.type, BENCH.Journal),
         ]
-        ordered = reorder_patterns(patterns, store)
+        ordered = greedy_order(patterns, store)
         # After the selective title pattern, the creator pattern (which shares
         # ?a) comes before the disconnected journal pattern.
         assert ordered[1].predicate == DC.creator
@@ -75,20 +80,35 @@ class TestReordering:
             Triple(var("a"), DC.creator, var("p")),
             Triple(var("a"), DC.title, var("t")),
         ]
-        ordered = reorder_patterns(patterns, store)
+        ordered = greedy_order(patterns, store)
         assert sorted(ordered, key=repr) == sorted(patterns, key=repr)
 
     def test_single_pattern_untouched(self):
         patterns = [Triple(var("a"), RDF.type, BENCH.Article)]
-        assert reorder_patterns(patterns, build_store()) == patterns
+        assert greedy_order(patterns, build_store()) == patterns
 
     def test_reordering_without_store_uses_static_heuristic(self):
         patterns = [
             Triple(var("s"), var("p"), var("o")),
             Triple(var("s"), RDF.type, BENCH.Article),
         ]
-        ordered = reorder_patterns(patterns, None)
+        ordered = greedy_order(patterns, None)
         assert ordered[0].predicate == RDF.type
+
+    def test_greedy_plans_have_one_access_path_and_no_bind_joins(self):
+        text = ("SELECT ?t WHERE { ?a dc:title \"Paper 3\"^^xsd:string "
+                "{ ?a dc:creator ?p . ?p dc:title ?t } }")
+        tree = translate_query(parse_query(text))
+        greedy = plan_tree(tree, build_store(), "greedy")
+        assert {step.strategy for bgp in collect_bgps(greedy)
+                for step in bgp.plan.steps} == {"probe"}
+        assert not any(step.kernel for bgp in collect_bgps(greedy)
+                       for step in bgp.plan.steps)
+        (join,) = [n for n in walk(greedy) if isinstance(n, algebra.Join)]
+        assert join.plan.strategy == "hash"
+        (cost_join,) = [n for n in walk(plan_tree(tree, build_store(), "cost"))
+                        if isinstance(n, algebra.Join)]
+        assert cost_join.plan.strategy == "bind"
 
 
 class TestFilterPushing:
@@ -103,7 +123,7 @@ class TestFilterPushing:
             "SELECT ?a WHERE { ?a rdf:type bench:Article . "
             "?a dc:title ?t FILTER (?t != \"Paper 3\") }"
         )
-        tree = optimize(translate_query(query), build_store())
+        tree = push_filters(translate_query(query))
         bgp = collect_bgps(tree)[0]
         assert bgp.inline_filters, "filter should have been pushed into the BGP"
         filters = [n for n in walk(tree) if isinstance(n, algebra.Filter)]
@@ -128,7 +148,7 @@ class TestFilterPushing:
             "SELECT ?a WHERE { ?a rdf:type bench:Article . "
             "?a dc:creator ?p FILTER (?a != ?p) }"
         )
-        tree = optimize(translate_query(query), build_store(), reorder=False)
+        tree = push_filters(translate_query(query))
         bgp = collect_bgps(tree)[0]
         positions = [pos for pos, _expr in bgp.inline_filters]
         assert positions == [1]
@@ -139,16 +159,15 @@ class TestFilterPushing:
             "SELECT ?d WHERE { ?d rdf:type bench:Article "
             "OPTIONAL { ?d dc:creator ?a2 } FILTER (!bound(?a2)) }"
         )
-        tree = optimize(translate_query(query), build_store())
+        tree = push_filters(translate_query(query))
         filters = [n for n in walk(tree) if isinstance(n, algebra.Filter)]
         assert len(filters) == 1
 
     def test_push_filters_flag_disables_pushing(self):
-        query = parse_query(
+        tree = _planned(
             "SELECT ?a WHERE { ?a rdf:type bench:Article . "
-            "?a ?property ?value FILTER (?property = swrc:pages) }"
-        )
-        tree = optimize(translate_query(query), build_store(), push_filters=False)
+            "?a ?property ?value FILTER (?property = swrc:pages) }",
+            push_filters=False)
         filters = [n for n in walk(tree) if isinstance(n, algebra.Filter)]
         assert len(filters) == 1
         assert not collect_bgps(tree)[0].inline_filters
@@ -177,8 +196,14 @@ def _patterns(tree):
     return [pattern for bgp in collect_bgps(tree) for pattern in bgp.patterns]
 
 
-def _optimized(text, **options):
-    return optimize(translate_query(parse_query(text)), build_store(), **options)
+def _optimized(text):
+    return push_filters(translate_query(parse_query(text)))
+
+
+def _planned(text, config=NATIVE_OPTIMIZED, **changes):
+    """The tree an engine over ``build_store()`` plans for ``text``."""
+    engine = SparqlEngine(replace(config, **changes), store=build_store())
+    return engine.plan(text)[1]
 
 
 class TestIriSubstitution:
@@ -242,9 +267,8 @@ class TestIriSubstitution:
 
     def test_baseline_plans_are_unchanged(self):
         text = self.Q3 % "?property = swrc:pages"
-        tree = _optimized(text, push_filters=False)
-        assert tree == optimize(translate_query(parse_query(text)), build_store(),
-                                reorder=True, push_filters=False)
+        tree = _planned(text, NATIVE_BASELINE)
+        assert _patterns(tree) == _patterns(translate_query(parse_query(text)))
         assert [n for n in walk(tree) if isinstance(n, algebra.Filter)]
         assert var("property") in collect_bgps(tree)[0].variables()
 
@@ -290,7 +314,7 @@ class TestEqualityJoin:
         assert str(join.condition) == "((?p = ?q) && (?a != ?b))"
 
     def test_not_split_without_filter_pushing(self):
-        tree = _optimized(self.Q5A, push_filters=False)
+        tree = _planned(self.Q5A, push_filters=False)
         assert not [n for n in walk(tree) if isinstance(n, algebra.Join)]
 
 

@@ -154,7 +154,7 @@ def test_the_bgp_shape_runs_on_value_keys_or_a_column_mask(value_graph, name):
         assert any("Join [hash]" in line and "on (?v = ?w)" in line for line in lines)
         return
     (filtered,) = [line for line in lines if "+1filter" in line]
-    assert "kernel=" in filtered
+    assert "vectorized=yes" in filtered
 
 
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda config: config.name)

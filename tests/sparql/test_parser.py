@@ -1,10 +1,19 @@
 """Unit tests for the SPARQL parser."""
 
+import random
+
 import pytest
 
 from repro.queries import ALL_QUERIES
 from repro.rdf import DC, RDF, Literal, URIRef, Variable
-from repro.sparql import AskQuery, SelectQuery, SparqlSyntaxError, parse_query
+from repro.sparql import (
+    AskQuery,
+    SelectQuery,
+    SparqlError,
+    SparqlSyntaxError,
+    parse_query,
+    parse_update,
+)
 from repro.sparql import ast
 
 
@@ -197,6 +206,90 @@ class TestErrors:
     def test_literal_in_predicate_position_raises(self):
         with pytest.raises(SparqlSyntaxError):
             parse_query('SELECT ?x WHERE { ?x "notapredicate" ?t }')
+
+
+class TestIrisAndEscapes:
+    @pytest.mark.parametrize("text", [
+        "SELECT ?x WHERE { <> dc:title ?x }",
+        "SELECT ?x WHERE { ?x <> ?t }",
+        "SELECT ?x WHERE { ?x dc:title ?t FILTER (?t = <>) }",
+        'SELECT ?x WHERE { ?x dc:title "t"^^<> }',
+    ])
+    def test_empty_iri_is_a_syntax_error(self, text):
+        with pytest.raises(SparqlSyntaxError, match="empty IRI"):
+            parse_query(text)
+
+    def test_empty_iri_in_an_update_is_a_syntax_error(self):
+        with pytest.raises(SparqlSyntaxError):
+            parse_update('INSERT DATA { <> <http://x/b> "c" }')
+
+    @pytest.mark.parametrize("escape", [
+        r"\uzzzz", r"\u12", r"\u", r"\u-001", r"\u0_41", r"\U0001F60",
+        r"\U00110000", r"\uD800", r"\UFFFFFFFF",
+    ])
+    def test_malformed_codepoint_escape_is_a_syntax_error(self, escape):
+        with pytest.raises(SparqlSyntaxError):
+            parse_query(f'SELECT ?x WHERE {{ ?x dc:title "a{escape}z" }}')
+
+    @pytest.mark.parametrize("escape,decoded", [
+        (r"\u00e9", "\u00e9"), (r"\U0001F600", "\U0001F600"),
+        (r"\U000000e9", "\u00e9"), (r"\n\t\"", "\n\t\""),
+        (r"\\u0041", "\\u0041"), (r"\q", r"\q"),
+    ])
+    def test_escapes_decode(self, escape, decoded):
+        query = parse_query(f'SELECT ?x WHERE {{ ?x dc:title "a{escape}b" }}')
+        (pattern,) = query.where.triple_patterns()
+        assert pattern.object == Literal(f"a{decoded}b")
+
+
+#: Update texts the mutation test starts from, one per supported form.
+UPDATE_FORMS = (
+    'PREFIX ex: <http://example.org/>\n'
+    'INSERT DATA { ex:s ex:p "v\\u00e9\\n" ; ex:q 1 , 2.5 . }',
+    'DELETE DATA { <http://x/s> <http://x/p> "v"^^xsd:string . }',
+    'PREFIX ex: <http://example.org/>\n'
+    'DELETE { ?s ex:name ?old } INSERT { ?s ex:nick ?old } '
+    'WHERE { ?s ex:name ?old FILTER (?old != "x") }',
+    "DELETE WHERE { ?s <http://x/p> ?o }",
+)
+
+#: Fragments a mutation inserts besides single characters.
+_FRAGMENTS = ("<>", '"\\u', "\\U", "\\uzz", '"\\U0001F600"', "<", '"', "{", ")")
+_ALPHABET = '<>"\\u{}()?.:;,=!&|^_ aAzZ09#\n\'U$*+-'
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        kind = rng.randrange(4)
+        if kind == 0:
+            text = text[:at] + text[at + 1:]
+        elif kind == 1:
+            text = text[:at] + rng.choice(_ALPHABET) + text[at:]
+        elif kind == 2:
+            start = rng.randrange(len(text))
+            text = text[:at] + text[start:start + rng.randint(1, 6)] + text[at:]
+        else:
+            text = text[:at] + rng.choice(_FRAGMENTS) + text[at:]
+    return text
+
+
+def test_mutated_texts_raise_only_sparql_errors():
+    """Deleting, inserting and duplicating characters of the catalog texts
+    and the update forms never escapes the parser as anything but a
+    SparqlError (the server maps those to 400s, anything else to a 500)."""
+    rng = random.Random(34)
+    seeds = ([(parse_query, query.text) for query in ALL_QUERIES]
+             + [(parse_update, text) for text in UPDATE_FORMS])
+    for _ in range(8_000):
+        parse, text = rng.choice(seeds)
+        mutated = _mutate(rng, text)
+        try:
+            parse(mutated)
+        except SparqlError:
+            pass
+        except Exception as error:  # pragma: no cover - the failure report
+            pytest.fail(f"{type(error).__name__}: {error} on {mutated!r}")
 
 
 class TestBenchmarkQueriesParse:

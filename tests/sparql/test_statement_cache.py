@@ -41,8 +41,8 @@ def build_engine(graph, config, mvcc=True):
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Counts of ``parse_query`` / ``plan_tree`` / greedy reorder calls."""
-    counts = {"parse": 0, "plan": 0, "reorder": 0}
+    """Counts of ``parse_query`` / ``plan_tree`` calls."""
+    counts = {"parse": 0, "plan": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -55,7 +55,6 @@ def calls(monkeypatch):
 
     counting(engine_module, "parse_query", "parse")
     counting(planner, "plan_tree", "plan")
-    counting(engine_module.optimizer, "reorder_patterns", "reorder")
     return counts
 
 
@@ -110,14 +109,14 @@ class TestPlanReuseAcrossPublishes:
     def test_greedy_reorder_belongs_to_the_plan_level(self, graph, calls):
         engine = build_engine(graph, NATIVE_OPTIMIZED)
         first = engine.prepare_cached(TITLES)
-        reorders = calls["reorder"]
+        assert (calls["parse"], calls["plan"]) == (1, 1)
         engine.update(UNRELATED_INSERT.format(0))
         assert engine.prepare_cached(TITLES) is first
-        assert calls["reorder"] == reorders
+        assert calls["plan"] == 1
         engine.update("DELETE WHERE { ?d dcterms:issued ?yr }")
         second = engine.prepare_cached(TITLES)
-        assert second is not first and calls["parse"] == 1
-        assert calls["reorder"] == reorders + 1
+        assert second is not first
+        assert (calls["parse"], calls["plan"]) == (1, 2)
         # With no dcterms:issued triple left, that pattern now goes first.
         assert plan_shape(second.tree) == plan_shape(engine.prepare(TITLES).tree)
         assert plan_shape(second.tree) != plan_shape(first.tree)

@@ -1,7 +1,7 @@
 """The cost model's statistics are read off the indexed store's indexes
 and sorted runs.
 
-Every value the planner reads — ``estimate`` on all eight bound/unbound
+Every value the planner reads — ``count`` on all eight bound/unbound
 pattern shapes, distinct subjects/objects per predicate, the two distinct
 totals and the distinct-predicate count — is checked against a brute-force
 recount over ``triples_ids()`` (``tests/recount.py``).  The check runs on
@@ -71,15 +71,15 @@ class TestAgainstBruteForce:
     def test_every_statistic_equals_the_recount(self, store):
         assert recount.statistics_of(store) == recount.recount(store)
 
-    def test_estimate_on_all_eight_shapes(self, store):
+    def test_count_on_all_eight_shapes(self, store):
         triples = recount.decoded_triples(store)
         subjects = {s for s, _p, _o in triples} | {UNKNOWN, None}
         predicates = {p for _s, p, _o in triples} | {RDF.type, UNKNOWN, None}
         objects = {o for _s, _p, o in triples} | {BENCH.Journal, UNKNOWN, None}
         shapes = set()
         for s, p, o in itertools.product(subjects, predicates, objects):
-            expected = recount.estimate(triples, s, p, o)
-            assert store.estimate(s, p, o) == expected, (s, p, o)
+            expected = recount.count(triples, s, p, o)
+            assert store.count(s, p, o) == expected, (s, p, o)
             shapes.add((s is None, p is None, o is None))
         assert len(shapes) == 8
 
@@ -87,7 +87,7 @@ class TestAgainstBruteForce:
         triples = recount.decoded_triples(store)
         for cls in (BENCH.Article, BENCH.Proceedings, BENCH.Journal):
             instances = sum(1 for triple in triples if triple[1:] == (RDF.type, cls))
-            assert store.estimate(None, RDF.type, cls) == instances
+            assert store.count(None, RDF.type, cls) == instances
 
     def test_distinct_counts_per_predicate(self, store):
         triples = recount.decoded_triples(store)
@@ -116,33 +116,33 @@ class TestAgainstBruteForce:
             assert store.distinct_objects(predicate) == len(set(by_object.keys))
 
 
-class TestEstimates:
-    """The estimate's model, on the plain store of ``sample_triples``."""
+class TestCounts:
+    """Exact counts on the plain store of ``sample_triples``, by hand."""
 
     @pytest.fixture
     def store(self):
         return IndexedStore(sample_triples())
 
-    def test_bound_predicate_estimate_is_predicate_count(self, store):
-        assert store.estimate(None, uri("creator"), None) == 3
+    def test_bound_predicate_count_is_predicate_count(self, store):
+        assert store.count(None, uri("creator"), None) == 3
 
-    def test_unknown_predicate_estimates_zero(self, store):
-        assert store.estimate(None, UNKNOWN, None) == 0
-        assert store.estimate(uri("a1"), UNKNOWN, uri("alice")) == 0
+    def test_unknown_terms_count_zero(self, store):
+        assert store.count(None, UNKNOWN, None) == 0
+        assert store.count(uri("a1"), UNKNOWN, uri("alice")) == 0
+        assert store.count(UNKNOWN, uri("creator"), None) == 0
+        assert store.count(None, uri("creator"), UNKNOWN) == 0
 
-    def test_bound_subject_divides_by_distinct_subjects(self, store):
-        assert store.estimate(uri("a1"), uri("creator"), None) == 3 / 2
+    def test_bound_subject_or_object_counts_its_own_triples(self, store):
+        # Each constant's own triples, whatever the predicate's average.
+        assert store.count(uri("a1"), uri("creator"), None) == 1
+        assert store.count(uri("a2"), uri("creator"), None) == 2
+        assert store.count(None, uri("creator"), uri("alice")) == 2
 
-    def test_bound_values_need_not_be_known(self, store):
-        # Only whether a position is bound matters, not its value.
-        assert store.estimate(UNKNOWN, uri("creator"), None) == 3 / 2
-        assert store.estimate(None, uri("creator"), UNKNOWN) == 3 / 2
-
-    def test_variable_predicate_uses_the_totals(self, store):
-        assert store.estimate(None, None, None) == 8.0
-        assert store.estimate(uri("a1"), None, None) == 8 / 3
-        assert store.estimate(None, None, uri("alice")) == 8 / 6
-        assert store.estimate(uri("a1"), None, uri("alice")) == 8 / 3 / 6
+    def test_variable_predicate_counts_every_predicate(self, store):
+        assert store.count(None, None, None) == 8
+        assert store.count(uri("a1"), None, None) == 3
+        assert store.count(None, None, uri("alice")) == 2
+        assert store.count(uri("a1"), None, uri("alice")) == 1
 
 
 class TestMaintenance:
@@ -155,7 +155,7 @@ class TestMaintenance:
 
     def test_a_shared_object_survives_one_removal(self, store):
         store.remove(Triple(uri("a1"), uri("creator"), uri("alice")))
-        assert store.estimate(None, uri("creator"), None) == 2
+        assert store.count(None, uri("creator"), None) == 2
         assert store.distinct_objects(uri("creator")) == 2
         assert store.distinct_subjects(uri("creator")) == 1
 
@@ -166,14 +166,14 @@ class TestMaintenance:
 
     def test_class_counts_follow_removal(self, store):
         store.remove(Triple(uri("a1"), RDF.type, BENCH.Article))
-        assert store.estimate(None, RDF.type, BENCH.Article) == 1
+        assert store.count(None, RDF.type, BENCH.Article) == 1
         store.remove(Triple(uri("a2"), RDF.type, BENCH.Article))
-        assert store.estimate(None, RDF.type, BENCH.Article) == 0
+        assert store.count(None, RDF.type, BENCH.Article) == 0
 
     def test_removing_a_whole_predicate_forgets_it(self, store):
         store.remove(Triple(uri("a1"), uri("pages"), Literal("1--10")))
         store.remove(Triple(uri("a2"), uri("pages"), Literal("11--20")))
-        assert store.estimate(None, uri("pages"), None) == 0
+        assert store.count(None, uri("pages"), None) == 0
         assert store.distinct_predicates() == 2
         assert store.distinct_subjects(uri("pages")) == 0
         assert store.distinct_objects(uri("pages")) == 0

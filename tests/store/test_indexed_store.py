@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import recount
 from repro.rdf import RDF, BNode, Literal, Triple, URIRef
 from repro.store import IndexedStore, MemoryStore
 
@@ -80,28 +81,31 @@ class TestPatternAccess:
         assert store.count() == 5
 
 
-class TestEstimates:
-    def test_estimate_matches_exact_for_bound_patterns(self, store):
-        assert store.estimate_count(predicate=uri("p")) == 3
-        assert store.estimate_count(subject=uri("a"), predicate=uri("p")) == 2
+class TestCountsAgainstRecount:
+    """``count`` is the planner's standalone estimate: it must be exact."""
 
-    def test_estimate_for_unbound_pattern_is_total(self, store):
-        assert store.estimate_count() == 5
+    @staticmethod
+    def _agree(store, *patterns):
+        triples = recount.decoded_triples(store)
+        for pattern in patterns:
+            assert store.count(*pattern) == recount.count(triples, *pattern), pattern
 
-    def test_estimate_zero_for_unknown_terms(self, store):
-        assert store.estimate_count(subject=uri("nope")) == 0
+    def test_bound_patterns(self, store):
+        self._agree(store, (None, uri("p"), None), (uri("a"), uri("p"), None),
+                    (None, uri("p"), uri("c")), (uri("a"), None, uri("c")))
 
+    def test_unbound_pattern_is_the_store_size(self, store):
+        self._agree(store, (None, None, None))
+        assert store.count() == len(store) == 5
 
-class TestIndexStatistics:
-    def test_the_unbound_estimate_is_the_store_size(self, store):
-        assert store.estimate(None, None, None) == 5
-
-    def test_predicate_counts(self, store):
-        assert store.estimate(None, uri("p"), None) == 3
+    def test_unknown_terms_count_zero(self, store):
+        self._agree(store, (uri("nope"), None, None), (None, uri("nope"), None),
+                    (uri("a"), uri("p"), uri("nope")))
+        assert store.count(subject=uri("nope")) == 0
 
     def test_class_counts_only_for_rdf_type(self, store):
-        # No rdf:type triple: a class pattern on rdf:type estimates zero.
-        assert store.estimate(None, RDF.type, uri("b")) == 0
+        # No rdf:type triple: a class pattern on rdf:type counts zero.
+        assert store.count(None, RDF.type, uri("b")) == 0
 
 
 class TestIdLevelAccess:
@@ -165,14 +169,14 @@ class TestRemove:
         assert store.count(predicate=uri("p")) == 0
         assert list(store.triples(predicate=uri("p"))) == []
         assert store.count(predicate=uri("q")) == 2
-        # Fully removed keys estimate to zero through the index path too.
-        assert store.estimate_count(subject=uri("a"), predicate=uri("p")) == 0
+        # Fully removed keys count zero through the run path too.
+        assert store.count(subject=uri("a"), predicate=uri("p")) == 0
 
     def test_remove_maintains_statistics(self, store):
         removed = sample_triples()[0]
         store.remove(removed)
-        assert store.estimate(None, None, None) == 4
-        assert store.estimate(None, uri("p"), None) == 2
+        assert store.count() == 4
+        assert store.count(None, uri("p"), None) == 2
         # uri("a") still appears as subject of another p-triple.
         assert store.distinct_subjects(uri("p")) == 2
 
@@ -223,6 +227,5 @@ def test_subject_object_patterns_match_brute_force(tmp_path, kind):
         assert set(store.triples_ids(s, None, o)) == expected
         assert store.count_ids(s, None, o) == len(expected)
         assert store.count(decode(s), None, decode(o)) == len(expected)
-        assert store.estimate_count(decode(s), None, decode(o)) == len(expected)
         checked += bool(expected)
     assert checked >= 3

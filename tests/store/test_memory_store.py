@@ -1,5 +1,6 @@
 """Unit tests for the unindexed MemoryStore."""
 
+import recount
 from repro.rdf import Graph, Literal, Triple, URIRef
 from repro.store import MemoryStore
 
@@ -61,9 +62,12 @@ class TestMemoryStore:
         assert store.count(subject=uri("a")) == 2
         assert store.count() == 3
 
-    def test_estimate_count_defaults_to_exact(self):
+    def test_count_equals_the_recount(self):
         store = MemoryStore(sample_triples())
-        assert store.estimate_count(subject=uri("a")) == 2
+        triples = recount.decoded_triples(store)
+        for pattern in ((uri("a"), None, None), (None, uri("p"), uri("c")),
+                        (None, uri("q"), None), (uri("z"), None, None)):
+            assert store.count(*pattern) == recount.count(triples, *pattern)
 
     def test_remove(self):
         store = MemoryStore(sample_triples())

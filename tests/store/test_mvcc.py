@@ -201,10 +201,8 @@ class TestDraftConsistency:
         scratch.bulk_load(list(current.triples()))
         assert recount.statistics_of(current) == recount.statistics_of(scratch)
         assert recount.statistics_of(current) == recount.recount(current)
-        assert current.estimate_count(None, P, None) == \
-            scratch.estimate_count(None, P, None)
-        assert current.estimate_count(None, Q, None) == \
-            scratch.estimate_count(None, Q, None)
+        assert current.count(None, P, None) == scratch.count(None, P, None)
+        assert current.count(None, Q, None) == scratch.count(None, Q, None)
 
     def test_base_generation_unchanged_by_draft_mutations(self):
         base = IndexedStore()
