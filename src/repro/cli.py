@@ -119,15 +119,16 @@ def generate_main(argv=None):
     generator = DblpGenerator(config)
     start = time.perf_counter()
     if args.save_snapshot:
-        # Tee one generator pass into both the document and a built store.
+        # Tee one generator pass into both the document and a built store
+        # (through bulk_load: the store sorts its runs once, at the end).
         store = IndexedStore()
-        count = 0
         with open(args.output, "w", encoding="utf-8") as handle:
-            for triple in generator.triples():
-                handle.write(serialize_triple(triple))
-                handle.write("\n")
-                store.add(triple)
-                count += 1
+            def tee():
+                for triple in generator.triples():
+                    handle.write(serialize_triple(triple))
+                    handle.write("\n")
+                    yield triple
+            count = store.bulk_load(tee())
     else:
         count = generator.write(args.output)
     elapsed = time.perf_counter() - start
@@ -300,15 +301,13 @@ def query_main(argv=None):
     parser.add_argument("--repeat", type=_int_at_least(1), default=1,
                         help="execute the prepared query N times and report "
                              "per-run and amortized times (default: 1)")
-    parser.add_argument("--explain", action="store_true",
-                        help="print the physical query plan with estimated "
-                             "and actual per-step cardinalities and their "
-                             "q-error (qerr=max(est/actual, actual/est))")
-    parser.add_argument("--profile", action="store_true",
+    parser.add_argument("--explain", "--profile", action="store_true",
                         help="execute once under per-stage tracing and print "
-                             "the timed plan: parse/plan/execute stage "
-                             "timings plus per-step time= self-times "
-                             "alongside the EXPLAIN cardinalities")
+                             "the physical query plan: estimated and actual "
+                             "per-step cardinalities and their q-error "
+                             "(qerr=max(est/actual, actual/est)), per-step "
+                             "time= self-times and the parse/plan/execute "
+                             "stage timings")
     args = parser.parse_args(argv)
 
     # Resolve the query before loading the document, so a mistyped id fails
@@ -327,10 +326,10 @@ def query_main(argv=None):
     engine = _build_engine(args.document, args.engine)
 
     try:
-        if args.explain or args.profile:
-            # Both flags share the traced-explain path: the report carries
-            # per-step est/actual cardinalities, per-step time= self-times,
-            # and the parse/plan/execute stage line.
+        if args.explain:
+            # The traced-explain report carries per-step est/actual
+            # cardinalities, per-step time= self-times, and the
+            # parse/plan/execute stage line.
             report = engine.explain(query_text)
             print(f"{label}:")
             print(report.render())
@@ -548,12 +547,12 @@ def loadtest_main(argv=None):
                              "in-process (no HTTP)")
     parser.add_argument("--clients", type=int, default=4,
                         help="concurrent closed-loop clients (default: 4)")
-    parser.add_argument("--duration", type=float, default=5.0,
+    parser.add_argument("--duration", type=_positive_seconds, default=5.0,
                         help="seconds each client issues queries (default: 5)")
     parser.add_argument("--mix", default=None,
                         help="weighted mix, e.g. 'Q1=4,Q3a=2,Q2' (a bare id "
                              "weighs 1; default: the log-study mix)")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=_positive_seconds, default=None,
                         help="per-query deadline in seconds")
     parser.add_argument("--engine", default=NATIVE_COST.name,
                         choices=[config.name for config in CLI_ENGINE_CONFIGS],
@@ -633,7 +632,7 @@ def bench_main(argv=None):
     parser.add_argument("--sizes", type=_int_at_least(1), nargs="+",
                         default=list(DEFAULT_DOCUMENT_SIZES),
                         help="document sizes in triples (default: %(default)s)")
-    parser.add_argument("--timeout", type=float, default=30.0,
+    parser.add_argument("--timeout", type=_positive_seconds, default=30.0,
                         help="per-query timeout in seconds (default: 30)")
     parser.add_argument("--queries", nargs="+", default=None,
                         help="subset of query ids to run (default: all 17)")

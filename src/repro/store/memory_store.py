@@ -39,7 +39,7 @@ class MemoryStore(TripleStore):
         return True
 
     def save(self, path, metadata=None):
-        """Write a snapshot of this store: no sorted runs, either family loads it."""
+        """Write a snapshot of this store; either family loads it."""
         from .snapshot import save_snapshot
 
         return save_snapshot(self, path, metadata=metadata)
@@ -52,11 +52,13 @@ class MemoryStore(TripleStore):
         return load_snapshot(path, cls)
 
     @classmethod
-    def _from_snapshot(cls, dictionary, triples, runs):
-        """Assemble a store from snapshot sections (no use for the runs)."""
+    def _from_snapshot(cls, dictionary, flat):
+        """Assemble a store from a snapshot's dictionary and its id triples
+        (``flat``: an ``array('I')`` of subject, predicate, object ids)."""
         store = cls()
         store._dictionary = dictionary
-        store._triples = dict.fromkeys(triples)
+        ids = iter(flat)
+        store._triples = dict.fromkeys(zip(ids, ids, ids))
         return store
 
     def remove(self, triple):

@@ -12,9 +12,7 @@ swapping one reference.
 Invariants:
 
 * A published generation is never mutated again.  Readers holding it see a
-  frozen, consistent state for as long as they keep the reference.  (The one
-  deliberate exception is lazy sorted-run materialization inside
-  ``IndexedStore`` — a cache fill, not a logical mutation.)
+  frozen, consistent state for as long as they keep the reference.
 * Publishing bumps ``version`` monotonically, once per outermost
   transaction; the engine's prepared-statement cache compares it (and the
   per-predicate change stamps of the generation) to decide which cached
@@ -169,11 +167,11 @@ class MvccStore(TripleStore):
             return txn.remove(triple)
 
     def bulk_load(self, triples):
+        # The draft's own bulk path: an IndexedStore sorts each touched
+        # predicate's runs once instead of splicing them per triple.
         with self.write_transaction() as txn:
-            added = 0
-            for triple in triples:
-                if txn.insert(triple):
-                    added += 1
+            added = txn._draft.bulk_load(triples)
+            txn.inserted += added
             return added
 
     load_graph = bulk_load

@@ -4,11 +4,11 @@ SP2Bench separates document generation and loading from query time, and the
 paper reports loading times per engine precisely because native engines
 (Sesame-native, Virtuoso) amortize the expensive physical build into a
 reusable on-disk database (Section V).  This module is that on-disk database
-for the reproduction: a store is serialized once — term dictionary, id-triple
-list, and per-predicate sorted runs — and later runs rebuild a store from
-those sections without parsing or dictionary encoding.  Both families write
-the same payload (a :class:`~.memory_store.MemoryStore` writes zero runs) and
-load any snapshot, with the ids unchanged.
+for the reproduction: a store is serialized once — term dictionary and
+id-triple list — and later runs rebuild a store from those sections without
+parsing or dictionary encoding (an ``IndexedStore`` sorts its predicate runs
+from the id triples).  Both families write the same payload and load any
+snapshot, with the ids unchanged.
 
 File layout (all integers little-endian)::
 
@@ -20,7 +20,7 @@ File layout (all integers little-endian)::
     data_len u64  length of the payload that follows the metadata
     crc32    u32  CRC-32 of metadata + payload
     metadata      JSON object (generator config, statistics, free-form)
-    payload       dictionary, triples and sorted-run sections (see _pack)
+    payload       dictionary and triples sections (see _pack)
 
 The version is bumped whenever the payload layout changes; readers reject
 every other version (callers such as the dataset cache then rebuild).  The
@@ -45,10 +45,9 @@ MAGIC = b"SP2BSNAP"
 
 #: Bump on any payload layout change; this build reads no other version
 #: (docs/snapshot-format.md lists what each version changed).
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _HEADER = struct.Struct("<8sHBBIQI")
-_U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
@@ -135,12 +134,12 @@ def load_snapshot(path, family=None):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        dictionary, triples, runs = _unpack(path, payload)
-        store = family._from_snapshot(dictionary, triples, runs)
+        dictionary, flat = _unpack(path, payload)
+        store = family._from_snapshot(dictionary, flat)
     finally:
         if was_enabled:
             gc.enable()
-    if len(store) != len(triples):
+    if len(store) != len(flat) // 3:
         raise SnapshotCorruptError(f"{path}: duplicate triples in snapshot")
     return store
 
@@ -222,9 +221,6 @@ class _Reader:
         self._pos += fmt.size
         return value
 
-    def u8(self):
-        return self._unpack(_U8)
-
     def u32(self):
         return self._unpack(_U32)
 
@@ -261,14 +257,10 @@ def _append_string(out, text):
 
 # -- payload ------------------------------------------------------------------
 #
-# Three sections, whichever family saved the store:
+# Two sections, whichever family saved the store:
 #   dictionary   term kinds + datatype/language tables + one shared text blob
 #   triples      the id-triple list as a flat u32 array (sorted for an
 #                IndexedStore, in scan order for a MemoryStore)
-#   runs         predicate-sorted id runs for the batch kernels: run
-#                count, then per run the predicate id, the sort order tag
-#                (0 = by subject, 1 = by object), the length, and the two
-#                u32 columns (none for a MemoryStore)
 
 
 def _pack(out, store):
@@ -281,31 +273,22 @@ def _pack(out, store):
     triples = sorted(store.triples_ids()) if indexed else list(store.triples_ids())
     out.append(_U32.pack(len(triples)))
     out.append(_u32_array(component for triple in triples for component in triple))
-    if indexed:
-        _pack_sorted_runs(out, store)
-    else:
-        out.append(_U32.pack(0))  # the scan family keeps no sorted runs
 
 
 def _unpack(path, payload):
-    """``(dictionary, triples, runs)`` of a CRC-checked payload."""
+    """``(dictionary, flat)`` of a CRC-checked payload, where ``flat`` is an
+    ``array('I')`` of the triples' subject, predicate and object ids."""
     reader = _Reader(payload)
     try:
         terms = _unpack_dictionary(reader)
         flat = reader.u32_array(3 * reader.u32())
-        runs = _unpack_sorted_runs(reader)
         if reader._pos != len(payload):
             raise SnapshotCorruptError(
                 f"payload has {len(payload) - reader._pos} byte(s) after its last section")
         # A CRC-valid file can still be crafted: an id past the dictionary
-        # would load and then fail the first query that decodes it.  A run's
-        # key column is sorted, so its last key bounds it.
+        # would load and then fail the first query that decodes it.
         limit = len(terms)
-        if flat and max(flat) >= limit or any(
-            run.predicate >= limit
-            or run.keys and max(run.keys[-1], max(run.values)) >= limit
-            for run in runs
-        ):
+        if flat and max(flat) >= limit:
             raise SnapshotCorruptError(f"a term id is not in the {limit}-term dictionary")
         dictionary = TermDictionary.from_terms(terms)
         if len(dictionary._term_to_id) != limit:
@@ -318,51 +301,7 @@ def _unpack(path, payload):
         raise SnapshotCorruptError(
             f"{path}: a literal names a datatype or language the tables lack"
         ) from None
-    flat = iter(flat)
-    return dictionary, list(zip(flat, flat, flat)), runs
-
-
-def _pack_sorted_runs(out, store):
-    """Serialize eagerly built sorted runs for every predicate, both orders.
-
-    Snapshots are the amortized-build artifact of the native engine model, so
-    the runs are materialized here even when the live store never needed
-    them: paying the sort once at save time is what lets every later load
-    start with merge-joinable columns for free.
-    """
-    from .indexed_store import RUN_BY_OBJECT, RUN_BY_SUBJECT
-
-    runs = [
-        run
-        for predicate_id in sorted(store._by_p)
-        for order in (RUN_BY_SUBJECT, RUN_BY_OBJECT)
-        for run in (store.sorted_run(predicate_id, order),)
-        if run is not None
-    ]
-    out.append(_U32.pack(len(runs)))
-    for run in runs:
-        out.append(_U32.pack(run.predicate))
-        out.append(_U8.pack(0 if run.order == RUN_BY_SUBJECT else 1))
-        out.append(_U32.pack(len(run)))
-        out.append(_u32_array(run.keys))
-        out.append(_u32_array(run.values))
-
-
-def _unpack_sorted_runs(reader):
-    from .indexed_store import RUN_BY_OBJECT, RUN_BY_SUBJECT, SortedRun
-
-    runs = []
-    for _ in range(reader.u32()):
-        predicate = reader.u32()
-        order_tag = reader.u8()
-        if order_tag not in (0, 1):
-            raise SnapshotFormatError(f"unknown sorted-run order tag {order_tag}")
-        length = reader.u32()
-        keys = reader.u32_array(length)
-        values = reader.u32_array(length)
-        order = RUN_BY_SUBJECT if order_tag == 0 else RUN_BY_OBJECT
-        runs.append(SortedRun(predicate, order, keys, values))
-    return runs
+    return dictionary, flat
 
 
 def _pack_dictionary(out, dictionary):

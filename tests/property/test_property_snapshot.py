@@ -107,7 +107,19 @@ class TestMemorySnapshotRoundTrip:
         as_indexed = IndexedStore.load(root / "memory.sp2b")
         as_memory = MemoryStore.load(root / "indexed.sp2b")
         assert as_indexed.dictionary._id_to_term == memory.dictionary._id_to_term
-        assert as_indexed._spo == set(memory._triples)
+        assert set(as_indexed.triples_ids()) == set(memory.triples_ids())
         assert recount.statistics_of(as_indexed) == recount.statistics_of(indexed)
         assert as_memory.dictionary._id_to_term == indexed.dictionary._id_to_term
-        assert set(as_memory._triples) == indexed._spo
+        assert set(as_memory.triples_ids()) == set(indexed.triples_ids())
+
+    @given(items=triple_lists)
+    @settings(max_examples=30, deadline=None)
+    def test_loaded_runs_are_fresh_sorts_whoever_saved(self, items, tmp_path_factory):
+        # The file holds no runs: a load sorts them from the id triples.
+        root = tmp_path_factory.mktemp("snap")
+        for family in (MemoryStore, IndexedStore):
+            path = root / f"{family.name}.sp2b"
+            family(items).save(path)
+            loaded = IndexedStore.load(path)
+            assert recount.runs(loaded) == recount.resorted_runs(loaded)
+            assert recount.statistics_of(loaded) == recount.recount(loaded)

@@ -62,40 +62,48 @@ class TestIndexEquivalence:
         assert indexed.count(s, p, o) == recount.count(set(items), s, p, o)
 
 
-# One step of a generation history: (operation, pick, triple).  Writes go to
-# the open draft, or in place to the newest generation when none is open;
-# "runs" builds a sorted run there, so later drafts inherit it.
+# One step of a generation history: (operation, pick, batch of 1-5 triples).
+# Writes go to the open draft, or in place to the newest generation when
+# none is open; "add" and "remove" write the batch's first triple, "bulk"
+# loads the whole batch with ``load_graph``.
 history_steps = st.lists(
     st.tuples(st.sampled_from(["add", "add", "remove", "begin", "publish",
-                               "runs"]),
-              st.integers(min_value=0, max_value=7), triples),
+                               "bulk"]),
+              st.integers(min_value=0, max_value=7),
+              st.lists(triples, min_size=1, max_size=5)),
     max_size=60,
 )
 
 
-def _fingerprint(store, run_keys=None):
-    """The containers a superseded generation must keep, and their contents.
-
-    Statistics build runs lazily, so a generation may gain runs after it is
-    superseded; only the runs named by ``run_keys`` (default: every run it
-    has now) are fingerprinted.  The third item is the keys of those runs.
-    """
+def _fingerprint(store):
+    """The containers a superseded generation must keep, and their contents."""
     if isinstance(store, MemoryStore):
-        return [store._triples], [list(store._triples)], None
+        return [store._triples], [list(store._triples)]
     objects, contents = [], []
-    for index in (store._by_s, store._by_p, store._by_o):
+    for index in (store._by_s, store._by_o):
         objects += [index, *index.values()]
         contents.append({key: frozenset(bucket) for key, bucket in index.items()})
     runs = store._sorted_runs
-    if run_keys is None:
-        run_keys = sorted(runs)
-    held = [runs[key] for key in run_keys]
+    held = [runs[key] for key in sorted(runs)]
     objects += [runs, *held, store._predicate_stamps]
     contents += [
         [(run.keys.tolist(), run.values.tolist()) for run in held],
         dict(store._predicate_stamps), store.version,
     ]
-    return objects, contents, run_keys
+    return objects, contents
+
+
+def _assert_runs_and_counts(store):
+    """Every run equals a fresh sort of its predicate's triples in both
+    orders, and ``count_ids`` of ``(?, p, ?)`` and ``(?, ?, ?)`` (read off
+    a run's length and the triple counter) equals the recount."""
+    assert recount.runs(store) == recount.resorted_runs(store)
+    ids = list(store.triples_ids())
+    assert store.count_ids() == recount.count(ids, None, None, None)
+    for predicate in {triple[1] for triple in ids}:
+        assert store.count_ids(None, predicate, None) == recount.count(
+            ids, None, predicate, None)
+    assert store.distinct_predicates() == len({triple[1] for triple in ids})
 
 
 def _assert_every_shape(store):
@@ -130,16 +138,13 @@ def _assert_exact(store, expected):
     if isinstance(store, IndexedStore):
         _assert_every_shape(store)
         assert recount.statistics_of(store) == recount.recount(store)
-        for (predicate_id, order), run in store._sorted_runs.items():
-            pairs = sorted((s, o) if order == "s" else (o, s)
-                           for s, p, o in store.triples_ids() if p == predicate_id)
-            assert list(zip(run.keys, run.values)) == pairs
+        _assert_runs_and_counts(store)
 
 
 class TestGenerationHistories:
     """Drafts are stores: every generation stays exact on every pattern
-    shape, and a superseded one keeps its very buckets and runs (identity,
-    not equality)."""
+    shape and its runs stay fresh sorts after every step, and a superseded
+    one keeps its very buckets and runs (identity, not equality)."""
 
     @pytest.mark.parametrize("family", [MemoryStore, IndexedStore])
     @given(steps=history_steps)
@@ -148,9 +153,10 @@ class TestGenerationHistories:
         current, held = family(), set()
         draft = draft_held = base_print = None
         superseded = []
-        for operation, pick, triple in steps:
+        for operation, pick, batch in steps:
             target, expected = ((current, held) if draft is None
                                 else (draft, draft_held))
+            triple = batch[0]
             if operation == "add":
                 assert target.add(triple) is (triple not in expected)
                 expected.add(triple)
@@ -159,10 +165,9 @@ class TestGenerationHistories:
                     triple = sorted(expected, key=str)[pick % len(expected)]
                 assert target.remove(triple) is (triple in expected)
                 expected.discard(triple)
-            elif operation == "runs" and family is IndexedStore:
-                predicate_id = target.dictionary.lookup(triple.predicate)
-                if predicate_id is not None:
-                    target.sorted_run(predicate_id, "so"[pick % 2])
+            elif operation == "bulk":
+                assert target.load_graph(batch) == len(set(batch) - expected)
+                expected.update(batch)
             elif operation == "begin" and draft is None:
                 base_print = _fingerprint(current)
                 draft, draft_held = current.begin_generation(), set(held)
@@ -171,13 +176,15 @@ class TestGenerationHistories:
                 superseded.append((current, held, base_print))
                 current = draft.seal(current.version + 1)
                 held, draft = draft_held, None
-        for store, expected, (objects, contents, run_keys) in superseded:
+            if family is IndexedStore:
+                _assert_runs_and_counts(current)
+                if draft is not None:
+                    _assert_runs_and_counts(draft)
+        for store, expected, (objects, contents) in superseded:
             _assert_exact(store, expected)
-            # Every run present at supersession is still there, unchanged;
-            # a run built since (by the statistics above) must equal a
-            # fresh sort of this generation's triples, which
-            # _assert_exact checks.
-            now_objects, now_contents, _keys = _fingerprint(store, run_keys)
+            # Every bucket and run present at supersession is still there,
+            # unchanged, and no run was added since.
+            now_objects, now_contents = _fingerprint(store)
             assert len(now_objects) == len(objects)
             assert all(now is then for now, then in zip(now_objects, objects))
             assert now_contents == contents

@@ -72,3 +72,22 @@ def statistics_of(store):
             store.distinct_predicates(),
         ),
     }
+
+
+def runs(store):
+    """Both sorted runs of every predicate ``store`` holds, as
+    ``{(predicate_id, order): [(key, value), ...]}`` read via ``sorted_run``."""
+    predicates = {ids[1] for ids in store.triples_ids()}
+    return {(predicate, order): list(zip(run.keys, run.values))
+            for predicate in predicates for order in "so"
+            for run in (store.sorted_run(predicate, order),)}
+
+
+def resorted_runs(store):
+    """What :func:`runs` must answer: each predicate's ``(subject, object)``
+    pairs (order ``"s"``) and ``(object, subject)`` pairs (order ``"o"``),
+    freshly sorted from the store's id triples."""
+    triples = list(store.triples_ids())
+    return {(predicate, order): sorted((s, o) if order == "s" else (o, s)
+                                       for s, p, o in triples if p == predicate)
+            for predicate in {triple[1] for triple in triples} for order in "so"}

@@ -196,6 +196,57 @@ class TestRemove:
         assert len(indexed) == len(memory)
 
 
+class TestRuns:
+    """The runs are the predicate index: sorted at a bulk load, spliced
+    into new arrays on every write, never built by a read."""
+
+    def test_every_run_exists_before_any_read(self, store):
+        assert len(store._sorted_runs) == 2 * store.distinct_predicates() == 4
+        assert recount.runs(store) == recount.resorted_runs(store)
+
+    def test_a_bulk_load_bumps_the_version_once_and_stamps_its_predicates(self, store):
+        version = store.version
+        added = store.load_graph([Triple(uri("z"), uri("p"), uri("a")),
+                                  Triple(uri("z"), uri("r"), uri("a")),
+                                  sample_triples()[0]])
+        assert added == 2 and store.version == version + 1
+        assert store.predicates_changed_since([uri("p")], version)
+        assert store.predicates_changed_since([uri("r")], version)
+        assert not store.predicates_changed_since([uri("q")], version)
+        assert store.load_graph(sample_triples()) == 0 and store.version == version + 1
+        assert recount.runs(store) == recount.resorted_runs(store)
+
+    def test_a_failing_bulk_input_keeps_what_came_before_it(self, store):
+        def failing():
+            yield Triple(uri("z"), uri("p"), uri("a"))
+            yield Triple(uri("z"), uri("r"), uri("b"))
+            raise ValueError("bad line")
+
+        with pytest.raises(ValueError):
+            store.load_graph(failing())
+        assert len(store) == 7 and store.contains(Triple(uri("z"), uri("r"), uri("b")))
+        assert recount.runs(store) == recount.resorted_runs(store)
+        assert recount.statistics_of(store) == recount.recount(store)
+
+    def test_a_write_replaces_runs_and_never_edits_one(self, store):
+        p_id = store.dictionary.lookup(uri("p"))
+        before = store.sorted_run(p_id, "s")
+        pairs = list(zip(before.keys, before.values))
+        store.add(Triple(uri("0"), uri("p"), uri("a")))
+        store.remove(sample_triples()[1])
+        assert store.sorted_run(p_id, "s") is not before
+        assert list(zip(before.keys, before.values)) == pairs
+        assert recount.runs(store) == recount.resorted_runs(store)
+
+    def test_removing_a_predicates_last_triple_drops_its_runs(self, store):
+        q_id = store.dictionary.lookup(uri("q"))
+        for triple in (sample_triples()[2], sample_triples()[4]):
+            store.remove(triple)
+        assert store.sorted_run(q_id, "s") is store.sorted_run(q_id, "o") is None
+        assert store.count(None, uri("q"), None) == 0
+        assert not list(store.triples(None, uri("q")))
+
+
 def _subject_object_stores(tmp_path):
     """The three ways an IndexedStore comes about: built, MVCC-published
     after inserts and deletes, and loaded from a snapshot."""

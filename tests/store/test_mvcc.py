@@ -209,13 +209,30 @@ class TestDraftConsistency:
         base.bulk_load([triple(n) for n in range(10)])
         store = MvccStore(base)
         pinned = store.snapshot()
-        spo_before = set(pinned._spo)
+        triples_before = set(pinned.triples_ids())
+        p_id = pinned.dictionary.lookup(P)
+        runs_before = [pinned.sorted_run(p_id, order) for order in "so"]
         with store.write_transaction() as txn:
             for n in range(10):
                 txn.remove(triple(n))
             txn.insert(triple(100))
-        assert set(pinned._spo) == spo_before
+        assert set(pinned.triples_ids()) == triples_before
         assert pinned.count(None, P, None) == 10
+        # The superseded generation keeps its very run objects, unchanged.
+        assert all(pinned.sorted_run(p_id, order) is run
+                   for order, run in zip("so", runs_before))
+        assert all(len(run) == 10 for run in runs_before)
+        assert recount.runs(pinned) == recount.resorted_runs(pinned)
+
+    def test_bulk_load_publishes_one_generation_with_fresh_runs(self):
+        store = MvccStore(IndexedStore([triple(n) for n in range(5)]))
+        version = store.version
+        added = store.bulk_load([triple(n) for n in range(3, 12)] +
+                                [triple(1, predicate=Q)])
+        assert added == 8 and store.version == version + 1
+        current = store.snapshot()
+        assert recount.runs(current) == recount.resorted_runs(current)
+        assert recount.statistics_of(current) == recount.recount(current)
 
     def test_sorted_runs_shared_until_touched(self):
         base = IndexedStore()
@@ -230,11 +247,12 @@ class TestDraftConsistency:
             txn.insert(triple(99, predicate=Q))   # touches only Q
         current = store.snapshot()
         # Untouched predicate: the run object is carried over; touched
-        # predicate: dropped, to be rebuilt lazily on the new generation.
+        # predicate: a spliced copy, while the base keeps its own run.
         assert current.sorted_run(p_id, RUN_BY_SUBJECT) is run_p
         rebuilt = current.sorted_run(q_id, RUN_BY_SUBJECT)
         assert rebuilt is not run_q
         assert len(rebuilt.keys) == len(run_q.keys) + 1
+        assert base.sorted_run(q_id, RUN_BY_SUBJECT) is run_q and len(run_q) == 10
 
 
 class TestConcurrency:

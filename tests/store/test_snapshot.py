@@ -23,7 +23,6 @@ from repro.store import (
     save_snapshot,
 )
 from repro.store import snapshot as snapshot_module
-from repro.store.indexed_store import RUN_BY_OBJECT, RUN_BY_SUBJECT
 
 EX = "http://example.org/"
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
@@ -108,13 +107,12 @@ class TestIndexedRoundTrip:
             "note": "unit", "triples": len(sample_triples())}
 
     def test_indexes_and_runs_are_equal(self, saved):
-        store, path = saved  # saving built every sorted run of ``store``
+        store, path = saved
         loaded = load_snapshot(path)
-        for name in ("_spo", "_by_s", "_by_p", "_by_o"):
+        for name in ("_by_s", "_by_o"):
             assert getattr(loaded, name) == getattr(store, name), name
-        assert {key: (run.keys, run.values)
-                for key, run in loaded._sorted_runs.items()} == {
-            key: (run.keys, run.values) for key, run in store._sorted_runs.items()}
+        assert recount.runs(loaded) == recount.runs(store)
+        assert recount.runs(loaded) == recount.resorted_runs(loaded)
 
     def test_empty_store_round_trips(self, tmp_path):
         path = tmp_path / "empty.sp2b"
@@ -241,7 +239,7 @@ class TestEdgeCaseTerms:
 
 
 class TestMemoryPayload:
-    """A memory snapshot is the indexed payload's first two sections."""
+    """A memory snapshot has the indexed payload's two sections."""
 
     def test_dictionary_ids_and_scan_order_survive(self, tmp_path):
         store = MemoryStore(sample_triples())
@@ -271,7 +269,7 @@ class TestMemoryPayload:
         (lambda body: body.replace(
             struct.pack("<II", 1, len(XSD_INT)) + XSD_INT.encode(),
             struct.pack("<I", 0)), "names a datatype or language"),
-        # Bytes follow the last (sorted-run) section.
+        # Bytes follow the last (triples) section.
         (lambda body: body + b"\0", "1 byte\\(s\\) after its last section"),
     ])
     def test_corrupt_payload_raises_snapshot_corrupt_error(self, tmp_path, damage,
@@ -309,59 +307,84 @@ class TestQueriesOnLoadedStores:
         assert set(loaded.triples()) == set(Graph(sample_graph))
 
 
-class TestSortedRunSection:
-    """The sorted-run section, and files of an older format version."""
+def run_section(store, dangling=None):
+    """The sorted-run section a version 5 file carried after its triples:
+    run count, then per run the predicate id, the order tag, the length and
+    the key and value columns.  ``dangling`` ("keys" or "values") puts an id
+    outside the dictionary at the end of that column of the first run."""
+    runs = recount.runs(store)
+    out = [struct.pack("<I", len(runs))]
+    for index, ((predicate, order), pairs) in enumerate(sorted(runs.items())):
+        keys, values = ([list(column) for column in zip(*pairs)])
+        if index == 0 and dangling:
+            (keys if dangling == "keys" else values)[-1] = len(store.dictionary)
+        out.append(struct.pack(f"<IBI{2 * len(pairs)}I", predicate, "so".index(order),
+                               len(pairs), *keys, *values))
+    return b"".join(out)
 
-    def test_runs_round_trip_verbatim(self, tmp_path):
+
+def as_version_5(path, store):
+    """Rewrite a version 6 file as the version 5 file of ``store``: the
+    same dictionary and triples, then the run section v5 carried."""
+    data = bytearray(path.read_bytes())
+    data[8:10] = struct.pack("<H", 5)
+    path.write_bytes(bytes(data))
+    reseal(path, lambda body: body + run_section(store))
+
+
+class TestFormatVersion6:
+    """Version 6 holds the dictionary and the triples; the runs are sorted
+    at load.  Files of an older version are rejected, and rebuilt by the
+    dataset cache."""
+
+    def test_loaded_runs_equal_a_fresh_sort(self, tmp_path):
         store = IndexedStore(sample_triples())
         path = tmp_path / "runs.sp2b"
         save_snapshot(store, path)
-        loaded = load_snapshot(path)
-        for predicate_id in store._by_p:
-            for order in (RUN_BY_SUBJECT, RUN_BY_OBJECT):
-                fresh = store.sorted_run(predicate_id, order)
-                # Loaded runs come straight from the snapshot section.
-                adopted = loaded._sorted_runs[(predicate_id, order)]
-                assert adopted.keys == fresh.keys
-                assert adopted.values == fresh.values
-                assert adopted.order == order
-                assert adopted.predicate == predicate_id
+        for loader in (IndexedStore, MemoryStore):
+            loaded = loader.load(path)
+            if loader is IndexedStore:
+                assert recount.runs(loaded) == recount.runs(store)
+                assert recount.runs(loaded) == recount.resorted_runs(loaded)
+                for (predicate_id, order), pairs in recount.runs(store).items():
+                    run = loaded.sorted_run(predicate_id, order)
+                    assert (run.predicate, run.order, len(run)) == (
+                        predicate_id, order, len(pairs))
+        assert IndexedStore.load(path).version == 0
 
-    def test_save_materializes_runs_eagerly(self, tmp_path):
+    def test_the_file_ends_with_the_triples(self, tmp_path):
         store = IndexedStore(sample_triples())
-        assert not store._sorted_runs
-        path = tmp_path / "eager.sp2b"
+        path = tmp_path / "v6.sp2b"
         save_snapshot(store, path)
-        loaded = load_snapshot(path)
-        # Both orders of every predicate are present without any lazy build.
-        assert len(loaded._sorted_runs) == 2 * len(store._by_p)
+        triples = sorted(store.triples_ids())
+        # No run section follows the triple count and the id columns.
+        assert path.read_bytes().endswith(struct.pack(
+            f"<I{3 * len(triples)}I", len(triples),
+            *(component for triple in triples for component in triple)))
 
-    @staticmethod
-    def _as_version(path, version):
-        data = bytearray(path.read_bytes())
-        data[8:10] = struct.pack("<H", version)
-        path.write_bytes(bytes(data))
-
-    def test_version_4_is_rejected(self, tmp_path):
-        assert SNAPSHOT_FORMAT_VERSION == 5
+    def test_version_5_is_rejected(self, tmp_path):
+        assert SNAPSHOT_FORMAT_VERSION == 6
+        store = IndexedStore(sample_triples())
         path = tmp_path / "old.sp2b"
-        save_snapshot(IndexedStore(sample_triples()), path)
-        self._as_version(path, 4)
-        with pytest.raises(SnapshotVersionError, match="reads version 5"):
+        save_snapshot(store, path)
+        as_version_5(path, store)
+        with pytest.raises(SnapshotVersionError, match="version 5, this build reads version 6"):
             load_snapshot(path)
+        with pytest.raises(SnapshotVersionError):
+            MemoryStore.load(path)
 
-    def test_dataset_cache_rebuilds_a_version_4_entry(self, tmp_path):
+    def test_dataset_cache_rebuilds_a_version_5_entry(self, tmp_path):
         from repro.cache import DatasetCache
         from repro.generator import GeneratorConfig
 
         cache = DatasetCache(tmp_path / "cache")
         config = GeneratorConfig(triple_limit=300, seed=3)
         built = cache.resolve(config)
-        self._as_version(built.path, 4)
+        as_version_5(built.path, built.store)
         rebuilt = cache.resolve(config)
         assert not rebuilt.hit
         assert set(rebuilt.store.triples_ids()) == set(built.store.triples_ids())
-        assert struct.unpack_from("<H", built.path.read_bytes(), 8)[0] == 5
+        assert struct.unpack_from("<H", built.path.read_bytes(), 8)[0] == 6
         assert cache.resolve(config).hit
 
     def test_vectorized_queries_on_loaded_runs(self, tmp_path, generated_graph_small):
@@ -424,13 +447,16 @@ class TestHardening:
             family.load(path)
 
     @pytest.mark.parametrize("column", ["keys", "values"])
-    def test_sorted_run_id_outside_the_dictionary(self, tmp_path, column):
+    def test_a_run_section_is_trailing_data(self, tmp_path, column):
+        # A version 5 run section, here with an id outside the dictionary,
+        # behind a CRC-valid version 6 payload: nothing reads it as runs.
         store = IndexedStore(sample_triples())
-        run = store.sorted_run(store.dictionary.lookup(URIRef(EX + "p")))
-        getattr(run, column)[-1] = len(store.dictionary)
         path = tmp_path / "dangling.sp2b"
         save_snapshot(store, path)
-        with pytest.raises(SnapshotCorruptError, match="not in the"):
+        section = run_section(store, dangling=column)
+        reseal(path, lambda body: body + section)
+        with pytest.raises(SnapshotCorruptError,
+                           match=f"{len(section)} byte\\(s\\) after its last section"):
             load_snapshot(path)
 
     def test_duplicate_terms_and_triples(self, tmp_path):

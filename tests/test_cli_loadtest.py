@@ -24,6 +24,20 @@ BAD_ARGUMENTS = {
     "all-updates": (["--update-fraction", "1"], "not 1"),
     "negative-updates": (["--update-fraction", "-0.5"], "not -0.5"),
     "no-room-for-probes": (["--update-fraction", "0.9"], "not 0.9"),
+    # A budget that voids the run: every request an error or a timeout,
+    # or no request at all.
+    "timeout-nan": (["--timeout", "nan"],
+                    "--timeout: must be a positive number of seconds, not nan"),
+    "timeout-zero": (["--timeout", "0"],
+                     "--timeout: must be a positive number of seconds, not 0"),
+    "timeout-negative": (["--timeout", "-1"],
+                         "--timeout: must be a positive number of seconds, not -1"),
+    "duration-nan": (["--duration", "nan"],
+                     "--duration: must be a positive number of seconds, not nan"),
+    "duration-zero": (["--duration", "0"],
+                      "--duration: must be a positive number of seconds, not 0"),
+    "duration-negative": (["--duration", "-1"],
+                          "--duration: must be a positive number of seconds, not -1"),
 }
 
 

@@ -200,6 +200,15 @@ BAD_ARGUMENTS = {
                             "unknown query 'Q99'; known queries: Q1,"),
     "bench-zero-runs": (["bench", "--sizes", "100", "--no-cache",
                          "--runs", "0"], "--runs: must be at least 1, not 0"),
+    "bench-nan-timeout": (["bench", "--sizes", "100", "--no-cache",
+                           "--timeout", "nan"],
+                          "--timeout: must be a positive number of seconds, not nan"),
+    "bench-zero-timeout": (["bench", "--sizes", "100", "--no-cache",
+                            "--timeout", "0"],
+                           "--timeout: must be a positive number of seconds, not 0"),
+    "bench-negative-timeout": (["bench", "--sizes", "100", "--no-cache",
+                                "--timeout", "-5"],
+                               "--timeout: must be a positive number of seconds, not -5"),
     "build-negative-size": (["build", "--cache-dir", "{dir}",
                              "--triples", "-5"],
                             "--triples: must be at least 1, not -5"),

@@ -75,3 +75,25 @@ def test_timings_are_removed_and_partial_steps_masked():
         "result: rows=1 decoded=2",
     ]
     assert work.step_rows(lines) == "7 -"
+
+
+def test_counters_are_recorded_and_their_differences_do_not_fail(ledger, tmp_path,
+                                                                  capfd):
+    written = json.loads(ledger.read_text(encoding="utf-8"))
+    stores = written["stores"][SIZE]
+    assert sorted(stores) == ["indexed", "memory"]
+    for counters in stores.values():
+        assert counters["traced_bytes"] > 0 and counters["snapshot_bytes"] > 0
+    # Both families write the one payload: the same triples, the same bytes.
+    assert stores["indexed"]["snapshot_bytes"] == stores["memory"]["snapshot_bytes"]
+    for entries in written["sizes"][SIZE].values():
+        assert all(entry["json_bytes"] > 0 for entry in entries.values())
+    stores["indexed"]["traced_bytes"] += 1
+    written["sizes"][SIZE]["native-cost"]["Q1"]["json_bytes"] += 1
+    path = tmp_path / "counters.json"
+    path.write_text(work.dumps(written), encoding="utf-8")
+    assert work.main(["--check", "--file", str(path), "--sizes", SIZE]) == 0
+    out = capfd.readouterr().out
+    assert f"counter differs (not failing): {SIZE} indexed traced_bytes" in out
+    assert f"counter differs (not failing): {SIZE} native-cost Q1 json_bytes" in out
+    assert "0 differ, 0 plan differences, 2 counter differences" in out

@@ -6,13 +6,16 @@ It runs the 17 catalog queries on every preset at 5k triples, and on
 takes a minute), and writes ``WORK.json``.  Per (size, preset, query) the
 file holds a digest of the result multiset, a digest of the EXPLAIN render
 with every timing removed and the ``actual=`` counts of steps an ASK or
-LIMIT stopped early masked, and the rows each step produced ("-" where
-stopped early).  The work runs in a child process with
+LIMIT stopped early masked, the rows each step produced ("-" where
+stopped early), and the byte length of the result's SPARQL JSON.  Per
+(size, store family) it holds the ``tracemalloc`` bytes the store built
+from the generated graph keeps allocated, and the byte size of that
+store's snapshot.  The work runs in a child process with
 ``PYTHONHASHSEED=0``, so two runs write byte-identical files.
 
 ``--check`` compares a fresh run with the file instead of writing it: it
 exits 1 naming every (size, preset, query) whose answer digest differs,
-and prints EXPLAIN differences without failing.  Usage:
+and prints EXPLAIN and counter differences without failing.  Usage:
 
     python tools/work.py [--check] [--file WORK.json] [--sizes 5000 25000]
 """
@@ -24,6 +27,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 from repro import generate_graph
@@ -81,27 +87,51 @@ def presets_for(size):
     return PRESETS if size <= ALL_PRESETS_UP_TO else FAST_PRESETS
 
 
+def build(family, graph):
+    """A store of ``family`` built from ``graph``, and its counters: the
+    bytes the build left allocated, and the byte size of its snapshot."""
+    # A small build first does the one-time work (lazy imports, numpy's
+    # first calls) whose allocations vary from process to process.
+    family(islice(graph, 50))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = family(graph)
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "store.sp2b"
+        store.save(path)
+        snapshot = path.stat().st_size
+    return store, {"traced_bytes": traced, "snapshot_bytes": snapshot}
+
+
 def measure(sizes):
-    """The ledger for ``sizes``: {size: {preset: {query: entry}}}."""
-    ledger = {}
+    """The ledger for ``sizes``: {"sizes": {size: {preset: {query: entry}}},
+    "stores": {size: {family: counters}}}."""
+    ledger, store_counters = {}, {}
     for size in sizes:
         graph = generate_graph(triple_limit=size)
         stores = {}
         ledger[str(size)] = per_preset = {}
+        store_counters[str(size)] = counters = {}
         for config in presets_for(size):
             family = config.store_family
             if family not in stores:
-                stores[family] = family(graph)
+                stores[family], counters[family.name] = build(family, graph)
             engine = SparqlEngine(config, store=stores[family])
             per_preset[config.name] = entries = {}
             for query in ALL_QUERIES:
                 lines = explain_lines(engine.explain(query.text))
+                result = engine.query(query.text)
                 entries[query.identifier] = {
-                    "answer": answer_digest(engine.query(query.text)),
+                    "answer": answer_digest(result),
                     "explain": _digest(lines),
                     "rows": step_rows(lines),
+                    "json_bytes": len(result.serialize("json").encode("utf-8")),
                 }
-    return {"sizes": ledger}
+    return {"sizes": ledger, "stores": store_counters}
 
 
 def dumps(ledger):
@@ -109,9 +139,18 @@ def dumps(ledger):
 
 
 def differences(committed, fresh):
-    """``(answers, plans)``: messages for every (size, preset, query) whose
-    answer digest differs, and for those whose EXPLAIN differs."""
-    answers, plans = [], []
+    """``(answers, plans, counters)``: messages for every (size, preset,
+    query) whose answer digest differs, for those whose EXPLAIN differs, and
+    for every counter (JSON bytes, a store's traced or snapshot bytes) that
+    differs."""
+    answers, plans, counters = [], [], []
+    for size, per_family in fresh["stores"].items():
+        for family, values in per_family.items():
+            old = committed.get("stores", {}).get(size, {}).get(family, {})
+            for name, value in values.items():
+                if old.get(name) != value:
+                    counters.append(f"{size} {family} {name}: {value}, "
+                                    f"committed {old.get(name, '-')}")
     for size, per_preset in fresh["sizes"].items():
         for preset, entries in per_preset.items():
             for query, entry in entries.items():
@@ -127,7 +166,10 @@ def differences(committed, fresh):
                     plans.append(f"{where}: explain {entry['explain']} rows "
                                  f"[{entry['rows']}], committed {old['explain']} "
                                  f"rows [{old['rows']}]")
-    return answers, plans
+                if old.get("json_bytes") != entry["json_bytes"]:
+                    counters.append(f"{where} json_bytes: {entry['json_bytes']}, "
+                                    f"committed {old.get('json_bytes', '-')}")
+    return answers, plans, counters
 
 
 def run(args):
@@ -136,8 +178,10 @@ def run(args):
         args.file.write_text(dumps(fresh), encoding="utf-8")
         print(f"wrote {args.file}")
         return 0
-    answers, plans = differences(
+    answers, plans, counters = differences(
         json.loads(args.file.read_text(encoding="utf-8")), fresh)
+    for message in counters:
+        print(f"counter differs (not failing): {message}")
     for message in plans:
         print(f"plan differs (not failing): {message}")
     for message in answers:
@@ -145,7 +189,8 @@ def run(args):
     checked = sum(len(entries) for per_preset in fresh["sizes"].values()
                   for entries in per_preset.values())
     print(f"{checked} answers checked against {args.file}: "
-          f"{len(answers)} differ, {len(plans)} plan differences")
+          f"{len(answers)} differ, {len(plans)} plan differences, "
+          f"{len(counters)} counter differences")
     return 1 if answers else 0
 
 
