@@ -424,7 +424,8 @@ def serve_main(argv=None):
                         help="N-Triples file (or .sp2b store snapshot) to serve")
     parser.add_argument("--host", default="127.0.0.1",
                         help="interface to bind (default: %(default)s)")
-    parser.add_argument("--port", type=int, default=8008,
+    parser.add_argument("--port", type=_checked(int, lambda value: 0 <= value <= 65535,
+                                                "a port from 0 to 65535"), default=8008,
                         help="port to bind; 0 picks an ephemeral port "
                              "(default: %(default)s)")
     parser.add_argument("--workers", type=_int_at_least(1), default=4,
@@ -451,7 +452,9 @@ def serve_main(argv=None):
                         help="write one JSON line per request (query hash, "
                              "status, stage timings, budget consumed) to "
                              "PATH; '-' means stderr")
-    parser.add_argument("--slow-query-ms", type=float, default=None,
+    parser.add_argument("--slow-query-ms", default=None,
+                        type=_checked(float, lambda value: value >= 0,
+                                      "a non-negative number of milliseconds"),
                         metavar="MS",
                         help="log queries slower than MS milliseconds with "
                              "their full text, EXPLAIN plan, and stage "
@@ -482,17 +485,24 @@ def serve_main(argv=None):
             if args.slow_query_ms is not None else None,
             metrics_endpoint=args.metrics,
         )
-    server = SparqlServer(
-        engine,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        default_timeout=args.timeout,
-        max_timeout=args.max_timeout,
-        verbose=not args.quiet,
-        read_only=args.read_only,
-        telemetry=telemetry,
-    )
+    try:
+        server = SparqlServer(
+            engine,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            default_timeout=args.timeout,
+            max_timeout=args.max_timeout,
+            verbose=not args.quiet,
+            read_only=args.read_only,
+            telemetry=telemetry,
+        )
+    except OSError as error:
+        if telemetry is not None:
+            telemetry.close()
+        print(f"error: cannot bind {args.host}:{args.port}: "
+              f"{error.strerror or error}", file=sys.stderr)
+        return 1
     print(f"loaded {len(engine.store)} triples in {elapsed:.2f}s "
           f"({engine.config.name} engine)")
     mode = "read-only" if args.read_only else "read/write"

@@ -28,6 +28,11 @@ class ServerTelemetry:
 
     def __init__(self, registry=None, access_logger=None, slow_logger=None,
                  slow_query_seconds=None, metrics_endpoint=False):
+        if slow_query_seconds is not None and not slow_query_seconds >= 0:
+            # NaN would log nothing (``total >= nan`` is false) and a
+            # negative threshold every request.
+            raise ValueError("slow_query_seconds must be a non-negative number "
+                             f"of seconds, not {slow_query_seconds!r}")
         registry = registry if registry is not None else get_registry()
         self.registry = registry
         #: Whether the server exposes ``GET /metrics``.

@@ -94,18 +94,21 @@ class ThreadPoolHTTPServer(HTTPServer):
     daemon_threads = True
 
     def __init__(self, server_address, handler_class, workers=4):
-        super().__init__(server_address, handler_class)
+        # Everything server_close() reads exists before the socket binds:
+        # socketserver calls it when the bind fails, and a bad ``workers``
+        # fails here, before any socket opens.
         self.workers = workers
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="sparql-worker"
         )
-        self.started_at = time.monotonic()
         # Worker-pool observability: requests currently on workers (the
         # /health occupancy figure and the in-flight gauge) plus the
         # per-thread queue-wait handoff read by the request handler.
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._worker_state = threading.local()
+        super().__init__(server_address, handler_class)
+        self.started_at = time.monotonic()
 
     def process_request(self, request, client_address):
         self._executor.submit(

@@ -81,13 +81,13 @@ def execute_update(store, operation):
     transaction_factory = getattr(store, "write_transaction", None)
     if transaction_factory is not None:
         with transaction_factory() as txn:
-            result = _apply(txn.base, txn.insert, txn.remove, operation)
+            result = _apply(txn.base, txn.insert_all, txn.remove_all, operation)
         # The transaction published (or skipped publishing) by now; report
         # the store's post-commit version.
         return _stamp(result, store.version)
     # Plain store: mutate in place, WHERE solutions materialized first so
     # deletes cannot perturb the pattern evaluation they feed.
-    result = _apply(store, store.add, store.remove, operation)
+    result = _apply(store, store.add_all, store.remove_all, operation)
     return _stamp(result, getattr(store, "version", 0))
 
 
@@ -96,14 +96,13 @@ def _stamp(result, version):
                         matched=result.matched, version=version)
 
 
-def _apply(base, insert, remove, operation):
-    """Run ``operation`` reading from ``base``, writing via the callbacks."""
+def _apply(base, insert_all, remove_all, operation):
+    """Run ``operation`` reading from ``base``, writing via the callbacks:
+    one call removes the operation's triples, one adds them."""
     if isinstance(operation, InsertDataUpdate):
-        inserted = sum(1 for triple in operation.triples if insert(triple))
-        return UpdateResult(operation.form, inserted, 0)
+        return UpdateResult(operation.form, insert_all(operation.triples), 0)
     if isinstance(operation, DeleteDataUpdate):
-        deleted = sum(1 for triple in operation.triples if remove(triple))
-        return UpdateResult(operation.form, 0, deleted)
+        return UpdateResult(operation.form, 0, remove_all(operation.triples))
     if not isinstance(operation, ModifyUpdate):
         raise EvaluationError(f"unsupported update operation: {operation!r}")
 
@@ -111,18 +110,15 @@ def _apply(base, insert, remove, operation):
     # Materialize: application must see the complete pre-update solution
     # sequence even on plain stores where writes are applied in place.
     solutions = list(IdSpaceEvaluation(base).bindings(tree))
-    deleted = inserted = 0
-    for solution in solutions:
-        for template in operation.delete_templates:
-            triple = _instantiate(template, solution, fresh_bnodes=None)
-            if triple is not None and remove(triple):
-                deleted += 1
+    deletions = [_instantiate(template, solution, fresh_bnodes=None)
+                 for solution in solutions for template in operation.delete_templates]
+    insertions = []
     for solution in solutions:
         fresh_bnodes = {}
-        for template in operation.insert_templates:
-            triple = _instantiate(template, solution, fresh_bnodes)
-            if triple is not None and insert(triple):
-                inserted += 1
+        insertions.extend(_instantiate(template, solution, fresh_bnodes)
+                          for template in operation.insert_templates)
+    deleted = remove_all([triple for triple in deletions if triple is not None])
+    inserted = insert_all([triple for triple in insertions if triple is not None])
     return UpdateResult(operation.form, inserted, deleted,
                         matched=len(solutions))
 

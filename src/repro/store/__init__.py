@@ -4,11 +4,11 @@ Two backends model the paper's two engine families.  Both dictionary-encode
 terms to integers and answer a pattern as raw id 3-tuples (``triples_ids``),
 which the one SPARQL executor joins over without decoding; they differ in the
 access path behind it.  :class:`MemoryStore` scans every triple per pattern
-(the in-memory engine model); :class:`IndexedStore` probes three hash indexes
-and binary-searches per-predicate sorted runs, and answers the cost model
-from both (the native-engine model).  An MVCC draft of either is a store of the
-same class (:class:`MvccStore`), and both snapshot to the same container.
-See DESIGN.md.
+(the in-memory engine model); :class:`IndexedStore` reads each pattern and
+the cost model off four sorted permutations of the id triples (SPO, OSP and
+each predicate's PSO and POS runs; the native-engine model).  An MVCC draft
+of either is a store of the same class (:class:`MvccStore`), and both
+snapshot to the same container.  See DESIGN.md.
 """
 
 from .base import TripleStore

@@ -36,12 +36,22 @@ class TripleStore(abc.ABC):
     version = 0
 
     @abc.abstractmethod
+    def add_all(self, triples):
+        """Add every ground triple of an iterable as one write (one version
+        bump, however many are new).  Returns the count that was new."""
+
+    @abc.abstractmethod
+    def remove_all(self, triples):
+        """Remove every ground triple of an iterable as one write.  Returns
+        the count that was present."""
+
     def add(self, triple):
         """Add one ground triple.  Returns True if it was new."""
+        return self.add_all((triple,)) == 1
 
     def remove(self, triple):
         """Remove one ground triple.  Returns True if it was present."""
-        raise NotImplementedError(f"{type(self).__name__} does not support removal")
+        return self.remove_all((triple,)) == 1
 
     @abc.abstractmethod
     def triples_ids(self, subject=None, predicate=None, object=None):
@@ -91,11 +101,7 @@ class TripleStore(abc.ABC):
 
     def load_graph(self, graph):
         """Bulk-load every triple of an iterable/Graph.  Returns count added."""
-        added = 0
-        for triple in graph:
-            if self.add(triple):
-                added += 1
-        return added
+        return self.add_all(graph)
 
     def bulk_load(self, triples):
         """Stream an iterable of triples into the store.  Returns count added.
@@ -110,20 +116,31 @@ class TripleStore(abc.ABC):
 
     def contains(self, triple):
         """True if the exact ground triple is stored."""
-        for _match in self.triples(triple.subject, triple.predicate, triple.object):
-            return True
-        return False
+        return self.count(*triple) > 0
 
     def count(self, subject=None, predicate=None, object=None):
-        """Number of triples matching the pattern.
-
-        Backends with indexes override this with a cheaper implementation;
-        the default counts by iteration.
-        """
+        """Number of triples matching the pattern."""
         encoded = self.encode_pattern(subject, predicate, object)
-        if encoded is None:
-            return 0
-        return sum(1 for _ids in self.triples_ids(*encoded))
+        return 0 if encoded is None else self.count_ids(*encoded)
+
+    def count_ids(self, subject=None, predicate=None, object=None):
+        """Number of triples matching an encoded pattern.  Backends with
+        indexes override this; the default counts by iteration."""
+        return sum(1 for _ids in self.triples_ids(subject, predicate, object))
+
+    def save(self, path, metadata=None):
+        """Write a snapshot of this store (see :mod:`.snapshot`); either
+        family loads it."""
+        from .snapshot import save_snapshot
+
+        return save_snapshot(self, path, metadata=metadata)
+
+    @classmethod
+    def load(cls, path):
+        """Rebuild a store from a snapshot saved by either store family."""
+        from .snapshot import load_snapshot
+
+        return load_snapshot(path, cls)
 
     def seal(self, version):
         """Finish this MVCC draft (``begin_generation``) as generation

@@ -30,26 +30,14 @@ class MemoryStore(TripleStore):
         if triples is not None:
             self.load_graph(triples)
 
-    def add(self, triple):
-        ids = self._dictionary.encode_triple(triple)
-        if ids in self._triples:
-            return False
-        self._triples[ids] = None
-        self.version += 1
-        return True
-
-    def save(self, path, metadata=None):
-        """Write a snapshot of this store; either family loads it."""
-        from .snapshot import save_snapshot
-
-        return save_snapshot(self, path, metadata=metadata)
-
-    @classmethod
-    def load(cls, path):
-        """Rebuild a store from a snapshot saved by either store family."""
-        from .snapshot import load_snapshot
-
-        return load_snapshot(path, cls)
+    def add_all(self, triples):
+        before = len(self._triples)
+        try:
+            self._triples.update((ids, None) for ids in map(self._dictionary.encode_triple, triples))
+        finally:  # on a failing input, the triples before it stay added
+            added = len(self._triples) - before
+            self.version += added > 0
+        return added
 
     @classmethod
     def _from_snapshot(cls, dictionary, flat):
@@ -61,14 +49,14 @@ class MemoryStore(TripleStore):
         store._triples = dict.fromkeys(zip(ids, ids, ids))
         return store
 
-    def remove(self, triple):
-        """Remove a triple if present; returns True when removed.  O(1)."""
-        ids = self.encode_pattern(triple.subject, triple.predicate, triple.object)
-        if ids not in self._triples:
-            return False
-        del self._triples[ids]
-        self.version += 1
-        return True
+    def remove_all(self, triples):
+        """Remove the triples that are present; returns their count."""
+        doomed = {ids for ids in (self.encode_pattern(*triple) for triple in triples)
+                  if ids in self._triples}
+        for ids in doomed:
+            del self._triples[ids]
+        self.version += bool(doomed)
+        return len(doomed)
 
     def begin_generation(self):
         """Start a draft of this store's next MVCC generation.

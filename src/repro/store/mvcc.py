@@ -6,8 +6,8 @@ store *generation* immutable: readers pin the current generation with one
 attribute read and keep scanning it unperturbed; a single serialized writer
 builds the next generation in a draft (``begin_generation`` on the underlying
 store returns a copy-on-write store of the same class, written through its
-ordinary ``add``/``remove``) and publishes it atomically by sealing it and
-swapping one reference.
+ordinary ``add_all``/``remove_all``) and publishes it atomically by sealing
+it and swapping one reference.
 
 Invariants:
 
@@ -53,10 +53,10 @@ class WriteTransaction:
     """Handle yielded by :meth:`MvccStore.write_transaction`.
 
     ``base`` is the pre-update generation (evaluate WHERE clauses against
-    it); ``insert``/``remove`` mutate the copy-on-write draft and count what
-    actually changed.  Deletions and insertions may be issued in any order —
-    the SPARQL Update executor applies deletes first per the spec, but the
-    draft itself is order-agnostic.
+    it); ``insert``/``remove`` and their batch forms mutate the copy-on-write
+    draft and count what actually changed.  Deletions and insertions may be
+    issued in any order — the SPARQL Update executor applies deletes first
+    per the spec, but the draft itself is order-agnostic.
     """
 
     def __init__(self, base, draft):
@@ -69,13 +69,23 @@ class WriteTransaction:
 
     def insert(self, triple):
         """Add one ground triple to the next generation; True when new."""
-        added = self._draft.add(triple)
-        self.inserted += added
-        return added
+        return self.insert_all((triple,)) == 1
 
     def remove(self, triple):
         """Remove one ground triple from the next generation; True if present."""
-        removed = self._draft.remove(triple)
+        return self.remove_all((triple,)) == 1
+
+    def insert_all(self, triples):
+        """Add ground triples to the next generation in one write of the
+        draft; returns the count that was new."""
+        added = self._draft.add_all(triples)
+        self.inserted += added
+        return added
+
+    def remove_all(self, triples):
+        """Remove ground triples from the next generation in one write of
+        the draft; returns the count that was present."""
+        removed = self._draft.remove_all(triples)
         self.deleted += removed
         return removed
 
@@ -158,17 +168,17 @@ class MvccStore(TripleStore):
     def name(self):
         return f"mvcc({self._current.name})"
 
-    def add(self, triple):
+    def add_all(self, triples):
         with self.write_transaction() as txn:
-            return txn.insert(triple)
+            return txn.insert_all(triples)
 
-    def remove(self, triple):
+    def remove_all(self, triples):
         with self.write_transaction() as txn:
-            return txn.remove(triple)
+            return txn.remove_all(triples)
 
     def bulk_load(self, triples):
-        # The draft's own bulk path: an IndexedStore sorts each touched
-        # predicate's runs once instead of splicing them per triple.
+        # The draft's own bulk path: an IndexedStore sorts its columns once
+        # instead of splicing them per triple.
         with self.write_transaction() as txn:
             added = txn._draft.bulk_load(triples)
             txn.inserted += added
@@ -185,8 +195,8 @@ class MvccStore(TripleStore):
     def contains(self, triple):
         return self._current.contains(triple)
 
-    def count(self, subject=None, predicate=None, object=None):
-        return self._current.count(subject, predicate, object)
+    def count_ids(self, subject=None, predicate=None, object=None):
+        return self._current.count_ids(subject, predicate, object)
 
     def __len__(self):
         return len(self._current)

@@ -6,7 +6,7 @@ paper reports loading times per engine precisely because native engines
 reusable on-disk database (Section V).  This module is that on-disk database
 for the reproduction: a store is serialized once — term dictionary and
 id-triple list — and later runs rebuild a store from those sections without
-parsing or dictionary encoding (an ``IndexedStore`` sorts its predicate runs
+parsing or dictionary encoding (an ``IndexedStore`` sorts its four permutations
 from the id triples).  Both families write the same payload and load any
 snapshot, with the ids unchanged.
 
@@ -37,6 +37,7 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import chain
 
 from ..rdf.terms import BNode, Literal, URIRef
 from .dictionary import TermDictionary
@@ -259,20 +260,18 @@ def _append_string(out, text):
 #
 # Two sections, whichever family saved the store:
 #   dictionary   term kinds + datatype/language tables + one shared text blob
-#   triples      the id-triple list as a flat u32 array (sorted for an
-#                IndexedStore, in scan order for a MemoryStore)
+#   triples      the id-triple list as a flat u32 array (SPO order for an
+#                IndexedStore, scan order for a MemoryStore)
 
 
 def _pack(out, store):
-    indexed = getattr(store, "supports_sorted_runs", False)
     _pack_dictionary(out, store.dictionary)
-    # An IndexedStore's triples are a set.  Written sorted, its file is
-    # deterministic, and a load allocates the triples and each index's
-    # buckets in id order: a faster build, and faster queries on catalog.100k
-    # than set order.  A MemoryStore's triples are its scan order, kept.
-    triples = sorted(store.triples_ids()) if indexed else list(store.triples_ids())
-    out.append(_U32.pack(len(triples)))
-    out.append(_u32_array(component for triple in triples for component in triple))
+    # An IndexedStore yields its triples in SPO order, so its file is
+    # deterministic and a load's sort finds them sorted; a MemoryStore's
+    # triples are its scan order, kept.
+    flat = array("I", chain.from_iterable(store.triples_ids()))
+    out.append(_U32.pack(len(flat) // 3))
+    out.append(_u32_array(flat))
 
 
 def _unpack(path, payload):

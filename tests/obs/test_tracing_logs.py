@@ -4,6 +4,8 @@ import io
 import json
 import time
 
+import pytest
+
 from repro.obs import NULL_TRACE, QueryTrace, ServerTelemetry
 from repro.obs.logs import (
     JsonLinesLogger,
@@ -180,6 +182,12 @@ class TestServerTelemetry:
         assert record["type"] == "slow_query"
         assert record["plan"] == "PLAN"
         assert telemetry.slow_queries_total.value == 1
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.001])
+    def test_nan_or_negative_threshold_raises(self, threshold):
+        with pytest.raises(ValueError, match="slow_query_seconds must be"):
+            ServerTelemetry(registry=MetricsRegistry(enabled=True),
+                            slow_query_seconds=threshold)
 
     def test_fast_query_never_renders_a_plan(self):
         calls = []

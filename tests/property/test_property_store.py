@@ -65,10 +65,11 @@ class TestIndexEquivalence:
 # One step of a generation history: (operation, pick, batch of 1-5 triples).
 # Writes go to the open draft, or in place to the newest generation when
 # none is open; "add" and "remove" write the batch's first triple, "bulk"
-# loads the whole batch with ``load_graph``.
+# loads the whole batch with ``load_graph``, "add_all" adds it in one write
+# and "remove_all" removes it and every third held triple in one write.
 history_steps = st.lists(
     st.tuples(st.sampled_from(["add", "add", "remove", "begin", "publish",
-                               "bulk"]),
+                               "bulk", "add_all", "remove_all"]),
               st.integers(min_value=0, max_value=7),
               st.lists(triples, min_size=1, max_size=5)),
     max_size=60,
@@ -79,14 +80,13 @@ def _fingerprint(store):
     """The containers a superseded generation must keep, and their contents."""
     if isinstance(store, MemoryStore):
         return [store._triples], [list(store._triples)]
-    objects, contents = [], []
-    for index in (store._by_s, store._by_o):
-        objects += [index, *index.values()]
-        contents.append({key: frozenset(bucket) for key, bucket in index.items()})
+    permutations = (store._spo, store._osp)
     runs = store._sorted_runs
     held = [runs[key] for key in sorted(runs)]
-    objects += [runs, *held, store._predicate_stamps]
-    contents += [
+    objects = [*permutations, *(column for columns in permutations for column in columns),
+               runs, *held, store._predicate_stamps]
+    contents = [
+        recount.columns(store),
         [(run.keys.tolist(), run.values.tolist()) for run in held],
         dict(store._predicate_stamps), store.version,
     ]
@@ -94,9 +94,10 @@ def _fingerprint(store):
 
 
 def _assert_runs_and_counts(store):
-    """Every run equals a fresh sort of its predicate's triples in both
-    orders, and ``count_ids`` of ``(?, p, ?)`` and ``(?, ?, ?)`` (read off
-    a run's length and the triple counter) equals the recount."""
+    """SPO, OSP and every run equal a fresh sort of the store's triples,
+    and ``count_ids`` of ``(?, p, ?)`` and ``(?, ?, ?)`` (read off a run's
+    length and SPO's) equals the recount."""
+    assert recount.columns(store) == recount.resorted_columns(store)
     assert recount.runs(store) == recount.resorted_runs(store)
     ids = list(store.triples_ids())
     assert store.count_ids() == recount.count(ids, None, None, None)
@@ -143,8 +144,9 @@ def _assert_exact(store, expected):
 
 class TestGenerationHistories:
     """Drafts are stores: every generation stays exact on every pattern
-    shape and its runs stay fresh sorts after every step, and a superseded
-    one keeps its very buckets and runs (identity, not equality)."""
+    shape and its columns and runs stay fresh sorts after every step, and a
+    superseded one keeps its very columns and runs (identity, not
+    equality)."""
 
     @pytest.mark.parametrize("family", [MemoryStore, IndexedStore])
     @given(steps=history_steps)
@@ -168,6 +170,13 @@ class TestGenerationHistories:
             elif operation == "bulk":
                 assert target.load_graph(batch) == len(set(batch) - expected)
                 expected.update(batch)
+            elif operation == "add_all":
+                assert target.add_all(batch) == len(set(batch) - expected)
+                expected.update(batch)
+            elif operation == "remove_all":
+                doomed = batch + sorted(expected, key=str)[pick % 3::3]
+                assert target.remove_all(doomed) == len(set(doomed) & expected)
+                expected.difference_update(doomed)
             elif operation == "begin" and draft is None:
                 base_print = _fingerprint(current)
                 draft, draft_held = current.begin_generation(), set(held)
@@ -182,7 +191,7 @@ class TestGenerationHistories:
                     _assert_runs_and_counts(draft)
         for store, expected, (objects, contents) in superseded:
             _assert_exact(store, expected)
-            # Every bucket and run present at supersession is still there,
+            # Every column and run present at supersession is still there,
             # unchanged, and no run was added since.
             now_objects, now_contents = _fingerprint(store)
             assert len(now_objects) == len(objects)

@@ -1,10 +1,11 @@
 """Brute-force recount of every number the cost model reads from a store.
 
-The reference for ``IndexedStore``'s statistics, which are index sizes and
-facts about the sorted runs: here they are recomputed from ``triples_ids()``
-with plain sets and lists, sharing nothing with the store.  Tests compare
-``statistics_of(store)`` (what the store answers) with ``recount(store)``
-(what a full pass finds), and ``store.count`` with :func:`count`.
+The reference for ``IndexedStore``'s statistics, which are range lengths
+and distinct keys of its sorted columns: here they are recomputed from
+``triples_ids()`` with plain sets and lists, sharing nothing with the store.
+Tests compare ``statistics_of(store)`` (what the store answers) with
+``recount(store)`` (what a full pass finds), and ``store.count`` with
+:func:`count`.
 """
 
 from repro.rdf import RDF
@@ -91,3 +92,24 @@ def resorted_runs(store):
     return {(predicate, order): sorted((s, o) if order == "s" else (o, s)
                                        for s, p, o in triples if p == predicate)
             for predicate in {triple[1] for triple in triples} for order in "so"}
+
+
+def columns(store):
+    """The whole-store permutations of ``store`` as row lists — SPO's
+    ``(s, p, o)`` rows and OSP's ``(o, s, p)`` rows, in stored order —
+    spelled out from each one's row offsets and two stored columns."""
+    return {"spo": _rows(store._spo), "osp": _rows(store._osp)}
+
+
+def _rows(permutation):
+    starts, *values = permutation
+    assert starts[0] == 0 and starts[-1] == len(values[0]) == len(values[1])
+    return [(lead, *row) for lead in range(len(starts) - 1)
+            for row in zip(*(column[starts[lead]:starts[lead + 1]] for column in values))]
+
+
+def resorted_columns(store):
+    """What :func:`columns` must answer: the distinct id triples sorted and
+    their ``(o, s, p)`` rotations sorted."""
+    triples = set(store.triples_ids())
+    return {"spo": sorted(triples), "osp": sorted((o, s, p) for s, p, o in triples)}

@@ -252,6 +252,17 @@ class TestBudgets:
         with pytest.raises(ValueError, match=f"{name} must be a positive"):
             SparqlServer(engine, port=0, **{name: budget})
 
+    def test_a_held_port_raises_oserror(self, engine):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            with pytest.raises(OSError):
+                SparqlServer(engine, port=held.getsockname()[1], workers=1)
+
+    def test_zero_workers_raise_before_binding(self, engine):
+        with pytest.raises(ValueError):
+            SparqlServer(engine, port=0, workers=0)
+
     def test_infinite_and_absent_budgets_are_allowed(self, engine):
         for budgets in ({"default_timeout": float("inf")},
                         {"default_timeout": None, "max_timeout": float("inf")}):

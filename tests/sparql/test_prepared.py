@@ -302,6 +302,22 @@ class TestPreBinding:
             assert len(kept) > 1
             assert Counter(rows) == Counter((nobody,) + row for row in kept)
 
+    @pytest.mark.parametrize("names", [("a", "o"), ("o", "a")])
+    @pytest.mark.parametrize("config", ENGINE_PRESETS + (NATIVE_COST,),
+                             ids=lambda c: c.name)
+    def test_two_unknown_terms_read_no_other_terms_rows(self, graph, config, names):
+        # Each gets its own stand-in id (-1, -2): the second one, as subject
+        # or object of a variable-predicate pattern, must match nothing.
+        engine = SparqlEngine.from_graph(graph, config)
+        query = ("SELECT ?a ?o ?j WHERE { { ?a ?q ?b } UNION { ?s ?p ?o } "
+                 "UNION { ?j rdf:type bench:Journal } }")
+        terms = {"a": Literal("no such subject"), "o": Literal("no such object")}
+        rows = engine.prepare(query).run(
+            bindings={name: terms[name] for name in names}).all().rows()
+        journals = engine.query("SELECT ?j WHERE { ?j rdf:type bench:Journal }").rows()
+        assert len(journals) > 1
+        assert Counter(rows) == Counter((terms["a"], terms["o"]) + row for row in journals)
+
 
 class TestMidStreamTimeout:
     def test_expired_deadline_interrupts_evaluation(self, native):

@@ -1,5 +1,5 @@
-"""The cost model's statistics are read off the indexed store's indexes
-and sorted runs.
+"""The cost model's statistics are read off the indexed store's sorted
+columns (SPO, OSP and the per-predicate runs).
 
 Every value the planner reads — ``count`` on all eight bound/unbound
 pattern shapes, distinct subjects/objects per predicate, the two distinct
@@ -194,6 +194,7 @@ class TestMaintenance:
     def test_a_snapshot_load_adopts_the_runs(self, store, tmp_path):
         store.save(tmp_path / "runs.sp2b")
         loaded = load_snapshot(tmp_path / "runs.sp2b")
+        assert recount.columns(loaded) == recount.columns(store)
         assert sorted(loaded._sorted_runs) == sorted(store._sorted_runs)
         for key, run in loaded._sorted_runs.items():
             assert (run.keys, run.values) == (store._sorted_runs[key].keys,

@@ -149,6 +149,19 @@ class TestIdLevelAccess:
         assert store.count_ids(*encoded) == store.count(predicate=uri("p")) == 3
         assert store.count_ids() == len(store)
 
+    @pytest.mark.parametrize("stand_in", [-1, -2, -3])
+    def test_a_negative_stand_in_id_matches_nothing(self, store, stand_in):
+        # The executor gives a term the dictionary lacks a negative id of
+        # its own; no shape may read another term's rows for it.
+        known = store.encode_pattern(uri("a"), uri("p"), uri("b"))
+        for shape in itertools.product((False, True), repeat=3):
+            for filled in itertools.product(*(
+                    (stand_in, known[i]) if bound else (None,)
+                    for i, bound in enumerate(shape))):
+                if stand_in in filled:
+                    assert store.count_ids(*filled) == 0
+                    assert list(store.triples_ids(*filled)) == []
+
 
 class TestRemove:
     def test_remove_present_triple(self, store):
@@ -194,6 +207,41 @@ class TestRemove:
             assert indexed.remove(target) == memory.remove(target) is True
         assert set(indexed.triples()) == set(memory.triples())
         assert len(indexed) == len(memory)
+
+
+class TestBatchWrites:
+    """``add_all``/``remove_all`` write a batch in one splice per column."""
+
+    def test_a_batch_counts_what_changed_and_bumps_the_version_once(self, store):
+        version = store.version
+        batch = [Triple(uri("z"), uri("p"), uri("a")), Triple(uri("z"), uri("p"), uri("a")),
+                 Triple(uri("y"), uri("s"), uri("z")), sample_triples()[0]]
+        assert store.add_all(batch) == 2 and store.version == version + 1
+        assert store.remove_all(batch + [Triple(uri("x"), uri("p"), uri("a"))]) == 3
+        assert store.version == version + 2
+        assert set(store.triples()) == set(sample_triples()[1:])
+        assert recount.columns(store) == recount.resorted_columns(store)
+        assert recount.runs(store) == recount.resorted_runs(store)
+        assert recount.statistics_of(store) == recount.recount(store)
+
+    def test_an_update_writes_each_of_its_halves_once(self, store, monkeypatch):
+        from repro.sparql.update import execute_update
+        from repro.store import indexed_store
+
+        splices = []
+        original = indexed_store._spliced_permutation
+        monkeypatch.setattr(indexed_store, "_spliced_permutation", lambda *args: (
+            splices.append((len(args[1]), args[3])), original(*args))[1])
+        body = " ".join(f"<http://example.org/n{i}> <http://example.org/p> <http://example.org/m{i}> ."
+                        for i in range(1000))
+        assert execute_update(store, f"INSERT DATA {{ {body} }}").inserted == 1000
+        result = execute_update(store, "DELETE { ?s <http://example.org/p> ?o } "
+                                       "INSERT { ?o <http://example.org/r> ?s } "
+                                       "WHERE { ?s <http://example.org/p> ?o }")
+        assert (result.deleted, result.inserted) == (1003, 1003)
+        # Two permutations per write: SPO and OSP.
+        assert splices == [(1000, True)] * 2 + [(1003, False)] * 2 + [(1003, True)] * 2
+        assert recount.columns(store) == recount.resorted_columns(store)
 
 
 class TestRuns:
@@ -266,7 +314,8 @@ def _subject_object_stores(tmp_path):
 
 @pytest.mark.parametrize("kind", ["plain", "mvcc", "snapshot"])
 def test_subject_object_patterns_match_brute_force(tmp_path, kind):
-    """``(s, ?p, o)`` has no index of its own: it filters the S bucket."""
+    """``(s, ?p, o)`` is a bisect range of OSP: the object's rows, then
+    the subject's among them."""
     store = _subject_object_stores(tmp_path)[kind]
     everything = list(store.triples_ids())
     subjects = {s for s, _p, _o in everything}

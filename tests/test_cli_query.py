@@ -5,6 +5,7 @@ query files, and the failures that must print a message, never a traceback.
 import csv
 import io
 import json
+import socket
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -195,6 +196,16 @@ BAD_ARGUMENTS = {
                                "--max-timeout: must be a positive number of seconds, not 0"),
     "serve-bad-timeout": (["serve", "{doc}", "--timeout", "soon"],
                           "--timeout: invalid float value: 'soon'"),
+    "serve-negative-port": (["serve", "{doc}", "--port", "-1"],
+                            "--port: must be a port from 0 to 65535, not -1"),
+    "serve-port-too-big": (["serve", "{doc}", "--port", "65536"],
+                           "--port: must be a port from 0 to 65535, not 65536"),
+    "serve-nan-slow-query": (["serve", "{doc}", "--slow-query-ms", "nan"],
+                             "--slow-query-ms: must be a non-negative number of "
+                             "milliseconds, not nan"),
+    "serve-negative-slow-query": (["serve", "{doc}", "--slow-query-ms", "-5"],
+                                  "--slow-query-ms: must be a non-negative number of "
+                                  "milliseconds, not -5"),
     "bench-unknown-query": (["bench", "--sizes", "100", "--no-cache",
                              "--queries", "Q1", "Q99"],
                             "unknown query 'Q99'; known queries: Q1,"),
@@ -266,3 +277,17 @@ def test_a_bad_document_is_one_line_and_exit_1(tmp_path, capsys, command, case):
     assert err.startswith(f"error: cannot load {path}: {reason}")
     assert err.count("\n") == 1
     assert "serving" not in out
+
+
+def test_a_busy_port_is_one_line_and_exit_1(tmp_path, capsys):
+    document = tmp_path / "one.nt"
+    document.write_text("<http://t/a> <http://t/p> <http://t/b> .\n", encoding="utf-8")
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        assert main(["serve", str(document), "--port", str(port), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot bind 127.0.0.1:{port}: ")
+    assert err.count("\n") == 1
