@@ -407,9 +407,9 @@ def _print_table(label, cursor, limit, start):
 def serve_main(argv=None):
     """Entry point of ``repro serve``: the SPARQL Protocol endpoint.
 
-    Loads a document (or, much faster, a ``.sp2b`` snapshot) once and
-    serves ``GET/POST /sparql`` plus ``POST /update`` on a thread worker
-    pool until interrupted.  By default the store is wrapped in an MVCC
+    Binds the listener, loads a document (or, much faster, a ``.sp2b``
+    snapshot) once and serves ``GET/POST /sparql`` plus ``POST /update`` on
+    a thread worker pool until interrupted.  By default the store is wrapped in an MVCC
     facade so updates commit as atomically-published snapshots while
     readers keep their pinned generation; ``--read-only`` rejects updates
     with 403 instead.  ``/health`` reports readiness, uptime, and worker
@@ -464,13 +464,6 @@ def serve_main(argv=None):
     from .server import SparqlServer
     from .store import MvccStore
 
-    start = time.perf_counter()
-    engine = _build_engine(args.document, args.engine)
-    if not args.read_only:
-        # Writable serving: snapshot-isolate the store so updates publish
-        # atomically under concurrent readers.
-        engine.store = MvccStore(engine.store)
-    elapsed = time.perf_counter() - start
     telemetry = None
     if args.metrics or args.access_log or args.slow_query_ms is not None:
         from .obs import ServerTelemetry, enable_metrics
@@ -485,9 +478,11 @@ def serve_main(argv=None):
             if args.slow_query_ms is not None else None,
             metrics_endpoint=args.metrics,
         )
+    # Bind before loading, so a busy port or a bad --host fails at once;
+    # nothing answers on the socket until the load is done and serving starts.
     try:
         server = SparqlServer(
-            engine,
+            None,
             host=args.host,
             port=args.port,
             workers=args.workers,
@@ -503,20 +498,28 @@ def serve_main(argv=None):
         print(f"error: cannot bind {args.host}:{args.port}: "
               f"{error.strerror or error}", file=sys.stderr)
         return 1
-    print(f"loaded {len(engine.store)} triples in {elapsed:.2f}s "
-          f"({engine.config.name} engine)")
-    mode = "read-only" if args.read_only else "read/write"
-    print(f"serving SPARQL Protocol ({mode}) at {server.url} "
-          f"({args.workers} workers, {args.timeout:g}s default timeout); "
-          f"updates at {server.update_url}; health at {server.health_url}",
-          flush=True)
-    if args.metrics:
-        print(f"metrics at {server.metrics_url}", flush=True)
     try:
+        start = time.perf_counter()
+        engine = _build_engine(args.document, args.engine)
+        if not args.read_only:
+            # Writable serving: snapshot-isolate the store so updates publish
+            # atomically under concurrent readers.
+            engine.store = MvccStore(engine.store)
+        server.engine = engine
+        print(f"loaded {len(engine.store)} triples in "
+              f"{time.perf_counter() - start:.2f}s ({engine.config.name} engine)")
+        mode = "read-only" if args.read_only else "read/write"
+        print(f"serving SPARQL Protocol ({mode}) at {server.url} "
+              f"({args.workers} workers, {args.timeout:g}s default timeout); "
+              f"updates at {server.update_url}; health at {server.health_url}",
+              flush=True)
+        if args.metrics:
+            print(f"metrics at {server.metrics_url}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
+        server.stop()
         if telemetry is not None:
             telemetry.close()
     return 0

@@ -483,7 +483,6 @@ class SparqlServer:
         for name, budget in (("default_timeout", default_timeout), ("max_timeout", max_timeout)):
             if budget is not None and not budget > 0:
                 raise ValueError(f"{name} must be a positive number of seconds, not {budget!r}")
-        self.engine = engine
         self._httpd = ThreadPoolHTTPServer(
             (host, port), SparqlRequestHandler, workers=workers
         )
@@ -503,6 +502,16 @@ class SparqlServer:
             telemetry if telemetry is not None else ServerTelemetry()
         )
         self._thread = None
+
+    @property
+    def engine(self):
+        """The engine requests run on; ``repro serve`` binds with None and
+        sets it once the document is loaded, before serving starts."""
+        return self._httpd.engine
+
+    @engine.setter
+    def engine(self, engine):
+        self._httpd.engine = engine
 
     @property
     def telemetry(self):

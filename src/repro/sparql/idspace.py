@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, islice, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from time import perf_counter
 
 import numpy as np
 
 from ..rdf.terms import Literal, Variable, term_sort_key
-from ..store.indexed_store import RUN_BY_OBJECT, RUN_BY_SUBJECT
+from ..store.indexed_store import RUN_BY_OBJECT, RUN_BY_SUBJECT, leading_column
 from . import algebra, ast, kernels
 from .bindings import Binding, _name
 from .errors import EvaluationError
@@ -525,14 +525,17 @@ class IdSpaceEvaluation:
 
         ``bound`` holds the slots every incoming block binds (a variable is
         bound in all rows of a block or in none).  The shapes match
-        :func:`~repro.sparql.planner._vectorizable`: the predicate is
-        always a constant id, subject/object are constants or distinct
-        variables.  A predicate without triples (no run) or an empty
-        selection short-circuits to the empty stream.
+        :func:`~repro.sparql.planner._vectorizable`: subject, predicate and
+        object are constants or distinct variables, and a predicate
+        variable is never bound before its step.  A constant predicate runs
+        over its sorted runs, a variable one over SPO/OSP
+        (:meth:`_permutation_step`).  A predicate without triples (no run)
+        or an empty selection short-circuits to the empty stream.
         """
-        (s_var, s_ref), (_p_var, p_ref), (o_var, o_ref) = cpattern
+        (s_var, s_ref), (p_var, p_ref), (o_var, o_ref) = cpattern
+        if p_var:
+            return self._permutation_step(blocks, cpattern, bound)
         store = self._store
-        check = self._check
 
         if not s_var and not o_var:
             # Fully constant pattern: a single existence test gates the
@@ -556,17 +559,7 @@ class IdSpaceEvaluation:
             if var_slot in bound:
                 return self._map_blocks(blocks, lambda block: kernels.apply_mask(
                     block, kernels.member_mask(block, var_slot, values)))
-            if len(values) == 0:
-                return iter(())
-
-            def generate():
-                for block in blocks:
-                    if check is not None:
-                        check()
-                    if block.length == 0:
-                        continue
-                    yield from self._cross_chunked(block, {var_slot: values})
-            return generate()
+            return self._cross_blocks(blocks, {var_slot: values})
 
         run = store.sorted_run(p_ref, RUN_BY_SUBJECT)
         if run is None:
@@ -584,44 +577,60 @@ class IdSpaceEvaluation:
                 probe_slot, new_slot = o_ref, s_ref
             return self._map_blocks(blocks, lambda block: kernels.extend_bound(
                 block, probe_slot, probe_run, new_slot))
+        # The whole run, key-sorted, crossed with every block.
+        return self._cross_blocks(blocks, dict(zip((s_ref, o_ref), kernels.run_columns(run))))
+
+    def _permutation_step(self, blocks, cpattern, bound):
+        """A variable-predicate pattern over SPO/OSP (its predicate slot is
+        unbound).  A bound endpoint (the subject first) expands every block
+        through its ids' row offsets; otherwise the pattern's rows are one
+        key's offset range (a constant endpoint, the subject first) or the
+        whole of SPO, crossed with every block."""
+        subject, (_p_var, p_slot), object_ = cpattern
+        ends = ((subject, object_, RUN_BY_SUBJECT), (object_, subject, RUN_BY_OBJECT))
+        for (is_var, ref), far, order in ends:
+            if is_var and ref in bound:
+                permutation = self._store.permutation(order)
+                return self._map_blocks(blocks, lambda block: kernels.extend_permutation(
+                    block, ref, permutation, p_slot, far))
+        for (is_var, key), (far_var, far_ref), order in ends:
+            if not is_var:
+                starts, predicates, values = self._store.permutation(order)
+                lo, hi = kernels.key_ranges(starts, key)
+                predicates, values = predicates[lo:hi], values[lo:hi]
+                if far_var:
+                    return self._cross_blocks(blocks, {p_slot: predicates, far_ref: values})
+                return self._cross_blocks(blocks, {p_slot: predicates[values == far_ref]})
+        starts, predicates, objects = self._store.permutation()
+        return self._cross_blocks(blocks, {subject[1]: leading_column(starts),
+                                           p_slot: predicates, object_[1]: objects})
+
+    def _cross_blocks(self, blocks, columns):
+        """Every block crossed with the same parallel ``columns`` (the rows
+        of a pattern that shares no slot with the blocks), in pieces that
+        keep output blocks near BLOCK_ROWS, deadline-checked per block;
+        empty columns short-circuit to the empty stream."""
+        total = len(next(iter(columns.values())))
+        if not total:
+            return iter(())
+        check = self._check
 
         def generate():
             for block in blocks:
                 if check is not None:
                     check()
-                if block.length == 0:
+                if not block.length:
                     continue
-                if not block.columns and block.length == 1:
-                    yield from kernels.run_scan_blocks(run, s_ref, o_ref)
-                    continue
-                # Cartesian against rows that bind other variables: pair
-                # every block row with every run entry, scan-chunk by
-                # scan-chunk.
-                for scan in kernels.run_scan_blocks(run, s_ref, o_ref):
-                    yield kernels.cross_extend(block, scan.columns)
+                # Crossed with the unit block (a first step), the columns are
+                # the output as they stand: no repeat/tile needed.
+                unit = not block.columns and block.length == 1
+                step = kernels.BLOCK_ROWS if unit else max(1, kernels.BLOCK_ROWS // block.length)
+                for start in range(0, total, step):
+                    piece = {slot: column[start:start + step]
+                             for slot, column in columns.items()}
+                    yield (kernels.Block(piece, len(next(iter(piece.values()))))
+                           if unit else kernels.cross_extend(block, piece))
         return generate()
-
-    @staticmethod
-    def _cross_chunked(block, columns):
-        """Cross-extend in chunks so output blocks stay near BLOCK_ROWS."""
-        total = len(next(iter(columns.values())))
-        if not block.columns and block.length == 1:
-            # Degenerate cross with the unit block: the new columns ARE the
-            # output (the Q1-style first selection), no repeat/tile needed.
-            for start in range(0, total, kernels.BLOCK_ROWS):
-                piece = {
-                    slot: column[start:start + kernels.BLOCK_ROWS]
-                    for slot, column in columns.items()
-                }
-                yield kernels.Block(piece, len(next(iter(piece.values()))))
-            return
-        step = max(1, kernels.BLOCK_ROWS // max(block.length, 1))
-        for start in range(0, total, step):
-            piece = {
-                slot: column[start:start + step]
-                for slot, column in columns.items()
-            }
-            yield kernels.cross_extend(block, piece)
 
     def _filter_blocks(self, blocks, expression):
         """Inline-filter a block stream, columnar when the shape compiles.
@@ -1017,24 +1026,37 @@ class IdSpaceEvaluation:
     # -- solution modifiers --------------------------------------------------
 
     def _eval_project(self, node):
-        rows = self._eval(node.operand)
         if node.projection is None:
+            return self._eval(node.operand)
+        width = self._layout.width
+        keep = {slot for slot in map(self._layout.slot, node.projection)
+                if slot is not None}
+        found = self._block_operand(node.operand)
+        if found is not None:
+            # Unprojected columns are dropped in block space, before any
+            # row is built.
+            return kernels.rows_from_blocks(found[0], width, keep)
+        rows = self._eval(node.operand)
+        if len(keep) == width:
             return rows
-        layout = self._layout
-        keep = set()
-        for variable in node.projection:
-            slot = layout.slot(variable)
-            if slot is not None:
-                keep.add(slot)
+        # One C-level gather per row: an unprojected cell reads the None
+        # appended past the row's end.
+        getter = _cells_getter([index if index in keep else width
+                                for index in range(width)])
+        return map(getter, map(add, rows, repeat((None,))))
 
-        def generate():
-            for row in rows:
-                yield tuple(
-                    cell if index in keep else None
-                    for index, cell in enumerate(row)
-                )
-
-        return generate()
+    def _block_operand(self, node):
+        """``(blocks, bound)`` for a kernel-annotated BGP or a Union of two
+        (one stream of both sides' blocks), ``bound`` holding per side the
+        slots its patterns bind; None when any part runs on tuples."""
+        sides = (node.left, node.right) if isinstance(node, algebra.Union) else (node,)
+        streams = []
+        for side in sides:
+            blocks = self._bgp_block_stream(side)
+            if blocks is None:
+                return None
+            streams.append(blocks)
+        return chain.from_iterable(streams), [self._node_slots(side) for side in sides]
 
     def _eval_distinct(self, node):
         fast = self._distinct_blocks(node.operand)
@@ -1056,34 +1078,31 @@ class IdSpaceEvaluation:
         The Q4 shape — ``SELECT DISTINCT ?a ?b WHERE { <join-heavy BGP> }``
         — otherwise materializes one tuple per intermediate row only for
         the distinct set to discard most of them.  When the operand is
-        Project over a kernel-annotated BGP and at most two id columns
-        survive the projection, dedup runs on the blocks themselves (a u64
-        composite per row, unique per block) and only distinct rows ever
-        become tuples.  Emission order differs from the tuple path (blocks
-        dedup sorted, tuples first-seen) — DISTINCT without ORDER BY leaves
-        order unspecified, and the result multiset is identical.
+        Project over a kernel-annotated BGP, or over a Union of two (Q9),
+        and the same one or two id columns survive the projection on every
+        side, dedup runs on the blocks themselves (a u64 composite per row,
+        unique per block) and only distinct rows ever become tuples.
+        Emission order differs from the tuple path (blocks dedup sorted,
+        tuples first-seen) — DISTINCT without ORDER BY leaves order
+        unspecified, and the result multiset is identical.
         """
         if not (isinstance(operand, algebra.Project)
                 and operand.projection is not None):
             return None
-        bgp = operand.operand
-        blocks = self._bgp_block_stream(bgp)
-        if blocks is None:
+        found = self._block_operand(operand.operand)
+        if found is None:
             return None
-        layout = self._layout
-        bound = set()
-        for pattern in bgp.patterns:
-            for term in pattern:
-                if isinstance(term, Variable):
-                    bound.add(layout.slot(term))
-        keep = sorted({
-            slot
-            for slot in (layout.slot(v) for v in operand.projection)
-            if slot is not None and slot in bound
-        })
-        # Projected variables the BGP never binds stay None in every row, so
-        # they cannot affect distinctness; with no surviving id column the
-        # generic path handles the degenerate all-None case.
+        blocks, bound = found
+        projected = {slot for slot in map(self._layout.slot, operand.projection)
+                     if slot is not None}
+        # Projected variables a side never binds are None in every one of
+        # its rows, which no u64 key holds: every side must keep the same
+        # columns.  With no surviving id column the generic path handles the
+        # degenerate all-None case.
+        keeps = {tuple(sorted(projected & slots)) for slots in bound}
+        if len(keeps) != 1:
+            return None
+        (keep,) = keeps
         if not 1 <= len(keep) <= 2:
             return None
         return self._distinct_projected(blocks, keep)

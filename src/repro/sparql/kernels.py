@@ -4,18 +4,22 @@ The tuple path in :mod:`.idspace` grows one Python tuple per intermediate
 solution inside the BGP hot loops — per-row interpreter overhead the paper's
 native engines do not pay.  This module provides the batch alternative: a
 basic graph pattern executes over :class:`Block` objects (parallel ``u32``
-id columns keyed by slot), and each plan step is one kernel call that
-binary-searches or merge-joins a predicate's :class:`~repro.store.
-indexed_store.SortedRun` against whole columns at a time.
+id columns keyed by slot), and each plan step is one kernel call over whole
+columns at a time: a constant predicate binary-searches or merge-joins its
+:class:`~repro.store.indexed_store.SortedRun`, a variable one reads the
+store's SPO or OSP permutation through its row offsets.
 
 Three kinds of kernels live here:
 
-* **scan/selection** — stream a sorted run (or one key's value range) into
-  blocks of at most :data:`BLOCK_ROWS` rows, so downstream LIMIT pushdown
-  and deadline checks keep working at block granularity;
-* **join/probe** — extend every block row with its run matches
-  (``extend_bound``), or filter rows by membership of one column
-  (``member_mask``) / a column pair (``semijoin_pair``) in a run;
+* **scan/selection** — one key's value range of a run (``select_eq``) or
+  of SPO/OSP (``key_ranges``), which the evaluator streams, crossed with
+  its blocks, in blocks of about :data:`BLOCK_ROWS` rows, so downstream
+  LIMIT pushdown and deadline checks keep working at block granularity;
+* **join/probe** — extend every block row with its matches through the
+  one range-expansion kernel (``expand``): a run's ``searchsorted`` range
+  (``extend_bound``) or an SPO/OSP offsets range (``extend_permutation``);
+  or filter rows by membership of one column (``member_mask``) / a column
+  pair (``semijoin_pair``) in a run;
 * **columnar filters** — evaluate the comparison/equality FILTER shapes the
   catalog queries use against whole columns, with the keys of
   :func:`.expressions.value_key` / :func:`.expressions.order_key` computed
@@ -26,6 +30,8 @@ planner or the id-space evaluator — the dependency points the other way.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -79,7 +85,7 @@ def empty_block():
 # -- column plumbing ----------------------------------------------------------
 
 
-def _run_np(run):
+def run_columns(run):
     """Numpy views over a run's two columns, cached on the run.
 
     ``array('I')`` exposes the buffer protocol, so the common case is a
@@ -103,7 +109,7 @@ def _run_composite(run):
     """The run's (key, value) pairs as one sorted u64 column, cached."""
     composite = run.cache.get("composite")
     if composite is None:
-        keys, values = _run_np(run)
+        keys, values = run_columns(run)
         composite = (keys.astype(np.uint64) << 32) | values
         run.cache["composite"] = composite
     return composite
@@ -135,55 +141,31 @@ def gather(block, indices):
     return Block(columns, len(indices))
 
 
-def block_rows(block, width):
-    """Yield one block's rows as flat ``width``-wide tuples of ints/None.
+def block_rows(block, width, slots=None):
+    """One block's rows as flat ``width``-wide tuples of ints/None.
 
     The bridge back to the tuple domain: ids come out as Python ints
-    (``tolist`` conversion), so downstream operators (OPTIONAL joins,
-    DISTINCT sets, the decode memo) see exactly the cells the tuple path
-    would have produced.
+    (``tolist`` conversion) through one C-level ``zip`` of the columns, with
+    ``repeat(None)`` for the unbound slots, so downstream operators
+    (OPTIONAL joins, DISTINCT sets, the decode memo) see exactly the cells
+    the tuple path would have produced.  ``slots``, when given, are the
+    only columns kept (a projection); the others read as None.
     """
-    if block.length == 0:
-        return
-    slots = sorted(block.columns)
-    if not slots:
-        row = (None,) * width
-        for _ in range(block.length):
-            yield row
-        return
-    template = [None] * width
-    lists = [block.columns[slot].tolist() for slot in slots]
-    for cells in zip(*lists):
-        row = template.copy()
-        for slot, cell in zip(slots, cells):
-            row[slot] = cell
-        yield tuple(row)
+    kept = [slot for slot in block.columns if slots is None or slot in slots]
+    if not kept:
+        return repeat((None,) * width, block.length)
+    columns = [repeat(None)] * width
+    for slot in kept:
+        columns[slot] = block.columns[slot].tolist()
+    return zip(*columns)
 
 
-def rows_from_blocks(blocks, width):
+def rows_from_blocks(blocks, width, slots=None):
     """Flatten a lazy block stream into the tuple-row protocol."""
-    for block in blocks:
-        yield from block_rows(block, width)
+    return chain.from_iterable(block_rows(block, width, slots) for block in blocks)
 
 
 # -- scan / selection kernels -------------------------------------------------
-
-
-def run_scan_blocks(run, key_slot, value_slot):
-    """Stream a whole run as blocks of at most BLOCK_ROWS rows.
-
-    The run is already sorted by ``key_slot``'s column, which downstream
-    merge-join steps exploit; chunking keeps the pipeline lazy so LIMIT
-    pushdown stops the scan early.
-    """
-    total = len(run)
-    keys, values = _run_np(run)
-    for start in range(0, total, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, total)
-        yield Block(
-            {key_slot: keys[start:stop], value_slot: values[start:stop]},
-            stop - start,
-        )
 
 
 def select_eq(run, key):
@@ -192,7 +174,7 @@ def select_eq(run, key):
     Within equal keys a run is sorted by value (lexicographic pair sort), so
     the returned column is itself binary-searchable by :func:`member_mask`.
     """
-    keys, values = _run_np(run)
+    keys, values = run_columns(run)
     lo = int(np.searchsorted(keys, key, "left"))
     hi = int(np.searchsorted(keys, key, "right"))
     return values[lo:hi]
@@ -222,34 +204,74 @@ def cross_extend(block, new_columns):
 # -- join / probe kernels -----------------------------------------------------
 
 
+def key_ranges(starts, keys):
+    """``(lo, hi)``: the rows of each id of ``keys`` (a column, or one id) by
+    row offsets ``starts``.  An id the offsets do not cover — a term a later
+    generation added to the shared dictionary — has none."""
+    last = len(starts) - 1
+    keys = np.minimum(keys, last)
+    return starts[keys], starts[np.minimum(keys + 1, last)]
+
+
+def expand(block, lo, hi):
+    """The block with row ``i`` repeated once per position of ``lo[i]:hi[i]``,
+    and those positions: the one range-expansion kernel.
+
+    Row order is preserved (the output index vector is non-decreasing), so
+    a column that was sorted stays sorted — the property that keeps
+    merge-join steps merge-joinable down the pipeline.
+    """
+    lo = np.asarray(lo, dtype=np.intp)
+    counts = np.asarray(hi, dtype=np.intp) - lo
+    total = int(counts.sum())
+    if total == 0:
+        return empty_block(), None
+    out_index = np.repeat(np.arange(block.length), counts)
+    # A ramp over the output rows, rebased per input row to its ``lo``.
+    positions = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    columns = {slot: col[out_index] for slot, col in block.columns.items()}
+    return Block(columns, total), positions
+
+
 def extend_bound(block, bound_slot, run, new_slot):
     """Join a block column against a run's keys, binding the values.
 
     For every row, every run entry whose key equals the row's
     ``bound_slot`` id produces one output row with the entry's value in
-    ``new_slot``.  Row order is preserved (the output index vector is
-    non-decreasing), so a column that was sorted stays sorted — the
-    property that keeps merge-join steps merge-joinable down the pipeline.
+    ``new_slot``: an :func:`expand` over the key's ``searchsorted`` range.
     """
     column = block.columns[bound_slot]
-    keys, values = _run_np(run)
-    lo = np.searchsorted(keys, column, "left")
-    hi = np.searchsorted(keys, column, "right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return empty_block()
-    out_index = np.repeat(np.arange(block.length), counts)
-    # Positions into the run: a ramp over the output rows, rebased per
-    # input row to that row's [lo, hi) match range.
-    starts = np.repeat(lo, counts)
-    rebase = np.repeat(np.cumsum(counts) - counts, counts)
-    positions = np.arange(total) - rebase + starts
-    columns = {
-        slot: col[out_index] for slot, col in block.columns.items()
-    }
-    columns[new_slot] = values[positions]
-    return Block(columns, total)
+    keys, values = run_columns(run)
+    out, positions = expand(block, np.searchsorted(keys, column, "left"),
+                            np.searchsorted(keys, column, "right"))
+    if out.length:
+        out.columns[new_slot] = values[positions]
+    return out
+
+
+def extend_permutation(block, key_slot, permutation, predicate_slot, far):
+    """Join a block column against SPO or OSP, binding the predicate.
+
+    ``permutation`` is ``(starts, predicates, values)`` as
+    :meth:`~repro.store.indexed_store.IndexedStore.permutation` gives it;
+    every row expands to the rows of its ``key_slot`` id.  ``far`` is the
+    pattern's other endpoint as ``(is_var, ref)``: a constant id, or a slot
+    the block already binds, must equal the rows' values (expand, then
+    mask); an unbound slot takes them.
+    """
+    starts, predicates, values = permutation
+    out, positions = expand(block, *key_ranges(starts, block.columns[key_slot]))
+    if not out.length:
+        return out
+    is_var, ref = far
+    values = values[positions]
+    if is_var and ref not in out.columns:
+        out.columns[ref] = values
+    else:
+        mask = values == (out.columns[ref] if is_var else ref)
+        out, positions = apply_mask(out, mask), positions[mask]
+    out.columns[predicate_slot] = predicates[positions]
+    return out
 
 
 def member_mask(block, bound_slot, sorted_values):

@@ -385,17 +385,19 @@ def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
 def _vectorizable(steps):
     """True when every step can run on the batch kernels.
 
-    The kernels execute over per-predicate sorted runs, so every predicate
-    must be constant, and a subject that is also its object is a shape they
-    do not handle.  The whole BGP vectorizes or none of it does: blocks and
-    tuples cannot alternate mid-pipeline.  Which kernel a step runs is
-    decided at run time from the same shapes.
+    A constant predicate runs over its sorted runs, a variable one over the
+    SPO/OSP permutations.  The kernels handle no variable repeated inside
+    one pattern, and no predicate variable an earlier step bound.  The
+    whole BGP vectorizes or none of it does: blocks and tuples cannot
+    alternate mid-pipeline.  Which kernel a step runs is decided at run
+    time from the same shapes.
     """
+    bound = set()
     for step in steps:
-        subject, predicate, object_ = step.pattern
-        if isinstance(predicate, Variable) or (
-                isinstance(subject, Variable) and subject == object_):
+        variables = [term for term in step.pattern if isinstance(term, Variable)]
+        if len(set(variables)) < len(variables) or step.pattern[1] in bound:
             return False
+        bound.update(variables)
     return True
 
 

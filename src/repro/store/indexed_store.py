@@ -14,7 +14,8 @@ runs; ``(s, p, o)``: SPO; ``(s, ?, o)``: OSP.  The cost model's statistics
 are range lengths and the distinct keys of sorted columns.
 ``triples_ids()`` / ``count_ids()`` decode nothing: the SPARQL executor
 (:mod:`repro.sparql.idspace`) joins over ids, and ``supports_sorted_runs``
-gives the planner probes per row and batch kernels over the runs.
+gives the planner probes per row and batch kernels over the runs and, for a
+variable predicate, over SPO and OSP (``permutation()``'s numpy views).
 
 No column is edited in place: ``add_all``/``remove_all`` splice a batch of
 triples into copies in one pass (``add``/``remove`` are batches of one),
@@ -135,7 +136,7 @@ def _starts(keys, size):
     return _column(np.searchsorted(keys, np.arange(size + 1, dtype=np.uintc)).astype(np.uintc))
 
 
-def _leading(starts):
+def leading_column(starts):
     """The leading column a permutation's row offsets stand for (numpy)."""
     offsets = np.frombuffer(starts, np.uintc)
     return np.repeat(np.arange(len(offsets) - 1, dtype=np.uintc), np.diff(offsets))
@@ -249,7 +250,7 @@ class IndexedStore(TripleStore):
         stored = len(self)
         starts, predicates, objects = self._spo
         s, p, o = np.concatenate((
-            np.stack((_leading(starts), np.frombuffer(predicates, np.uintc),
+            np.stack((leading_column(starts), np.frombuffer(predicates, np.uintc),
                       np.frombuffer(objects, np.uintc))),
             np.asarray(flat, np.uintc).reshape(-1, 3).T), axis=1)
         fresh = np.arange(len(s)) >= stored
@@ -379,7 +380,7 @@ class IndexedStore(TripleStore):
             return zip(subjects[lo:hi], predicates[lo:hi], repeat(object))
         starts, predicates, objects = self._spo
         if subject is None:
-            return zip(_column(_leading(starts)), predicates, objects)
+            return zip(_column(leading_column(starts)), predicates, objects)
         lo, hi = self._spo_range(subject, predicate, object)
         return zip(repeat(subject), predicates[lo:hi], objects[lo:hi])
 
@@ -422,6 +423,19 @@ class IndexedStore(TripleStore):
             return lo, hi
         lo, hi = _equal_range(predicates, p, lo, hi)
         return _equal_range(objects, o, lo, hi)
+
+    def permutation(self, order=RUN_BY_SUBJECT):
+        """SPO (``order`` ``"s"``) or OSP (``"o"``) as zero-copy numpy views
+        ``(starts, predicates, values)``: the rows of key id ``k`` are
+        ``starts[k]:starts[k + 1]``, and ``values`` holds their objects (SPO)
+        or subjects (OSP), as a :meth:`sorted_run` of that order does."""
+        if order == RUN_BY_SUBJECT:
+            starts, predicates, values = self._spo
+        elif order == RUN_BY_OBJECT:
+            starts, values, predicates = self._osp
+        else:
+            raise ValueError(f"unknown permutation order: {order!r}")
+        return tuple(np.frombuffer(column, np.uintc) for column in (starts, predicates, values))
 
     # -- sorted runs ---------------------------------------------------------
 

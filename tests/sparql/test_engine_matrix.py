@@ -107,13 +107,15 @@ def test_explain_executes_the_tree_prepare_built(engines, preset, query):
     assert report.result.actual == report.result_count
 
 
-def test_kernels_need_the_cost_planner_sorted_runs(engines, reference):
-    q4 = next(query for query in QUERIES if query.identifier == "Q4").text
+# Q9 and Q10 run their variable predicates over SPO/OSP.
+@pytest.mark.parametrize("identifier", ["Q4", "Q9", "Q10"])
+def test_kernels_need_the_cost_planner_sorted_runs(engines, reference, identifier):
+    text = next(query for query in QUERIES if query.identifier == identifier).text
     cost = engines[NATIVE_COST.name]
-    assert all(step.kernel for step in cost.explain(q4).plan_steps())
-    without = reference.tuple_path(cost).explain(q4)
+    assert all(step.kernel for step in cost.explain(text).plan_steps())
+    without = reference.tuple_path(cost).explain(text)
     assert not any(step.kernel for step in without.plan_steps())
     assert ([(step.pattern, step.strategy) for step in without.plan_steps()]
             == [(step.pattern, step.strategy)
-                for step in cost.explain(q4).plan_steps()])
+                for step in cost.explain(text).plan_steps()])
     assert "vectorized=no" in without.render()

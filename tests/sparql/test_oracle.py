@@ -53,6 +53,34 @@ EDGE_CASES = {
     "empty-count": "SELECT (COUNT(?x) AS ?n) WHERE { ?x rdf:type bench:Nothing }",
 }
 
+#: Variable predicates, one query per shape of the SPO/OSP kernels on
+#: native-cost (a constant, bound or free subject and object), a predicate
+#: shared by two patterns, a FILTER on it, DISTINCT over a UNION, and a
+#: constant the dictionary does not hold.
+EDGE_CASES.update({
+    "any-predicate-of-subject":
+        "SELECT * WHERE { ?j rdf:type bench:Journal . person:Paul_Erdoes ?p ?o }",
+    "any-predicate-to-object": "SELECT ?s ?p WHERE { ?s ?p bench:Article }",
+    "any-predicate-between-constants":
+        "SELECT * WHERE { ?j rdf:type bench:Journal . person:Paul_Erdoes ?p foaf:Person }",
+    "any-triple": "SELECT * WHERE { ?s ?p ?o }",
+    "any-predicate-bound-subject":
+        "SELECT ?d ?p ?o WHERE { ?d rdf:type bench:Article . ?d ?p ?o }",
+    "any-predicate-bound-object": "SELECT ?s ?p ?a WHERE { ?d dc:creator ?a . ?s ?p ?a }",
+    "any-predicate-both-bound": "SELECT ?d ?p ?a WHERE { ?d dc:creator ?a . ?d ?p ?a }",
+    "any-predicate-bound-to-constant":
+        "SELECT ?d ?p WHERE { ?d rdf:type bench:Article . ?d ?p bench:Article }",
+    "shared-predicate":
+        "SELECT ?p ?s WHERE { person:Paul_Erdoes ?p ?o . ?s ?p bench:Journal }",
+    "predicate-filter": """SELECT ?d ?p WHERE { ?d rdf:type bench:Article . ?d ?p ?o
+        FILTER (?p != rdf:type) }""",
+    "distinct-predicate-union": """SELECT DISTINCT ?p WHERE {
+        { ?d rdf:type bench:Article . ?d ?p ?o }
+        UNION { ?j rdf:type bench:Journal . ?x ?p ?j } }""",
+    "any-predicate-unknown":
+        "SELECT * WHERE { ?d rdf:type bench:Article . <http://example.org/nosuch> ?p ?d }",
+})
+
 #: The value matrix: each value is the object of ``ex:v`` and of ``ex:w``.
 EX = "http://example.org/values/"
 VALUES = (

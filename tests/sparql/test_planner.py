@@ -228,9 +228,15 @@ class TestPlanTree:
         def vectorizable(*patterns):
             return _vectorizable([PlanStep(pattern=pattern) for pattern in patterns])
 
+        pred = Variable("pred")
         assert vectorizable(*star)
         assert not vectorizable(*star, Triple(x, DC.creator, x))
-        assert not vectorizable(*star, Triple(a, Variable("pred"), x))
+        # A variable predicate runs over SPO/OSP, unless a variable repeats
+        # inside its pattern or an earlier step bound the predicate.
+        assert vectorizable(*star, Triple(a, pred, x))
+        assert not vectorizable(*star, Triple(x, pred, x))
+        assert not vectorizable(*star, Triple(x, pred, pred))
+        assert not vectorizable(*star, Triple(a, pred, x), Triple(n, pred, x))
 
     def test_plan_tree_does_not_mutate_input(self, small_store):
         from repro.sparql import parse_query, translate_query

@@ -24,6 +24,7 @@ from repro.sparql import (
     QueryTimeout,
     SelectCursor,
     SparqlEngine,
+    kernels,
 )
 from repro.rdf import Literal
 
@@ -131,16 +132,23 @@ class TestLimitPushdown:
             counts["restore"]()
         assert 0 < counts["produced"] < total / 10
 
-    def test_query_level_limit_stops_production_native(self, graph):
-        engine = SparqlEngine.from_graph(graph, NATIVE_COST)
+    def test_query_level_limit_stops_production_native(self, generated_graph_medium):
+        # On native-cost the pattern streams SPO on the batch kernels: the
+        # LIMIT stops it after its first block, and no row comes through the
+        # tuple path's triples_ids.
+        engine = SparqlEngine.from_graph(generated_graph_medium, NATIVE_COST)
         total = len(engine.store)
         counts = probe_counter(engine.store, "triples_ids")
         try:
-            result = engine.prepare("SELECT ?s WHERE { ?s ?p ?o } LIMIT 2").run().all()
-            assert len(result) == 2
+            text = "SELECT ?s WHERE { ?s ?p ?o } LIMIT 2"
+            assert len(engine.prepare(text).run().all()) == 2
+            report = engine.explain(text)
         finally:
             counts["restore"]()
-        assert 0 < counts["produced"] < total / 10
+        (step,) = report.plan_steps()
+        assert step.kernel and step.partial
+        assert counts["produced"] == 0
+        assert 0 < step.actual <= kernels.BLOCK_ROWS < total / 4
 
     def test_limit_pushdown_term_space_nested_loop(self, graph):
         engine = SparqlEngine.from_graph(graph, NATIVE_OPTIMIZED)

@@ -162,6 +162,22 @@ class TestIdLevelAccess:
                     assert store.count_ids(*filled) == 0
                     assert list(store.triples_ids(*filled)) == []
 
+    def test_permutations_spell_out_every_triple(self, store):
+        # Each key id's offsets range holds its rows, SPO sorted by (s, p, o)
+        # and OSP by (o, s, p); the views give them as (key, p, value).
+        spelled = {}
+        for order in "so":
+            starts, predicates, values = store.permutation(order)
+            spelled[order] = [
+                (key, p, value) for key in range(len(starts) - 1)
+                for p, value in zip(predicates[starts[key]:starts[key + 1]].tolist(),
+                                    values[starts[key]:starts[key + 1]].tolist())]
+        assert spelled["s"] == sorted(store.triples_ids())
+        assert [(s, p, o) for o, p, s in spelled["o"]] == sorted(
+            store.triples_ids(), key=lambda ids: (ids[2], ids[0], ids[1]))
+        with pytest.raises(ValueError, match="unknown permutation order"):
+            store.permutation("p")
+
 
 class TestRemove:
     def test_remove_present_triple(self, store):

@@ -254,6 +254,32 @@ class TestDraftConsistency:
         assert len(rebuilt.keys) == len(run_q.keys) + 1
         assert base.sorted_run(q_id, RUN_BY_SUBJECT) is run_q and len(run_q) == 10
 
+    @pytest.mark.parametrize("text", [
+        "SELECT * WHERE { <http://example.org/new> ?p ?o }",
+        "SELECT * WHERE { ?s ?p <http://example.org/new> }",
+        "SELECT * WHERE { ?s <http://example.org/p> ?o . ?s ?q <http://example.org/new> }",
+    ])
+    def test_a_pinned_generation_finds_no_rows_for_a_later_term(self, text):
+        # The dictionary is shared and append-only: a term a later write
+        # encoded has an id past the pinned generation's row offsets.
+        from repro.sparql import NATIVE_COST, SparqlEngine, algebra
+        from repro.sparql.idspace import IdSpaceEvaluation
+
+        new = URIRef("http://example.org/new")
+        store = MvccStore(IndexedStore([triple(n) for n in range(30)]))
+        pinned = store.snapshot()
+        subjects = [URIRef(f"http://example.org/s{n}") for n in range(30)]
+        store.add_all([Triple(new, Q, s) for s in subjects] +
+                      [Triple(s, Q, new) for s in subjects])
+        assert pinned.dictionary.lookup(new) is not None
+        # Planned on the newest generation, where the term has rows, the
+        # BGP runs on the batch kernels.
+        tree = SparqlEngine(NATIVE_COST, store=store).prepare(text).tree
+        assert all(step.kernel for bgp in algebra.collect_bgps(tree)
+                   for step in bgp.plan.steps)
+        assert list(IdSpaceEvaluation(pinned).bindings(tree)) == []
+        assert len(list(IdSpaceEvaluation(store.snapshot()).bindings(tree))) == 30
+
 
 class TestConcurrency:
     def test_writers_serialize(self):

@@ -291,3 +291,43 @@ def test_a_busy_port_is_one_line_and_exit_1(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.startswith(f"error: cannot bind 127.0.0.1:{port}: ")
     assert err.count("\n") == 1
+
+
+def test_a_busy_port_is_reported_before_the_document_loads(tmp_path, capsys):
+    missing = tmp_path / "missing.nt"
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        assert main(["serve", str(missing), "--port", str(port), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot bind 127.0.0.1:{port}: ")
+    assert "cannot load" not in err
+    assert err.count("\n") == 1
+
+
+def test_health_does_not_answer_while_the_document_loads(tmp_path, monkeypatch, capsys):
+    import urllib.request
+
+    import repro.cli
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    answered = []
+
+    def loading(document, engine_name):
+        # The socket is bound and accepts the connection, but nothing serves
+        # it until the load is done.
+        try:
+            urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=0.3)
+            answered.append(True)
+        except OSError:
+            answered.append(False)
+        raise SystemExit(1)
+
+    monkeypatch.setattr(repro.cli, "_build_engine", loading)
+    with pytest.raises(SystemExit):
+        main(["serve", str(tmp_path / "doc.nt"), "--port", str(port), "--quiet"])
+    assert answered == [False]
+    assert "serving" not in capsys.readouterr().out

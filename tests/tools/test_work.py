@@ -97,3 +97,19 @@ def test_counters_are_recorded_and_their_differences_do_not_fail(ledger, tmp_pat
     assert f"counter differs (not failing): {SIZE} indexed traced_bytes" in out
     assert f"counter differs (not failing): {SIZE} native-cost Q1 json_bytes" in out
     assert "0 differ, 0 plan differences, 2 counter differences" in out
+
+
+def test_check_names_a_query_that_fell_off_the_kernels(ledger, tmp_path, capfd):
+    written = json.loads(ledger.read_text(encoding="utf-8"))
+    entries = written["sizes"][SIZE]["native-cost"]
+    assert entries["Q9"]["kernel_steps"] == 4
+    assert all(entry["kernel_steps"] == 0
+               for entry in written["sizes"][SIZE]["native-optimized"].values())
+    entries["Q9"]["kernel_steps"] += 1
+    path = tmp_path / "kernels.json"
+    path.write_text(work.dumps(written), encoding="utf-8")
+    assert work.main(["--check", "--file", str(path), "--sizes", SIZE]) == 0
+    out = capfd.readouterr().out
+    assert (f"kernel steps differ (not failing): {SIZE} native-cost Q9: fell off "
+            f"the kernels, 4 kernel steps, committed 5") in out
+    assert "0 plan differences, 0 counter differences, 1 kernel-step differences" in out

@@ -7,15 +7,16 @@ takes a minute), and writes ``WORK.json``.  Per (size, preset, query) the
 file holds a digest of the result multiset, a digest of the EXPLAIN render
 with every timing removed and the ``actual=`` counts of steps an ASK or
 LIMIT stopped early masked, the rows each step produced ("-" where
-stopped early), and the byte length of the result's SPARQL JSON.  Per
-(size, store family) it holds the ``tracemalloc`` bytes the store built
-from the generated graph keeps allocated, and the byte size of that
-store's snapshot.  The work runs in a child process with
+stopped early), how many of its BGP steps run on the batch kernels, and
+the byte length of the result's SPARQL JSON.  Per (size, store family) it
+holds the ``tracemalloc`` bytes the store built from the generated graph
+keeps allocated, and the byte size of that store's snapshot.  The work runs in a child process with
 ``PYTHONHASHSEED=0``, so two runs write byte-identical files.
 
 ``--check`` compares a fresh run with the file instead of writing it: it
 exits 1 naming every (size, preset, query) whose answer digest differs,
-and prints EXPLAIN and counter differences without failing.  Usage:
+and prints EXPLAIN, kernel-step and counter differences without failing
+(a query that fell off the kernels is named).  Usage:
 
     python tools/work.py [--check] [--file WORK.json] [--sizes 5000 25000]
 """
@@ -83,6 +84,11 @@ def step_rows(lines):
     return " ".join(re.findall(r"actual=(\d+|-)", "\n".join(lines)))
 
 
+def kernel_steps(lines):
+    """How many BGP steps run on the batch kernels (``vectorized=yes``)."""
+    return sum("vectorized=yes" in line for line in lines)
+
+
 def presets_for(size):
     return PRESETS if size <= ALL_PRESETS_UP_TO else FAST_PRESETS
 
@@ -128,6 +134,7 @@ def measure(sizes):
                 entries[query.identifier] = {
                     "answer": answer_digest(result),
                     "explain": _digest(lines),
+                    "kernel_steps": kernel_steps(lines),
                     "rows": step_rows(lines),
                     "json_bytes": len(result.serialize("json").encode("utf-8")),
                 }
@@ -139,11 +146,12 @@ def dumps(ledger):
 
 
 def differences(committed, fresh):
-    """``(answers, plans, counters)``: messages for every (size, preset,
-    query) whose answer digest differs, for those whose EXPLAIN differs, and
-    for every counter (JSON bytes, a store's traced or snapshot bytes) that
-    differs."""
-    answers, plans, counters = [], [], []
+    """``(answers, plans, kernels, counters)``: messages for every (size,
+    preset, query) whose answer digest differs, for those whose EXPLAIN
+    differs, for those with another number of kernel steps (naming a query
+    that fell off the kernels), and for every counter (JSON bytes, a store's
+    traced or snapshot bytes) that differs."""
+    answers, plans, kernels, counters = [], [], [], []
     for size, per_family in fresh["stores"].items():
         for family, values in per_family.items():
             old = committed.get("stores", {}).get(size, {}).get(family, {})
@@ -166,10 +174,16 @@ def differences(committed, fresh):
                     plans.append(f"{where}: explain {entry['explain']} rows "
                                  f"[{entry['rows']}], committed {old['explain']} "
                                  f"rows [{old['rows']}]")
+                steps = entry["kernel_steps"]
+                old_steps = old.get("kernel_steps", steps)
+                if steps != old_steps:
+                    moved = "fell off" if steps < old_steps else "moved onto"
+                    kernels.append(f"{where}: {moved} the kernels, {steps} kernel "
+                                   f"steps, committed {old_steps}")
                 if old.get("json_bytes") != entry["json_bytes"]:
                     counters.append(f"{where} json_bytes: {entry['json_bytes']}, "
                                     f"committed {old.get('json_bytes', '-')}")
-    return answers, plans, counters
+    return answers, plans, kernels, counters
 
 
 def run(args):
@@ -178,19 +192,21 @@ def run(args):
         args.file.write_text(dumps(fresh), encoding="utf-8")
         print(f"wrote {args.file}")
         return 0
-    answers, plans, counters = differences(
+    answers, plans, kernels, counters = differences(
         json.loads(args.file.read_text(encoding="utf-8")), fresh)
     for message in counters:
         print(f"counter differs (not failing): {message}")
     for message in plans:
         print(f"plan differs (not failing): {message}")
+    for message in kernels:
+        print(f"kernel steps differ (not failing): {message}")
     for message in answers:
         print(f"ANSWER DIFFERS: {message}")
     checked = sum(len(entries) for per_preset in fresh["sizes"].values()
                   for entries in per_preset.values())
     print(f"{checked} answers checked against {args.file}: "
           f"{len(answers)} differ, {len(plans)} plan differences, "
-          f"{len(counters)} counter differences")
+          f"{len(counters)} counter differences, {len(kernels)} kernel-step differences")
     return 1 if answers else 0
 
 
