@@ -62,7 +62,7 @@ def run_instrumented_mix(engine, telemetry):
 
 def test_enabled_registry_overhead_is_bounded(obs_engine):
     telemetry = ServerTelemetry()
-    # Warm both sides: prepared-statement cache, sorted runs, histograms.
+    # Warm both sides: prepared-statement cache, statistics, histograms.
     run_instrumented_mix(obs_engine, telemetry)
     enable_metrics()
     try:

@@ -13,6 +13,8 @@ identity so they can be used as dictionary keys in stores and as sort keys in
 
 from __future__ import annotations
 
+import math
+
 from .errors import TermError
 
 #: XSD datatype URIs understood by the literal value machinery.
@@ -198,7 +200,7 @@ class Literal(Term):
         if isinstance(value, (int, float)):
             # Numbers order before strings, among themselves by value, with
             # NaN (unordered as a float) first.
-            number = float(value)
+            number = as_float(value)
             if number != number:
                 return (self._order_rank, 0, 0, 0.0, self.lexical)
             return (self._order_rank, 0, 1, number, self.lexical)
@@ -256,6 +258,15 @@ class Variable(Term):
 
     def __hash__(self):
         return hash((Variable, self.name))
+
+
+def as_float(number):
+    """An int or float as a float; an integer past float range is infinite,
+    as ``"1e400"^^xsd:double`` parses, where ``float()`` would raise."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
 
 
 def term_sort_key(term):

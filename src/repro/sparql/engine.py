@@ -5,7 +5,7 @@
 * the storage backend (unindexed in-memory scan store versus a fully indexed
   "native" store) — which also fixes how patterns are accessed: one scan per
   pattern plus a hash join, or index probes, both over dictionary ids, with
-  batch kernels where the cost planner finds sorted runs; and
+  batch kernels where the cost planner finds sorted permutations; and
 * the optimization level (planner family, filter pushing, pattern reuse).
 
 Five presets mirror the engines whose results the paper discusses (ARQ,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import re
 
-from ..rdf.terms import XSD_BOOLEAN, XSD_STRING, BNode, Literal, URIRef, Variable
+from ..rdf.terms import XSD_BOOLEAN, XSD_STRING, BNode, Literal, URIRef, Variable, as_float
 from . import ast
 from .errors import ExpressionError
 
@@ -134,7 +134,8 @@ def order_key(term):
     anything else (IRIs, blank nodes, booleans, language-tagged strings,
     malformed numerics, unknown datatypes).  Two keys order only when both
     exist and have one kind; otherwise the comparison is a type error.  NaN
-    keeps its float, so every ordering against it is false.
+    keeps its float, so every ordering against it is false; an integer past
+    float range keys as infinity, as a double of that size does.
     """
     if isinstance(term, Literal):
         if term.datatype in (None, XSD_STRING):
@@ -142,7 +143,7 @@ def order_key(term):
         if term.is_numeric():
             value = term.to_python()
             if not isinstance(value, str):
-                return ("num", float(value))
+                return ("num", as_float(value))
     return None
 
 

@@ -41,8 +41,8 @@ from time import perf_counter
 
 import numpy as np
 
-from ..rdf.terms import Literal, Variable, term_sort_key
-from ..store.indexed_store import RUN_BY_OBJECT, RUN_BY_SUBJECT, leading_column
+from ..rdf.terms import Literal, Variable, as_float, term_sort_key
+from ..store.indexed_store import leading_column
 from . import algebra, ast, kernels
 from .bindings import Binding, _name
 from .errors import EvaluationError
@@ -528,8 +528,9 @@ class IdSpaceEvaluation:
         :func:`~repro.sparql.planner._vectorizable`: subject, predicate and
         object are constants or distinct variables, and a predicate
         variable is never bound before its step.  A constant predicate runs
-        over its sorted runs, a variable one over SPO/OSP
-        (:meth:`_permutation_step`).  A predicate without triples (no run)
+        over its rows of PSO and POS, sorted ``(keys, values)`` pairs
+        (subject, object and object, subject), a variable one over SPO/OSP
+        (:meth:`_permutation_step`).  A predicate without triples (no rows)
         or an empty selection short-circuits to the empty stream.
         """
         (s_var, s_ref), (p_var, p_ref), (o_var, o_ref) = cpattern
@@ -544,41 +545,39 @@ class IdSpaceEvaluation:
                 return blocks
             return iter(())
 
+        by_subject = store.permutation("pso", p_ref)
+        if not len(by_subject[0]):
+            return iter(())
         if not s_var or not o_var:
-            # One constant endpoint: a single-key selection against the run
-            # keyed on the constant side.
+            # One constant endpoint: a single-key selection against the
+            # rows keyed on the constant side.
             if s_var:
-                run = store.sorted_run(p_ref, RUN_BY_OBJECT)
+                keys, values = store.permutation("pos", p_ref)
                 key, var_slot = o_ref, s_ref
             else:
-                run = store.sorted_run(p_ref, RUN_BY_SUBJECT)
-                key, var_slot = s_ref, o_ref
-            if run is None:
-                return iter(())
-            values = kernels.select_eq(run, key)
+                (keys, values), key, var_slot = by_subject, s_ref, o_ref
+            values = kernels.select_eq(keys, values, key)
             if var_slot in bound:
                 return self._map_blocks(blocks, lambda block: kernels.apply_mask(
                     block, kernels.member_mask(block, var_slot, values)))
             return self._cross_blocks(blocks, {var_slot: values})
 
-        run = store.sorted_run(p_ref, RUN_BY_SUBJECT)
-        if run is None:
-            return iter(())
         s_bound = s_ref in bound
         o_bound = o_ref in bound
         if s_bound and o_bound:
+            pairs = kernels.pair_keys(*by_subject)
             return self._map_blocks(blocks, lambda block: kernels.apply_mask(
-                block, kernels.semijoin_pair(block, s_ref, o_ref, run)))
+                block, kernels.semijoin_pair(block, s_ref, o_ref, pairs)))
         if s_bound or o_bound:
             if s_bound:
-                probe_slot, new_slot, probe_run = s_ref, o_ref, run
+                probe_slot, new_slot, (keys, values) = s_ref, o_ref, by_subject
             else:
-                probe_run = store.sorted_run(p_ref, RUN_BY_OBJECT)
                 probe_slot, new_slot = o_ref, s_ref
+                keys, values = store.permutation("pos", p_ref)
             return self._map_blocks(blocks, lambda block: kernels.extend_bound(
-                block, probe_slot, probe_run, new_slot))
-        # The whole run, key-sorted, crossed with every block.
-        return self._cross_blocks(blocks, dict(zip((s_ref, o_ref), kernels.run_columns(run))))
+                block, probe_slot, keys, values, new_slot))
+        # All the predicate's rows, key-sorted, crossed with every block.
+        return self._cross_blocks(blocks, dict(zip((s_ref, o_ref), by_subject)))
 
     def _permutation_step(self, blocks, cpattern, bound):
         """A variable-predicate pattern over SPO/OSP (its predicate slot is
@@ -587,23 +586,32 @@ class IdSpaceEvaluation:
         key's offset range (a constant endpoint, the subject first) or the
         whole of SPO, crossed with every block."""
         subject, (_p_var, p_slot), object_ = cpattern
-        ends = ((subject, object_, RUN_BY_SUBJECT), (object_, subject, RUN_BY_OBJECT))
+        ends = ((subject, object_, "spo"), (object_, subject, "osp"))
         for (is_var, ref), far, order in ends:
             if is_var and ref in bound:
-                permutation = self._store.permutation(order)
+                permutation = self._by_endpoint(order)
                 return self._map_blocks(blocks, lambda block: kernels.extend_permutation(
                     block, ref, permutation, p_slot, far))
         for (is_var, key), (far_var, far_ref), order in ends:
             if not is_var:
-                starts, predicates, values = self._store.permutation(order)
-                lo, hi = kernels.key_ranges(starts, key)
-                predicates, values = predicates[lo:hi], values[lo:hi]
+                predicates, values = self._by_endpoint(order, key)
                 if far_var:
                     return self._cross_blocks(blocks, {p_slot: predicates, far_ref: values})
                 return self._cross_blocks(blocks, {p_slot: predicates[values == far_ref]})
-        starts, predicates, objects = self._store.permutation()
+        starts, predicates, objects = self._store.permutation("spo")
         return self._cross_blocks(blocks, {subject[1]: leading_column(starts),
                                            p_slot: predicates, object_[1]: objects})
+
+    def _by_endpoint(self, order, lead=None):
+        """SPO (``order`` ``"spo"``) or OSP with the predicates first:
+        ``(starts, predicates, values)``, the rows of a subject's or an
+        object's id, their predicates and their other endpoints; for one
+        ``lead`` id, ``(predicates, values)`` of its rows."""
+        columns = self._store.permutation(order, lead)
+        if order == "spo":
+            return columns
+        *starts, subjects, predicates = columns
+        return (*starts, predicates, subjects)
 
     def _cross_blocks(self, blocks, columns):
         """Every block crossed with the same parallel ``columns`` (the rows
@@ -1232,10 +1240,17 @@ def reduce_numbers(function, numbers):
     """SUM/AVG/MIN/MAX over extracted python numbers, as an RDF literal."""
     if not numbers:
         return Literal(0)
-    if function == "SUM":
+    if function in ("SUM", "AVG"):
+        if any(isinstance(number, float) for number in numbers):
+            # With a double among them the sum is a double, in whatever
+            # order the rows come: an integer past its range is infinite.
+            numbers = [as_float(number) for number in numbers]
         result = sum(numbers)
-    elif function == "AVG":
-        result = sum(numbers) / len(numbers)
+        if function == "AVG":
+            try:
+                result = result / len(numbers)
+            except OverflowError:  # an integer sum past double range
+                result = as_float(result) / len(numbers)
     elif function == "MIN":
         result = min(numbers)
     elif function == "MAX":

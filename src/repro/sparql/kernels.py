@@ -6,20 +6,21 @@ native engines do not pay.  This module provides the batch alternative: a
 basic graph pattern executes over :class:`Block` objects (parallel ``u32``
 id columns keyed by slot), and each plan step is one kernel call over whole
 columns at a time: a constant predicate binary-searches or merge-joins its
-:class:`~repro.store.indexed_store.SortedRun`, a variable one reads the
-store's SPO or OSP permutation through its row offsets.
+``(keys, values)`` slice of the store's PSO or POS permutation, a variable
+one reads SPO or OSP through their row offsets.
 
 Three kinds of kernels live here:
 
-* **scan/selection** — one key's value range of a run (``select_eq``) or
-  of SPO/OSP (``key_ranges``), which the evaluator streams, crossed with
-  its blocks, in blocks of about :data:`BLOCK_ROWS` rows, so downstream
-  LIMIT pushdown and deadline checks keep working at block granularity;
+* **scan/selection** — one key's value range of a predicate's slice
+  (``select_eq``) or of SPO/OSP (the store's ``permutation``), which the
+  evaluator streams, crossed with its blocks, in blocks of about
+  :data:`BLOCK_ROWS` rows, so downstream LIMIT pushdown and deadline checks
+  keep working at block granularity;
 * **join/probe** — extend every block row with its matches through the
-  one range-expansion kernel (``expand``): a run's ``searchsorted`` range
+  one range-expansion kernel (``expand``): a slice's ``searchsorted`` range
   (``extend_bound``) or an SPO/OSP offsets range (``extend_permutation``);
   or filter rows by membership of one column (``member_mask``) / a column
-  pair (``semijoin_pair``) in a run;
+  pair (``semijoin_pair``) in a slice;
 * **columnar filters** — evaluate the comparison/equality FILTER shapes the
   catalog queries use against whole columns, with the keys of
   :func:`.expressions.value_key` / :func:`.expressions.order_key` computed
@@ -85,36 +86,6 @@ def empty_block():
 # -- column plumbing ----------------------------------------------------------
 
 
-def run_columns(run):
-    """Numpy views over a run's two columns, cached on the run.
-
-    ``array('I')`` exposes the buffer protocol, so the common case is a
-    zero-copy ``frombuffer`` view; the views die with the run's cache, which
-    store mutation clears together with the run itself.
-    """
-    view = run.cache.get("np")
-    if view is None:
-        if run.keys.itemsize == 4:
-            keys = np.frombuffer(run.keys, dtype=np.uint32)
-            values = np.frombuffer(run.values, dtype=np.uint32)
-        else:  # pragma: no cover - exotic platform where u32 arrays widen
-            keys = np.asarray(run.keys, dtype=np.uint32)
-            values = np.asarray(run.values, dtype=np.uint32)
-        view = (keys, values)
-        run.cache["np"] = view
-    return view
-
-
-def _run_composite(run):
-    """The run's (key, value) pairs as one sorted u64 column, cached."""
-    composite = run.cache.get("composite")
-    if composite is None:
-        keys, values = run_columns(run)
-        composite = (keys.astype(np.uint64) << 32) | values
-        run.cache["composite"] = composite
-    return composite
-
-
 def mask_all(block, value):
     """A constant filter mask over one block."""
     return np.full(block.length, bool(value))
@@ -168,13 +139,14 @@ def rows_from_blocks(blocks, width, slots=None):
 # -- scan / selection kernels -------------------------------------------------
 
 
-def select_eq(run, key):
-    """All values for one exact key, ascending (possibly empty).
+def select_eq(keys, values, key):
+    """All values for one exact key of a predicate's ``(keys, values)``
+    slice, ascending (possibly empty).
 
-    Within equal keys a run is sorted by value (lexicographic pair sort), so
-    the returned column is itself binary-searchable by :func:`member_mask`.
+    Within equal keys a slice is sorted by value (lexicographic pair sort),
+    so the returned column is itself binary-searchable by
+    :func:`member_mask`.
     """
-    keys, values = run_columns(run)
     lo = int(np.searchsorted(keys, key, "left"))
     hi = int(np.searchsorted(keys, key, "right"))
     return values[lo:hi]
@@ -205,8 +177,8 @@ def cross_extend(block, new_columns):
 
 
 def key_ranges(starts, keys):
-    """``(lo, hi)``: the rows of each id of ``keys`` (a column, or one id) by
-    row offsets ``starts``.  An id the offsets do not cover — a term a later
+    """``(lo, hi)``: the rows of each id of the column ``keys`` by row
+    offsets ``starts``.  An id the offsets do not cover — a term a later
     generation added to the shared dictionary — has none."""
     last = len(starts) - 1
     keys = np.minimum(keys, last)
@@ -233,15 +205,15 @@ def expand(block, lo, hi):
     return Block(columns, total), positions
 
 
-def extend_bound(block, bound_slot, run, new_slot):
-    """Join a block column against a run's keys, binding the values.
+def extend_bound(block, bound_slot, keys, values, new_slot):
+    """Join a block column against a predicate slice's keys, binding the
+    values.
 
-    For every row, every run entry whose key equals the row's
+    For every row, every slice entry whose key equals the row's
     ``bound_slot`` id produces one output row with the entry's value in
     ``new_slot``: an :func:`expand` over the key's ``searchsorted`` range.
     """
     column = block.columns[bound_slot]
-    keys, values = run_columns(run)
     out, positions = expand(block, np.searchsorted(keys, column, "left"),
                             np.searchsorted(keys, column, "right"))
     if out.length:
@@ -252,9 +224,9 @@ def extend_bound(block, bound_slot, run, new_slot):
 def extend_permutation(block, key_slot, permutation, predicate_slot, far):
     """Join a block column against SPO or OSP, binding the predicate.
 
-    ``permutation`` is ``(starts, predicates, values)`` as
-    :meth:`~repro.store.indexed_store.IndexedStore.permutation` gives it;
-    every row expands to the rows of its ``key_slot`` id.  ``far`` is the
+    ``permutation`` is ``(starts, predicates, values)``: SPO as
+    :meth:`~repro.store.indexed_store.IndexedStore.permutation` gives it,
+    or OSP with its subject and predicate columns swapped; every row expands to the rows of its ``key_slot`` id.  ``far`` is the
     pattern's other endpoint as ``(is_var, ref)``: a constant id, or a slot
     the block already binds, must equal the rows' values (expand, then
     mask); an unbound slot takes them.
@@ -285,19 +257,21 @@ def member_mask(block, bound_slot, sorted_values):
     return values[clipped] == column
 
 
-def semijoin_pair(block, key_slot, value_slot, run):
-    """Mask of rows whose (key, value) column pair occurs in the run."""
-    key_column = block.columns[key_slot]
-    value_column = block.columns[value_slot]
-    composite = _run_composite(run)
-    if len(composite) == 0:
+def pair_keys(keys, values):
+    """Parallel u32 ``keys`` and ``values`` as one u64 column: a predicate
+    slice's (key, value) pairs, sorted as the slice is."""
+    return (np.asarray(keys, dtype=np.uint64) << 32) | np.asarray(values, dtype=np.uint64)
+
+
+def semijoin_pair(block, key_slot, value_slot, pairs):
+    """Mask of rows whose (key, value) column pair occurs in ``pairs`` (a
+    slice's :func:`pair_keys`)."""
+    if len(pairs) == 0:
         return np.zeros(block.length, dtype=bool)
-    needles = (
-        np.asarray(key_column, dtype=np.uint64) << 32
-    ) | np.asarray(value_column, dtype=np.uint64)
-    positions = np.searchsorted(composite, needles, "left")
-    clipped = np.minimum(positions, len(composite) - 1)
-    return composite[clipped] == needles
+    needles = pair_keys(block.columns[key_slot], block.columns[value_slot])
+    positions = np.searchsorted(pairs, needles, "left")
+    clipped = np.minimum(positions, len(pairs) - 1)
+    return pairs[clipped] == needles
 
 
 # -- columnar filters ---------------------------------------------------------

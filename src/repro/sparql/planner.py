@@ -159,7 +159,7 @@ class CostModel:
 
     Works at the term level (patterns are not dictionary-encoded yet).  A
     pattern's standalone cardinality is the store's exact ``count``, asked
-    once per distinct pattern; an indexed store (``supports_sorted_runs``)
+    once per distinct pattern; an indexed store (``supports_permutations``)
     also refines bound positions by its distinct counts, any other store by
     a fixed per-bound-variable discount.  Without a store every estimate is
     a static guess.
@@ -385,8 +385,8 @@ def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
 def _vectorizable(steps):
     """True when every step can run on the batch kernels.
 
-    A constant predicate runs over its sorted runs, a variable one over the
-    SPO/OSP permutations.  The kernels handle no variable repeated inside
+    A constant predicate runs over its slices of the PSO/POS permutations,
+    a variable one over SPO/OSP.  The kernels handle no variable repeated inside
     one pattern, and no predicate variable an earlier step bound.  The
     whole BGP vectorizes or none of it does: blocks and tuples cannot
     alternate mid-pipeline.  Which kernel a step runs is decided at run
@@ -406,15 +406,15 @@ def _vectorizable(steps):
 # ---------------------------------------------------------------------------
 
 def _indexed(store):
-    """True for the native family: index probes, runs and index statistics."""
-    return getattr(store, "supports_sorted_runs", False)
+    """True for the native family: index probes, permutations and index statistics."""
+    return getattr(store, "supports_permutations", False)
 
 
 def default_strategy(store):
     """The one access path a store family has.
 
     An indexed store (the paper's native engines, the one family with
-    sorted runs) probes its indexes once per intermediate row; a scan store
+    sorted permutations) probes its indexes once per intermediate row; a scan store
     (the in-memory engines) matches each pattern in one pass over the
     document and hash-joins the result.
     """
@@ -428,7 +428,7 @@ def plan_tree(tree, store, family):
     both give every step the store family's one access path.  ``cost`` also
     chooses per-step strategies (an indexed store only), hash-versus-bind
     for Join nodes and the build side of keyed joins; when the store keeps
-    sorted runs, the steps of standalone BGPs worth it are then marked for
+    sorted permutations, the steps of standalone BGPs worth it are then marked for
     the batch kernels — which never changes ordering or strategies, so the
     same plan without the marks is the tuple path.  The input tree is not
     mutated.

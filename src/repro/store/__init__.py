@@ -5,8 +5,8 @@ terms to integers and answer a pattern as raw id 3-tuples (``triples_ids``),
 which the one SPARQL executor joins over without decoding; they differ in the
 access path behind it.  :class:`MemoryStore` scans every triple per pattern
 (the in-memory engine model); :class:`IndexedStore` reads each pattern and
-the cost model off four sorted permutations of the id triples (SPO, OSP and
-each predicate's PSO and POS runs; the native-engine model).  An MVCC draft
+the cost model off four whole-store sorted permutations of the id triples
+(SPO, OSP, PSO and POS; the native-engine model).  An MVCC draft
 of either is a store of the same class (:class:`MvccStore`), and both
 snapshot to the same container.  See DESIGN.md.
 """

@@ -4,73 +4,55 @@ The paper's native engines (Sesame with the native SAIL, Virtuoso) answer
 triple patterns from physical index structures and *join over dictionary
 ids*, materializing RDF terms only for final results.  In
 :class:`IndexedStore` every term is a dictionary id (:mod:`.dictionary`)
-and the id triples have one representation: four sorted permutations held
-as ``array('I')`` columns, SPO and OSP over the whole store and each
-predicate's PSO and POS runs (:class:`SortedRun`).  SPO and OSP keep their
-leading column as row offsets per id (CSR style), so ``(s, ?, ?)`` and
-``(?, ?, o)`` are two offset reads.  Every other pattern is a bisected
-range of one permutation — ``(s, p, ?)``, ``(?, p, o)``, ``(?, p, ?)``: the
-runs; ``(s, p, o)``: SPO; ``(s, ?, o)``: OSP.  The cost model's statistics
-are range lengths and the distinct keys of sorted columns.
-``triples_ids()`` / ``count_ids()`` decode nothing: the SPARQL executor
-(:mod:`repro.sparql.idspace`) joins over ids, and ``supports_sorted_runs``
-gives the planner probes per row and batch kernels over the runs and, for a
-variable predicate, over SPO and OSP (``permutation()``'s numpy views).
+and the id triples have one representation: four whole-store permutations
+of one shape, SPO, OSP, PSO and POS (:data:`ORDERS`).  Each keeps its
+leading column as row offsets per id (CSR style) and its other two as
+sorted ``array('I')`` columns, so every pattern is one range of the
+permutation its bound positions lead: the offsets of the leading id, then a
+bisect within them per further bound id.  A predicate's PSO or POS range
+is its (subject, object) or (object, subject) pairs, sorted.  The cost
+model's statistics are range lengths and the distinct keys within a range
+or of the offsets, counted once per generation.  ``triples_ids()`` /
+``count_ids()`` decode nothing: the SPARQL executor
+(:mod:`repro.sparql.idspace`) joins over ids, and ``supports_permutations``
+gives the planner probes per row and batch kernels over
+``permutation()``'s numpy views.
 
 No column is edited in place: ``add_all``/``remove_all`` splice a batch of
-triples into copies in one pass (``add``/``remove`` are batches of one),
-and a bulk load or a snapshot concatenates, sorts once per permutation and
-drops repeated triples.  So ``begin_generation()``'s MVCC draft, itself an
-``IndexedStore``, shares the dictionary and every column with its base.
+triples into copies of every permutation in one pass (``add``/``remove``
+are batches of one), and a bulk load or a snapshot concatenates, sorts
+once per permutation and drops repeated triples.  So
+``begin_generation()``'s MVCC draft, itself an ``IndexedStore``, shares the
+dictionary and every column with its base.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import repeat
+from itertools import compress, product, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .base import TripleStore
 from .dictionary import TermDictionary
 
-#: Sort orders a predicate run can be materialized in.
-RUN_BY_SUBJECT = "s"
-RUN_BY_OBJECT = "o"
+#: The four permutations, each by the positions of (subject, predicate,
+#: object) it sorts on, its leading one first.
+ORDERS = {"spo": (0, 1, 2), "osp": (2, 0, 1), "pso": (1, 0, 2), "pos": (1, 2, 0)}
 
+#: Which permutation ranges a pattern, by which of its positions are bound:
+#: the first whose leading positions are exactly those, with its positions.
+_RANGED_BY = {
+    bound: next((name, positions) for name, positions in ORDERS.items()
+                if set(positions[:sum(bound)]) == set(compress(range(3), bound)))
+    for bound in product((False, True), repeat=3)
+}
 
-class SortedRun:
-    """One predicate's triples as two parallel, key-sorted ``u32`` columns.
-
-    ``keys`` holds the sort column (subjects for order ``"s"``, objects for
-    order ``"o"``) in ascending order with ties broken by ``values``, so a
-    run doubles as a lexicographically sorted ``(key, value)`` pair list —
-    the layout the batch kernels (:mod:`repro.sparql.kernels`) binary-search
-    and merge-join over without materializing any Python tuples.
-
-    A run is never edited: a write replaces it.  ``cache`` holds views
-    derived from it (numpy mirrors, composite keys, the distinct-key count).
-    """
-
-    __slots__ = ("predicate", "order", "keys", "values", "cache")
-
-    def __init__(self, predicate, order, keys, values):
-        self.predicate = predicate
-        self.order = order
-        self.keys = keys
-        self.values = values
-        self.cache = {}
-
-    def __len__(self):
-        return len(self.keys)
-
-    def __repr__(self):
-        return f"SortedRun(predicate={self.predicate}, order={self.order!r}, len={len(self)})"
-
-
-#: What a predicate without triples reads as (never stored or returned).
-_NO_RUN = SortedRun(None, RUN_BY_SUBJECT, array("I"), array("I"))
+#: Each permutation's (lead, second, third) lanes, reordered to (s, p, o).
+_AS_SPO = {name: itemgetter(*map(positions.index, range(3)))
+           for name, positions in ORDERS.items()}
 
 
 def _equal_range(column, key, lo, hi):
@@ -92,7 +74,7 @@ def _spliced(columns, rows, ranges, insert):
     ``rows`` inserted (each absent) or removed (each present), each found
     by bisect within its ``(lo, hi)`` of ``ranges``.  Columns are never
     edited in place: a superseded generation may still hold them, and the
-    kernels' numpy views of a run's arrays forbid resizing them."""
+    kernels' numpy views of a column forbid resizing it."""
     points = []
     for row, (lo, hi) in zip(rows, ranges):
         for column, value in zip(columns, row):
@@ -152,20 +134,20 @@ class IndexedStore(TripleStore):
 
     name = "indexed"
 
-    #: Index probes and predicate-sorted id runs (``sorted_run``) are
+    #: Index probes and whole-store permutations (``permutation``) are
     #: available: the planner's cue for PROBE steps and batch kernels, and
     #: for reading its statistics (``count`` and the distinct counts).
-    supports_sorted_runs = True
+    supports_permutations = True
 
     def __init__(self, triples=None):
         self._dictionary = TermDictionary()
-        #: The triples sorted by (s, p, o) and by (o, s, p), each as the row
-        #: offsets of its leading id and its other two columns: SPO is (subject
-        #: offsets, predicates, objects), OSP (object offsets, subjects, predicates).
-        self._spo = self._osp = (array("I", [0]), array("I"), array("I"))
-        #: Distinct subjects and objects, counted on first use after a write.
-        self._totals = None
-        self._sorted_runs = {}     # (predicate_id, order) -> SortedRun
+        #: Permutation name (of :data:`ORDERS`) -> the row offsets of its
+        #: leading id and its other two columns, e.g. SPO is (subject
+        #: offsets, predicates, objects).  A write replaces the dict.
+        self._permutations = dict.fromkeys(ORDERS, (array("I", [0]), array("I"), array("I")))
+        #: The distinct counts read so far (:meth:`_distinct`): a generation's
+        #: own, so a write starts a new dict.
+        self._statistics = {}
         #: predicate_id -> ``version`` at which a triple of that predicate
         #: was last added or removed (absent: not since construction).
         self._predicate_stamps = {}
@@ -185,9 +167,9 @@ class IndexedStore(TripleStore):
 
     def add_all(self, triples):
         """Add every triple of an iterable in one write; returns the count
-        added.  A write copies each column it touches once and bisects a
-        few times per triple (``load_graph`` sorts instead: the path for
-        batches as big as the store)."""
+        added.  A write copies each column once and bisects a few times per
+        triple (``load_graph`` sorts instead: the path for batches as big as
+        the store)."""
         return self._write(map(self._dictionary.encode_triple, triples), insert=True)
 
     def remove_all(self, triples):
@@ -199,31 +181,26 @@ class IndexedStore(TripleStore):
 
     def _write(self, encoded, insert):
         """Splice the id triples of ``encoded`` that are absent (``insert``)
-        or present (not) into or out of copies of every column holding
-        them; returns their count."""
+        or present (not) into or out of copies of every permutation; returns
+        their count."""
         rows = {ids: None for ids in encoded
                 if ids is not None and (self.count_ids(*ids) == 0) == insert}
         if not rows:
             return 0
         size = len(self._dictionary)
-        self._spo = _spliced_permutation(self._spo, sorted(rows), size, insert)
-        self._osp = _spliced_permutation(
-            self._osp, sorted((o, s, p) for s, p, o in rows), size, insert)
-        self._totals = None
-        pairs = {}
-        for s, p, o in rows:
-            pairs.setdefault(p, []).append((s, o))
-        for p, by_subject in pairs.items():
-            for order, run_rows in ((RUN_BY_SUBJECT, sorted(by_subject)),
-                                    (RUN_BY_OBJECT, sorted((o, s) for s, o in by_subject))):
-                run = self._sorted_runs.get((p, order), _NO_RUN)
-                keys, values = _spliced((run.keys, run.values), run_rows,
-                                        repeat((0, len(run))), insert)
-                if keys:
-                    self._sorted_runs[p, order] = SortedRun(p, order, keys, values)
-                else:
-                    del self._sorted_runs[p, order]
-        self._touch(pairs)
+        self._permutations = {
+            name: _spliced_permutation(
+                self._permutations[name],
+                sorted(tuple(row[position] for position in positions) for row in rows),
+                size, insert)
+            for name, positions in ORDERS.items()}
+        touched = {p for _s, p, _o in rows}
+        # A new dict, so a base sharing the old one keeps its own counts;
+        # those of the predicates left alone carry over.  It is copied (one
+        # C call) before the filter: the base's readers may be filling it.
+        self._statistics = {key: count for key, count in self._statistics.copy().items()
+                            if key[1] is not None and key[1] not in touched}
+        self._touch(touched)
         return len(rows)
 
     def load_graph(self, graph):
@@ -244,11 +221,10 @@ class IndexedStore(TripleStore):
 
     def _merge(self, flat):
         """Merge ``flat`` (an ``array('I')`` of subject, predicate, object
-        ids) into the store: concatenate, sort once per permutation, drop
-        repeats, and rebuild the runs of every predicate that gained a
-        triple.  Returns those predicate ids."""
+        ids) into the store: concatenate, sort once per permutation and drop
+        repeats.  Returns the ids of the predicates that gained a triple."""
         stored = len(self)
-        starts, predicates, objects = self._spo
+        starts, predicates, objects = self._permutations["spo"]
         s, p, o = np.concatenate((
             np.stack((leading_column(starts), np.frombuffer(predicates, np.uintc),
                       np.frombuffer(objects, np.uintc))),
@@ -261,27 +237,22 @@ class IndexedStore(TripleStore):
         first = np.ones(len(s), bool)
         first[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
         s, p, o, fresh = s[first], p[first], o[first], fresh[first]
-        touched = np.unique(p[fresh]).tolist()
         order = np.lexsort((p, s, o))
-        osp = o[order], s[order], p[order]
-        size = len(self._dictionary)
-        self._spo = (_starts(s, size), _column(p), _column(o))
-        self._osp = (_starts(osp[0], size), _column(osp[1]), _column(osp[2]))
-        self._totals = None
+        spo, osp = (s, p, o), (o[order], s[order], p[order])
         # Within one predicate, SPO order is (s, o) order and OSP order is
-        # (o, s) order, so a stable sort on the predicate yields both runs.
-        for run_order, (keys, predicates, values) in (
-                (RUN_BY_SUBJECT, (s, p, o)), (RUN_BY_OBJECT, (osp[0], osp[2], osp[1]))):
-            selected = np.isin(predicates, touched)
-            predicates, keys, values = predicates[selected], keys[selected], values[selected]
-            order = np.argsort(predicates, kind="stable")
-            predicates, keys, values = predicates[order], keys[order], values[order]
-            cuts = (np.flatnonzero(predicates[1:] != predicates[:-1]) + 1).tolist()
-            for start, end in zip([0, *cuts], [*cuts, len(predicates)] if touched else []):
-                predicate = int(predicates[start])
-                self._sorted_runs[predicate, run_order] = SortedRun(
-                    predicate, run_order, _column(keys[start:end]), _column(values[start:end]))
-        return touched
+        # (o, s) order, so a stable sort on the predicate yields PSO and POS.
+        by_subject, by_object = np.argsort(p, kind="stable"), np.argsort(osp[2], kind="stable")
+        pso = p[by_subject], s[by_subject], o[by_subject]
+        pos = osp[2][by_object], osp[0][by_object], osp[1][by_object]
+        size = len(self._dictionary)
+        # PSO and POS lead with the same predicates: one offsets array serves both.
+        predicate_starts = _starts(pso[0], size)
+        self._permutations = {
+            name: (predicate_starts if name in ("pso", "pos") else _starts(lead, size),
+                   _column(second), _column(third))
+            for name, (lead, second, third) in zip(ORDERS, (spo, osp, pso, pos))}
+        self._statistics = {}
+        return np.unique(p[fresh]).tolist()
 
     def _touch(self, predicate_ids):
         """Bump the version and stamp the predicates with it."""
@@ -293,12 +264,12 @@ class IndexedStore(TripleStore):
         """Start a draft of this store's next MVCC generation: an
         ``IndexedStore`` the MVCC writer (:mod:`repro.store.mvcc`) drives
         through ``add_all``/``remove_all``.  It shares the term dictionary
-        (append-only) and every column, and copies the run and change-stamp
-        dicts; a write replaces columns, so this store stays frozen."""
+        (append-only), every permutation and the statistics read so far,
+        and copies the change stamps; a write replaces permutations and
+        statistics, so this store stays frozen."""
         draft = IndexedStore()
         draft._dictionary = self._dictionary
-        draft._spo, draft._osp, draft._totals = self._spo, self._osp, self._totals
-        draft._sorted_runs = self._sorted_runs.copy()
+        draft._permutations, draft._statistics = self._permutations, self._statistics
         draft._predicate_stamps = self._predicate_stamps.copy()
         draft.version = self.version
         return draft
@@ -326,129 +297,98 @@ class IndexedStore(TripleStore):
 
     def distinct_subjects(self, predicate):
         """Number of distinct subjects appearing with ``predicate``."""
-        return self._distinct(self._dictionary.lookup(predicate), RUN_BY_SUBJECT)
+        return self._distinct_per_predicate("pso", predicate)
 
     def distinct_objects(self, predicate):
         """Number of distinct objects appearing with ``predicate``."""
-        return self._distinct(self._dictionary.lookup(predicate), RUN_BY_OBJECT)
-
-    def _distinct(self, predicate_id, order):
-        """Distinct keys of the predicate's run in ``order`` (0 without one),
-        counted once per run: a run never changes."""
-        run = self._sorted_runs.get((predicate_id, order), _NO_RUN)
-        if "distinct" not in run.cache:
-            steps = np.count_nonzero(np.diff(np.frombuffer(run.keys, np.uintc)))
-            run.cache["distinct"] = int(steps) + (len(run) > 0)
-        return run.cache["distinct"]
+        return self._distinct_per_predicate("pos", predicate)
 
     def distinct_subject_total(self):
         """Number of distinct subjects across all predicates."""
-        return self._distinct_totals()[0]
+        return self._distinct("spo")
 
     def distinct_object_total(self):
         """Number of distinct objects across all predicates."""
-        return self._distinct_totals()[1]
-
-    def _distinct_totals(self):
-        """The ids with rows in SPO and in OSP: nonzero offset steps."""
-        if self._totals is None:
-            self._totals = tuple(
-                int(np.count_nonzero(np.diff(np.frombuffer(starts, np.uintc))))
-                for starts, _values, _more in (self._spo, self._osp))
-        return self._totals
+        return self._distinct("osp")
 
     def distinct_predicates(self):
-        """Number of distinct predicates with at least one triple (each
-        has exactly two runs)."""
-        return len(self._sorted_runs) // 2
+        """Number of distinct predicates with at least one triple."""
+        return self._distinct("pso")
+
+    def _distinct_per_predicate(self, order, predicate):
+        predicate_id = self._dictionary.lookup(predicate)
+        return 0 if predicate_id is None else self._distinct(order, predicate_id)
+
+    def _distinct(self, order, lead=None):
+        """The distinct leading ids of permutation ``order`` (nonzero steps
+        of its offsets) or, for a ``lead`` id, the distinct ids of the second
+        column within its range; counted once per generation."""
+        statistics = self._statistics
+        count = statistics.get((order, lead))
+        if count is None:
+            starts, seconds, _thirds = self._permutations[order]
+            if lead is None:
+                keys, count = np.frombuffer(starts, np.uintc), 0
+            else:
+                lo, hi = _key_range(starts, lead)
+                keys, count = np.frombuffer(seconds, np.uintc)[lo:hi], int(hi > lo)
+            count = statistics[order, lead] = count + int(np.count_nonzero(np.diff(keys)))
+        return count
 
     # -- id-level access ----------------------------------------------------
 
     def triples_ids(self, subject=None, predicate=None, object=None):
-        """Raw id 3-tuples matching an encoded pattern: one range of a
-        predicate's run, of SPO or of OSP (all of SPO for ``(?, ?, ?)``)."""
-        if predicate is not None and (subject is None or object is None):
-            run, lo, hi = self._run_range(subject, predicate, object)
-            if subject is None and object is None:
-                return zip(run.keys, repeat(predicate), run.values)
-            if object is None:
-                return zip(repeat(subject), repeat(predicate), run.values[lo:hi])
-            return zip(run.values[lo:hi], repeat(predicate), repeat(object))
-        if predicate is None and object is not None:
-            _starts, subjects, predicates = self._osp
-            lo, hi = self._osp_range(subject, object)
-            return zip(subjects[lo:hi], predicates[lo:hi], repeat(object))
-        starts, predicates, objects = self._spo
-        if subject is None:
-            return zip(_column(leading_column(starts)), predicates, objects)
-        lo, hi = self._spo_range(subject, predicate, object)
-        return zip(repeat(subject), predicates[lo:hi], objects[lo:hi])
+        """Raw id 3-tuples matching an encoded pattern: one range of the
+        permutation its bound positions lead (all of SPO for ``(?, ?, ?)``)."""
+        name, lead, lo, hi = self._range((subject, predicate, object))
+        starts, second, third = self._permutations[name]
+        leads = _column(leading_column(starts)) if lead is None else repeat(lead)
+        return zip(*_AS_SPO[name]((leads, second[lo:hi], third[lo:hi])))
 
     def count_ids(self, subject=None, predicate=None, object=None):
         """Number of triples matching an already-encoded pattern (no decode):
         the length of the range :meth:`triples_ids` reads."""
-        if predicate is not None and (subject is None or object is None):
-            _run, lo, hi = self._run_range(subject, predicate, object)
-        elif predicate is None and object is not None:
-            lo, hi = self._osp_range(subject, object)
-        elif subject is None:
-            return len(self)
-        else:
-            lo, hi = self._spo_range(subject, predicate, object)
+        _name, _lead, lo, hi = self._range((subject, predicate, object))
         return hi - lo
 
-    def _run_range(self, s, p, o):
-        """``(run, lo, hi)``: the predicate's run keyed on the bound one of
-        ``s`` and ``o`` (by subject when neither is) and the index range of
-        that key in it (the whole run when neither is bound)."""
-        key, order = (s, RUN_BY_SUBJECT) if o is None else (o, RUN_BY_OBJECT)
-        run = self._sorted_runs.get((p, order), _NO_RUN)
-        if key is None:
-            return run, 0, len(run)
-        lo = bisect_left(run.keys, key)
-        return run, lo, bisect_right(run.keys, key, lo)
+    def _range(self, pattern):
+        """``(name, lead, lo, hi)``: the permutation whose leading positions
+        are the bound ones of ``pattern`` (ids, None unbound), its leading id
+        (None when nothing is bound), and the range of its rows that match."""
+        name, (first, second, third) = _RANGED_BY[
+            pattern[0] is not None, pattern[1] is not None, pattern[2] is not None]
+        starts, seconds, thirds = self._permutations[name]
+        lead = pattern[first]
+        if lead is None:
+            return name, None, 0, len(seconds)
+        lo, hi = _key_range(starts, lead)
+        key = pattern[second]
+        if key is not None:
+            lo, hi = _equal_range(seconds, key, lo, hi)
+            key = pattern[third]
+            if key is not None:
+                lo, hi = _equal_range(thirds, key, lo, hi)
+        return name, lead, lo, hi
 
-    def _osp_range(self, s, o):
-        """The OSP range of ``(?, ?, o)`` or, with ``s`` bound, ``(s, ?, o)``."""
-        starts, subjects, _predicates = self._osp
-        lo, hi = _key_range(starts, o)
-        return (lo, hi) if s is None else _equal_range(subjects, s, lo, hi)
-
-    def _spo_range(self, s, p, o):
-        """The SPO range of ``(s, ?, ?)`` or, with ``p`` and ``o`` bound too,
-        ``(s, p, o)``."""
-        starts, predicates, objects = self._spo
-        lo, hi = _key_range(starts, s)
-        if p is None:
-            return lo, hi
-        lo, hi = _equal_range(predicates, p, lo, hi)
-        return _equal_range(objects, o, lo, hi)
-
-    def permutation(self, order=RUN_BY_SUBJECT):
-        """SPO (``order`` ``"s"``) or OSP (``"o"``) as zero-copy numpy views
-        ``(starts, predicates, values)``: the rows of key id ``k`` are
-        ``starts[k]:starts[k + 1]``, and ``values`` holds their objects (SPO)
-        or subjects (OSP), as a :meth:`sorted_run` of that order does."""
-        if order == RUN_BY_SUBJECT:
-            starts, predicates, values = self._spo
-        elif order == RUN_BY_OBJECT:
-            starts, values, predicates = self._osp
-        else:
+    def permutation(self, order, lead=None):
+        """Permutation ``order`` (a name of :data:`ORDERS`) as zero-copy
+        numpy views ``(starts, second, third)``: the rows of leading id ``k``
+        are ``starts[k]:starts[k + 1]``, and ``second`` and ``third`` hold
+        their other two ids in the order's sequence (SPO: predicates, then
+        objects; PSO: subjects, then objects).  Given a ``lead`` id, only
+        ``(second, third)`` of its rows (none for an id without any)."""
+        if order not in ORDERS:
             raise ValueError(f"unknown permutation order: {order!r}")
-        return tuple(np.frombuffer(column, np.uintc) for column in (starts, predicates, values))
-
-    # -- sorted runs ---------------------------------------------------------
-
-    def sorted_run(self, predicate_id, order=RUN_BY_SUBJECT):
-        """The predicate's triples as a key-sorted :class:`SortedRun`, or
-        ``None`` when it has none.  ``order`` ``"s"`` sorts by subject (values
-        are the objects), ``"o"`` by object (values are the subjects)."""
-        if order not in (RUN_BY_SUBJECT, RUN_BY_OBJECT):
-            raise ValueError(f"unknown run order: {order!r}")
-        return self._sorted_runs.get((predicate_id, order))
+        starts, second, third = self._permutations[order]
+        if lead is None:
+            return tuple(np.frombuffer(column, np.uintc) for column in (starts, second, third))
+        lo, hi = _key_range(starts, lead)
+        count, offset = hi - lo, lo * second.itemsize
+        return (np.frombuffer(second, np.uintc, count, offset),
+                np.frombuffer(third, np.uintc, count, offset))
 
     def __len__(self):
-        return len(self._spo[1])
+        return len(self._permutations["spo"][1])
 
     def __repr__(self):
         return f"IndexedStore(len={len(self)}, terms={len(self._dictionary)})"

@@ -7,7 +7,7 @@ dictionary-encoded as in every store, and the triples live as id 3-tuples in
 one insertion-ordered dict used simultaneously as scan sequence and
 duplicate-detection set, so ``add``/``remove``/``contains`` are O(1) while the
 only *pattern* access path remains the scan: ``triples_ids`` filters every
-triple, whatever is bound — no index, no sorted runs, no statistics.
+triple, whatever is bound — no index, no sorted permutations, no statistics.
 """
 
 from __future__ import annotations

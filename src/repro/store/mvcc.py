@@ -205,7 +205,7 @@ class MvccStore(TripleStore):
         return self._current.save(path, metadata=metadata)
 
     def __getattr__(self, attribute):
-        # Anything else (statistics, dictionary, sorted runs) resolves
+        # Anything else (statistics, dictionary, permutations) resolves
         # against the current generation.  Readers that need
         # a *consistent* view across several calls must pin a snapshot first.
         return getattr(self._current, attribute)

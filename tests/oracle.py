@@ -13,6 +13,7 @@ two strings, else a type error, which a FILTER treats as false.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from repro.rdf.terms import Literal, Variable, term_sort_key
@@ -268,11 +269,15 @@ def _comparable(left, right):
 
 
 def _number(term):
-    """The value of a numeric literal, else None."""
+    """The value of a numeric literal, else None; an integer beyond double
+    range is infinite, as a double of that size is."""
     if isinstance(term, Literal):
         python = term.to_python()
         if isinstance(python, (int, float)) and not isinstance(python, bool):
-            return float(python)
+            try:
+                return float(python)
+            except OverflowError:
+                return math.inf if python > 0 else -math.inf
     return None
 
 

@@ -114,12 +114,13 @@ class TestMemorySnapshotRoundTrip:
 
     @given(items=triple_lists)
     @settings(max_examples=30, deadline=None)
-    def test_loaded_runs_are_fresh_sorts_whoever_saved(self, items, tmp_path_factory):
-        # The file holds no runs: a load sorts them from the id triples.
+    def test_loaded_permutations_are_fresh_sorts_whoever_saved(self, items,
+                                                               tmp_path_factory):
+        # The file holds no permutation: a load sorts them from the id triples.
         root = tmp_path_factory.mktemp("snap")
         for family in (MemoryStore, IndexedStore):
             path = root / f"{family.name}.sp2b"
             family(items).save(path)
             loaded = IndexedStore.load(path)
-            assert recount.runs(loaded) == recount.resorted_runs(loaded)
+            assert recount.permutations(loaded) == recount.resorted(loaded)
             assert recount.statistics_of(loaded) == recount.recount(loaded)

@@ -80,25 +80,20 @@ def _fingerprint(store):
     """The containers a superseded generation must keep, and their contents."""
     if isinstance(store, MemoryStore):
         return [store._triples], [list(store._triples)]
-    permutations = (store._spo, store._osp)
-    runs = store._sorted_runs
-    held = [runs[key] for key in sorted(runs)]
-    objects = [*permutations, *(column for columns in permutations for column in columns),
-               runs, *held, store._predicate_stamps]
-    contents = [
-        recount.columns(store),
-        [(run.keys.tolist(), run.values.tolist()) for run in held],
-        dict(store._predicate_stamps), store.version,
-    ]
+    permutations = store._permutations
+    objects = [permutations, *(permutations[order] for order in recount.ORDERS),
+               *(column for order in recount.ORDERS for column in permutations[order]),
+               store._predicate_stamps]
+    contents = [recount.permutations(store), recount.statistics_of(store),
+                dict(store._predicate_stamps), store.version]
     return objects, contents
 
 
-def _assert_runs_and_counts(store):
-    """SPO, OSP and every run equal a fresh sort of the store's triples,
-    and ``count_ids`` of ``(?, p, ?)`` and ``(?, ?, ?)`` (read off a run's
-    length and SPO's) equals the recount."""
-    assert recount.columns(store) == recount.resorted_columns(store)
-    assert recount.runs(store) == recount.resorted_runs(store)
+def _assert_permutations_and_counts(store):
+    """SPO, OSP, PSO and POS equal a fresh sort of the store's triples, and
+    ``count_ids`` of ``(?, p, ?)`` and ``(?, ?, ?)`` (read off PSO's offsets
+    and SPO's length) equals the recount."""
+    assert recount.permutations(store) == recount.resorted(store)
     ids = list(store.triples_ids())
     assert store.count_ids() == recount.count(ids, None, None, None)
     for predicate in {triple[1] for triple in ids}:
@@ -133,20 +128,21 @@ def _assert_every_shape(store):
 
 def _assert_exact(store, expected):
     """``store`` holds ``expected``; an indexed one answers every pattern
-    shape from its own triples, and every statistic and run recounts."""
+    shape from its own triples, and every statistic and permutation
+    recounts."""
     assert set(store.triples()) == expected
     assert len(store) == len(expected)
     if isinstance(store, IndexedStore):
         _assert_every_shape(store)
         assert recount.statistics_of(store) == recount.recount(store)
-        _assert_runs_and_counts(store)
+        _assert_permutations_and_counts(store)
 
 
 class TestGenerationHistories:
     """Drafts are stores: every generation stays exact on every pattern
-    shape and its columns and runs stay fresh sorts after every step, and a
-    superseded one keeps its very columns and runs (identity, not
-    equality)."""
+    shape and its permutations stay fresh sorts after every step, and a
+    superseded one keeps its very columns, permutations and counts
+    (identity, not equality)."""
 
     @pytest.mark.parametrize("family", [MemoryStore, IndexedStore])
     @given(steps=history_steps)
@@ -186,13 +182,13 @@ class TestGenerationHistories:
                 current = draft.seal(current.version + 1)
                 held, draft = draft_held, None
             if family is IndexedStore:
-                _assert_runs_and_counts(current)
+                _assert_permutations_and_counts(current)
                 if draft is not None:
-                    _assert_runs_and_counts(draft)
+                    _assert_permutations_and_counts(draft)
         for store, expected, (objects, contents) in superseded:
             _assert_exact(store, expected)
-            # Every column and run present at supersession is still there,
-            # unchanged, and no run was added since.
+            # Every permutation and column present at supersession is still
+            # there, unchanged, and so are its counts.
             now_objects, now_contents = _fingerprint(store)
             assert len(now_objects) == len(objects)
             assert all(now is then for now, then in zip(now_objects, objects))

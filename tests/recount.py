@@ -75,30 +75,16 @@ def statistics_of(store):
     }
 
 
-def runs(store):
-    """Both sorted runs of every predicate ``store`` holds, as
-    ``{(predicate_id, order): [(key, value), ...]}`` read via ``sorted_run``."""
-    predicates = {ids[1] for ids in store.triples_ids()}
-    return {(predicate, order): list(zip(run.keys, run.values))
-            for predicate in predicates for order in "so"
-            for run in (store.sorted_run(predicate, order),)}
+#: Each permutation's sort order, by positions of (subject, predicate, object).
+ORDERS = {"spo": (0, 1, 2), "osp": (2, 0, 1), "pso": (1, 0, 2), "pos": (1, 2, 0)}
 
 
-def resorted_runs(store):
-    """What :func:`runs` must answer: each predicate's ``(subject, object)``
-    pairs (order ``"s"``) and ``(object, subject)`` pairs (order ``"o"``),
-    freshly sorted from the store's id triples."""
-    triples = list(store.triples_ids())
-    return {(predicate, order): sorted((s, o) if order == "s" else (o, s)
-                                       for s, p, o in triples if p == predicate)
-            for predicate in {triple[1] for triple in triples} for order in "so"}
-
-
-def columns(store):
-    """The whole-store permutations of ``store`` as row lists — SPO's
-    ``(s, p, o)`` rows and OSP's ``(o, s, p)`` rows, in stored order —
-    spelled out from each one's row offsets and two stored columns."""
-    return {"spo": _rows(store._spo), "osp": _rows(store._osp)}
+def permutations(store):
+    """The four whole-store permutations of ``store`` as row lists, each row
+    in its order's sequence (SPO's ``(s, p, o)``, POS's ``(p, o, s)``, ...)
+    and the rows in stored order, spelled out from each one's row offsets
+    and two stored columns."""
+    return {order: _rows(store._permutations[order]) for order in ORDERS}
 
 
 def _rows(permutation):
@@ -108,8 +94,10 @@ def _rows(permutation):
             for row in zip(*(column[starts[lead]:starts[lead + 1]] for column in values))]
 
 
-def resorted_columns(store):
-    """What :func:`columns` must answer: the distinct id triples sorted and
-    their ``(o, s, p)`` rotations sorted."""
+def resorted(store):
+    """What :func:`permutations` must answer: the distinct id triples
+    rearranged into each order and freshly sorted."""
     triples = set(store.triples_ids())
-    return {"spo": sorted(triples), "osp": sorted((o, s, p) for s, p, o in triples)}
+    return {order: sorted(tuple(triple[position] for position in positions)
+                          for triple in triples)
+            for order, positions in ORDERS.items()}

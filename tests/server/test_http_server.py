@@ -16,7 +16,16 @@ from xml.etree import ElementTree
 
 import pytest
 
+import oracle
 from repro import SparqlEngine, SparqlServer, generate_graph, get_query
+from repro.rdf import Graph, Literal, Triple, URIRef
+from repro.sparql import (
+    IN_MEMORY_BASELINE,
+    IN_MEMORY_OPTIMIZED,
+    NATIVE_BASELINE,
+    NATIVE_COST,
+    NATIVE_OPTIMIZED,
+)
 
 SELECT_QUERY = get_query("Q1").text       # one row: the year literal "1940"
 ASK_QUERY = get_query("Q12a").text        # ASK with a non-empty pattern
@@ -268,3 +277,34 @@ class TestBudgets:
                         {"default_timeout": None, "max_timeout": float("inf")}):
             with SparqlServer(engine, port=0, workers=1, **budgets) as live:
                 assert fetch(query_url(live, SELECT_QUERY))[0] == 200
+
+
+#: An integer past double range (401 digits) compares, orders and averages
+#: as infinity: a constant from the client must not make a 500.
+HUGE = 10 ** 400
+HUGE_QUERIES = {
+    "filter": f"SELECT ?s WHERE {{ ?s <http://x/v> ?o FILTER (?o < {HUGE}) }}",
+    "order-by": "SELECT ?s ?o WHERE { ?s <http://x/v> ?o } ORDER BY ?o",
+    "avg": "SELECT (AVG(?o) AS ?avg) WHERE { ?s <http://x/v> ?o }",
+}
+
+
+@pytest.mark.parametrize("preset", [IN_MEMORY_BASELINE, IN_MEMORY_OPTIMIZED, NATIVE_BASELINE,
+                                    NATIVE_OPTIMIZED, NATIVE_COST],
+                         ids=lambda config: config.name)
+def test_an_integer_past_double_range_is_answered_as_the_oracle_does(preset):
+    triples = [Triple(URIRef(f"http://x/s{index}"), URIRef("http://x/v"), Literal(value))
+               for index, value in enumerate((1, HUGE, 2.5))]
+    engine = SparqlEngine.from_graph(Graph(triples), preset)
+    with SparqlServer(engine, port=0, workers=1) as live:
+        for name, text in HUGE_QUERIES.items():
+            status, _type, body = fetch(query_url(live, text))
+            assert status == 200, (name, body)
+            rows = [{variable: cell["value"] for variable, cell in binding.items()}
+                    for binding in json.loads(body)["results"]["bindings"]]
+            expected = [{variable: str(term) for variable, term in solution.items()}
+                        for solution in oracle.evaluate(text, triples)]
+            if name == "order-by":
+                assert rows == expected
+            else:
+                assert oracle.multiset(rows) == oracle.multiset(expected), name

@@ -5,6 +5,7 @@ import pytest
 from repro.queries import AGGREGATE_QUERIES, get_aggregate_query
 from repro.rdf import BENCH, DC, DCTERMS, FOAF, RDF, RDFS, BNode, Graph, Literal, Triple, URIRef
 from repro.sparql import ENGINE_PRESETS, NATIVE_OPTIMIZED, SparqlEngine, SparqlSyntaxError, parse_query
+from repro.sparql.idspace import reduce_numbers
 
 
 def build_graph():
@@ -32,6 +33,18 @@ def build_graph():
 @pytest.fixture(scope="module")
 def engine():
     return SparqlEngine.from_graph(build_graph(), NATIVE_OPTIMIZED)
+
+
+@pytest.mark.parametrize("function, numbers, expected", [
+    ("AVG", [10 ** 400], "inf"),
+    ("AVG", [-(10 ** 400), 1], "-inf"),
+    ("SUM", [10 ** 400, -(10 ** 400), 2], "2"),     # integers stay exact
+    ("AVG", [10 ** 400, -(10 ** 400), 1.5], "nan"),  # a double makes doubles
+    ("SUM", [1, 2, 0.5], "3.5"),
+])
+def test_sum_and_avg_past_double_range_in_any_row_order(function, numbers, expected):
+    for order in (numbers, numbers[::-1], numbers[1:] + numbers[:1]):
+        assert reduce_numbers(function, order).lexical == expected
 
 
 class TestParsing:

@@ -2,7 +2,7 @@
 
 The 17 catalog queries, the 4 aggregate queries and the edge cases below run
 on all five presets over the hand-built sample graph, the small generated
-document and a value matrix (thirteen terms of every comparison kind).
+document and a value matrix (fifteen terms of every comparison kind).
 SELECT results must equal the oracle's as multisets, ASK answers must be
 equal, and ORDER BY results must come back sorted by the oracle's key;
 under LIMIT/OFFSET a window may pick other rows among equal sort keys, so
@@ -81,6 +81,10 @@ EDGE_CASES.update({
         "SELECT * WHERE { ?d rdf:type bench:Article . <http://example.org/nosuch> ?p ?d }",
 })
 
+#: An integer beyond double range (401 digits): it compares, orders and
+#: averages as infinity, with its sign.
+HUGE = 10 ** 400
+
 #: The value matrix: each value is the object of ``ex:v`` and of ``ex:w``.
 EX = "http://example.org/values/"
 VALUES = (
@@ -89,10 +93,12 @@ VALUES = (
     Literal("abc"), Literal("abc", datatype=XSD_STRING), Literal("abd"),
     Literal("abc", language="en"), Literal("b", language="en"),
     Literal("abc", datatype="http://ex/foo"), Literal(True), URIRef(EX + "iri"),
+    Literal(HUGE), Literal(-HUGE),
 )
 #: Each value's effective boolean value (SPARQL 1.1 §17.2.2): NaN and a
 #: malformed numeric are false, an unknown datatype and an IRI have none.
-EBV = (True, True, True, False, False, True, True, True, True, True, False, True, False)
+EBV = (True, True, True, False, False, True, True, True, True, True, False, True, False,
+       True, True)
 OPERATORS = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
 
 
@@ -112,6 +118,10 @@ for op, name in OPERATORS.items():
     })
 EDGE_CASES["order-by"] = _over_values("", "ORDER BY ?v")
 EDGE_CASES["ebv"] = _over_values("FILTER (?v)")
+#: The huge integer as a query constant, and averaged on its own.
+EDGE_CASES["huge-constant"] = _over_values(f"FILTER (?v < {HUGE})")
+EDGE_CASES["huge-avg"] = (f"PREFIX ex: <{EX}> SELECT (AVG(?v) AS ?avg) "
+                          "WHERE { ?s ex:v ?v FILTER (?v > 2) }")
 
 QUERIES = {query.identifier: query.text
            for query in tuple(ALL_QUERIES) + tuple(AGGREGATE_QUERIES)}

@@ -102,18 +102,19 @@ class TestAgainstBruteForce:
         assert store.distinct_object_total() == len({t[2] for t in triples})
         assert store.distinct_predicates() == len({t[1] for t in triples})
 
-    def test_distinct_counts_are_the_runs_distinct_keys(self, store):
+    def test_distinct_counts_are_the_distinct_keys_of_a_predicates_range(self, store):
         triples = list(store.triples_ids())
         for predicate_id in {p for _s, p, _o in triples}:
             predicate = store.dictionary.decode(predicate_id)
-            by_subject = store.sorted_run(predicate_id, "s")
-            by_object = store.sorted_run(predicate_id, "o")
-            assert list(zip(by_subject.keys, by_subject.values)) == sorted(
-                (s, o) for s, p, o in triples if p == predicate_id)
-            assert list(zip(by_object.keys, by_object.values)) == sorted(
-                (o, s) for s, p, o in triples if p == predicate_id)
-            assert store.distinct_subjects(predicate) == len(set(by_subject.keys))
-            assert store.distinct_objects(predicate) == len(set(by_object.keys))
+            ranges = {}
+            for order in ("pso", "pos"):
+                starts, keys, values = store.permutation(order)
+                lo, hi = starts[predicate_id], starts[predicate_id + 1]
+                ranges[order] = list(zip(keys[lo:hi].tolist(), values[lo:hi].tolist()))
+            assert ranges["pso"] == sorted((s, o) for s, p, o in triples if p == predicate_id)
+            assert ranges["pos"] == sorted((o, s) for s, p, o in triples if p == predicate_id)
+            assert store.distinct_subjects(predicate) == len({s for s, _o in ranges["pso"]})
+            assert store.distinct_objects(predicate) == len({o for o, _s in ranges["pos"]})
 
 
 class TestCounts:
@@ -178,7 +179,8 @@ class TestMaintenance:
         assert store.distinct_subjects(uri("pages")) == 0
         assert store.distinct_objects(uri("pages")) == 0
         pages = store.dictionary.lookup(uri("pages"))
-        assert store.sorted_run(pages, "s") is store.sorted_run(pages, "o") is None
+        starts, _subjects, _objects = store.permutation("pso")
+        assert starts[pages] == starts[pages + 1]
         assert store.count_ids(store.dictionary.lookup(uri("a1")), pages) == 0
 
     def test_totals_track_add_and_remove(self, store):
@@ -191,14 +193,11 @@ class TestMaintenance:
         assert (store.distinct_subject_total(), store.distinct_object_total()) == (3, 6)
         assert recount.statistics_of(store) == recount.recount(store)
 
-    def test_a_snapshot_load_adopts_the_runs(self, store, tmp_path):
-        store.save(tmp_path / "runs.sp2b")
-        loaded = load_snapshot(tmp_path / "runs.sp2b")
-        assert recount.columns(loaded) == recount.columns(store)
-        assert sorted(loaded._sorted_runs) == sorted(store._sorted_runs)
-        for key, run in loaded._sorted_runs.items():
-            assert (run.keys, run.values) == (store._sorted_runs[key].keys,
-                                              store._sorted_runs[key].values)
+    def test_a_snapshot_load_sorts_the_permutations(self, store, tmp_path):
+        store.save(tmp_path / "permutations.sp2b")
+        loaded = load_snapshot(tmp_path / "permutations.sp2b")
+        assert loaded._permutations == store._permutations
+        assert recount.permutations(loaded) == recount.resorted(loaded)
         for predicate in (uri("pages"), uri("creator"), RDF.type):
             assert loaded.distinct_subjects(predicate) == store.distinct_subjects(predicate)
             assert loaded.distinct_objects(predicate) == store.distinct_objects(predicate)

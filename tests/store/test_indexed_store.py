@@ -1,6 +1,8 @@
 """Unit tests for the dictionary-encoded IndexedStore."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 
@@ -109,9 +111,9 @@ class TestCountsAgainstRecount:
 
 
 class TestIdLevelAccess:
-    def test_sorted_runs_are_the_one_capability(self, store):
-        assert store.supports_sorted_runs is True
-        assert not hasattr(MemoryStore(), "supports_sorted_runs")
+    def test_permutations_are_the_one_capability(self, store):
+        assert store.supports_permutations is True
+        assert not hasattr(MemoryStore(), "supports_permutations")
         assert not hasattr(store, "supports_id_access")
 
     def test_encode_pattern_round_trips_known_terms(self, store):
@@ -163,20 +165,23 @@ class TestIdLevelAccess:
                     assert list(store.triples_ids(*filled)) == []
 
     def test_permutations_spell_out_every_triple(self, store):
-        # Each key id's offsets range holds its rows, SPO sorted by (s, p, o)
-        # and OSP by (o, s, p); the views give them as (key, p, value).
-        spelled = {}
-        for order in "so":
-            starts, predicates, values = store.permutation(order)
-            spelled[order] = [
-                (key, p, value) for key in range(len(starts) - 1)
-                for p, value in zip(predicates[starts[key]:starts[key + 1]].tolist(),
-                                    values[starts[key]:starts[key + 1]].tolist())]
-        assert spelled["s"] == sorted(store.triples_ids())
-        assert [(s, p, o) for o, p, s in spelled["o"]] == sorted(
-            store.triples_ids(), key=lambda ids: (ids[2], ids[0], ids[1]))
+        # Each leading id's offsets range holds its rows, each order sorted
+        # by its own positions; the views give them in the order's sequence.
+        for order, positions in recount.ORDERS.items():
+            starts, second, third = store.permutation(order)
+            spelled = [
+                (key, *pair) for key in range(len(starts) - 1)
+                for pair in zip(second[starts[key]:starts[key + 1]].tolist(),
+                                third[starts[key]:starts[key + 1]].tolist())]
+            assert spelled == sorted(tuple(ids[position] for position in positions)
+                                     for ids in store.triples_ids()), order
+            # One leading id's rows alone; none for an id without any.
+            for key in (*range(len(starts) - 1), len(starts), -1):
+                rows = [pair[1:] for pair in spelled if pair[0] == key]
+                assert list(zip(*(column.tolist() for column in
+                                  store.permutation(order, key)))) == rows
         with pytest.raises(ValueError, match="unknown permutation order"):
-            store.permutation("p")
+            store.permutation("s")
 
 
 class TestRemove:
@@ -236,8 +241,7 @@ class TestBatchWrites:
         assert store.remove_all(batch + [Triple(uri("x"), uri("p"), uri("a"))]) == 3
         assert store.version == version + 2
         assert set(store.triples()) == set(sample_triples()[1:])
-        assert recount.columns(store) == recount.resorted_columns(store)
-        assert recount.runs(store) == recount.resorted_runs(store)
+        assert recount.permutations(store) == recount.resorted(store)
         assert recount.statistics_of(store) == recount.recount(store)
 
     def test_an_update_writes_each_of_its_halves_once(self, store, monkeypatch):
@@ -255,18 +259,20 @@ class TestBatchWrites:
                                        "INSERT { ?o <http://example.org/r> ?s } "
                                        "WHERE { ?s <http://example.org/p> ?o }")
         assert (result.deleted, result.inserted) == (1003, 1003)
-        # Two permutations per write: SPO and OSP.
-        assert splices == [(1000, True)] * 2 + [(1003, False)] * 2 + [(1003, True)] * 2
-        assert recount.columns(store) == recount.resorted_columns(store)
+        # Four permutations per write: SPO, OSP, PSO and POS.
+        assert splices == [(1000, True)] * 4 + [(1003, False)] * 4 + [(1003, True)] * 4
+        assert recount.permutations(store) == recount.resorted(store)
 
 
-class TestRuns:
-    """The runs are the predicate index: sorted at a bulk load, spliced
+class TestPermutations:
+    """The four permutations are the index: sorted at a bulk load, spliced
     into new arrays on every write, never built by a read."""
 
-    def test_every_run_exists_before_any_read(self, store):
-        assert len(store._sorted_runs) == 2 * store.distinct_predicates() == 4
-        assert recount.runs(store) == recount.resorted_runs(store)
+    def test_every_permutation_is_sorted_before_any_read(self, store):
+        assert sorted(store._permutations) == sorted(recount.ORDERS)
+        assert recount.permutations(store) == recount.resorted(store)
+        # PSO and POS lead with the same predicates: one offsets array.
+        assert store._permutations["pso"][0] is store._permutations["pos"][0]
 
     def test_a_bulk_load_bumps_the_version_once_and_stamps_its_predicates(self, store):
         version = store.version
@@ -278,7 +284,7 @@ class TestRuns:
         assert store.predicates_changed_since([uri("r")], version)
         assert not store.predicates_changed_since([uri("q")], version)
         assert store.load_graph(sample_triples()) == 0 and store.version == version + 1
-        assert recount.runs(store) == recount.resorted_runs(store)
+        assert recount.permutations(store) == recount.resorted(store)
 
     def test_a_failing_bulk_input_keeps_what_came_before_it(self, store):
         def failing():
@@ -289,26 +295,66 @@ class TestRuns:
         with pytest.raises(ValueError):
             store.load_graph(failing())
         assert len(store) == 7 and store.contains(Triple(uri("z"), uri("r"), uri("b")))
-        assert recount.runs(store) == recount.resorted_runs(store)
+        assert recount.permutations(store) == recount.resorted(store)
         assert recount.statistics_of(store) == recount.recount(store)
 
-    def test_a_write_replaces_runs_and_never_edits_one(self, store):
-        p_id = store.dictionary.lookup(uri("p"))
-        before = store.sorted_run(p_id, "s")
-        pairs = list(zip(before.keys, before.values))
+    def test_a_write_replaces_permutations_and_never_edits_one(self, store):
+        before = store._permutations
+        columns = {order: [column.tolist() for column in before[order]] for order in before}
         store.add(Triple(uri("0"), uri("p"), uri("a")))
         store.remove(sample_triples()[1])
-        assert store.sorted_run(p_id, "s") is not before
-        assert list(zip(before.keys, before.values)) == pairs
-        assert recount.runs(store) == recount.resorted_runs(store)
+        assert store._permutations is not before
+        assert all(now is not then for order in before for now, then in
+                   zip(store._permutations[order], before[order]))
+        assert {order: [column.tolist() for column in before[order]]
+                for order in before} == columns
+        assert recount.permutations(store) == recount.resorted(store)
 
-    def test_removing_a_predicates_last_triple_drops_its_runs(self, store):
+    def test_removing_a_predicates_last_triple_empties_its_range(self, store):
         q_id = store.dictionary.lookup(uri("q"))
         for triple in (sample_triples()[2], sample_triples()[4]):
             store.remove(triple)
-        assert store.sorted_run(q_id, "s") is store.sorted_run(q_id, "o") is None
+        for order in ("pso", "pos"):
+            starts, _second, _third = store.permutation(order)
+            assert starts[q_id] == starts[q_id + 1]
+        assert store.distinct_subjects(uri("q")) == store.distinct_objects(uri("q")) == 0
         assert store.count(None, uri("q"), None) == 0
         assert not list(store.triples(None, uri("q")))
+
+
+def test_a_draft_writes_while_readers_fill_the_statistics_it_shares():
+    # A draft shares its base's statistics dict until it writes, and the
+    # base's readers keep filling it meanwhile: the write must not iterate
+    # the dict as it changes ("dictionary changed size during iteration").
+    predicates = [uri(f"p{n}") for n in range(3000)]
+    base = IndexedStore(Triple(uri(f"s{n % 7}"), predicate, Literal(n))
+                        for n, predicate in enumerate(predicates))
+    errors, stop = [], threading.Event()
+
+    def read():
+        try:
+            while not stop.is_set():
+                for predicate in predicates:
+                    base.distinct_subjects(predicate)
+                base._statistics.clear()  # and fill it again
+        except Exception as error:  # reported by the assertion below
+            errors.append(error)
+
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        for n in range(300):
+            base.begin_generation().add_all([Triple(uri("new"), predicates[n], Literal(-n))])
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert errors == []
 
 
 def _subject_object_stores(tmp_path):

@@ -99,9 +99,9 @@ class TestMemoryStore:
         assert len(list(store.triples_ids())) == 3
         assert store.encode_pattern(uri("nowhere"), None, None) is None
 
-    def test_the_scan_store_has_no_index_runs_or_statistics(self):
+    def test_the_scan_store_has_no_permutations_or_statistics(self):
         store = MemoryStore(sample_triples())
-        for attribute in ("supports_sorted_runs", "sorted_run", "statistics"):
+        for attribute in ("supports_permutations", "permutation", "statistics"):
             assert not hasattr(store, attribute)
 
     def test_generation_draft_is_a_store_sharing_the_dictionary(self):

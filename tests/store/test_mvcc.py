@@ -18,7 +18,6 @@ import pytest
 import recount
 from repro.rdf import Literal, Triple, URIRef
 from repro.store import IndexedStore, MemoryStore, MvccStore, read_snapshot
-from repro.store.indexed_store import RUN_BY_SUBJECT
 
 P = URIRef("http://example.org/p")
 Q = URIRef("http://example.org/q")
@@ -210,49 +209,52 @@ class TestDraftConsistency:
         store = MvccStore(base)
         pinned = store.snapshot()
         triples_before = set(pinned.triples_ids())
-        p_id = pinned.dictionary.lookup(P)
-        runs_before = [pinned.sorted_run(p_id, order) for order in "so"]
+        permutations_before = pinned._permutations
+        rows_before = recount.permutations(pinned)
+        statistics_before = recount.statistics_of(pinned)
         with store.write_transaction() as txn:
             for n in range(10):
                 txn.remove(triple(n))
             txn.insert(triple(100))
         assert set(pinned.triples_ids()) == triples_before
         assert pinned.count(None, P, None) == 10
-        # The superseded generation keeps its very run objects, unchanged.
-        assert all(pinned.sorted_run(p_id, order) is run
-                   for order, run in zip("so", runs_before))
-        assert all(len(run) == 10 for run in runs_before)
-        assert recount.runs(pinned) == recount.resorted_runs(pinned)
+        # The superseded generation keeps its very permutations, unchanged,
+        # and its counts.
+        assert pinned._permutations is permutations_before
+        assert recount.permutations(pinned) == rows_before == recount.resorted(pinned)
+        assert recount.statistics_of(pinned) == statistics_before
 
-    def test_bulk_load_publishes_one_generation_with_fresh_runs(self):
+    def test_bulk_load_publishes_one_generation_with_fresh_permutations(self):
         store = MvccStore(IndexedStore([triple(n) for n in range(5)]))
         version = store.version
         added = store.bulk_load([triple(n) for n in range(3, 12)] +
                                 [triple(1, predicate=Q)])
         assert added == 8 and store.version == version + 1
         current = store.snapshot()
-        assert recount.runs(current) == recount.resorted_runs(current)
+        assert recount.permutations(current) == recount.resorted(current)
         assert recount.statistics_of(current) == recount.recount(current)
 
-    def test_sorted_runs_shared_until_touched(self):
+    def test_a_pinned_generation_keeps_its_permutations_and_counts(self):
         base = IndexedStore()
         base.bulk_load([triple(n) for n in range(10)] +
                        [triple(n, predicate=Q) for n in range(10)])
         store = MvccStore(base)
-        p_id = base._dictionary.lookup(P)
-        q_id = base._dictionary.lookup(Q)
-        run_p = base.sorted_run(p_id, RUN_BY_SUBJECT)
-        run_q = base.sorted_run(q_id, RUN_BY_SUBJECT)
+        pinned = store.snapshot()
+        rows_before = recount.permutations(pinned)
+        # Read every statistic first, so the pinned generation's cache is
+        # filled before the draft shares it.
+        statistics_before = recount.statistics_of(pinned)
         with store.write_transaction() as txn:
-            txn.insert(triple(99, predicate=Q))   # touches only Q
+            txn.insert(triple(99, predicate=Q))
+            txn.remove(triple(0))
         current = store.snapshot()
-        # Untouched predicate: the run object is carried over; touched
-        # predicate: a spliced copy, while the base keeps its own run.
-        assert current.sorted_run(p_id, RUN_BY_SUBJECT) is run_p
-        rebuilt = current.sorted_run(q_id, RUN_BY_SUBJECT)
-        assert rebuilt is not run_q
-        assert len(rebuilt.keys) == len(run_q.keys) + 1
-        assert base.sorted_run(q_id, RUN_BY_SUBJECT) is run_q and len(run_q) == 10
+        assert current._permutations is not pinned._permutations
+        assert current._statistics is not pinned._statistics
+        assert recount.permutations(pinned) == rows_before
+        assert recount.statistics_of(pinned) == statistics_before
+        assert (pinned.count(None, Q, None), current.count(None, Q, None)) == (10, 11)
+        assert (pinned.distinct_subjects(P), current.distinct_subjects(P)) == (10, 9)
+        assert recount.statistics_of(current) == recount.recount(current)
 
     @pytest.mark.parametrize("text", [
         "SELECT * WHERE { <http://example.org/new> ?p ?o }",

@@ -106,13 +106,11 @@ class TestIndexedRoundTrip:
         assert read_snapshot_metadata(path) == {
             "note": "unit", "triples": len(sample_triples())}
 
-    def test_indexes_and_runs_are_equal(self, saved):
+    def test_permutations_are_equal(self, saved):
         store, path = saved
         loaded = load_snapshot(path)
-        assert recount.columns(loaded) == recount.columns(store)
-        assert recount.columns(loaded) == recount.resorted_columns(loaded)
-        assert recount.runs(loaded) == recount.runs(store)
-        assert recount.runs(loaded) == recount.resorted_runs(loaded)
+        assert recount.permutations(loaded) == recount.permutations(store)
+        assert recount.permutations(loaded) == recount.resorted(loaded)
 
     def test_empty_store_round_trips(self, tmp_path):
         path = tmp_path / "empty.sp2b"
@@ -312,7 +310,10 @@ def run_section(store, dangling=None):
     run count, then per run the predicate id, the order tag, the length and
     the key and value columns.  ``dangling`` ("keys" or "values") puts an id
     outside the dictionary at the end of that column of the first run."""
-    runs = recount.runs(store)
+    runs = {}
+    for order, tag in (("pso", "s"), ("pos", "o")):
+        for predicate, key, value in recount.resorted(store)[order]:
+            runs.setdefault((predicate, tag), []).append((key, value))
     out = [struct.pack("<I", len(runs))]
     for index, ((predicate, order), pairs) in enumerate(sorted(runs.items())):
         keys, values = ([list(column) for column in zip(*pairs)])
@@ -333,24 +334,19 @@ def as_version_5(path, store):
 
 
 class TestFormatVersion6:
-    """Version 6 holds the dictionary and the triples; the runs are sorted
-    at load.  Files of an older version are rejected, and rebuilt by the
-    dataset cache."""
+    """Version 6 holds the dictionary and the triples; the permutations are
+    sorted at load.  Files of an older version are rejected, and rebuilt by
+    the dataset cache."""
 
-    def test_loaded_runs_equal_a_fresh_sort(self, tmp_path):
-        store = IndexedStore(sample_triples())
-        path = tmp_path / "runs.sp2b"
-        save_snapshot(store, path)
-        for loader in (IndexedStore, MemoryStore):
-            loaded = loader.load(path)
-            if loader is IndexedStore:
-                assert recount.runs(loaded) == recount.runs(store)
-                assert recount.runs(loaded) == recount.resorted_runs(loaded)
-                for (predicate_id, order), pairs in recount.runs(store).items():
-                    run = loaded.sorted_run(predicate_id, order)
-                    assert (run.predicate, run.order, len(run)) == (
-                        predicate_id, order, len(pairs))
-        assert IndexedStore.load(path).version == 0
+    def test_loaded_permutations_equal_a_fresh_sort(self, tmp_path):
+        for family in (IndexedStore, MemoryStore):
+            store = family(sample_triples())
+            path = tmp_path / f"{family.name}.sp2b"
+            save_snapshot(store, path)
+            loaded = IndexedStore.load(path)
+            assert recount.permutations(loaded) == recount.resorted(loaded)
+            assert recount.resorted(loaded) == recount.resorted(store)
+            assert loaded.version == 0
 
     def test_the_file_ends_with_the_triples(self, tmp_path):
         store = IndexedStore(sample_triples())

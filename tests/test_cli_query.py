@@ -331,3 +331,48 @@ def test_health_does_not_answer_while_the_document_loads(tmp_path, monkeypatch, 
         main(["serve", str(tmp_path / "doc.nt"), "--port", str(port), "--quiet"])
     assert answered == [False]
     assert "serving" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("read_only", [True, False], ids=["read-only", "read-write"])
+def test_serve_read_only_flag_reaches_the_server(tmp_path, monkeypatch, capsys, read_only):
+    # ``repro serve --read-only`` refuses updates with the structured 403 and
+    # keeps the store unwrapped; without it updates commit through MVCC.
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
+    from repro.server import SparqlServer
+
+    document = tmp_path / "one.nt"
+    document.write_text("<http://t/a> <http://t/p> <http://t/b> .\n", encoding="utf-8")
+    seen = {}
+
+    def serve_briefly(server):
+        with server:  # serves on a background thread until the block ends
+            with urllib.request.urlopen(server.health_url, timeout=5) as response:
+                seen["read_only"] = json.loads(response.read())["read_only"]
+            update = urllib.request.Request(
+                server.update_url, data=b"INSERT DATA { <http://t/x> <http://t/p> 1 . }",
+                headers={"Content-Type": "application/sparql-update"})
+            try:
+                with urllib.request.urlopen(update, timeout=5) as response:
+                    seen["update"] = response.status, None
+            except urllib.error.HTTPError as error:
+                seen["update"] = error.code, json.loads(error.read())["error"]["code"]
+            query = urllib.parse.urlencode({"query": "SELECT ?s WHERE { ?s ?p ?o }"})
+            with urllib.request.urlopen(f"{server.url}?{query}", timeout=5) as response:
+                seen["rows"] = len(json.loads(response.read())["results"]["bindings"])
+        seen["store"] = type(server.engine.store).__name__
+
+    monkeypatch.setattr(SparqlServer, "serve_forever", serve_briefly)
+    argv = ["serve", str(document), "--port", "0", "--quiet"]
+    assert main(argv + ["--read-only"] * read_only) == 0
+    assert seen["read_only"] is read_only
+    if read_only:
+        assert seen == {"read_only": True, "update": (403, "read_only"), "rows": 1,
+                        "store": "IndexedStore"}
+    else:
+        assert seen == {"read_only": False, "update": (200, None), "rows": 2,
+                        "store": "MvccStore"}
+    mode = "read-only" if read_only else "read/write"
+    assert f"serving SPARQL Protocol ({mode})" in capsys.readouterr().out

@@ -113,3 +113,20 @@ def test_check_names_a_query_that_fell_off_the_kernels(ledger, tmp_path, capfd):
     assert (f"kernel steps differ (not failing): {SIZE} native-cost Q9: fell off "
             f"the kernels, 4 kernel steps, committed 5") in out
     assert "0 plan differences, 0 counter differences, 1 kernel-step differences" in out
+
+
+def test_check_fails_on_another_snapshot(ledger, tmp_path, capfd):
+    written = json.loads(ledger.read_text(encoding="utf-8"))
+    stores = written["stores"][SIZE]
+    assert all(len(counters["snapshot_sha256"]) == 64 for counters in stores.values())
+    stores["memory"]["snapshot_sha256"] = "0" * 64
+    # A file written before the digest was recorded lacks it: not failing.
+    del stores["indexed"]["snapshot_sha256"]
+    path = tmp_path / "snapshots.json"
+    path.write_text(work.dumps(written), encoding="utf-8")
+    assert work.main(["--check", "--file", str(path), "--sizes", SIZE]) == 1
+    out = capfd.readouterr().out
+    assert f"SNAPSHOT DIFFERS: {SIZE} memory snapshot_sha256: " in out
+    assert f"counter differs (not failing): {SIZE} indexed snapshot_sha256: " in out
+    assert "0 differ, 0 plan differences, 1 counter differences" in out
+    assert "1 snapshot differences" in out

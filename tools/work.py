@@ -10,13 +10,15 @@ LIMIT stopped early masked, the rows each step produced ("-" where
 stopped early), how many of its BGP steps run on the batch kernels, and
 the byte length of the result's SPARQL JSON.  Per (size, store family) it
 holds the ``tracemalloc`` bytes the store built from the generated graph
-keeps allocated, and the byte size of that store's snapshot.  The work runs in a child process with
-``PYTHONHASHSEED=0``, so two runs write byte-identical files.
+keeps allocated, and the byte size and sha256 of that store's snapshot.
+The work runs in a child process with ``PYTHONHASHSEED=0``, so two runs
+write byte-identical files.
 
 ``--check`` compares a fresh run with the file instead of writing it: it
-exits 1 naming every (size, preset, query) whose answer digest differs,
-and prints EXPLAIN, kernel-step and counter differences without failing
-(a query that fell off the kernels is named).  Usage:
+exits 1 naming every (size, preset, query) whose answer digest differs and
+every (size, family) whose snapshot sha256 differs, and prints EXPLAIN,
+kernel-step and counter differences without failing (a query that fell off
+the kernels is named).  Usage:
 
     python tools/work.py [--check] [--file WORK.json] [--sizes 5000 25000]
 """
@@ -95,7 +97,8 @@ def presets_for(size):
 
 def build(family, graph):
     """A store of ``family`` built from ``graph``, and its counters: the
-    bytes the build left allocated, and the byte size of its snapshot."""
+    bytes the build left allocated, and the byte size and sha256 of its
+    snapshot."""
     # A small build first does the one-time work (lazy imports, numpy's
     # first calls) whose allocations vary from process to process.
     family(islice(graph, 50))
@@ -109,8 +112,9 @@ def build(family, graph):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "store.sp2b"
         store.save(path)
-        snapshot = path.stat().st_size
-    return store, {"traced_bytes": traced, "snapshot_bytes": snapshot}
+        snapshot = path.read_bytes()
+    return store, {"traced_bytes": traced, "snapshot_bytes": len(snapshot),
+                   "snapshot_sha256": hashlib.sha256(snapshot).hexdigest()}
 
 
 def measure(sizes):
@@ -146,19 +150,22 @@ def dumps(ledger):
 
 
 def differences(committed, fresh):
-    """``(answers, plans, kernels, counters)``: messages for every (size,
-    preset, query) whose answer digest differs, for those whose EXPLAIN
+    """``(answers, snapshots, plans, kernels, counters)``: messages for every
+    (size, preset, query) whose answer digest differs, for every (size,
+    family) whose snapshot sha256 differs, for queries whose EXPLAIN
     differs, for those with another number of kernel steps (naming a query
     that fell off the kernels), and for every counter (JSON bytes, a store's
-    traced or snapshot bytes) that differs."""
-    answers, plans, kernels, counters = [], [], [], []
+    traced or snapshot bytes, a sha256 the file lacks) that differs."""
+    answers, snapshots, plans, kernels, counters = [], [], [], [], []
     for size, per_family in fresh["stores"].items():
         for family, values in per_family.items():
             old = committed.get("stores", {}).get(size, {}).get(family, {})
             for name, value in values.items():
-                if old.get(name) != value:
-                    counters.append(f"{size} {family} {name}: {value}, "
-                                    f"committed {old.get(name, '-')}")
+                if old.get(name) == value:
+                    continue
+                message = f"{size} {family} {name}: {value}, committed {old.get(name, '-')}"
+                (snapshots if name == "snapshot_sha256" and name in old
+                 else counters).append(message)
     for size, per_preset in fresh["sizes"].items():
         for preset, entries in per_preset.items():
             for query, entry in entries.items():
@@ -183,7 +190,7 @@ def differences(committed, fresh):
                 if old.get("json_bytes") != entry["json_bytes"]:
                     counters.append(f"{where} json_bytes: {entry['json_bytes']}, "
                                     f"committed {old.get('json_bytes', '-')}")
-    return answers, plans, kernels, counters
+    return answers, snapshots, plans, kernels, counters
 
 
 def run(args):
@@ -192,7 +199,7 @@ def run(args):
         args.file.write_text(dumps(fresh), encoding="utf-8")
         print(f"wrote {args.file}")
         return 0
-    answers, plans, kernels, counters = differences(
+    answers, snapshots, plans, kernels, counters = differences(
         json.loads(args.file.read_text(encoding="utf-8")), fresh)
     for message in counters:
         print(f"counter differs (not failing): {message}")
@@ -202,12 +209,15 @@ def run(args):
         print(f"kernel steps differ (not failing): {message}")
     for message in answers:
         print(f"ANSWER DIFFERS: {message}")
+    for message in snapshots:
+        print(f"SNAPSHOT DIFFERS: {message}")
     checked = sum(len(entries) for per_preset in fresh["sizes"].values()
                   for entries in per_preset.values())
     print(f"{checked} answers checked against {args.file}: "
           f"{len(answers)} differ, {len(plans)} plan differences, "
-          f"{len(counters)} counter differences, {len(kernels)} kernel-step differences")
-    return 1 if answers else 0
+          f"{len(counters)} counter differences, {len(kernels)} kernel-step differences, "
+          f"{len(snapshots)} snapshot differences")
+    return 1 if answers or snapshots else 0
 
 
 def main(argv=None):
