@@ -247,11 +247,22 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             "plan_renderer": None,
         }
         try:
-            self._run_query(method, trace, outcome)
+            self._guarded(self._run_query, method, trace, outcome)
         finally:
             server.telemetry.observe_request(
                 trace, endpoint=ENDPOINT_PATH, method=method, **outcome
             )
+
+    def _guarded(self, run, *args):
+        """Run one request's pipeline; an exception escaping it is a
+        structured 500 ``internal_error`` (its traceback goes to the
+        server's error log, not to the client), and the keep-alive
+        connection goes on serving."""
+        try:
+            run(*args)
+        except Exception as error:  # noqa: BLE001 - never drop the connection
+            self.server.handle_error(self.request, self.client_address)
+            self._send_json(500, error_payload(error, code=ERROR_INTERNAL))
 
     def _run_query(self, method, trace, outcome):
         """The protocol pipeline for one query request (traced)."""
@@ -326,11 +337,6 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             outcome["status"] = 400
             self._send_json(400, error_payload(error))
             return
-        except Exception as error:  # noqa: BLE001 - never leak a traceback
-            self._send_json(
-                500, error_payload(error, code=ERROR_INTERNAL)
-            )
-            return
         outcome["status"] = 200
         self._send_body(200, buffer.getvalue(), CONTENT_TYPES[format])
 
@@ -362,7 +368,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         trace = QueryTrace(queue_wait=server.pop_queue_wait())
         outcome = {"status": 500, "query_text": None, "extra": None}
         try:
-            self._run_update(trace, outcome)
+            self._guarded(self._run_update, trace, outcome)
         finally:
             server.telemetry.observe_request(
                 trace, endpoint=UPDATE_PATH, method="POST", **outcome
@@ -402,9 +408,6 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             # the WHERE pattern both map to a structured 400.
             outcome["status"] = 400
             self._send_json(400, error_payload(error))
-            return
-        except Exception as error:  # noqa: BLE001 - never leak a traceback
-            self._send_json(500, error_payload(error, code=ERROR_INTERNAL))
             return
         payload = {"ok": True}
         payload.update(result.as_dict())

@@ -22,6 +22,7 @@ cross-engine agreement checks.
 
 from __future__ import annotations
 
+import sys
 import time
 from itertools import chain, islice
 
@@ -30,6 +31,16 @@ from .errors import QueryTimeout
 from .kernels import BLOCK_ROWS
 from .results import AskResult, SelectResult
 from .serializers import serialize, write
+
+
+def window(rows, offset=0, limit=None):
+    """The rows from ``offset`` on, at most ``limit`` of them, lazily.  A
+    bound past ``sys.maxsize`` (which ``islice`` refuses) is one no result
+    reaches: it is clamped there."""
+    if not offset and limit is None:
+        return rows
+    start = min(offset or 0, sys.maxsize)
+    return islice(rows, start, None if limit is None else min(start + limit, sys.maxsize))
 
 
 class Deadline:

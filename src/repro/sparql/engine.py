@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import islice
 
 from ..obs import NULL_TRACE, QueryTrace, get_registry
 from ..rdf.graph import Graph
@@ -27,7 +26,7 @@ from ..store.mvcc import read_snapshot
 from . import algebra, optimizer, planner
 from .ast import AskQuery, SelectQuery
 from .bindings import variable_name
-from .cursor import AskCursor, Deadline, SelectCursor
+from .cursor import AskCursor, Deadline, SelectCursor, window
 from .idspace import IdSpaceEvaluation
 from .parser import parse_query
 from .planner import PLANNER_COST, PLANNER_GREEDY, PLANNER_NONE
@@ -479,11 +478,7 @@ class PreparedQuery:
         self.run_count += 1
         if isinstance(self._parsed, AskQuery):
             return AskCursor(run.ask(self._tree.operand), deadline=deadline)
-        rows = run.bindings(self._tree)
-        if offset:
-            rows = islice(rows, offset, None)
-        if limit is not None:
-            rows = islice(rows, limit)
+        rows = window(run.bindings(self._tree), offset, limit)
         return SelectCursor(self._variables, rows, deadline=deadline)
 
     def __repr__(self):

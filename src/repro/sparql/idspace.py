@@ -35,16 +35,17 @@ can never go stale.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add, itemgetter
 from time import perf_counter
 
 import numpy as np
 
 from ..rdf.terms import Literal, Variable, as_float, term_sort_key
-from ..store.indexed_store import leading_column
+from ..store.indexed_store import ORDERS
 from . import algebra, ast, kernels
 from .bindings import Binding, _name
+from .cursor import window
 from .errors import EvaluationError
 from .expressions import ORDERING, effective_boolean_value, order_key, value_key
 from .planner import BIND_JOIN, SCAN, Observed, default_strategy, textual_plan
@@ -521,97 +522,50 @@ class IdSpaceEvaluation:
         return blocks
 
     def _kernel_step(self, blocks, cpattern, bound):
-        """One pattern as a block transformer (the runtime kernel dispatch).
+        """One pattern as a block transformer: a vectorized range of the
+        permutation its bound positions lead, then masks.
 
-        ``bound`` holds the slots every incoming block binds (a variable is
-        bound in all rows of a block or in none).  The shapes match
-        :func:`~repro.sparql.planner._vectorizable`: subject, predicate and
-        object are constants or distinct variables, and a predicate
-        variable is never bound before its step.  A constant predicate runs
-        over its rows of PSO and POS, sorted ``(keys, values)`` pairs
-        (subject, object and object, subject), a variable one over SPO/OSP
-        (:meth:`_permutation_step`).  A predicate without triples (no rows)
-        or an empty selection short-circuits to the empty stream.
+        ``bound`` holds the slots every incoming block binds.  With a
+        position bound as a column and at most one constant, each row takes
+        its own range: an endpoint's (the subject first) ``searchsorted``
+        range in a constant predicate's PSO or POS rows, or else its
+        subject's, object's or predicate's row offsets in SPO, OSP or PSO.
+        Otherwise the constants give one range (all of SPO if none), crossed
+        with every block or, when the third position is bound, a membership
+        mask; no rows is the empty stream.  :func:`kernels.extend` binds
+        every other position from the range rows or masks it against its
+        constant or column.
         """
-        (s_var, s_ref), (p_var, p_ref), (o_var, o_ref) = cpattern
-        if p_var:
-            return self._permutation_step(blocks, cpattern, bound)
         store = self._store
-
-        if not s_var and not o_var:
-            # Fully constant pattern: a single existence test gates the
-            # whole stream.
-            for _ids in store.triples_ids(s_ref, p_ref, o_ref):
-                return blocks
-            return iter(())
-
-        by_subject = store.permutation("pso", p_ref)
-        if not len(by_subject[0]):
-            return iter(())
-        if not s_var or not o_var:
-            # One constant endpoint: a single-key selection against the
-            # rows keyed on the constant side.
-            if s_var:
-                keys, values = store.permutation("pos", p_ref)
-                key, var_slot = o_ref, s_ref
+        constants = [None if is_var else ref for is_var, ref in cpattern]
+        bound_at = [position for position, (is_var, ref) in enumerate(cpattern)
+                    if is_var and ref in bound]
+        if bound_at and constants.count(None) > 1:
+            lead = min(bound_at, key=(0, 2, 1).index)  # subject, object, predicate
+            if constants[1] is None:
+                order = ("spo", "pso", "osp")[lead]
+                starts, *values = store.permutation(order)
+                ranges = partial(kernels.key_ranges, starts)
             else:
-                (keys, values), key, var_slot = by_subject, s_ref, o_ref
-            values = kernels.select_eq(keys, values, key)
-            if var_slot in bound:
-                return self._map_blocks(blocks, lambda block: kernels.apply_mask(
-                    block, kernels.member_mask(block, var_slot, values)))
-            return self._cross_blocks(blocks, {var_slot: values})
-
-        s_bound = s_ref in bound
-        o_bound = o_ref in bound
-        if s_bound and o_bound:
-            pairs = kernels.pair_keys(*by_subject)
+                order = ("pso", None, "pos")[lead]
+                keys, *values = store.permutation(order, constants[1])
+                ranges = partial(kernels.equal_ranges, keys)
+            lanes = [(column, cpattern[position])
+                     for column, position in zip(values, ORDERS[order][-len(values):])]
+            slot = cpattern[lead][1]
+            return self._map_blocks(blocks, lambda block: kernels.extend(
+                block, lanes, *ranges(block.columns[slot])))
+        count, ranged = store.range_columns(*constants)
+        if not count:
+            return iter(())
+        lanes = [(column, cpattern[position]) for position, column in ranged.items()]
+        if bound_at:
+            ((values, (_var, slot)),) = lanes
             return self._map_blocks(blocks, lambda block: kernels.apply_mask(
-                block, kernels.semijoin_pair(block, s_ref, o_ref, pairs)))
-        if s_bound or o_bound:
-            if s_bound:
-                probe_slot, new_slot, (keys, values) = s_ref, o_ref, by_subject
-            else:
-                probe_slot, new_slot = o_ref, s_ref
-                keys, values = store.permutation("pos", p_ref)
-            return self._map_blocks(blocks, lambda block: kernels.extend_bound(
-                block, probe_slot, keys, values, new_slot))
-        # All the predicate's rows, key-sorted, crossed with every block.
-        return self._cross_blocks(blocks, dict(zip((s_ref, o_ref), by_subject)))
-
-    def _permutation_step(self, blocks, cpattern, bound):
-        """A variable-predicate pattern over SPO/OSP (its predicate slot is
-        unbound).  A bound endpoint (the subject first) expands every block
-        through its ids' row offsets; otherwise the pattern's rows are one
-        key's offset range (a constant endpoint, the subject first) or the
-        whole of SPO, crossed with every block."""
-        subject, (_p_var, p_slot), object_ = cpattern
-        ends = ((subject, object_, "spo"), (object_, subject, "osp"))
-        for (is_var, ref), far, order in ends:
-            if is_var and ref in bound:
-                permutation = self._by_endpoint(order)
-                return self._map_blocks(blocks, lambda block: kernels.extend_permutation(
-                    block, ref, permutation, p_slot, far))
-        for (is_var, key), (far_var, far_ref), order in ends:
-            if not is_var:
-                predicates, values = self._by_endpoint(order, key)
-                if far_var:
-                    return self._cross_blocks(blocks, {p_slot: predicates, far_ref: values})
-                return self._cross_blocks(blocks, {p_slot: predicates[values == far_ref]})
-        starts, predicates, objects = self._store.permutation("spo")
-        return self._cross_blocks(blocks, {subject[1]: leading_column(starts),
-                                           p_slot: predicates, object_[1]: objects})
-
-    def _by_endpoint(self, order, lead=None):
-        """SPO (``order`` ``"spo"``) or OSP with the predicates first:
-        ``(starts, predicates, values)``, the rows of a subject's or an
-        object's id, their predicates and their other endpoints; for one
-        ``lead`` id, ``(predicates, values)`` of its rows."""
-        columns = self._store.permutation(order, lead)
-        if order == "spo":
-            return columns
-        *starts, subjects, predicates = columns
-        return (*starts, predicates, subjects)
+                block, kernels.member_mask(block, slot, values)))
+        if not lanes:
+            return blocks  # every position constant: the triple exists
+        return self._cross_blocks(blocks, kernels.extend(kernels.Block({}, count), lanes).columns)
 
     def _cross_blocks(self, blocks, columns):
         """Every block crossed with the same parallel ``columns`` (the rows
@@ -1168,9 +1122,7 @@ class IdSpaceEvaluation:
         return iter(rows)
 
     def _eval_slice(self, node):
-        start = node.offset or 0
-        stop = None if node.limit is None else start + node.limit
-        return islice(self._eval(node.operand), start, stop)
+        return window(self._eval(node.operand), node.offset, node.limit)
 
     def _eval_group(self, node):
         """GROUP BY partitioning plus aggregates, grouping on raw ids.

@@ -4,27 +4,26 @@ The tuple path in :mod:`.idspace` grows one Python tuple per intermediate
 solution inside the BGP hot loops — per-row interpreter overhead the paper's
 native engines do not pay.  This module provides the batch alternative: a
 basic graph pattern executes over :class:`Block` objects (parallel ``u32``
-id columns keyed by slot), and each plan step is one kernel call over whole
-columns at a time: a constant predicate binary-searches or merge-joins its
-``(keys, values)`` slice of the store's PSO or POS permutation, a variable
-one reads SPO or OSP through their row offsets.
+id columns keyed by slot), and each plan step is one vectorized range of
+the store permutation its bound positions lead, in one of two modes:
 
-Three kinds of kernels live here:
+* **per-row ranges** — when the blocks bind a position as a column and at
+  most one position is constant, every row takes its range
+  (``key_ranges`` through row offsets, or ``equal_ranges`` in a constant
+  predicate's sorted slice), and the one range-expansion kernel
+  (``expand``) repeats the row once per match;
+* **one range** — otherwise the pattern's constants give one range, which
+  the evaluator crosses with its blocks (``cross_extend``) in pieces of
+  about :data:`BLOCK_ROWS` rows, so LIMIT pushdown and deadline checks keep
+  working at block granularity; or, when the third position is a bound
+  column, a membership mask (``member_mask``).
 
-* **scan/selection** — one key's value range of a predicate's slice
-  (``select_eq``) or of SPO/OSP (the store's ``permutation``), which the
-  evaluator streams, crossed with its blocks, in blocks of about
-  :data:`BLOCK_ROWS` rows, so downstream LIMIT pushdown and deadline checks
-  keep working at block granularity;
-* **join/probe** — extend every block row with its matches through the
-  one range-expansion kernel (``expand``): a slice's ``searchsorted`` range
-  (``extend_bound``) or an SPO/OSP offsets range (``extend_permutation``);
-  or filter rows by membership of one column (``member_mask``) / a column
-  pair (``semijoin_pair``) in a slice;
-* **columnar filters** — evaluate the comparison/equality FILTER shapes the
-  catalog queries use against whole columns, with the keys of
-  :func:`.expressions.value_key` / :func:`.expressions.order_key` computed
-  once per distinct id, so a mask decides exactly what the row filter does.
+In both modes :func:`extend` binds every other position from the range
+rows, or masks it against its constant or column.  The **columnar
+filters** evaluate the comparison/equality FILTER shapes the catalog
+queries use against whole columns, with the keys of
+:func:`.expressions.value_key` / :func:`.expressions.order_key` computed
+once per distinct id, so a mask decides exactly what the row filter does.
 
 The kernels are numpy code and nothing else.  Nothing here imports the
 planner or the id-space evaluator — the dependency points the other way.
@@ -91,11 +90,6 @@ def mask_all(block, value):
     return np.full(block.length, bool(value))
 
 
-def combine_masks(left, right):
-    """Conjunction of two masks."""
-    return left & right
-
-
 def apply_mask(block, mask):
     """The block restricted to the rows where ``mask`` is true."""
     length = int(mask.sum())
@@ -137,19 +131,6 @@ def rows_from_blocks(blocks, width, slots=None):
 
 
 # -- scan / selection kernels -------------------------------------------------
-
-
-def select_eq(keys, values, key):
-    """All values for one exact key of a predicate's ``(keys, values)``
-    slice, ascending (possibly empty).
-
-    Within equal keys a slice is sorted by value (lexicographic pair sort),
-    so the returned column is itself binary-searchable by
-    :func:`member_mask`.
-    """
-    lo = int(np.searchsorted(keys, key, "left"))
-    hi = int(np.searchsorted(keys, key, "right"))
-    return values[lo:hi]
 
 
 def cross_extend(block, new_columns):
@@ -205,44 +186,36 @@ def expand(block, lo, hi):
     return Block(columns, total), positions
 
 
-def extend_bound(block, bound_slot, keys, values, new_slot):
-    """Join a block column against a predicate slice's keys, binding the
-    values.
+def equal_ranges(sorted_keys, keys):
+    """``(lo, hi)``: the rows of each id of the column ``keys`` in an
+    ascending column."""
+    return (np.searchsorted(sorted_keys, keys, "left"),
+            np.searchsorted(sorted_keys, keys, "right"))
 
-    For every row, every slice entry whose key equals the row's
-    ``bound_slot`` id produces one output row with the entry's value in
-    ``new_slot``: an :func:`expand` over the key's ``searchsorted`` range.
+
+def extend(block, lanes, lo=None, hi=None):
+    """The block's rows joined with their ranges ``lo[i]:hi[i]`` of the
+    lanes' columns (:func:`expand`), or, without ranges, paired row by row
+    with the columns: the one extend kernel.
+
+    A lane is ``(column, (is_var, ref))``, a range column and the pattern
+    position it fills.  A constant id, or a slot the block binds, must equal
+    the column's values (a mask, applied first); an unbound slot takes them,
+    and a later lane of that slot (a variable repeated in one pattern) must
+    equal them.
     """
-    column = block.columns[bound_slot]
-    out, positions = expand(block, np.searchsorted(keys, column, "left"),
-                            np.searchsorted(keys, column, "right"))
-    if out.length:
-        out.columns[new_slot] = values[positions]
-    return out
-
-
-def extend_permutation(block, key_slot, permutation, predicate_slot, far):
-    """Join a block column against SPO or OSP, binding the predicate.
-
-    ``permutation`` is ``(starts, predicates, values)``: SPO as
-    :meth:`~repro.store.indexed_store.IndexedStore.permutation` gives it,
-    or OSP with its subject and predicate columns swapped; every row expands to the rows of its ``key_slot`` id.  ``far`` is the
-    pattern's other endpoint as ``(is_var, ref)``: a constant id, or a slot
-    the block already binds, must equal the rows' values (expand, then
-    mask); an unbound slot takes them.
-    """
-    starts, predicates, values = permutation
-    out, positions = expand(block, *key_ranges(starts, block.columns[key_slot]))
+    out, positions = (block, None) if lo is None else expand(block, lo, hi)
     if not out.length:
         return out
-    is_var, ref = far
-    values = values[positions]
-    if is_var and ref not in out.columns:
-        out.columns[ref] = values
-    else:
+    for column, (is_var, ref) in sorted(
+            lanes, key=lambda lane: lane[1][0] and lane[1][1] not in block.columns):
+        values = column if positions is None else column[positions]
+        if is_var and ref not in out.columns:
+            out.columns[ref] = values
+            continue
         mask = values == (out.columns[ref] if is_var else ref)
-        out, positions = apply_mask(out, mask), positions[mask]
-    out.columns[predicate_slot] = predicates[positions]
+        out = apply_mask(out, mask)
+        positions = np.flatnonzero(mask) if positions is None else positions[mask]
     return out
 
 
@@ -255,23 +228,6 @@ def member_mask(block, bound_slot, sorted_values):
     positions = np.searchsorted(values, column, "left")
     clipped = np.minimum(positions, len(values) - 1)
     return values[clipped] == column
-
-
-def pair_keys(keys, values):
-    """Parallel u32 ``keys`` and ``values`` as one u64 column: a predicate
-    slice's (key, value) pairs, sorted as the slice is."""
-    return (np.asarray(keys, dtype=np.uint64) << 32) | np.asarray(values, dtype=np.uint64)
-
-
-def semijoin_pair(block, key_slot, value_slot, pairs):
-    """Mask of rows whose (key, value) column pair occurs in ``pairs`` (a
-    slice's :func:`pair_keys`)."""
-    if len(pairs) == 0:
-        return np.zeros(block.length, dtype=bool)
-    needles = pair_keys(block.columns[key_slot], block.columns[value_slot])
-    positions = np.searchsorted(pairs, needles, "left")
-    clipped = np.minimum(positions, len(pairs) - 1)
-    return pairs[clipped] == needles
 
 
 # -- columnar filters ---------------------------------------------------------
@@ -330,12 +286,9 @@ def filter_mask(block, compiled, cell_term):
     """
     mask = None
     for op, left, right in compiled:
-        conjunct_mask = _conjunct_mask(block, op, left, right, cell_term)
-        mask = (
-            conjunct_mask if mask is None
-            else combine_masks(mask, conjunct_mask)
-        )
-    return mask if mask is not None else mask_all(block, True)
+        conjunct = _conjunct_mask(block, op, left, right, cell_term)
+        mask = conjunct if mask is None else mask & conjunct
+    return mask
 
 
 def _operand_column(block, operand):

@@ -378,10 +378,18 @@ class _Parser:
         # LIMIT and OFFSET may appear in either order.
         for _ in range(2):
             if self._take_keyword("LIMIT"):
-                limit = int(self._expect("NUMBER").value)
+                limit = self._parse_count()
             elif self._take_keyword("OFFSET"):
-                offset = int(self._expect("NUMBER").value)
+                offset = self._parse_count()
         return limit, offset
+
+    def _parse_count(self):
+        """A LIMIT or OFFSET value: an integer of digits only."""
+        token = self._expect("NUMBER")
+        if not token.value.isdigit():
+            raise SparqlSyntaxError(
+                f"expected a non-negative integer, found {token.value!r}", token.position)
+        return _integer(token)
 
     # -- graph patterns ---------------------------------------------------------
 
@@ -480,7 +488,7 @@ class _Parser:
             return self._parse_literal()
         if token.kind == "NUMBER" and position == "object":
             self._advance()
-            return _number_literal(token.value)
+            return _number_literal(token)
         if token.kind == "KEYWORD" and token.upper() in ("TRUE", "FALSE"):
             self._advance()
             return Literal(token.upper() == "TRUE")
@@ -606,7 +614,7 @@ class _Parser:
             return ast.TermExpression(self._parse_literal())
         if token.kind == "NUMBER":
             self._advance()
-            return ast.TermExpression(_number_literal(token.value))
+            return ast.TermExpression(_number_literal(token))
         if token.kind == "KEYWORD" and token.upper() in ("TRUE", "FALSE"):
             self._advance()
             return ast.TermExpression(Literal(token.upper() == "TRUE"))
@@ -615,10 +623,20 @@ class _Parser:
         )
 
 
-def _number_literal(text):
-    if "." in text:
-        return Literal(float(text))
-    return Literal(int(text))
+def _number_literal(token):
+    if "." in token.value:
+        return Literal(float(token.value))
+    return Literal(_integer(token))
+
+
+def _integer(token):
+    """An integer token's value; one longer than ``int()`` parses (4 300
+    digits by default) is a syntax error."""
+    try:
+        return int(token.value)
+    except ValueError:
+        raise SparqlSyntaxError(f"integer of {len(token.value)} characters is too long",
+                                token.position) from None
 
 
 def _iri(token):

@@ -382,25 +382,6 @@ def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
     return ordered, placed_filters, plan
 
 
-def _vectorizable(steps):
-    """True when every step can run on the batch kernels.
-
-    A constant predicate runs over its slices of the PSO/POS permutations,
-    a variable one over SPO/OSP.  The kernels handle no variable repeated inside
-    one pattern, and no predicate variable an earlier step bound.  The
-    whole BGP vectorizes or none of it does: blocks and tuples cannot
-    alternate mid-pipeline.  Which kernel a step runs is decided at run
-    time from the same shapes.
-    """
-    bound = set()
-    for step in steps:
-        variables = [term for term in step.pattern if isinstance(term, Variable)]
-        if len(set(variables)) < len(variables) or step.pattern[1] in bound:
-            return False
-        bound.update(variables)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Tree planning
 # ---------------------------------------------------------------------------
@@ -444,8 +425,7 @@ def plan_tree(tree, store, family):
         for node in algebra.collect_bgps(planned):
             plan = node.plan
             if (plan is not None and not plan.outer_bound
-                    and plan.cost >= VECTORIZE_MIN_COST
-                    and _vectorizable(plan.steps)):
+                    and plan.cost >= VECTORIZE_MIN_COST):
                 for step in plan.steps:
                     step.kernel = True
     return planned
@@ -583,7 +563,7 @@ def _plan_node(node, model, outer, rows, family, fixed_strategy):
             node.operand, model, outer, rows, family, fixed_strategy)
         estimate = operand_rows
         if isinstance(node, algebra.Slice) and node.limit is not None:
-            estimate = min(estimate, float(node.limit))
+            estimate = float(min(estimate, node.limit))
         return replace(node, operand=operand), estimate, operand_cost
 
     return node, rows, 0.0

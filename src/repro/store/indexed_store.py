@@ -370,6 +370,21 @@ class IndexedStore(TripleStore):
                 lo, hi = _equal_range(thirds, key, lo, hi)
         return name, lead, lo, hi
 
+    def range_columns(self, subject=None, predicate=None, object=None):
+        """``(count, columns)``: the rows :meth:`triples_ids` reads, as
+        numpy views of their unbound positions' columns, ``{position:
+        column}`` with 0 the subject, 1 the predicate and 2 the object, in
+        the permutation's order (with two positions bound the one column is
+        ascending).  Nothing bound materializes SPO's subjects."""
+        pattern = (subject, predicate, object)
+        name, lead, lo, hi = self._range(pattern)
+        starts, second, third = self.permutation(name)
+        first, *rest = ORDERS[name]
+        columns = {} if lead is not None else {first: leading_column(starts)}
+        columns.update(zip(rest, (second[lo:hi], third[lo:hi])))
+        return hi - lo, {position: column for position, column in columns.items()
+                         if pattern[position] is None}
+
     def permutation(self, order, lead=None):
         """Permutation ``order`` (a name of :data:`ORDERS`) as zero-copy
         numpy views ``(starts, second, third)``: the rows of leading id ``k``

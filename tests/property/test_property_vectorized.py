@@ -16,9 +16,11 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracle
 from repro.generator import DblpGenerator, GeneratorConfig
 from repro.queries import ALL_QUERIES, get_query
-from repro.sparql import NATIVE_COST, QueryTimeout, SparqlEngine
+from repro.rdf import BENCH, DC, FOAF, RDF, Graph, Triple, URIRef
+from repro.sparql import NATIVE_COST, QueryTimeout, SparqlEngine, algebra
 from repro.sparql.cursor import Deadline
 from repro.sparql.results import AskResult
 
@@ -113,3 +115,56 @@ def test_generous_deadline_is_invisible(engines, query_id):
         for binding in batch.prepare(text).run(timeout=600.0)
     )
     assert bounded == _multiset(tuple_path.query(text))
+
+
+class KernelsEverywhere(SparqlEngine):
+    """Plans as native-cost does, then marks every standalone BGP for the
+    batch kernels, however cheap: each pattern shape runs on them."""
+
+    def _plan_algebra(self, tree, store):
+        planned = super()._plan_algebra(tree, store)
+        for node in algebra.collect_bgps(planned):
+            if node.plan is not None and not node.plan.outer_bound:
+                for step in node.plan.steps:
+                    step.kernel = True
+        return planned
+
+
+LOOP = URIRef("http://example.org/loop")
+#: Few variables, so that patterns share and repeat them often.
+VARIABLES = ("?a", "?b", "?c")
+
+
+@pytest.fixture(scope="module")
+def shapes(sample_graph):
+    """(engine, triples, per-position term pools) over the sample graph plus
+    a triple whose subject is its object and one whose object is its
+    predicate."""
+    articles = sorted((triple.subject for triple in sample_graph
+                       if triple.object == BENCH.Article), key=str)
+    names = sorted((triple.object for triple in sample_graph
+                    if triple.predicate == FOAF.name), key=str)
+    triples = list(sample_graph) + [Triple(articles[0], LOOP, articles[0]),
+                                    Triple(articles[1], LOOP, LOOP)]
+    unknown = URIRef("http://example.org/nosuch")
+    pools = [(*articles[:2], unknown), (RDF.type, DC.creator, LOOP),
+             (articles[0], LOOP, BENCH.Article, names[0], unknown)]
+    pools = [VARIABLES + tuple(term.n3() for term in pool) for pool in pools]
+    return KernelsEverywhere.from_graph(Graph(triples), NATIVE_COST), triples, pools
+
+
+@settings(deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_pattern_shape_on_the_kernels_equals_the_oracle(shapes, data):
+    """One to three patterns of constants, shared, repeated and bound
+    variables in any position, all on the kernels, against the naive
+    reference evaluator."""
+    engine, triples, pools = shapes
+    patterns = data.draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
+                                  min_size=1, max_size=3))
+    text = "SELECT * WHERE { " + " . ".join(map(" ".join, patterns)) + " }"
+    report = engine.explain(text)
+    assert all(step.kernel for step in report.plan_steps())
+    rows = [dict(binding.items()) for binding in engine.query(text).bindings]
+    assert oracle.multiset(rows) == oracle.multiset(oracle.evaluate(text, triples)), text

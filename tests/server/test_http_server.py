@@ -6,6 +6,7 @@ content types, the structured 400/503/404/406/415 failure responses, and
 concurrent clients sharing the worker pool.
 """
 
+import http.client
 import json
 import socket
 import threading
@@ -160,6 +161,23 @@ class TestFailureResponses:
         assert status == 400
         assert json.loads(body)["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize("text", [
+        SELECT_QUERY + " LIMIT 1.5", SELECT_QUERY + " OFFSET 1.5",
+        "SELECT * WHERE { ?s ?p %s }" % ("9" * 4301)],
+        ids=["limit-1.5", "offset-1.5", "4301-digits"])
+    def test_a_malformed_number_is_a_parse_error(self, server, text):
+        status, _type, body = fetch(server.url, data=text.encode("utf-8"),
+                                    headers={"Content-Type": "application/sparql-query"})
+        assert status == 400
+        assert json.loads(body)["error"]["code"] == "parse_error"
+
+    def test_limits_past_any_result_answer_all_or_nothing(self, server):
+        everything = fetch(query_url(server, SELECT_QUERY))
+        assert fetch(query_url(server, f"{SELECT_QUERY} LIMIT {10 ** 400}")) == everything
+        status, _type, body = fetch(query_url(server, f"{SELECT_QUERY} OFFSET {10 ** 20}"))
+        assert status == 200
+        assert json.loads(body)["results"]["bindings"] == []
+
     def test_expired_deadline_is_503_with_timeout_payload(self, server):
         status, _type, body = fetch(query_url(server, SELECT_QUERY, timeout=0))
         assert status == 503
@@ -308,3 +326,37 @@ def test_an_integer_past_double_range_is_answered_as_the_oracle_does(preset):
                 assert rows == expected
             else:
                 assert oracle.multiset(rows) == oracle.multiset(expected), name
+
+
+class FailingOnce(SparqlEngine):
+    """An engine whose statement cache raises on the first request."""
+
+    failed = False
+
+    def prepare_cached(self, query_text, **options):
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("statement cache is broken")
+        return super().prepare_cached(query_text, **options)
+
+
+def test_an_escaping_exception_is_a_500_and_the_connection_keeps_serving():
+    engine = FailingOnce.from_graph(generate_graph(triple_limit=300))
+    with SparqlServer(engine, port=0, workers=1) as live:
+        connection = http.client.HTTPConnection(live.host, live.port, timeout=10.0)
+        try:
+            answers, sockets = [], []
+            for _request in range(2):
+                connection.request("GET", "/sparql?" + urllib.parse.urlencode(
+                    {"query": "SELECT ?s WHERE { ?s ?p ?o } LIMIT 1"}))
+                response = connection.getresponse()
+                answers.append((response.status, json.loads(response.read())))
+                sockets.append(connection.sock)
+        finally:
+            connection.close()
+    # Both answers came over one socket: the 500 did not close it.
+    assert sockets[0] is not None and sockets[0] is sockets[1]
+    (first, error), (second, result) = answers
+    assert (first, error["error"]["code"]) == (500, "internal_error")
+    assert "statement cache is broken" in error["error"]["message"]
+    assert second == 200 and result["results"]["bindings"]

@@ -107,10 +107,24 @@ def test_explain_executes_the_tree_prepare_built(engines, preset, query):
     assert report.result.actual == report.result_count
 
 
-# Q9 and Q10 run their variable predicates over SPO/OSP.
-@pytest.mark.parametrize("identifier", ["Q4", "Q9", "Q10"])
+#: Q9 and Q10 run their variable predicates over SPO/OSP; the shapes below
+#: share a predicate variable, repeat a variable inside one pattern, or bind a
+#: predicate variable before a pattern with a constant endpoint.
+KERNEL_SHAPES = {query.identifier: query.text for query in QUERIES
+                 if query.identifier in ("Q4", "Q9", "Q10")}
+KERNEL_SHAPES.update({
+    "shared-predicate": """SELECT * WHERE { ?a rdf:type bench:Journal . ?a ?p ?x .
+        ?b ?p ?y . ?b rdf:type bench:Proceedings }""",
+    "subject-is-object": "SELECT * WHERE { ?a dc:creator ?c . ?x ?p ?x }",
+    "predicate-is-object": "SELECT * WHERE { ?x ?p ?p }",
+    "bound-predicate-to-constant":
+        "SELECT * WHERE { ?j rdf:type bench:Journal . ?j ?p ?o . ?s ?p bench:Journal }",
+})
+
+
+@pytest.mark.parametrize("identifier", KERNEL_SHAPES)
 def test_kernels_need_the_cost_planner_sorted_runs(engines, reference, identifier):
-    text = next(query for query in QUERIES if query.identifier == identifier).text
+    text = KERNEL_SHAPES[identifier]
     cost = engines[NATIVE_COST.name]
     assert all(step.kernel for step in cost.explain(text).plan_steps())
     without = reference.tuple_path(cost).explain(text)

@@ -81,6 +81,27 @@ EDGE_CASES.update({
         "SELECT * WHERE { ?d rdf:type bench:Article . <http://example.org/nosuch> ?p ?d }",
 })
 
+#: Pattern shapes the catalog lacks: a predicate variable shared by two
+#: patterns, a variable repeated inside one pattern (the value matrix holds
+#: one triple of each), and a predicate variable an earlier step bound beside
+#: a constant endpoint or two.  The BGPs are worth the kernels on
+#: native-cost over the generated document, the loops over the value matrix
+#: too.
+KERNEL_SHAPES = {
+    "shared-predicate-variable": """SELECT ?a ?p ?b WHERE { ?a rdf:type bench:Journal .
+        ?a ?p ?x . ?b ?p ?y . ?b rdf:type bench:Proceedings }""",
+    "subject-is-object": "SELECT * WHERE { ?x ?p ?x }",
+    "predicate-is-object": "SELECT * WHERE { ?x ?p ?p }",
+    "bound-predicate-to-constant":
+        "SELECT ?p ?s WHERE { ?j rdf:type bench:Journal . ?j ?p ?o . ?s ?p bench:Journal }",
+    "bound-predicate-between-constants": """SELECT ?d ?p WHERE { ?d rdf:type bench:Article .
+        ?d ?p ?o . person:Paul_Erdoes ?p foaf:Person }""",
+}
+#: LIMIT and OFFSET past any result (and past what ``islice`` takes): all
+#: rows, and none.
+EDGE_CASES["limit-past-double-range"] = f"SELECT ?s WHERE {{ ?s rdf:type ?c }} LIMIT {10 ** 400}"
+EDGE_CASES["offset-past-maxsize"] = f"SELECT ?s WHERE {{ ?s rdf:type ?c }} OFFSET {10 ** 20}"
+
 #: An integer beyond double range (401 digits): it compares, orders and
 #: averages as infinity, with its sign.
 HUGE = 10 ** 400
@@ -106,6 +127,12 @@ def _over_values(pattern, modifiers=""):
     return f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?s ex:v ?v {pattern} }} {modifiers}"
 
 
+#: A variable repeated inside a pattern whose subject an earlier step bound:
+#: per-row ranges, the repeat masked against the column the step binds.
+KERNEL_SHAPES["bound-subject-is-object"] = _over_values(". ?s ?p ?s")
+KERNEL_SHAPES["bound-subject-predicate-is-object"] = _over_values(". ?s ?p ?p")
+EDGE_CASES.update(KERNEL_SHAPES)
+
 #: Every operator over the matrix: across the two predicates in one BGP
 #: (the column masks on native-cost) and under OPTIONAL (the join keys), and
 #: against a NaN and a string constant.
@@ -130,8 +157,11 @@ QUERIES.update(EDGE_CASES)
 
 @pytest.fixture(scope="session")
 def value_graph():
-    return Graph(Triple(URIRef(f"{EX}s{index}"), URIRef(EX + predicate), value)
-                 for index, value in enumerate(VALUES) for predicate in "vw")
+    graph = Graph(Triple(URIRef(f"{EX}s{index}"), URIRef(EX + predicate), value)
+                  for index, value in enumerate(VALUES) for predicate in "vw")
+    graph.add(Triple(URIRef(EX + "s0"), URIRef(EX + "loop"), URIRef(EX + "s0")))
+    graph.add(Triple(URIRef(EX + "s1"), URIRef(EX + "self"), URIRef(EX + "self")))
+    return graph
 
 
 @pytest.fixture(scope="module",
@@ -173,6 +203,18 @@ def test_preset_matches_the_oracle(document, identifier, preset):
     assert keys(rows) == keys(expected)
     unsliced = oracle.evaluate(replace(query, limit=None, offset=0), triples)
     assert not oracle.multiset(rows) - oracle.multiset(unsliced)
+
+
+@pytest.mark.parametrize("graph, identifier", [
+    *(("value_graph" if name.startswith("bound-subject") else "generated_graph_small", name)
+      for name in KERNEL_SHAPES),
+    ("value_graph", "subject-is-object"), ("value_graph", "predicate-is-object")])
+def test_every_pattern_shape_runs_on_the_kernels(request, graph, identifier):
+    engine = SparqlEngine.from_graph(request.getfixturevalue(graph), NATIVE_COST)
+    report = engine.explain(EDGE_CASES[identifier])
+    assert report.result_count or graph == "generated_graph_small"
+    steps = [line for line in report.render().splitlines() if "vectorized=" in line]
+    assert steps and all("vectorized=yes" in line for line in steps)
 
 
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda config: config.name)

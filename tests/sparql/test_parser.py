@@ -106,6 +106,26 @@ class TestModifiers:
         assert query.limit == 2
         assert query.offset == 5
 
+    @pytest.mark.parametrize("modifier", ["LIMIT 1.5", "OFFSET 1.5", "LIMIT -1",
+                                          "OFFSET +2", "LIMIT " + "9" * 4301],
+                             ids=["limit-1.5", "offset-1.5", "limit--1", "offset-+2",
+                                  "limit-4301-digits"])
+    def test_a_limit_or_offset_not_of_digits_is_a_syntax_error(self, modifier):
+        with pytest.raises(SparqlSyntaxError):
+            parse_query(f"SELECT ?t WHERE {{ ?x dc:title ?t }} {modifier}")
+
+    def test_limits_past_any_result_parse(self):
+        query = parse_query(f"SELECT ?t WHERE {{ ?x dc:title ?t }} LIMIT {10 ** 400} "
+                            f"OFFSET {10 ** 20}")
+        assert (query.limit, query.offset) == (10 ** 400, 10 ** 20)
+
+    @pytest.mark.parametrize("where", ["{ ?x ?p %s }", "{ ?x ?p ?o FILTER (?o < %s) }"],
+                             ids=["object", "filter"])
+    def test_an_integer_longer_than_int_parses_is_a_syntax_error(self, where):
+        # int() refuses more than 4 300 digits with a ValueError.
+        with pytest.raises(SparqlSyntaxError, match="too long"):
+            parse_query("SELECT * WHERE " + where % ("9" * 4301))
+
 
 class TestPatterns:
     def test_optional_group(self):

@@ -219,24 +219,28 @@ class TestPlanTree:
                         bind_joins += 1
         assert bind_joins >= 2
 
-    def test_kernel_marks_cover_a_whole_bgp_or_none_of_it(self):
-        from repro.sparql.planner import PlanStep, _vectorizable
+    def test_kernel_marks_cover_a_whole_bgp_or_none_of_it(self, cost_engine):
+        from repro.sparql.planner import VECTORIZE_MIN_COST
 
-        a, p, n, x = (Variable(name) for name in "apnx")
-        star = [Triple(a, DC.creator, p), Triple(p, FOAF.name, n)]
+        def kernels(where):
+            _parsed, tree = cost_engine.plan(f"SELECT * WHERE {{ {where} }}")
+            (bgp,) = algebra.collect_bgps(tree)
+            marks = {step.kernel for step in bgp.plan.steps}
+            assert len(marks) == 1, where
+            assert marks.pop() == (bgp.plan.cost >= VECTORIZE_MIN_COST), where
+            return bgp.plan.steps[0].kernel
 
-        def vectorizable(*patterns):
-            return _vectorizable([PlanStep(pattern=pattern) for pattern in patterns])
-
-        pred = Variable("pred")
-        assert vectorizable(*star)
-        assert not vectorizable(*star, Triple(x, DC.creator, x))
-        # A variable predicate runs over SPO/OSP, unless a variable repeats
-        # inside its pattern or an earlier step bound the predicate.
-        assert vectorizable(*star, Triple(a, pred, x))
-        assert not vectorizable(*star, Triple(x, pred, x))
-        assert not vectorizable(*star, Triple(x, pred, pred))
-        assert not vectorizable(*star, Triple(a, pred, x), Triple(n, pred, x))
+        star = "?a dc:creator ?p . ?p foaf:name ?n ."
+        assert kernels(star)
+        # Any shape runs on the kernels: a variable repeated inside one
+        # pattern, a predicate variable, one an earlier step bound.
+        assert kernels(star + " ?x dc:creator ?x")
+        assert kernels(star + " ?a ?pred ?x")
+        assert kernels(star + " ?x ?pred ?x")
+        assert kernels(star + " ?x ?pred ?pred")
+        assert kernels(star + " ?a ?pred ?x . ?n ?pred ?x")
+        # A point lookup is cheaper on tuples, every step of it.
+        assert not kernels('?a dc:title "no such title" . ?a dc:creator ?p')
 
     def test_plan_tree_does_not_mutate_input(self, small_store):
         from repro.sparql import parse_query, translate_query

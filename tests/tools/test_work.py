@@ -1,6 +1,7 @@
 """Tests for the work ledger on a tiny document: a written file is
 byte-identical across runs, ``--check`` passes against it, and fails,
-naming the query, once one answer digest is altered."""
+naming the query, once one answer digest is altered or a query has fewer
+kernel steps than the file."""
 
 import importlib.util
 import json
@@ -108,11 +109,23 @@ def test_check_names_a_query_that_fell_off_the_kernels(ledger, tmp_path, capfd):
     entries["Q9"]["kernel_steps"] += 1
     path = tmp_path / "kernels.json"
     path.write_text(work.dumps(written), encoding="utf-8")
+    assert work.main(["--check", "--file", str(path), "--sizes", SIZE]) == 1
+    out = capfd.readouterr().out
+    assert (f"KERNEL STEPS DIFFER: {SIZE} native-cost Q9: fell off "
+            f"the kernels, 4 kernel steps, committed 5") in out
+    assert "0 differ, 0 plan differences, 0 counter differences, 1 kernel-step differences" in out
+
+
+def test_a_query_that_moved_onto_the_kernels_does_not_fail(ledger, tmp_path, capfd):
+    written = json.loads(ledger.read_text(encoding="utf-8"))
+    written["sizes"][SIZE]["native-cost"]["Q9"]["kernel_steps"] -= 1
+    path = tmp_path / "kernels.json"
+    path.write_text(work.dumps(written), encoding="utf-8")
     assert work.main(["--check", "--file", str(path), "--sizes", SIZE]) == 0
     out = capfd.readouterr().out
-    assert (f"kernel steps differ (not failing): {SIZE} native-cost Q9: fell off "
-            f"the kernels, 4 kernel steps, committed 5") in out
-    assert "0 plan differences, 0 counter differences, 1 kernel-step differences" in out
+    assert (f"kernel steps differ (not failing): {SIZE} native-cost Q9: moved onto "
+            f"the kernels, 4 kernel steps, committed 3") in out
+    assert "1 kernel-step differences" in out
 
 
 def test_check_fails_on_another_snapshot(ledger, tmp_path, capfd):

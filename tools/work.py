@@ -15,10 +15,11 @@ The work runs in a child process with ``PYTHONHASHSEED=0``, so two runs
 write byte-identical files.
 
 ``--check`` compares a fresh run with the file instead of writing it: it
-exits 1 naming every (size, preset, query) whose answer digest differs and
-every (size, family) whose snapshot sha256 differs, and prints EXPLAIN,
-kernel-step and counter differences without failing (a query that fell off
-the kernels is named).  Usage:
+exits 1 naming every (size, preset, query) whose answer digest differs or
+that has fewer kernel steps than the file ("fell off the kernels"), and
+every (size, family) whose snapshot sha256 differs; it prints EXPLAIN,
+counter differences and more kernel steps ("moved onto") without failing.
+Usage:
 
     python tools/work.py [--check] [--file WORK.json] [--sizes 5000 25000]
 """
@@ -153,10 +154,12 @@ def differences(committed, fresh):
     """``(answers, snapshots, plans, kernels, counters)``: messages for every
     (size, preset, query) whose answer digest differs, for every (size,
     family) whose snapshot sha256 differs, for queries whose EXPLAIN
-    differs, for those with another number of kernel steps (naming a query
-    that fell off the kernels), and for every counter (JSON bytes, a store's
-    traced or snapshot bytes, a sha256 the file lacks) that differs."""
-    answers, snapshots, plans, kernels, counters = [], [], [], [], []
+    differs, for those with another number of kernel steps (a pair of lists:
+    fewer steps than committed, "fell off the kernels", then more), and for
+    every counter (JSON bytes, a store's traced or snapshot bytes, a sha256
+    the file lacks) that differs."""
+    answers, snapshots, plans, counters = [], [], [], []
+    kernels = fell_off, moved_onto = [], []
     for size, per_family in fresh["stores"].items():
         for family, values in per_family.items():
             old = committed.get("stores", {}).get(size, {}).get(family, {})
@@ -184,9 +187,10 @@ def differences(committed, fresh):
                 steps = entry["kernel_steps"]
                 old_steps = old.get("kernel_steps", steps)
                 if steps != old_steps:
-                    moved = "fell off" if steps < old_steps else "moved onto"
-                    kernels.append(f"{where}: {moved} the kernels, {steps} kernel "
-                                   f"steps, committed {old_steps}")
+                    fell = steps < old_steps
+                    (fell_off if fell else moved_onto).append(
+                        f"{where}: {'fell off' if fell else 'moved onto'} the kernels, "
+                        f"{steps} kernel steps, committed {old_steps}")
                 if old.get("json_bytes") != entry["json_bytes"]:
                     counters.append(f"{where} json_bytes: {entry['json_bytes']}, "
                                     f"committed {old.get('json_bytes', '-')}")
@@ -199,14 +203,16 @@ def run(args):
         args.file.write_text(dumps(fresh), encoding="utf-8")
         print(f"wrote {args.file}")
         return 0
-    answers, snapshots, plans, kernels, counters = differences(
+    answers, snapshots, plans, (fell_off, moved_onto), counters = differences(
         json.loads(args.file.read_text(encoding="utf-8")), fresh)
     for message in counters:
         print(f"counter differs (not failing): {message}")
     for message in plans:
         print(f"plan differs (not failing): {message}")
-    for message in kernels:
+    for message in moved_onto:
         print(f"kernel steps differ (not failing): {message}")
+    for message in fell_off:
+        print(f"KERNEL STEPS DIFFER: {message}")
     for message in answers:
         print(f"ANSWER DIFFERS: {message}")
     for message in snapshots:
@@ -215,9 +221,10 @@ def run(args):
                   for entries in per_preset.values())
     print(f"{checked} answers checked against {args.file}: "
           f"{len(answers)} differ, {len(plans)} plan differences, "
-          f"{len(counters)} counter differences, {len(kernels)} kernel-step differences, "
+          f"{len(counters)} counter differences, "
+          f"{len(fell_off) + len(moved_onto)} kernel-step differences, "
           f"{len(snapshots)} snapshot differences")
-    return 1 if answers or snapshots else 0
+    return 1 if answers or snapshots or fell_off else 0
 
 
 def main(argv=None):
