@@ -41,14 +41,15 @@ class AlgebraNode:
 class BGP(AlgebraNode):
     """A basic graph pattern: an ordered list of triple patterns.
 
-    ``inline_filters`` holds ``(position, expression)`` pairs produced by the
-    filter-pushing optimizer: the expression is applied as soon as the pattern
-    at ``position`` has been joined, shrinking intermediate results exactly as
-    described in the paper's optimization discussion (Section V).
+    ``inline_filters`` holds the expressions the filter-pushing optimizer
+    moved into this BGP; its plan applies each as soon as its variables are
+    bound, shrinking intermediate results exactly as described in the
+    paper's optimization discussion (Section V).
 
-    ``plan`` optionally carries a :class:`~repro.sparql.planner.BGPPlan`
-    (per-step physical strategies and cardinality estimates); when present,
-    the executor runs the plan instead of re-deriving an order.
+    ``plan`` carries the :class:`~repro.sparql.planner.BGPPlan` the executor
+    runs (step order, access path, filter placement and cardinality
+    estimates); every tree the executor sees comes from
+    :func:`~repro.sparql.planner.plan_tree`.
 
     ``substituted`` maps the name of every variable the optimizer replaced by
     an IRI in ``patterns`` (the ``FILTER (?v = <iri>)`` rewrite) to that IRI.
@@ -67,10 +68,6 @@ class BGP(AlgebraNode):
         for pattern in self.patterns:
             found |= pattern.variables()
         return found
-
-    def filters_at(self, position):
-        """Expressions scheduled to run right after pattern ``position``."""
-        return [expr for pos, expr in self.inline_filters if pos == position]
 
     def admits(self, seed):
         """False when the pre-binding ``seed`` (name -> term) gives a
@@ -95,9 +92,9 @@ class Join(AlgebraNode):
     ``?b`` only on the right); the executor hashes on them exactly as it
     does for a LeftJoin condition.
 
-    ``plan`` optionally carries a :class:`~repro.sparql.planner.JoinPlan`
-    selecting the physical strategy (hash join, or a bind join that seeds
-    the right operand's evaluation with the left rows).
+    ``plan`` carries the :class:`~repro.sparql.planner.JoinPlan` selecting
+    the physical strategy (hash join, or a bind join that seeds the right
+    operand's evaluation with the left rows), set by the planner.
     """
 
     left: AlgebraNode

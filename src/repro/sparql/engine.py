@@ -5,7 +5,7 @@
 * the storage backend (unindexed in-memory scan store versus a fully indexed
   "native" store) — which also fixes how patterns are accessed: one scan per
   pattern plus a hash join, or index probes, both over dictionary ids, with
-  batch kernels where the cost planner finds sorted permutations; and
+  batch kernels for the indexed store's BGPs the cost planner finds worth it; and
 * the optimization level (planner family, filter pushing, pattern reuse).
 
 Five presets mirror the engines whose results the paper discusses (ARQ,
@@ -42,24 +42,23 @@ class EngineConfig:
     name: str = "native-optimized"
     store_type: str = "indexed"           # "memory" or "indexed"
     #: Join-planner family (:func:`.planner.plan_tree`): "none" (textual
-    #: order), "greedy" (reordered, one access path), or "cost" (per-step
-    #: access paths, bind joins, batch kernels).
+    #: order), "greedy" (reordered), or "cost" (also bind joins and batch
+    #: kernels).
     planner: str = PLANNER_GREEDY
     push_filters: bool = True
     #: Reuse scan results of repeated triple patterns (Table II row 5).
     reuse_pattern_results: bool = False
 
     def __post_init__(self):
+        if self.store_type not in _STORE_FAMILIES:
+            raise ValueError(f"unknown store type {self.store_type!r}")
         if self.planner not in (PLANNER_NONE, PLANNER_GREEDY, PLANNER_COST):
             raise ValueError(f"unknown planner family {self.planner!r}")
 
     @property
     def store_family(self):
         """The store class this configuration runs on."""
-        family = _STORE_FAMILIES.get(self.store_type)
-        if family is None:
-            raise ValueError(f"unknown store type {self.store_type!r}")
-        return family
+        return _STORE_FAMILIES[self.store_type]
 
     def create_store(self):
         """Instantiate the storage backend this configuration asks for."""
@@ -85,7 +84,7 @@ NATIVE_BASELINE = EngineConfig(
 )
 NATIVE_OPTIMIZED = EngineConfig(name="native-optimized")
 #: The cost-based planner on top of the native profile: statistics-driven
-#: pattern order, per-step probe/scan choice, and bind joins.  Not part of
+#: pattern order, bind joins, and batch kernels.  Not part of
 #: ENGINE_PRESETS (the paper's four-engine comparison) — the ablation
 #: benchmarks contrast it against the greedy family explicitly.
 NATIVE_COST = EngineConfig(name="native-cost", planner=PLANNER_COST)

@@ -15,11 +15,11 @@ in what ``triples_ids`` does for a pattern — a linear scan of the document
 * Query constants are encoded exactly once per evaluation; a constant the
   dictionary has never seen short-circuits its whole basic graph pattern to
   the empty result without touching a triple.
-* A BGP runs from its plan on id rows: a ``probe`` step asks
-  ``triples_ids`` with already-encoded components once per row, a ``scan``
-  step hash-joins one pattern scan on the shared slot columns (with pattern
-  reuse, Table II row 5, one scan per distinct scan key), and a plan whose
-  steps all carry batch kernels runs column-at-a-time (:mod:`.kernels`).
+* A BGP runs from its plan on id rows, every step on the plan's one access
+  path: ``probe`` asks ``triples_ids`` with already-encoded components
+  once per row, ``scan`` hash-joins one pattern scan on the shared slot
+  columns (with pattern reuse, Table II row 5, one scan per distinct scan
+  key), and ``kernel`` runs column-at-a-time (:mod:`.kernels`).
   OPTIONAL is a hash-based left outer join on the statically shared slots.
 * Terms are reconstructed lazily and memoized per id: FILTER / ORDER BY /
   aggregate evaluation decodes only the cells it actually touches, and
@@ -48,7 +48,7 @@ from .bindings import Binding, _name
 from .cursor import window
 from .errors import EvaluationError
 from .expressions import ORDERING, effective_boolean_value, order_key, value_key
-from .planner import BIND_JOIN, SCAN, Observed, default_strategy, textual_plan
+from .planner import BIND_JOIN, KERNEL, SCAN, Observed
 
 #: What a left row contributes to :meth:`IdSpaceEvaluation._hash_join`.
 INNER = "inner"
@@ -361,11 +361,12 @@ class IdSpaceEvaluation:
     def _eval_bgp(self, node, seeds=None):
         """Execute a BGP along its :class:`~repro.sparql.planner.BGPPlan`.
 
-        Each step either probes the store per intermediate row (PROBE) or
-        scans its pattern once and hash-joins on the slots the planner saw
-        as bound (SCAN); ``seeds`` carries the left rows of a bind join.
-        With observation on, every step counts the rows it produces into
-        ``step.actual`` — the EXPLAIN estimated-versus-actual column.
+        Every step either scans its pattern once and hash-joins on the
+        slots the planner saw as bound (a SCAN plan) or probes the store
+        per intermediate row (any other); ``seeds`` carries the left rows
+        of a bind join.  With observation on, every step counts the rows it
+        produces into ``step.actual`` — the EXPLAIN estimated-versus-actual
+        column.
 
         When :meth:`_bgp_block_stream` accepts the BGP (and no bind-join
         seeds come in, whose per-row starting bindings the block pipeline
@@ -382,8 +383,8 @@ class IdSpaceEvaluation:
         compiled = self._compile_patterns(node.patterns)
         if compiled is None:
             return iter(())
-        plan = node.plan or textual_plan(node.patterns,
-                                         default_strategy(self._store))
+        plan = node.plan
+        scan = plan.access == SCAN
         layout = self._layout
         if seeds is not None:
             rows = iter(seeds)
@@ -396,7 +397,7 @@ class IdSpaceEvaluation:
                 bound_slots.add(slot)
         for position, (cpattern, step) in enumerate(zip(compiled, plan.steps)):
             pattern_slots = {ref for is_var, ref in cpattern if is_var}
-            if step.strategy == SCAN:
+            if scan:
                 first = next(rows, None)
                 if first is None:
                     return iter(())  # the steps from here on never run
@@ -412,7 +413,7 @@ class IdSpaceEvaluation:
             else:
                 rows = self._extend_rows(rows, cpattern)
             bound_slots |= pattern_slots
-            for expression in node.filters_at(position):
+            for expression in plan.filters_at(position):
                 rows = self._filter_rows(rows, expression)
             if self._observe:
                 rows = self._observe_rows(rows, step)
@@ -480,29 +481,25 @@ class IdSpaceEvaluation:
 
         return generate()
 
-    # -- batch (block) execution of kernel-annotated plans -------------------
+    # -- batch (block) execution of kernel plans ----------------------------
 
     def _bgp_block_stream(self, node):
-        """The Block stream of a fully kernel-annotated BGP, or None.
+        """The Block stream of a BGP planned on the kernels, or None.
 
         None means the node is not eligible for block execution (not a
-        planned BGP, tuple-path steps, or prepared pre-bindings in play);
-        an eligible BGP whose constants are unknown to the dictionary
-        returns the empty stream.
+        BGP, another access path, or prepared pre-bindings in play, which
+        run the plan's steps as probes); an eligible BGP whose constants
+        are unknown to the dictionary returns the empty stream.
         """
-        if not isinstance(node, algebra.BGP) or not node.patterns:
-            return None
-        plan = node.plan
-        # The planner gives every step a kernel or none.
-        if plan is None or not plan.steps or not plan.steps[0].kernel or self._seed:
+        if not isinstance(node, algebra.BGP) or node.plan.access != KERNEL or self._seed:
             return None
         compiled = self._compile_patterns(node.patterns)
         if compiled is None:
             return iter(())
-        return self._bgp_blocks(node, compiled, plan)
+        return self._bgp_blocks(compiled, node.plan)
 
-    def _bgp_blocks(self, node, compiled, plan):
-        """Execute a fully kernel-annotated BGP as a lazy stream of Blocks.
+    def _bgp_blocks(self, compiled, plan):
+        """Execute a BGP planned on the kernels as a lazy stream of Blocks.
 
         Mirrors the tuple pipeline step for step — per-position inline
         filters, EXPLAIN row counting, deadline checks — but each stage
@@ -515,7 +512,7 @@ class IdSpaceEvaluation:
         for position, cpattern in enumerate(compiled):
             blocks = self._kernel_step(blocks, cpattern, frozenset(bound))
             bound.update(ref for is_var, ref in cpattern if is_var)
-            for expression in node.filters_at(position):
+            for expression in plan.filters_at(position):
                 blocks = self._filter_blocks(blocks, expression)
             if self._observe:
                 blocks = self._observe_rows(blocks, plan.steps[position], len)
@@ -688,7 +685,7 @@ class IdSpaceEvaluation:
     # -- binary operators ----------------------------------------------------
 
     def _eval_join(self, node):
-        if node.plan is not None and node.plan.strategy == BIND_JOIN:
+        if node.plan.strategy == BIND_JOIN:
             # Bind join: the left rows seed the right side's evaluation
             # (sideways information passing), so its patterns probe with the
             # already-bound slots instead of enumerating standalone.
@@ -697,7 +694,7 @@ class IdSpaceEvaluation:
                 return iter(())
             return self._eval_seeded(node.right, left)
         rows = self._hash_join(node, INNER)
-        if self._observe and node.plan is not None:
+        if self._observe:
             rows = self._observe_rows(rows, node.plan)
         return rows
 
@@ -1008,7 +1005,7 @@ class IdSpaceEvaluation:
         return map(getter, map(add, rows, repeat((None,))))
 
     def _block_operand(self, node):
-        """``(blocks, bound)`` for a kernel-annotated BGP or a Union of two
+        """``(blocks, bound)`` for a BGP planned on the kernels or a Union of two
         (one stream of both sides' blocks), ``bound`` holding per side the
         slots its patterns bind; None when any part runs on tuples."""
         sides = (node.left, node.right) if isinstance(node, algebra.Union) else (node,)

@@ -68,9 +68,9 @@ def push_filter(expression, operand, mentions=None):
     """Push conjuncts of ``expression`` into ``operand`` where possible.
 
     Conjuncts whose variables are all produced by a BGP become inline filters
-    of that BGP, positioned right after the first pattern index at which all
-    their variables are bound.  Conjuncts that cannot be pushed stay in an
-    outer Filter node.
+    of that BGP; the planner runs each right after the first step at which
+    its variables are bound (:meth:`.planner.BGPPlan.filters_at`).
+    Conjuncts that cannot be pushed stay in an outer Filter node.
 
     ``mentions`` (see :func:`_variable_mentions`) enables the IRI
     substitution rewrite; without it ``?v = <iri>`` stays an inline filter.
@@ -101,7 +101,7 @@ def _variable_mentions(tree):
     for node in algebra.walk(tree):
         if isinstance(node, algebra.BGP):
             mentions.update(_names(node.variables()))
-            for _position, expression in node.inline_filters:
+            for expression in node.inline_filters:
                 mentions.update(_names(expression.variables()))
         elif isinstance(node, algebra.Filter):
             for conjunct in split_conjuncts(node.expression):
@@ -194,8 +194,7 @@ def _push_into_bgp(conjunct, bgp, mentions):
             split = _split_on_equality(bgp, conjunct, *variables)
             if split is not None:
                 return split
-    bgp.inline_filters = _place_filters(
-        bgp.patterns, [expression for _pos, expression in bgp.inline_filters] + [conjunct])
+    bgp.inline_filters.append(conjunct)
     return bgp
 
 
@@ -216,7 +215,7 @@ def _split_on_equality(bgp, conjunct, a, b):
     left_patterns = [p for p in bgp.patterns if not _variable_names(p) <= component]
     left_names = set().union(*map(_variable_names, left_patterns))
     left_filters, right_filters, condition = [], [], [conjunct]
-    for _position, expression in bgp.inline_filters:
+    for expression in bgp.inline_filters:
         needed = _names(expression.variables())
         if needed <= left_names:
             left_filters.append(expression)
@@ -225,9 +224,8 @@ def _split_on_equality(bgp, conjunct, a, b):
         else:
             condition.append(expression)
     return algebra.Join(
-        algebra.BGP(left_patterns, _place_filters(left_patterns, left_filters),
-                    substituted=dict(bgp.substituted)),
-        algebra.BGP(right_patterns, _place_filters(right_patterns, right_filters)),
+        algebra.BGP(left_patterns, left_filters, substituted=dict(bgp.substituted)),
+        algebra.BGP(right_patterns, right_filters),
         condition=algebra.conjunction(condition),
     )
 
@@ -245,17 +243,3 @@ def _component_of(patterns, name):
                 grown = True
     return component
 
-
-def _place_filters(patterns, expressions):
-    """``(position, expression)`` pairs: each filter right after the first
-    pattern at which all its variables (all bound by ``patterns``) are bound."""
-    placed = []
-    for expression in expressions:
-        needed = _names(expression.variables())
-        bound = set()
-        for position, pattern in enumerate(patterns):
-            bound |= _variable_names(pattern)
-            if needed <= bound:
-                placed.append((position, expression))
-                break
-    return placed

@@ -8,13 +8,18 @@ pass; it returns the algebra tree with an explicit *physical plan* for the
 engine's planner family (``EngineConfig.planner``):
 
 * ``none`` keeps every BGP's textual order;
-* ``greedy`` reorders each BGP (:func:`plan_bgp`) over the store family's
-  one access path — index probes or a scan plus hash join;
-* ``cost`` also picks the access path per step, bind joins and the build
-  side of keyed joins, and marks BGPs worth running on batch kernels.
+* ``greedy`` reorders each BGP (:func:`plan_bgp`);
+* ``cost`` also picks bind joins and the build side of keyed joins, and
+  runs the BGPs worth it on batch kernels.
 
-A pattern's standalone cardinality is the store's exact ``count``
-(:class:`CostModel`).  The rest of the design:
+The store family decides how a triple pattern is answered, and each
+:class:`BGPPlan` records that once as its ``access``: ``scan`` on a store
+without permutations (the in-memory engines: one pass over the document
+per pattern, hash-joined on the shared slots), ``probe`` on an indexed
+store (the native engines: one index lookup per intermediate row), and
+``kernel`` for an indexed store's BGPs the ``cost`` family runs
+column-at-a-time.  A pattern's standalone cardinality is the store's exact
+``count`` (:class:`CostModel`).  The rest of the design:
 
 * **Cardinality propagation.**  Planning tracks the estimated intermediate
   result size.  A candidate pattern's contribution is its standalone
@@ -25,10 +30,9 @@ A pattern's standalone cardinality is the store's exact ``count``
   group (the dominant shape in real SPARQL logs per Bonifati et al.);
   candidate ranking prefers continuing the star whose subject is already
   bound, keeping star probes contiguous and cheap.
-* **Physical strategy per step** (``cost``).  Each step is either an index
-  nested-loop ``probe`` (one index lookup per intermediate row) or a
-  ``scan`` of the pattern's extent hash-joined on the shared slots — chosen
-  by comparing the probe count against the scan cardinality.
+* **Filter placement.**  Each filter the optimizer pushed into a BGP runs
+  right after the first step at which its variables are bound
+  (:meth:`BGPPlan.filters_at`), halving the estimate there.
 * **Keyed joins.**  A Join carrying a condition (filter pushing's rewrite of
   ``FILTER (?a = ?b)`` between otherwise unconnected BGP parts, Q5a) is
   always a hash join keyed on the equality; its output is estimated from
@@ -57,9 +61,10 @@ from ..rdf.terms import Variable
 from . import algebra
 from .bindings import _name
 
-#: Physical access strategies a plan step can choose from.
-PROBE = "probe"   # index nested-loop: probe the store once per intermediate row
-SCAN = "scan"     # scan the pattern extent once, hash-join on the shared slots
+#: How a BGP's steps access the store (``BGPPlan.access``).
+PROBE = "probe"    # index nested-loop: probe the store once per intermediate row
+SCAN = "scan"      # scan the pattern extent once, hash-join on the shared slots
+KERNEL = "kernel"  # ranges of the sorted permutations, column-at-a-time
 
 #: Join-node strategies.
 HASH_JOIN = "hash"
@@ -120,21 +125,27 @@ class PlanStep(Observed):
     """
 
     pattern: object = None          #: the triple pattern this step evaluates
-    strategy: str = PROBE           #: PROBE or SCAN
     join_vars: tuple = ()           #: variable names shared with bound prefix
     star: int = 0                   #: star-group id (patterns sharing a subject)
     pattern_estimate: float = 0.0   #: standalone cardinality of the pattern
-    kernel: bool = False            #: runs on the batch kernels, else the tuple path
 
 
 @dataclass
 class BGPPlan:
-    """Physical plan of one BGP: ordered steps plus summary estimates."""
+    """Physical plan of one BGP: ordered steps, how every step accesses the
+    store, where the pushed filters run, and summary estimates."""
 
     steps: list = field(default_factory=list)
+    access: str = PROBE                   #: PROBE, SCAN or KERNEL
+    #: ``(position, expression)``: the filter runs right after step ``position``.
+    filters: list = field(default_factory=list)
     outer_bound: frozenset = frozenset()  #: variables bound before this BGP runs
     estimate: float = 0.0                 #: estimated final cardinality
     cost: float = 0.0                     #: summed intermediate-work estimate
+
+    def filters_at(self, position):
+        """Expressions scheduled to run right after step ``position``."""
+        return [expression for at, expression in self.filters if at == position]
 
 
 @dataclass
@@ -162,15 +173,17 @@ class CostModel:
     once per distinct pattern; an indexed store (``supports_permutations``)
     also refines bound positions by its distinct counts, any other store by
     a fixed per-bound-variable discount.  Without a store every estimate is
-    a static guess.
+    a static guess.  ``access`` is the store family's access path (a scan
+    without a store), which :func:`plan_bgp` costs every step by.
     """
 
     #: Fallback divisor per bound variable when no statistics exist.
     _FALLBACK_BOUND_DIVISOR = 4.0
 
     def __init__(self, store):
+        self.access = PROBE if _indexed(store) else SCAN
         self._store = store
-        self._stats = store if _indexed(store) else None
+        self._stats = store if self.access == PROBE else None
         self._counts = {}
 
     def pattern_cardinality(self, pattern):
@@ -283,22 +296,20 @@ def _star_key(pattern):
     return subject.name if isinstance(subject, Variable) else subject
 
 
-def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
-             initial_rows=1.0, reorder=True, fixed_strategy=None):
-    """Plan one basic graph pattern.
+def plan_bgp(patterns, filters, model, outer_bound=frozenset(),
+             initial_rows=1.0, reorder=True):
+    """Plan one basic graph pattern and the ``filters`` pushed into it.
 
-    Returns ``(ordered_patterns, remapped_inline_filters, BGPPlan)``.  With
-    ``reorder=False`` the given order is kept (the ``none`` family);
-    ``fixed_strategy`` forces every step to PROBE or SCAN, the one access
-    path a store family has.
+    Returns its :class:`BGPPlan`, whose steps hold the patterns in the order
+    they run, on ``model.access``.  With ``reorder=False`` the given order
+    is kept (the ``none`` family).
     """
     star_groups = {}
     for pattern in patterns:
         star_groups.setdefault(_star_key(pattern), len(star_groups))
 
-    pending_filters = [expression for _position, expression in inline_filters]
+    pending_filters = list(filters)
     remaining = list(patterns)
-    ordered = []
     placed_filters = []
     steps = []
     bound = set(outer_bound)
@@ -333,15 +344,10 @@ def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
         matches = model.matches_per_row(best, bound)
         out = rows * matches
         cardinality = model.pattern_cardinality(best)
-        if fixed_strategy is not None:
-            strategy = fixed_strategy
-        else:
-            strategy = PROBE if rows <= cardinality else SCAN
-        cost += (rows + out) if strategy == PROBE else (cardinality + rows + out)
-        position = len(ordered)
+        cost += (rows + out) if model.access == PROBE else (cardinality + rows + out)
+        position = len(steps)
         join_vars = tuple(sorted(_pattern_variables(best) & bound))
         bound |= _pattern_variables(best)
-        ordered.append(best)
 
         # Place every pushed filter at the earliest position where its
         # variables are bound (outer context counts), shrinking the estimate.
@@ -357,7 +363,6 @@ def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
 
         steps.append(PlanStep(
             pattern=best,
-            strategy=strategy,
             join_vars=join_vars,
             star=star_groups[_star_key(best)],
             pattern_estimate=cardinality,
@@ -367,19 +372,19 @@ def plan_bgp(patterns, inline_filters, model, outer_bound=frozenset(),
         previous_star = _star_key(best)
 
     # Filters whose variables never fully bind stay at the last position
-    # (they will evaluate unbound variables to an error -> effective false,
-    # same as the unplanned path).
-    last = max(len(ordered) - 1, 0)
+    # (they will evaluate unbound variables to an error -> effective false).
+    last = max(len(steps) - 1, 0)
     for expression in pending_filters:
         placed_filters.append((last, expression))
 
-    plan = BGPPlan(
+    return BGPPlan(
         steps=steps,
+        access=model.access,
+        filters=placed_filters,
         outer_bound=frozenset(outer_bound),
         estimate=rows,
         cost=cost,
     )
-    return ordered, placed_filters, plan
 
 
 # ---------------------------------------------------------------------------
@@ -391,56 +396,29 @@ def _indexed(store):
     return getattr(store, "supports_permutations", False)
 
 
-def default_strategy(store):
-    """The one access path a store family has.
-
-    An indexed store (the paper's native engines, the one family with
-    sorted permutations) probes its indexes once per intermediate row; a scan store
-    (the in-memory engines) matches each pattern in one pass over the
-    document and hash-joins the result.
-    """
-    return PROBE if _indexed(store) else SCAN
-
-
 def plan_tree(tree, store, family):
     """Plan a whole algebra tree for planner ``family``; returns a new tree.
 
-    ``none`` keeps each BGP's pattern order, ``greedy`` reorders it, and
-    both give every step the store family's one access path.  ``cost`` also
-    chooses per-step strategies (an indexed store only), hash-versus-bind
-    for Join nodes and the build side of keyed joins; when the store keeps
-    sorted permutations, the steps of standalone BGPs worth it are then marked for
-    the batch kernels — which never changes ordering or strategies, so the
-    same plan without the marks is the tuple path.  The input tree is not
+    ``none`` keeps each BGP's pattern order and ``greedy`` reorders it;
+    ``cost`` also chooses hash-versus-bind for Join nodes and the build
+    side of keyed joins.  Every BGP plan runs on the store family's access
+    path, except that under ``cost`` an indexed store's standalone BGPs
+    worth it run on the batch kernels — which never changes ordering, so
+    the same plan on ``probe`` is the tuple path.  The input tree is not
     mutated.
     """
-    strategy = default_strategy(store)
-    if family == PLANNER_COST and strategy == PROBE:
-        strategy = None
+    # A count on a scan store is a pass over the document: the ``none``
+    # family, which orders nothing, scans without a model of the store.
     counted = store if family != PLANNER_NONE or _indexed(store) else None
-    planned, _estimate, cost = _plan_node(tree, CostModel(counted), frozenset(),
-                                          1.0, family, strategy)
+    model = CostModel(counted)
+    planned, _estimate, cost = _plan_node(tree, model, frozenset(), 1.0, family)
     # Costs add up the tree: below the threshold no BGP in it reaches it.
-    if strategy is None and cost >= VECTORIZE_MIN_COST:
+    if (family == PLANNER_COST and model.access == PROBE
+            and cost >= VECTORIZE_MIN_COST):
         for node in algebra.collect_bgps(planned):
-            plan = node.plan
-            if (plan is not None and not plan.outer_bound
-                    and plan.cost >= VECTORIZE_MIN_COST):
-                for step in plan.steps:
-                    step.kernel = True
+            if not node.plan.outer_bound and node.plan.cost >= VECTORIZE_MIN_COST:
+                node.plan.access = KERNEL
     return planned
-
-
-def textual_plan(patterns, strategy):
-    """A plan for a BGP nobody planned: the given order, one strategy.
-
-    What the executor runs for a tree that did not come through
-    :class:`~repro.sparql.engine.SparqlEngine` (an Update's WHERE pattern,
-    hand-translated trees in tests).
-    """
-    return BGPPlan(steps=[
-        PlanStep(pattern=pattern, strategy=strategy) for pattern in patterns
-    ])
 
 
 def _seedable(node):
@@ -467,27 +445,22 @@ def _seedable(node):
     return False
 
 
-def _plan_node(node, model, outer, rows, family, fixed_strategy):
+def _plan_node(node, model, outer, rows, family):
     """Plan one node; returns ``(new_node, estimated_rows, estimated_cost)``."""
     if isinstance(node, algebra.BGP):
-        if not node.patterns:
-            return node, rows, 0.0
-        ordered, filters, plan = plan_bgp(
-            node.patterns, node.inline_filters, model,
-            outer_bound=outer, initial_rows=rows,
-            reorder=family != PLANNER_NONE, fixed_strategy=fixed_strategy,
-        )
-        new = algebra.BGP(ordered, filters, plan, node.substituted)
-        return new, plan.estimate, plan.cost
+        plan = plan_bgp(node.patterns, node.inline_filters, model,
+                        outer_bound=outer, initial_rows=rows,
+                        reorder=family != PLANNER_NONE)
+        ordered = [step.pattern for step in plan.steps]
+        return replace(node, patterns=ordered, plan=plan), plan.estimate, plan.cost
 
     if isinstance(node, algebra.Join):
-        left, left_rows, left_cost = _plan_node(
-            node.left, model, outer, rows, family, fixed_strategy)
+        left, left_rows, left_cost = _plan_node(node.left, model, outer, rows, family)
         left_vars = {_name(v) for v in node.left.variables()}
         right_vars = {_name(v) for v in node.right.variables()}
         # Hash option: the right side evaluates standalone.
         hash_right, hash_rows, hash_cost_right = _plan_node(
-            node.right, model, outer, 1.0, family, fixed_strategy)
+            node.right, model, outer, 1.0, family)
         if node.condition is not None:
             # A keyed join (FILTER (?a = ?b) between otherwise unconnected
             # sides): |L| x |R| pairs, of which one in max(distinct ?a,
@@ -517,8 +490,7 @@ def _plan_node(node, model, outer, rows, family, fixed_strategy):
                 and _seedable(node.right)):
             # Bind option: seed the right side with the left rows.
             bind_right, bind_rows, bind_cost_right = _plan_node(
-                node.right, model, outer | left_vars, left_rows,
-                family, fixed_strategy)
+                node.right, model, outer | left_vars, left_rows, family)
             bind_cost = left_cost + bind_cost_right
             if bind_cost < hash_cost:
                 plan = JoinPlan(strategy=BIND_JOIN, estimate=bind_rows,
@@ -531,36 +503,28 @@ def _plan_node(node, model, outer, rows, family, fixed_strategy):
                 hash_out, hash_cost)
 
     if isinstance(node, algebra.LeftJoin):
-        left, left_rows, left_cost = _plan_node(
-            node.left, model, outer, rows, family, fixed_strategy)
-        right, right_rows, right_cost = _plan_node(
-            node.right, model, outer, 1.0, family, fixed_strategy)
+        left, left_rows, left_cost = _plan_node(node.left, model, outer, rows, family)
+        right, right_rows, right_cost = _plan_node(node.right, model, outer, 1.0, family)
         cost = left_cost + right_cost + left_rows + right_rows
         return (algebra.LeftJoin(left, right, node.condition),
                 max(left_rows, 1.0) if left_rows else left_rows, cost)
 
     if isinstance(node, algebra.Union):
-        left, left_rows, left_cost = _plan_node(
-            node.left, model, outer, rows, family, fixed_strategy)
-        right, right_rows, right_cost = _plan_node(
-            node.right, model, outer, rows, family, fixed_strategy)
+        left, left_rows, left_cost = _plan_node(node.left, model, outer, rows, family)
+        right, right_rows, right_cost = _plan_node(node.right, model, outer, rows, family)
         return (algebra.Union(left, right),
                 left_rows + right_rows, left_cost + right_cost)
 
     if isinstance(node, algebra.Filter):
         operand, operand_rows, operand_cost = _plan_node(
-            node.operand, model, outer, rows, family, fixed_strategy)
+            node.operand, model, outer, rows, family)
         return (algebra.Filter(node.expression, operand),
                 operand_rows * FILTER_SELECTIVITY, operand_cost + operand_rows)
 
     if isinstance(node, (algebra.Project, algebra.Distinct, algebra.OrderBy,
                          algebra.Slice, algebra.Ask, algebra.Group)):
-        if isinstance(node, algebra.Ask) and fixed_strategy is None:
-            # ASK stops at the first solution; force streaming PROBE steps so
-            # no SCAN materializes an intermediate result it will never need.
-            fixed_strategy = PROBE
         operand, operand_rows, operand_cost = _plan_node(
-            node.operand, model, outer, rows, family, fixed_strategy)
+            node.operand, model, outer, rows, family)
         estimate = operand_rows
         if isinstance(node, algebra.Slice) and node.limit is not None:
             estimate = float(min(estimate, node.limit))
@@ -597,19 +561,16 @@ class ExplainReport:
     decoded: Optional[int] = None
 
     def plan_steps(self):
-        """Every PlanStep of every planned BGP, in tree pre-order."""
-        for node in algebra.walk(self.tree):
-            plan = getattr(node, "plan", None)
-            if isinstance(node, algebra.BGP) and plan is not None:
-                yield from plan.steps
+        """Every PlanStep of every BGP, in tree pre-order."""
+        for node in algebra.collect_bgps(self.tree):
+            yield from node.plan.steps
 
     def q_errors(self):
         """q-error of every fully observed BGP step and hash join."""
         errors = [step.q_error() for step in self.plan_steps()]
         errors += [
             node.plan.q_error() for node in algebra.walk(self.tree)
-            if isinstance(node, algebra.Join) and node.plan is not None
-            and node.plan.strategy == HASH_JOIN
+            if isinstance(node, algebra.Join) and node.plan.strategy == HASH_JOIN
         ]
         return [error for error in errors if error is not None]
 
@@ -648,55 +609,48 @@ class ExplainReport:
     def _render_node(self, node, depth, lines):
         pad = "  " * depth
         if isinstance(node, algebra.BGP):
-            plan = getattr(node, "plan", None)
-            estimate = f" est={_fmt(plan.estimate)}" if plan is not None else ""
+            plan = node.plan
             substituted = "".join(
                 f" ?{name}:={iri.n3()}" for name, iri in node.substituted.items()
             )
-            lines.append(
-                f"{pad}BGP [{len(node.patterns)} patterns]{estimate}{substituted}"
-            )
-            if plan is not None:
-                previous_seconds = 0.0
-                for index, step in enumerate(plan.steps, start=1):
-                    join = (
-                        " join=" + ",".join("?" + name for name in step.join_vars)
-                        if step.join_vars else ""
-                    )
-                    filters = len(node.filters_at(index - 1))
-                    filter_note = f" +{filters}filter" if filters else ""
-                    if step.seconds is None:
-                        time_note = ""
-                    else:
-                        # step.seconds is cumulative over the nested pull
-                        # pipeline; the difference vs the previous step is
-                        # this step's own contribution.
-                        self_seconds = max(step.seconds - previous_seconds,
-                                           0.0)
-                        previous_seconds = step.seconds
-                        time_note = f" time={self_seconds * 1e3:.2f}ms"
-                    vectorized = (" vectorized=yes" if step.kernel
-                                  else " vectorized=no")
-                    lines.append(
-                        f"{pad}  {index}. [{step.strategy:<5}] "
-                        f"{step.pattern.n3()}{join}{filter_note} "
-                        f"{_observed(step)}{time_note}{vectorized}"
-                    )
-            else:
-                for index, pattern in enumerate(node.patterns, start=1):
-                    lines.append(f"{pad}  {index}. {pattern.n3()}")
+            lines.append(f"{pad}BGP [{len(node.patterns)} patterns] "
+                         f"est={_fmt(plan.estimate)}{substituted}")
+            # A kernel step is a probe answered column-at-a-time.
+            access = SCAN if plan.access == SCAN else PROBE
+            vectorized = "yes" if plan.access == KERNEL else "no"
+            previous_seconds = 0.0
+            for index, step in enumerate(plan.steps, start=1):
+                join = (
+                    " join=" + ",".join("?" + name for name in step.join_vars)
+                    if step.join_vars else ""
+                )
+                filters = len(plan.filters_at(index - 1))
+                filter_note = f" +{filters}filter" if filters else ""
+                if step.seconds is None:
+                    time_note = ""
+                else:
+                    # step.seconds is cumulative over the nested pull
+                    # pipeline; the difference vs the previous step is
+                    # this step's own contribution.
+                    self_seconds = max(step.seconds - previous_seconds, 0.0)
+                    previous_seconds = step.seconds
+                    time_note = f" time={self_seconds * 1e3:.2f}ms"
+                lines.append(
+                    f"{pad}  {index}. [{access:<5}] "
+                    f"{step.pattern.n3()}{join}{filter_note} "
+                    f"{_observed(step)}{time_note} vectorized={vectorized}"
+                )
             return
         label = type(node).__name__
-        plan = getattr(node, "plan", None)
         if isinstance(node, algebra.Join):
-            if plan is not None:
-                label += (
-                    f" [{plan.strategy}] left_est={_fmt(plan.left_estimate)} "
-                    f"right_est={_fmt(plan.right_estimate)}"
-                )
+            plan = node.plan
+            label += (
+                f" [{plan.strategy}] left_est={_fmt(plan.left_estimate)} "
+                f"right_est={_fmt(plan.right_estimate)}"
+            )
             if node.condition is not None:
                 label += f" on {node.condition}"
-            if plan is not None and plan.strategy == HASH_JOIN:
+            if plan.strategy == HASH_JOIN:
                 label += " " + _observed(plan)
         elif isinstance(node, algebra.Filter):
             label += f" ({node.expression})"

@@ -33,6 +33,7 @@ from .ast import DeleteDataUpdate, InsertDataUpdate, ModifyUpdate, UpdateOperati
 from .errors import EvaluationError
 from .idspace import IdSpaceEvaluation
 from .parser import parse_update
+from .planner import PLANNER_NONE, plan_tree
 
 #: Counter minting process-unique blank-node labels for INSERT templates.
 _fresh_bnode_ids = count()
@@ -106,7 +107,8 @@ def _apply(base, insert_all, remove_all, operation):
     if not isinstance(operation, ModifyUpdate):
         raise EvaluationError(f"unsupported update operation: {operation!r}")
 
-    tree = algebra.translate_group(operation.where)
+    # The WHERE pattern runs in textual order on the store's own access path.
+    tree = plan_tree(algebra.translate_group(operation.where), base, PLANNER_NONE)
     # Materialize: application must see the complete pre-update solution
     # sequence even on plain stores where writes are applied in place.
     solutions = list(IdSpaceEvaluation(base).bindings(tree))

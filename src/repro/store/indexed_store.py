@@ -129,6 +129,11 @@ def _column(values):
     return array("I", values.tobytes())
 
 
+def _view(column, lo, hi):
+    """Rows ``lo:hi`` of an ``array('I')`` column as a zero-copy numpy view."""
+    return np.frombuffer(column, np.uintc, hi - lo, lo * column.itemsize)
+
+
 class IndexedStore(TripleStore):
     """A triple store of sorted id columns with dictionary encoding."""
 
@@ -378,12 +383,14 @@ class IndexedStore(TripleStore):
         ascending).  Nothing bound materializes SPO's subjects."""
         pattern = (subject, predicate, object)
         name, lead, lo, hi = self._range(pattern)
-        starts, second, third = self.permutation(name)
-        first, *rest = ORDERS[name]
+        starts, second, third = self._permutations[name]
+        first, middle, last = ORDERS[name]
         columns = {} if lead is not None else {first: leading_column(starts)}
-        columns.update(zip(rest, (second[lo:hi], third[lo:hi])))
-        return hi - lo, {position: column for position, column in columns.items()
-                         if pattern[position] is None}
+        if pattern[middle] is None:
+            columns[middle] = _view(second, lo, hi)
+        if pattern[last] is None:
+            columns[last] = _view(third, lo, hi)
+        return hi - lo, columns
 
     def permutation(self, order, lead=None):
         """Permutation ``order`` (a name of :data:`ORDERS`) as zero-copy
@@ -398,9 +405,7 @@ class IndexedStore(TripleStore):
         if lead is None:
             return tuple(np.frombuffer(column, np.uintc) for column in (starts, second, third))
         lo, hi = _key_range(starts, lead)
-        count, offset = hi - lo, lo * second.itemsize
-        return (np.frombuffer(second, np.uintc, count, offset),
-                np.frombuffer(third, np.uintc, count, offset))
+        return _view(second, lo, hi), _view(third, lo, hi)
 
     def __len__(self):
         return len(self._permutations["spo"][1])

@@ -26,6 +26,7 @@ from repro.sparql import (
     SparqlEngine,
     algebra,
 )
+from repro.sparql.planner import KERNEL, PROBE
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 
@@ -153,15 +154,15 @@ def sample_engines(sample_graph):
 class TuplePathEngine(SparqlEngine):
     """An engine whose plans carry no batch kernels.
 
-    It plans as its configuration says, then clears the kernel of every BGP
-    step, so every BGP runs on the tuple path — same order, same strategies.
+    It plans as its configuration says, then puts every BGP planned on the
+    kernels on index probes, so it runs on the tuple path in the same order.
     """
 
     def _plan_algebra(self, tree, store):
         planned = super()._plan_algebra(tree, store)
         for node in algebra.collect_bgps(planned):
-            for step in node.plan.steps if node.plan is not None else ():
-                step.kernel = False
+            if node.plan.access == KERNEL:
+                node.plan.access = PROBE
         return planned
 
 

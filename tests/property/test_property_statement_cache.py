@@ -42,11 +42,10 @@ operations = st.lists(
 
 
 def step_orders(tree):
-    """Per BGP: its pattern order and, when planned, its steps."""
+    """Per BGP: its pattern order, its steps and their access path."""
     return [
-        (list(node.patterns),
-         None if node.plan is None else
-         [(step.pattern, step.strategy, step.kernel) for step in node.plan.steps])
+        (list(node.patterns), node.plan.access,
+         [step.pattern for step in node.plan.steps])
         for node in algebra.collect_bgps(tree)
     ]
 

@@ -22,6 +22,7 @@ from repro.queries import ALL_QUERIES, get_query
 from repro.rdf import BENCH, DC, FOAF, RDF, Graph, Triple, URIRef
 from repro.sparql import NATIVE_COST, QueryTimeout, SparqlEngine, algebra
 from repro.sparql.cursor import Deadline
+from repro.sparql.planner import KERNEL
 from repro.sparql.results import AskResult
 
 #: Document sizes the issue pins down: small enough for property-test
@@ -124,9 +125,8 @@ class KernelsEverywhere(SparqlEngine):
     def _plan_algebra(self, tree, store):
         planned = super()._plan_algebra(tree, store)
         for node in algebra.collect_bgps(planned):
-            if node.plan is not None and not node.plan.outer_bound:
-                for step in node.plan.steps:
-                    step.kernel = True
+            if not node.plan.outer_bound:
+                node.plan.access = KERNEL
         return planned
 
 
@@ -165,6 +165,6 @@ def test_any_pattern_shape_on_the_kernels_equals_the_oracle(shapes, data):
                                   min_size=1, max_size=3))
     text = "SELECT * WHERE { " + " . ".join(map(" ".join, patterns)) + " }"
     report = engine.explain(text)
-    assert all(step.kernel for step in report.plan_steps())
+    assert all(bgp.plan.access == KERNEL for bgp in algebra.collect_bgps(report.tree))
     rows = [dict(binding.items()) for binding in engine.query(text).bindings]
     assert oracle.multiset(rows) == oracle.multiset(oracle.evaluate(text, triples)), text

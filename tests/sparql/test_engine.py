@@ -55,6 +55,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(store_type="bogus").create_store()
 
+    def test_unknown_store_type_rejected_at_construction(self):
+        # Not only when a store is created: an engine over an explicit
+        # store never asks for one.
+        with pytest.raises(ValueError, match="unknown store type 'bogus'"):
+            EngineConfig(store_type="bogus")
+
 
 class TestEngineLifecycle:
     def test_default_config_is_native_optimized(self):

@@ -1,9 +1,10 @@
 """The engine matrix is what the five presets vary, and nothing else.
 
-Every preset runs on the one executor over dictionary ids; the step strategy
-follows from the store (scan/hash steps on a scan store, probe steps on an
-indexed one) and from the planner family; every BGP runs from the plan
-``prepare()`` attached, and EXPLAIN executes that same tree.
+Every preset runs on the one executor over dictionary ids; a BGP's access
+path follows from the store (scan/hash steps on a scan store, probe steps on
+an indexed one, which the cost planner may run on batch kernels); every BGP
+runs from the plan ``prepare()`` attached, and EXPLAIN executes that same
+tree.
 """
 
 from collections import Counter
@@ -24,7 +25,7 @@ from repro.sparql import (
     algebra,
     load_engines,
 )
-from repro.sparql.planner import PROBE, SCAN, default_strategy
+from repro.sparql.planner import KERNEL, PROBE, SCAN
 
 PRESETS = (IN_MEMORY_BASELINE, IN_MEMORY_OPTIMIZED, NATIVE_BASELINE,
            NATIVE_OPTIMIZED, NATIVE_COST)
@@ -44,43 +45,45 @@ def test_config_has_exactly_the_fields_the_presets_vary():
     ]
 
 
-#: preset -> (store family, strategy of a step nobody costed)
+#: preset -> (store family, the access path of its BGPs, and of those
+#: the cost planner runs column-at-a-time)
 MATRIX = {
-    IN_MEMORY_BASELINE: ("memory", SCAN),
-    IN_MEMORY_OPTIMIZED: ("memory", SCAN),
-    NATIVE_BASELINE: ("indexed", PROBE),
-    NATIVE_OPTIMIZED: ("indexed", PROBE),
-    NATIVE_COST: ("indexed", PROBE),
+    IN_MEMORY_BASELINE: ("memory", {SCAN}),
+    IN_MEMORY_OPTIMIZED: ("memory", {SCAN}),
+    NATIVE_BASELINE: ("indexed", {PROBE}),
+    NATIVE_OPTIMIZED: ("indexed", {PROBE}),
+    NATIVE_COST: ("indexed", {PROBE, KERNEL}),
 }
 
 
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda config: config.name)
-def test_step_strategy_follows_from_the_store(engines, preset):
-    store_type, strategy = MATRIX[preset]
+def test_access_path_follows_from_the_store(engines, preset):
+    store_type, access = MATRIX[preset]
     engine = engines[preset.name]
     assert preset.store_type == store_type
-    assert default_strategy(engine.store) == strategy
     rows = list(engine.stream("SELECT ?s WHERE { ?s rdf:type foaf:Person }"))
     assert rows and all(isinstance(row, IdBinding) for row in rows)
-    if preset.planner != "cost":
-        # Only the cost planner picks a strategy per step.
-        for query in QUERIES:
-            steps = list(engine.explain(query.text).plan_steps())
-            assert {step.strategy for step in steps} <= {strategy}
-            assert not any(step.kernel for step in steps)
+    label = "[scan ]" if store_type == "memory" else "[probe]"
+    for query in QUERIES:
+        report = engine.explain(query.text)
+        assert {bgp.plan.access for bgp in algebra.collect_bgps(report.tree)} <= access
+        steps = [line for line in report.render().splitlines()
+                 if line.lstrip()[:1].isdigit()]
+        assert len(steps) == len(list(report.plan_steps()))
+        assert all(label in line for line in steps), query.identifier
 
 
 def _shape(tree):
-    """Operators, BGP pattern order, step strategies and kernels of a tree."""
+    """Operators, BGP pattern order, access paths and filter placement of a tree."""
     shape = []
     for node in algebra.walk(tree):
         entry = [type(node).__name__]
         if isinstance(node, algebra.BGP) and node.patterns:
-            assert [step.pattern for step in node.plan.steps] == node.patterns
-            entry += [(step.pattern.n3(), step.strategy, step.kernel)
-                      for step in node.plan.steps]
+            plan = node.plan
+            assert [step.pattern for step in plan.steps] == node.patterns
+            entry += [plan.access] + [step.pattern.n3() for step in plan.steps]
             entry.append(sorted((position, str(expression))
-                                for position, expression in node.inline_filters))
+                                for position, expression in plan.filters))
         elif isinstance(node, algebra.Join):
             entry.append(node.plan.strategy)
         shape.append(entry)
@@ -125,11 +128,10 @@ KERNEL_SHAPES.update({
 @pytest.mark.parametrize("identifier", KERNEL_SHAPES)
 def test_kernels_need_the_cost_planner_sorted_runs(engines, reference, identifier):
     text = KERNEL_SHAPES[identifier]
-    cost = engines[NATIVE_COST.name]
-    assert all(step.kernel for step in cost.explain(text).plan_steps())
-    without = reference.tuple_path(cost).explain(text)
-    assert not any(step.kernel for step in without.plan_steps())
-    assert ([(step.pattern, step.strategy) for step in without.plan_steps()]
-            == [(step.pattern, step.strategy)
-                for step in cost.explain(text).plan_steps()])
+    cost = engines[NATIVE_COST.name].explain(text)
+    assert {bgp.plan.access for bgp in algebra.collect_bgps(cost.tree)} == {KERNEL}
+    without = reference.tuple_path(engines[NATIVE_COST.name]).explain(text)
+    assert {bgp.plan.access for bgp in algebra.collect_bgps(without.tree)} == {PROBE}
+    assert without.planned_patterns() == cost.planned_patterns()
     assert "vectorized=no" in without.render()
+    assert "vectorized=yes" not in without.render()

@@ -27,13 +27,14 @@ from repro.sparql import (
     SlotLayout,
     SparqlEngine,
     parse_query,
+    plan_tree,
     serializers,
     translate_query,
 )
 from repro.sparql import algebra
 from repro.sparql.algebra import collect_bgps
 from repro.sparql.engine import NATIVE_OPTIMIZED
-from repro.sparql.planner import BIND_JOIN, PROBE, SCAN, JoinPlan, textual_plan
+from repro.sparql.planner import BIND_JOIN, PLANNER_NONE, PROBE, SCAN, JoinPlan
 from repro.store import IndexedStore, MemoryStore
 from repro.store.mvcc import MvccStore, read_snapshot
 
@@ -43,8 +44,8 @@ XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_GYEAR = "http://www.w3.org/2001/XMLSchema#gYear"
 
-#: The two kinds of plan step a BGP can run from.
-STRATEGIES = (PROBE, SCAN)
+#: The two store families, by the access path each answers a pattern with.
+FAMILIES = pytest.mark.parametrize("family", (IndexedStore, MemoryStore), ids=(PROBE, SCAN))
 
 
 def s(value):
@@ -75,13 +76,11 @@ def build_graph():
 GRAPH = build_graph()
 
 
-def tree_for(query_text, strategy=None):
-    """The bare algebra tree; with ``strategy``, every BGP planned on it."""
+def tree_for(query_text, store=None):
+    """The bare algebra tree; with ``store``, every BGP planned on it in
+    textual order, on the store family's access path."""
     tree = translate_query(parse_query(query_text))
-    if strategy is not None:
-        for bgp in collect_bgps(tree):
-            bgp.plan = textual_plan(bgp.patterns, strategy)
-    return tree
+    return tree if store is None else plan_tree(tree, store, PLANNER_NONE)
 
 
 def multiset(bindings):
@@ -89,28 +88,43 @@ def multiset(bindings):
 
 
 def bindings(store, tree):
-    """The result rows of a SELECT-shaped tree on the executor."""
+    """The result rows of a planned SELECT-shaped tree on the executor."""
     return list(IdSpaceEvaluation(store).bindings(tree))
 
 
-class CountingDictionaryStore(IndexedStore):
-    """An IndexedStore counting decode calls and id-level index probes."""
+def solutions(store, query_text):
+    """The result rows of a SELECT query planned on ``store``."""
+    return bindings(store, tree_for(query_text, store))
 
-    def __init__(self, triples=None):
-        super().__init__(triples)
-        self.probe_calls = 0
-        self.decode_calls = 0
-        original = self._dictionary.decode
 
-        def counting_decode(term_id):
-            self.decode_calls += 1
-            return original(term_id)
+def counting(family):
+    """A store of ``family`` counting decode calls and id-level pattern
+    accesses (index probes or scans)."""
 
-        self._dictionary.decode = counting_decode
+    class Counting(family):
+        def __init__(self, triples=None):
+            super().__init__(triples)
+            self.probe_calls = 0
+            self.decode_calls = 0
+            original = self._dictionary.decode
 
-    def triples_ids(self, subject=None, predicate=None, object=None):
-        self.probe_calls += 1
-        return super().triples_ids(subject, predicate, object)
+            def counting_decode(term_id):
+                self.decode_calls += 1
+                return original(term_id)
+
+            self._dictionary.decode = counting_decode
+
+        def triples_ids(self, subject=None, predicate=None, object=None):
+            self.probe_calls += 1
+            return super().triples_ids(subject, predicate, object)
+
+    return Counting
+
+
+CountingDictionaryStore = counting(IndexedStore)
+CountingScanStore = counting(MemoryStore)
+COUNTING_FAMILIES = pytest.mark.parametrize(
+    "family", (CountingDictionaryStore, CountingScanStore), ids=(PROBE, SCAN))
 
 
 class TestSlotLayout:
@@ -151,12 +165,12 @@ class TestIdRoundTrip:
         encoded = store.encode_pattern(None, RDF.type, None)
         assert store.count_ids(*encoded) == store.count(predicate=RDF.type)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_evaluate_ids_rows_decode_to_evaluate_bindings(self, strategy):
-        store = IndexedStore(GRAPH)
+    @FAMILIES
+    def test_evaluate_ids_rows_decode_to_evaluate_bindings(self, family):
+        store = family(GRAPH)
         tree = tree_for(
             "SELECT ?d ?name WHERE { ?d dc:creator ?p . ?p foaf:name ?name }",
-            strategy,
+            store,
         )
         from collections import Counter
 
@@ -176,36 +190,20 @@ class TestIdRoundTrip:
         assert from_ids == from_terms
 
 
-class CountingScanStore(MemoryStore):
-    """A MemoryStore counting its id-level pattern scans."""
-
-    probe_calls = 0
-
-    def triples_ids(self, subject=None, predicate=None, object=None):
-        self.probe_calls += 1
-        return super().triples_ids(subject, predicate, object)
-
-
 class TestUnknownConstantShortCircuit:
     #: bench:Journal never occurs in the data, so the whole BGP is empty.
     UNKNOWN = "SELECT ?x ?t WHERE { ?x rdf:type bench:Journal . ?x dc:title ?t }"
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_unknown_constant_skips_index_probes(self, strategy):
-        store = CountingDictionaryStore(GRAPH)
-        assert bindings(store, tree_for(self.UNKNOWN, strategy)) == []
+    @COUNTING_FAMILIES
+    def test_unknown_constant_skips_the_store(self, family):
+        store = family(GRAPH)
+        assert solutions(store, self.UNKNOWN) == []
         assert store.probe_calls == 0
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_unknown_constant_skips_the_scan_too(self, strategy):
-        store = CountingScanStore(GRAPH)
-        assert bindings(store, tree_for(self.UNKNOWN, strategy)) == []
-        assert store.probe_calls == 0
-
-    def test_known_constants_do_probe(self):
-        store = CountingDictionaryStore(GRAPH)
-        tree = tree_for("SELECT ?x WHERE { ?x rdf:type bench:Article }")
-        assert len(bindings(store, tree)) == 3
+    @COUNTING_FAMILIES
+    def test_known_constants_do_probe(self, family):
+        store = family(GRAPH)
+        assert len(solutions(store, "SELECT ?x WHERE { ?x rdf:type bench:Article }")) == 3
         assert store.probe_calls > 0
 
 
@@ -218,11 +216,11 @@ class TestZeroDecodeJoins:
         "SELECT ?d ?a WHERE { ?d rdf:type bench:Article OPTIONAL { ?d bench:abstract ?a } }",
     )
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @COUNTING_FAMILIES
     @pytest.mark.parametrize("query", JOIN_QUERIES)
-    def test_zero_decodes_during_join_execution(self, strategy, query):
-        store = CountingDictionaryStore(GRAPH)
-        _layout, rows = IdSpaceEvaluation(store).solve(tree_for(query, strategy))
+    def test_zero_decodes_during_join_execution(self, family, query):
+        store = family(GRAPH)
+        _layout, rows = IdSpaceEvaluation(store).solve(tree_for(query, store))
         consumed = list(rows)
         assert consumed, "expected non-empty join results"
         assert store.decode_calls == 0
@@ -248,7 +246,7 @@ class TestZeroDecodeJoins:
 
     def test_get_decodes_on_touch(self):
         store = CountingDictionaryStore(GRAPH)
-        rows = bindings(store, tree_for(self.CREATORS))
+        rows = solutions(store, self.CREATORS)
         assert store.decode_calls == 0
         assert rows[0].is_bound("name") and "d" in rows[0]
         assert store.decode_calls == 0
@@ -259,7 +257,7 @@ class TestZeroDecodeJoins:
         assert store.decode_calls == 1
 
     def test_lazy_rows_agree_with_eager_bindings(self):
-        lazy = bindings(IndexedStore(GRAPH), tree_for(self.CREATORS))
+        lazy = solutions(IndexedStore(GRAPH), self.CREATORS)
         eager = [Binding(row) for row in oracle.evaluate(self.CREATORS, GRAPH)]
         assert multiset(lazy) == multiset(eager)
         by_key = {frozenset(row.items()): row for row in eager}
@@ -298,7 +296,7 @@ class TestZeroDecodeJoins:
         store = MvccStore(IndexedStore(GRAPH))
         generation = read_snapshot(store)
         run = IdSpaceEvaluation(generation)
-        rows = list(run.bindings(tree_for(self.CREATORS)))
+        rows = list(run.bindings(tree_for(self.CREATORS, generation)))
         shape = rows[0]._shape
         assert all(row._shape is shape for row in rows)
         dead = [weakref.ref(run), weakref.ref(generation)]
@@ -315,7 +313,7 @@ class TestZeroDecodeJoins:
     def test_filter_decodes_are_memoized_per_id(self):
         store = CountingDictionaryStore(GRAPH)
         _layout, rows = IdSpaceEvaluation(store).solve(
-            tree_for("SELECT ?d WHERE { ?d dcterms:issued ?yr FILTER (?yr > 1992) }")
+            tree_for("SELECT ?d WHERE { ?d dcterms:issued ?yr FILTER (?yr > 1992) }", store)
         )
         assert len(list(rows)) == 2
         # Three distinct year literals exist; each is decoded at most once.
@@ -364,15 +362,15 @@ class TestHashLeftJoinEquivalence:
     """The hash-based OPTIONAL joins agree with the oracle's textbook one."""
 
     @pytest.mark.parametrize("query", (Q6_SHAPED, Q7_SHAPED, SHARED_OPTIONAL))
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_id_space_left_join_matches_naive(self, query, strategy):
-        hashed = multiset(bindings(IndexedStore(GRAPH), tree_for(query, strategy)))
+    @FAMILIES
+    def test_id_space_left_join_matches_naive(self, query, family):
+        hashed = multiset(solutions(family(GRAPH), query))
         assert hashed == oracle.multiset(oracle.evaluate(query, GRAPH))
 
     @pytest.mark.parametrize("query", (Q6_SHAPED, Q7_SHAPED, SHARED_OPTIONAL))
     def test_term_space_left_join_matches_naive(self, query):
         # On the scan store.
-        hashed = multiset(bindings(MemoryStore(GRAPH), tree_for(query)))
+        hashed = multiset(solutions(MemoryStore(GRAPH), query))
         assert hashed == oracle.multiset(oracle.evaluate(query, GRAPH))
 
 
@@ -404,11 +402,20 @@ class TestHandPlannedJoinPaths:
     that share no slot at all, agree with the oracle on both stores."""
 
     @staticmethod
-    def bind_joined(query, outer_bound):
+    def scan_planned(store, query):
+        """``query`` planned on ``store``, every BGP on SCAN steps (whatever
+        the store family: the executor runs the plan's access path)."""
+        tree = tree_for(query, store)
+        for bgp in collect_bgps(tree):
+            bgp.plan.access = SCAN
+        return tree
+
+    @classmethod
+    def bind_joined(cls, store, query, outer_bound):
         """Every BGP on SCAN steps, every Join a bind join; with
         ``outer_bound`` the right side's steps know the left side's
         variables, as the cost planner tells them."""
-        tree = tree_for(query, SCAN)
+        tree = cls.scan_planned(store, query)
         for node in algebra.walk(tree):
             if isinstance(node, algebra.Join):
                 node.plan = JoinPlan(strategy=BIND_JOIN)
@@ -423,14 +430,16 @@ class TestHandPlannedJoinPaths:
     @pytest.mark.parametrize("query", (UNBOUND_SHARED_BIND_JOIN,
                                        CARTESIAN_BIND_JOIN))
     def test_bind_join_into_scan_steps(self, family, outer_bound, query):
-        rows = bindings(family(GRAPH), self.bind_joined(query, outer_bound))
+        store = family(GRAPH)
+        rows = bindings(store, self.bind_joined(store, query, outer_bound))
         expected = oracle.multiset(oracle.evaluate(query, GRAPH))
         assert multiset(rows) == expected
         assert len(rows) >= 3
 
     @pytest.mark.parametrize("family", (IndexedStore, MemoryStore))
     def test_cartesian_scan_step(self, family):
-        rows = bindings(family(GRAPH), tree_for(CARTESIAN_SCAN, SCAN))
+        store = family(GRAPH)
+        rows = bindings(store, self.scan_planned(store, CARTESIAN_SCAN))
         assert multiset(rows) == oracle.multiset(
             oracle.evaluate(CARTESIAN_SCAN, GRAPH))
         assert len(rows) == 9
@@ -463,10 +472,9 @@ class TestEquiConditionValueSemantics:
 
     def test_numeric_value_equality_across_datatypes(self):
         graph = self.build()
-        tree = tree_for(self.QUERY)
-        id_rows = bindings(IndexedStore(graph), tree)
+        id_rows = solutions(IndexedStore(graph), self.QUERY)
         expected = oracle.multiset(oracle.evaluate(self.QUERY, graph))
-        assert multiset(id_rows) == multiset(bindings(MemoryStore(graph), tree))
+        assert multiset(id_rows) == multiset(solutions(MemoryStore(graph), self.QUERY))
         assert multiset(id_rows) == expected
         assert len(id_rows) == 1
         assert id_rows[0].get("b") is not None  # 1940^^gYear = 1940^^integer
@@ -489,10 +497,9 @@ class TestEquiConditionValueSemantics:
           }
         }
         """
-        tree = tree_for(query)
-        id_rows = bindings(IndexedStore(g), tree)
+        id_rows = solutions(IndexedStore(g), query)
         expected = oracle.multiset(oracle.evaluate(query, g))
-        assert multiset(id_rows) == multiset(bindings(MemoryStore(g), tree))
+        assert multiset(id_rows) == multiset(solutions(MemoryStore(g), query))
         assert multiset(id_rows) == expected
         assert len(id_rows) == 1
         assert id_rows[0].get("b") is None  # "same"@en != "same"
@@ -502,13 +509,14 @@ class TestEvaluatorFacade:
     """IdSpaceEvaluation is the one evaluator every store runs through."""
 
     def test_scan_store_answers_on_the_same_executor(self):
-        tree = tree_for(TestZeroDecodeJoins.CREATORS)
-        scanned = bindings(MemoryStore(GRAPH), tree)
+        query = TestZeroDecodeJoins.CREATORS
+        scanned = solutions(MemoryStore(GRAPH), query)
         assert scanned and all(isinstance(row, IdBinding) for row in scanned)
-        assert multiset(scanned) == multiset(bindings(IndexedStore(GRAPH), tree))
+        assert multiset(scanned) == multiset(solutions(IndexedStore(GRAPH), query))
 
     def test_ask_on_id_path(self):
         for store in (IndexedStore(GRAPH), MemoryStore(GRAPH)):
             evaluation = IdSpaceEvaluation(store)
-            assert evaluation.ask(tree_for("ASK { ?d rdf:type bench:Article }").operand)
-            assert not evaluation.ask(tree_for("ASK { ?d rdf:type bench:Journal }").operand)
+            assert evaluation.ask(tree_for("ASK { ?d rdf:type bench:Article }", store).operand)
+            assert not evaluation.ask(
+                tree_for("ASK { ?d rdf:type bench:Journal }", store).operand)

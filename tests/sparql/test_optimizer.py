@@ -100,10 +100,7 @@ class TestReordering:
                 "{ ?a dc:creator ?p . ?p dc:title ?t } }")
         tree = translate_query(parse_query(text))
         greedy = plan_tree(tree, build_store(), "greedy")
-        assert {step.strategy for bgp in collect_bgps(greedy)
-                for step in bgp.plan.steps} == {"probe"}
-        assert not any(step.kernel for bgp in collect_bgps(greedy)
-                       for step in bgp.plan.steps)
+        assert {bgp.plan.access for bgp in collect_bgps(greedy)} == {"probe"}
         (join,) = [n for n in walk(greedy) if isinstance(n, algebra.Join)]
         assert join.plan.strategy == "hash"
         (cost_join,) = [n for n in walk(plan_tree(tree, build_store(), "cost"))
@@ -148,9 +145,9 @@ class TestFilterPushing:
             "SELECT ?a WHERE { ?a rdf:type bench:Article . "
             "?a dc:creator ?p FILTER (?a != ?p) }"
         )
-        tree = push_filters(translate_query(query))
+        tree = plan_tree(push_filters(translate_query(query)), build_store(), "none")
         bgp = collect_bgps(tree)[0]
-        positions = [pos for pos, _expr in bgp.inline_filters]
+        positions = [pos for pos, _expr in bgp.plan.filters]
         assert positions == [1]
 
     def test_unpushable_filter_stays_outside(self):
@@ -309,7 +306,7 @@ class TestEqualityJoin:
             "SELECT ?a WHERE { ?a dc:creator ?p . ?b dc:creator ?q "
             "FILTER (?a != ?p && ?a != ?b && ?p = ?q) }")
         (join,) = [n for n in walk(tree) if isinstance(n, algebra.Join)]
-        assert [str(e) for _pos, e in join.left.inline_filters] == ["(?a != ?p)"]
+        assert [str(e) for e in join.left.inline_filters] == ["(?a != ?p)"]
         assert not join.right.inline_filters
         assert str(join.condition) == "((?p = ?q) && (?a != ?b))"
 

@@ -9,8 +9,10 @@ from repro.sparql import (
     IdSpaceEvaluation,
     SparqlEngine,
     parse_query,
+    plan_tree,
     translate_query,
 )
+from repro.sparql.planner import PLANNER_NONE
 from repro.store import MemoryStore
 
 
@@ -27,7 +29,10 @@ class CountingStore(MemoryStore):
 
 
 def run(store, tree, reuse_patterns):
-    return list(IdSpaceEvaluation(store, reuse_patterns=reuse_patterns).bindings(tree))
+    """Evaluate ``tree`` planned on ``store`` in textual order (planning
+    counts nothing: a count on a scan store would be a scan)."""
+    planned = plan_tree(tree, store, PLANNER_NONE)
+    return list(IdSpaceEvaluation(store, reuse_patterns=reuse_patterns).bindings(planned))
 
 
 def build_graph():

@@ -14,7 +14,7 @@ from repro.sparql import (
     plan_tree,
 )
 from repro.sparql import algebra
-from repro.sparql.planner import BIND_JOIN, PROBE, SCAN
+from repro.sparql.planner import BIND_JOIN, KERNEL, PROBE, SCAN
 from repro.store import IndexedStore
 
 
@@ -104,7 +104,8 @@ class TestPlanBgp:
         model = CostModel(small_store)
         selective = _pattern(Variable("p"), FOAF.name, Variable("n"))
         broad = _pattern(Variable("d"), DC.creator, Variable("p"))
-        ordered, _filters, plan = plan_bgp([broad, selective], [], model)
+        plan = plan_bgp([broad, selective], [], model)
+        ordered = [step.pattern for step in plan.steps]
         by_card = min(
             (model.pattern_cardinality(p), i) for i, p in enumerate([broad, selective])
         )
@@ -122,7 +123,7 @@ class TestPlanBgp:
             _pattern(Variable("b"), RDF.type, BENCH.Inproceedings),
             _pattern(Variable("b"), DC.creator, Variable("p")),
         ]
-        ordered, _filters, plan = plan_bgp(star_a + star_b, [], model)
+        plan = plan_bgp(star_a + star_b, [], model)
         stars = [step.star for step in plan.steps]
         # Once a star is left it is never re-entered.
         seen = []
@@ -140,27 +141,16 @@ class TestPlanBgp:
             _pattern(Variable("a"), DC.creator, Variable("p")),
             _pattern(Variable("p"), FOAF.name, Variable("n")),
         ]
-        ordered, _filters, plan = plan_bgp(patterns, [], model)
-        assert sorted(p.n3() for p in ordered) == sorted(p.n3() for p in patterns)
-        assert [step.pattern for step in plan.steps] == list(ordered)
+        plan = plan_bgp(patterns, [], model)
+        assert sorted(step.pattern.n3() for step in plan.steps) == sorted(
+            p.n3() for p in patterns)
+        assert plan.access == PROBE
 
     def test_outer_bound_variables_count_as_joined(self, small_store):
         model = CostModel(small_store)
         pattern = _pattern(Variable("d"), DC.creator, Variable("p"))
-        _ordered, _filters, plan = plan_bgp(
-            [pattern], [], model, outer_bound=frozenset({"d"})
-        )
+        plan = plan_bgp([pattern], [], model, outer_bound=frozenset({"d"}))
         assert plan.steps[0].join_vars == ("d",)
-
-    def test_fixed_strategy_is_respected(self, small_store):
-        model = CostModel(small_store)
-        patterns = [
-            _pattern(Variable("a"), RDF.type, BENCH.Article),
-            _pattern(Variable("a"), DC.creator, Variable("p")),
-        ]
-        for strategy in (PROBE, SCAN):
-            _o, _f, plan = plan_bgp(patterns, [], model, fixed_strategy=strategy)
-            assert all(step.strategy == strategy for step in plan.steps)
 
     def test_inline_filters_are_remapped_to_new_positions(self, cost_engine):
         # Q4's FILTER (?name1 < ?name2) must sit at a position where both
@@ -174,7 +164,8 @@ class TestPlanBgp:
             for pattern in bgp.patterns:
                 bound |= {t.name for t in pattern if hasattr(t, "name")}
                 bound_at.append(set(bound))
-            for position, expression in bgp.inline_filters:
+            assert len(bgp.plan.filters) == len(bgp.inline_filters)
+            for position, expression in bgp.plan.filters:
                 needed = {v.name for v in expression.variables()}
                 assert needed <= bound_at[position]
 
@@ -219,16 +210,16 @@ class TestPlanTree:
                         bind_joins += 1
         assert bind_joins >= 2
 
-    def test_kernel_marks_cover_a_whole_bgp_or_none_of_it(self, cost_engine):
+    def test_kernels_run_the_bgps_worth_it(self, cost_engine):
         from repro.sparql.planner import VECTORIZE_MIN_COST
 
         def kernels(where):
             _parsed, tree = cost_engine.plan(f"SELECT * WHERE {{ {where} }}")
             (bgp,) = algebra.collect_bgps(tree)
-            marks = {step.kernel for step in bgp.plan.steps}
-            assert len(marks) == 1, where
-            assert marks.pop() == (bgp.plan.cost >= VECTORIZE_MIN_COST), where
-            return bgp.plan.steps[0].kernel
+            assert bgp.plan.access in (PROBE, KERNEL), where
+            kernel = bgp.plan.access == KERNEL
+            assert kernel == (bgp.plan.cost >= VECTORIZE_MIN_COST), where
+            return kernel
 
         star = "?a dc:creator ?p . ?p foaf:name ?n ."
         assert kernels(star)
@@ -358,7 +349,8 @@ class TestExplain:
         engine = SparqlEngine.from_graph(generated_graph_small, IN_MEMORY_OPTIMIZED)
         report = engine.explain(get_query("Q1").text)
         steps = list(report.plan_steps())
-        assert steps and all(step.strategy == "scan" for step in steps)
+        assert steps and all(bgp.plan.access == SCAN
+                             for bgp in algebra.collect_bgps(report.tree))
         assert all(step.actual is not None for step in steps)
         assert steps[-1].actual == report.result.actual == report.result_count == 1
         assert report.render().splitlines()[-1].startswith("result: rows=1 decoded=")

@@ -24,9 +24,11 @@ from repro.sparql import (
     QueryTimeout,
     SelectCursor,
     SparqlEngine,
+    algebra,
     kernels,
 )
 from repro.rdf import Literal
+from repro.sparql.planner import KERNEL
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +148,8 @@ class TestLimitPushdown:
         finally:
             counts["restore"]()
         (step,) = report.plan_steps()
-        assert step.kernel and step.partial
+        (bgp,) = algebra.collect_bgps(report.tree)
+        assert bgp.plan.access == KERNEL and step.partial
         assert counts["produced"] == 0
         assert 0 < step.actual <= kernels.BLOCK_ROWS < total / 4
 
@@ -221,15 +224,15 @@ class TestAskShortCircuit:
         # own plans are scans on purpose, since scanning the whole document
         # per pattern is the in-memory cost model the benchmark contrasts
         # against.
-        from repro.sparql import IdSpaceEvaluation, parse_query, translate_query
+        from repro.sparql import IdSpaceEvaluation, parse_query, plan_tree, translate_query
         from repro.sparql.algebra import collect_bgps
-        from repro.sparql.planner import PROBE, textual_plan
+        from repro.sparql.planner import PLANNER_NONE, PROBE
         from repro.store import MemoryStore
 
         store = MemoryStore(graph)
-        tree = translate_query(parse_query("ASK { ?s ?p ?o }"))
+        tree = plan_tree(translate_query(parse_query("ASK { ?s ?p ?o }")), store, PLANNER_NONE)
         for bgp in collect_bgps(tree):
-            bgp.plan = textual_plan(bgp.patterns, PROBE)
+            bgp.plan.access = PROBE
         counts = probe_counter(store, "triples_ids")
         try:
             assert IdSpaceEvaluation(store).ask(tree.operand) is True

@@ -25,6 +25,7 @@ from repro.sparql import (
     NATIVE_COST,
     NATIVE_OPTIMIZED,
     Binding,
+    ExplainReport,
     IdBinding,
     SlotLayout,
     kernels,
@@ -155,6 +156,9 @@ def test_catalog_documents_are_byte_identical(engines, preset, path, reference):
     lazy_rows = 0
     for query in QUERIES:
         prepared = engine.prepare(query.text)
+        if path == "tuple-path":
+            plan = ExplainReport(prepared.tree, engine.config.planner, preset).render()
+            assert "vectorized=yes" not in plan, query.identifier
         cursor = prepared.run()
         if cursor.form == "ASK":
             for format in serializers.FORMATS:

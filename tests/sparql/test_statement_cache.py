@@ -59,15 +59,14 @@ def calls(monkeypatch):
 
 
 def plan_shape(tree):
-    """Pattern order, strategies, kernels and join choices of a planned tree."""
+    """Pattern order, access paths, filter placement and join choices of a
+    planned tree."""
     shape = []
     for node in algebra.walk(tree):
         if isinstance(node, algebra.BGP):
-            steps = None if node.plan is None else [
-                (step.pattern, step.strategy, step.kernel, step.join_vars)
-                for step in node.plan.steps
-            ]
-            shape.append((list(node.patterns), list(node.inline_filters), steps))
+            plan = node.plan
+            steps = [(step.pattern, step.join_vars) for step in plan.steps]
+            shape.append((list(node.patterns), plan.access, list(plan.filters), steps))
         elif isinstance(node, algebra.Join):
             shape.append(None if node.plan is None else node.plan.strategy)
     return shape

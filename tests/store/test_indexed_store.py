@@ -183,6 +183,22 @@ class TestIdLevelAccess:
         with pytest.raises(ValueError, match="unknown permutation order"):
             store.permutation("s")
 
+    def test_range_columns_are_the_unbound_positions_of_triples_ids(self, store):
+        triples = list(store.triples_ids())
+        values = [sorted({ids[position] for ids in triples})[:3] + [None]
+                  for position in range(3)]
+        for pattern in itertools.product(*values):
+            expected = sorted(store.triples_ids(*pattern))
+            count, columns = store.range_columns(*pattern)
+            assert count == len(expected), pattern
+            assert sorted(columns) == [i for i in range(3) if pattern[i] is None]
+            # A column is the range's rows in its permutation's order: each
+            # row of ``expected`` filled from it, in some order.
+            rows = zip(*(columns[i].tolist() for i in sorted(columns))) if columns else [()]
+            filled = [tuple(next(values) if term is None else term for term in pattern)
+                      for values in map(iter, rows)] if count else []
+            assert sorted(filled) == expected, pattern
+
 
 class TestRemove:
     def test_remove_present_triple(self, store):

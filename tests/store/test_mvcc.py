@@ -266,6 +266,7 @@ class TestDraftConsistency:
         # encoded has an id past the pinned generation's row offsets.
         from repro.sparql import NATIVE_COST, SparqlEngine, algebra
         from repro.sparql.idspace import IdSpaceEvaluation
+        from repro.sparql.planner import KERNEL
 
         new = URIRef("http://example.org/new")
         store = MvccStore(IndexedStore([triple(n) for n in range(30)]))
@@ -277,8 +278,7 @@ class TestDraftConsistency:
         # Planned on the newest generation, where the term has rows, the
         # BGP runs on the batch kernels.
         tree = SparqlEngine(NATIVE_COST, store=store).prepare(text).tree
-        assert all(step.kernel for bgp in algebra.collect_bgps(tree)
-                   for step in bgp.plan.steps)
+        assert all(bgp.plan.access == KERNEL for bgp in algebra.collect_bgps(tree))
         assert list(IdSpaceEvaluation(pinned).bindings(tree)) == []
         assert len(list(IdSpaceEvaluation(store.snapshot()).bindings(tree))) == 30
 

@@ -1,7 +1,8 @@
 """Tests for the work ledger on a tiny document: a written file is
 byte-identical across runs, ``--check`` passes against it, and fails,
 naming the query, once one answer digest is altered or a query has fewer
-kernel steps than the file."""
+kernel steps than the file; EXPLAIN text and step rows are reported apart,
+without failing."""
 
 import importlib.util
 import json
@@ -57,6 +58,23 @@ def test_check_names_an_altered_answer_and_fails(ledger, tmp_path, capfd):
     assert f"ANSWER DIFFERS: {SIZE} native-cost Q8: answer" in out
     assert f"plan differs (not failing): {SIZE} native-cost Q2" in out
     assert "1 differ, 1 plan differences" in out
+
+
+def test_step_rows_and_explain_text_differ_separately(ledger, tmp_path, capfd):
+    altered = json.loads(ledger.read_text(encoding="utf-8"))
+    entries = altered["sizes"][SIZE]["native-cost"]
+    entries["Q5a"]["rows"] += " 1"
+    entries["Q6"]["explain"] = "0" * 16
+    path = tmp_path / "rows.json"
+    path.write_text(work.dumps(altered), encoding="utf-8")
+    assert work.main(["--check", "--file", str(path), "--sizes", SIZE]) == 0
+    out = capfd.readouterr().out
+    assert f"step rows differ (not failing): {SIZE} native-cost Q5a: [" in out
+    assert f"plan differs (not failing): {SIZE} native-cost Q6: explain" in out
+    assert f"{SIZE} native-cost Q5a: explain" not in out
+    assert f"rows differ (not failing): {SIZE} native-cost Q6" not in out
+    assert "0 differ, 1 plan differences," in out
+    assert out.rstrip().endswith("0 snapshot differences, 1 step-row differences")
 
 
 def test_timings_are_removed_and_partial_steps_masked():

@@ -18,7 +18,8 @@ write byte-identical files.
 exits 1 naming every (size, preset, query) whose answer digest differs or
 that has fewer kernel steps than the file ("fell off the kernels"), and
 every (size, family) whose snapshot sha256 differs; it prints EXPLAIN,
-counter differences and more kernel steps ("moved onto") without failing.
+step-row and counter differences and more kernel steps ("moved onto")
+without failing.
 Usage:
 
     python tools/work.py [--check] [--file WORK.json] [--sizes 5000 25000]
@@ -151,14 +152,15 @@ def dumps(ledger):
 
 
 def differences(committed, fresh):
-    """``(answers, snapshots, plans, kernels, counters)``: messages for every
-    (size, preset, query) whose answer digest differs, for every (size,
-    family) whose snapshot sha256 differs, for queries whose EXPLAIN
-    differs, for those with another number of kernel steps (a pair of lists:
-    fewer steps than committed, "fell off the kernels", then more), and for
-    every counter (JSON bytes, a store's traced or snapshot bytes, a sha256
-    the file lacks) that differs."""
-    answers, snapshots, plans, counters = [], [], [], []
+    """``(answers, snapshots, plans, rows, kernels, counters)``: messages for
+    every (size, preset, query) whose answer digest differs, for every
+    (size, family) whose snapshot sha256 differs, for queries whose EXPLAIN
+    text differs, for those whose steps produced other rows, for those with
+    another number of kernel steps (a pair of lists: fewer steps than
+    committed, "fell off the kernels", then more), and for every counter
+    (JSON bytes, a store's traced or snapshot bytes, a sha256 the file
+    lacks) that differs."""
+    answers, snapshots, plans, rows, counters = [], [], [], [], []
     kernels = fell_off, moved_onto = [], []
     for size, per_family in fresh["stores"].items():
         for family, values in per_family.items():
@@ -180,10 +182,11 @@ def differences(committed, fresh):
                 if old["answer"] != entry["answer"]:
                     answers.append(f"{where}: answer {entry['answer']}, "
                                    f"committed {old['answer']}")
-                if (old["explain"], old["rows"]) != (entry["explain"], entry["rows"]):
-                    plans.append(f"{where}: explain {entry['explain']} rows "
-                                 f"[{entry['rows']}], committed {old['explain']} "
-                                 f"rows [{old['rows']}]")
+                if old["explain"] != entry["explain"]:
+                    plans.append(f"{where}: explain {entry['explain']}, "
+                                 f"committed {old['explain']}")
+                if old["rows"] != entry["rows"]:
+                    rows.append(f"{where}: [{entry['rows']}], committed [{old['rows']}]")
                 steps = entry["kernel_steps"]
                 old_steps = old.get("kernel_steps", steps)
                 if steps != old_steps:
@@ -194,7 +197,7 @@ def differences(committed, fresh):
                 if old.get("json_bytes") != entry["json_bytes"]:
                     counters.append(f"{where} json_bytes: {entry['json_bytes']}, "
                                     f"committed {old.get('json_bytes', '-')}")
-    return answers, snapshots, plans, kernels, counters
+    return answers, snapshots, plans, rows, kernels, counters
 
 
 def run(args):
@@ -203,12 +206,14 @@ def run(args):
         args.file.write_text(dumps(fresh), encoding="utf-8")
         print(f"wrote {args.file}")
         return 0
-    answers, snapshots, plans, (fell_off, moved_onto), counters = differences(
+    answers, snapshots, plans, rows, (fell_off, moved_onto), counters = differences(
         json.loads(args.file.read_text(encoding="utf-8")), fresh)
     for message in counters:
         print(f"counter differs (not failing): {message}")
     for message in plans:
         print(f"plan differs (not failing): {message}")
+    for message in rows:
+        print(f"step rows differ (not failing): {message}")
     for message in moved_onto:
         print(f"kernel steps differ (not failing): {message}")
     for message in fell_off:
@@ -223,7 +228,8 @@ def run(args):
           f"{len(answers)} differ, {len(plans)} plan differences, "
           f"{len(counters)} counter differences, "
           f"{len(fell_off) + len(moved_onto)} kernel-step differences, "
-          f"{len(snapshots)} snapshot differences")
+          f"{len(snapshots)} snapshot differences, "
+          f"{len(rows)} step-row differences")
     return 1 if answers or snapshots or fell_off else 0
 
 
