@@ -34,7 +34,6 @@ log streams all of that collapses to a handful of no-op calls per request.
 
 from __future__ import annotations
 
-import io
 import json
 import threading
 import time
@@ -300,7 +299,6 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         outcome["form"] = prepared.form
         outcome["plan_renderer"] = self._plan_renderer(prepared, trace,
                                                        outcome)
-        buffer = io.StringIO()
         try:
             deadline = None if timeout is None else Deadline(timeout)
             with trace.span("execute"):
@@ -317,7 +315,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
                     result = list(cursor)
                     outcome["rows"] = len(result)
             with trace.span("serialize"):
-                serializers.write(buffer, prepared.variables, result, format)
+                body = serializers.serialize(prepared.variables, result, format)
             if deadline is not None:
                 # Preserve the buffered-response guarantee: a budget that
                 # ran out during serialization is a clean 503, not a 200
@@ -338,7 +336,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             self._send_json(400, error_payload(error))
             return
         outcome["status"] = 200
-        self._send_body(200, buffer.getvalue(), CONTENT_TYPES[format])
+        self._send_body(200, body, CONTENT_TYPES[format])
 
     @staticmethod
     def _plan_renderer(prepared, trace, outcome):

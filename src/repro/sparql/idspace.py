@@ -39,8 +39,6 @@ from itertools import chain, repeat
 from operator import add, itemgetter
 from time import perf_counter
 
-import numpy as np
-
 from ..rdf.terms import Literal, Variable, as_float, term_sort_key
 from ..store.indexed_store import ORDERS
 from . import algebra, ast, kernels
@@ -524,14 +522,13 @@ class IdSpaceEvaluation:
 
         ``bound`` holds the slots every incoming block binds.  With a
         position bound as a column and at most one constant, each row takes
-        its own range: an endpoint's (the subject first) ``searchsorted``
-        range in a constant predicate's PSO or POS rows, or else its
-        subject's, object's or predicate's row offsets in SPO, OSP or PSO.
-        Otherwise the constants give one range (all of SPO if none), crossed
-        with every block or, when the third position is bound, a membership
-        mask; no rows is the empty stream.  :func:`kernels.extend` binds
-        every other position from the range rows or masks it against its
-        constant or column.
+        its own range through row offsets: an endpoint's (the subject first)
+        in a constant predicate's PSO or POS rows, or else its subject's,
+        object's or predicate's in SPO, OSP or PSO.  Otherwise the constants
+        give one range (all of SPO if none), crossed with every block or,
+        when the third position is bound, a membership mask; no rows is the
+        empty stream.  :func:`kernels.extend` binds every other position
+        from the range rows or masks it against its constant or column.
         """
         store = self._store
         constants = [None if is_var else ref for is_var, ref in cpattern]
@@ -539,19 +536,13 @@ class IdSpaceEvaluation:
                     if is_var and ref in bound]
         if bound_at and constants.count(None) > 1:
             lead = min(bound_at, key=(0, 2, 1).index)  # subject, object, predicate
-            if constants[1] is None:
-                order = ("spo", "pso", "osp")[lead]
-                starts, *values = store.permutation(order)
-                ranges = partial(kernels.key_ranges, starts)
-            else:
-                order = ("pso", None, "pos")[lead]
-                keys, *values = store.permutation(order, constants[1])
-                ranges = partial(kernels.equal_ranges, keys)
-            lanes = [(column, cpattern[position])
-                     for column, position in zip(values, ORDERS[order][-len(values):])]
+            orders = ("spo", "pso", "osp") if constants[1] is None else ("pso", None, "pos")
+            starts, *values = store.permutation(orders[lead], constants[1])
+            lanes = [(column, cpattern[position]) for column, position
+                     in zip(values, ORDERS[orders[lead]][-len(values):])]
             slot = cpattern[lead][1]
             return self._map_blocks(blocks, lambda block: kernels.extend(
-                block, lanes, *ranges(block.columns[slot])))
+                block, lanes, *kernels.key_ranges(starts, block.columns[slot])))
         count, ranged = store.range_columns(*constants)
         if not count:
             return iter(())
@@ -559,7 +550,7 @@ class IdSpaceEvaluation:
         if bound_at:
             ((values, (_var, slot)),) = lanes
             return self._map_blocks(blocks, lambda block: kernels.apply_mask(
-                block, kernels.member_mask(block, slot, values)))
+                block, kernels.sorted_member(block.columns[slot], values)))
         if not lanes:
             return blocks  # every position constant: the triple exists
         return self._cross_blocks(blocks, kernels.extend(kernels.Block({}, count), lanes).columns)
@@ -601,8 +592,8 @@ class IdSpaceEvaluation:
         """
         compiled = kernels.compile_filter(expression, self._layout.slot)
         if compiled is not None:
-            return self._map_blocks(blocks, lambda block: kernels.apply_mask(
-                block, kernels.filter_mask(block, compiled, self._layout.term)))
+            mask = kernels.filter_masks(compiled, self._layout.term)
+            return self._map_blocks(blocks, lambda block: kernels.apply_mask(block, mask(block)))
         width = self._layout.width
 
         def keep_rows(block):
@@ -1040,7 +1031,7 @@ class IdSpaceEvaluation:
         Project over a kernel-annotated BGP, or over a Union of two (Q9),
         and the same one or two id columns survive the projection on every
         side, dedup runs on the blocks themselves (a u64 composite per row,
-        unique per block) and only distinct rows ever become tuples.
+        deduplicated by sort) and only distinct rows ever become tuples.
         Emission order differs from the tuple path (blocks dedup sorted,
         tuples first-seen) — DISTINCT without ORDER BY leaves order
         unspecified, and the result multiset is identical.
@@ -1064,44 +1055,8 @@ class IdSpaceEvaluation:
         (keep,) = keeps
         if not 1 <= len(keep) <= 2:
             return None
-        return self._distinct_projected(blocks, keep)
-
-    def _distinct_projected(self, blocks, keep):
-        """Distinct rows of a block stream, built a block at a time.
-
-        Keys are u64 composites (``np.unique`` sorts and deduplicates each
-        block); a block contributes its not-yet-seen keys in one go, and
-        the full-width rows come out of a C-level ``zip`` — no per-row
-        Python frame between the kernels and the result boundary.
-        """
-        width = self._layout.width
-
-        def block_keys(block):
-            if len(keep) == 1:
-                return np.unique(np.asarray(block.columns[keep[0]])).tolist()
-            a, b = (np.asarray(block.columns[slot], dtype=np.uint64)
-                    for slot in keep)
-            return np.unique((a << 32) | b).tolist()
-
-        def key_columns(keys):
-            if len(keep) == 1:
-                return (keys,)
-            return ([key >> 32 for key in keys],
-                    [key & 0xFFFFFFFF for key in keys])
-
-        def fresh_rows():
-            seen = set()
-            for block in blocks:
-                fresh = [key for key in block_keys(block) if key not in seen]
-                if not fresh:
-                    continue
-                seen.update(fresh)
-                columns = [repeat(None)] * width
-                for slot, column in zip(keep, key_columns(fresh)):
-                    columns[slot] = column
-                yield zip(*columns)
-
-        return chain.from_iterable(fresh_rows())
+        return kernels.rows_from_blocks(kernels.distinct_blocks(blocks, keep),
+                                        self._layout.width)
 
     def _eval_order_by(self, node):
         rows = list(self._eval(node.operand))

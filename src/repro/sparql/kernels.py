@@ -8,22 +8,26 @@ id columns keyed by slot), and each plan step is one vectorized range of
 the store permutation its bound positions lead, in one of two modes:
 
 * **per-row ranges** — when the blocks bind a position as a column and at
-  most one position is constant, every row takes its range
-  (``key_ranges`` through row offsets, or ``equal_ranges`` in a constant
-  predicate's sorted slice), and the one range-expansion kernel
-  (``expand``) repeats the row once per match;
+  most one position is constant, every row reads its range off row
+  offsets (``key_ranges``: a permutation's own, or a constant predicate's
+  PSO or POS offsets), and the one range-expansion kernel (``expand``)
+  repeats the row once per match;
 * **one range** — otherwise the pattern's constants give one range, which
   the evaluator crosses with its blocks (``cross_extend``) in pieces of
   about :data:`BLOCK_ROWS` rows, so LIMIT pushdown and deadline checks keep
   working at block granularity; or, when the third position is a bound
-  column, a membership mask (``member_mask``).
+  column, a membership mask (``sorted_member``).
 
 In both modes :func:`extend` binds every other position from the range
-rows, or masks it against its constant or column.  The **columnar
-filters** evaluate the comparison/equality FILTER shapes the catalog
-queries use against whole columns, with the keys of
-:func:`.expressions.value_key` / :func:`.expressions.order_key` computed
-once per distinct id, so a mask decides exactly what the row filter does.
+rows, or masks it against its constant or column.  Block DISTINCT
+(:func:`distinct_blocks`) keeps the ``u64`` keys it has seen as one sorted
+array.  The **columnar filters** (:func:`filter_masks`) evaluate the
+comparison/equality FILTER shapes the catalog queries use against whole
+columns, each conjunct with a :class:`KeyTable` that keys every id once
+per evaluation with :func:`.expressions.value_key` /
+:func:`.expressions.order_key`, so a mask decides exactly what the row
+filter does.  Dedup is by sort (:func:`sorted_distinct`), never
+``np.unique``, which hashes integers in numpy 2.
 
 The kernels are numpy code and nothing else.  Nothing here imports the
 planner or the id-space evaluator — the dependency points the other way.
@@ -186,13 +190,6 @@ def expand(block, lo, hi):
     return Block(columns, total), positions
 
 
-def equal_ranges(sorted_keys, keys):
-    """``(lo, hi)``: the rows of each id of the column ``keys`` in an
-    ascending column."""
-    return (np.searchsorted(sorted_keys, keys, "left"),
-            np.searchsorted(sorted_keys, keys, "right"))
-
-
 def extend(block, lanes, lo=None, hi=None):
     """The block's rows joined with their ranges ``lo[i]:hi[i]`` of the
     lanes' columns (:func:`expand`), or, without ranges, paired row by row
@@ -219,24 +216,59 @@ def extend(block, lanes, lo=None, hi=None):
     return out
 
 
-def member_mask(block, bound_slot, sorted_values):
-    """Mask of rows whose column id occurs in an ascending value column."""
-    column = block.columns[bound_slot]
-    if len(sorted_values) == 0:
-        return np.zeros(block.length, dtype=bool)
-    values = np.asarray(sorted_values)
-    positions = np.searchsorted(values, column, "left")
-    clipped = np.minimum(positions, len(values) - 1)
-    return values[clipped] == column
+def sorted_member(column, sorted_values):
+    """Mask of the entries of ``column`` that occur in an ascending column."""
+    if not len(sorted_values):
+        return np.zeros(len(column), dtype=bool)
+    positions = np.searchsorted(sorted_values, column)
+    return sorted_values[np.minimum(positions, len(sorted_values) - 1)] == column
+
+
+def sorted_distinct(column):
+    """The distinct values of a column, ascending: one sort and a neighbour
+    mask.  (numpy 2's ``np.unique`` hashes integers instead, 20-40x slower
+    on the catalog's blocks.)"""
+    column = np.sort(column)
+    if len(column) > 1:
+        first = np.empty(len(column), dtype=bool)
+        first[0] = True
+        np.not_equal(column[1:], column[:-1], out=first[1:])
+        column = column[first]
+    return column
+
+
+def distinct_blocks(blocks, slots):
+    """The rows of a block stream whose ids in ``slots`` (one or two) no
+    earlier row held, a block at a time, as blocks of those columns alone
+    (ascending by their ids within a block).
+
+    A row's ids make one ``u64`` key, and the keys seen so far are one
+    ascending array: a block's keys are sorted and deduplicated
+    (:func:`sorted_distinct`), its fresh ones found by ``searchsorted`` and
+    merged in, and split back into id columns by shifts.
+    """
+    shifts = (32, 0)[-len(slots):]
+    seen = np.zeros(0, dtype=np.uint64)
+    for block in blocks:
+        keys = np.zeros(block.length, dtype=np.uint64)
+        for slot, shift in zip(slots, shifts):
+            keys |= block.columns[slot].astype(np.uint64) << shift
+        keys = sorted_distinct(keys)
+        fresh = keys[~sorted_member(keys, seen)]
+        if len(fresh):
+            seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
+            yield Block({slot: (fresh >> shift).astype(np.uintc)
+                         for slot, shift in zip(slots, shifts)}, len(fresh))
 
 
 # -- columnar filters ---------------------------------------------------------
 #
 # The filter kernels decide each comparison by the keys of the row filters
 # (expressions.value_key / order_key), one distinct id at a time instead of
-# one row at a time: every distinct id in the operand columns is decoded and
-# keyed once, then the row-level mask is pure array arithmetic.  A type error
-# (an ordering without two keys of one kind) is a false mask entry, as
+# one row at a time: each conjunct keeps a table of the ids its operand
+# columns held so far, every id in it decoded and keyed once per evaluation,
+# and a block's mask is two gathers per operand and array arithmetic.  A type
+# error (an ordering without two keys of one kind) is a false mask entry, as
 # effective_boolean_value makes it on the row path.
 
 
@@ -277,97 +309,125 @@ def _flatten_and(expression):
     return [expression]
 
 
-def filter_mask(block, compiled, cell_term):
-    """Row mask of a compiled filter over one block.
+def filter_masks(compiled, cell_term):
+    """``block -> row mask`` of a compiled filter over the blocks of one
+    evaluation, each conjunct with its own :class:`KeyTable`.
 
     Conjuncts combine by plain AND: a per-conjunct type error yields false
     for that conjunct, and under SPARQL's three-valued ``&&`` any false or
     error conjunct makes the whole filter drop the row — identical outcomes.
     """
-    mask = None
+    conjuncts = []
     for op, left, right in compiled:
-        conjunct = _conjunct_mask(block, op, left, right, cell_term)
-        mask = conjunct if mask is None else mask & conjunct
+        key_of = value_key if op in ("=", "!=") else order_key
+        operands = [("key", key_of(ref)) if kind == "const" else (kind, ref)
+                    for kind, ref in (left, right)]
+        conjuncts.append((op, operands, KeyTable(key_of, cell_term)))
+
+    def mask(block):
+        result = None
+        for op, operands, table in conjuncts:
+            conjunct = _conjunct_mask(block, op, operands, table)
+            result = conjunct if result is None else result & conjunct
+        return result
+
     return mask
 
 
-def _operand_column(block, operand):
-    """Resolve an operand to ``("col", column)`` / ``("const", term)`` / None.
-
-    None means the operand is a variable with no bound column in this block:
-    every row evaluates it as unbound -> type error -> false.
-    """
-    kind, ref = operand
-    if kind == "const":
-        return ("const", ref)
-    if ref is None:
-        return None
-    column = block.columns.get(ref)
-    if column is None:
-        return None
-    return ("col", column)
-
-
-def _conjunct_mask(block, op, left, right, cell_term):
-    left = _operand_column(block, left)
-    right = _operand_column(block, right)
-    if left is None or right is None:
-        return mask_all(block, False)
+def _conjunct_mask(block, op, operands, table):
+    sides = []
+    for kind, ref in operands:
+        if kind == "slot":
+            ref = None if ref is None else block.columns.get(ref)
+            if ref is None:
+                # A variable without a column in this block: unbound in
+                # every row, a type error, false.
+                return mask_all(block, False)
+        sides.append((kind, ref))
+    # Both operands are keyed before either lane is read: a new string
+    # re-ranks every string the table holds.
+    for kind, ref in sides:
+        if kind == "slot":
+            table.learn(ref)
+        else:
+            table.lane(ref)
+    (kind_a, value_a), (kind_b, value_b) = (
+        table.lanes(ref) if kind == "slot" else table.lane(ref) for kind, ref in sides)
+    same = (kind_a == kind_b) & (kind_a != 0)
     if op in ("=", "!="):
-        return _equality_mask(block, op, left, right, cell_term)
-    return _ordering_mask(block, op, left, right, cell_term)
-
-
-def _side_keys(operand, key_of, cell_term):
-    """An operand's keys: ``(keys, None)`` for a constant (one key), or one
-    key per distinct column id plus the row -> distinct-id inverse."""
-    if operand[0] == "const":
-        return [key_of(operand[1])], None
-    unique, inverse = np.unique(operand[1], return_inverse=True)
-    return [key_of(cell_term(ident)) for ident in unique.tolist()], inverse
-
-
-def _lane(values, inverse):
-    """One operand's per-row lane (a scalar for a constant operand)."""
-    return values[0] if inverse is None else values[inverse]
-
-
-def _as_mask(block, result):
-    """A comparison result as a row mask; both-constant results are scalars."""
+        equal = same & (value_a == value_b)
+        result = equal if op == "=" else ~equal
+    else:
+        result = same & ORDERING[op](value_a, value_b)
+    # Two constants give a scalar.
     return np.broadcast_to(result, (block.length,))
 
 
-def _equality_mask(block, op, left, right, cell_term):
-    # Equal keys get equal codes; a None key (NaN) gets a per-side code that
-    # matches nothing.
-    codes = {}
-    lanes = []
-    for missing, operand in enumerate((left, right), start=1):
-        keys, inverse = _side_keys(operand, value_key, cell_term)
-        values = np.array([-missing if key is None
-                           else codes.setdefault(key, len(codes))
-                           for key in keys], dtype=np.int64)
-        lanes.append(_lane(values, inverse))
-    equal = lanes[0] == lanes[1]
-    return _as_mask(block, equal if op == "=" else ~equal)
+class KeyTable:
+    """``id -> (kind, value)``: one comparison's operand keys over one
+    evaluation, as two lanes indexed by dictionary id.
 
+    An id is decoded and keyed (by ``key_of``: ``value_key`` or
+    ``order_key``) the first time a column holds it.  Its kind is 0 for no
+    key (the row filter's type error, or NaN under ``=``), 1 for a number,
+    whose value is its float, 2 for a string, whose value is its rank among
+    every string the table has seen (all re-ranked when new ones arrive),
+    and 3 for any other term, whose value is a code per term: equal keys
+    get equal lanes, and strings order as their texts.
+    """
 
-def _ordering_mask(block, op, left, right, cell_term):
-    sides = [_side_keys(operand, order_key, cell_term) for operand in (left, right)]
-    # Strings from both sides share one dense rank so the float lanes compare
-    # consistently; numbers are their own rank.  Kind 0 is a missing key.
-    kinds = {"num": 1, "str": 2}
-    strings = sorted({key[1] for keys, _inverse in sides for key in keys
-                      if key is not None and key[0] == "str"})
-    rank = {text: float(index) for index, text in enumerate(strings)}
-    lanes = []
-    for keys, inverse in sides:
-        kind = np.array([0 if key is None else kinds[key[0]] for key in keys],
-                        dtype=np.int8)
-        value = np.array([0.0 if key is None else
-                          key[1] if key[0] == "num" else rank[key[1]]
-                          for key in keys], dtype=np.float64)
-        lanes.append((_lane(kind, inverse), _lane(value, inverse)))
-    (kind_a, value_a), (kind_b, value_b) = lanes
-    return _as_mask(block, (kind_a == kind_b) & (kind_a != 0)
-                    & ORDERING[op](value_a, value_b))
+    def __init__(self, key_of, cell_term):
+        self._key_of = key_of
+        self._cell_term = cell_term
+        self._kind = np.zeros(0, dtype=np.int8)  # -1: not keyed yet
+        self._value = np.zeros(0, dtype=np.float64)
+        self._ranks = {}          # text -> rank
+        self._strings = ([], [])  # the ids keyed as strings, and their texts
+        self._codes = {}          # term -> code
+
+    def learn(self, column):
+        """Key the ids of ``column`` the table has not seen."""
+        if not len(column):
+            return
+        top = int(column.max()) + 1
+        if top > len(self._kind):
+            grow = max(top, 2 * len(self._kind)) - len(self._kind)
+            self._kind = np.concatenate((self._kind, np.full(grow, -1, dtype=np.int8)))
+            self._value = np.concatenate((self._value, np.zeros(grow)))
+        fresh = column[self._kind[column] < 0]
+        if not len(fresh):
+            return
+        fresh = sorted_distinct(fresh).tolist()
+        keys = [self._key_of(self._cell_term(ident)) for ident in fresh]
+        lanes = self._lanes_of(keys)
+        self._kind[fresh] = [kind for kind, _value in lanes]
+        self._value[fresh] = [value for _kind, value in lanes]
+        ids, texts = self._strings
+        for ident, key in zip(fresh, keys):
+            if key is not None and key[0] == "str":
+                ids.append(ident)
+                texts.append(key[1])
+
+    def lanes(self, column):
+        """The ``(kind, value)`` lanes of a column whose ids were learnt."""
+        return self._kind[column], self._value[column]
+
+    def lane(self, key):
+        """A constant's ``(kind, value)``, its string ranked with the rest."""
+        return self._lanes_of([key])[0]
+
+    def _lanes_of(self, keys):
+        fresh = {key[1] for key in keys
+                 if key is not None and key[0] == "str"} - self._ranks.keys()
+        if fresh:
+            texts = sorted(self._ranks.keys() | fresh)
+            self._ranks = dict(zip(texts, map(float, range(len(texts)))))
+            ids, texts = self._strings
+            if ids:
+                self._value[ids] = list(map(self._ranks.__getitem__, texts))
+        codes = self._codes
+        return [(0, 0.0) if key is None
+                else (1, key[1]) if key[0] == "num"
+                else (2, self._ranks[key[1]]) if key[0] == "str"
+                else (3, codes.setdefault(key[1], float(len(codes))))
+                for key in keys]

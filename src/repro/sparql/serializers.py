@@ -18,21 +18,26 @@ Implements the result exchange formats a serving frontend speaks:
   their SPARQL (N-Triples) surface syntax, one solution per line.
 
 Every ``write_*`` function streams: it consumes the solution iterable
-exactly once and emits rows as they arrive, so serializing a cursor never
-materializes the result — the serialization path has the same
-time-to-first-byte as the cursor has time-to-first-row.  CSV/TSV have no
+exactly once, a chunk of at most ``BLOCK_ROWS`` rows at a time, so
+serializing a cursor never materializes the result — the serialization
+path has the same time-to-first-byte as the cursor has time-to-first-row.
+A chunk is encoded a column at a time: each projected column maps its
+cells through one per-result memo of finished fragments (an id is decoded
+and encoded once), and the writer lays the columns between its format's
+separators by slice assignment and joins them once.  :func:`serialize`
+collects the pieces in a list and joins them once.  CSV/TSV have no
 W3C-defined ASK form; a single ``true``/``false`` line is emitted, matching
 common endpoint practice.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import re
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter, itemgetter, methodcaller
+from types import SimpleNamespace
 from xml.sax.saxutils import escape, quoteattr
 
 from ..rdf.terms import BNode, Literal, URIRef
@@ -108,16 +113,28 @@ def _xml_cell(name):
     return encode
 
 
+#: Characters that make a CSV field quoted (RFC 4180, as ``csv.writer``
+#: quotes with its defaults): the delimiter, the quote, a line break.
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_field(text):
+    if _CSV_QUOTED.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_cell(_name):
-    """``term -> plain lexical value`` (IRIs unbracketed, ``_:label``)."""
+    """``term -> plain lexical value`` (IRIs unbracketed, ``_:label``), as
+    a finished CSV field."""
 
     def encode(term):
         if isinstance(term, Literal):
-            return term.lexical
+            return _csv_field(term.lexical)
         if isinstance(term, URIRef):
-            return term.value
+            return _csv_field(term.value)
         if isinstance(term, BNode):
-            return f"_:{term.label}"
+            return _csv_field(f"_:{term.label}")
         raise TypeError(f"cannot serialize term {term!r}")
 
     return encode
@@ -133,13 +150,13 @@ class _Fragments(dict):
 
     A cell of a lazy row is a dictionary id — decoded and encoded here
     once, however many rows repeat it — a computed term (aggregates), or
-    ``None`` (unbound: the empty fragment).
+    ``None`` (unbound: the ``unbound`` fragment).
     """
 
     __slots__ = ("_term", "_encode")
 
-    def __init__(self, term, encode):
-        self[None] = ""
+    def __init__(self, term, encode, unbound):
+        self[None] = unbound
         self._term = term
         self._encode = encode
 
@@ -148,51 +165,58 @@ class _Fragments(dict):
         return fragment
 
 
-def _encoded_chunks(names, bindings, cell_encoder):
-    """The one row loop behind all four writers.
+def _encoded_chunks(names, bindings, encoders, unbound=""):
+    """The one loop behind all four writers.
 
     Yields, per chunk of at most ``BLOCK_ROWS`` solutions (the cursor's
-    batch size), a list of rows, each a tuple with one finished fragment per projected column
-    (``''`` where unbound) — a writer only joins strings, and a cursor is
-    consumed chunk by chunk, never materialized.  Rows that are still id
-    tuples (``binding._shape`` is the layout their result shares) are
-    projected by slot and encoded through one :class:`_Fragments` memo per
-    column, kept for the life of the result; eager rows hand over terms,
-    which are encoded directly.
+    batch size), ``(count, columns)``: the chunk's row count and one list of
+    finished fragments per projected column (``unbound`` where unbound) — a
+    writer only joins strings, and a cursor is consumed chunk by chunk,
+    never materialized.  Rows that are still id tuples (``binding._shape``
+    is the layout their result shares) are projected by slot and encoded
+    through one :class:`_Fragments` memo per column, kept for the life of
+    the result; eager rows hand over terms, which are encoded directly.
     """
-    encoders = [cell_encoder(name) for name in names]
     shape = memos = None
     bindings = iter(bindings)
     while True:
         chunk = list(islice(bindings, BLOCK_ROWS))
         if not chunk:
             return
-        if not names:
-            yield [()] * len(chunk)
-            continue
-        rows = []
+        columns = [[] for _name in names]
         for row_shape, run in groupby(chunk, _shape_of):
             if row_shape is None:
                 terms = zip(*[binding.row(names) for binding in run])
-                columns = [
-                    ["" if term is None else encode(term) for term in column]
-                    for encode, column in zip(encoders, terms)
-                ]
-            else:
-                if row_shape is not shape:
-                    shape = row_shape
-                    memos = [
-                        (shape.slot(name), _Fragments(shape.term, encode))
-                        for name, encode in zip(names, encoders)
-                    ]
-                id_rows = list(map(_row_of, run))
-                columns = [
-                    [""] * len(id_rows) if slot is None else
-                    map(memo.__getitem__, map(itemgetter(slot), id_rows))
-                    for slot, memo in memos
-                ]
-            rows.extend(zip(*columns))
-        yield rows
+                for column, encode, cells in zip(columns, encoders, terms):
+                    column.extend([unbound if term is None else encode(term)
+                                   for term in cells])
+                continue
+            if row_shape is not shape:
+                shape = row_shape
+                memos = [(shape.slot(name), _Fragments(shape.term, encode, unbound))
+                         for name, encode in zip(names, encoders)]
+            id_rows = list(map(_row_of, run))
+            for column, (slot, memo) in zip(columns, memos):
+                column.extend([unbound] * len(id_rows) if slot is None else
+                              map(memo.__getitem__, map(itemgetter(slot), id_rows)))
+        yield len(chunk), columns
+
+
+def _joined(count, columns, first, between, separator, last):
+    """One chunk's text from its columns: ``first``, then each row's
+    fragments joined by ``separator`` with ``between`` between rows, then
+    ``last`` — one flat list filled by C-level slice assignment, one
+    ``join``."""
+    if len(columns) == 1:
+        return first + between.join(columns[0]) + last
+    stride = max(2 * len(columns), 1)
+    parts = [separator] * (stride * count)
+    parts[::stride] = [between] * count
+    parts[0] = first
+    for index, column in enumerate(columns):
+        parts[2 * index + 1::stride] = column
+    parts.append(last)
+    return "".join(parts)
 
 
 def write_json(fp, variables, bindings):
@@ -201,13 +225,17 @@ def write_json(fp, variables, bindings):
     fp.write('{"head": {"vars": [%s]}, "results": {"bindings": ['
              % ", ".join(map(_json_string, names)))
     count = 0
-    for rows in _encoded_chunks(names, bindings, _json_cell):
+    for rows, columns in _encoded_chunks(names, bindings, list(map(_json_cell, names))):
         if count:
             fp.write(", ")
-        fp.write(", ".join(
-            ["{%s}" % ", ".join(filter(None, row)) for row in rows]
-        ))
-        count += len(rows)
+        if all(map(all, columns)):
+            fp.write(_joined(rows, columns, "{", "}, {", ", ", "}"))
+        else:
+            # An unbound cell (an empty fragment) is a member left out: the
+            # chunk's rows are joined one by one.
+            fp.write(", ".join(["{%s}" % ", ".join(filter(None, row))
+                                for row in zip(*columns)]))
+        count += rows
     fp.write("]}}")
     return count
 
@@ -227,10 +255,9 @@ def write_xml(fp, variables, bindings):
     _write_xml_prologue(fp, names)
     fp.write("<results>")
     count = 0
-    for rows in _encoded_chunks(names, bindings, _xml_cell):
-        body = "</result><result>".join(map("".join, rows))
-        fp.write(f"<result>{body}</result>")
-        count += len(rows)
+    for rows, columns in _encoded_chunks(names, bindings, list(map(_xml_cell, names))):
+        fp.write(_joined(rows, columns, "<result>", "</result><result>", "", "</result>"))
+        count += rows
     fp.write("</results></sparql>")
     return count
 
@@ -238,12 +265,17 @@ def write_xml(fp, variables, bindings):
 def write_csv(fp, variables, bindings):
     """Stream a SELECT solution sequence as SPARQL-results CSV."""
     names = [variable_name(v) for v in variables]
-    writer = csv.writer(fp, lineterminator="\r\n")
-    writer.writerow(names)
+    encoders = list(map(_csv_cell, names))
+    unbound = ""
+    if len(names) == 1:
+        # A row of one empty field is quoted, or it would read as no field.
+        (encode,) = encoders
+        encoders, unbound = [lambda term: encode(term) or '""'], '""'
+    fp.write(",".join(map(_csv_field, names)) + "\r\n")
     count = 0
-    for rows in _encoded_chunks(names, bindings, _csv_cell):
-        writer.writerows(rows)
-        count += len(rows)
+    for rows, columns in _encoded_chunks(names, bindings, encoders, unbound):
+        fp.write(_joined(rows, columns, "", "\r\n", ",", "\r\n"))
+        count += rows
     return count
 
 
@@ -252,9 +284,9 @@ def write_tsv(fp, variables, bindings):
     names = [variable_name(v) for v in variables]
     fp.write("\t".join("?" + name for name in names) + "\n")
     count = 0
-    for rows in _encoded_chunks(names, bindings, _tsv_cell):
-        fp.write("\n".join(map("\t".join, rows)) + "\n")
-        count += len(rows)
+    for rows, columns in _encoded_chunks(names, bindings, list(map(_tsv_cell, names))):
+        fp.write(_joined(rows, columns, "", "\n", "\t", "\n"))
+        count += rows
     return count
 
 
@@ -303,7 +335,8 @@ def write(fp, variables, result, format="json"):
 
 
 def serialize(variables, result, format="json"):
-    """Serialize a result into one string; see :func:`write`."""
-    buffer = io.StringIO()
-    write(buffer, variables, result, format)
-    return buffer.getvalue()
+    """Serialize a result into one string; see :func:`write`.  The writer's
+    pieces are collected in a list and joined once."""
+    pieces = []
+    write(SimpleNamespace(write=pieces.append), variables, result, format)
+    return "".join(pieces)

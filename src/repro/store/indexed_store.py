@@ -10,13 +10,14 @@ leading column as row offsets per id (CSR style) and its other two as
 sorted ``array('I')`` columns, so every pattern is one range of the
 permutation its bound positions lead: the offsets of the leading id, then a
 bisect within them per further bound id.  A predicate's PSO or POS range
-is its (subject, object) or (object, subject) pairs, sorted.  The cost
-model's statistics are range lengths and the distinct keys within a range
-or of the offsets, counted once per generation.  ``triples_ids()`` /
-``count_ids()`` decode nothing: the SPARQL executor
-(:mod:`repro.sparql.idspace`) joins over ids, and ``supports_permutations``
-gives the planner probes per row and batch kernels over
-``permutation()``'s numpy views.
+is its (subject, object) or (object, subject) pairs, sorted, and the batch
+kernels read it through its own row offsets per subject or object, built
+on first use.  The cost model's statistics are range lengths and the
+distinct keys within a range or of the offsets, counted once per
+generation.  ``triples_ids()`` / ``count_ids()`` decode nothing: the SPARQL
+executor (:mod:`repro.sparql.idspace`) joins over ids, and
+``supports_permutations`` gives the planner probes per row and batch
+kernels over ``permutation()``'s numpy views.
 
 No column is edited in place: ``add_all``/``remove_all`` splice a batch of
 triples into copies of every permutation in one pass (``add``/``remove``
@@ -112,10 +113,13 @@ def _spliced_permutation(permutation, rows, size, insert):
                                [_key_range(starts, lead) for lead in leads], insert))
 
 
-def _starts(keys, size):
-    """Row offsets of a sorted key column (numpy): the rows of id ``k`` are
-    ``starts[k]:starts[k + 1]``, for every id below ``size``."""
-    return _column(np.searchsorted(keys, np.arange(size + 1, dtype=np.uintc)).astype(np.uintc))
+def _offsets(keys, size):
+    """Row offsets of a sorted key column, as a numpy ``u32`` array: the
+    rows of id ``k`` are ``offsets[k]:offsets[k + 1]``, for every id below
+    ``size``."""
+    offsets = np.zeros(size + 1, np.uintc)
+    np.cumsum(np.bincount(keys, minlength=size), out=offsets[1:], dtype=np.uintc)
+    return offsets
 
 
 def leading_column(starts):
@@ -153,6 +157,10 @@ class IndexedStore(TripleStore):
         #: The distinct counts read so far (:meth:`_distinct`): a generation's
         #: own, so a write starts a new dict.
         self._statistics = {}
+        #: ``(order, predicate_id)`` -> that predicate's PSO or POS rows as
+        #: offsets per second id (:meth:`permutation`), built on first use
+        #: and kept like the statistics.
+        self._predicate_offsets = {}
         #: predicate_id -> ``version`` at which a triple of that predicate
         #: was last added or removed (absent: not since construction).
         self._predicate_stamps = {}
@@ -200,11 +208,15 @@ class IndexedStore(TripleStore):
                 size, insert)
             for name, positions in ORDERS.items()}
         touched = {p for _s, p, _o in rows}
-        # A new dict, so a base sharing the old one keeps its own counts;
-        # those of the predicates left alone carry over.  It is copied (one
-        # C call) before the filter: the base's readers may be filling it.
+        # New dicts, so a base sharing the old ones keeps its own counts and
+        # offsets; those of the predicates left alone carry over.  Each is
+        # copied (one C call) before the filter: the base's readers may be
+        # filling it.
         self._statistics = {key: count for key, count in self._statistics.copy().items()
                             if key[1] is not None and key[1] not in touched}
+        self._predicate_offsets = {key: offsets for key, offsets
+                                   in self._predicate_offsets.copy().items()
+                                   if key[1] not in touched}
         self._touch(touched)
         return len(rows)
 
@@ -251,12 +263,12 @@ class IndexedStore(TripleStore):
         pos = osp[2][by_object], osp[0][by_object], osp[1][by_object]
         size = len(self._dictionary)
         # PSO and POS lead with the same predicates: one offsets array serves both.
-        predicate_starts = _starts(pso[0], size)
+        predicate_starts = _column(_offsets(pso[0], size))
         self._permutations = {
-            name: (predicate_starts if name in ("pso", "pos") else _starts(lead, size),
+            name: (predicate_starts if name in ("pso", "pos") else _column(_offsets(lead, size)),
                    _column(second), _column(third))
             for name, (lead, second, third) in zip(ORDERS, (spo, osp, pso, pos))}
-        self._statistics = {}
+        self._statistics, self._predicate_offsets = {}, {}
         return np.unique(p[fresh]).tolist()
 
     def _touch(self, predicate_ids):
@@ -269,12 +281,13 @@ class IndexedStore(TripleStore):
         """Start a draft of this store's next MVCC generation: an
         ``IndexedStore`` the MVCC writer (:mod:`repro.store.mvcc`) drives
         through ``add_all``/``remove_all``.  It shares the term dictionary
-        (append-only), every permutation and the statistics read so far,
-        and copies the change stamps; a write replaces permutations and
-        statistics, so this store stays frozen."""
+        (append-only), every permutation, the statistics and predicate
+        offsets read so far, and copies the change stamps; a write replaces
+        all three, so this store stays frozen."""
         draft = IndexedStore()
         draft._dictionary = self._dictionary
         draft._permutations, draft._statistics = self._permutations, self._statistics
+        draft._predicate_offsets = self._predicate_offsets
         draft._predicate_stamps = self._predicate_stamps.copy()
         draft.version = self.version
         return draft
@@ -397,15 +410,29 @@ class IndexedStore(TripleStore):
         numpy views ``(starts, second, third)``: the rows of leading id ``k``
         are ``starts[k]:starts[k + 1]``, and ``second`` and ``third`` hold
         their other two ids in the order's sequence (SPO: predicates, then
-        objects; PSO: subjects, then objects).  Given a ``lead`` id, only
-        ``(second, third)`` of its rows (none for an id without any)."""
+        objects; PSO: subjects, then objects).
+
+        Given a predicate id ``lead`` of PSO or POS, its rows in the same
+        shape one level down, ``(starts, third)``: the rows of subject (or
+        object) ``k`` are ``starts[k]:starts[k + 1]`` of ``third``, their
+        objects (or subjects).  The offsets are ``u32``, one per id up to
+        the largest the rows hold (an id past them has no rows), built on
+        first use per generation; a write keeps those of the predicates it
+        leaves alone."""
         if order not in ORDERS:
             raise ValueError(f"unknown permutation order: {order!r}")
         starts, second, third = self._permutations[order]
         if lead is None:
             return tuple(np.frombuffer(column, np.uintc) for column in (starts, second, third))
+        if order not in ("pso", "pos"):
+            raise ValueError(f"a lead id ranges PSO or POS, not {order!r}")
         lo, hi = _key_range(starts, lead)
-        return _view(second, lo, hi), _view(third, lo, hi)
+        offsets = self._predicate_offsets.get((order, lead))
+        if offsets is None:
+            keys = _view(second, lo, hi)
+            offsets = self._predicate_offsets[order, lead] = _offsets(
+                keys, int(keys[-1]) + 1 if len(keys) else 0)
+        return offsets, _view(third, lo, hi)
 
     def __len__(self):
         return len(self._permutations["spo"][1])

@@ -367,12 +367,6 @@ class TestHashLeftJoinEquivalence:
         hashed = multiset(solutions(family(GRAPH), query))
         assert hashed == oracle.multiset(oracle.evaluate(query, GRAPH))
 
-    @pytest.mark.parametrize("query", (Q6_SHAPED, Q7_SHAPED, SHARED_OPTIONAL))
-    def test_term_space_left_join_matches_naive(self, query):
-        # On the scan store.
-        hashed = multiset(solutions(MemoryStore(GRAPH), query))
-        assert hashed == oracle.multiset(oracle.evaluate(query, GRAPH))
-
 
 #: A bind join whose OPTIONAL left side leaves the shared ?abs unbound in
 #: most rows: those rows are compatible with every right row.

@@ -11,6 +11,7 @@ must serialize to the same bytes through both.
 import csv
 import io
 import json
+from collections import Counter
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
 
@@ -329,6 +330,81 @@ def test_generated_results_are_identical_and_parse_back(result):
                     assert (child.text or "") == term.lexical
                     assert child.get(XML_LANG) == term.language
                     assert child.get("datatype") == term.datatype
+
+
+class CountingDictionary(TermDictionary):
+    """A dictionary that counts its decodes per id."""
+
+    def __init__(self):
+        super().__init__()
+        self.decodes = Counter()
+
+    def decode(self, term_id):
+        self.decodes[term_id] += 1
+        return super().decode(term_id)
+
+
+#: Which of the three projected cells a row leaves unbound, by pattern.
+UNBOUND_PATTERNS = {
+    "none": (), "first": (0,), "middle": (1,), "last": (2,), "every": (0, 1, 2),
+}
+
+
+def id_rows(dictionary, unbound_by_chunk, names=NAMES):
+    """Lazy rows over 40 terms (ids repeat within and across chunks), in
+    chunks of ``BLOCK_ROWS``: each chunk leaves cells unbound by its entry
+    of ``unbound_by_chunk`` (a list of pattern names cycled over its rows;
+    ``["none"]`` is a chunk with every cell bound).  A hidden fourth slot
+    is never projected."""
+    terms = [URIRef(f"http://x/{n}") if n % 3 == 0 else Literal(f"v{n},\"q\"")
+             if n % 3 == 1 else Literal(n) for n in range(40)]
+    ids = [dictionary.encode(term) for term in terms]
+    layout = SlotLayout(names + ("hidden",), dictionary)
+    rows = []
+    for chunk, patterns in enumerate(unbound_by_chunk):
+        for index in range(kernels.BLOCK_ROWS):
+            row = index + chunk * kernels.BLOCK_ROWS
+            unbound = UNBOUND_PATTERNS[patterns[index % len(patterns)]]
+            cells = tuple(None if column in unbound else ids[(row * (column + 3)) % 40]
+                          for column in range(len(names)))
+            rows.append(IdBinding(layout, cells + (ids[row % 40],)))
+    return rows, layout
+
+
+@pytest.mark.parametrize("chunks", (
+    [["none"], ["first"], ["none"], ["middle", "none"]],
+    [["last"], ["every"], ["none", "none", "first"], ["none"], ["none"]],
+    [["first", "middle", "last", "every", "none"]] * 3,
+), ids=("mixed", "every-pattern", "cycled"))
+def test_id_rows_with_unbound_cells_match_the_oracle_across_chunks(chunks):
+    # Chunks of only bound cells take the writers' column path, chunks with
+    # an unbound cell JSON's per-row path; both read one memo per column.
+    dictionary = CountingDictionary()
+    rows, layout = id_rows(dictionary, chunks)
+    assert len(rows) > kernels.BLOCK_ROWS
+    for format in serializers.FORMATS:
+        dictionary.decodes.clear()
+        layout._terms.clear()
+        document = serializers.serialize(VARIABLES, rows, format)
+        # Each distinct id the projection holds is decoded once.
+        projected = {cell for row in rows for cell in row._row[:3] if cell is not None}
+        assert set(dictionary.decodes) == projected
+        assert set(dictionary.decodes.values()) == {1}
+        assert document == oracle(VARIABLES, rows, format), format
+
+
+def test_one_column_results_quote_empty_rows_as_csv_does():
+    # A CSV row of one empty field (unbound, or an empty literal) is '""'.
+    dictionary = TermDictionary()
+    layout = SlotLayout(("a",), dictionary)
+    cells = [None, dictionary.encode(Literal("")), dictionary.encode(Literal("x")),
+             dictionary.encode(Literal("a,b"))]
+    rows = [IdBinding(layout, (cells[n % 4],)) for n in range(kernels.BLOCK_ROWS + 5)]
+    eager = [Binding({"a": row.get("a")} if row.get("a") is not None else {}) for row in rows]
+    for format in serializers.FORMATS:
+        for result in (rows, eager):
+            assert (serializers.serialize([Variable("a")], result, format)
+                    == oracle([Variable("a")], result, format)), format
 
 
 def test_projection_without_variables_and_unprojected_names():

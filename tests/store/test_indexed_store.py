@@ -4,10 +4,12 @@ import itertools
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import recount
 from repro.rdf import RDF, BNode, Literal, Triple, URIRef
+from repro.sparql import kernels
 from repro.store import IndexedStore, MemoryStore
 
 EX = "http://example.org/"
@@ -175,13 +177,21 @@ class TestIdLevelAccess:
                                 third[starts[key]:starts[key + 1]].tolist())]
             assert spelled == sorted(tuple(ids[position] for position in positions)
                                      for ids in store.triples_ids()), order
-            # One leading id's rows alone; none for an id without any.
+            if order not in ("pso", "pos"):
+                continue
+            # One predicate's rows alone, as offsets per second id over its
+            # third column; none for an id without any.
             for key in (*range(len(starts) - 1), len(starts), -1):
                 rows = [pair[1:] for pair in spelled if pair[0] == key]
-                assert list(zip(*(column.tolist() for column in
-                                  store.permutation(order, key)))) == rows
+                offsets, thirds = store.permutation(order, key)
+                assert offsets.dtype == np.uintc
+                assert [(second_id, third) for second_id in range(len(offsets) - 1)
+                        for third in thirds[offsets[second_id]:offsets[second_id + 1]].tolist()
+                        ] == rows
         with pytest.raises(ValueError, match="unknown permutation order"):
             store.permutation("s")
+        with pytest.raises(ValueError, match="ranges PSO or POS"):
+            store.permutation("spo", 0)
 
     def test_range_columns_are_the_unbound_positions_of_triples_ids(self, store):
         triples = list(store.triples_ids())
@@ -336,6 +346,113 @@ class TestPermutations:
         assert store.distinct_subjects(uri("q")) == store.distinct_objects(uri("q")) == 0
         assert store.count(None, uri("q"), None) == 0
         assert not list(store.triples(None, uri("q")))
+
+
+def spelled_offsets(store, order, predicate):
+    """A predicate's PSO or POS rows as (second id, third id) pairs, read
+    through its offsets, with the offsets themselves."""
+    offsets, thirds = store.permutation(order, store.dictionary.lookup(predicate))
+    return offsets, [(second, third) for second in range(len(offsets) - 1)
+                     for third in thirds[offsets[second]:offsets[second + 1]].tolist()]
+
+
+def recounted_pairs(store, order, predicate):
+    """The same pairs from ``triples_ids``: (subject, object) for PSO,
+    (object, subject) for POS."""
+    predicate_id = store.dictionary.lookup(predicate)
+    pairs = [(s, o) for s, p, o in store.triples_ids() if p == predicate_id]
+    return sorted(pairs if order == "pso" else [(o, s) for s, o in pairs])
+
+
+class TestPredicateOffsets:
+    """A predicate's PSO and POS rows as u32 offsets per second id: built
+    once per generation, kept across writes that leave the predicate alone,
+    rebuilt after writes that touch it."""
+
+    @pytest.mark.parametrize("order", ("pso", "pos"))
+    def test_an_id_past_the_end_has_no_rows(self, store, order):
+        offsets, pairs = spelled_offsets(store, order, uri("p"))
+        assert len(offsets) == max(second for second, _third in pairs) + 2
+        # Ids the offsets do not cover (a term a later generation added,
+        # the top of the u32 range) range nothing.
+        beyond = np.array([len(offsets) - 1, len(offsets), 2**32 - 1], dtype=np.uintc)
+        lo, hi = kernels.key_ranges(offsets, beyond)
+        assert (lo == hi).all()
+
+    @pytest.mark.parametrize("order", ("pso", "pos"))
+    def test_offsets_are_built_once_per_generation(self, store, order):
+        first, pairs = spelled_offsets(store, order, uri("p"))
+        again, _pairs = spelled_offsets(store, order, uri("p"))
+        assert again is first and pairs == recounted_pairs(store, order, uri("p"))
+
+    @pytest.mark.parametrize("order", ("pso", "pos"))
+    def test_after_a_write_the_touched_predicates_ranges_are_current(self, store, order):
+        before, _pairs = spelled_offsets(store, order, uri("p"))
+        store.add_all([Triple(uri("z"), uri("p"), uri("a")),
+                       Triple(uri("b"), uri("p"), uri("new"))])
+        store.remove(Triple(uri("a"), uri("p"), uri("c")))
+        after, pairs = spelled_offsets(store, order, uri("p"))
+        assert after is not before
+        assert pairs == recounted_pairs(store, order, uri("p"))
+
+    def test_an_untouched_predicates_offsets_are_shared_with_the_base(self, store):
+        base_q, _pairs = spelled_offsets(store, "pso", uri("q"))
+        base_p, _pairs = spelled_offsets(store, "pos", uri("p"))
+        draft = store.begin_generation()
+        draft.add_all([Triple(uri("a"), uri("p"), uri("fresh"))])
+        draft_q, pairs = spelled_offsets(draft, "pso", uri("q"))
+        assert draft_q is base_q and pairs == recounted_pairs(draft, "pso", uri("q"))
+        draft_p, pairs = spelled_offsets(draft, "pos", uri("p"))
+        assert draft_p is not base_p and pairs == recounted_pairs(draft, "pos", uri("p"))
+        # The base still reads its own generation.
+        assert spelled_offsets(store, "pos", uri("p"))[0] is base_p
+        assert (uri("a"), uri("p"), uri("fresh")) not in set(store.triples())
+
+
+def test_a_pinned_reader_keeps_its_own_offsets_while_drafts_write():
+    # Readers of a base fill (and clear, and refill) the offsets it shares
+    # with its drafts while the drafts write: no write may trip over the
+    # dict changing under it ("dictionary changed size during iteration"),
+    # and the arrays a reader gets spell exactly the base's rows.
+    predicates = [uri(f"p{n}") for n in range(1500)]
+    base = IndexedStore(Triple(uri(f"s{n % 7}"), predicate, Literal(n % 10))
+                        for n, predicate in enumerate(predicates))
+    ids = [base.dictionary.lookup(predicate) for predicate in predicates]
+    checked = {(order, predicates[n]): recounted_pairs(base, order, predicates[n])
+               for order in ("pso", "pos") for n in range(0, len(predicates), 100)}
+    errors, stop = [], threading.Event()
+
+    def read():
+        try:
+            while not stop.is_set():
+                for order in ("pso", "pos"):
+                    for predicate_id in ids:
+                        base.permutation(order, predicate_id)
+                for (order, predicate), pairs in checked.items():
+                    if spelled_offsets(base, order, predicate)[1] != pairs:
+                        errors.append(f"{order} {predicate}: rows changed")
+                base._predicate_offsets.clear()  # and fill it again
+        except Exception as error:  # reported by the assertion below
+            errors.append(error)
+
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        for n in range(200):
+            draft = base.begin_generation()
+            draft.add_all([Triple(uri("new"), predicates[n], Literal(-n))])
+            assert spelled_offsets(draft, "pso", predicates[n])[1] == \
+                recounted_pairs(draft, "pso", predicates[n])
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert errors == []
 
 
 def test_a_draft_writes_while_readers_fill_the_statistics_it_shares():

@@ -1,6 +1,8 @@
-"""Tests for the serve-smoke four-format row-count check, against live
-servers: one serves the snapshot's document and passes; one serves a
-different document and fails, naming each format with both counts."""
+"""Tests for the serve-smoke four-format check, against live servers: one
+serves the snapshot's document on native-cost and passes; one serves a
+different document and fails, naming each format with both counts; one
+serves the document on another preset, whose Q4 rows come in another
+order, and fails on the bytes alone."""
 
 import importlib.util
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro import SparqlEngine, SparqlServer, generate_graph
+from repro.sparql import NATIVE_COST, NATIVE_OPTIMIZED
 from repro.store import IndexedStore
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -25,8 +28,8 @@ def snapshot(tmp_path_factory):
     return path
 
 
-def serve(store):
-    return SparqlServer(SparqlEngine.from_store(store), port=0, workers=1,
+def serve(store, config=NATIVE_COST):
+    return SparqlServer(SparqlEngine.from_store(store, config), port=0, workers=1,
                         default_timeout=10.0)
 
 
@@ -36,6 +39,18 @@ def test_passes_when_the_server_serves_the_snapshot(snapshot, capsys):
     out = capsys.readouterr().out
     for format in ("json", "xml", "csv", "tsv"):
         assert f"Q2 {format}: 11 rows" in out
+        assert f"Q4 {format}: 432 rows" in out
+
+
+def test_fails_on_the_bytes_when_only_the_row_order_differs(snapshot, capsys):
+    # native-optimized runs Q4's DISTINCT on tuple rows, first seen first;
+    # native-cost's block DISTINCT emits each block's new rows sorted.
+    with serve(IndexedStore.load(snapshot), NATIVE_OPTIMIZED) as live:
+        assert format_counts.main([live.url, str(snapshot)]) == 1
+    out = capsys.readouterr().out
+    for format in ("json", "xml", "csv", "tsv"):
+        assert f"Q2 {format}: 11 rows" in out
+        assert f"Q4 {format}: body differs from in-process at character" in out
 
 
 def test_fails_naming_format_and_counts_for_another_document(snapshot, capsys):
